@@ -457,21 +457,15 @@ def check_network_degraded(net) -> List[InvariantViolation]:
 
     for mid in sorted(net.nodes):
         kernel = net.nodes[mid].kernel
-        for tid in sorted(kernel.requests):
-            record = kernel.requests[tid]
-            if record.open:
-                continue
-            for attr in ("probe_timer", "probe_deadline"):
-                if _timer_live(getattr(record, attr)):
-                    violations.append(
-                        InvariantViolation(
-                            "INV-DELTAT",
-                            now,
-                            mid,
-                            f"closed request #{tid} still holds a live "
-                            f"{attr}",
-                        )
-                    )
+        for tid, attr in kernel.leaked_probe_timers():
+            violations.append(
+                InvariantViolation(
+                    "INV-DELTAT",
+                    now,
+                    mid,
+                    f"closed request #{tid} still holds a live {attr}",
+                )
+            )
         for peer in sorted(kernel.connections):
             conn = kernel.connections[peer]
             if conn.outstanding is None:

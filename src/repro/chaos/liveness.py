@@ -54,16 +54,13 @@ def check_liveness(
 
     for mid in sorted(net.nodes):
         kernel = net.nodes[mid].kernel
-        for tid in sorted(kernel.requests):
-            record = kernel.requests[tid]
-            if record.open:
-                continue  # still-open requests are judged via their span
-            for attr in ("probe_timer", "probe_deadline"):
-                if _timer_live(getattr(record, attr)):
-                    problems.append(
-                        f"node {mid}: closed request #{tid} leaked a "
-                        f"live {attr}"
-                    )
+        # Still-open requests are judged via their span; a closed one
+        # has retired from kernel.requests, so the kernel looks its
+        # timers up in the scheduler instead.
+        for tid, attr in kernel.leaked_probe_timers():
+            problems.append(
+                f"node {mid}: closed request #{tid} leaked a live {attr}"
+            )
 
         client = kernel.client
         client_dead = client is None or client.dead
@@ -83,11 +80,7 @@ def check_liveness(
                     f"node {mid}: dead client still holds a parked "
                     f"REQUEST"
                 )
-            stuck = [
-                tid
-                for tid in sorted(kernel.requests)
-                if kernel.requests[tid].open
-            ]
+            stuck = sorted(kernel.requests)
             if stuck:
                 problems.append(
                     f"node {mid}: dead client left open request(s) "

@@ -23,7 +23,7 @@ kernel's business, expressed through the callbacks on each
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from repro.transport.deltat import DeltaTRecord
@@ -188,11 +188,7 @@ class Connection:
         if first and include_data:
             send_packet = packet
         else:
-            send_packet = replace(
-                packet,
-                data=packet.data if include_data else None,
-                packet_id=packet.packet_id,
-            )
+            send_packet = packet.copy_for_retransmit(include_data)
         if include_data and packet.data is not None:
             message.transmitted_with_data = True
         message.attempts += 1

@@ -19,7 +19,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.boot import (
     DEFAULT_KILL_PATTERN,
@@ -121,6 +121,19 @@ class DeliveredRequest:
     #: transaction — else a requester behind a healed partition probes
     #: an answer that will never come, forever.
     reply_dead: bool = False
+    #: The requester acknowledged our ACCEPT: it holds the outcome, will
+    #: never probe this transaction again, and the record may retire.
+    accept_acked: bool = False
+
+    @property
+    def settled(self) -> bool:
+        """Nothing can still ask about this delivery (see
+        ``SodaKernel._retire_if_settled``)."""
+        if self.state is DeliveredState.CANCELLED:
+            return True
+        return self.state is DeliveredState.DONE and (
+            self.accept_acked or self.reply_dead
+        )
 
 
 @dataclass
@@ -183,12 +196,20 @@ class SodaKernel:
         self.patterns = PatternTable(direct_index=self.config.direct_index_patterns)
         self.connections: Dict[int, Connection] = {}
 
-        # requester side
+        # requester side.  ``requests`` holds *open* REQUESTs only:
+        # _close_request retires a record the moment it completes or is
+        # cancelled, so len(requests) is the MAXREQUESTS count (§3.3.1)
+        # and the table is bounded by it (DESIGN.md "Record lifetime").
         self.requests: Dict[int, RequestRecord] = {}
+        # All a retired CANCELLED record still has to answer: a repeated
+        # CANCEL of a withdrawn tid resolves SUCCESS, of a completed or
+        # unknown one FAIL.  Tids only, this incarnation's only.
+        self._cancelled_tids: Set[int] = set()
         self._discovers: Dict[int, DiscoverState] = {}
         self._discover_tokens = itertools.count(1)
 
-        # server side
+        # server side.  ``delivered`` holds deliveries something may
+        # still ask about; _retire_if_settled drops the rest.
         self.delivered: Dict[RequesterSignature, DeliveredRequest] = {}
         # Signatures the last dead incarnation left DELIVERED but never
         # ACCEPTed: their handlers provably never executed, so a PROBE
@@ -259,6 +280,23 @@ class SodaKernel:
             tid=delivered.sig.tid,
             state=state.value,
         )
+        self._retire_if_settled(delivered)
+
+    def _retire_if_settled(self, delivered: DeliveredRequest) -> None:
+        """Drop a delivery nothing can ask about any more.
+
+        CANCELLED is final at once.  DONE waits for the ACCEPT's fate: a
+        DONE delivery whose ACCEPT is still in flight must keep answering
+        PROBEs ``arg=1`` until the requester has acknowledged it (it then
+        holds the outcome and stops probing) or is declared dead
+        (``reply_dead``).  A lookup miss answers exactly as the retired
+        record did — PROBE ``arg=0``, ACCEPT ``CANCELLED``, CANCEL "too
+        late" — and the identity guard keeps a transport callback that
+        outlived a reset (``_accept_stale``) from evicting a newer
+        delivery under the same signature.
+        """
+        if delivered.settled and self.delivered.get(delivered.sig) is delivered:
+            del self.delivered[delivered.sig]
 
     def _note_delivered(self, delivered: DeliveredRequest) -> None:
         self.delivered[delivered.sig] = delivered
@@ -270,9 +308,6 @@ class SodaKernel:
             tid=delivered.sig.tid,
             state=delivered.state.value,
         )
-
-    def _outstanding_count(self) -> int:
-        return sum(1 for record in self.requests.values() if record.open)
 
     def _kernel_work(self, charges: Dict[str, float], fn=None, *args) -> None:
         """Charge ledger categories and serialize work on the kernel CPU."""
@@ -314,6 +349,11 @@ class SodaKernel:
             return
         frame = self.nic.send(dst, packet, payload_bytes=packet.wire_payload_bytes())
         self.ledger.charge("transmission", self.nic.bus.serialization_us(frame))
+        trace = self.sim.trace
+        if trace.passive:
+            # Nobody reads the fields; only the category counter moves.
+            trace.record(self.sim.now, "kernel.tx")
+            return
         fields = dict(
             mid=self.mid,
             dst=dst,
@@ -334,7 +374,7 @@ class SodaKernel:
         )
         if packet.epoch is not None:
             fields["epoch"] = packet.epoch
-        self.sim.trace.record(self.sim.now, "kernel.tx", **fields)
+        trace.record(self.sim.now, "kernel.tx", **fields)
 
     def on_frame(self, frame: Frame) -> None:
         if self.offline_until is not None:
@@ -373,25 +413,7 @@ class SodaKernel:
         if self.offline_until is not None:
             return
         self._arrival_backlog_us = arrival_backlog_us
-        fields = dict(
-            mid=self.mid,
-            src=src,
-            ptype=packet.ptype.value,
-            desc=packet.describe(),
-            seq=packet.seq,
-            tid=packet.tid,
-            ack=packet.ack,
-            nack=packet.nack_code.value if packet.nack_code else None,
-            # Retry hint as *received* — sodalint rule SODA007 binds a
-            # client only to hints that actually reached it.
-            hint=packet.retry_hint_us,
-            # Frame id pairs this rx with its kernel.tx (causal edge);
-            # None for traces replayed without NIC correlation.
-            fid=fid,
-        )
-        if packet.epoch is not None:
-            fields["epoch"] = packet.epoch
-        self.sim.trace.record(self.sim.now, "kernel.rx", **fields)
+        self._trace_rx(src, packet, fid)
         conn = self._conn(src)
         conn.note_heard()
         ptype = packet.ptype
@@ -430,6 +452,32 @@ class SodaKernel:
         elif ptype is PacketType.DISCOVER_REPLY:
             self._handle_discover_reply(src, packet)
 
+    def _trace_rx(self, src: int, packet: Packet, fid: Optional[int]) -> None:
+        trace = self.sim.trace
+        if trace.passive:
+            # Nobody reads the fields; only the category counter moves.
+            trace.record(self.sim.now, "kernel.rx")
+            return
+        fields = dict(
+            mid=self.mid,
+            src=src,
+            ptype=packet.ptype.value,
+            desc=packet.describe(),
+            seq=packet.seq,
+            tid=packet.tid,
+            ack=packet.ack,
+            nack=packet.nack_code.value if packet.nack_code else None,
+            # Retry hint as *received* — sodalint rule SODA007 binds a
+            # client only to hints that actually reached it.
+            hint=packet.retry_hint_us,
+            # Frame id pairs this rx with its kernel.tx (causal edge);
+            # None for traces replayed without NIC correlation.
+            fid=fid,
+        )
+        if packet.epoch is not None:
+            fields["epoch"] = packet.epoch
+        trace.record(self.sim.now, "kernel.rx", **fields)
+
     def _accept_sequenced(self, conn: Connection, packet: Packet) -> bool:
         """Consume a sequenced packet; False for duplicates (re-acked)."""
         verdict = conn.classify_sequenced(packet)
@@ -456,7 +504,7 @@ class SodaKernel:
             # re-issue it without the MAYBE path.  Not a crash — no
             # kernel.crash_report — the peer is alive, just saturated.
             record = self.requests.get(packet.tid)
-            if record is not None and record.open:
+            if record is not None:
                 self._complete_request_failure(
                     record,
                     RequestStatus.OVERLOADED,
@@ -467,7 +515,7 @@ class SodaKernel:
             return
         if code is NackCode.UNADVERTISED:
             record = self.requests.get(packet.tid)
-            if record is not None and record.open:
+            if record is not None:
                 self._complete_request_failure(
                     record,
                     RequestStatus.UNADVERTISED,
@@ -797,7 +845,7 @@ class SodaKernel:
             raise SodaError(
                 f"message exceeds the fixed maximum of {limit} bytes"
             )
-        if self._outstanding_count() >= self.config.max_requests:
+        if len(self.requests) >= self.config.max_requests:
             raise TooManyRequestsError(
                 f"MAXREQUESTS={self.config.max_requests} already uncompleted"
             )
@@ -890,6 +938,34 @@ class SodaKernel:
             record, status, reason="retransmit_exhausted", not_executed=not_executed
         )
 
+    def _close_request(
+        self,
+        record: RequestRecord,
+        state: RequestState,
+        status: Optional[RequestStatus] = None,
+    ) -> None:
+        """The one way a REQUEST leaves the open set.
+
+        Every close — ACCEPT arrival, failure completion, DISCOVER
+        window end, both CANCEL paths, client reset — comes through
+        here, so the three things a close owes cannot drift apart: the
+        probe timers are dropped (nowhere else drops them for good), a
+        CANCEL still blocked on a REQUEST that completed instead loses
+        (FAIL), and the record is retired from ``requests``, which frees
+        its MAXREQUESTS slot.  After this a lookup misses; each caller
+        of ``requests.get`` answers a miss as it answered the closed
+        record (DESIGN.md "Record lifetime").
+        """
+        record.state = state
+        record.completion_status = status
+        self._stop_probing(record)
+        del self.requests[record.tid]
+        if state is RequestState.CANCELLED:
+            self._cancelled_tids.add(record.tid)
+        elif record.pending_cancel is not None:
+            record.pending_cancel.resolve(CancelStatus.FAIL)
+            record.pending_cancel = None
+
     def _complete_request_failure(
         self,
         record: RequestRecord,
@@ -901,12 +977,7 @@ class SodaKernel:
     ) -> None:
         if not record.open:
             return
-        record.state = RequestState.COMPLETED
-        record.completion_status = status
-        self._stop_probing(record)
-        if record.pending_cancel is not None:
-            record.pending_cancel.resolve(CancelStatus.FAIL)
-            record.pending_cancel = None
+        self._close_request(record, RequestState.COMPLETED, status)
         self.sim.trace.record(
             self.sim.now,
             "kernel.complete",
@@ -965,6 +1036,11 @@ class SodaKernel:
             # the RTT estimator (implicit=True).
             conn.handle_ack(record.outbound.packet.seq, implicit=True)
         if record is None:
+            # No open REQUEST by that name (§3.6.1).  Tids are monotonic
+            # and the watermark is the first tid of this incarnation:
+            # below it the REQUEST died with an earlier client (CRASHED);
+            # at or above it this client completed or cancelled it — the
+            # record retired — or never issued it (CANCELLED).
             code = (
                 NackCode.CRASHED
                 if packet.tid < self._tid_watermark
@@ -972,16 +1048,10 @@ class SodaKernel:
             )
             conn.send_nack(code, tid=packet.tid)
             return
-        if not record.open:
-            conn.send_nack(NackCode.CANCELLED, tid=packet.tid)
-            return
         # Normal completion.
-        record.state = RequestState.COMPLETED
-        record.completion_status = RequestStatus.COMPLETED
-        self._stop_probing(record)
-        if record.pending_cancel is not None:
-            record.pending_cancel.resolve(CancelStatus.FAIL)
-            record.pending_cancel = None
+        self._close_request(
+            record, RequestState.COMPLETED, RequestStatus.COMPLETED
+        )
         taken_get = 0
         if packet.data is not None:
             taken_get = record.get_buffer.write(packet.data)
@@ -1122,7 +1192,9 @@ class SodaKernel:
         incarnation: a DIE/BOOT (or crash) cleared ``self.delivered``
         while the ACCEPT was still in the connection's outbox, so the
         late ack/death must not resurrect the dead incarnation's state
-        (it would emit an illegal ``delivered_state`` transition)."""
+        (it would emit an illegal ``delivered_state`` transition).  A
+        delivery is never retired while its ACCEPT can still call back,
+        so within one incarnation the lookup hits."""
         return self.delivered.get(pending.sig) is not delivered
 
     def _accept_noted(
@@ -1131,8 +1203,10 @@ class SodaKernel:
         if self._accept_stale(pending, delivered):
             return
         # Dataless ACCEPT: the exchange was local; unblock the server as
-        # soon as the kernel has noted and dispatched the command.
+        # soon as the kernel has noted and dispatched the command.  The
+        # delivery stays (DONE, answering PROBEs) until the ACCEPT's ack.
         self._set_delivered_state(delivered, DeliveredState.DONE)
+        self.pending_accepts.pop(pending.sig, None)
         pending.resolve(AcceptStatus.SUCCESS)
 
     def _accept_acked(
@@ -1140,11 +1214,13 @@ class SodaKernel:
     ) -> None:
         if self._accept_stale(pending, delivered):
             return
+        delivered.accept_acked = True
         if pending.wait_for == "ack":
             self._set_delivered_state(delivered, DeliveredState.DONE)
             self.pending_accepts.pop(pending.sig, None)
             pending.resolve(AcceptStatus.SUCCESS)
         # wait_for == "data": resolution happens when the DATA arrives.
+        self._retire_if_settled(delivered)
 
     def _accept_peer_dead(
         self, pending: PendingAccept, delivered: DeliveredRequest
@@ -1153,6 +1229,7 @@ class SodaKernel:
             return
         delivered.reply_dead = True
         self._set_delivered_state(delivered, DeliveredState.DONE)
+        self._retire_if_settled(delivered)  # it may have been DONE already
         self.pending_accepts.pop(pending.sig, None)
         pending.resolve(AcceptStatus.CRASHED)
 
@@ -1178,18 +1255,20 @@ class SodaKernel:
         """Blocking CANCEL; resolves to a CancelStatus."""
         future = self.sim.new_future()
         small = self.config.timing.protocol_send_us
-        record = self.requests.get(req_sig.tid)
-        if req_sig.mid != self.mid or record is None:
-            self.sim.schedule(small, future.resolve, CancelStatus.FAIL)
-            return future
-        if record.state is RequestState.COMPLETED:
-            self.sim.schedule(small, future.resolve, CancelStatus.FAIL)
-            return future
-        if record.state is RequestState.CANCELLED:
-            self.sim.schedule(small, future.resolve, CancelStatus.SUCCESS)
+        ours = req_sig.mid == self.mid
+        record = self.requests.get(req_sig.tid) if ours else None
+        if record is None:
+            # Not open: already withdrawn (SUCCESS again), or completed,
+            # never issued, or another incarnation's or machine's (FAIL).
+            withdrawn = ours and req_sig.tid in self._cancelled_tids
+            self.sim.schedule(
+                small,
+                future.resolve,
+                CancelStatus.SUCCESS if withdrawn else CancelStatus.FAIL,
+            )
             return future
         if record.state is RequestState.QUEUED:
-            record.state = RequestState.CANCELLED
+            self._close_request(record, RequestState.CANCELLED)
             self.sim.trace.record(
                 self.sim.now, "kernel.cancelled", mid=self.mid, tid=record.tid
             )
@@ -1243,9 +1322,8 @@ class SodaKernel:
         if record is None or record.pending_cancel is None:
             return
         future, record.pending_cancel = record.pending_cancel, None
-        if packet.arg == 1 and record.open:
-            record.state = RequestState.CANCELLED
-            self._stop_probing(record)
+        if packet.arg == 1:
+            self._close_request(record, RequestState.CANCELLED)
             self.sim.trace.record(
                 self.sim.now, "kernel.cancelled", mid=self.mid, tid=record.tid
             )
@@ -1256,6 +1334,10 @@ class SodaKernel:
     # -- probes (§3.6.2) ---------------------------------------------------
 
     def _schedule_probe(self, record: RequestRecord) -> None:
+        if not record.open:
+            # A retired record is out of every table's reach: a timer
+            # armed on it could never be found and stopped again.
+            return
         self._stop_probing(record)
         record.probe_timer = self.sim.schedule(
             self.config.probe_interval_us, self._probe_fire, record
@@ -1267,6 +1349,32 @@ class SodaKernel:
             if timer is not None:
                 timer.cancel()
                 setattr(record, attr, None)
+
+    def leaked_probe_timers(self) -> List[Tuple[int, str]]:
+        """Oracle hook: ``(tid, timer name)`` for every live probe timer
+        held by a REQUEST that is no longer open (INV-DELTAT, liveness).
+
+        A closed record is in no table, so there is nothing to walk —
+        but a timer it leaked is still in the scheduler, with the record
+        as its argument: the simulator's pending events are searched for
+        this kernel's probe callbacks.  (A wall-clock backend cannot
+        enumerate its timers and reports none.)
+        """
+        pending_events = getattr(self.sim, "pending_events", None)
+        if pending_events is None:
+            return []
+        leaks = []
+        for event in pending_events():
+            if event.fn == self._probe_fire:
+                attr = "probe_timer"
+            elif event.fn == self._probe_timeout:
+                attr = "probe_deadline"
+            else:
+                continue
+            record = event.args[0]
+            if not record.open:
+                leaks.append((record.tid, attr))
+        return sorted(leaks)
 
     def _probe_fire(self, record: RequestRecord) -> None:
         record.probe_timer = None
@@ -1400,8 +1508,9 @@ class SodaKernel:
         record = state.record
         if not record.open:
             return
-        record.state = RequestState.COMPLETED
-        record.completion_status = RequestStatus.COMPLETED
+        self._close_request(
+            record, RequestState.COMPLETED, RequestStatus.COMPLETED
+        )
         data = mids_to_bytes(sorted(state.mids))
         taken = record.get_buffer.write(data)
         self.sim.trace.record(
@@ -1628,19 +1737,17 @@ class SodaKernel:
         self.patterns.clear()
         self.completion_queue.clear()
         for record in list(self.requests.values()):
-            self._stop_probing(record)
-            if record.open:
-                # Trace the withdrawal so span reconstruction (and the
-                # chaos liveness check) sees a terminal state for every
-                # REQUEST the dead incarnation left in flight.
-                self.sim.trace.record(
-                    self.sim.now,
-                    "kernel.cancelled",
-                    mid=self.mid,
-                    tid=record.tid,
-                )
-            record.state = RequestState.CANCELLED
-        self.requests.clear()
+            # Trace the withdrawal so span reconstruction (and the chaos
+            # liveness check) sees a terminal state for every REQUEST
+            # the dead incarnation left in flight.
+            self.sim.trace.record(
+                self.sim.now,
+                "kernel.cancelled",
+                mid=self.mid,
+                tid=record.tid,
+            )
+            self._close_request(record, RequestState.CANCELLED)
+        self._cancelled_tids.clear()
         # Remember which exchanges died DELIVERED-but-unACCEPTed: their
         # handlers never ran, and probes answer arg=2 for them so the
         # requester learns the failure proves non-execution.  Only the

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Generator, Iterator, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.process import Process, SimFuture
@@ -104,12 +104,11 @@ class Simulator:
                 if predicate is not None and predicate():
                     return processed, True
                 # Drop cancelled entries until a live event fronts the heap.
-                while heap and heap[0].cancelled:
+                while heap and heap[0][3].cancelled:
                     heappop(heap)
                 if not heap:
                     break
-                event = heap[0]
-                event_time = event.time
+                event_time = heap[0][0]
                 if deadline is not None and event_time > deadline:
                     break
                 if processed >= max_events:
@@ -119,7 +118,7 @@ class Simulator:
                     )
                 if event_time < self.now:
                     raise RuntimeError("event queue went backwards")
-                heappop(heap)
+                event = heappop(heap)[3]
                 event._queue = None
                 queue._live -= 1
                 self.now = event_time
@@ -169,3 +168,7 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         return self._events_processed
+
+    def pending_events(self) -> Iterator[Event]:
+        """Live scheduled events, unordered (post-run oracles only)."""
+        return self.queue.live_events()

@@ -2,7 +2,9 @@
 
 Events are ordered by ``(time, priority, seq)``.  The sequence number makes
 ordering total and deterministic: two events scheduled for the same instant
-fire in the order they were scheduled (or by explicit priority).
+fire in the order they were scheduled (or by explicit priority).  The heap
+holds ``(time, priority, seq, event)`` tuples, so every sift compares keys
+in C and — ``seq`` being unique — never reaches the event itself.
 
 Cancellation is lazy — ``Event.cancel`` marks the entry and the heap
 discards it when it reaches the front — but the queue keeps an O(1)
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 
 class Event:
@@ -54,13 +56,6 @@ class Event:
             self._queue = None
             queue._on_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.3f} prio={self.priority} {state} {self.fn!r}>"
@@ -81,7 +76,7 @@ class EventQueue:
     COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -96,9 +91,10 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Schedule ``fn(*args)`` at absolute ``time``; returns the Event."""
-        event = Event(time, priority, next(self._counter), fn, args)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, fn, args)
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -106,7 +102,7 @@ class EventQueue:
         """Remove and return the earliest live event, or None if empty."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 event._queue = None
                 self._live -= 1
@@ -116,15 +112,23 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event, or None if empty."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
         if not heap:
             return None
-        return heap[0].time
+        return heap[0][0]
+
+    def live_events(self) -> Iterator[Event]:
+        """Every pending (not cancelled) event, in no particular order.
+
+        For post-run oracles that must find timers no table points at
+        any more; not for the run loop.
+        """
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)
 
     def clear(self) -> None:
-        for event in self._heap:
-            event._queue = None
+        for entry in self._heap:
+            entry[3]._queue = None
         self._heap.clear()
         self._live = 0
 
@@ -138,5 +142,5 @@ class EventQueue:
         self._live -= 1
         heap = self._heap
         if len(heap) > self.COMPACT_MIN and self._live * 2 < len(heap):
-            heap[:] = [event for event in heap if not event.cancelled]
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
             heapq.heapify(heap)

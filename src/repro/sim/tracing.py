@@ -72,6 +72,13 @@ class Tracer:
         self._passive = not keep_records
 
     @property
+    def passive(self) -> bool:
+        """True while nothing consumes record fields (no retention, no
+        sinks): :meth:`record` only counts, so a hot call site may skip
+        building its fields and call ``record(time, category)`` bare."""
+        return self._passive
+
+    @property
     def truncated(self) -> bool:
         """True if ring-buffer mode has dropped any records."""
         return self.dropped_records > 0

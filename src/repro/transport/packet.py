@@ -118,6 +118,17 @@ class Packet:
     def data_bytes(self) -> int:
         return len(self.data) if self.data is not None else 0
 
+    def copy_for_retransmit(self, include_data: bool) -> "Packet":
+        """A fresh object for one more transmission of this message:
+        every field as it stands — ``packet_id`` included, which is what
+        makes it the *same* packet to the receiver and the checkers —
+        minus the data when it already rode an earlier copy."""
+        clone = Packet.__new__(Packet)
+        clone.__dict__.update(self.__dict__)
+        if not include_data:
+            clone.data = None
+        return clone
+
     def wire_payload_bytes(self) -> int:
         """Bytes this packet adds beyond the fixed frame header."""
         return self.data_bytes

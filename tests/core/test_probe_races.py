@@ -66,8 +66,10 @@ def test_lost_probe_replies_below_threshold_do_not_crash():
     checked = []
 
     def snapshot_counter():
-        record = next(iter(net.nodes[1].kernel.requests.values()), None)
-        checked.append(None if record is None else record.probe_failures)
+        # The DISCOVER completed and retired; only the SIGNAL is open.
+        (record,) = net.nodes[1].kernel.requests.values()
+        assert record.state.value == "delivered"
+        checked.append(record.probe_failures)
 
     # Well after the 3 losses and the first successful round.
     net.sim.schedule(800_000.0, snapshot_counter)
@@ -148,13 +150,10 @@ def test_accept_arriving_while_probe_in_flight():
     assert client.result.status is RequestStatus.COMPLETED
     assert net.sim.trace.count("kernel.crash_report") == 0
     # The requester's record retired; no probe machinery left behind.
-    record = next(
-        r
-        for r in net.nodes[1].kernel.requests.values()
-        if r.server_sig.mid == 0
-    )
-    assert record.state.value == "completed"
-    assert record.probe_timer is None and record.probe_deadline is None
+    kernel = net.nodes[1].kernel
+    assert kernel.requests == {}
+    assert kernel.leaked_probe_timers() == []
+    assert net.sim.trace.count("kernel.complete") == 2  # DISCOVER + SIGNAL
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,12 @@ def test_alarm_cancels_slow_request_and_falls_back():
     status, data = client.outcome["fallback"]
     assert status is RequestStatus.COMPLETED
     assert data == b"fallback answer"
-    # The slow server's kernel was told: a later ACCEPT would fail.
-    slow_kernel = net.nodes[0].kernel
-    from repro.core.kernel import DeliveredState
-
-    states = [d.state for d in slow_kernel.delivered.values()]
-    assert DeliveredState.CANCELLED in states
+    # The slow server's kernel was told — a later ACCEPT would fail —
+    # and, the withdrawal being final, retired the delivery.
+    assert net.sim.trace.select(
+        "kernel.delivered_state", mid=0, state="cancelled"
+    )
+    assert net.nodes[0].kernel.delivered == {}
 
 
 def test_alarm_loses_race_when_server_answers_in_time():

@@ -89,8 +89,7 @@ def test_len_is_exact_under_mixed_push_cancel_pop():
             held[i // 2].cancel()
         if i % 7 == 0:
             q.pop()
-    scan = sum(1 for event in q._heap if not event.cancelled)
-    assert len(q) == scan
+    assert len(q) == sum(1 for _ in q.live_events())
 
     while q.pop() is not None:
         pass
@@ -149,7 +148,7 @@ def test_cancel_then_peek_compacts_front():
     first.cancel()
     assert q.peek_time() == 2.0
     # peek discarded the cancelled front entry outright.
-    assert q._heap == [second]
+    assert [entry[3] for entry in q._heap] == [second]
     assert len(q) == 1
 
 
