@@ -1,953 +1,7 @@
-"""Command-line entry point: quick demos, tables, and analysis tools.
+"""``python -m repro``: see :mod:`repro.cli` (``--help`` lists every
+command; the listing is generated from its ``COMMANDS`` table)."""
 
-Run ``python -m repro --help`` for the command list — it is generated
-from the ``COMMANDS`` registry at the bottom of this module, so the
-help text cannot drift from what actually dispatches.
-
-Most commands accept ``--json PATH`` to also write a machine-readable
-``BENCH_*.json``-style snapshot; ``metrics`` additionally accepts
-``--jsonl PATH`` for one-metric-per-line output.
-"""
-
-from __future__ import annotations
-
-import sys
-from typing import Callable, Dict, List, NamedTuple, Optional
-
-
-def _take_flag_value(argv: List[str], flag: str) -> Optional[str]:
-    """Remove ``flag VALUE`` from argv in place; return VALUE or None."""
-    if flag not in argv:
-        return None
-    index = argv.index(flag)
-    if index + 1 >= len(argv):
-        raise SystemExit(f"{flag} requires a path argument")
-    value = argv[index + 1]
-    del argv[index : index + 2]
-    return value
-
-
-def _write_payload(json_path: str, kind: str, body, meta=None) -> None:
-    from repro.obs.export import emit_snapshot
-
-    emit_snapshot(json_path, kind, body, meta=meta)
-
-
-def _quickstart() -> None:
-    from repro import Buffer, ClientProgram, Network, make_well_known_pattern
-
-    ECHO = make_well_known_pattern(0o346)
-
-    class Server(ClientProgram):
-        def initialization(self, api, parent_mid):
-            yield from api.advertise(ECHO)
-
-        def handler(self, api, event):
-            if event.is_arrival:
-                buf = Buffer(event.put_size)
-                yield from api.accept_current_exchange(get=buf, put=b"pong")
-                print(f"  server accepted {buf.data!r}")
-
-    class Client(ClientProgram):
-        def task(self, api):
-            server = yield from api.discover(ECHO)
-            reply = Buffer(16)
-            completion = yield from api.b_exchange(server, put=b"ping", get=reply)
-            print(
-                f"  client exchange: {completion.status.value}, "
-                f"reply {reply.data!r} at t={api.now/1000:.2f} ms"
-            )
-
-    net = Network(seed=7)
-    net.add_node(program=Server())
-    net.add_node(program=Client(), boot_at_us=100.0)
-    net.run(until=2_000_000.0)
-    print(f"  {net.bus.frames_sent} frames on the bus")
-
-
-def _tables(quick: bool, json_path: Optional[str] = None) -> None:
-    from repro.bench import (
-        WORD_SIZES,
-        format_table,
-        generate_performance_table,
-    )
-
-    sizes = [0, 1, 100, 500, 1000] if quick else WORD_SIZES
-    body = {}
-    for verb in ("put", "get", "exchange"):
-        for pipelined in (False, True):
-            rows = generate_performance_table(verb, pipelined, sizes=sizes)
-            tag = "pipelined" if pipelined else "non-pipelined"
-            print(
-                format_table(
-                    ["words", "measured ms", "paper ms", "packets"],
-                    [(r.words, r.measured_ms, r.paper_ms, r.packets) for r in rows],
-                    title=f"{verb.upper()} ({tag})",
-                )
-            )
-            print()
-            key = "pipelined" if pipelined else "non_pipelined"
-            body[f"{verb}.{key}"] = [r.to_dict() for r in rows]
-    if json_path:
-        _write_payload(
-            json_path,
-            "performance_tables",
-            body,
-            meta={"quick": quick, "word_sizes": sizes},
-        )
-
-
-def _breakdown(json_path: Optional[str] = None) -> None:
-    from repro.bench import format_table, measure_signal_breakdown
-
-    result = measure_signal_breakdown()
-    rows = [
-        (name, result.measured_ms[name], result.paper_ms[name])
-        for name in result.paper_ms
-    ]
-    rows.append(("TOTAL", result.total_measured_ms, result.total_paper_ms))
-    print(
-        format_table(
-            ["category", "measured ms", "paper ms"], rows,
-            title="Breakdown of protocol time (2-packet SIGNAL)",
-        )
-    )
-    print(f"elapsed B_SIGNAL: {result.elapsed_call_ms:.2f} ms")
-    if json_path:
-        _write_payload(json_path, "overhead_breakdown", result.to_dict())
-
-
-def _comparison(json_path: Optional[str] = None) -> None:
-    from repro.bench import format_table, measure_comparison
-
-    rows = measure_comparison()
-    print(
-        format_table(
-            ["scenario", "measured ms", "paper ms"],
-            [(r.scenario, r.measured_ms, r.paper_ms) for r in rows],
-            title="SODA vs *MOD",
-        )
-    )
-    if json_path:
-        _write_payload(
-            json_path,
-            "starmod_comparison",
-            {"rows": [r.to_dict() for r in rows]},
-        )
-
-
-def _deltat(json_path: Optional[str] = None) -> None:
-    from repro.bench import deltat_scenarios
-
-    scenarios = deltat_scenarios()
-    for scenario in scenarios.values():
-        print(f"{scenario.name} [{'ok' if scenario.ok else 'FAILED'}]")
-        for t_ms, event in scenario.events:
-            print(f"    t={t_ms:9.1f} ms  {event}")
-    if json_path:
-        _write_payload(
-            json_path,
-            "deltat_scenarios",
-            {name: s.to_dict() for name, s in sorted(scenarios.items())},
-        )
-
-
-def _metrics(
-    argv: List[str],
-    json_path: Optional[str] = None,
-    jsonl_path: Optional[str] = None,
-) -> int:
-    from repro.analysis.workloads import run_workload
-    from repro.bench.tables import format_table
-    from repro.obs import (
-        MetricsHub,
-        render_metrics,
-        render_span_table,
-        write_metrics_jsonl,
-    )
-
-    workload = argv[0] if argv else "signal"
-    try:
-        net = run_workload(workload)
-    except KeyError as exc:
-        print(exc.args[0])
-        return 1
-    report = MetricsHub().ingest(net)
-    print(render_span_table(report.spans))
-    print()
-    print(render_metrics(report.snapshot))
-    print()
-    ledger_rows = [
-        (category, us / 1000.0)
-        for category, us in sorted(report.ledger.items())
-    ]
-    ledger_rows.append(("TOTAL", sum(report.ledger.values()) / 1000.0))
-    print(
-        format_table(
-            ["category", "ms"], ledger_rows, title="Cost breakdown"
-        )
-    )
-    if json_path:
-        _write_payload(
-            json_path,
-            "metrics",
-            report.to_dict(),
-            meta={"workload": workload},
-        )
-    if jsonl_path:
-        write_metrics_jsonl(jsonl_path, report.snapshot)
-        print(f"wrote {jsonl_path}")
-    return 0
-
-
-def _chaos(argv: List[str], json_path: Optional[str] = None) -> int:
-    from repro.chaos import (
-        format_repro,
-        make_schedule,
-        matrix_payload,
-        run_cell,
-        run_matrix,
-        shrink_scenario,
-    )
-    from repro.analysis.workloads import get_spec
-    from repro.obs.export import write_snapshot
-
-    matrix = "--matrix" in argv
-    if matrix:
-        argv.remove("--matrix")
-    shrink = "--no-shrink" not in argv
-    if not shrink:
-        argv.remove("--no-shrink")
-    causal = "--causal" in argv
-    if causal:
-        argv.remove("--causal")
-    seed_text = _take_flag_value(argv, "--seed")
-    seed = int(seed_text) if seed_text else 1
-    parallel_text = _take_flag_value(argv, "--parallel")
-    parallel = int(parallel_text) if parallel_text else None
-    workload = _take_flag_value(argv, "--workload")
-    schedule = _take_flag_value(argv, "--schedule")
-
-    workloads = workload.split(",") if workload else None
-    schedules = schedule.split(",") if schedule else None
-    if not matrix and not workload and not schedule:
-        # Quick mode: one representative workload across all schedules.
-        workloads = ["echo"]
-
-    def progress(result) -> None:
-        status = "ok" if result.ok else "FAIL"
-        injected = sum(result.faults.values())
-        print(
-            f"  {status:4s} {result.workload}/{result.schedule}"
-            f"/seed={result.seed}  "
-            f"spans={sum(result.spans_by_status.values())} "
-            f"faults={injected}"
-        )
-
-    results = run_matrix(
-        workloads=workloads,
-        schedules=schedules,
-        seeds=(seed,),
-        progress=progress,
-        causal=causal,
-        parallel=parallel,
-    )
-    failed = [r for r in results if not r.ok]
-    print(
-        f"chaos: {len(results) - len(failed)}/{len(results)} cell(s) clean"
-    )
-    for result in failed:
-        for line in (
-            result.invariant_violations
-            + result.liveness_problems
-            + result.selfheal_problems
-            + result.causal_problems
-        ):
-            print(f"  {result.workload}/{result.schedule}: {line}")
-
-    if failed and shrink:
-        # Shrink the first failure to a minimal reproducer.
-        first = failed[0]
-        spec = get_spec(first.workload)
-        scenario = make_schedule(first.schedule, spec)
-
-        def still_fails(trial) -> bool:
-            return not run_cell(
-                first.workload,
-                first.schedule,
-                first.seed,
-                scenario=trial,
-                causal=causal,
-            ).ok
-
-        minimal = shrink_scenario(scenario, still_fails)
-        rerun = run_cell(
-            first.workload,
-            first.schedule,
-            first.seed,
-            scenario=minimal,
-            causal=causal,
-        )
-        print()
-        print("minimal reproducer (paste into tests/test_chaos.py):")
-        print()
-        print(
-            format_repro(
-                first.workload,
-                first.seed,
-                minimal,
-                rerun.invariant_violations
-                + rerun.liveness_problems
-                + rerun.selfheal_problems
-                + rerun.causal_problems,
-            )
-        )
-    if json_path:
-        write_snapshot(json_path, matrix_payload(results, seed))
-        print(f"wrote {json_path}")
-    return 1 if failed else 0
-
-
-def _transport_bench(
-    argv: List[str], json_path: Optional[str] = None
-) -> int:
-    """Adaptive-vs-static sweep under sustained loss (ISSUE 5)."""
-    from repro.bench.tables import format_table
-    from repro.bench.transport import run_transport_bench
-
-    seed_text = _take_flag_value(argv, "--seed")
-    seeds = (int(seed_text),) if seed_text else (1,)
-    parallel_text = _take_flag_value(argv, "--parallel")
-    body = run_transport_bench(
-        seeds=seeds,
-        parallel=int(parallel_text) if parallel_text else None,
-    )
-
-    rows = []
-    for name in ("static", "adaptive"):
-        summary = body[name]["summary"]
-        rows.append(
-            (
-                name,
-                summary["spurious_retransmits"],
-                summary["retransmits"],
-                summary["sheds"],
-                summary["completed"],
-                round(summary["p50_latency_us"] / 1000.0, 1)
-                if summary["p50_latency_us"] is not None
-                else "-",
-                round(summary["p99_latency_us"] / 1000.0, 1)
-                if summary["p99_latency_us"] is not None
-                else "-",
-            )
-        )
-    print(
-        format_table(
-            [
-                "policy",
-                "spurious",
-                "retx",
-                "sheds",
-                "completed",
-                "p50 ms",
-                "p99 ms",
-            ],
-            rows,
-            title=f"Transport policies under {body['schedule']}",
-        )
-    )
-    comparison = body["comparison"]
-    wins = (
-        comparison["adaptive_beats_static_spurious"]
-        and comparison["adaptive_beats_static_p99"]
-    )
-    print(
-        f"adaptive beats static on spurious retransmits: "
-        f"{comparison['adaptive_beats_static_spurious']}"
-    )
-    print(
-        f"adaptive beats static on p99 latency: "
-        f"{comparison['adaptive_beats_static_p99']}"
-    )
-    if json_path:
-        _write_payload(
-            json_path, "transport_comparison", body,
-            meta={"seeds": list(seeds)},
-        )
-    return 0 if wins else 1
-
-
-def _sim_bench(argv: List[str], json_path: Optional[str] = None) -> int:
-    """``sim-bench``: wall-clock events/sec through the DES hot path."""
-    from repro.bench.sim_bench import run_sim_bench
-    from repro.bench.tables import format_table
-
-    repeats_text = _take_flag_value(argv, "--repeats")
-    scale_text = _take_flag_value(argv, "--scale")
-    body = run_sim_bench(
-        repeats=int(repeats_text) if repeats_text else 3,
-        scale=float(scale_text) if scale_text else 1.0,
-    )
-
-    scenarios = body["scenarios"]
-    rows = []
-    for name in ("timer_churn", "message_storm", "chaos_replay"):
-        cell = scenarios[name]
-        rows.append((name, cell["events"], cell["events_per_sec"]))
-    trace = scenarios["trace_overhead"]
-    rows.append(
-        (
-            f"{trace['workload']} (traced)",
-            trace["traced"]["events"],
-            trace["traced"]["events_per_sec"],
-        )
-    )
-    rows.append(
-        (
-            f"{trace['workload']} (no-trace)",
-            trace["no_trace"]["events"],
-            trace["no_trace"]["events_per_sec"],
-        )
-    )
-    print(
-        format_table(
-            ["scenario", "events", "events/sec"],
-            rows,
-            title="Engine hot path (wall clock; values vary per host)",
-        )
-    )
-    fast_wins = body["comparison"]["no_trace_faster_than_traced"]
-    print(f"no-trace fast mode speedup: {trace['fast_mode_speedup']}x")
-    print(f"no-trace faster than traced: {fast_wins}")
-    if json_path:
-        _write_payload(
-            json_path,
-            "sim_bench",
-            body,
-            meta={"repeats": body["repeats"]},
-        )
-    return 0 if fast_wins else 1
-
-
-def _kv_bench(argv: List[str], json_path: Optional[str] = None) -> int:
-    """``kv-bench``: replicated-KV availability/failover (BENCH_kv.json)."""
-    from repro.bench.kv import run_kv_bench
-    from repro.bench.tables import format_table
-
-    seed_text = _take_flag_value(argv, "--seed")
-    body = run_kv_bench(seed=int(seed_text) if seed_text else 1)
-
-    def _ms(value) -> object:
-        return "-" if value is None else round(value / 1000.0, 1)
-
-    rows = []
-    for name, cell in body["schedules"].items():
-        failover = cell["failover"]
-        rows.append(
-            (
-                name,
-                f"{cell['ops_definitive']}/{cell['ops_invoked']}",
-                f"{cell['availability']:.3f}",
-                cell["promotions"],
-                _ms(failover["promote_us"]),
-                _ms(failover["client_us"]),
-                cell["acknowledged_write_loss"],
-                len(cell["consistency_problems"]),
-            )
-        )
-    print(
-        format_table(
-            [
-                "schedule",
-                "definitive",
-                "avail",
-                "promoted",
-                "failover ms",
-                "recover ms",
-                "lost acks",
-                "violations",
-            ],
-            rows,
-            title=f"Replicated KV under chaos ({body['workload']})",
-        )
-    )
-    comparison = body["comparison"]
-    for name, cell in body["schedules"].items():
-        for problem in cell["consistency_problems"]:
-            print(f"  {name}: {problem}")
-    print(f"acknowledged writes lost: {comparison['acknowledged_write_loss']}")
-    print(f"failover bounded: {comparison['failover_bounded']}")
-    healthy = (
-        comparison["all_consistent"]
-        and comparison["acknowledged_write_loss"] == 0
-        and comparison["failover_bounded"]
-    )
-    if json_path:
-        _write_payload(
-            json_path, "kv_bench", body, meta={"seed": body["seed"]}
-        )
-    return 0 if healthy else 1
-
-
-def _durability_bench(
-    argv: List[str], json_path: Optional[str] = None
-) -> int:
-    """``durability-bench``: WAL replay / snapshot / fsync tradeoffs."""
-    from repro.bench.tables import format_table
-    from repro.durability.bench import run_durability_bench
-
-    body = run_durability_bench()
-
-    print(
-        format_table(
-            ["log entries", "replay us", "wal records"],
-            [
-                (
-                    row["log_entries"],
-                    row["replay_disk_us"],
-                    row["wal_records_replayed"],
-                )
-                for row in body["replay"]
-            ],
-            title="Recovery replay cost vs log length",
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["interval", "snapshots", "runtime us", "replay us"],
-            [
-                (
-                    row["snapshot_interval"],
-                    row["snapshots_taken"],
-                    row["runtime_disk_us"],
-                    row["replay_disk_us"],
-                )
-                for row in body["snapshot_intervals"]
-            ],
-            title="Snapshot cadence: runtime cost vs replay saved",
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["policy", "fsyncs", "runtime us"],
-            [
-                (row["fsync_policy"], row["fsyncs"], row["runtime_disk_us"])
-                for row in body["fsync_policies"]
-            ],
-            title="Fsync policy cost (1000 records)",
-        )
-    )
-
-    replay_times = [row["replay_disk_us"] for row in body["replay"]]
-    policies = {
-        row["fsync_policy"]: row for row in body["fsync_policies"]
-    }
-    sane = (
-        replay_times == sorted(replay_times)
-        and policies["always"]["runtime_disk_us"]
-        > policies["batch"]["runtime_disk_us"]
-        >= policies["never"]["runtime_disk_us"]
-    )
-    print()
-    print(f"replay cost grows with log length: {replay_times == sorted(replay_times)}")
-    print(f"fsync always > batch >= never: {sane}")
-    if json_path:
-        _write_payload(json_path, "durability_bench", body)
-    return 0 if sane else 1
-
-
-def _recover(argv: List[str], json_path: Optional[str] = None) -> int:
-    """``recover --demo``: one scripted crash/reboot/retry walkthrough."""
-    from repro.analysis.workloads import build_workload
-    from repro.chaos.scenario import GRACE_US, ClientDie, NodeCrash, Scenario
-    from repro.obs import MetricsHub
-    from repro.recovery import (
-        FailureDetector,
-        check_self_heal,
-        recovery_summary,
-    )
-
-    seed_text = _take_flag_value(argv, "--seed")
-    seed = int(seed_text) if seed_text else None
-
-    built = build_workload("supervised", seed=seed)
-    detector = FailureDetector().install(built.net)
-    hub = MetricsHub().install(built.net)
-    scenario = Scenario(
-        "recover_demo",
-        (
-            # DIE mid-exchange: probe-proof (arg=2) safe retry.
-            ClientDie(15_000.0, role="server"),
-            # Power-fail later: full kernel loss, Delta-t quiet period.
-            NodeCrash(3_290_000.0, role="server"),
-        ),
-    )
-    scenario.apply(built)
-    horizon = max(built.spec.until_us, scenario.last_action_us + 2 * GRACE_US)
-    built.net.run(until=horizon)
-
-    watched = {
-        "kernel.die": "server client DIEd",
-        "kernel.crash": "server node power-failed",
-        "recovery.suspect": "supervisor suspects the service",
-        "recovery.crash_detected": "supervisor declares the service crashed",
-        "recovery.reboot": "supervisor rebooted the node (BOOT/LOAD)",
-        "recovery.restored": "service advertised-and-answering again",
-        "recovery.escalated": "supervisor gave the service up",
-        "recovery.retry": "client safely re-issued a failed REQUEST",
-        "recovery.maybe": "client surfaced an ambiguous failure as MAYBE",
-    }
-    print("timeline:")
-    for record in built.net.sim.trace.records:
-        label = watched.get(record.category)
-        if label is not None:
-            print(f"  t={record.time / 1000.0:9.2f} ms  {label}")
-
-    print()
-    print("failure detector:")
-    for line in detector.format_table():
-        print(f"  {line}")
-
-    summary = recovery_summary(built.net.sim.trace.records)
-    print()
-    print("recovery counters:")
-    for name, value in summary["counts"].items():
-        print(f"  recovery.{name:20s} {value}")
-
-    outcomes = built.net.nodes[built.mid_of("client")].kernel.client
-    outcomes = outcomes.program.outcomes if outcomes else []
-    problems = check_self_heal(built, scenario.last_action_us)
-    unsafe = [s for s in outcomes if s not in ("completed", "maybe")]
-    print()
-    print(f"client outcomes: {outcomes}")
-    for problem in problems:
-        print(f"  self-heal FAILED: {problem}")
-    healed = not problems and not unsafe
-    print(f"self-heal: {'converged' if healed else 'FAILED'}")
-    if json_path:
-        _write_payload(
-            json_path,
-            "recover_demo",
-            {
-                "summary": summary,
-                "detector": detector.summary(),
-                "outcomes": outcomes,
-                "selfheal_problems": problems,
-                "metrics": hub.report().snapshot,
-            },
-            meta={"seed": built.spec.seed if seed is None else seed},
-        )
-    return 0 if healed else 1
-
-
-def _real(argv: List[str], json_path: Optional[str] = None) -> int:
-    """``real <workload>``: the SODA stack over real sockets."""
-    from repro.netreal.runner import run_real
-
-    seed_text = _take_flag_value(argv, "--seed")
-    policy = _take_flag_value(argv, "--policy") or "adaptive"
-    loss_text = _take_flag_value(argv, "--loss")
-    keep_traces = _take_flag_value(argv, "--keep-traces")
-    durable = _take_flag_value(argv, "--durable")
-    power_loss_text = _take_flag_value(argv, "--power-loss-at")
-    workload = argv[0] if argv else "pingpong"
-    try:
-        result = run_real(
-            workload,
-            seed=int(seed_text) if seed_text else 1,
-            policy=policy,
-            loss=float(loss_text) if loss_text else 0.0,
-            keep_traces=keep_traces,
-            durable=durable,
-            power_loss_at_us=(
-                float(power_loss_text) if power_loss_text else None
-            ),
-        )
-    except KeyError as exc:
-        print(exc.args[0])
-        return 1
-    print(
-        f"  spans: {result.spans_completed}/{result.spans_total} completed, "
-        f"{result.send_edges} causal send edges, "
-        f"{result.unmatched_rx} unmatched rx"
-    )
-    if result.rtt_p50_us is not None:
-        print(
-            f"  rtt: p50={result.rtt_p50_us / 1000.0:.2f} ms "
-            f"p99={result.rtt_p99_us / 1000.0:.2f} ms; "
-            f"retransmits={result.retransmits} "
-            f"(spurious={result.spurious_retransmits}), "
-            f"impaired losses={result.impaired_losses}"
-        )
-    if result.kv:
-        print(
-            f"  kv: {result.kv['ops_definitive']}/"
-            f"{result.kv['ops_invoked']} definitive, "
-            f"availability={result.kv['availability']:.3f}, "
-            f"promotions={result.kv['promotions']}"
-        )
-    for line in (
-        result.invariant_violations
-        + result.causal_diagnostics
-        + result.runner_problems
-        + result.consistency_problems
-    ):
-        print(f"  PROBLEM: {line}")
-    print(f"real: {'ok' if result.ok else 'FAILED'}")
-    if json_path:
-        _write_payload(
-            json_path,
-            "real_run",
-            result.to_dict(),
-            meta={"workload": workload},
-        )
-    return 0 if result.ok else 1
-
-
-def _real_bench(argv: List[str], json_path: Optional[str] = None) -> int:
-    """``real-bench``: sim-vs-real policy table (BENCH_real.json)."""
-    from repro.bench.tables import format_table
-    from repro.netreal.bench import run_real_bench
-
-    seed_text = _take_flag_value(argv, "--seed")
-    body = run_real_bench(seed=int(seed_text) if seed_text else 1)
-
-    def _ms(value) -> object:
-        return "-" if value is None else round(value / 1000.0, 2)
-
-    rows = []
-    for backend in ("sim", "real"):
-        for policy in ("static", "adaptive"):
-            cell = body["backends"][backend][policy]
-            rows.append(
-                (
-                    f"{backend}/{policy}",
-                    cell["completed_exchanges"],
-                    _ms(cell["latency_p50_us"]),
-                    _ms(cell["latency_p99_us"]),
-                    _ms(cell["rtt_p50_us"]),
-                    cell["retransmits"],
-                    _ms(cell["recovery_wait_mean_us"]),
-                    round(cell["goodput_exchanges_per_s"] or 0.0, 1),
-                )
-            )
-    print(
-        format_table(
-            [
-                "backend/policy",
-                "done",
-                "lat p50 ms",
-                "lat p99 ms",
-                "rtt p50 ms",
-                "retx",
-                "recover ms",
-                "xchg/s",
-            ],
-            rows,
-            title=f"Sim vs real under {body['loss']:.0%} loss",
-        )
-    )
-    comparison = body["comparison"]
-    wins = comparison["adaptive_recovers_faster_real"]
-    waits = comparison["recovery_wait_mean_us"]
-    print(
-        f"mean recovery wait per lost frame (real): "
-        f"static {_ms(waits['static'])} ms, "
-        f"adaptive {_ms(waits['adaptive'])} ms"
-    )
-    print(f"adaptive recovers faster than static (real): {wins}")
-    if json_path:
-        _write_payload(
-            json_path,
-            "real_bench",
-            body,
-            meta={"seed": body["seed"]},
-        )
-    return 0 if wins else 1
-
-
-def _lint(argv: List[str], json_path: Optional[str] = None) -> int:
-    from repro.analysis.cli import run_lint
-
-    return run_lint(argv, json_path=json_path)
-
-
-def _check_trace(argv: List[str], json_path: Optional[str] = None) -> int:
-    from repro.analysis.cli import run_check_trace
-
-    return run_check_trace(argv, json_path=json_path)
-
-
-def _causal(argv: List[str], json_path: Optional[str] = None) -> int:
-    from repro.analysis.cli import run_causal
-
-    return run_causal(argv, json_path=json_path)
-
-
-def _causal_bench(argv: List[str], json_path: Optional[str] = None) -> int:
-    from repro.analysis.cli import run_causal_bench_cli
-
-    return run_causal_bench_cli(argv, json_path=json_path)
-
-
-def _real_node(argv: List[str]) -> int:
-    from repro.netreal.runner import run_real_node
-
-    return run_real_node(argv)
-
-
-# ---------------------------------------------------------------------------
-# Command registry: every subcommand lives here, and ``--help`` renders
-# from here — adding a command without help text is impossible.
-
-
-class Command(NamedTuple):
-    run: Callable[[List[str], Optional[str], Optional[str]], object]
-    usage: str
-    description: str
-
-
-COMMANDS: Dict[str, Command] = {
-    "quickstart": Command(
-        lambda argv, j, jl: _quickstart(),
-        "quickstart",
-        "two-node echo session",
-    ),
-    "tables": Command(
-        lambda argv, j, jl: _tables(quick="--quick" in argv, json_path=j),
-        "tables [--quick]",
-        "the paper's performance tables",
-    ),
-    "breakdown": Command(
-        lambda argv, j, jl: _breakdown(json_path=j),
-        "breakdown",
-        "overhead-breakdown table",
-    ),
-    "comparison": Command(
-        lambda argv, j, jl: _comparison(json_path=j),
-        "comparison",
-        "SODA vs *MOD",
-    ),
-    "deltat": Command(
-        lambda argv, j, jl: _deltat(json_path=j),
-        "deltat",
-        "Delta-t figure scenarios",
-    ),
-    "metrics": Command(
-        lambda argv, j, jl: _metrics(argv, json_path=j, jsonl_path=jl),
-        "metrics [workload] [--jsonl PATH]",
-        "observability report (repro.obs)",
-    ),
-    "lint": Command(
-        lambda argv, j, jl: _lint(argv, json_path=j),
-        "lint [paths...]",
-        "sodalint protocol linter",
-    ),
-    "check-trace": Command(
-        lambda argv, j, jl: _check_trace(argv, json_path=j),
-        "check-trace [--streaming] [workload...]",
-        "trace invariant checker (batch, or live incremental with "
-        "--streaming)",
-    ),
-    "causal": Command(
-        lambda argv, j, jl: _causal(argv, json_path=j),
-        "causal [workload...]",
-        "vector-clock happens-before, race + deadlock detection "
-        "(SODA010-SODA013)",
-    ),
-    "causal-bench": Command(
-        lambda argv, j, jl: _causal_bench(argv, json_path=j),
-        "causal-bench",
-        "batch vs streaming checker cost",
-    ),
-    "chaos": Command(
-        lambda argv, j, jl: _chaos(argv, json_path=j),
-        "chaos [--matrix] [--seed N] [--workload W[,W...]] "
-        "[--schedule S[,S...]] [--no-shrink] [--causal] [--parallel N]",
-        "fault-schedule sweep (repro.chaos); --parallel farms cells "
-        "out to N worker processes (byte-identical output, docs/SIM.md)",
-    ),
-    "transport-bench": Command(
-        lambda argv, j, jl: _transport_bench(argv, json_path=j),
-        "transport-bench [--seed N] [--parallel N]",
-        "adaptive-vs-static comparison under sustained_loss (ISSUE 5)",
-    ),
-    "sim-bench": Command(
-        lambda argv, j, jl: _sim_bench(argv, json_path=j),
-        "sim-bench [--repeats R] [--scale F]",
-        "raw engine events/sec benchmark (BENCH_sim.json; docs/SIM.md)",
-    ),
-    "kv-bench": Command(
-        lambda argv, j, jl: _kv_bench(argv, json_path=j),
-        "kv-bench [--seed N]",
-        "replicated-KV availability and failover-time benchmark "
-        "(BENCH_kv.json; docs/REPLICATION.md)",
-    ),
-    "durability-bench": Command(
-        lambda argv, j, jl: _durability_bench(argv, json_path=j),
-        "durability-bench",
-        "WAL replay, snapshot-interval, and fsync-policy costs "
-        "(BENCH_durability.json; docs/DURABILITY.md)",
-    ),
-    "recover": Command(
-        lambda argv, j, jl: _recover(argv, json_path=j),
-        "recover --demo",
-        "crash -> detect -> reboot -> retry walkthrough (repro.recovery)",
-    ),
-    "real": Command(
-        lambda argv, j, jl: _real(argv, json_path=j),
-        "real <workload> [--seed N] [--policy P] [--loss F] "
-        "[--durable DIR] [--power-loss-at US] [--keep-traces DIR]",
-        "run over real UDP sockets, one OS process per node "
-        "(repro.netreal)",
-    ),
-    "real-node": Command(
-        lambda argv, j, jl: _real_node(argv),
-        "real-node (internal)",
-        "child-process entry for `real`: one node over one socket",
-    ),
-    "real-bench": Command(
-        lambda argv, j, jl: _real_bench(argv, json_path=j),
-        "real-bench [--seed N]",
-        "sim-vs-real policy comparison under injected loss",
-    ),
-}
-
-
-def _render_help() -> str:
-    lines = [
-        "usage: python -m repro <command> [--json PATH] [args...]",
-        "",
-        "commands:",
-    ]
-    for name, command in COMMANDS.items():
-        lines.append(f"  python -m repro {command.usage}")
-        lines.append(f"      {command.description}")
-    lines.append("")
-    lines.append(
-        "Most commands accept --json PATH to also write a "
-        "machine-readable BENCH_*.json-style snapshot."
-    )
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    json_path = _take_flag_value(argv, "--json")
-    jsonl_path = _take_flag_value(argv, "--jsonl")
-    command = argv[0] if argv else "quickstart"
-    if command in ("-h", "--help", "help"):
-        print(_render_help())
-        return 0
-    spec = COMMANDS.get(command)
-    if spec is None:
-        print(_render_help())
-        return 1
-    result = spec.run(argv[1:], json_path, jsonl_path)
-    return 0 if result is None else int(result)  # type: ignore[call-overload]
-
+from repro.cli import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

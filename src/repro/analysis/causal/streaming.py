@@ -23,7 +23,7 @@ transactions close:
 
 Peak retained state is therefore proportional to *open* work — live
 messages, undecided delivered requests, pending verdicts — not to trace
-length.  ``python -m repro causal-bench`` measures the ratio.
+length.  ``python -m repro bench analysis`` measures the ratio.
 
 **Equivalence contract.**  On any trace a SODA kernel can emit, verdicts
 are identical to the batch checker's, list order included

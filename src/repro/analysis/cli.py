@@ -1,19 +1,18 @@
-"""CLI entry points for ``python -m repro lint`` / ``check-trace`` /
-``causal`` / ``causal-bench``."""
+"""The analysis commands of ``python -m repro``: ``lint``,
+``check-trace`` and ``causal`` (flags declared in ``repro.cli.COMMANDS``)."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.causal import (
     IncrementalChecker,
     build_causal_order,
-    check_stream,
     detect_deadlocks,
     find_races,
 )
-from repro.analysis.causal.bench import run_causal_bench as _causal_bench
 from repro.analysis.invariants import check_network
 from repro.analysis.linter import LintConfig, has_errors, lint_paths
 from repro.analysis.workloads import (
@@ -22,110 +21,89 @@ from repro.analysis.workloads import (
     build_workload,
     run_workload,
 )
-from repro.obs.export import emit_snapshot
+from repro.cli import emit, known
 
 #: Linted by default: the repo's own client programs.
 DEFAULT_LINT_PATHS = ("src/repro/apps", "examples")
 
 
-def _emit(json_path: Optional[str], kind: str, body: Dict[str, Any], out) -> None:
-    if json_path:
-        emit_snapshot(json_path, kind, body, out=out)
-
-
-def run_lint(
-    argv: Sequence[str], out=print, json_path: Optional[str] = None
-) -> int:
-    """``python -m repro lint [--disable=IDS] [--json PATH] [paths...]``;
-    0 = clean."""
-    paths: List[str] = []
-    disabled: List[str] = []
-    for arg in argv:
-        if arg.startswith("--disable="):
-            disabled.extend(
-                part.strip()
-                for part in arg.split("=", 1)[1].split(",")
-                if part.strip()
-            )
-        else:
-            paths.append(arg)
-    missing = [path for path in paths if not Path(path).exists()]
+def run_lint(ns) -> int:
+    """``lint``: 0 = clean, 1 = findings, 2 = a path does not exist."""
+    missing = [path for path in ns.paths if not Path(path).exists()]
     if missing:
-        out(f"sodalint: no such file or directory: {', '.join(missing)}")
+        print(
+            f"sodalint: no such file or directory: {', '.join(missing)}",
+            file=sys.stderr,
+        )
         return 2
-    config = LintConfig(disabled=frozenset(disabled))
-    diagnostics = lint_paths(paths or list(DEFAULT_LINT_PATHS), config)
+    paths = ns.paths or list(DEFAULT_LINT_PATHS)
+    diagnostics = lint_paths(paths, LintConfig(disabled=frozenset(ns.disable)))
     for diag in diagnostics:
-        out(diag.format())
+        print(diag.format())
     errors = sum(1 for d in diagnostics if d.severity.value == "error")
-    out(
+    print(
         f"sodalint: {len(diagnostics)} finding(s), {errors} error(s) "
-        f"in {', '.join(paths or DEFAULT_LINT_PATHS)}"
+        f"in {', '.join(paths)}"
     )
-    _emit(
-        json_path,
+    emit(
+        ns,
         "lint",
         {
-            "paths": list(paths or DEFAULT_LINT_PATHS),
-            "disabled": sorted(disabled),
+            "paths": paths,
+            "disabled": sorted(ns.disable),
             "findings": [d.to_dict() for d in diagnostics],
             "errors": errors,
         },
-        out,
     )
     return 1 if has_errors(diagnostics) else 0
 
 
-def run_check_trace(
-    argv: Sequence[str], out=print, json_path: Optional[str] = None
-) -> int:
-    """``python -m repro check-trace [--streaming] [--json PATH]
-    [workload...]``; 0 = all hold.
+def _run_streaming(name: str, strict: bool) -> Tuple[Any, Any, List[str], bool]:
+    """Run one workload under the live incremental checker; returns
+    ``(net, checker, verdicts, agrees)`` where ``agrees`` says the batch
+    replay of the retained trace reached the same verdicts."""
+    built = build_workload(name)
+    checker = IncrementalChecker(
+        network=built.net, strict_completion=strict
+    ).install(built.net)
+    net = built.run()
+    verdicts = [v.format() for v in checker.finish(ledger=net.ledger)]
+    batch = [v.format() for v in check_network(net, strict_completion=strict)]
+    return net, checker, verdicts, verdicts == batch
+
+
+def run_check_trace(ns) -> int:
+    """``check-trace``: 0 = every invariant holds.
 
     ``--streaming`` checks with the O(open-state) incremental checker
     attached as a live tracer sink instead of replaying the retained
     trace, and additionally asserts both checkers agree.
     """
-    streaming = "--streaming" in argv
-    names = [arg for arg in argv if not arg.startswith("-")]
-    unknown = [name for name in names if name not in WORKLOADS]
-    if unknown:
-        out(
-            f"unknown workload(s): {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(WORKLOADS))}"
-        )
-        return 1
-    if not names:
-        names = sorted(WORKLOADS)
+    if not known("workload", ns.workload, WORKLOADS):
+        return 2
+    names = ns.workload or sorted(WORKLOADS)
     failures = 0
     results: List[Dict[str, Any]] = []
     for name in names:
-        if streaming:
-            built = build_workload(name)
-            checker = IncrementalChecker(
-                network=built.net, strict_completion=True
-            ).install(built.net)
-            net = built.run()
-            violations = checker.finish(ledger=net.ledger)
-            batch = check_network(net, strict_completion=True)
-            agree = [v.format() for v in violations] == [
-                v.format() for v in batch
-            ]
+        if ns.streaming:
+            net, _, violations, agree = _run_streaming(name, strict=True)
         else:
             net = run_workload(name)
-            violations = check_network(net, strict_completion=True)
+            violations = [
+                v.format() for v in check_network(net, strict_completion=True)
+            ]
             agree = True
         records = len(net.sim.trace.records)
         if violations or not agree:
             failures += 1
-            out(f"{name}: FAILED ({records} trace records)")
+            print(f"{name}: FAILED ({records} trace records)")
             for violation in violations:
-                out(f"    {violation.format()}")
+                print(f"    {violation}")
             if not agree:
-                out("    streaming checker disagreed with batch replay")
+                print("    streaming checker disagreed with batch replay")
         else:
-            mode = ", streaming" if streaming else ""
-            out(
+            mode = ", streaming" if ns.streaming else ""
+            print(
                 f"{name}: ok ({records} trace records, "
                 f"all invariants hold{mode})"
             )
@@ -133,27 +111,22 @@ def run_check_trace(
             {
                 "workload": name,
                 "records": records,
-                "violations": [v.format() for v in violations],
+                "violations": violations,
                 "streaming_agrees": agree,
             }
         )
-    out(
+    print(
         f"check-trace: {len(names) - failures}/{len(names)} workload(s) clean"
     )
-    _emit(
-        json_path,
-        "check_trace",
-        {"streaming": streaming, "workloads": results},
-        out,
+    emit(
+        ns, "check_trace", {"streaming": ns.streaming, "workloads": results}
     )
     return 1 if failures else 0
 
 
-def run_causal(
-    argv: Sequence[str], out=print, json_path: Optional[str] = None
-) -> int:
-    """``python -m repro causal [--json PATH] [workload...]``; 0 = no
-    causal diagnostics and streaming agrees with batch.
+def run_causal(ns) -> int:
+    """``causal``: 0 = no causal diagnostics and streaming agrees with
+    batch.
 
     Runs each workload, builds the happens-before relation, and reports
     races (SODA010-012), wait-for deadlocks (SODA013), and
@@ -162,60 +135,30 @@ def run_causal(
     ``philosophers_noarb``, which must FAIL with a SODA013 cycle — run
     only when named explicitly.
     """
-    names = [arg for arg in argv if not arg.startswith("-")]
-    unknown = [name for name in names if name not in CAUSAL_WORKLOADS]
-    if unknown:
-        out(
-            f"unknown workload(s): {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(CAUSAL_WORKLOADS))}"
-        )
-        return 1
-    if not names:
-        names = sorted(WORKLOADS)
+    if not known("workload", ns.workload, CAUSAL_WORKLOADS):
+        return 2
+    names = ns.workload or sorted(WORKLOADS)
     failing = 0
     results: List[Dict[str, Any]] = []
-    hub = None
-    try:
-        from repro.obs.instrument import MetricsHub
-
-        hub = MetricsHub()
-    except Exception:  # pragma: no cover - obs is a hard dep in-tree
-        pass
     for name in names:
-        built = build_workload(name)
-        checker = IncrementalChecker(
-            network=built.net, strict_completion=False
-        ).install(built.net)
-        net = built.run()
+        net, checker, _, agree = _run_streaming(name, strict=False)
         records = list(net.sim.trace.records)
-        stream_verdicts = [
-            v.format() for v in checker.finish(ledger=net.ledger)
-        ]
-        batch_verdicts = [
-            v.format()
-            for v in check_network(net, strict_completion=False)
-        ]
-        agree = stream_verdicts == batch_verdicts
         order = build_causal_order(records)
-        races = find_races(records, order)
-        deadlocks = detect_deadlocks(records)
-        diagnostics = races + deadlocks
-        if hub is not None:
-            hub.note_analysis(checker, order)
+        diagnostics = find_races(records, order) + detect_deadlocks(records)
         ok = agree and not diagnostics
         if not ok:
             failing += 1
         status = "ok" if ok else "FAILED"
-        out(
+        print(
             f"{name}: {status} ({len(records)} records, "
             f"{order.clocks_allocated} clocks, "
             f"{order.send_edges} send/recv edges, "
             f"peak open state {checker.peak_open_state})"
         )
         for diag in diagnostics:
-            out(f"    {diag.format()}")
+            print(f"    {diag.format()}")
         if not agree:
-            out("    streaming checker disagreed with batch replay")
+            print("    streaming checker disagreed with batch replay")
         results.append(
             {
                 "workload": name,
@@ -229,15 +172,6 @@ def run_causal(
                 "streaming_agrees": agree,
             }
         )
-    out(f"causal: {len(names) - failing}/{len(names)} workload(s) clean")
-    _emit(json_path, "causal", {"workloads": results}, out)
+    print(f"causal: {len(names) - failing}/{len(names)} workload(s) clean")
+    emit(ns, "causal", {"workloads": results})
     return 1 if failing else 0
-
-
-def run_causal_bench_cli(
-    argv: Sequence[str], out=print, json_path: Optional[str] = None
-) -> int:
-    """``python -m repro causal-bench [--json PATH]``."""
-    body = _causal_bench(out=out)
-    _emit(json_path, "causal_bench", body, out)
-    return 0 if body["verdicts_equal"] else 1

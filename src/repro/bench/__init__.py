@@ -9,7 +9,13 @@
 * :mod:`repro.bench.comparison` — the §5.5 \\*MOD comparison (C1-C2);
 * :mod:`repro.bench.deltat_figure` — the "Typical Delta-t Situations"
   figure (F1);
-* :mod:`repro.bench.tables` — plain-text table rendering.
+* :mod:`repro.bench.tables` — plain-text table rendering;
+* :mod:`repro.bench.registry` — ``python -m repro bench <name>``: one
+  ``BENCHES`` row per committed ``BENCH_<name>.json``, over the seven
+  bench modules (``perf_tables``, ``transport``, ``kv``, ``durability``,
+  ``causal``, ``sim_bench``, ``real``).  Not imported here: those pull
+  in the chaos, replication and real-socket stacks, and importing
+  :mod:`repro.bench.workloads` must stay cheap.
 """
 
 from repro.bench.breakdown import (

@@ -1,4 +1,4 @@
-"""``python -m repro causal-bench`` — batch vs streaming checker cost.
+"""``python -m repro bench analysis`` — batch vs streaming checker state.
 
 One long soak (a streaming requester pushing a fixed request count
 through an accepting server) is checked twice:
@@ -11,18 +11,19 @@ through an accepting server) is checked twice:
 
 The committed ``BENCH_analysis.json`` carries only *deterministic*
 numbers (record counts, simulated-time throughput, peak retained
-state, verdict agreement) so CI can diff it byte-for-byte; wall-clock
-rates are printed to stdout and never serialized.
+state, verdict agreement) so ``bench analysis --check`` can compare it
+byte-for-byte; what each checker costs in host time is ``perf/``'s to
+measure (``analysis.check_network_s`` / ``analysis.check_stream_s``).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.causal.clocks import build_causal_order
 from repro.analysis.causal.streaming import IncrementalChecker
 from repro.analysis.invariants import InvariantChecker
+from repro.bench.tables import failing
 from repro.bench.workloads import AcceptingServer, StreamingRequester
 from repro.core.node import Network
 
@@ -43,34 +44,28 @@ def _build_soak() -> Network:
     return net
 
 
-def run_causal_bench(
-    out: Callable[[str], None] = print,
-) -> Dict[str, Any]:
+def run(ns=None) -> Dict[str, Any]:
     """Run the soak twice; returns the deterministic comparison body."""
     # -- batch: retain the full trace, replay afterwards -----------------
     net = _build_soak()
     net.run(until=SOAK_HORIZON_US)
     records = list(net.sim.trace.records)
-    t0 = time.perf_counter()
     batch = InvariantChecker(network=net, strict_completion=True)
     batch_violations = batch.check(net.sim.trace, ledger=net.ledger)
-    batch_s = time.perf_counter() - t0
     horizon_us = net.sim.now
 
     # -- streaming: live sink, no retention needed -----------------------
     live_net = _build_soak()
     checker = IncrementalChecker(network=live_net, strict_completion=True)
     checker.install(live_net)
-    t0 = time.perf_counter()
     live_net.run(until=SOAK_HORIZON_US)
     stream_violations = checker.finish(ledger=live_net.ledger)
-    stream_s = time.perf_counter() - t0
 
     order = build_causal_order(records)
 
     batch_fmt = [v.format() for v in batch_violations]
     stream_fmt = [v.format() for v in stream_violations]
-    body: Dict[str, Any] = {
+    return {
         "soak": {
             "seed": SOAK_SEED,
             "transactions": SOAK_TXNS,
@@ -101,32 +96,28 @@ def run_causal_bench(
         "verdicts_equal": batch_fmt == stream_fmt,
     }
 
-    out(
-        f"soak: {len(records)} records over "
-        f"{horizon_us / 1e6:.2f} simulated seconds "
-        f"({SOAK_TXNS} transactions, seed {SOAK_SEED})"
+
+def render(body) -> str:
+    soak, batch, streaming = body["soak"], body["batch"], body["streaming"]
+    return "\n".join(
+        [
+            f"soak: {soak['records_total']} records over "
+            f"{soak['horizon_sim_s']:.2f} simulated seconds "
+            f"({soak['transactions']} transactions, seed {soak['seed']})",
+            f"batch:     retained {batch['retained_records']} records, "
+            f"{len(batch['violations'])} violation(s)",
+            f"streaming: peak open state {streaming['peak_open_state']} "
+            f"({streaming['retained_ratio'] * 100.0:.3f}% of trace), "
+            f"{len(streaming['violations'])} violation(s)",
+            "verdicts: identical"
+            if body["verdicts_equal"]
+            else "verdicts: DIVERGED",
+        ]
     )
-    out(
-        f"batch:     retained {len(records)} records, "
-        f"{len(batch_fmt)} violation(s), "
-        f"checked in {batch_s * 1000.0:.1f}ms wall "
-        f"({_rate(len(records), batch_s)} records/sec)"
-    )
-    out(
-        f"streaming: peak open state {checker.peak_open_state} "
-        f"({body['streaming']['retained_ratio'] * 100.0:.3f}% of trace), "
-        f"{len(stream_fmt)} violation(s), "
-        f"run+checked in {stream_s * 1000.0:.1f}ms wall"
-    )
-    out(
-        "verdicts: identical"
-        if body["verdicts_equal"]
-        else "verdicts: DIVERGED"
-    )
-    return body
 
 
-def _rate(count: int, seconds: float) -> str:
-    if seconds <= 0.0:
-        return "inf"
-    return f"{count / seconds:,.0f}"
+def verdicts(body) -> List[str]:
+    return body["batch"]["violations"] + failing(
+        [(body["verdicts_equal"],
+          "streaming checker diverged from batch replay")]
+    )

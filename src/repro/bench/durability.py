@@ -1,4 +1,4 @@
-"""``python -m repro durability-bench``: the cost of not forgetting.
+"""``python -m repro bench durability``: the cost of not forgetting.
 
 Three questions, all answered in *modelled* microseconds charged to the
 ``disk_io`` ledger category by :class:`SimDisk` — never wall clock, so
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.bench.tables import dict_table, failing
 from repro.durability.disk import SimDisk
 from repro.durability.state import FSYNC_POLICIES, EntryTuple, ReplicaStorage
 from repro.sim.tracing import CostLedger
@@ -119,3 +120,58 @@ def run_durability_bench() -> Dict[str, object]:
         "snapshot_intervals": intervals,
         "fsync_policies": policies,
     }
+
+
+def run(ns) -> Dict[str, object]:
+    return run_durability_bench()
+
+
+def render(body) -> str:
+    return "\n\n".join(
+        [
+            dict_table(
+                "Recovery replay cost vs log length",
+                (
+                    ("log entries", "log_entries"),
+                    ("replay us", "replay_disk_us"),
+                    ("wal records", "wal_records_replayed"),
+                ),
+                body["replay"],
+            ),
+            dict_table(
+                "Snapshot cadence: runtime cost vs replay saved",
+                (
+                    ("interval", "snapshot_interval"),
+                    ("snapshots", "snapshots_taken"),
+                    ("runtime us", "runtime_disk_us"),
+                    ("replay us", "replay_disk_us"),
+                ),
+                body["snapshot_intervals"],
+            ),
+            dict_table(
+                f"Fsync policy cost ({FSYNC_WORKLOAD_RECORDS} records)",
+                (
+                    ("policy", "fsync_policy"),
+                    ("fsyncs", "fsyncs"),
+                    ("runtime us", "runtime_disk_us"),
+                ),
+                body["fsync_policies"],
+            ),
+        ]
+    )
+
+
+def verdicts(body) -> List[str]:
+    times = [row["replay_disk_us"] for row in body["replay"]]
+    cost = {
+        row["fsync_policy"]: row["runtime_disk_us"]
+        for row in body["fsync_policies"]
+    }
+    return failing(
+        [
+            (times == sorted(times) and times[0] < times[-1],
+             f"replay cost does not grow with log length: {times}"),
+            (cost["always"] > cost["batch"] >= cost["never"],
+             f"fsync cost is not always > batch >= never: {cost}"),
+        ]
+    )

@@ -13,7 +13,7 @@ per schedule:
   definitive client outcome, and to the replacement's ``kv.promote``;
 * **acknowledged_write_loss** — the count of "lost acknowledged write"
   verdicts from :func:`repro.replication.consistency.check_kv_consistency`
-  (the CI drift check pins this to zero: losing an acked write is never
+  (``verdicts`` pins this to zero: losing an acked write is never
   a tuning regression, it is a correctness bug);
 * the full consistency-problem list (must be empty).
 
@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.workloads import build_workload
+from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.runner import chaos_config, make_schedule
-from repro.chaos.scenario import GRACE_US
 from repro.replication.consistency import check_kv_consistency, kv_summary
 
 __all__ = ["run_kv_bench", "KV_BENCH_SCHEDULES"]
@@ -90,12 +90,7 @@ def run_kv_bench(seed: int = 1) -> Dict[str, object]:
     schedules: Dict[str, Dict[str, object]] = {}
     for name in KV_BENCH_SCHEDULES:
         built = build_workload(WORKLOAD, seed=seed, config=chaos_config())
-        scenario = make_schedule(name, built.spec)
-        scenario.apply(built)
-        horizon = max(
-            built.spec.until_us, scenario.last_action_us + 2 * GRACE_US
-        )
-        built.net.run(until=horizon)
+        make_schedule(name, built.spec).run(built)
         records = built.net.sim.trace.records
 
         problems = check_kv_consistency(records)
@@ -136,3 +131,49 @@ def run_kv_bench(seed: int = 1) -> Dict[str, object]:
         "schedules": schedules,
         "comparison": comparison,
     }
+
+
+def run(ns) -> Dict[str, object]:
+    return run_kv_bench(seed=ns.seed)
+
+
+def render(body) -> str:
+    schedules = body["schedules"]
+    lines = [
+        dict_table(
+            f"Replicated KV under chaos ({body['workload']})",
+            (
+                ("schedule", "schedule"),
+                ("definitive", lambda c: f"{c['ops_definitive']}/{c['ops_invoked']}"),
+                ("avail", lambda c: f"{c['availability']:.3f}"),
+                ("promoted", "promotions"),
+                ("failover ms", lambda c: ms(c["failover"]["promote_us"])),
+                ("recover ms", lambda c: ms(c["failover"]["client_us"])),
+                ("lost acks", "acknowledged_write_loss"),
+                ("violations", lambda c: len(c["consistency_problems"])),
+            ),
+            [dict(cell, schedule=name) for name, cell in schedules.items()],
+        )
+    ]
+    for name, cell in schedules.items():
+        lines += [f"  {name}: {p}" for p in cell["consistency_problems"]]
+    comparison = body["comparison"]
+    lines += [
+        f"acknowledged writes lost: {comparison['acknowledged_write_loss']}",
+        f"failover bounded: {comparison['failover_bounded']}",
+    ]
+    return "\n".join(lines)
+
+
+def verdicts(body) -> List[str]:
+    comparison = body["comparison"]
+    lost = comparison["acknowledged_write_loss"]
+    return failing(
+        [
+            (comparison["all_consistent"],
+             "a schedule has consistency violations"),
+            (not lost, f"{lost} acknowledged write(s) lost"),
+            (comparison["failover_bounded"],
+             "no definitive client outcome after the primary crash"),
+        ]
+    )

@@ -12,10 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.bench.tables import dict_table
 from repro.bench.workloads import run_stream
 
 #: Payload sizes, in 16-bit words, of the paper's table columns.
 WORD_SIZES: List[int] = [0, 1, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
+
+#: The columns ``tables --quick`` and ``bench obs`` (BENCH_obs.json) run.
+QUICK_SIZES: List[int] = [0, 1, 100, 500, 1000]
 
 #: Published values (milliseconds), keyed by (verb, pipelined).
 PAPER_PERFORMANCE_MS: Dict[Tuple[str, bool], List[int]] = {
@@ -92,3 +96,60 @@ def generate_performance_table(
             PerfRow(words=words, measured_ms=ms, paper_ms=paper_ms, packets=packets)
         )
     return rows
+
+
+Body = Dict[str, List[Dict[str, float]]]
+
+
+def _key(verb: str, pipelined: bool) -> str:
+    return f"{verb}.{'pipelined' if pipelined else 'non_pipelined'}"
+
+
+def performance_tables(sizes: List[int]) -> Body:
+    """All six sub-tables, keyed ``<verb>.<pipelined|non_pipelined>``."""
+    body: Body = {}
+    for verb in ("put", "get", "exchange"):
+        for pipelined in (False, True):
+            rows = generate_performance_table(verb, pipelined, sizes=sizes)
+            body[_key(verb, pipelined)] = [row.to_dict() for row in rows]
+    return body
+
+
+def run(ns) -> Body:
+    """``bench obs``: the tables at the quick sizes."""
+    return performance_tables(QUICK_SIZES)
+
+
+def render(body: Body) -> str:
+    columns = (
+        ("words", "words"),
+        ("measured ms", "measured_ms"),
+        ("paper ms", "paper_ms"),
+        ("packets", "packets"),
+    )
+    tables = []
+    for name, rows in body.items():
+        verb, _, variant = name.partition(".")
+        title = f"{verb.upper()} ({variant.replace('_', '-')})"
+        tables.append(dict_table(title, columns, rows))
+    return "\n\n".join(tables)
+
+
+def verdicts(body: Body) -> List[str]:
+    """The paper's shape: its packet counts per transaction, and latency
+    that grows with payload size."""
+    problems = []
+    for (verb, pipelined), packets in PAPER_PACKETS.items():
+        name = _key(verb, pipelined)
+        for row in body[name]:
+            # A zero-word request degenerates to a two-packet SIGNAL.
+            expected = packets if row["words"] else 2
+            if round(row["packets"]) != expected:
+                problems.append(
+                    f"{name} at {row['words']} words: {row['packets']} "
+                    f"packets per transaction, paper says {expected}"
+                )
+        latencies = [row["measured_ms"] for row in body[name]]
+        if latencies != sorted(latencies):
+            problems.append(f"{name}: latency does not grow with size")
+    return problems

@@ -1,4 +1,4 @@
-"""Sim-vs-real benchmark (``python -m repro real-bench``).
+"""Sim-vs-real benchmark (``python -m repro bench real``).
 
 Runs the same ping-pong programs on both backends — the discrete-event
 simulator and the wall-clock UDP backend — under the same nominal 10%
@@ -33,6 +33,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List
 
+from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.liveness import percentile
 from repro.chaos.runner import chaos_config
 from repro.net.errors import FaultPlan
@@ -178,9 +179,9 @@ def run_real_bench(seed: int = 1, out=print) -> Dict[str, Any]:
         "backends": {"sim": {}, "real": {}},
     }
     for policy_name, policy in policies.items():
-        out(f"real-bench: sim/{policy_name} ...")
+        out(f"bench real: sim/{policy_name} ...")
         body["backends"]["sim"][policy_name] = _sim_cell(policy, seed)
-        out(f"real-bench: real/{policy_name} ...")
+        out(f"bench real: real/{policy_name} ...")
         body["backends"]["real"][policy_name] = _real_cell(policy, seed)
     real_static = body["backends"]["real"]["static"]
     real_adaptive = body["backends"]["real"]["adaptive"]
@@ -217,3 +218,53 @@ def run_real_bench(seed: int = 1, out=print) -> Dict[str, Any]:
         },
     }
     return body
+
+
+def run(ns) -> Dict[str, Any]:
+    return run_real_bench(seed=ns.seed)
+
+
+def render(body) -> str:
+    table = dict_table(
+        f"Sim vs real under {body['loss']:.0%} loss",
+        (
+            ("backend/policy", "cell"),
+            ("done", "completed_exchanges"),
+            ("lat p50 ms", lambda c: ms(c["latency_p50_us"], 2)),
+            ("lat p99 ms", lambda c: ms(c["latency_p99_us"], 2)),
+            ("rtt p50 ms", lambda c: ms(c["rtt_p50_us"], 2)),
+            ("retx", "retransmits"),
+            ("recover ms", lambda c: ms(c["recovery_wait_mean_us"], 2)),
+            ("xchg/s", lambda c: round(c["goodput_exchanges_per_s"] or 0.0, 1)),
+        ),
+        [
+            dict(body["backends"][backend][policy], cell=f"{backend}/{policy}")
+            for backend in ("sim", "real")
+            for policy in ("static", "adaptive")
+        ],
+    )
+    comparison = body["comparison"]
+    waits = comparison["recovery_wait_mean_us"]
+    return (
+        f"{table}\n"
+        "mean recovery wait per lost frame (real): "
+        f"static {ms(waits['static'], 2)} ms, "
+        f"adaptive {ms(waits['adaptive'], 2)} ms\n"
+        "adaptive recovers faster than static (real): "
+        f"{comparison['adaptive_recovers_faster_real']}"
+    )
+
+
+def verdicts(body) -> List[str]:
+    return failing(
+        [
+            (cell["all_finished"],
+             f"real/{policy}: the clients did not finish inside the horizon")
+            for policy, cell in body["backends"]["real"].items()
+        ]
+        + [
+            (body["comparison"]["adaptive_recovers_faster_real"],
+             "adaptive did not recover faster than static on the real "
+             "backend"),
+        ]
+    )

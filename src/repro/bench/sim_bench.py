@@ -1,4 +1,4 @@
-"""Raw engine speed: the ``python -m repro sim-bench`` microbenchmark.
+"""Raw engine speed: the ``python -m repro bench sim`` microbenchmark.
 
 Every other benchmark in the repo measures *simulated* time; this one
 measures the simulator itself — wall-clock events per second through
@@ -21,16 +21,17 @@ Four scenarios cover the engine's distinct cost centres:
   per-event `TraceRecord` retention.
 
 Event *counts* per scenario are deterministic; only the wall-clock
-rates vary run to run, so CI validates the snapshot's schema without
-pinning values (unlike the virtual-time ``BENCH_*`` files, which are
-drift-checked byte-for-byte).
+rates vary run to run, so ``bench sim --check`` compares verdicts and
+shape without pinning values (unlike the virtual-time ``BENCH_*``
+files, which it compares byte-for-byte).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
+from repro.bench.tables import failing, format_table
 from repro.sim.engine import Simulator
 
 __all__ = ["run_sim_bench"]
@@ -38,6 +39,9 @@ __all__ = ["run_sim_bench"]
 #: Workload priced by the ``trace_overhead`` scenario (streamed
 #: non-blocking requests: trace-heavy but short enough to repeat).
 TRACE_WORKLOAD = "stream"
+
+#: The scenarios timed on their own, in report order.
+ENGINE_SCENARIOS = ("timer_churn", "message_storm", "chaos_replay")
 
 
 def _measure(
@@ -131,17 +135,11 @@ def _chaos_replay(iterations: int) -> int:
     """
     from repro.analysis.workloads import build_workload
     from repro.chaos.runner import chaos_config, make_schedule
-    from repro.chaos.scenario import GRACE_US
 
     events = 0
     for _ in range(iterations):
         built = build_workload("echo", seed=1, config=chaos_config())
-        scenario = make_schedule("sustained_loss", built.spec)
-        scenario.apply(built)
-        horizon = max(
-            built.spec.until_us, scenario.last_action_us + 2 * GRACE_US
-        )
-        built.net.run(until=horizon)
+        make_schedule("sustained_loss", built.spec).run(built)
         events += built.net.sim.events_processed
     return events
 
@@ -222,3 +220,56 @@ def run_sim_bench(
         },
         "repeats": repeats,
     }
+
+
+def run(ns) -> Dict[str, object]:
+    return run_sim_bench(repeats=ns.repeats, scale=ns.scale)
+
+
+def render(body) -> str:
+    scenarios = body["scenarios"]
+    rows = [
+        (name, scenarios[name]["events"], scenarios[name]["events_per_sec"])
+        for name in ENGINE_SCENARIOS
+    ]
+    trace = scenarios["trace_overhead"]
+    for label, mode in (("traced", "traced"), ("no-trace", "no_trace")):
+        rows.append(
+            (
+                f"{trace['workload']} ({label})",
+                trace[mode]["events"],
+                trace[mode]["events_per_sec"],
+            )
+        )
+    fast_wins = body["comparison"]["no_trace_faster_than_traced"]
+    return "\n".join(
+        [
+            format_table(
+                ["scenario", "events", "events/sec"],
+                rows,
+                title="Engine hot path (wall clock; values vary per host)",
+            ),
+            f"no-trace fast mode speedup: {trace['fast_mode_speedup']}x",
+            f"no-trace faster than traced: {fast_wins}",
+        ]
+    )
+
+
+def verdicts(body) -> List[str]:
+    scenarios = body["scenarios"]
+    trace = scenarios["trace_overhead"]
+    return failing(
+        [
+            (scenarios[name]["events"] > 0
+             and scenarios[name]["events_per_sec"] > 0,
+             f"{name}: no events processed")
+            for name in ENGINE_SCENARIOS
+        ]
+        + [
+            (trace["traced"]["events"] == trace["no_trace"]["events"],
+             "trace_overhead: traced and no-trace runs processed "
+             "different event counts"),
+            (body["comparison"]["no_trace_faster_than_traced"],
+             "no-trace fast mode is not faster than traced mode"),
+        ]
+    )

@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.workloads import build_workload
+from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.liveness import percentile
 from repro.chaos.runner import chaos_config, make_schedule
-from repro.chaos.scenario import GRACE_US
 from repro.obs.spans import build_spans
 from repro.transport.adaptive import AdaptivePolicy
 from repro.transport.retransmit import RetransmitPolicy, StaticPolicy
@@ -45,12 +45,7 @@ def _run_one(
     built = build_workload(
         workload, seed=seed, config=chaos_config(policy)
     )
-    scenario = make_schedule(BENCH_SCHEDULE, built.spec)
-    scenario.apply(built)
-    horizon = max(
-        built.spec.until_us, scenario.last_action_us + 2 * GRACE_US
-    )
-    built.net.run(until=horizon)
+    make_schedule(BENCH_SCHEDULE, built.spec).run(built)
     records = built.net.sim.trace.records
     spans = build_spans(records)
     latencies = [
@@ -174,3 +169,46 @@ def run_transport_bench(
         },
     }
     return body
+
+
+def run(ns) -> Dict[str, object]:
+    return run_transport_bench(seeds=(ns.seed,), parallel=ns.parallel)
+
+
+def render(body) -> str:
+    table = dict_table(
+        f"Transport policies under {body['schedule']}",
+        (
+            ("policy", "policy"),
+            ("spurious", "spurious_retransmits"),
+            ("retx", "retransmits"),
+            ("sheds", "sheds"),
+            ("completed", "completed"),
+            ("p50 ms", lambda row: ms(row["p50_latency_us"])),
+            ("p99 ms", lambda row: ms(row["p99_latency_us"])),
+        ),
+        [
+            dict(body[policy]["summary"], policy=policy)
+            for policy in ("static", "adaptive")
+        ],
+    )
+    comparison = body["comparison"]
+    return (
+        f"{table}\n"
+        "adaptive beats static on spurious retransmits: "
+        f"{comparison['adaptive_beats_static_spurious']}\n"
+        "adaptive beats static on p99 latency: "
+        f"{comparison['adaptive_beats_static_p99']}"
+    )
+
+
+def verdicts(body) -> List[str]:
+    comparison = body["comparison"]
+    return failing(
+        (comparison[f"adaptive_beats_static_{key}"],
+         f"adaptive does not beat static on {what}")
+        for key, what in (
+            ("spurious", "spurious retransmits"),
+            ("p99", "p99 latency"),
+        )
+    )

@@ -19,13 +19,12 @@ virtual-time run ⇒ an identical report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.invariants import check_network
 from repro.analysis.workloads import WORKLOADS, WorkloadSpec, build_workload
 from repro.chaos.scenario import (
-    GRACE_US,
     ClientDie,
     DiskFault,
     DuplicateWindow,
@@ -447,16 +446,20 @@ class CellResult:
     kv: Dict[str, object] = field(default_factory=dict)
     frames_sent: int = 0
 
+    def problems(self) -> List[str]:
+        """Every verdict line of all six columns, in ``to_dict`` order."""
+        return (
+            self.invariant_violations
+            + self.liveness_problems
+            + self.selfheal_problems
+            + self.degradation_problems
+            + self.causal_problems
+            + self.consistency_problems
+        )
+
     @property
     def ok(self) -> bool:
-        return (
-            not self.invariant_violations
-            and not self.liveness_problems
-            and not self.selfheal_problems
-            and not self.degradation_problems
-            and not self.causal_problems
-            and not self.consistency_problems
-        )
+        return not self.problems()
 
     @property
     def key(self) -> Tuple[str, str, int]:
@@ -464,22 +467,10 @@ class CellResult:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "workload": self.workload,
-            "schedule": self.schedule,
-            "seed": self.seed,
+            **asdict(self),
             "ok": self.ok,
-            "horizon_us": self.horizon_us,
-            "invariant_violations": list(self.invariant_violations),
-            "liveness_problems": list(self.liveness_problems),
-            "selfheal_problems": list(self.selfheal_problems),
-            "degradation_problems": list(self.degradation_problems),
-            "causal_problems": list(self.causal_problems),
-            "consistency_problems": list(self.consistency_problems),
             "spans_by_status": dict(sorted(self.spans_by_status.items())),
             "faults": dict(sorted(self.faults.items())),
-            "recovery": self.recovery,
-            "kv": self.kv,
-            "frames_sent": self.frames_sent,
         }
 
 
@@ -509,12 +500,9 @@ def run_cell(
     cell's trace: SODA010-013 race/deadlock rules, plus an assertion
     that the streaming invariant checker reproduces the batch verdicts."""
     built = build_workload(workload, seed=seed, config=chaos_config(policy))
-    spec = built.spec
     if scenario is None:
-        scenario = make_schedule(schedule, spec)
-    scenario.apply(built)
-    horizon = max(spec.until_us, scenario.last_action_us + 2 * GRACE_US)
-    built.net.run(until=horizon)
+        scenario = make_schedule(schedule, built.spec)
+    horizon = scenario.run(built)
     net = built.net
 
     violations = check_network(net, strict_completion=False)

@@ -430,6 +430,17 @@ class Scenario:
         for action in self.actions:
             action.apply(built)
 
+    def run(self, built: BuiltWorkload) -> float:
+        """Apply, run ``built`` to the horizon, and return the horizon:
+        the workload's own, or two grace periods past the last fault,
+        whichever is later."""
+        self.apply(built)
+        horizon = max(
+            built.spec.until_us, self.last_action_us + 2 * GRACE_US
+        )
+        built.net.run(until=horizon)
+        return horizon
+
     @property
     def last_action_us(self) -> float:
         """The latest instant any action touches the run."""

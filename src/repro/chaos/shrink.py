@@ -76,6 +76,5 @@ def test_chaos_regression_{workload}_{scenario.name}_seed{seed}():
         ),
     )
     result = run_cell({workload!r}, scenario.name, seed={seed}, scenario=scenario)
-    failures = result.invariant_violations + result.liveness_problems
-    assert result.ok, "\\n".join(failures)
+    assert result.ok, "\\n".join(result.problems())
 '''

@@ -55,7 +55,3 @@ class TooManyRequestsError(SodaError):
 
 class NotInHandlerError(SodaError):
     """ACCEPT_CURRENT used outside the handler (§4.1.2)."""
-
-
-class ClientDeadError(SodaError):
-    """A primitive was invoked by a dead client."""

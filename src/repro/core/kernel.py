@@ -1711,9 +1711,6 @@ class SodaKernel:
         self._handler_busy = False
         self._pending_handler_open = None
 
-    def note_client_started(self) -> None:
-        self.handler_open = True
-
     def client_die(self) -> None:
         """DIE: reset kernel state; the node becomes bootable again."""
         self.sim.trace.record(self.sim.now, "kernel.die", mid=self.mid)

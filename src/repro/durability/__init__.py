@@ -21,9 +21,10 @@ Layers, bottom up:
   snapshot installation;
 * :mod:`repro.durability.state` — :class:`ReplicaStorage`, the
   KV replica's persistence facade: epoch/vote, log entries,
-  truncations, commit marks, WAL-over-snapshot recovery;
-* :mod:`repro.durability.bench` — ``python -m repro durability-bench``
-  (BENCH_durability.json).
+  truncations, commit marks, WAL-over-snapshot recovery.
+
+``python -m repro bench durability`` (:mod:`repro.bench.durability`,
+BENCH_durability.json) prices replay, snapshots and fsync policies.
 
 See docs/DURABILITY.md for the full disk model and fault taxonomy.
 """

@@ -13,7 +13,7 @@ What a replica must not forget (docs/REPLICATION.md):
 Each of those becomes one WAL record.  Periodically the whole state is
 folded into a snapshot (atomic install, :mod:`repro.durability.
 snapshot`) and the WAL starts a fresh segment — bounding replay time,
-which is the tradeoff ``python -m repro durability-bench`` measures.
+which is the tradeoff ``python -m repro bench durability`` measures.
 
 Recovery picks the newest generation whose snapshot validates *and*
 whose WAL segment exists (an install can crash between the two), then

@@ -406,6 +406,3 @@ class LinkService:
         if end is None:
             raise SodaError(f"no such link: {link_id}")
         return end
-
-    def link_for_pattern(self, pattern: Pattern) -> Optional[LinkEnd]:
-        return self._by_pattern.get(pattern)

@@ -145,9 +145,6 @@ class FaultPlan:
     def remove_drop_predicate(self, predicate: DropPredicate) -> None:
         self._drop_predicates.remove(predicate)
 
-    def clear_predicates(self) -> None:
-        self._drop_predicates.clear()
-
     @property
     def scripted_drops_pending(self) -> bool:
         """Any armed drop_next budget or unexhausted strike?"""

@@ -8,8 +8,8 @@ carrying the :mod:`repro.netreal.wire` binary frame codec.  The kernel,
 connections, transport policies, and client programs are untouched.
 
 Entry points: ``python -m repro real <workload>`` (multi-process,
-:mod:`repro.netreal.runner`), ``python -m repro real-bench``
-(:mod:`repro.netreal.bench`), or in-process via :class:`~repro.netreal.
+:mod:`repro.netreal.runner`), ``python -m repro bench real``
+(:mod:`repro.bench.real`), or in-process via :class:`~repro.netreal.
 node.RealNetwork`.  See docs/NET.md.
 """
 

@@ -1,7 +1,9 @@
 """Multi-process runner: one OS process per SODA node.
 
 ``python -m repro real <workload>`` drives the parent side; each child
-is ``python -m repro real-node ...`` (internal).  The choreography:
+is ``python -m repro real-node ...`` (internal; its argument list is
+built from, and parsed by, the one ``COMMANDS["real-node"]`` row).  The
+choreography:
 
 1. parent opens a TCP *control socket* on loopback and spawns one child
    per workload role;
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.cli import COMMANDS, flag_argv
 from repro.netreal.node import RealNetwork
 from repro.netreal.trace_io import dump_trace, merge_traces, tracer_from_records
 from repro.netreal.udp import Impairments
@@ -71,14 +74,6 @@ def policy_for(name: str) -> RetransmitPolicy:
     raise ValueError(f"unknown policy {name!r} (static|adaptive)")
 
 
-def _config_for(policy_name: str):
-    # chaos_config harmonizes Delta-t windows with the retransmit
-    # policy, exactly as the chaos harness runs the sim backend.
-    from repro.chaos.runner import chaos_config
-
-    return chaos_config(policy_for(policy_name))
-
-
 @dataclass
 class RealRunResult:
     """Everything the parent learned from one multi-process run."""
@@ -110,14 +105,17 @@ class RealRunResult:
     decode_errors: int = 0
     impaired_losses: int = 0
 
+    def problems(self) -> List[str]:
+        return (
+            self.invariant_violations
+            + self.causal_diagnostics
+            + self.runner_problems
+            + self.consistency_problems
+        )
+
     @property
     def ok(self) -> bool:
-        return not (
-            self.invariant_violations
-            or self.causal_diagnostics
-            or self.runner_problems
-            or self.consistency_problems
-        )
+        return not self.problems()
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -214,22 +212,18 @@ def analyze_merged(
 
 
 async def _parent(
-    workload: str,
-    seed: int,
-    policy_name: str,
-    loss: float,
-    trace_dir: Path,
-    out,
-    horizon_us: Optional[float],
-    durable: Optional[str] = None,
-    power_loss_at_us: Optional[float] = None,
+    node: Dict[str, Any], trace_dir: Path, out, horizon_us: Optional[float]
 ) -> RealRunResult:
+    """``node`` is what every child is told, keyed as the ``real-node``
+    row of ``COMMANDS`` names it: workload, seed, policy, loss, durable,
+    power_loss_at."""
+    workload, policy_name, loss = node["workload"], node["policy"], node["loss"]
     spec = get_real_spec(workload)
     horizon = float(horizon_us) if horizon_us else spec.until_us
     count = len(spec.roles)
     result = RealRunResult(
         workload=workload,
-        seed=seed,
+        seed=node["seed"],
         policy=policy_name,
         loss=loss,
         processes=count,
@@ -269,30 +263,15 @@ async def _parent(
     trace_paths = [trace_dir / f"trace-{mid}.jsonl" for mid in range(count)]
     children: List[subprocess.Popen] = []
     for mid in range(count):
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "real-node",
-            "--workload",
-            workload,
-            "--role",
-            str(mid),
-            "--seed",
-            str(seed),
-            "--policy",
-            policy_name,
-            "--loss",
-            repr(loss),
-            "--control",
-            str(control_port),
-            "--trace",
-            str(trace_paths[mid]),
-        ]
-        if durable:
-            argv += ["--durable", durable]
-        if power_loss_at_us is not None:
-            argv += ["--power-loss-at", repr(power_loss_at_us)]
+        argv = [sys.executable, "-m", "repro", "real-node"] + flag_argv(
+            COMMANDS["real-node"].flags,
+            {
+                **node,
+                "role": mid,
+                "control": control_port,
+                "trace": trace_paths[mid],
+            },
+        )
         # Each child leads its own session/process group so a wedged
         # child — including anything it may have forked — can be killed
         # as a group rather than orphaned.
@@ -450,22 +429,20 @@ def run_real(
         raise ValueError("--power-loss-at requires --durable DIR")
     if durable:
         Path(durable).mkdir(parents=True, exist_ok=True)
+    node = {
+        "workload": workload,
+        "seed": seed,
+        "policy": policy,
+        "loss": loss,
+        "durable": durable,
+        "power_loss_at": power_loss_at_us,
+    }
     if keep_traces:
         trace_dir = Path(keep_traces)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        return asyncio.run(
-            _parent(
-                workload, seed, policy, loss, trace_dir, out, horizon_us,
-                durable=durable, power_loss_at_us=power_loss_at_us,
-            )
-        )
+        return asyncio.run(_parent(node, trace_dir, out, horizon_us))
     with tempfile.TemporaryDirectory(prefix="repro-real-") as tmp:
-        return asyncio.run(
-            _parent(
-                workload, seed, policy, loss, Path(tmp), out, horizon_us,
-                durable=durable, power_loss_at_us=power_loss_at_us,
-            )
-        )
+        return asyncio.run(_parent(node, Path(tmp), out, horizon_us))
 
 
 # ---------------------------------------------------------------------------
@@ -473,34 +450,23 @@ def run_real(
 # ---------------------------------------------------------------------------
 
 
-async def _child(
-    net: RealNetwork,
-    workload: str,
-    role_index: int,
-    seed: int,
-    policy_name: str,
-    loss: float,
-    control_port: int,
-    trace_path: str,
-    durable_dir: Optional[str] = None,
-    power_loss_at_us: Optional[float] = None,
-) -> None:
-    spec = get_real_spec(workload)
-    role = spec.roles[role_index]
+async def _child(net: RealNetwork, ns) -> None:
+    spec = get_real_spec(ns.workload)
+    role = spec.roles[ns.role]
     node = net.add_node(
-        mid=role_index,
+        mid=ns.role,
         program=role.factory(),
         name=role.name,
         boot_at_us=role.boot_at_us,
     )
-    if durable_dir and role.name.startswith("replica"):
+    if ns.durable and role.name.startswith("replica"):
         from repro.durability.disk import DiskFaultPlan, FaultDisk, FileDisk
 
         node.disk = FaultDisk(
-            FileDisk(os.path.join(durable_dir, role.name)),
-            DiskFaultPlan(seed=100 + role_index),
+            FileDisk(os.path.join(ns.durable, role.name)),
+            DiskFaultPlan(seed=100 + ns.role),
         )
-        if power_loss_at_us is not None:
+        if ns.power_loss_at is not None:
             # Scripted blackout: power-fail this node mid-run, then
             # reboot it from its factory half a second later — state
             # must come back from the FileDisk, not memory.
@@ -514,14 +480,12 @@ async def _child(
                     boot_at = node.kernel.offline_until
                 node.install_program(role.factory(), boot_at_us=boot_at)
 
-            net.sim.at(power_loss_at_us, _cut)
-            net.sim.at(power_loss_at_us + 500_000.0, _reboot)
+            net.sim.at(ns.power_loss_at, _cut)
+            net.sim.at(ns.power_loss_at + 500_000.0, _reboot)
     addresses = await net.open()
 
-    reader, writer = await asyncio.open_connection("127.0.0.1", control_port)
-    hello = {
-        "hello": {"mid": role_index, "port": addresses[role_index][1]}
-    }
+    reader, writer = await asyncio.open_connection("127.0.0.1", ns.control)
+    hello = {"hello": {"mid": ns.role, "port": addresses[ns.role][1]}}
     writer.write((json.dumps(hello) + "\n").encode("utf-8"))
     await writer.drain()
 
@@ -539,69 +503,44 @@ async def _child(
 
     records = list(net.sim.trace.records)
     dump_trace(
-        trace_path,
+        ns.trace,
         records,
         meta={
-            "mid": role_index,
+            "mid": ns.role,
             "role": role.name,
-            "workload": workload,
-            "seed": seed,
-            "policy": policy_name,
-            "loss": loss,
+            "workload": ns.workload,
+            "seed": ns.seed,
+            "policy": ns.policy,
+            "loss": ns.loss,
             "ledger": net.ledger.snapshot(),
             "records": len(records),
         },
     )
-    done = {"done": {"mid": role_index, "records": len(records)}}
+    done = {"done": {"mid": ns.role, "records": len(records)}}
     writer.write((json.dumps(done) + "\n").encode("utf-8"))
     await writer.drain()
     writer.close()
     net.bus.close()
 
 
-def run_real_node(argv: List[str]) -> int:
+def run_real_node(ns) -> int:
     """Entry point for one node process (not for interactive use)."""
-    args: Dict[str, str] = {}
-    key: Optional[str] = None
-    for token in argv:
-        if token.startswith("--"):
-            key = token[2:]
-        elif key is not None:
-            args[key] = token
-            key = None
-    workload = args["workload"]
-    role_index = int(args["role"])
-    seed = int(args.get("seed", "1"))
-    policy_name = args.get("policy", "adaptive")
-    loss = float(args.get("loss", "0"))
-    durable_dir = args.get("durable")
-    power_loss_text = args.get("power-loss-at")
-    impairments = (
-        Impairments(loss_probability=loss) if loss > 0.0 else None
-    )
+    # chaos_config harmonizes Delta-t windows with the retransmit
+    # policy, exactly as the chaos harness runs the sim backend.
+    from repro.chaos.runner import chaos_config
+
     net = RealNetwork(
-        seed=seed, config=_config_for(policy_name), impairments=impairments
+        seed=ns.seed,
+        config=chaos_config(policy_for(ns.policy)),
+        impairments=(
+            Impairments(loss_probability=ns.loss) if ns.loss > 0.0 else None
+        ),
     )
     try:
         # The whole child — control handshake included — runs on the
         # scheduler's own event loop: the UDP endpoints and kernel
         # timers must share one loop.
-        net.sim.loop.run_until_complete(
-            _child(
-                net,
-                workload,
-                role_index,
-                seed,
-                policy_name,
-                loss,
-                int(args["control"]),
-                args["trace"],
-                durable_dir=durable_dir,
-                power_loss_at_us=(
-                    float(power_loss_text) if power_loss_text else None
-                ),
-            )
-        )
+        net.sim.loop.run_until_complete(_child(net, ns))
     finally:
         net.close()
     return 0

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.bench.tables import format_table
-from repro.obs.metrics import Histogram
 from repro.obs.spans import TransactionSpan
 
 #: Schema tag stamped into every benchmark snapshot.
@@ -36,13 +35,15 @@ def snapshot_payload(
     }
 
 
+def serialize_snapshot(payload: Dict[str, Any]) -> str:
+    """The exact text of a snapshot file (sorted keys, trailing newline)."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def write_snapshot(path: PathLike, payload: Dict[str, Any]) -> Path:
-    """Write one JSON snapshot (sorted keys, trailing newline)."""
+    """Write one JSON snapshot."""
     target = Path(path)
-    target.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    target.write_text(serialize_snapshot(payload), encoding="utf-8")
     return target
 
 
@@ -123,23 +124,6 @@ def render_metrics(snapshot: Dict[str, Dict[str, Any]]) -> str:
             )
         )
     return "\n\n".join(parts)
-
-
-def render_histogram(hist: Histogram) -> str:
-    """One histogram as a single-row table."""
-    return format_table(
-        ["histogram", "count", "p50", "p90", "p99", "max"],
-        [
-            (
-                hist.name,
-                hist.count,
-                _fmt(hist.quantile(0.50)),
-                _fmt(hist.quantile(0.90)),
-                _fmt(hist.quantile(0.99)),
-                _fmt(hist.max),
-            )
-        ],
-    )
 
 
 def render_span_table(

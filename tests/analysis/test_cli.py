@@ -7,16 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
-from repro.analysis.cli import run_causal, run_check_trace, run_lint
+from repro.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def collect():
-    lines = []
-    return lines, lines.append
 
 
 def test_lint_is_clean_on_shipped_programs():
@@ -29,62 +23,58 @@ def test_lint_is_clean_on_shipped_programs():
 @pytest.mark.parametrize(
     "fixture", sorted(p.name for p in FIXTURES.glob("bad_*.py"))
 )
-def test_lint_fails_on_each_bad_fixture(fixture):
-    lines, out = collect()
-    status = run_lint([str(FIXTURES / fixture)], out=out)
-    assert status == 1
-    assert any("SODA" in line for line in lines)
+def test_lint_fails_on_each_bad_fixture(fixture, capsys):
+    assert main(["lint", str(FIXTURES / fixture)]) == 1
+    assert "SODA" in capsys.readouterr().out
 
 
 def test_lint_disable_flag_silences_a_rule():
-    lines, out = collect()
-    status = run_lint(
-        ["--disable=SODA001", str(FIXTURES / "bad_soda001.py")], out=out
+    status = main(
+        ["lint", "--disable=SODA001", str(FIXTURES / "bad_soda001.py")]
     )
     assert status == 0
 
 
-def test_check_trace_clean_workload():
-    lines, out = collect()
-    status = run_check_trace(["echo"], out=out)
-    assert status == 0
-    assert any("echo: ok" in line for line in lines)
+def test_lint_missing_path_is_a_usage_error(capsys):
+    assert main(["lint", str(FIXTURES / "no_such_file.py")]) == 2
+    assert "no such file or directory" in capsys.readouterr().err
 
 
-def test_check_trace_rejects_unknown_workload():
-    lines, out = collect()
-    status = run_check_trace(["no-such-workload"], out=out)
-    assert status != 0
+def test_check_trace_clean_workload(capsys):
+    assert main(["check-trace", "echo"]) == 0
+    assert "echo: ok" in capsys.readouterr().out
 
 
-def test_check_trace_streaming_agrees(tmp_path):
-    lines, out = collect()
+def test_check_trace_rejects_unknown_workload(capsys):
+    assert main(["check-trace", "no-such-workload"]) == 2
+    assert "unknown workload(s): no-such-workload" in capsys.readouterr().err
+
+
+def test_check_trace_streaming_agrees(tmp_path, capsys):
     json_path = tmp_path / "trace.json"
-    status = run_check_trace(
-        ["--streaming", "echo"], out=out, json_path=str(json_path)
+    status = main(
+        ["check-trace", "--streaming", "echo", "--json", str(json_path)]
     )
     assert status == 0
-    assert any("echo: ok" in line and "streaming" in line for line in lines)
+    out = capsys.readouterr().out
+    assert any(
+        "echo: ok" in line and "streaming" in line for line in out.splitlines()
+    )
     body = json.loads(json_path.read_text())["body"]
     assert body["streaming"] is True
     assert body["workloads"][0]["streaming_agrees"] is True
 
 
-def test_causal_defaults_to_the_clean_workloads():
-    lines, out = collect()
-    status = run_causal(["echo", "signal"], out=out)
-    assert status == 0
-    assert any("causal: 2/2 workload(s) clean" in line for line in lines)
+def test_causal_defaults_to_the_clean_workloads(capsys):
+    assert main(["causal", "echo", "signal"]) == 0
+    assert "causal: 2/2 workload(s) clean" in capsys.readouterr().out
 
 
-def test_causal_flags_the_noarb_philosophers(tmp_path):
-    lines, out = collect()
+def test_causal_flags_the_noarb_philosophers(tmp_path, capsys):
     json_path = tmp_path / "causal.json"
-    status = run_causal(
-        ["philosophers_noarb"], out=out, json_path=str(json_path)
-    )
+    status = main(["causal", "philosophers_noarb", "--json", str(json_path)])
     assert status == 1
-    assert any("SODA013" in line for line in lines)
+    assert "SODA013" in capsys.readouterr().out
     body = json.loads(json_path.read_text())["body"]
     assert any(
         "SODA013" in diag
@@ -94,15 +84,13 @@ def test_causal_flags_the_noarb_philosophers(tmp_path):
 
 
 def test_causal_rejects_unknown_workload():
-    lines, out = collect()
-    assert run_causal(["no-such-workload"], out=out) == 1
+    assert main(["causal", "no-such-workload"]) == 2
 
 
 def test_lint_json_snapshot(tmp_path):
-    lines, out = collect()
     json_path = tmp_path / "lint.json"
-    status = run_lint(
-        [str(FIXTURES / "bad_soda001.py")], out=out, json_path=str(json_path)
+    status = main(
+        ["lint", str(FIXTURES / "bad_soda001.py"), "--json", str(json_path)]
     )
     assert status == 1
     payload = json.loads(json_path.read_text())
@@ -112,12 +100,11 @@ def test_lint_json_snapshot(tmp_path):
     )
 
 
-def test_main_help_mentions_analysis_commands():
-    import repro.__main__ as entry
-
-    help_text = entry._render_help()
-    assert "lint" in help_text
-    assert "check-trace" in help_text
-    assert "causal" in help_text
-    for name in ("lint", "check-trace", "causal", "causal-bench"):
-        assert name in entry.COMMANDS
+def test_main_help_mentions_analysis_commands(capsys):
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    for name in ("lint", "check-trace", "causal"):
+        assert f"python -m repro {name} " in help_text
+        assert COMMANDS[name].description in help_text
+    assert main(["bench", "--help"]) == 0
+    assert "python -m repro bench analysis " in capsys.readouterr().out

@@ -1,6 +1,12 @@
-"""Durability bench: schema and determinism (modeled time, not wall)."""
+"""Durability bench: the body's schema (modeled time, not wall).
 
-from repro.durability.bench import run_durability_bench
+Its health predicate — replay cost grows with the log, fsync cost is
+always > batch >= never — is ``repro.bench.durability.verdicts``, and
+its determinism is the byte comparison of ``bench durability --check``;
+tests/bench/test_registry.py runs both against the committed snapshot.
+"""
+
+from repro.bench.durability import run_durability_bench
 
 
 def test_bench_schema_and_determinism():
@@ -14,9 +20,6 @@ def test_bench_schema_and_determinism():
         assert row["wal_records_replayed"] > 0
         assert row["replay_disk_us"] > 0
         assert row["entries_recovered"] == row["log_entries"]
-    # More log means more replay work — the curve the bench exists to show.
-    times = [row["replay_disk_us"] for row in replay]
-    assert times == sorted(times) and times[0] < times[-1]
 
     intervals = payload["snapshot_intervals"]
     assert [row["snapshot_interval"] for row in intervals] == [16, 64, 256]
@@ -31,11 +34,3 @@ def test_bench_schema_and_determinism():
     assert set(policies) == {"always", "batch", "never"}
     assert policies["never"]["fsyncs"] == 0
     assert policies["always"]["fsyncs"] > policies["batch"]["fsyncs"] > 0
-    assert (
-        policies["always"]["runtime_disk_us"]
-        > policies["batch"]["runtime_disk_us"]
-        >= policies["never"]["runtime_disk_us"]
-    )
-
-    # Modeled time is deterministic: a second run is byte-identical.
-    assert run_durability_bench() == payload

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.workloads import build_workload
 from repro.chaos.runner import run_cell
-from repro.chaos.scenario import GRACE_US, DiskFault, PowerLoss, Scenario
+from repro.chaos.scenario import DiskFault, PowerLoss, Scenario
 from repro.replication.consistency import check_kv_consistency
 
 KV_ROLES = ("replica0", "replica1", "replica2")
@@ -19,11 +19,7 @@ KV_ROLES = ("replica0", "replica1", "replica2")
 
 def _run(workload, scenario=None, durable=True, seed=1):
     built = build_workload(workload, seed=seed, durable=durable)
-    last = 0.0
-    if scenario is not None:
-        scenario.apply(built)
-        last = scenario.last_action_us
-    built.net.run(until=max(built.spec.until_us, last + 2 * GRACE_US))
+    (scenario or Scenario("no_faults", ())).run(built)
     return built
 
 

@@ -1,13 +1,13 @@
-"""Schema gate for the committed ``BENCH_real.json`` snapshot.
+"""Cell-level checks on the committed ``BENCH_real.json`` snapshot.
 
 Real-backend numbers are wall-clock and vary run to run, so — unlike
 the sim-only snapshots — the committed file is *not* byte-diffable and
-no value is pinned here.  What this test holds fixed is the contract:
-the soda.bench/1 envelope, the backend x policy cell grid, each cell's
-metric keys and types, and the one qualitative claim the snapshot
-exists to document — on the real backend, the adaptive policy's mean
-recovery wait per lost frame beat the static 60ms timeout when the
-snapshot was produced.
+no value is pinned here.  Its envelope, its backend x policy grid and
+its headline verdict are judged by ``bench real --check``
+(tests/bench/test_registry.py runs that judgment on the committed
+file); this module keeps what has no twin there: each cell's metric
+keys and types, and that the recorded waits and policy knobs are the
+ones the verdict was computed from.
 """
 
 import json
@@ -42,19 +42,11 @@ def payload():
     return json.loads(SNAPSHOT.read_text())
 
 
-def test_envelope(payload):
-    assert payload["schema"] == "soda.bench/1"
-    assert payload["kind"] == "real_bench"
-    assert payload["meta"] == {"seed": payload["body"]["seed"]}
-
-
 def test_cell_grid_and_metric_keys(payload):
     body = payload["body"]
     assert body["loss"] == pytest.approx(0.10)
     assert body["real_drop_every"] >= 2
-    assert set(body["backends"]) == {"sim", "real"}
     for backend, cells in body["backends"].items():
-        assert set(cells) == {"static", "adaptive"}, backend
         for policy, cell in cells.items():
             for key in CELL_NUMBERS:
                 value = cell[key]
@@ -64,13 +56,10 @@ def test_cell_grid_and_metric_keys(payload):
             # Sanity, not pinning: the sweep ran to completion.
             assert cell["completed_exchanges"] > 0
             assert cell["retransmits"] > 0  # loss was actually injected
-    assert body["backends"]["real"]["static"]["all_finished"] is True
-    assert body["backends"]["real"]["adaptive"]["all_finished"] is True
 
 
 def test_committed_verdict_shows_adaptive_win(payload):
     comparison = payload["body"]["comparison"]
-    assert comparison["adaptive_recovers_faster_real"] is True
     waits = comparison["recovery_wait_mean_us"]
     assert waits["adaptive"] < waits["static"]
     knobs = comparison["policy_knobs"]

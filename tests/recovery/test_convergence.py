@@ -1,7 +1,7 @@
 """The self-heal judgment and the recovery digest (repro.recovery.convergence)."""
 
 from repro.analysis.workloads import build_workload
-from repro.chaos import GRACE_US, ClientDie, Scenario
+from repro.chaos import ClientDie, Scenario
 from repro.recovery import SELF_HEAL_BOUND_US, check_self_heal, recovery_summary
 from repro.sim.tracing import TraceRecord
 
@@ -25,12 +25,7 @@ def test_unhealed_crash_is_a_problem():
     service = supervisor.services[0]
     object.__setattr__(service, "mid", 9)  # frozen dataclass, test-only
     scenario = Scenario("kill", (ClientDie(15_000.0, role="server"),))
-    scenario.apply(built)
-    built.net.run(
-        until=max(
-            built.spec.until_us, scenario.last_action_us + 2 * GRACE_US
-        )
-    )
+    scenario.run(built)
     problems = check_self_heal(built, scenario.last_action_us)
     assert problems, "a dead supervised service must fail the judgment"
     assert any("no live client" in p or "not restored" in p for p in problems)

@@ -1,20 +1,18 @@
 """Supervision: DISCOVER health polls, BOOT/LOAD reboots, escalation."""
 
 from repro.analysis.workloads import build_workload
-from repro.chaos import GRACE_US, ClientDie, NodeCrash, Scenario
+from repro.chaos import ClientDie, NodeCrash, Scenario
 from repro.recovery import RestartPolicy, SupervisorProgram, check_self_heal
 
 
-def run_supervised(actions, until_us=10_000_000.0, policy=None):
+def run_supervised(actions, policy=None):
     built = build_workload("supervised")
     if policy is not None:
         supervisor = built.net.nodes[1].kernel.client.program
         assert isinstance(supervisor, SupervisorProgram)
         supervisor.policy = policy
     scenario = Scenario("scripted", tuple(actions))
-    scenario.apply(built)
-    horizon = max(until_us, scenario.last_action_us + 2 * GRACE_US)
-    built.net.run(until=horizon)
+    scenario.run(built)
     return built, scenario
 
 

@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.workloads import build_workload
 from repro.chaos.runner import run_cell
 from repro.chaos.scenario import (
-    GRACE_US,
     DuplicateWindow,
     NodeCrash,
     Partition,
@@ -24,11 +23,7 @@ from repro.replication.consistency import check_kv_consistency, kv_summary
 
 def _run(workload, scenario=None, seed=None):
     built = build_workload(workload, seed=seed)
-    last = 0.0
-    if scenario is not None:
-        scenario.apply(built)
-        last = scenario.last_action_us
-    built.net.run(until=max(built.spec.until_us, last + 2 * GRACE_US))
+    (scenario or Scenario("no_faults", ())).run(built)
     return built
 
 

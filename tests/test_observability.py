@@ -9,7 +9,7 @@ import json
 
 from repro.analysis.workloads import run_workload
 from repro.obs import MetricsHub
-from repro.__main__ import main
+from repro.cli import main
 
 
 def _report(name):
@@ -137,5 +137,5 @@ def test_metrics_cli(capsys, tmp_path):
 
 def test_metrics_cli_rejects_unknown_workload(capsys):
     rc = main(["metrics", "nope"])
-    assert rc == 1
-    assert "unknown workload" in capsys.readouterr().out
+    assert rc == 2
+    assert "unknown workload" in capsys.readouterr().err
