@@ -6,7 +6,7 @@ measures the simulator itself — wall-clock events per second through
 committed ``BENCH_sim.json`` even when virtual-time results stay
 byte-identical.
 
-Four scenarios cover the engine's distinct cost centres:
+Five scenarios cover the engine's distinct cost centres:
 
 * ``timer_churn`` — arm-and-cancel storms (the retransmission-timer
   pattern: almost every timer armed is cancelled before it fires),
@@ -16,6 +16,10 @@ Four scenarios cover the engine's distinct cost centres:
 * ``chaos_replay`` — one full chaos cell (echo × sustained_loss), the
   end-to-end mix of kernel work, tracing, and timer churn a sweep cell
   really runs;
+* ``idle_wait`` — one cell that is almost all waiting (queued × calm:
+  eight SIGNALs, then a task polling an empty queue to the 60 s
+  horizon), pricing an idle ``poll`` tick in events (DESIGN.md §11:
+  2.0 per tick when every tick woke the generator);
 * ``trace_overhead`` — one workload run traced and again in the
   tracer's counters-only fast mode (``keep_trace=False``), pricing
   per-event `TraceRecord` retention.
@@ -29,7 +33,7 @@ files, which it compares byte-for-byte).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.tables import failing, format_table
 from repro.sim.engine import Simulator
@@ -41,7 +45,14 @@ __all__ = ["run_sim_bench"]
 TRACE_WORKLOAD = "stream"
 
 #: The scenarios timed on their own, in report order.
-ENGINE_SCENARIOS = ("timer_churn", "message_storm", "chaos_replay")
+ENGINE_SCENARIOS = (
+    "timer_churn", "message_storm", "chaos_replay", "idle_wait"
+)
+
+#: Most events an idle ``poll`` tick may cost (``idle_wait`` verdict).
+#: The cell's few hundred events are its eight transactions; the ticks
+#: themselves should add next to nothing.
+IDLE_EVENTS_PER_TICK_MAX = 0.1
 
 
 def _measure(
@@ -126,22 +137,54 @@ def _message_storm(n_events: int) -> int:
     return sim.events_processed
 
 
-def _chaos_replay(iterations: int) -> int:
-    """Real sweep cells, end to end (echo × sustained_loss × seed 1).
+def _replay_cells(
+    workload: str,
+    schedule: str,
+    iterations: int,
+    prepare: Optional[Callable] = None,
+) -> int:
+    """Real sweep cells (workload × schedule × seed 1), end to end.
 
-    One cell is only a few milliseconds of wall clock, so the scenario
+    One cell is only a few milliseconds of wall clock, so a scenario
     replays it ``iterations`` times per measurement to rise above timer
     noise; every replay is an independent, identically-seeded network.
+    ``prepare(built)`` may instrument a cell before it runs.
     """
     from repro.analysis.workloads import build_workload
     from repro.chaos.runner import chaos_config, make_schedule
 
     events = 0
     for _ in range(iterations):
-        built = build_workload("echo", seed=1, config=chaos_config())
-        make_schedule("sustained_loss", built.spec).run(built)
+        built = build_workload(workload, seed=1, config=chaos_config())
+        if prepare is not None:
+            prepare(built)
+        make_schedule(schedule, built.spec).run(built)
         events += built.net.sim.events_processed
     return events
+
+
+def _idle_events_per_tick() -> float:
+    """Events of one queued × calm cell per look its server's ``poll``
+    takes at the predicate (counted apart from the timed replays: the
+    counter is a Python call per tick)."""
+    ticks = 0
+
+    def count_ticks(built) -> None:
+        api = built.net.nodes[built.mid_of("server")].client.api
+        poll = api.poll
+
+        def counting_poll(predicate: Callable[[], bool]):
+            def looked() -> bool:
+                nonlocal ticks
+                ticks += 1
+                return predicate()
+
+            return poll(looked)
+
+        api.poll = counting_poll
+
+    events = _replay_cells("queued", "calm", 1, prepare=count_ticks)
+    return round(events / ticks, 4)
 
 
 def _traced_workload(keep_trace: bool, iterations: int) -> int:
@@ -176,6 +219,7 @@ def run_sim_bench(
         "timer_churn": max(50, int(20_000 * scale)),
         "message_storm": max(500, int(200_000 * scale)),
         "chaos_replay": max(1, int(25 * scale)),
+        "idle_wait": max(1, int(25 * scale)),
         # The traced-vs-fast verdict needs enough wall clock to rise
         # above scheduler noise even at test scales; never below 10
         # workload iterations (~50 ms per side).
@@ -186,13 +230,17 @@ def run_sim_bench(
         "message_storm": lambda: _message_storm(
             budgets["message_storm"]
         ),
-        "chaos_replay": lambda: _chaos_replay(
-            budgets["chaos_replay"]
+        "chaos_replay": lambda: _replay_cells(
+            "echo", "sustained_loss", budgets["chaos_replay"]
+        ),
+        "idle_wait": lambda: _replay_cells(
+            "queued", "calm", budgets["idle_wait"]
         ),
     }
     for name, runner in runners.items():
         events, elapsed = _measure(runner, repeats)
         scenarios[name] = _scenario_body(events, elapsed)
+    scenarios["idle_wait"]["events_per_tick"] = _idle_events_per_tick()
 
     trace_iters = budgets["trace_overhead"]
     trace_repeats = max(3, repeats)
@@ -249,6 +297,8 @@ def render(body) -> str:
                 rows,
                 title="Engine hot path (wall clock; values vary per host)",
             ),
+            "events per idle poll tick: "
+            f"{scenarios['idle_wait']['events_per_tick']}",
             f"no-trace fast mode speedup: {trace['fast_mode_speedup']}x",
             f"no-trace faster than traced: {fast_wins}",
         ]
@@ -266,6 +316,10 @@ def verdicts(body) -> List[str]:
             for name in ENGINE_SCENARIOS
         ]
         + [
+            (scenarios["idle_wait"]["events_per_tick"]
+             <= IDLE_EVENTS_PER_TICK_MAX,
+             "idle_wait: an idle poll tick costs events again "
+             f"(> {IDLE_EVENTS_PER_TICK_MAX} per tick)"),
             (trace["traced"]["events"] == trace["no_trace"]["events"],
              "trace_overhead: traced and no-trace runs processed "
              "different event counts"),

@@ -139,6 +139,8 @@ class ClientProcessor:
         #: stay responsive right after interrupts while backing off
         #: during true idleness (the WAIT-instruction behaviour, §5.2.1).
         self.activity_counter = 0
+        #: One future per context inside :meth:`wait_activity`, there
+        #: for exactly as long as the wait.
         self._activity_waiters: List["SimFuture"] = []
         kernel.attach_client(self)
 
@@ -210,8 +212,7 @@ class ClientProcessor:
 
     def _invocation_done(self, process: "Process") -> None:
         self.activity_counter += 1
-        waiters, self._activity_waiters = self._activity_waiters, []
-        for waiter in waiters:
+        for waiter in self._activity_waiters:
             if not waiter.resolved:
                 waiter.resolve(None)
         if self.dead:
@@ -272,20 +273,68 @@ class ClientProcessor:
         if context is not None and context.alive:
             context.resume()
 
-    def wait_activity(self, max_us: float):
-        """Suspend until the next handler invocation finishes, or for
-        ``max_us`` at most (the WAIT instruction: wake on interrupt).
+    def wait_activity(
+        self, predicate: Callable[[], bool], delay_us: float, cap_us: float
+    ):
+        """Sleep until a handler invocation finishes or a tick finds
+        something to wake for (the WAIT instruction: wake on interrupt).
 
-        A generator for client code: ``yield from processor.wait_activity(t)``.
+        Ticks come after ``delay_us``, then after twice that, and so on
+        up to ``cap_us``.  A tick wakes the caller by resolving the
+        future it sleeps on, unless waking could only lead straight back
+        here: when (a) the caller would run at once — alive, not paused,
+        no handler executing, (b) no other event is due at this instant,
+        so nothing runs between this tick and that wake-up, and (c)
+        ``predicate()`` is false, the tick sleeps again in place, and
+        moves the clock itself while the simulator lets it
+        (:meth:`~repro.sim.engine.Simulator.skip_to`).  DESIGN.md §11
+        has the argument that this is the same evaluation at the same
+        instant, never an earlier or a dropped one.
+
+        A generator for client code; returns the sleep that follows the
+        last tick: ``delay = yield from processor.wait_activity(...)``.
         """
-        future = self.sim.new_future()
-        self._activity_waiters.append(future)
-        timer = self.sim.schedule(
-            max_us,
-            lambda: None if future.resolved else future.resolve(None),
+        sim = self.sim
+        # The caller: not always the top context — a step that has just
+        # started a handler (OPEN, the end of an ACCEPT) runs on.
+        process = next(
+            (
+                p
+                for p in (self.handler_process, *reversed(self._contexts))
+                if p is not None and p.stepping
+            ),
+            None,
         )
-        yield future
-        timer.cancel()
+        future = sim.new_future()
+
+        def tick() -> None:
+            nonlocal delay_us, timer
+            in_place = (
+                process is not None
+                and process.alive
+                and not process.paused
+                and self.handler_process is None
+                and sim.quiet()
+            )
+            while True:
+                delay_us = min(delay_us * 2.0, cap_us)
+                if not in_place or predicate():
+                    break
+                if not sim.skip_to(sim.now + delay_us):
+                    timer = sim.schedule(delay_us, tick)
+                    return
+            if not future.resolved:
+                future.resolve(None)
+
+        timer = sim.schedule(delay_us, tick)
+        self._activity_waiters.append(future)
+        try:
+            yield future
+        finally:
+            # Also the way out when the context is killed mid-wait.
+            timer.cancel()
+            self._activity_waiters.remove(future)
+        return delay_us
 
     # ------------------------------------------------------------------
     # state queries used by the kernel

@@ -25,6 +25,9 @@ Divergences from the virtual-time engine, all inherent to real time:
   ready callbacks.
 * ``run(until=None)`` (run to queue exhaustion) is not meaningful and
   raises; wall-clock runs always need a horizon.
+* ``quiet()`` is always true and ``skip_to()`` always false: no two
+  callbacks share a real instant, and real time cannot be skipped.  An
+  idle wait therefore re-arms one ordinary timer per tick.
 """
 
 from __future__ import annotations
@@ -183,6 +186,16 @@ class WallClockScheduler:
 
     def new_future(self) -> SimFuture:
         return SimFuture(self)  # type: ignore[arg-type]
+
+    # -- idle time ---------------------------------------------------------
+
+    def quiet(self) -> bool:
+        """Real time has no ties: a callback never shares its instant."""
+        return True
+
+    def skip_to(self, time: float) -> bool:
+        """Real time cannot be skipped; the caller arms a timer."""
+        return False
 
     # -- execution ---------------------------------------------------------
 

@@ -19,7 +19,9 @@ class Simulator:
     scheduling, randomness, and tracing.
     """
 
-    __slots__ = ("now", "queue", "rng", "trace", "_events_processed")
+    __slots__ = (
+        "now", "queue", "rng", "trace", "_events_processed", "_horizon"
+    )
 
     def __init__(
         self,
@@ -34,6 +36,10 @@ class Simulator:
             keep_records=keep_trace, max_records=max_trace_records
         )
         self._events_processed = 0
+        #: How far :meth:`skip_to` may move the clock: the ``until`` of
+        #: the :meth:`run` in progress, None when there is nothing to
+        #: bound the skipping or someone is watching every event.
+        self._horizon: Optional[float] = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -70,6 +76,42 @@ class Simulator:
     def new_future(self) -> SimFuture:
         return SimFuture(self)
 
+    # -- idle time (DESIGN.md §11) -------------------------------------------
+
+    def quiet(self) -> bool:
+        """True when no other live event is due at ``now``.
+
+        Whatever the running callback would defer by a zero-delay hop
+        would then run next with nothing in between, so the callback
+        may do it in place and the result is the same.
+        """
+        due = self.queue.peek_time()
+        return due is None or due > self.now
+
+    def skip_to(self, time: float) -> bool:
+        """Move the clock to ``time`` without an event, if no one can tell.
+
+        For a periodic callback that found nothing to do and would only
+        re-arm itself for ``time``: when that is *strictly* before the
+        next live event (state cannot change before it) and not past the
+        ``until`` of the :meth:`run` in progress, set ``now`` and return
+        True — the caller then looks again, as if its timer had fired.
+        Otherwise return False and the caller arms a real timer; always
+        so under :meth:`run_until` (its predicate is owed a look at
+        every event) and under a :meth:`run` with no ``until`` (each
+        pass stays one event, so ``max_events`` still ends a run that
+        would idle for ever).  Skipped instants are not events and
+        ``events_processed`` does not count them.
+        """
+        horizon = self._horizon
+        if horizon is None or time > horizon:
+            return False
+        due = self.queue.peek_time()
+        if due is not None and due <= time:
+            return False
+        self.now = time
+        return True
+
     # -- execution ---------------------------------------------------------
 
     def _run_core(
@@ -99,6 +141,7 @@ class Simulator:
         heap = queue._heap
         heappop = heapq.heappop
         processed = 0
+        self._horizon = deadline if predicate is None else None
         try:
             while True:
                 if predicate is not None and predicate():
@@ -126,6 +169,7 @@ class Simulator:
                 processed += 1
         finally:
             self._events_processed += processed
+            self._horizon = None
         if deadline is not None and self.now < deadline:
             self.now = deadline
         satisfied = predicate is not None and predicate()

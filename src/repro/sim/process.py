@@ -161,6 +161,16 @@ class Process:
     def alive(self) -> bool:
         return self.state in (Process.NEW, Process.RUNNING)
 
+    @property
+    def paused(self) -> bool:
+        """A continuation that became runnable now would be deferred."""
+        return self._paused
+
+    @property
+    def stepping(self) -> bool:
+        """The generator is executing right now (inside one ``_step``)."""
+        return self._in_step
+
     # -- engine plumbing -----------------------------------------------
 
     def _step(self, kind: str, payload: Any) -> None:

@@ -24,6 +24,9 @@ OK = 0
 #: The ACCEPT argument that spells REJECT (§4.1.2).
 REJECT_ARG = -1
 
+#: Longest sleep of one :meth:`SodalApi.poll` pass, in microseconds.
+IDLE_CAP_US = 10_000.0
+
 PutData = Union[bytes, bytearray, str, Buffer, None]
 GetBuf = Union[Buffer, int, None]
 
@@ -131,20 +134,25 @@ class SodalApi:
         """``while not predicate() do idle()`` (§4.1.1).
 
         Models the IDLE/WAIT instruction (§5.2.1): each pass sleeps at
-        most an exponentially-growing quantum but is woken immediately
-        by any completed handler invocation, so the task reacts to fresh
-        interrupts at idle-poll granularity without burning simulated
-        cycles while nothing is going on.
+        most an exponentially-growing quantum (``idle()``, doubling to
+        :data:`IDLE_CAP_US`) but is woken immediately by any completed
+        handler invocation, so the task reacts to fresh interrupts at
+        idle-poll granularity without burning simulated cycles while
+        nothing is going on.  ``predicate`` is looked at on every tick
+        of that grid, so it must be free of side effects; it may read
+        the clock, the kernel or another node.  A pass that finds
+        nothing costs the simulator no generator resume and, mostly, no
+        event (:meth:`~repro.core.client.ClientProcessor.wait_activity`).
         """
         delay = self.idle()
         processor = self._processor
         while not predicate():
             seen = processor.activity_counter
-            yield from processor.wait_activity(delay)
+            delay = yield from processor.wait_activity(
+                predicate, delay, IDLE_CAP_US
+            )
             if processor.activity_counter != seen:
                 delay = self.idle()
-            else:
-                delay = min(delay * 2.0, 10_000.0)
 
     def serve_forever(self) -> Generator:
         """Suspend the task indefinitely; all work happens in the handler.

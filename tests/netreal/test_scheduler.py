@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import ClientProgram
+from repro.netreal import RealNetwork
 from repro.netreal.scheduler import WallClockScheduler
 from repro.sim.interface import SchedulerBackend, TimerHandle
+from repro.sodal.api import IDLE_CAP_US
 
 
 @pytest.fixture
@@ -118,3 +121,36 @@ def test_rng_streams_are_seeded_and_named(sched):
         assert other.rng.stream("y").random() != a[0]
     finally:
         other.close()
+
+
+def test_idle_surface_never_skips_real_time(sched):
+    sched.start()
+    assert sched.quiet()
+    before = sched.now
+    assert not sched.skip_to(before + 1_000_000.0)
+    assert sched.now < before + 1_000_000.0
+
+
+def test_poll_over_wall_clock_wakes_within_a_cap_quantum():
+    """``SodalApi.poll`` re-arms one ordinary timer per tick here; a flag
+    set from outside the client is seen at the next tick."""
+    woke = []
+
+    class Waiter(ClientProgram):
+        def task(self, api):
+            flag = []
+            # Past 100 + 200 + ... + 6 400 µs: the sleeps are at the cap.
+            api.sim.schedule(40_000.0, lambda: flag.append(api.now))
+            yield from api.poll(lambda: bool(flag))
+            woke.append(api.now - flag[0])
+            yield from api.serve_forever()
+
+    net = RealNetwork(seed=3)
+    try:
+        node = net.add_node(program=Waiter())
+        assert net.run_until(lambda: bool(woke), timeout=5_000_000.0)
+        assert len(node.client._activity_waiters) == 0
+    finally:
+        net.close()
+    # One quantum, plus whatever the host's event loop was late by.
+    assert 0.0 <= woke[0] <= IDLE_CAP_US + 50_000.0

@@ -175,3 +175,67 @@ def test_events_processed_counter():
         sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 5
+
+
+# -- idle time: quiet() and skip_to() (DESIGN.md §11) -----------------------
+
+
+def test_quiet_means_nothing_else_is_due_now():
+    sim = Simulator()
+    seen = []
+    sim.schedule(5.0, lambda: seen.append(sim.quiet()))
+    sim.schedule(5.0, lambda: seen.append(sim.quiet()))
+    cancelled = sim.schedule(5.0, lambda: None)
+    sim.schedule(6.0, lambda: None)
+    cancelled.cancel()
+    sim.run()
+    # The first callback shares its instant with the second; the second
+    # only with a cancelled event and a later one.
+    assert seen == [False, True]
+
+
+def test_skip_to_stops_short_of_the_next_event_and_of_until():
+    sim = Simulator()
+    seen = []
+
+    def periodic():
+        skipped = []
+        for instant in (20.0, 30.0, 40.0, 50.0):
+            skipped.append(sim.skip_to(instant))
+            seen.append(sim.now)
+        seen.append(skipped)
+
+    sim.schedule(10.0, periodic)
+    sim.schedule(40.0, lambda: None)
+    assert sim.run(until=45.0) == 2
+    # Strictly before the event at 40: a tie is the event's to break.
+    assert seen == [20.0, 30.0, 30.0, 30.0, [True, True, False, False]]
+    assert sim.events_processed == 2
+
+
+def test_skip_to_may_land_on_until_but_not_past_it():
+    sim = Simulator()
+    seen = []
+    sim.schedule(10.0, lambda: seen.extend(
+        [sim.skip_to(45.0), sim.skip_to(45.5), sim.now]
+    ))
+    sim.run(until=45.0)
+    assert seen == [True, False, 45.0]
+
+
+def test_skip_to_needs_a_run_with_an_until_and_no_watcher():
+    sim = Simulator()
+    seen = []
+
+    def probe():
+        seen.append(sim.skip_to(sim.now + 1.0))
+
+    probe()  # no run in progress
+    sim.schedule(1.0, probe)
+    sim.run()  # no until: max_events must keep counting every pass
+    sim.schedule(1.0, probe)
+    sim.run_until(lambda: False, 10.0)  # the predicate sees every event
+    sim.schedule(1.0, probe)
+    sim.run(until=sim.now + 10.0)
+    probe()  # the run is over
+    assert seen == [False, False, False, True, False]

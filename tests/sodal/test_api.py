@@ -148,10 +148,13 @@ def test_completion_object_fields(network):
 def test_poll_helper_waits_for_predicate(network):
     def body(api, self):
         flag = {"set": False}
+        started = api.now
         api.sim.schedule(5_000.0, lambda: flag.update(set=True))
         yield from api.poll(lambda: flag["set"])
-        return api.now
+        return api.now - started
 
     _, client = make_pair(network, EchoServer(), body)
     network.run(until=RUN_US)
-    assert client.result >= 5_000.0
+    # No handler runs, so the passes sleep 100, 200, 400, ... µs: the
+    # first tick at or after the flag's 5 000 µs is 100 * (2**6 - 1).
+    assert client.result == 6_300.0
