@@ -6,7 +6,7 @@ measures the simulator itself — wall-clock events per second through
 committed ``BENCH_sim.json`` even when virtual-time results stay
 byte-identical.
 
-Five scenarios cover the engine's distinct cost centres:
+Six scenarios cover the engine's distinct cost centres:
 
 * ``timer_churn`` — arm-and-cancel storms (the retransmission-timer
   pattern: almost every timer armed is cancelled before it fires),
@@ -22,7 +22,11 @@ Five scenarios cover the engine's distinct cost centres:
   2.0 per tick when every tick woke the generator);
 * ``trace_overhead`` — one workload run traced and again in the
   tracer's counters-only fast mode (``keep_trace=False``), pricing
-  per-event `TraceRecord` retention.
+  per-event `TraceRecord` retention;
+* ``frame_cost`` — what one wire frame costs on a traced KV cell, in
+  counts: scheduled events and trace records per frame (exact on every
+  host, gated) and Python calls per frame (exact for one interpreter
+  version, reported) — DESIGN.md §12.
 
 Event *counts* per scenario are deterministic; only the wall-clock
 rates vary run to run, so ``bench sim --check`` compares verdicts and
@@ -32,6 +36,8 @@ files, which it compares byte-for-byte).
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,6 +54,15 @@ TRACE_WORKLOAD = "stream"
 ENGINE_SCENARIOS = (
     "timer_churn", "message_storm", "chaos_replay", "idle_wait"
 )
+
+#: The cell ``frame_cost`` counts on: ROADMAP's per-frame baseline cell.
+FRAME_COST_CELL = ("kvstore_supervised", "primary_crash_load", 3)
+
+#: Most events and trace records one wire frame may cost on it: 7.385
+#: and 5.699 when the scenario was added, + 5 % (8.369 and 6.699 while
+#: every frame had a finish event and a ``net.tx`` record).
+EVENTS_PER_FRAME_MAX = 7.75
+RECORDS_PER_FRAME_MAX = 5.99
 
 #: Most events an idle ``poll`` tick may cost (``idle_wait`` verdict).
 #: The cell's few hundred events are its eight transactions; the ticks
@@ -142,8 +157,9 @@ def _replay_cells(
     schedule: str,
     iterations: int,
     prepare: Optional[Callable] = None,
+    seed: int = 1,
 ) -> int:
-    """Real sweep cells (workload × schedule × seed 1), end to end.
+    """Real sweep cells (workload × schedule × seed), end to end.
 
     One cell is only a few milliseconds of wall clock, so a scenario
     replays it ``iterations`` times per measurement to rise above timer
@@ -155,7 +171,7 @@ def _replay_cells(
 
     events = 0
     for _ in range(iterations):
-        built = build_workload(workload, seed=1, config=chaos_config())
+        built = build_workload(workload, seed=seed, config=chaos_config())
         if prepare is not None:
             prepare(built)
         make_schedule(schedule, built.spec).run(built)
@@ -185,6 +201,33 @@ def _idle_events_per_tick() -> float:
 
     events = _replay_cells("queued", "calm", 1, prepare=count_ticks)
     return round(events / ticks, 4)
+
+
+def _frame_cost() -> Dict[str, object]:
+    """Build and run :data:`FRAME_COST_CELL` once, traced, under
+    cProfile (which changes no count but its own), and divide by the
+    frames it put on the bus.  The call count is a fresh process's; its
+    first KV cell spends some on imports that a second would not."""
+    workload, schedule, seed = FRAME_COST_CELL
+    cells: List = []
+    profiler = cProfile.Profile()
+    profiler.enable()
+    events = _replay_cells(workload, schedule, 1, cells.append, seed)
+    profiler.disable()
+    net = cells[0].net
+    frames = net.bus.frames_sent
+    records = len(net.sim.trace.records)
+    calls = pstats.Stats(profiler).total_calls
+    return {
+        "cell": "/".join(map(str, FRAME_COST_CELL)),
+        "frames": frames,
+        "events": events,
+        "records": records,
+        "calls": calls,
+        "events_per_frame": round(events / frames, 3),
+        "records_per_frame": round(records / frames, 3),
+        "calls_per_frame": round(calls / frames, 1),
+    }
 
 
 def _traced_workload(keep_trace: bool, iterations: int) -> int:
@@ -261,6 +304,7 @@ def run_sim_bench(
         "no_trace": fast,
         "fast_mode_speedup": speedup,
     }
+    scenarios["frame_cost"] = _frame_cost()
     return {
         "scenarios": scenarios,
         "comparison": {
@@ -299,6 +343,9 @@ def render(body) -> str:
             ),
             "events per idle poll tick: "
             f"{scenarios['idle_wait']['events_per_tick']}",
+            "per wire frame ({cell}): {events_per_frame} events, "
+            "{records_per_frame} trace records, {calls_per_frame} Python "
+            "calls".format(**scenarios["frame_cost"]),
             f"no-trace fast mode speedup: {trace['fast_mode_speedup']}x",
             f"no-trace faster than traced: {fast_wins}",
         ]
@@ -308,6 +355,7 @@ def render(body) -> str:
 def verdicts(body) -> List[str]:
     scenarios = body["scenarios"]
     trace = scenarios["trace_overhead"]
+    frame = scenarios["frame_cost"]
     return failing(
         [
             (scenarios[name]["events"] > 0
@@ -320,6 +368,12 @@ def verdicts(body) -> List[str]:
              <= IDLE_EVENTS_PER_TICK_MAX,
              "idle_wait: an idle poll tick costs events again "
              f"(> {IDLE_EVENTS_PER_TICK_MAX} per tick)"),
+            (frame["events_per_frame"] <= EVENTS_PER_FRAME_MAX,
+             "frame_cost: a wire frame costs more than "
+             f"{EVENTS_PER_FRAME_MAX} scheduled events"),
+            (frame["records_per_frame"] <= RECORDS_PER_FRAME_MAX,
+             "frame_cost: a wire frame costs more than "
+             f"{RECORDS_PER_FRAME_MAX} trace records"),
             (trace["traced"]["events"] == trace["no_trace"]["events"],
              "trace_overhead: traced and no-trace runs processed "
              "different event counts"),

@@ -76,6 +76,10 @@ class Connection:
         self.recv_record = DeltaTRecord(kernel.config.deltat)
         #: Per-connection estimator state (None under the static policy).
         self.estimator = kernel.config.retransmit.make_estimator()
+        # Jitter streams, bound once: a stream is its name and the master
+        # seed, so this draws what a lookup at every timer did.
+        self._rexmit_rng = self.sim.rng.stream(f"rexmit.{kernel.mid}")
+        self._busy_rng = self.sim.rng.stream(f"busy.{kernel.mid}")
         self.owed_ack: Optional[int] = None
         #: Transmission timestamp of the message the owed ack answers,
         #: echoed back so the sender can spot spurious retransmissions.
@@ -207,7 +211,7 @@ class Connection:
         policy = self.kernel.config.retransmit
         delay = policy.ack_retry_delay(
             message.attempts,
-            self.sim.rng.stream(f"rexmit.{self.kernel.mid}"),
+            self._rexmit_rng,
             data_bytes=message.packet.data_bytes,
             estimator=self.estimator,
         )
@@ -363,9 +367,7 @@ class Connection:
         self._cancel_timer("_retransmit_timer")
         self._cancel_timer("_busy_timer")
         policy = self.kernel.config.retransmit
-        delay = policy.busy_retry_delay(
-            message.busy_attempts, self.sim.rng.stream(f"busy.{self.kernel.mid}")
-        )
+        delay = policy.busy_retry_delay(message.busy_attempts, self._busy_rng)
         if retry_hint_us is not None:
             delay = max(delay, retry_hint_us)
         self._busy_timer = self.sim.schedule(delay, self._busy_fire, message)

@@ -9,8 +9,7 @@ payload occupies on the wire to compute serialization delay.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, Optional
 
 #: Special machine identifier recognized by all Megalink interfaces.
 BROADCAST_MID = -1
@@ -45,23 +44,39 @@ def sender_frame_ids(mid: int) -> Iterator[int]:
     return (base | n for n in itertools.count(1))
 
 
-@dataclass
 class Frame:
-    """One link-layer transmission."""
+    """One link-layer transmission.
 
-    src: int
-    dst: int
-    payload: Any
-    payload_bytes: int = 0
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    Immutable once built, so its size on the wire and whether it is a
+    broadcast are worked out here, once.  ``tx_us``, its time on the
+    wire, is the medium's to know: ``send`` stamps it on taking the frame.
+    """
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST_MID
+    __slots__ = (
+        "src", "dst", "payload", "payload_bytes", "frame_id",
+        "wire_bytes", "is_broadcast", "tx_us",
+    )
 
-    @property
-    def wire_bytes(self) -> int:
-        return FRAME_HEADER_BYTES + self.payload_bytes
+    def __init__(
+        self, src: int, dst: int, payload: Any, payload_bytes: int = 0,
+        frame_id: Optional[int] = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.frame_id = next(_frame_ids) if frame_id is None else frame_id
+        self.wire_bytes = FRAME_HEADER_BYTES + payload_bytes
+        self.is_broadcast = dst == BROADCAST_MID
+
+    def __eq__(self, other: object) -> bool:
+        # Compared by value, hence (Python's rule) unhashable.
+        if other.__class__ is not Frame:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in ("src", "dst", "payload", "payload_bytes", "frame_id")
+        )
 
     def __repr__(self) -> str:
         dst = "BCAST" if self.is_broadcast else str(self.dst)

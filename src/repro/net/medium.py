@@ -39,9 +39,11 @@ class BroadcastBus:
         self.bandwidth_bps = bandwidth_bps
         self.propagation_us = propagation_us
         self.faults = faults or FaultPlan()
+        self._fault_rng = sim.rng.stream("bus.faults")
         self._interfaces: Dict[int, "NetworkInterface"] = {}
         self._pending: Deque[Frame] = deque()
-        self._busy = False
+        #: The wire is serializing a frame until this instant.
+        self._busy_until = 0.0
         self.frames_sent = 0
         self.bytes_sent = 0
         self.busy_time_us = 0.0
@@ -71,12 +73,19 @@ class BroadcastBus:
         return frame.wire_bytes * 8.0 * 1_000_000.0 / self.bandwidth_bps
 
     def send(self, frame: Frame) -> None:
-        """Queue a frame for transmission (returns immediately)."""
-        self._pending.append(frame)
-        if len(self._pending) > self.peak_queue_depth:
-            self.peak_queue_depth = len(self._pending)
-        if not self._busy:
-            self._transmit_next()
+        """Put a frame on the wire, or in line behind those waiting for it."""
+        frame.tx_us = self.serialization_us(frame)
+        pending = self._pending
+        if not pending and self.sim.now >= self._busy_until:
+            if not self.peak_queue_depth:
+                self.peak_queue_depth = 1
+            self._transmit(frame)
+            return
+        pending.append(frame)
+        if len(pending) > self.peak_queue_depth:
+            self.peak_queue_depth = len(pending)
+        if len(pending) == 1:
+            self.sim.at(self._busy_until, self._release)
 
     @property
     def queue_depth(self) -> int:
@@ -89,32 +98,31 @@ class BroadcastBus:
             return 0.0
         return min(1.0, self.busy_time_us / now_us)
 
-    def _transmit_next(self) -> None:
-        if not self._pending:
-            self._busy = False
-            return
-        self._busy = True
-        frame = self._pending.popleft()
-        tx_time = self.serialization_us(frame)
+    def _transmit(self, frame: Frame) -> None:
+        """Start serializing ``frame`` now and book its delivery.
+
+        Nothing has to happen when the last bit leaves: the wire is
+        free from ``_busy_until`` on and :meth:`send` reads that stamp.
+        Only a frame that had to wait needs an event to start it
+        (:meth:`_release`) — DESIGN.md §12.
+        """
         self.frames_sent += 1
         self.bytes_sent += frame.wire_bytes
-        self.busy_time_us += tx_time
-        self.sim.trace.record(
-            self.sim.now,
-            "net.tx",
-            src=frame.src,
-            dst=frame.dst,
-            bytes=frame.wire_bytes,
-            frame_id=frame.frame_id,
-        )
-        self.sim.schedule(tx_time, self._finish_transmission, frame)
+        self.busy_time_us += frame.tx_us
+        self._busy_until = self.sim.now + frame.tx_us
+        # (start + tx) + propagation, in that association: the instant
+        # the eager bus reached in two hops, bit for bit.
+        self.sim.at(self._busy_until + self.propagation_us, self._deliver, frame)
 
-    def _finish_transmission(self, frame: Frame) -> None:
-        self.sim.schedule(self.propagation_us, self._deliver, frame)
-        self._transmit_next()
+    def _release(self) -> None:
+        """The wire just fell free with frames waiting: start the first."""
+        pending = self._pending
+        self._transmit(pending.popleft())
+        if pending:
+            self.sim.at(self._busy_until, self._release)
 
     def _deliver(self, frame: Frame) -> None:
-        rng = self.sim.rng.stream("bus.faults")
+        rng = self._fault_rng
         if frame.is_broadcast:
             receivers = [
                 nic for mid, nic in sorted(self._interfaces.items())

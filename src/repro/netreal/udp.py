@@ -2,8 +2,9 @@
 
 The pair mirrors the simulated :class:`~repro.net.medium.BroadcastBus` /
 :class:`~repro.net.nic.NetworkInterface` surface exactly where the stack
-touches it — ``nic.send``/``nic.deliver``/``nic.bus.serialization_us`` —
-so :class:`~repro.core.kernel.SodaKernel` runs over it unmodified.
+touches it — ``nic.send``/``nic.deliver`` and the ``tx_us`` that
+``send`` stamps on each frame — so
+:class:`~repro.core.kernel.SodaKernel` runs over it unmodified.
 
 Differences from the bus, all consequences of being real:
 
@@ -13,9 +14,10 @@ Differences from the bus, all consequences of being real:
   have no useful L2 broadcast, and the registry is the runner's source
   of truth anyway).
 * **Arbitration.**  The kernel's ledger still charges the *model*
-  serialization time (``serialization_us`` keeps the 1 Mbit/s Megalink
-  figure) so sim-vs-real cost breakdowns stay comparable, but the OS
-  owns actual queueing; ``busy_time_us`` accumulates the model figure.
+  serialization time (``Frame.tx_us``, from ``serialization_us`` at the
+  1 Mbit/s Megalink figure) so sim-vs-real cost breakdowns stay
+  comparable, but the OS owns actual queueing; ``busy_time_us``
+  accumulates the model figure.
 * **Faults.**  Real loopback never drops, so chaos-style impairment is
   a userspace shim on the send path: seeded drop/delay/reorder per
   delivery (netem's model), drawing from the scheduler's named RNG
@@ -245,7 +247,8 @@ class UdpMedium:
         """Encode once, deliver per target (with optional impairment)."""
         self.frames_sent += 1
         self.bytes_sent += frame.wire_bytes
-        self.busy_time_us += self.serialization_us(frame)
+        frame.tx_us = self.serialization_us(frame)
+        self.busy_time_us += frame.tx_us
         self.sim.trace.record(
             self.sim.now,
             "net.tx",

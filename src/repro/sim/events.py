@@ -17,7 +17,6 @@ grow far past its live population).
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Iterator, Optional
 
 
@@ -77,7 +76,7 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
-        self._counter = itertools.count()
+        self._pushed = 0
         self._live = 0
 
     def __len__(self) -> int:
@@ -91,7 +90,8 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Schedule ``fn(*args)`` at absolute ``time``; returns the Event."""
-        seq = next(self._counter)
+        seq = self._pushed
+        self._pushed = seq + 1
         event = Event(time, priority, seq, fn, args)
         event._queue = self
         heapq.heappush(self._heap, (time, priority, seq, event))

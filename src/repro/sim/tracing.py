@@ -16,23 +16,40 @@ Two observability mechanisms coexist:
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, MutableSequence, Optional
 
 
-@dataclass
 class TraceRecord:
     """One structured trace entry."""
 
-    time: float
-    category: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "category", "fields")
+
+    def __init__(
+        self, time: float, category: str, fields: Optional[Dict[str, Any]] = None
+    ) -> None:
+        self.time = time
+        self.category = category
+        self.fields = {} if fields is None else fields
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.fields.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        # Compared by value, hence (Python's rule) unhashable.
+        if other.__class__ is not TraceRecord:
+            return NotImplemented
+        return (self.time, self.category, self.fields) == (
+            other.time, other.category, other.fields
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceRecord(time={self.time!r}, category={self.category!r}, "
+            f"fields={self.fields!r})"
+        )
 
 
 class Tracer:
@@ -167,6 +184,25 @@ class CostLedger:
         if microseconds < 0:
             raise ValueError(f"negative charge: {microseconds}")
         self._charges[category] += microseconds
+
+    def charge_packet(
+        self, protocol_us: float, timers_us: float, retransmit_us: float
+    ) -> None:
+        """One packet's kernel handling, in one call: ``protocol``, then
+        ``connection_timers``, then ``retransmit_timers``, as three
+        :meth:`charge` calls would add them.  A zero charge is skipped,
+        so a category never charged stays out of :meth:`snapshot`."""
+        if protocol_us < 0 or timers_us < 0 or retransmit_us < 0:
+            raise ValueError(
+                f"negative charge: {(protocol_us, timers_us, retransmit_us)}"
+            )
+        charges = self._charges
+        if protocol_us:
+            charges["protocol"] += protocol_us
+        if timers_us:
+            charges["connection_timers"] += timers_us
+        if retransmit_us:
+            charges["retransmit_timers"] += retransmit_us
 
     def get(self, category: str) -> float:
         return float(self._charges[category])

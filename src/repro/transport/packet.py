@@ -114,9 +114,10 @@ class Packet:
 
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
-    @property
-    def data_bytes(self) -> int:
-        return len(self.data) if self.data is not None else 0
+    def __post_init__(self) -> None:
+        # Kept beside ``data`` (every layer a packet crosses asks), which
+        # changes only here and in copy_for_retransmit; not a wire field.
+        self.data_bytes = len(self.data) if self.data is not None else 0
 
     def copy_for_retransmit(self, include_data: bool) -> "Packet":
         """A fresh object for one more transmission of this message:
@@ -127,6 +128,7 @@ class Packet:
         clone.__dict__.update(self.__dict__)
         if not include_data:
             clone.data = None
+            clone.data_bytes = 0
         return clone
 
     def wire_payload_bytes(self) -> int:

@@ -80,20 +80,26 @@ def test_shared_ledger_across_nodes(network):
 
 def test_kernel_work_serializes_on_busy_until(network):
     kernel = network.add_node().kernel
+    timers_us = kernel.config.timing.connection_timer_us
     order = []
-    kernel._kernel_work({"protocol": 100.0}, order.append, "first")
-    kernel._kernel_work({"protocol": 50.0}, order.append, "second")
+    kernel._kernel_work(100.0, 0.0, order.append, "first")
+    kernel._kernel_work(50.0, 0.0, order.append, "second")
     network.run(until=1_000.0)
     assert order == ["first", "second"]
-    # Second job starts only after the first's 100 us completes.
-    assert kernel._busy_until == 150.0
+    # Second job starts only after the first's 100 us (and the
+    # connection-timer bookkeeping every packet pays) completes.
+    assert kernel._busy_until == 150.0 + 2 * timers_us
 
 
 def test_kernel_work_charges_categories(network):
     kernel = network.add_node().kernel
-    kernel._kernel_work({"protocol": 10.0, "transmission": 5.0})
+    kernel._kernel_work(10.0, 5.0)
     assert network.ledger.get("protocol") == 10.0
-    assert network.ledger.get("transmission") == 5.0
+    assert network.ledger.get("retransmit_timers") == 5.0
+    assert (
+        network.ledger.get("connection_timers")
+        == kernel.config.timing.connection_timer_us
+    )
 
 
 def test_direct_index_kernel_integration():

@@ -236,3 +236,18 @@ def test_frame_properties():
     assert frame.is_broadcast
     assert frame.wire_bytes == FRAME_HEADER_BYTES + 10
     assert "BCAST" in repr(frame)
+    assert not Frame(1, 2, "p").is_broadcast
+
+
+def test_frame_construction_and_equality():
+    frame = Frame(1, 2, "p", 10)
+    assert frame.payload_bytes == 10
+    assert Frame(1, 2, "p").frame_id == frame.frame_id + 1
+    named = Frame(src=1, dst=2, payload="p", payload_bytes=10, frame_id=77)
+    assert named.frame_id == 77
+    assert named == Frame(1, 2, "p", 10, frame_id=77)
+    assert named != Frame(1, 2, "p", 10, frame_id=78)
+    assert named != Frame(1, 2, "q", 10, frame_id=77)
+    assert named != (1, 2, "p", 10, 77)
+    with pytest.raises(TypeError):
+        hash(named)

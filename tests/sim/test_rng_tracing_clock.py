@@ -1,10 +1,12 @@
 """Unit tests for RNG streams, tracing, the cost ledger, and clock utils."""
 
+import random
+
 import pytest
 
 from repro.sim.clock import format_us, ms_to_us, us_to_ms
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import CostLedger, Tracer
+from repro.sim.tracing import CostLedger, TraceRecord, Tracer
 
 
 # -- RNG ------------------------------------------------------------------
@@ -25,6 +27,23 @@ def test_streams_are_independent_by_name():
         streams2.stream("y").random()
     seq_x2 = [streams2.stream("x").random() for _ in range(5)]
     assert seq_x == seq_x2
+
+
+def test_binding_a_stream_early_draws_what_looking_it_up_each_time_does():
+    # The bus and each connection bind their jitter streams once, at
+    # construction; they used to look them up by name at every draw,
+    # i.e. create them later, after other streams had been drawn from.
+    early = RngStreams(5)
+    bound = early.stream("rexmit.0")
+    late = RngStreams(5)
+    draws_early, draws_late = [], []
+    for round_ in range(5):
+        early.stream(f"other.{round_}").random()
+        late.stream(f"other.{round_}").random()
+        draws_early.append(bound.random())
+        draws_late.append(late.stream("rexmit.0").random())
+    assert draws_early == draws_late
+    assert early.stream("rexmit.0") is bound
 
 
 def test_different_seeds_differ():
@@ -150,6 +169,20 @@ def test_record_get_default():
     assert rec.get("b", "dflt") == "dflt"
 
 
+def test_record_compares_by_value_and_prints_its_fields():
+    rec = TraceRecord(1.5, "x", {"a": 1})
+    assert rec == TraceRecord(1.5, "x", {"a": 1})
+    assert rec != TraceRecord(1.5, "x", {"a": 2})
+    assert rec != TraceRecord(1.5, "y", {"a": 1})
+    assert rec != (1.5, "x", {"a": 1})
+    assert repr(rec) == "TraceRecord(time=1.5, category='x', fields={'a': 1})"
+    assert TraceRecord(0.0, "bare").fields == {}
+    with pytest.raises(TypeError):
+        hash(rec)
+    # One allocation less per record: no instance dict.
+    assert not hasattr(rec, "__dict__")
+
+
 # -- CostLedger ---------------------------------------------------------------
 
 
@@ -165,6 +198,45 @@ def test_ledger_accumulates_and_totals():
 def test_ledger_rejects_negative():
     with pytest.raises(ValueError):
         CostLedger().charge("protocol", -1.0)
+
+
+def test_charge_packet_rejects_negative():
+    for charges in ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)):
+        ledger = CostLedger()
+        with pytest.raises(ValueError):
+            ledger.charge_packet(*charges)
+        assert ledger.snapshot() == {}
+
+
+def test_charge_packet_leaves_no_key_for_a_zero_charge():
+    ledger = CostLedger()
+    ledger.charge_packet(500.0, 250.0, 0.0)
+    assert ledger.snapshot() == {"protocol": 500.0, "connection_timers": 250.0}
+    ledger.charge_packet(0.0, 0.0, 350.0)
+    assert list(ledger.snapshot()) == [
+        "protocol", "connection_timers", "retransmit_timers"
+    ]
+
+
+def test_charge_packet_adds_what_three_charges_add():
+    # Equal, not close: BENCH_obs.json's T4 breakdown is compared byte
+    # for byte, and float addition is not associative.
+    rng = random.Random(21)
+    together, apart = CostLedger(), CostLedger()
+    for _ in range(10_000):
+        protocol_us = 500.0 + rng.choice((0.0, rng.uniform(0.0, 900.0)))
+        timers_us = rng.choice((250.0, 0.0, rng.uniform(0.0, 300.0)))
+        retransmit_us = rng.choice((0.0, 350.0, rng.uniform(0.0, 400.0)))
+        together.charge_packet(protocol_us, timers_us, retransmit_us)
+        for category, us in (
+            ("protocol", protocol_us),
+            ("connection_timers", timers_us),
+            ("retransmit_timers", retransmit_us),
+        ):
+            if us:
+                apart.charge(category, us)
+    assert together.snapshot() == apart.snapshot()
+    assert together.total() == apart.total()
 
 
 def test_ledger_snapshot_diff():

@@ -13,6 +13,18 @@ def test_packet_data_bytes():
     assert Packet(PacketType.REQUEST, data=b"abcd").data_bytes == 4
 
 
+def test_data_bytes_follows_data_through_retransmission_copies():
+    # data_bytes is stored beside data, not derived on every read.
+    packet = Packet(PacketType.REQUEST, data=b"abcd")
+    with_data = packet.copy_for_retransmit(include_data=True)
+    assert (with_data.data, with_data.data_bytes) == (b"abcd", 4)
+    stripped = packet.copy_for_retransmit(include_data=False)
+    assert (stripped.data, stripped.data_bytes) == (None, 0)
+    assert stripped.wire_payload_bytes() == 0
+    assert (packet.data, packet.data_bytes) == (b"abcd", 4)
+    assert stripped == with_data.copy_for_retransmit(include_data=False)
+
+
 def test_packet_ids_unique():
     a, b = Packet(PacketType.ACK), Packet(PacketType.ACK)
     assert a.packet_id != b.packet_id
