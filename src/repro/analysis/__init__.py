@@ -1,6 +1,6 @@
 """Static and dynamic correctness tooling for SODA programs.
 
-Two halves:
+Three parts:
 
 * **sodalint** — an AST-based linter (:mod:`repro.analysis.linter`,
   :mod:`repro.analysis.rules`) that walks SODA client programs and
@@ -8,15 +8,15 @@ Two halves:
   task-level primitives in handler context, ADVERTISE of reserved
   patterns, fire-and-forget REQUESTs, handler re-entry, discarded
   generator/future results, and direct mutation of kernel-owned state.
-* **trace invariant checker** — :mod:`repro.analysis.invariants` replays
-  :class:`~repro.sim.tracing.Tracer` records after a run and asserts
-  machine-checkable transport invariants: alternating-bit sequence
-  alternation, retransmission bounds, handler non-nesting,
-  delivered-request completion, and cost-ledger consistency.
+* **trace invariant checker** — :mod:`repro.analysis.invariants` walks
+  :class:`~repro.sim.tracing.Tracer` records once, live or after a run,
+  holding only open-transaction state, and asserts machine-checkable
+  transport invariants: alternating-bit sequence alternation,
+  retransmission bounds, handler non-nesting, delivered-request
+  completion, and cost-ledger consistency.
 * **causal analysis engine** — :mod:`repro.analysis.causal` builds a
-  vector-clock happens-before relation over the same records, runs the
-  SODA010-013 race/deadlock rules, and provides the streaming
-  (O(open-state)) rewrite of the invariant checker.
+  vector-clock happens-before relation over the same records and runs
+  the SODA010-013 race/deadlock rules.
 
 See ``docs/ANALYSIS.md`` for the rule table and extension guide.
 """
@@ -24,7 +24,6 @@ See ``docs/ANALYSIS.md`` for the rule table and extension guide.
 from repro.analysis.causal import (
     CausalDiagnostic,
     CausalOrder,
-    IncrementalChecker,
     build_causal_order,
     check_stream,
     detect_deadlocks,
@@ -53,7 +52,6 @@ __all__ = [
     "CausalDiagnostic",
     "CausalOrder",
     "Diagnostic",
-    "IncrementalChecker",
     "Severity",
     "build_causal_order",
     "check_stream",

@@ -1,14 +1,15 @@
 """Causal analysis engine over kernel trace records (PR 6).
 
-Four cooperating pieces, all pure functions of a trace:
+Three cooperating pieces, all pure functions of a trace:
 
 * :mod:`repro.analysis.causal.clocks` — vector clocks / happens-before;
 * :mod:`repro.analysis.causal.races` — SODA010-SODA012 causal race
   rules with shrunk witness pairs;
 * :mod:`repro.analysis.causal.waitfor` — SODA013 wait-for-graph
-  deadlock detection from open transaction spans;
-* :mod:`repro.analysis.causal.streaming` — the O(open-state) streaming
-  rewrite of the batch invariant checker (a live Tracer sink).
+  deadlock detection from open transaction spans.
+
+:func:`check_stream` — the invariant checker over a record sequence —
+lives in :mod:`repro.analysis.invariants` and is re-exported here.
 
 See docs/ANALYSIS.md ("Causal analysis") for the clock model and the
 rule table.
@@ -16,17 +17,16 @@ rule table.
 
 from repro.analysis.causal.clocks import CausalOrder, build_causal_order
 from repro.analysis.causal.races import CausalDiagnostic, find_races
-from repro.analysis.causal.streaming import IncrementalChecker, check_stream
 from repro.analysis.causal.waitfor import (
     WaitForGraph,
     build_wait_graph,
     detect_deadlocks,
 )
+from repro.analysis.invariants import check_stream
 
 __all__ = [
     "CausalDiagnostic",
     "CausalOrder",
-    "IncrementalChecker",
     "WaitForGraph",
     "build_causal_order",
     "build_wait_graph",

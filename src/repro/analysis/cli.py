@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.analysis.causal import (
-    IncrementalChecker,
     build_causal_order,
     detect_deadlocks,
     find_races,
 )
-from repro.analysis.invariants import check_network
+from repro.analysis.invariants import InvariantChecker, check_network
 from repro.analysis.linter import LintConfig, has_errors, lint_paths
 from repro.analysis.workloads import (
     CAUSAL_WORKLOADS,
@@ -58,82 +57,47 @@ def run_lint(ns) -> int:
     return 1 if has_errors(diagnostics) else 0
 
 
-def _run_streaming(name: str, strict: bool) -> Tuple[Any, Any, List[str], bool]:
-    """Run one workload under the live incremental checker; returns
-    ``(net, checker, verdicts, agrees)`` where ``agrees`` says the batch
-    replay of the retained trace reached the same verdicts."""
-    built = build_workload(name)
-    checker = IncrementalChecker(
-        network=built.net, strict_completion=strict
-    ).install(built.net)
-    net = built.run()
-    verdicts = [v.format() for v in checker.finish(ledger=net.ledger)]
-    batch = [v.format() for v in check_network(net, strict_completion=strict)]
-    return net, checker, verdicts, verdicts == batch
-
-
 def run_check_trace(ns) -> int:
-    """``check-trace``: 0 = every invariant holds.
-
-    ``--streaming`` checks with the O(open-state) incremental checker
-    attached as a live tracer sink instead of replaying the retained
-    trace, and additionally asserts both checkers agree.
-    """
+    """``check-trace``: 0 = every invariant holds."""
     if not known("workload", ns.workload, WORKLOADS):
         return 2
     names = ns.workload or sorted(WORKLOADS)
     failures = 0
     results: List[Dict[str, Any]] = []
     for name in names:
-        if ns.streaming:
-            net, _, violations, agree = _run_streaming(name, strict=True)
-        else:
-            net = run_workload(name)
-            violations = [
-                v.format() for v in check_network(net, strict_completion=True)
-            ]
-            agree = True
+        net = run_workload(name)
+        violations = [
+            v.format() for v in check_network(net, strict_completion=True)
+        ]
         records = len(net.sim.trace.records)
-        if violations or not agree:
+        if violations:
             failures += 1
             print(f"{name}: FAILED ({records} trace records)")
             for violation in violations:
                 print(f"    {violation}")
-            if not agree:
-                print("    streaming checker disagreed with batch replay")
         else:
-            mode = ", streaming" if ns.streaming else ""
             print(
-                f"{name}: ok ({records} trace records, "
-                f"all invariants hold{mode})"
+                f"{name}: ok ({records} trace records, all invariants hold)"
             )
         results.append(
-            {
-                "workload": name,
-                "records": records,
-                "violations": violations,
-                "streaming_agrees": agree,
-            }
+            {"workload": name, "records": records, "violations": violations}
         )
     print(
         f"check-trace: {len(names) - failures}/{len(names)} workload(s) clean"
     )
-    emit(
-        ns, "check_trace", {"streaming": ns.streaming, "workloads": results}
-    )
+    emit(ns, "check_trace", {"workloads": results})
     return 1 if failures else 0
 
 
 def run_causal(ns) -> int:
-    """``causal``: 0 = no causal diagnostics and streaming agrees with
-    batch.
+    """``causal``: 0 = no causal diagnostics.
 
-    Runs each workload, builds the happens-before relation, and reports
-    races (SODA010-012), wait-for deadlocks (SODA013), and
-    streaming/batch checker agreement.  The default set is the standard
-    (clean) workloads; the causal-only pathology demos — e.g.
-    ``philosophers_noarb``, which must FAIL with a SODA013 cycle — run
-    only when named explicitly.
+    Runs each workload with the invariant checker attached as a live
+    tracer sink (for its open-state figure), builds the happens-before
+    relation, and reports races (SODA010-012) and wait-for deadlocks
+    (SODA013).  The default set is the standard (clean) workloads; the
+    causal-only pathology demos — e.g. ``philosophers_noarb``, which
+    must FAIL with a SODA013 cycle — run only when named explicitly.
     """
     if not known("workload", ns.workload, CAUSAL_WORKLOADS):
         return 2
@@ -141,14 +105,17 @@ def run_causal(ns) -> int:
     failing = 0
     results: List[Dict[str, Any]] = []
     for name in names:
-        net, checker, _, agree = _run_streaming(name, strict=False)
+        built = build_workload(name)
+        checker = InvariantChecker(
+            network=built.net, strict_completion=False
+        ).install(built.net)
+        net = built.run()
         records = list(net.sim.trace.records)
         order = build_causal_order(records)
         diagnostics = find_races(records, order) + detect_deadlocks(records)
-        ok = agree and not diagnostics
-        if not ok:
+        if diagnostics:
             failing += 1
-        status = "ok" if ok else "FAILED"
+        status = "FAILED" if diagnostics else "ok"
         print(
             f"{name}: {status} ({len(records)} records, "
             f"{order.clocks_allocated} clocks, "
@@ -157,8 +124,6 @@ def run_causal(ns) -> int:
         )
         for diag in diagnostics:
             print(f"    {diag.format()}")
-        if not agree:
-            print("    streaming checker disagreed with batch replay")
         results.append(
             {
                 "workload": name,
@@ -169,7 +134,6 @@ def run_causal(ns) -> int:
                 "processes": len(order.processes),
                 "peak_open_state": checker.peak_open_state,
                 "diagnostics": [d.format() for d in diagnostics],
-                "streaming_agrees": agree,
             }
         )
     print(f"causal: {len(names) - failing}/{len(names)} workload(s) clean")

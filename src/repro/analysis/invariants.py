@@ -30,19 +30,55 @@ transport invariants that must hold on every run:
 The checker consumes the extra record fields the kernel emits for it
 (``seq``/``pid``/``ack``/``nack`` on ``kernel.tx``/``kernel.rx``,
 ``kernel.endhandler``, ``kernel.delivered_state``,
-``kernel.client_reset``); traces captured with ``keep_records=False``
-cannot be checked.  Ring-buffer traces that dropped records
-(``trace.truncated``) cannot be replayed either, but
-:func:`check_network_degraded` still audits what survives truncation:
-record counters, live kernel state, and the cost ledger.
+``kernel.client_reset``).
+
+**One pass, O(open work) state.**  :class:`InvariantChecker` is a
+forward-only state machine: :meth:`~InvariantChecker.feed` it records —
+as a live :class:`~repro.sim.tracing.Tracer` sink
+(:meth:`~InvariantChecker.install`, so a soak need not retain its trace
+at all) or from a retained trace (:func:`check_stream`,
+:func:`check_network`) — and :meth:`~InvariantChecker.finish` it once.
+State is retired as transactions close:
+
+* a message's send-direction state is retired the moment a *new*
+  message starts on its connection — the alternating-bit protocol
+  guarantees the old one will never transmit again, so its INV-DELTAT
+  verdict is already decided (``retry_window_bound_us`` is a pure
+  function of the policy knobs, not of run state, so evaluating at
+  retirement equals evaluating at end of run); only the verdicts of the
+  rare *dirty* messages are kept, not the state of every clean one;
+* a delivered-request cell is retired on reaching a terminal state
+  (DONE/CANCELLED) — the kernel deletes its record then, so no further
+  transition can reference it;
+* BUSY NACKs, peer-death, sequence swaps, crashes and resets clear
+  retained state, pending verdicts of retired messages included.
+
+Peak retained state is therefore proportional to *open* work — live
+messages, undecided delivered requests, pending verdicts — not to trace
+length (``python -m repro bench analysis`` measures the ratio).
+
+**What retirement gives up.**  The rules above are exact on any trace a
+SODA kernel can emit.  A hand-built trace that breaks a kernel
+guarantee is judged by what the checker still holds: a retired message
+transmitting again is a *new* message to it (its bit is compared with
+its successor's, not with its own earlier sends, and its Delta-t count
+and window restart), and a delivered cell written after its terminal
+state is a transition from ``None``.  Either can pass unflagged; the
+guarantee they lean on — the alternating bit, one record per delivered
+request — is the kernel's to keep and INV-SEQ's to check on the sends
+that are still live (DESIGN.md §13).
+
+Ring-buffer traces that dropped records (``trace.truncated``) cannot be
+replayed, but :func:`check_network_degraded` still audits what survives
+truncation: record counters, live kernel state, and the cost ledger.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.tracing import CostLedger, Tracer
+from repro.sim.tracing import CostLedger, TraceRecord, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
 #: Delivered-request states considered terminal.
@@ -78,33 +114,50 @@ class InvariantViolation:
         return self.format()
 
 
-@dataclass
-class _PidState:
-    seq: int
-    first_us: float
-    last_us: float
-    count: int = 1
-    data_bytes: int = 0
-    busy: bool = False
-    tid: Optional[int] = None
+class _Message:
+    """The one live sequenced message of a connection."""
+
+    __slots__ = (
+        "pid", "seq", "first_us", "last_us", "count", "data_bytes", "busy", "tid"
+    )
+
+    def __init__(self, pid: int, seq: int, time: float, data_bytes: int, tid) -> None:
+        self.pid = pid
+        self.seq = seq
+        self.first_us = time
+        self.last_us = time
+        self.count = 1
+        self.data_bytes = data_bytes
+        self.busy = False
+        self.tid: Optional[int] = tid
 
 
-@dataclass
-class _SendState:
-    """Send-direction tracking for one (sender, peer) pair."""
+class _ConnState:
+    """Send-direction state of one (sender, peer) pair."""
 
-    last_new_seq: Optional[int] = None
-    #: A BUSY NACK or dead-peer declaration since the last new message
-    #: legitimizes a non-flipping sequence bit on the next one.
-    resync_ok: bool = False
-    pids: Dict[int, _PidState] = field(default_factory=dict)
-    #: SODA007: pid -> earliest time its next transmission may occur,
-    #: set when a BUSY NACK carrying an explicit retry hint arrives.
-    busy_hint: Dict[int, float] = field(default_factory=dict)
+    __slots__ = ("last_new_seq", "resync_ok", "live", "busy_hint")
+
+    def __init__(self) -> None:
+        self.last_new_seq: Optional[int] = None
+        #: A BUSY NACK or dead-peer declaration since the last new message
+        #: legitimizes a non-flipping sequence bit on the next one.
+        self.resync_ok = False
+        self.live: Optional[_Message] = None
+        #: SODA007: earliest time the live message's next transmission
+        #: may occur, set when a BUSY NACK carrying an explicit retry
+        #: hint arrives.
+        self.busy_hint: Optional[float] = None
 
 
 class InvariantChecker:
-    """Replays one trace and collects violations."""
+    """The invariant state machine.
+
+    Feed records with :meth:`feed` (or attach via :meth:`install`), then
+    call :meth:`finish` once for the end-of-trace verdicts;
+    :meth:`check` does both for a retained trace.  Violations detectable
+    mid-stream (INV-SEQ, INV-HANDLER, illegal transitions, SODA007) are
+    appended to :attr:`violations` as they happen.
+    """
 
     def __init__(
         self,
@@ -115,8 +168,20 @@ class InvariantChecker:
         self.network = network
         self.strict_completion = strict_completion
         self._default_policy = policy or RetransmitPolicy()
-
-    # ------------------------------------------------------------------
+        self.violations: List[InvariantViolation] = []
+        self._conns: Dict[Tuple[int, int], _ConnState] = {}
+        #: Verdicts of retired dirty messages, by (mid, dst, pid).
+        self._deltat_pending: Dict[Tuple[int, int, int], InvariantViolation] = {}
+        #: Open (non-terminal) delivered-request cells only.
+        self._delivered: Dict[Tuple[int, int, int], str] = {}
+        self._handler_depth: Dict[int, int] = {}
+        self._end_time = 0.0
+        self._finished = False
+        #: Connections whose ``live`` is set, counted where it changes so
+        #: that no record has to re-sum every connection.
+        self._live_messages = 0
+        self.records_checked = 0
+        self.peak_open_state = 0
 
     def _policy_for(self, mid: int) -> RetransmitPolicy:
         if self.network is not None:
@@ -125,136 +190,177 @@ class InvariantChecker:
                 return node.kernel.config.retransmit
         return self._default_policy
 
+    # -- state accounting --------------------------------------------------
+
+    def open_state(self) -> int:
+        """Retained stateful entries right now: live messages, pending
+        verdicts, open delivered cells."""
+        return (
+            self._live_messages
+            + len(self._deltat_pending)
+            + len(self._delivered)
+        )
+
+    def _note_growth(self) -> None:
+        """Called by the two handlers that can *add* state; everything
+        else only retires it, so no record's peak is missed."""
+        open_now = self.open_state()
+        if open_now > self.peak_open_state:
+            self.peak_open_state = open_now
+
+    def _withdraw_pending(self, *prefix: int) -> None:
+        """Drop the pending verdicts of one sender (``mid``) or one
+        connection (``mid, dst``)."""
+        pending = self._deltat_pending
+        if pending:  # rarely: only dirty messages leave one
+            for key in [k for k in pending if k[: len(prefix)] == prefix]:
+                del pending[key]
+
+    # -- streaming ---------------------------------------------------------
+
+    def install(self, net) -> "InvariantChecker":
+        """Attach as a live sink on ``net``'s tracer; returns self."""
+        net.sim.trace.add_sink(self.feed)
+        return self
+
     def check(
         self, trace: Tracer, ledger: Optional[CostLedger] = None
     ) -> List[InvariantViolation]:
-        violations: List[InvariantViolation] = []
-        send: Dict[Tuple[int, int], _SendState] = {}
-        handler_depth: Dict[int, int] = {}
-        delivered: Dict[Tuple[int, int, int], str] = {}
-        end_time = 0.0
-
+        """Feed a retained trace and finish."""
         for rec in trace.records:
-            end_time = max(end_time, rec.time)
-            category = rec.category
-            if category == "kernel.tx":
-                self._on_tx(rec, send, violations)
-            elif category == "kernel.rx":
-                if rec.get("nack") == "busy":
-                    state = send.get((rec["mid"], rec["src"]))
-                    if state is not None:
-                        state.resync_ok = True
-                        hint = rec.get("hint")
-                        for pid, pid_state in state.pids.items():
-                            pid_state.busy = True
-                            # SODA007: the hinted delay binds the nacked
-                            # message (matched by tid) from the moment
-                            # the hint reached this client.
-                            if (
-                                hint is not None
-                                and pid_state.tid is not None
-                                and pid_state.tid == rec.get("tid")
-                            ):
-                                state.busy_hint[pid] = rec.time + hint
-            elif category == "conn.peer_dead":
-                state = send.get((rec["mid"], rec["peer"]))
-                if state is not None:
-                    state.resync_ok = True
-                    state.busy_hint.clear()
-            elif category == "conn.seq_swap":
-                # A priority message displaced a BUSY-parked one
-                # (§5.2.3): the parked message's next transmission is a
-                # fresh send with a new bit, and the taker reuses the
-                # parked one's bit.
-                state = send.get((rec["mid"], rec["peer"]))
-                if state is not None:
-                    state.pids.pop(rec["parked_pid"], None)
-                    state.busy_hint.pop(rec["parked_pid"], None)
-                    state.resync_ok = True
-            elif category == "kernel.interrupt":
-                mid = rec["mid"]
-                depth = handler_depth.get(mid, 0) + 1
-                handler_depth[mid] = depth
-                if depth > 1:
-                    violations.append(
-                        InvariantViolation(
-                            "INV-HANDLER",
-                            rec.time,
-                            mid,
-                            f"handler invoked while a previous invocation "
-                            f"is still open (depth {depth}); handlers "
-                            f"must never nest",
-                        )
+            self.feed(rec)
+        return self.finish(ledger=ledger)
+
+    def feed(self, rec: TraceRecord) -> None:
+        """Consume one trace record."""
+        if self._finished:
+            raise RuntimeError("InvariantChecker already finished")
+        self.records_checked += 1
+        if rec.time > self._end_time:
+            self._end_time = rec.time
+        category = rec.category
+        if category == "kernel.tx":
+            self._on_tx(rec)
+        elif category == "kernel.rx":
+            if rec.get("nack") == "busy":
+                self._on_busy(rec)
+        elif category == "conn.peer_dead":
+            conn = self._conns.get((rec["mid"], rec["peer"]))
+            if conn is not None:
+                conn.resync_ok = True
+                conn.busy_hint = None
+        elif category == "conn.seq_swap":
+            # A priority message displaced a BUSY-parked one (§5.2.3):
+            # the parked message's next transmission is a fresh send
+            # with a new bit, and the taker reuses the parked one's bit.
+            mid, peer, parked = rec["mid"], rec["peer"], rec["parked_pid"]
+            conn = self._conns.get((mid, peer))
+            if conn is not None:
+                if conn.live is not None and conn.live.pid == parked:
+                    self._forget_live(conn)
+                self._deltat_pending.pop((mid, peer, parked), None)
+                conn.resync_ok = True
+        elif category in ("kernel.interrupt", "kernel.boot_handler"):
+            # Initialization (``kernel.boot_handler``) is a handler like
+            # any other: it closes with ``kernel.endhandler`` and an
+            # interrupt delivered before that nests.
+            mid = rec["mid"]
+            depth = self._handler_depth.get(mid, 0) + 1
+            self._handler_depth[mid] = depth
+            if depth > 1:
+                self.violations.append(
+                    InvariantViolation(
+                        "INV-HANDLER",
+                        rec.time,
+                        mid,
+                        f"handler invoked while a previous invocation "
+                        f"is still open (depth {depth}); handlers "
+                        f"must never nest",
                     )
-            elif category == "kernel.endhandler":
-                mid = rec["mid"]
-                handler_depth[mid] = max(0, handler_depth.get(mid, 0) - 1)
-            elif category == "kernel.delivered_state":
-                self._on_delivered(rec, delivered, violations)
-            elif category in ("kernel.crash", "kernel.client_reset", "kernel.die"):
-                mid = rec["mid"]
-                handler_depth[mid] = 0
-                for key in [k for k in delivered if k[0] == mid]:
-                    del delivered[key]
-                if category == "kernel.crash":
-                    for key in [k for k in send if k[0] == mid]:
-                        del send[key]
+                )
+        elif category == "kernel.endhandler":
+            mid = rec["mid"]
+            self._handler_depth[mid] = max(
+                0, self._handler_depth.get(mid, 0) - 1
+            )
+        elif category == "kernel.delivered_state":
+            self._on_delivered(rec)
+        elif category in ("kernel.crash", "kernel.client_reset", "kernel.die"):
+            mid = rec["mid"]
+            self._handler_depth[mid] = 0
+            for cell in [k for k in self._delivered if k[0] == mid]:
+                del self._delivered[cell]
+            if category == "kernel.crash":
+                for key in [k for k in self._conns if k[0] == mid]:
+                    self._forget_live(self._conns.pop(key))
+                self._withdraw_pending(mid)
 
-        self._finalize_pids(send, violations)
-        if self.strict_completion:
-            for (mid, src, tid), state in sorted(delivered.items()):
-                if state not in _TERMINAL:
-                    violations.append(
-                        InvariantViolation(
-                            "INV-COMPLETE",
-                            end_time,
-                            mid,
-                            f"request <{src},{tid}> left in state "
-                            f"'{state}' at end of run (never reached "
-                            f"DONE/CANCELLED)",
-                        )
-                    )
-        if ledger is not None:
-            self._check_ledger(ledger, end_time, violations)
-        return violations
+    # -- per-category handlers ---------------------------------------------
 
-    # ------------------------------------------------------------------
+    def _forget_live(self, conn: _ConnState) -> None:
+        if conn.live is not None:
+            conn.live = None
+            self._live_messages -= 1
+        conn.busy_hint = None
 
-    def _on_tx(
-        self,
-        rec,
-        send: Dict[Tuple[int, int], _SendState],
-        violations: List[InvariantViolation],
-    ) -> None:
+    def _on_busy(self, rec: TraceRecord) -> None:
+        key = (rec["mid"], rec["src"])
+        conn = self._conns.get(key)
+        if conn is None:
+            return
+        conn.resync_ok = True
+        # BUSY retries are unbounded by design, and the regime covers
+        # the connection: verdicts already computed for its retired
+        # messages are withdrawn along with the live one's.
+        self._withdraw_pending(*key)
+        live = conn.live
+        if live is not None:
+            live.busy = True
+            # SODA007: the hinted delay binds the nacked message
+            # (matched by tid) from the moment the hint reached this
+            # client.
+            hint = rec.get("hint")
+            if (
+                hint is not None
+                and live.tid is not None
+                and live.tid == rec.get("tid")
+            ):
+                conn.busy_hint = rec.time + hint
+
+    def _on_tx(self, rec: TraceRecord) -> None:
         seq = rec.get("seq")
         pid = rec.get("pid")
         if seq is None or pid is None:
             return  # unsequenced traffic (acks, probes, discover, ...)
         mid, dst = rec["mid"], rec["dst"]
         if seq not in (0, 1):
-            violations.append(
+            self.violations.append(
                 InvariantViolation(
                     "INV-SEQ", rec.time, mid,
                     f"sequence bit {seq!r} is not alternating-bit",
                 )
             )
             return
-        state = send.setdefault((mid, dst), _SendState())
-        pid_state = state.pids.get(pid)
-        if pid_state is not None:
-            if seq != pid_state.seq:
-                violations.append(
+        key = (mid, dst)
+        conn = self._conns.get(key)
+        if conn is None:
+            conn = self._conns[key] = _ConnState()
+        live = conn.live
+        if live is not None and live.pid == pid:
+            if seq != live.seq:
+                self.violations.append(
                     InvariantViolation(
                         "INV-SEQ",
                         rec.time,
                         mid,
                         f"retransmission of pkt#{pid} to {dst} changed "
-                        f"its sequence bit {pid_state.seq} -> {seq}",
+                        f"its sequence bit {live.seq} -> {seq}",
                     )
                 )
-            earliest = state.busy_hint.pop(pid, None)
+            earliest = conn.busy_hint
+            conn.busy_hint = None
             if earliest is not None and rec.time < earliest - 1.0:
-                violations.append(
+                self.violations.append(
                     InvariantViolation(
                         "SODA007",
                         rec.time,
@@ -265,15 +371,15 @@ class InvariantChecker:
                         f"honor the decaying-rate hint (§5.2.3)",
                     )
                 )
-            pid_state.count += 1
-            pid_state.last_us = rec.time
+            live.count += 1
+            live.last_us = rec.time
             return
         if (
-            state.last_new_seq is not None
-            and not state.resync_ok
-            and seq != 1 - state.last_new_seq
+            conn.last_new_seq is not None
+            and not conn.resync_ok
+            and seq != 1 - conn.last_new_seq
         ):
-            violations.append(
+            self.violations.append(
                 InvariantViolation(
                     "INV-SEQ",
                     rec.time,
@@ -283,75 +389,68 @@ class InvariantChecker:
                     f"an alternation)",
                 )
             )
-        state.last_new_seq = seq
-        state.resync_ok = False
-        state.pids[pid] = _PidState(
-            seq=seq,
-            first_us=rec.time,
-            last_us=rec.time,
-            data_bytes=rec.get("bytes", 0) or 0,
-            tid=rec.get("tid"),
+        # A new message on this connection retires the previous one: the
+        # alternating-bit protocol guarantees it never transmits again,
+        # so its INV-DELTAT verdict is final — keep it only if guilty.
+        if live is not None:
+            verdict = self._deltat_verdict(mid, dst, live)
+            if verdict is not None:
+                self._deltat_pending[mid, dst, live.pid] = verdict
+            self._forget_live(conn)
+        self._deltat_pending.pop((mid, dst, pid), None)
+        conn.last_new_seq = seq
+        conn.resync_ok = False
+        conn.live = _Message(
+            pid, seq, rec.time, rec.get("bytes", 0) or 0, rec.get("tid")
         )
+        self._live_messages += 1
+        self._note_growth()
 
-    def _finalize_pids(
-        self,
-        send: Dict[Tuple[int, int], _SendState],
-        violations: List[InvariantViolation],
-    ) -> None:
-        for (mid, dst), state in sorted(send.items()):
-            policy = self._policy_for(mid)
-            for pid, ps in sorted(state.pids.items()):
-                if ps.busy:
-                    continue  # BUSY retries are unbounded by design
-                if ps.count > policy.max_ack_attempts:
-                    violations.append(
-                        InvariantViolation(
-                            "INV-DELTAT",
-                            ps.last_us,
-                            mid,
-                            f"pkt#{pid} to {dst} transmitted {ps.count} "
-                            f"times; the policy allows at most "
-                            f"{policy.max_ack_attempts} before declaring "
-                            f"the peer dead",
-                        )
-                    )
-                    continue
-                # The policy states its own worst-case window (the same
-                # bound deltat_for_policy harmonizes Delta-t's R with),
-                # so the check holds for static and adaptive alike.
-                # Kernel-CPU serialization can push a retransmission out
-                # a little past its timer; allow a generous margin.
-                bound = (
-                    policy.retry_window_bound_us(ps.count, ps.data_bytes)
-                    * 1.5
-                    + 10_000.0
-                )
-                span = ps.last_us - ps.first_us
-                if span > bound:
-                    violations.append(
-                        InvariantViolation(
-                            "INV-DELTAT",
-                            ps.last_us,
-                            mid,
-                            f"pkt#{pid} to {dst} retransmitted over "
-                            f"{span/1000.0:.1f}ms ({ps.count} sends); "
-                            f"Delta-t bounds the window at "
-                            f"{bound/1000.0:.1f}ms",
-                        )
-                    )
+    def _deltat_verdict(
+        self, mid: int, dst: int, msg: _Message
+    ) -> Optional[InvariantViolation]:
+        """INV-DELTAT for one message whose last transmission is known."""
+        if msg.busy:
+            return None  # BUSY retries are unbounded by design
+        policy = self._policy_for(mid)
+        if msg.count > policy.max_ack_attempts:
+            return InvariantViolation(
+                "INV-DELTAT",
+                msg.last_us,
+                mid,
+                f"pkt#{msg.pid} to {dst} transmitted {msg.count} "
+                f"times; the policy allows at most "
+                f"{policy.max_ack_attempts} before declaring "
+                f"the peer dead",
+            )
+        # The policy states its own worst-case window (the same bound
+        # deltat_for_policy harmonizes Delta-t's R with), so the check
+        # holds for static and adaptive alike.  Kernel-CPU serialization
+        # can push a retransmission out a little past its timer; allow a
+        # generous margin.
+        bound = (
+            policy.retry_window_bound_us(msg.count, msg.data_bytes) * 1.5
+            + 10_000.0
+        )
+        span = msg.last_us - msg.first_us
+        if span > bound:
+            return InvariantViolation(
+                "INV-DELTAT",
+                msg.last_us,
+                mid,
+                f"pkt#{msg.pid} to {dst} retransmitted over "
+                f"{span/1000.0:.1f}ms ({msg.count} sends); "
+                f"Delta-t bounds the window at "
+                f"{bound/1000.0:.1f}ms",
+            )
+        return None
 
-    def _on_delivered(
-        self,
-        rec,
-        delivered: Dict[Tuple[int, int, int], str],
-        violations: List[InvariantViolation],
-    ) -> None:
+    def _on_delivered(self, rec: TraceRecord) -> None:
         key = (rec["mid"], rec["src"], rec["tid"])
         new = rec["state"]
-        old = delivered.get(key)
-        allowed: Set[str] = _TRANSITIONS.get(old, set())
-        if new not in allowed:
-            violations.append(
+        old = self._delivered.get(key)
+        if new not in _TRANSITIONS.get(old, ()):
+            self.violations.append(
                 InvariantViolation(
                     "INV-COMPLETE",
                     rec.time,
@@ -360,51 +459,107 @@ class InvariantChecker:
                     f"transition {old!r} -> {new!r}",
                 )
             )
-        delivered[key] = new
+        if new in _TERMINAL:
+            # The kernel deletes the record at DONE/CANCELLED; retire
+            # the cell (this is the O(open) win for long soaks).
+            self._delivered.pop(key, None)
+        else:
+            self._delivered[key] = new
+            self._note_growth()
 
-    def _check_ledger(
-        self,
-        ledger: CostLedger,
-        end_time: float,
-        violations: List[InvariantViolation],
-    ) -> None:
-        snapshot = ledger.snapshot()
-        total = ledger.total()
-        if abs(total - sum(snapshot.values())) > 1e-6:
+    # -- end of trace ------------------------------------------------------
+
+    def finish(
+        self, ledger: Optional[CostLedger] = None
+    ) -> List[InvariantViolation]:
+        """Close the stream; returns the full verdict list."""
+        if self._finished:
+            return self.violations
+        self._finished = True
+        # INV-DELTAT: pending verdicts of retired messages merged with
+        # the still-live ones, sorted by (mid, dst, pid).
+        verdicts = dict(self._deltat_pending)
+        for (mid, dst), conn in self._conns.items():
+            if conn.live is not None:
+                verdict = self._deltat_verdict(mid, dst, conn.live)
+                if verdict is not None:
+                    verdicts[mid, dst, conn.live.pid] = verdict
+        self.violations.extend(verdicts[key] for key in sorted(verdicts))
+        if self.strict_completion:
+            for (mid, src, tid), state in sorted(self._delivered.items()):
+                # Only open cells are retained, so every entry is a leak.
+                self.violations.append(
+                    InvariantViolation(
+                        "INV-COMPLETE",
+                        self._end_time,
+                        mid,
+                        f"request <{src},{tid}> left in state "
+                        f"'{state}' at end of run (never reached "
+                        f"DONE/CANCELLED)",
+                    )
+                )
+        if ledger is not None:
+            _check_ledger(ledger, self._end_time, self.violations)
+        return self.violations
+
+
+def _check_ledger(
+    ledger: CostLedger, end_time: float, violations: List[InvariantViolation]
+) -> None:
+    snapshot = ledger.snapshot()
+    total = ledger.total()
+    if abs(total - sum(snapshot.values())) > 1e-6:
+        violations.append(
+            InvariantViolation(
+                "INV-LEDGER",
+                end_time,
+                None,
+                f"ledger total {total} != sum of per-category "
+                f"charges {sum(snapshot.values())}",
+            )
+        )
+    for category, value in sorted(snapshot.items()):
+        if category not in CostLedger.CATEGORIES:
             violations.append(
                 InvariantViolation(
-                    "INV-LEDGER",
-                    end_time,
-                    None,
-                    f"ledger total {total} != sum of per-category "
-                    f"charges {sum(snapshot.values())}",
+                    "INV-LEDGER", end_time, None,
+                    f"unknown cost category {category!r}",
                 )
             )
-        for category, value in sorted(snapshot.items()):
-            if category not in CostLedger.CATEGORIES:
-                violations.append(
-                    InvariantViolation(
-                        "INV-LEDGER", end_time, None,
-                        f"unknown cost category {category!r}",
-                    )
+        if value < 0:
+            violations.append(
+                InvariantViolation(
+                    "INV-LEDGER", end_time, None,
+                    f"negative charge {value} in {category!r}",
                 )
-            if value < 0:
-                violations.append(
-                    InvariantViolation(
-                        "INV-LEDGER", end_time, None,
-                        f"negative charge {value} in {category!r}",
-                    )
-                )
+            )
+
+
+def check_stream(
+    records: Iterable[TraceRecord],
+    network=None,
+    strict_completion: bool = True,
+    ledger: Optional[CostLedger] = None,
+) -> List[InvariantViolation]:
+    """One-shot check of an already-materialized record sequence."""
+    checker = InvariantChecker(
+        network=network, strict_completion=strict_completion
+    )
+    for rec in records:
+        checker.feed(rec)
+    return checker.finish(ledger=ledger)
 
 
 def check_network(
     net, strict_completion: bool = True
 ) -> List[InvariantViolation]:
     """Check a finished :class:`~repro.core.node.Network` run."""
-    checker = InvariantChecker(
-        network=net, strict_completion=strict_completion
+    return check_stream(
+        net.sim.trace.records,
+        network=net,
+        strict_completion=strict_completion,
+        ledger=net.ledger,
     )
-    return checker.check(net.sim.trace, ledger=net.ledger)
 
 
 def _timer_live(timer) -> bool:
@@ -484,5 +639,5 @@ def check_network_degraded(net) -> List[InvariantViolation]:
                     )
                 )
 
-    InvariantChecker(network=net)._check_ledger(net.ledger, now, violations)
+    _check_ledger(net.ledger, now, violations)
     return violations

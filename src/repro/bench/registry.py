@@ -80,7 +80,7 @@ BENCHES: Dict[str, Bench] = {
     "analysis": Bench(
         "causal_bench",
         "causal",
-        "batch vs streaming invariant checker over one soak",
+        "invariant checker open state vs trace length over one soak",
         deterministic=True,
     ),
     "sim": Bench(

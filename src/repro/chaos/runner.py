@@ -434,7 +434,7 @@ class CellResult:
     selfheal_problems: List[str] = field(default_factory=list)
     degradation_problems: List[str] = field(default_factory=list)
     #: Causal verdicts (``run_cell(..., causal=True)``): SODA010-013
-    #: diagnostics plus any streaming/batch checker disagreement.
+    #: race and deadlock diagnostics.
     causal_problems: List[str] = field(default_factory=list)
     #: KV linearizability verdicts (lost acked writes, stale reads,
     #: double-applied CAS...); empty for workloads without ``kv.*``
@@ -497,8 +497,7 @@ def run_cell(
     (used by the shrinker and by checked-in reproducers), ``policy``
     overrides the adaptive default (used by the transport benchmark).
     ``causal`` additionally runs the causal analysis engine over the
-    cell's trace: SODA010-013 race/deadlock rules, plus an assertion
-    that the streaming invariant checker reproduces the batch verdicts."""
+    cell's trace: the SODA010-013 race/deadlock rules."""
     built = build_workload(workload, seed=seed, config=chaos_config(policy))
     if scenario is None:
         scenario = make_schedule(schedule, built.spec)
@@ -508,7 +507,7 @@ def run_cell(
     violations = check_network(net, strict_completion=False)
     causal_problems: List[str] = []
     if causal:
-        causal_problems = _causal_verdicts(net, violations)
+        causal_problems = _causal_verdicts(net)
     spans = build_spans(net.sim.trace.records)
     problems = check_liveness(net, spans=spans)
     selfheal = check_self_heal(built, scenario.last_action_us)
@@ -565,34 +564,18 @@ def run_cell(
     )
 
 
-def _causal_verdicts(net, batch_violations) -> List[str]:
-    """The causal column of one cell: SODA010-013 diagnostics plus a
-    streaming-vs-batch checker agreement assertion."""
+def _causal_verdicts(net) -> List[str]:
+    """The causal column of one cell: SODA010-013 diagnostics."""
     from repro.analysis.causal import (
         build_causal_order,
-        check_stream,
         detect_deadlocks,
         find_races,
     )
 
-    problems: List[str] = []
     records = list(net.sim.trace.records)
-    stream = check_stream(
-        records, network=net, strict_completion=False, ledger=net.ledger
-    )
-    batch_fmt = [v.format() for v in batch_violations]
-    stream_fmt = [v.format() for v in stream]
-    if stream_fmt != batch_fmt:
-        problems.append(
-            f"streaming checker diverged from batch: "
-            f"{len(stream_fmt)} vs {len(batch_fmt)} verdict(s)"
-        )
     order = build_causal_order(records)
-    for diag in find_races(records, order):
-        problems.append(diag.format())
-    for diag in detect_deadlocks(records):
-        problems.append(diag.format())
-    return problems
+    diagnostics = find_races(records, order) + detect_deadlocks(records)
+    return [diag.format() for diag in diagnostics]
 
 
 def matrix_cells(

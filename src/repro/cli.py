@@ -508,12 +508,7 @@ COMMANDS: Dict[str, Command] = {
     "check-trace": Command(
         "repro.analysis.cli:run_check_trace",
         "replay workload traces against the invariants",
-        (
-            _WORKLOADS,
-            Flag("--streaming", "check live with the incremental checker "
-                 "and require it to agree with batch replay", bool),
-            JSON,
-        ),
+        (_WORKLOADS, JSON),
     ),
     "causal": Command(
         "repro.analysis.cli:run_causal",
@@ -531,8 +526,8 @@ COMMANDS: Dict[str, Command] = {
             Flag("--schedule", "only these schedules", csv, None, "S[,S...]"),
             Flag("--no-shrink", "do not shrink the first failure to a "
                  "minimal reproducer", bool),
-            Flag("--causal", "add the causal column: SODA010-013 and "
-                 "streaming/batch checker agreement", bool),
+            Flag("--causal", "add the causal column: SODA010-013 race "
+                 "and deadlock rules", bool),
             PARALLEL,
             JSON,
         ),

@@ -231,33 +231,6 @@ class MetricsHub:
         elif category == "recovery.maybe":
             reg.counter("recovery.ambiguous_maybes").inc()
 
-    # -- causal analysis ---------------------------------------------------
-
-    def note_analysis(self, checker, order=None) -> None:
-        """Record one causal-analysis pass (``python -m repro causal``).
-
-        ``checker`` is a finished
-        :class:`~repro.analysis.causal.streaming.IncrementalChecker`;
-        ``order`` the :class:`~repro.analysis.causal.clocks.CausalOrder`
-        if one was built.  Registered lazily — runs that never analyze
-        keep their metric snapshots byte-identical to before the
-        analysis engine existed.
-        """
-        reg = self.registry
-        reg.counter("analysis.records_checked").inc(
-            checker.records_checked
-        )
-        reg.counter("analysis.violations").inc(len(checker.violations))
-        peak = reg.gauge("analysis.peak_open_state")
-        if checker.peak_open_state > peak.value:
-            peak.set(checker.peak_open_state)
-        if order is not None:
-            reg.counter("analysis.clocks_allocated").inc(
-                order.clocks_allocated
-            )
-            reg.counter("analysis.send_edges").inc(order.send_edges)
-            reg.counter("analysis.unmatched_rx").inc(order.unmatched_rx)
-
     # -- pull collection ---------------------------------------------------
 
     def collect(self) -> None:

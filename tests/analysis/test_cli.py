@@ -50,19 +50,15 @@ def test_check_trace_rejects_unknown_workload(capsys):
     assert "unknown workload(s): no-such-workload" in capsys.readouterr().err
 
 
-def test_check_trace_streaming_agrees(tmp_path, capsys):
+def test_check_trace_json_names_records_and_violations(tmp_path, capsys):
     json_path = tmp_path / "trace.json"
-    status = main(
-        ["check-trace", "--streaming", "echo", "--json", str(json_path)]
-    )
-    assert status == 0
-    out = capsys.readouterr().out
-    assert any(
-        "echo: ok" in line and "streaming" in line for line in out.splitlines()
-    )
+    assert main(["check-trace", "echo", "--json", str(json_path)]) == 0
+    assert "all invariants hold" in capsys.readouterr().out
     body = json.loads(json_path.read_text())["body"]
-    assert body["streaming"] is True
-    assert body["workloads"][0]["streaming_agrees"] is True
+    (echo,) = body["workloads"]
+    assert echo["workload"] == "echo"
+    assert echo["records"] > 0
+    assert echo["violations"] == []
 
 
 def test_causal_defaults_to_the_clean_workloads(capsys):

@@ -1,5 +1,52 @@
 """Invariant checker tests: fabricated traces per invariant, plus a
-seeded protocol bug that the checker must catch on a real run."""
+seeded protocol bug that the checker must catch on a real run.
+
+There is one checker and so no second opinion: every verdict it can
+emit has, below, one forged trace that makes it fire and one near-miss
+that does not (ROADMAP item 1d).
+
+Rule (message) — fires / near-miss:
+
+* INV-SEQ "is not alternating-bit" —
+  ``test_sequence_bit_outside_0_1_is_flagged`` /
+  ``test_clean_alternation_passes``
+* INV-SEQ "changed its sequence bit" —
+  ``test_retransmission_changing_bit_is_flagged`` /
+  ``test_clean_alternation_passes``
+* INV-SEQ "reused sequence bit" — ``test_reused_sequence_bit_is_flagged`` /
+  ``test_busy_nack_``, ``test_seq_swap_``, ``test_peer_dead_legitimizes_resync``
+* INV-DELTAT "transmitted N times" —
+  ``test_too_many_retransmissions_is_flagged`` /
+  ``test_max_ack_attempts_sends_are_allowed``
+* INV-DELTAT "Delta-t bounds the window" —
+  ``test_retransmission_window_bound_is_flagged`` /
+  ``test_retransmission_just_inside_the_window_is_clean``
+* INV-DELTAT of a retired message —
+  ``test_verdict_of_a_retired_message_is_kept`` /
+  ``test_busy_nack_withdraws_a_retired_messages_verdict``
+* INV-DELTAT of a parked message —
+  ``test_seq_swap_of_another_pid_keeps_the_verdict`` /
+  ``test_seq_swap_drops_the_parked_pids_verdict``
+* INV-DELTAT of a crashed sender —
+  ``test_client_reset_keeps_connection_verdicts`` /
+  ``test_crash_forgets_the_senders_connections``
+* INV-HANDLER — ``test_nested_handler_is_flagged``,
+  ``test_interrupt_inside_boot_handler_is_flagged`` /
+  ``test_alternating_handler_is_clean``,
+  ``test_interrupt_after_boot_handler_ends_is_clean``
+* INV-COMPLETE "illegal transition" — ``test_illegal_transition_is_flagged`` /
+  ``test_full_lifecycle_is_clean``
+* INV-COMPLETE "left in state" —
+  ``test_unfinished_request_is_a_leak_in_strict_mode`` / the same trace
+  non-strict, ``test_crash_forgives_unfinished_requests``
+* INV-LEDGER "unknown cost category", "ledger total", "negative charge" —
+  ``test_unknown_ledger_category_``, ``test_inconsistent_ledger_total_``,
+  ``test_negative_ledger_charge_is_flagged`` /
+  ``test_consistent_ledger_is_clean``
+* SODA007 — ``test_busy_retry_earlier_than_hint_is_flagged`` /
+  ``test_busy_retry_honoring_hint_is_clean``, ``test_hintless_…``,
+  ``test_hint_for_other_…``, ``test_seq_swap_releases_the_hint``
+"""
 
 from __future__ import annotations
 
@@ -28,6 +75,13 @@ def invariants(violations):
     return {v.invariant for v in violations}
 
 
+def only(violations, invariant, fragment):
+    """The single violation expected, by rule id and message fragment."""
+    assert len(violations) == 1, [v.format() for v in violations]
+    assert violations[0].invariant == invariant
+    assert fragment in violations[0].message
+
+
 # -- INV-SEQ -----------------------------------------------------------
 
 
@@ -44,14 +98,20 @@ def test_reused_sequence_bit_is_flagged():
     trace = Tracer()
     tx(trace, 0.0, 0, 1)
     tx(trace, 100.0, 0, 2)
-    assert invariants(checker().check(trace)) == {"INV-SEQ"}
+    only(checker().check(trace), "INV-SEQ", "reused sequence bit 0")
 
 
 def test_retransmission_changing_bit_is_flagged():
     trace = Tracer()
     tx(trace, 0.0, 0, 1)
     tx(trace, 100.0, 1, 1)
-    assert invariants(checker().check(trace)) == {"INV-SEQ"}
+    only(checker().check(trace), "INV-SEQ", "changed its sequence bit 0 -> 1")
+
+
+def test_sequence_bit_outside_0_1_is_flagged():
+    trace = Tracer()
+    tx(trace, 0.0, 2, 1)
+    only(checker().check(trace), "INV-SEQ", "2 is not alternating-bit")
 
 
 def test_busy_nack_legitimizes_resync():
@@ -86,16 +146,50 @@ def test_peer_dead_legitimizes_resync():
 def test_too_many_retransmissions_is_flagged():
     policy = RetransmitPolicy()
     trace = Tracer()
-    for i in range(policy.max_ack_attempts + 2):
+    for i in range(policy.max_ack_attempts + 1):
         tx(trace, i * 100.0, 0, 1)
-    assert invariants(checker().check(trace)) == {"INV-DELTAT"}
+    only(
+        checker().check(trace),
+        "INV-DELTAT",
+        f"transmitted {policy.max_ack_attempts + 1} times",
+    )
+
+
+def test_max_ack_attempts_sends_are_allowed():
+    policy = RetransmitPolicy()
+    trace = Tracer()
+    for i in range(policy.max_ack_attempts):
+        tx(trace, i * 100.0, 0, 1)
+    assert checker().check(trace) == []
+
+
+def _two_send_window_us(nbytes=0):
+    """The widest span INV-DELTAT allows two sends of one message."""
+    return RetransmitPolicy().retry_window_bound_us(2, nbytes) * 1.5 + 10_000.0
 
 
 def test_retransmission_window_bound_is_flagged():
     trace = Tracer()
     tx(trace, 0.0, 0, 1)
-    tx(trace, 10_000_000.0, 0, 1)  # second send ten simulated seconds later
-    assert invariants(checker().check(trace)) == {"INV-DELTAT"}
+    tx(trace, _two_send_window_us() + 1.0, 0, 1)
+    only(checker().check(trace), "INV-DELTAT", "Delta-t bounds the window")
+
+
+def test_retransmission_just_inside_the_window_is_clean():
+    trace = Tracer()
+    tx(trace, 0.0, 0, 1)
+    tx(trace, _two_send_window_us(), 0, 1)
+    assert checker().check(trace) == []
+
+
+def test_window_bound_grows_with_the_message_size():
+    # A span that is dirty for an empty message is clean for a big one:
+    # the bound is the policy's, per byte included.
+    trace = Tracer()
+    tx(trace, 0.0, 0, 1, nbytes=4000)
+    tx(trace, _two_send_window_us() + 1.0, 0, 1, nbytes=4000)
+    assert _two_send_window_us(4000) > _two_send_window_us() + 1.0
+    assert checker().check(trace) == []
 
 
 def test_busy_parked_messages_are_exempt():
@@ -104,6 +198,114 @@ def test_busy_parked_messages_are_exempt():
         tx(trace, i * 1_000_000.0, 0, 1)
     trace.record(5.0, "kernel.rx", mid=1, src=2, nack="busy")
     assert checker().check(trace) == []
+
+
+# -- INV-DELTAT: what retirement keeps and what withdraws it -----------
+#
+# A new message on a connection retires the previous one; only a dirty
+# one leaves anything behind (its verdict).  Each pair below is one
+# trace with and without the record that must withdraw that verdict.
+
+LATE = 10_000_000.0  # ten simulated seconds: far outside any window
+
+
+def _dirty_then_retired(trace):
+    tx(trace, 0.0, 0, 1)
+    tx(trace, LATE, 0, 1)  # pid 1 overran its window...
+    tx(trace, LATE + 100.0, 1, 2)  # ...and pid 2 retires it
+
+
+def test_verdict_of_a_retired_message_is_kept():
+    trace = Tracer()
+    _dirty_then_retired(trace)
+    only(checker().check(trace), "INV-DELTAT", "pkt#1 to 2 retransmitted")
+
+
+def test_busy_nack_withdraws_a_retired_messages_verdict():
+    # The BUSY arrives only after pid 1 was retired: the slow-retry
+    # regime covers the connection, so the verdict already computed for
+    # the retired message goes too.
+    trace = Tracer()
+    _dirty_then_retired(trace)
+    trace.record(LATE + 200.0, "kernel.rx", mid=1, src=2, nack="busy")
+    assert checker().check(trace) == []
+
+
+def test_busy_nack_on_another_connection_withdraws_nothing():
+    trace = Tracer()
+    _dirty_then_retired(trace)
+    trace.record(LATE + 200.0, "kernel.rx", mid=1, src=3, nack="busy")
+    only(checker().check(trace), "INV-DELTAT", "pkt#1 to 2 retransmitted")
+
+
+def _swap(trace, t, parked_pid):
+    trace.record(
+        t, "conn.seq_swap", mid=1, peer=2, parked_pid=parked_pid, taker_pid=2, seq=0
+    )
+
+
+def test_seq_swap_drops_the_parked_pids_verdict():
+    trace = Tracer()
+    tx(trace, 0.0, 0, 1)
+    tx(trace, LATE, 0, 1)  # dirty: would violate INV-DELTAT
+    _swap(trace, LATE + 100.0, parked_pid=1)
+    tx(trace, LATE + 200.0, 0, 2)  # the taker reuses the bit
+    assert checker().check(trace) == []
+
+
+def test_seq_swap_of_another_pid_keeps_the_verdict():
+    trace = Tracer()
+    tx(trace, 0.0, 0, 1)
+    tx(trace, LATE, 0, 1)
+    _swap(trace, LATE + 100.0, parked_pid=9)
+    tx(trace, LATE + 200.0, 0, 2)
+    only(checker().check(trace), "INV-DELTAT", "pkt#1 to 2 retransmitted")
+
+
+def test_crash_forgets_the_senders_connections():
+    trace = Tracer()
+    _dirty_then_retired(trace)  # one pending verdict, one live message
+    tx(trace, LATE + 200.0, 1, 2)
+    tx(trace, 2 * LATE, 1, 2)  # the live one is dirty too
+    trace.record(2 * LATE + 100.0, "kernel.crash", mid=1)
+    assert checker().check(trace) == []
+
+
+def test_client_reset_keeps_connection_verdicts():
+    # Only a node crash loses the kernel's connection table; a client
+    # reset (or a crash of the *peer*) leaves the sender accountable.
+    trace = Tracer()
+    _dirty_then_retired(trace)
+    trace.record(LATE + 200.0, "kernel.client_reset", mid=1)
+    trace.record(LATE + 300.0, "kernel.crash", mid=2)
+    only(checker().check(trace), "INV-DELTAT", "pkt#1 to 2 retransmitted")
+
+
+# -- outside the contract (DESIGN.md §13) ------------------------------
+#
+# Retired state is gone: a trace no kernel can emit is judged by what is
+# still held.  Pinned so the limits stay the documented ones.
+
+
+def test_retired_message_transmitting_again_counts_as_a_new_message():
+    trace = Tracer()
+    tx(trace, 0.0, 0, 1)
+    tx(trace, 100.0, 1, 2)  # retires pid 1
+    tx(trace, LATE, 0, 1)  # pid 1 again: a fresh window, bit alternates
+    assert checker().check(trace) == []
+    tx(trace, LATE + 100.0, 0, 2)  # pid 2 again: "new", and its bit repeats
+    only(checker().check(trace), "INV-SEQ", "reused sequence bit 0")
+
+
+def test_write_after_terminal_state_is_a_transition_from_none():
+    trace = Tracer()
+    delivered(trace, 0.0, "delivered")
+    delivered(trace, 10.0, "done")
+    delivered(trace, 20.0, "delivered")  # the same <src, tid> delivered twice
+    delivered(trace, 30.0, "done")
+    assert checker().check(trace) == []
+    delivered(trace, 40.0, "cancelled")
+    only(checker().check(trace), "INV-COMPLETE", "None -> 'cancelled'")
 
 
 # -- SODA007 (BUSY retry earlier than hinted) --------------------------
@@ -122,7 +324,7 @@ def test_busy_retry_earlier_than_hint_is_flagged():
     tx_tid(trace, 0.0, 0, 1, tid=7)
     busy_rx(trace, 500.0, hint=50_000.0, tid=7)
     tx_tid(trace, 10_000.0, 0, 1, tid=7)  # 40 ms before the hint allows
-    assert invariants(checker().check(trace)) == {"SODA007"}
+    only(checker().check(trace), "SODA007", "sent 40.5ms earlier")
 
 
 def test_busy_retry_honoring_hint_is_clean():
@@ -189,7 +391,27 @@ def test_nested_handler_is_flagged():
     trace = Tracer()
     trace.record(0.0, "kernel.interrupt", mid=3)
     trace.record(10.0, "kernel.interrupt", mid=3)
-    assert invariants(checker().check(trace)) == {"INV-HANDLER"}
+    only(checker().check(trace), "INV-HANDLER", "(depth 2)")
+
+
+def test_interrupt_inside_boot_handler_is_flagged():
+    # Initialization is a handler (§3.2): it opens with
+    # ``kernel.boot_handler`` and closes with an ordinary ENDHANDLER.
+    trace = Tracer()
+    trace.record(0.0, "kernel.boot_handler", mid=3)
+    trace.record(10.0, "kernel.interrupt", mid=3)
+    trace.record(20.0, "kernel.endhandler", mid=3)
+    only(checker().check(trace), "INV-HANDLER", "(depth 2)")
+
+
+def test_interrupt_after_boot_handler_ends_is_clean():
+    trace = Tracer()
+    trace.record(0.0, "kernel.boot_handler", mid=3)
+    trace.record(10.0, "kernel.endhandler", mid=3)
+    trace.record(20.0, "kernel.interrupt", mid=3)
+    trace.record(30.0, "kernel.endhandler", mid=3)
+    trace.record(5.0, "kernel.interrupt", mid=4)  # another node: no nesting
+    assert checker().check(trace) == []
 
 
 def test_alternating_handler_is_clean():
@@ -212,14 +434,18 @@ def delivered(trace, t, state, mid=2, src=1, tid=7):
 def test_illegal_transition_is_flagged():
     trace = Tracer()
     delivered(trace, 0.0, "accepted")  # accepted before delivered
-    assert invariants(checker().check(trace)) == {"INV-COMPLETE"}
+    only(
+        checker(strict_completion=False).check(trace),
+        "INV-COMPLETE",
+        "None -> 'accepted'",
+    )
 
 
 def test_unfinished_request_is_a_leak_in_strict_mode():
     trace = Tracer()
     delivered(trace, 0.0, "delivered")
     strict = checker(strict_completion=True).check(trace)
-    assert invariants(strict) == {"INV-COMPLETE"}
+    only(strict, "INV-COMPLETE", "left in state 'delivered'")
     assert checker(strict_completion=False).check(trace) == []
 
 
@@ -246,7 +472,7 @@ def test_unknown_ledger_category_is_flagged():
     ledger.charge("protocol", 10.0)
     ledger.charge("bogus", 1.0)
     violations = checker().check(Tracer(), ledger=ledger)
-    assert invariants(violations) == {"INV-LEDGER"}
+    only(violations, "INV-LEDGER", "unknown cost category 'bogus'")
 
 
 def test_inconsistent_ledger_total_is_flagged():
@@ -257,7 +483,15 @@ def test_inconsistent_ledger_total_is_flagged():
     ledger = BrokenLedger()
     ledger.charge("protocol", 10.0)
     violations = checker().check(Tracer(), ledger=ledger)
-    assert invariants(violations) == {"INV-LEDGER"}
+    only(violations, "INV-LEDGER", "ledger total 52.0 != sum")
+
+
+def test_negative_ledger_charge_is_flagged():
+    ledger = CostLedger()
+    ledger.charge("protocol", 10.0)
+    ledger._charges["transmission"] -= 2.5  # charge() itself refuses
+    violations = checker().check(Tracer(), ledger=ledger)
+    only(violations, "INV-LEDGER", "negative charge -2.5 in 'transmission'")
 
 
 def test_consistent_ledger_is_clean():

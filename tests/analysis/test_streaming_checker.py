@@ -1,65 +1,84 @@
-"""Streaming invariant checker: byte-identical verdicts to the batch
-checker on real runs and fabricated violations, with O(open-state)
-retained memory."""
+"""The invariant checker as a stream: a live tracer sink with
+O(open-state) memory, equal to a post-hoc replay of the retained trace.
+
+There used to be two state machines — a batch replay in
+``analysis/invariants.py`` and ``IncrementalChecker`` in
+``analysis/causal/streaming.py`` — and this file proved they agreed.
+The batch replay is gone; ``InvariantChecker`` *is* the streaming one.
+What the deleted cross-checks asserted is now made by:
+
+* ``test_post_hoc_stream_matches_batch[<workload>]`` (nine ids: strict
+  ``check_stream`` over every shipped workload's retained trace is ``[]``
+  and equals ``check_network``) — ``check_network`` is that very
+  ``check_stream`` call, so the surviving half is
+  ``test_invariants::test_shipped_workloads_hold_all_invariants[<workload>]``;
+* ``tests/test_static_analysis.py::
+  test_streaming_checker_agrees_with_batch_on_a_real_run`` (the same on
+  ``echo``) — ``test_shipped_workloads_hold_all_invariants[echo]``, and
+  ``test_live_sink_matches_post_hoc_replay`` below for the one
+  comparison that still has two sides;
+* ``tests/analysis/test_cli.py::test_check_trace_streaming_agrees``
+  (``check-trace --streaming``, ``streaming_agrees`` in the JSON) — the
+  flag and the key are gone; ``test_check_trace_clean_workload`` and
+  ``test_check_trace_json_names_records_and_violations`` cover the one
+  mode left, and ``tests/test_docs.py`` fails any doc line that still
+  passes the flag;
+* ``tests/test_chaos.py::test_full_matrix_streaming_verdicts_match_batch``
+  — merged into ``test_full_matrix_is_clean`` (one ``causal=True``
+  sweep, see its docstring).
+
+The forged traces below were the ``*_matches`` / ``*_in_both`` inputs
+of that proof.  They stay as inputs to the comparison that remains —
+the checker fed record by record as a sink on the tracer that emits
+them, against ``InvariantChecker.check`` over the retained trace — and
+each also lives in ``test_invariants.py`` beside its near-miss, which
+is where a rule's own proof of life is kept.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.causal import IncrementalChecker, check_stream
-from repro.analysis.invariants import InvariantChecker, check_network
-from repro.analysis.workloads import WORKLOADS, build_workload, run_workload
+from repro.analysis.causal import check_stream
+from repro.analysis.invariants import InvariantChecker
+from repro.analysis.workloads import build_workload
 from repro.sim.tracing import CostLedger, Tracer
 from repro.transport.retransmit import RetransmitPolicy
-
-GATE_CELLS = sorted(WORKLOADS)
 
 
 def formatted(violations):
     return [v.format() for v in violations]
 
 
-def batch_check(trace, ledger=None, **kwargs):
-    kwargs.setdefault("policy", RetransmitPolicy())
-    return InvariantChecker(**kwargs).check(trace, ledger=ledger)
-
-
-def stream_check(trace, ledger=None, **kwargs):
-    kwargs.setdefault("policy", RetransmitPolicy())
-    checker = IncrementalChecker(**kwargs)
-    for rec in trace.records:
-        checker.feed(rec)
-    return checker.finish(ledger=ledger)
+def recount(checker):
+    """``open_state()`` the slow way, from the tables themselves."""
+    return (
+        sum(1 for conn in checker._conns.values() if conn.live is not None)
+        + len(checker._deltat_pending)
+        + len(checker._delivered)
+    )
 
 
 def assert_identical(trace, ledger=None, **kwargs):
-    batch = formatted(batch_check(trace, ledger, **kwargs))
-    stream = formatted(stream_check(trace, ledger, **kwargs))
-    assert stream == batch
-    return batch
+    """Replay ``trace`` through a live sink and post hoc; same verdicts."""
+    kwargs.setdefault("policy", RetransmitPolicy())
+    live = InvariantChecker(**kwargs)
+    emitter = Tracer()
+    emitter.add_sink(live.feed)
+    for rec in trace.records:
+        emitter.record(rec.time, rec.category, **rec.fields)
+        assert live.open_state() == recount(live)
+    post_hoc = formatted(InvariantChecker(**kwargs).check(trace, ledger=ledger))
+    assert formatted(live.finish(ledger=ledger)) == post_hoc
+    return post_hoc
 
 
-# -- identical verdicts on real workload traces ------------------------
-
-
-@pytest.mark.parametrize("name", GATE_CELLS)
-def test_post_hoc_stream_matches_batch(name):
-    net = run_workload(name)
-    batch = formatted(check_network(net, strict_completion=True))
-    stream = formatted(
-        check_stream(
-            list(net.sim.trace.records),
-            network=net,
-            strict_completion=True,
-            ledger=net.ledger,
-        )
-    )
-    assert stream == batch == []
+# -- live sink == post-hoc replay on a real run ------------------------
 
 
 def test_live_sink_matches_post_hoc_replay():
     built = build_workload("stream")
-    live = IncrementalChecker(network=built.net, strict_completion=True)
+    live = InvariantChecker(network=built.net, strict_completion=True)
     live.install(built.net)
     net = built.run()
     live_verdicts = formatted(live.finish(ledger=net.ledger))
@@ -75,7 +94,7 @@ def test_live_sink_matches_post_hoc_replay():
     assert live.records_checked == len(net.sim.trace.records)
 
 
-# -- identical verdicts on fabricated violations -----------------------
+# -- live sink == post-hoc replay on fabricated violations -------------
 
 
 def tx(trace, t, seq, pid, mid=1, dst=2, **fields):
@@ -111,9 +130,8 @@ def test_inv_deltat_attempt_count_matches():
 
 def test_busy_nack_clears_pending_verdicts_in_both():
     # The message overruns its window, is retired by a fresh pid, and
-    # only THEN does the BUSY arrive: the batch checker forgives the
-    # whole connection at finalize time, so streaming must drop the
-    # already-computed verdict too.
+    # only THEN does the BUSY arrive: the BUSY regime forgives the whole
+    # connection, so the already-computed verdict is withdrawn too.
     trace = Tracer()
     tx(trace, 0.0, 0, 1)
     tx(trace, 10_000_000.0, 0, 1)
@@ -197,7 +215,7 @@ def test_soda007_hint_violation_matches():
 
 
 def test_feed_after_finish_is_an_error():
-    checker = IncrementalChecker(policy=RetransmitPolicy())
+    checker = InvariantChecker(policy=RetransmitPolicy())
     checker.finish()
     with pytest.raises(RuntimeError):
         checker.feed(next(iter(_one_record_trace().records)))
@@ -210,10 +228,10 @@ def _one_record_trace():
 
 
 def test_open_state_stays_sublinear_on_a_long_run():
-    """The whole point of the streaming rewrite: retained state tracks
+    """The whole point of checking as a stream: retained state tracks
     *open* transactions, not trace length."""
     built = build_workload("stream")
-    checker = IncrementalChecker(network=built.net, strict_completion=True)
+    checker = InvariantChecker(network=built.net, strict_completion=True)
     checker.install(built.net)
     net = built.run()
     checker.finish(ledger=net.ledger)
@@ -222,8 +240,28 @@ def test_open_state_stays_sublinear_on_a_long_run():
     assert checker.peak_open_state < 40
 
 
+def test_peak_open_state_equals_a_recount_after_every_record():
+    """``peak_open_state`` comes from a live-message counter bumped where
+    ``conn.live`` changes and two table sizes, noted only where state can
+    grow; a brute-force recount after every record of a crash-and-failover
+    KV cell must never disagree."""
+    from repro.chaos.runner import chaos_config, make_schedule
+
+    built = build_workload("kvstore_supervised", seed=3, config=chaos_config())
+    make_schedule("primary_crash_load", built.spec).run(built)
+    checker = InvariantChecker(network=built.net, strict_completion=False)
+    peak = 0
+    for rec in built.net.sim.trace.records:
+        checker.feed(rec)
+        open_now = recount(checker)
+        assert checker.open_state() == open_now
+        peak = max(peak, open_now)
+    assert checker.records_checked > 30_000
+    assert checker.peak_open_state == peak > 3
+
+
 def test_violations_surface_mid_stream():
-    checker = IncrementalChecker(policy=RetransmitPolicy())
+    checker = InvariantChecker(policy=RetransmitPolicy())
     trace = Tracer()
     trace.record(0.0, "kernel.interrupt", mid=3)
     trace.record(10.0, "kernel.interrupt", mid=3)

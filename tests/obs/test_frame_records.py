@@ -17,7 +17,7 @@ from repro.chaos.runner import chaos_config, make_schedule
 
 PER_FRAME_RECORDS = {
     "kernel.tx": {
-        "mid": "analysis.invariants / causal.streaming _on_tx (connection "
+        "mid": "analysis.invariants _on_tx (connection "
                "key); causal.clocks (process); obs.instrument node.<mid>.*",
         "dst": "_on_tx (connection key); causal.clocks (broadcast edge); "
                "causal.races SODA012 last_tx",
@@ -30,15 +30,15 @@ PER_FRAME_RECORDS = {
         "fid": "causal.clocks: joins this tx to its kernel.rx",
     },
     "kernel.rx": {
-        "mid": "invariants / streaming BUSY handling (connection key); "
+        "mid": "invariants _on_busy (connection key); "
                "causal.clocks; obs.instrument node.<mid>.*",
-        "src": "invariants / streaming BUSY handling (connection key)",
+        "src": "invariants _on_busy (connection key)",
         "ptype": "human",
         "seq": "human",
-        "tid": "invariants / streaming SODA007 hint matching",
+        "tid": "invariants _on_busy SODA007 hint matching",
         "ack": "human",
-        "nack": "invariants / streaming: 'busy' opens the slow-retry regime",
-        "hint": "invariants / streaming SODA007",
+        "nack": "invariants: 'busy' opens the slow-retry regime",
+        "hint": "invariants _on_busy SODA007",
         "fid": "causal.clocks: joins this rx to its kernel.tx",
     },
     "conn.acked": {

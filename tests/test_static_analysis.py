@@ -4,8 +4,9 @@ This is the enforcement point for the sodalint conventions: any app or
 example that starts violating a SODA rule fails the suite, and the bad
 fixtures guarantee the linter itself still has teeth.  The causal-rule
 fixtures below play the same role for the SODA010+ trace rules: each
-seeded bug must keep producing its exact diagnostic, and the streaming
-checker must keep agreeing with the batch checker on a real run.
+seeded bug must keep producing its exact diagnostic.
+(``test_streaming_checker_agrees_with_batch_on_a_real_run`` went with the
+batch checker; ``tests/analysis/test_streaming_checker.py`` maps it.)
 """
 
 from __future__ import annotations
@@ -105,21 +106,3 @@ def test_seeded_wait_for_cycle_fires_soda013():
     ])
     diags = _fired(records)
     assert [d.rule_id for d in diags] == ["SODA013"], diags
-
-
-def test_streaming_checker_agrees_with_batch_on_a_real_run():
-    from repro.analysis import check_network, check_stream
-    from repro.analysis.workloads import run_workload
-
-    net = run_workload("echo")
-    batch = [v.format() for v in check_network(net, strict_completion=True)]
-    stream = [
-        v.format()
-        for v in check_stream(
-            list(net.sim.trace.records),
-            network=net,
-            strict_completion=True,
-            ledger=net.ledger,
-        )
-    ]
-    assert stream == batch == []
