@@ -42,7 +42,7 @@ def check_liveness(
     problems: List[str] = []
     horizon = net.sim.now
     if spans is None:
-        spans = build_spans(net.sim.trace.records)
+        spans = build_spans(net.sim.trace.retained())
 
     for span in spans:
         if span.status == "pending" and span.request_us < horizon - grace_us:

@@ -2,14 +2,21 @@
 
 Each *cell* builds a workload (:func:`repro.analysis.workloads.build_workload`),
 applies a fault :class:`~repro.chaos.scenario.Scenario`, runs to a
-horizon past the last fault plus grace, then judges the run three ways:
+horizon past the last fault plus grace, and is judged *while it runs*:
+the judges are record sinks (``feed(record)`` / ``finish(...)``, each
+naming the categories it reads in a ``HANDLERS`` table) and
+:class:`SinkTable` merges them into the one sink the cell's tracer
+streams to, so no record outlives its dispatch (DESIGN.md §14):
 
-* the PR-1 invariant checker (safety; non-strict completion, because a
+* the invariant checker (safety; non-strict completion, because a
   requester that died mid-transaction legitimately leaves the server
   holding an un-ACCEPTed DELIVERED record forever);
-* the PR-2 span builder + :mod:`repro.chaos.liveness` (every REQUEST
-  outside the grace window reached a terminal status, no leaked
-  timers/windows, no wedged connections);
+* the span builder, whose spans :mod:`repro.chaos.liveness` judges at
+  the horizon together with live kernel state (every REQUEST outside
+  the grace window reached a terminal status, no leaked timers/windows,
+  no wedged connections, goodput and p99 within the schedule's bounds);
+* the KV sink (linearizability verdict and operation accounting) and
+  the recovery sink (failure detector, recovery counts, self-heal);
 * fault-plan accounting (what the schedule actually injected), folded
   into the report so a cell that injected nothing is visible.
 
@@ -20,9 +27,10 @@ virtual-time run ⇒ an identical report.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from types import MethodType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.invariants import check_network
+from repro.analysis.invariants import InvariantChecker
 from repro.analysis.workloads import WORKLOADS, WorkloadSpec, build_workload
 from repro.chaos.scenario import (
     ClientDie,
@@ -45,9 +53,9 @@ from repro.chaos.liveness import (
 )
 from repro.core.config import KernelConfig
 from repro.obs.export import snapshot_payload
-from repro.obs.spans import build_spans
-from repro.recovery.convergence import check_self_heal, recovery_summary
-from repro.replication.consistency import check_kv_consistency, kv_summary
+from repro.obs.spans import SpanBuilder
+from repro.recovery.convergence import RecoverySink
+from repro.replication.consistency import KvSink
 from repro.transport.adaptive import AdaptivePolicy, deltat_for_policy
 from repro.transport.retransmit import RetransmitPolicy
 
@@ -485,6 +493,42 @@ def make_schedule(name: str, spec: WorkloadSpec) -> Scenario:
     return factory(spec)
 
 
+class SinkTable:
+    """One ``{category: (handlers…)}`` table over the ``HANDLERS`` rows
+    of its sinks, installed as a tracer's sink: a record reaches the
+    judges that read its category — once, as it is emitted — and nobody
+    keeps it (DESIGN.md §14)."""
+
+    def __init__(self, *sinks) -> None:
+        rows: Dict[str, Tuple[Callable, ...]] = {}
+        for sink in sinks:
+            for category, handler in sink.HANDLERS.items():
+                rows[category] = rows.get(category, ()) + (
+                    MethodType(handler, sink),
+                )
+        self._rows = rows.get
+        self.records_fed = 0
+        self.end_time = 0.0
+
+    def install(self, net) -> "SinkTable":
+        """Attach to ``net``'s tracer, which must not have emitted yet:
+        a judge that joins late would pass on what it did not see."""
+        emitted = sum(net.sim.trace.counters.values())
+        if emitted:
+            raise RuntimeError(
+                f"{emitted} record(s) were emitted before the sinks "
+                f"were installed; live judging must see the whole run"
+            )
+        net.sim.trace.add_sink(self.feed)
+        return self
+
+    def feed(self, rec) -> None:
+        self.records_fed += 1
+        self.end_time = rec.time
+        for handler in self._rows(rec.category, ()):
+            handler(rec)
+
+
 def run_cell(
     workload: str,
     schedule: str,
@@ -497,29 +541,39 @@ def run_cell(
     (used by the shrinker and by checked-in reproducers), ``policy``
     overrides the adaptive default (used by the transport benchmark).
     ``causal`` additionally runs the causal analysis engine over the
-    cell's trace: the SODA010-013 race/deadlock rules."""
-    built = build_workload(workload, seed=seed, config=chaos_config(policy))
+    cell's trace: the SODA010-013 race/deadlock rules.
+
+    The judges run live, as one :class:`SinkTable` on the tracer, and
+    the trace is not retained — except under ``causal``, whose engine
+    indexes records by position and so is the one consumer of the list.
+    The table comes off the tracer at the horizon, so the sinks' state
+    is freed with this frame and not with the network's reference cycles.
+    """
+    built = build_workload(
+        workload, seed=seed, config=chaos_config(policy), keep_trace=causal
+    )
     if scenario is None:
         scenario = make_schedule(schedule, built.spec)
-    horizon = scenario.run(built)
     net = built.net
+    checker = InvariantChecker(network=net, strict_completion=False)
+    span_builder, kv_sink, recovery = SpanBuilder(), KvSink(), RecoverySink()
+    table = SinkTable(checker, span_builder, kv_sink, recovery).install(net)
+    horizon = scenario.run(built)
+    net.sim.trace.remove_sink(table.feed)
 
-    violations = check_network(net, strict_completion=False)
-    causal_problems: List[str] = []
-    if causal:
-        causal_problems = _causal_verdicts(net)
-    spans = build_spans(net.sim.trace.records)
+    violations = checker.finish(ledger=net.ledger, end_time=table.end_time)
+    causal_problems = _causal_verdicts(net) if causal else []
+    spans = span_builder.finish()
     problems = check_liveness(net, spans=spans)
-    selfheal = check_self_heal(built, scenario.last_action_us)
+    recovery_digest = recovery.finish()
+    selfheal = recovery.self_heal(built, scenario.last_action_us)
     degradation = check_degradation(
         spans,
         horizon,
         DEGRADATION_BOUNDS.get(schedule, DEFAULT_DEGRADATION_BOUNDS),
     )
-
-    records = net.sim.trace.records
-    consistency = check_kv_consistency(records)
-    summary = kv_summary(records)
+    consistency = kv_sink.finish()
+    summary = kv_sink.summary()
     kv = summary if summary["ops_invoked"] else {}
 
     by_status: Dict[str, int] = {}
@@ -546,7 +600,7 @@ def run_cell(
         degradation_problems=degradation,
         causal_problems=causal_problems,
         consistency_problems=consistency,
-        recovery=recovery_summary(records),
+        recovery=recovery_digest,
         kv=kv,
         spans_by_status=by_status,
         faults={

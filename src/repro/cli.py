@@ -322,14 +322,9 @@ def _recover(ns) -> int:
     from repro.analysis.workloads import build_workload
     from repro.chaos.scenario import ClientDie, NodeCrash, Scenario
     from repro.obs import MetricsHub
-    from repro.recovery import (
-        FailureDetector,
-        check_self_heal,
-        recovery_summary,
-    )
+    from repro.recovery.convergence import RecoverySink
 
     built = build_workload("supervised", seed=ns.seed)
-    detector = FailureDetector().install(built.net)
     hub = MetricsHub().install(built.net)
     scenario = Scenario(
         "recover_demo",
@@ -353,18 +348,20 @@ def _recover(ns) -> int:
         "recovery.retry": "client safely re-issued a failed REQUEST",
         "recovery.maybe": "client surfaced an ambiguous failure as MAYBE",
     }
+    sink = RecoverySink()
     print("timeline:")
-    for record in built.net.sim.trace.records:
+    for record in built.net.sim.trace.retained():
+        sink.feed(record)
         label = watched.get(record.category)
         if label is not None:
             print(f"  t={record.time / 1000.0:9.2f} ms  {label}")
 
     print()
     print("failure detector:")
-    for line in detector.format_table():
+    for line in sink.detector.format_table():
         print(f"  {line}")
 
-    summary = recovery_summary(built.net.sim.trace.records)
+    summary = sink.finish()
     print()
     print("recovery counters:")
     for name, value in summary["counts"].items():
@@ -372,7 +369,7 @@ def _recover(ns) -> int:
 
     outcomes = built.net.nodes[built.mid_of("client")].kernel.client
     outcomes = outcomes.program.outcomes if outcomes else []
-    problems = check_self_heal(built, scenario.last_action_us)
+    problems = sink.self_heal(built, scenario.last_action_us)
     unsafe = [s for s in outcomes if s not in ("completed", "maybe")]
     print()
     print(f"client outcomes: {outcomes}")
@@ -385,7 +382,7 @@ def _recover(ns) -> int:
         "recover_demo",
         {
             "summary": summary,
-            "detector": detector.summary(),
+            "detector": sink.detector.summary(),
             "outcomes": outcomes,
             "selfheal_problems": problems,
             "metrics": hub.report().snapshot,

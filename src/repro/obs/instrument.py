@@ -118,7 +118,7 @@ class MetricsHub:
         """Post-hoc: replay a finished run's retained trace records."""
         if self._net is None:
             self._net = net
-        for record in net.sim.trace.records:
+        for record in net.sim.trace.retained():
             self.on_record(record)
         return self.report()
 
@@ -296,7 +296,7 @@ class MetricsHub:
         set each call, so calling ``report`` twice never double-counts.
         """
         self.collect()
-        spans = self.spans.spans()
+        spans = self.spans.finish()
         for hist in span_statistics(spans).values():
             self.registry.install(hist)
         completed = sum(1 for span in spans if span.completed)

@@ -120,19 +120,9 @@ class SpanBuilder:
         self._spans: Dict[Tuple[int, int], TransactionSpan] = {}
 
     def feed(self, record: TraceRecord) -> None:
-        category = record.category
-        if category == "kernel.request":
-            self._on_request(record)
-        elif category == "kernel.delivered_state":
-            self._on_delivered_state(record)
-        elif category == "kernel.accept":
-            self._on_accept(record)
-        elif category == "kernel.complete":
-            self._on_complete(record)
-        elif category == "kernel.cancelled":
-            self._on_cancelled(record)
-        elif category == "kernel.busy_nack":
-            self._on_busy_nack(record)
+        handler = self.HANDLERS.get(record.category)
+        if handler is not None:
+            handler(self, record)
 
     def _on_request(self, record: TraceRecord) -> None:
         put_bytes = record.get("put", 0)
@@ -192,8 +182,20 @@ class SpanBuilder:
         if span is not None:
             span.busy_nacks += 1
 
-    def spans(self) -> List[TransactionSpan]:
-        """All spans, in REQUEST-issue order (deterministic)."""
+    #: The rows this sink adds to a ``{category: handlers}`` dispatch
+    #: table (the record → span event table of the module docstring).
+    HANDLERS = {
+        "kernel.request": _on_request,
+        "kernel.delivered_state": _on_delivered_state,
+        "kernel.accept": _on_accept,
+        "kernel.complete": _on_complete,
+        "kernel.cancelled": _on_cancelled,
+        "kernel.busy_nack": _on_busy_nack,
+    }
+
+    def finish(self) -> List[TransactionSpan]:
+        """All spans so far, in REQUEST-issue order (deterministic).
+        Not terminal: a live hub reports mid-run and keeps feeding."""
         return sorted(
             self._spans.values(), key=lambda s: (s.request_us, s.key)
         )
@@ -204,7 +206,7 @@ def build_spans(records: Iterable[TraceRecord]) -> List[TransactionSpan]:
     builder = SpanBuilder()
     for record in records:
         builder.feed(record)
-    return builder.spans()
+    return builder.finish()
 
 
 def span_statistics(

@@ -18,7 +18,7 @@ contract: *everything pending terminates, and the service comes back.*
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.recovery.detector import FailureDetector
 from repro.recovery.supervisor import SupervisorProgram
@@ -44,22 +44,129 @@ _SUMMARY_CATEGORIES = {
 }
 
 
+class RecoverySink:
+    """The recovery judge as a record sink: the failure detector, the
+    :data:`_SUMMARY_CATEGORIES` counts, and the instants the self-heal
+    verdict compares (a handful of entries per crash)."""
+
+    def __init__(self) -> None:
+        self.detector = FailureDetector()
+        self.counts = {key: 0 for key in sorted(_SUMMARY_CATEGORIES.values())}
+        #: service mid -> instants it was restored.
+        self.restored: Dict[int, List[float]] = {}
+        #: (category, time, service mid) of every escalation and crash
+        #: detection, in emission order — the order the verdict reports in.
+        self.alarms: List[Tuple[str, float, int]] = []
+        self._finished = False
+
+    def feed(self, record) -> None:
+        """Consume one trace record."""
+        if self._finished:
+            raise RuntimeError("RecoverySink already finished")
+        if record.category in self.HANDLERS:
+            self._on_record(record)
+
+    def _on_record(self, record) -> None:
+        category = record.category
+        key = _SUMMARY_CATEGORIES.get(category)
+        if key is not None:
+            self.counts[key] += 1
+        self.detector.on_record(record)
+        if category == "recovery.restored":
+            self.restored.setdefault(record["service_mid"], []).append(
+                record.time
+            )
+        elif category in ("recovery.escalated", "recovery.crash_detected"):
+            self.alarms.append((category, record.time, record["service_mid"]))
+
+    #: The rows this sink adds to a ``{category: handlers}`` dispatch
+    #: table: the counted categories plus the rest of what the detector
+    #: reads (it ignores what it does not).
+    HANDLERS = dict.fromkeys(
+        (*_SUMMARY_CATEGORIES, "kernel.boot_handler", "kernel.die",
+         "kernel.crash"),
+        _on_record,
+    )
+
+    def finish(self) -> Dict[str, object]:
+        """Close the stream; returns the deterministic recovery digest."""
+        self._finished = True
+        detector = self.detector
+        return {
+            "counts": self.counts,
+            "false_suspicions": detector.false_suspicions,
+            "epochs": {
+                str(mid): detector.views[mid].epoch
+                for mid in sorted(detector.views)
+            },
+        }
+
+    def self_heal(
+        self,
+        built: "BuiltWorkload",
+        last_fault_us: float,
+        bound_us: float = SELF_HEAL_BOUND_US,
+    ) -> List[str]:
+        """The convergence verdict of :func:`check_self_heal`, from what
+        was fed and ``built``'s live state at the horizon."""
+        supervised = built.spec.supervised
+        if not supervised:
+            return []
+        problems: List[str] = []
+        patterns = _supervisor_patterns(built)
+
+        for role_name in supervised:
+            mid = built.mid_of(role_name)
+            kernel = built.net.nodes[mid].kernel
+            client = kernel.client
+            if client is None or client.dead:
+                problems.append(
+                    f"supervised role {role_name!r} (mid {mid}) has no live "
+                    f"client at the horizon"
+                )
+                continue
+            pattern = patterns.get(mid)
+            if pattern is not None and not kernel.patterns.matches(pattern):
+                problems.append(
+                    f"supervised role {role_name!r} (mid {mid}) is alive but "
+                    f"its service pattern is not advertised at the horizon"
+                )
+
+        supervised_mids = {built.mid_of(name) for name in supervised}
+        for category, time, service_mid in self.alarms:
+            if service_mid not in supervised_mids:
+                continue
+            if category == "recovery.escalated":
+                problems.append(
+                    f"supervisor escalated service mid "
+                    f"{service_mid} at t={time:.0f}us "
+                    f"(restart budget exhausted)"
+                )
+                continue
+            deadline = max(time, last_fault_us) + bound_us
+            healed = any(
+                time <= t <= deadline
+                for t in self.restored.get(service_mid, ())
+            )
+            if not healed:
+                problems.append(
+                    f"service mid {service_mid} detected crashed at "
+                    f"t={time:.0f}us was not restored within "
+                    f"{bound_us:.0f}us of the last fault"
+                )
+        return problems
+
+
+def _fed(records) -> RecoverySink:
+    sink = RecoverySink()
+    for record in records:
+        sink.feed(record)
+    return sink
+
+
 def recovery_summary(records) -> Dict[str, object]:
     """Deterministic recovery digest of one run's trace records."""
-    detector = FailureDetector().ingest(records)
-    counts = {key: 0 for key in sorted(_SUMMARY_CATEGORIES.values())}
-    for record in records:
-        key = _SUMMARY_CATEGORIES.get(record.category)
-        if key is not None:
-            counts[key] += 1
-    return {
-        "counts": counts,
-        "false_suspicions": detector.false_suspicions,
-        "epochs": {
-            str(mid): detector.views[mid].epoch
-            for mid in sorted(detector.views)
-        },
-    }
+    return _fed(records).finish()
 
 
 def _supervisor_patterns(built: "BuiltWorkload") -> Dict[int, int]:
@@ -86,58 +193,7 @@ def check_self_heal(
     Empty for workloads with no ``supervised`` roles: the self-heal
     contract only binds services something promised to heal.
     """
-    supervised = built.spec.supervised
-    if not supervised:
+    if not built.spec.supervised:
         return []
-    problems: List[str] = []
-    records = built.net.sim.trace.records
-    patterns = _supervisor_patterns(built)
-
-    for role_name in supervised:
-        mid = built.mid_of(role_name)
-        kernel = built.net.nodes[mid].kernel
-        client = kernel.client
-        if client is None or client.dead:
-            problems.append(
-                f"supervised role {role_name!r} (mid {mid}) has no live "
-                f"client at the horizon"
-            )
-            continue
-        pattern = patterns.get(mid)
-        if pattern is not None and not kernel.patterns.matches(pattern):
-            problems.append(
-                f"supervised role {role_name!r} (mid {mid}) is alive but "
-                f"its service pattern is not advertised at the horizon"
-            )
-
-    supervised_mids = {built.mid_of(name) for name in supervised}
-    restored_times: Dict[int, List[float]] = {}
-    for record in records:
-        if record.category == "recovery.restored":
-            restored_times.setdefault(record["service_mid"], []).append(
-                record.time
-            )
-    for record in records:
-        if record.category == "recovery.escalated":
-            if record["service_mid"] in supervised_mids:
-                problems.append(
-                    f"supervisor escalated service mid "
-                    f"{record['service_mid']} at t={record.time:.0f}us "
-                    f"(restart budget exhausted)"
-                )
-        elif record.category == "recovery.crash_detected":
-            service_mid = record["service_mid"]
-            if service_mid not in supervised_mids:
-                continue
-            deadline = max(record.time, last_fault_us) + bound_us
-            healed = any(
-                record.time <= t <= deadline
-                for t in restored_times.get(service_mid, ())
-            )
-            if not healed:
-                problems.append(
-                    f"service mid {service_mid} detected crashed at "
-                    f"t={record.time:.0f}us was not restored within "
-                    f"{bound_us:.0f}us of the last fault"
-                )
-    return problems
+    sink = _fed(built.net.sim.trace.retained())
+    return sink.self_heal(built, last_fault_us, bound_us)

@@ -100,6 +100,25 @@ class Tracer:
         """True if ring-buffer mode has dropped any records."""
         return self.dropped_records > 0
 
+    @property
+    def replayable(self) -> bool:
+        """True while :attr:`records` holds every record ever emitted."""
+        return self.keep_records and not self.truncated
+
+    def retained(self) -> MutableSequence[TraceRecord]:
+        """:attr:`records`, for a post-hoc pass over a finished run — an
+        error on a partial list, which would be judged clean vacuously
+        (or guilty of what its missing prefix explains)."""
+        if not self.replayable:
+            raise ValueError(
+                f"trace holds {len(self.records)} of "
+                f"{sum(self.counters.values())} records emitted: a post-hoc "
+                f"pass would judge a partial run; use "
+                f"check_network_degraded(net), or install() the sink on "
+                f"the tracer before running"
+            )
+        return self.records
+
     def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
         """Stream every future record to ``sink`` (live metrics)."""
         self._sinks.append(sink)

@@ -133,9 +133,10 @@ def _trace_invariant_watch(request, monkeypatch):
     yield
     problems = []
     for net in seen:
-        if not net.sim.trace.keep_records:
-            continue  # counters-only runs cannot be replayed
-        if net.sim.trace.truncated:
+        if net.sim.trace.replayable:
+            for violation in check_network(net, strict_completion=False):
+                problems.append(violation.format())
+        elif net.sim.trace.truncated:
             # Ring-buffer traces lost their prefix; full replay is
             # unsound, but counters / live state / ledger still hold.
             import warnings
@@ -147,9 +148,7 @@ def _trace_invariant_watch(request, monkeypatch):
             )
             for violation in check_network_degraded(net):
                 problems.append("degraded: " + violation.format())
-            continue
-        for violation in check_network(net, strict_completion=False):
-            problems.append(violation.format())
+        # else counters-only (judged live, or not at all): nothing to replay
     if problems:
         pytest.fail(
             "trace invariant violations:\n" + "\n".join(problems),

@@ -310,7 +310,8 @@ def test_healthy_close_leaves_no_probe_timer():
     assert net.run_until(lambda: client.result is not None, timeout=RUN_US)
     assert net.sim.trace.count("kernel.tx") > 0 and net.sim.trace.truncated
     assert net.nodes[1].kernel.leaked_probe_timers() == []
-    assert check_liveness(net) == []
+    # spans=[]: the ring dropped records, so only kernel state is judged.
+    assert check_liveness(net, spans=[]) == []
     assert check_network_degraded(net) == []
 
 
@@ -333,7 +334,7 @@ def test_timer_leaked_by_a_close_is_still_reported(monkeypatch):
     assert kernel.requests == {}
     assert kernel.leaked_probe_timers() == [(tid, "probe_timer")]
 
-    problems = check_liveness(net)
+    problems = check_liveness(net, spans=[])
     assert problems == [
         f"node 1: closed request #{tid} leaked a live probe_timer"
     ]

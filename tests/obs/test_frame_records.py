@@ -30,15 +30,15 @@ PER_FRAME_RECORDS = {
         "fid": "causal.clocks: joins this tx to its kernel.rx",
     },
     "kernel.rx": {
-        "mid": "invariants _on_busy (connection key); "
+        "mid": "invariants _on_rx (connection key); "
                "causal.clocks; obs.instrument node.<mid>.*",
-        "src": "invariants _on_busy (connection key)",
+        "src": "invariants _on_rx (connection key)",
         "ptype": "human",
         "seq": "human",
-        "tid": "invariants _on_busy SODA007 hint matching",
+        "tid": "invariants _on_rx SODA007 hint matching",
         "ack": "human",
         "nack": "invariants: 'busy' opens the slow-retry regime",
-        "hint": "invariants _on_busy SODA007",
+        "hint": "invariants _on_rx SODA007",
         "fid": "causal.clocks: joins this rx to its kernel.tx",
     },
     "conn.acked": {

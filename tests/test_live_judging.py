@@ -1,0 +1,260 @@
+"""Live judging equals post-hoc judging (DESIGN.md §14).
+
+``run_cell`` judges a cell through one :class:`~repro.chaos.runner.
+SinkTable` on the tracer and retains no record.  The way it judged
+before — build retained, run, then walk the list with the public
+post-hoc functions — is kept *here* as the reference
+(:func:`reference_run_cell`), so a sink that drifts from its function
+fails a test instead of moving a verdict quietly.
+"""
+
+import gc
+import itertools
+import tracemalloc
+
+import pytest
+
+from repro.analysis.invariants import check_network
+from repro.analysis.workloads import build_workload
+from repro.chaos import check_liveness, run_cell, runner
+from repro.chaos.liveness import check_degradation
+from repro.chaos.runner import (
+    DEFAULT_DEGRADATION_BOUNDS,
+    DEGRADATION_BOUNDS,
+    CellResult,
+    SinkTable,
+    chaos_config,
+    make_schedule,
+)
+from repro.obs import MetricsHub
+from repro.obs.spans import build_spans
+from repro.recovery import check_self_heal, recovery_summary
+from repro.replication import check_kv_consistency, kv_summary
+from repro.transport import packet
+from tests.test_chaos import GATE_CELLS
+
+BASELINE_CELL = ("kvstore_supervised", "primary_crash_load", 3)
+#: perf's ``kv_faults`` schedules, one cell each.
+KV_FAULT_CELLS = [
+    ("kvstore_supervised", schedule, 3)
+    for schedule in (
+        "cluster_restart",
+        "cluster_power_loss",
+        "partition_heal",
+        "backup_flap",
+        "torn_write_primary",
+    )
+]
+#: ROADMAP's three reproducible unclean cells: their verdict lists are
+#: not empty, so the comparison is word for word.
+UNCLEAN_CELLS = [
+    ("cancel", "lossy", 5),
+    ("stream", "sustained_loss", 6),
+    ("busy", "duplicate", 93),
+]
+CELLS = (
+    [(workload, schedule, 1) for workload, schedule in GATE_CELLS]
+    + [BASELINE_CELL]
+    + KV_FAULT_CELLS
+    + UNCLEAN_CELLS
+)
+
+
+def reference_run_cell(workload, schedule, seed, causal=False):
+    """``run_cell`` as it was while the trace was retained and walked
+    once per judge."""
+    built = build_workload(workload, seed=seed, config=chaos_config())
+    scenario = make_schedule(schedule, built.spec)
+    horizon = scenario.run(built)
+    net = built.net
+    records = net.sim.trace.records
+
+    violations = check_network(net, strict_completion=False)
+    causal_problems = runner._causal_verdicts(net) if causal else []
+    spans = build_spans(records)
+    summary = kv_summary(records)
+    by_status = {}
+    for span in spans:
+        by_status[span.status] = by_status.get(span.status, 0) + 1
+    faults = net.faults
+    disk_faults = {}
+    for node in net.nodes.values():
+        plan = getattr(getattr(node, "disk", None), "plan", None)
+        if plan is None:
+            continue
+        for key, value in plan.counter_snapshot().items():
+            disk_faults[f"disk_{key}"] = (
+                disk_faults.get(f"disk_{key}", 0) + value
+            )
+    return CellResult(
+        workload=workload,
+        schedule=schedule,
+        seed=seed,
+        horizon_us=horizon,
+        invariant_violations=[v.format() for v in violations],
+        liveness_problems=check_liveness(net, spans=spans),
+        selfheal_problems=check_self_heal(built, scenario.last_action_us),
+        degradation_problems=check_degradation(
+            spans,
+            horizon,
+            DEGRADATION_BOUNDS.get(schedule, DEFAULT_DEGRADATION_BOUNDS),
+        ),
+        causal_problems=causal_problems,
+        consistency_problems=check_kv_consistency(records),
+        recovery=recovery_summary(records),
+        kv=summary if summary["ops_invoked"] else {},
+        spans_by_status=by_status,
+        faults={
+            "frames_lost": faults.frames_lost,
+            "frames_corrupted": faults.frames_corrupted,
+            "frames_scripted_drops": faults.frames_scripted_drops,
+            "deliveries_predicate_dropped": (
+                faults.deliveries_predicate_dropped
+            ),
+            "deliveries_duplicated": faults.deliveries_duplicated,
+            "deliveries_reordered": faults.deliveries_reordered,
+            **disk_faults,
+        },
+        frames_sent=net.bus.frames_sent,
+    )
+
+
+@pytest.mark.parametrize(
+    "cell", CELLS, ids=["/".join(map(str, cell)) for cell in CELLS]
+)
+def test_live_verdict_equals_post_hoc_verdict(cell, monkeypatch):
+    def as_in_a_fresh_process(fn):
+        # Packet ids are minted per process and SODA007 quotes one.
+        monkeypatch.setattr(packet, "_packet_ids", itertools.count(1))
+        return fn(*cell).to_dict()
+
+    live = as_in_a_fresh_process(run_cell)
+    assert live == as_in_a_fresh_process(reference_run_cell)
+    if cell in UNCLEAN_CELLS:
+        assert not live["ok"]
+    if cell == UNCLEAN_CELLS[2]:
+        assert "SODA007 [mid=1] BUSY retry of pkt#33" in "".join(
+            live["invariant_violations"]
+        )
+
+
+@pytest.mark.parametrize(
+    "cell", [BASELINE_CELL, UNCLEAN_CELLS[1]], ids=["kv", "stream"]
+)
+def test_causal_cell_equals_post_hoc_verdict(cell):
+    assert (
+        run_cell(*cell, causal=True).to_dict()
+        == reference_run_cell(*cell, causal=True).to_dict()
+    )
+
+
+# -- retention ---------------------------------------------------------------
+
+
+@pytest.fixture
+def cells_seen(monkeypatch):
+    """``(built workload, sink table)`` of every cell ``run_cell`` runs
+    while the fixture is active."""
+    built, tables = [], []
+
+    def capture(*args, **kwargs):
+        built.append(build_workload(*args, **kwargs))
+        return built[-1]
+
+    class CapturedTable(SinkTable):
+        def __init__(self, *sinks):
+            super().__init__(*sinks)
+            tables.append(self)
+
+    monkeypatch.setattr(runner, "build_workload", capture)
+    monkeypatch.setattr(runner, "SinkTable", CapturedTable)
+    return built, tables
+
+
+def test_non_causal_cell_retains_nothing_and_feeds_everything(cells_seen):
+    assert run_cell(*BASELINE_CELL).ok
+    ((built,), (table,)) = cells_seen
+    trace = built.net.sim.trace
+    assert len(trace.records) == 0 and not trace.keep_records
+    assert table.records_fed == sum(trace.counters.values()) > 40_000
+    assert 0.0 < table.end_time <= built.net.sim.now
+    # Uninstalled after the run: the sinks die with run_cell's frame,
+    # not with the network's reference cycles.
+    assert trace.passive
+
+
+def test_causal_cell_retains_every_record(cells_seen):
+    assert run_cell("echo", "lossy", 1, causal=True).ok
+    ((built,), (table,)) = cells_seen
+    trace = built.net.sim.trace
+    assert trace.replayable
+    assert len(trace.records) == sum(trace.counters.values()) > 0
+    assert table.records_fed == len(trace.records)
+
+
+def test_sinks_must_be_installed_before_the_first_record(monkeypatch):
+    def forged(*args, **kwargs):
+        built = build_workload(*args, **kwargs)
+        built.net.sim.trace.record(0.0, "kernel.boot_handler", mid=1)
+        return built
+
+    monkeypatch.setattr(runner, "build_workload", forged)
+    with pytest.raises(RuntimeError, match="1 record.* before the sinks"):
+        run_cell("echo", "calm", 1)
+
+
+def test_live_cell_peaks_at_a_quarter_of_the_retained_one():
+    def peak_of(fn):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fn(*BASELINE_CELL)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_cell("echo", "calm", 1)  # imports and caches, outside both peaks
+    live, retained = peak_of(run_cell), peak_of(reference_run_cell)
+    assert live <= 0.25 * retained, (live, retained)
+
+
+# -- a post-hoc judge must see the whole run -----------------------------------
+
+
+def _ran(name, **kwargs):
+    built = build_workload(name, **kwargs)
+    built.net.run(until=built.spec.until_us)
+    return built
+
+
+POST_HOC_ENTRY_POINTS = {
+    "check_network": lambda built: check_network(built.net),
+    "check_liveness": lambda built: check_liveness(built.net),
+    "check_self_heal": lambda built: check_self_heal(built, 0.0),
+    "MetricsHub.ingest": lambda built: MetricsHub().ingest(built.net),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POST_HOC_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "shape", [{"keep_trace": False}, {"max_trace_records": 50}], ids=str
+)
+def test_post_hoc_judge_refuses_a_partial_trace(entry, shape):
+    """Counters-only, the judges passed vacuously; truncated, they
+    reported an ``illegal transition None -> 'accepted'`` the missing
+    prefix explains."""
+    built = _ran("supervised" if entry == "check_self_heal" else "echo", **shape)
+    trace = built.net.sim.trace
+    assert not trace.replayable
+    assert sum(trace.counters.values()) > len(trace.records)
+    with pytest.raises(ValueError, match="check_network_degraded.*install"):
+        POST_HOC_ENTRY_POINTS[entry](built)
+
+
+def test_post_hoc_judges_still_check_a_retained_run():
+    built = _ran("echo")
+    assert built.net.sim.trace.replayable
+    assert check_network(built.net) == []
+    assert check_liveness(built.net) == []
+    assert check_self_heal(built, 0.0) == []
+    assert MetricsHub().ingest(built.net).completed_spans
