@@ -133,13 +133,9 @@ class Connection:
         # sequence bit away: its next transmission is a fresh send, not
         # a retransmission, and the taker legitimately reuses the bit.
         self.sim.trace.record(
-            self.sim.now,
-            "conn.seq_swap",
-            mid=self.kernel.mid,
-            peer=self.peer_mid,
-            parked_pid=parked.packet.packet_id,
-            taker_pid=self.outbox[0].packet.packet_id,
-            seq=self.send_seq,
+            self.sim.now, "conn.seq_swap",
+            self.kernel.mid, self.peer_mid, parked.packet.packet_id,
+            self.outbox[0].packet.packet_id, self.send_seq,
         )
         parked.packet.seq = None
         parked.busy_attempts = 0
@@ -230,16 +226,16 @@ class Connection:
         self.sim.trace.record(
             self.sim.now,
             "conn.retransmit",
-            mid=self.kernel.mid,
-            peer=self.peer_mid,
-            kind=message.kind,
-            attempt=message.attempts,
+            self.kernel.mid,
+            self.peer_mid,
+            message.kind,
+            message.attempts,
             # Realized recovery wait: how long this copy went unacked
             # before the RTO fired.  The sim-vs-real bench compares the
             # mean across policies (static 60ms+backoff vs adaptive's
             # estimated RTO), which is the structural claim a wall
             # clock can't blur.
-            waited_us=self.sim.now - message.last_tx_us,
+            self.sim.now - message.last_tx_us,
         )
         if self.estimator is not None:
             self.estimator.back_off(
@@ -254,11 +250,8 @@ class Connection:
         # (which, under a long Delta-t R, can outlive the death).
         self.resync_next = True
         self.sim.trace.record(
-            self.sim.now,
-            "conn.peer_dead",
-            mid=self.kernel.mid,
-            peer=self.peer_mid,
-            kind=message.kind,
+            self.sim.now, "conn.peer_dead",
+            self.kernel.mid, self.peer_mid, message.kind,
         )
         self.outstanding = None
         self._cancel_timer("_retransmit_timer")
@@ -304,41 +297,20 @@ class Connection:
             and echo_tx_us < message.last_tx_us
         ):
             self.sim.trace.record(
-                self.sim.now,
-                "conn.spurious_retransmit",
-                mid=self.kernel.mid,
-                peer=self.peer_mid,
-                kind=message.kind,
-                attempts=message.attempts,
+                self.sim.now, "conn.spurious_retransmit",
+                self.kernel.mid, self.peer_mid, message.kind, message.attempts,
             )
         # Karn's rule: only a message that was never retransmitted
         # yields an unambiguous RTT sample.
-        sampled = (
-            not implicit and message.attempts == 1 and self.estimator is not None
-        )
-        if sampled:
+        if not implicit and message.attempts == 1 and self.estimator is not None:
             self.estimator.sample(rtt_us)
         # The obs layer's per-message RTT sample: time from the last
         # (re)transmission to the acknowledgement that released the
         # channel, including kernel-CPU queueing at both ends.
         self.sim.trace.record(
-            self.sim.now,
-            "conn.acked",
-            mid=self.kernel.mid,
-            peer=self.peer_mid,
-            kind=message.kind,
-            attempts=message.attempts,
-            rtt_us=rtt_us,
-            policy=self.kernel.config.retransmit.kind,
-            sampled=sampled,
-            srtt_us=(
-                self.estimator.srtt_us if self.estimator is not None else None
-            ),
-            rttvar_us=(
-                self.estimator.rttvar_us
-                if self.estimator is not None
-                else None
-            ),
+            self.sim.now, "conn.acked",
+            self.kernel.mid, self.peer_mid, message.kind, message.attempts, rtt_us,
+            self.kernel.config.retransmit.kind,
         )
         if message.on_acked is not None:
             message.on_acked()
@@ -381,11 +353,8 @@ class Connection:
         if self.outstanding is not message:
             return
         self.sim.trace.record(
-            self.sim.now,
-            "conn.busy_retry",
-            mid=self.kernel.mid,
-            peer=self.peer_mid,
-            attempt=message.busy_attempts,
+            self.sim.now, "conn.busy_retry",
+            self.kernel.mid, self.peer_mid, message.busy_attempts,
         )
         self._transmit(message, first=False)
 
@@ -414,12 +383,8 @@ class Connection:
             self._resync_pid = packet.packet_id
             self.recv_record.destroy()
             self.sim.trace.record(
-                self.sim.now,
-                "conn.resync",
-                mid=self.kernel.mid,
-                peer=self.peer_mid,
-                pid=packet.packet_id,
-                seq=packet.seq,
+                self.sim.now, "conn.resync",
+                self.kernel.mid, self.peer_mid, packet.packet_id, packet.seq,
             )
         return self.recv_record.classify(packet.seq, self.sim.now)
 

@@ -273,12 +273,8 @@ class SodaKernel:
             return
         delivered.state = state
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.delivered_state",
-            mid=self.mid,
-            src=delivered.sig.mid,
-            tid=delivered.sig.tid,
-            state=state.value,
+            self.sim.now, "kernel.delivered_state",
+            self.mid, delivered.sig.mid, delivered.sig.tid, state.value,
         )
         self._retire_if_settled(delivered)
 
@@ -301,12 +297,8 @@ class SodaKernel:
     def _note_delivered(self, delivered: DeliveredRequest) -> None:
         self.delivered[delivered.sig] = delivered
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.delivered_state",
-            mid=self.mid,
-            src=delivered.sig.mid,
-            tid=delivered.sig.tid,
-            state=delivered.state.value,
+            self.sim.now, "kernel.delivered_state",
+            self.mid, delivered.sig.mid, delivered.sig.tid, delivered.state.value,
         )
 
     def _kernel_work(
@@ -356,26 +348,26 @@ class SodaKernel:
             # Nobody reads the fields; only the category counter moves.
             trace.record(self.sim.now, "kernel.tx")
             return
-        fields = dict(
-            mid=self.mid,
-            dst=dst,
-            ptype=packet.ptype._value_,
-            bytes=packet.data_bytes,
+        trace.record(
+            self.sim.now,
+            "kernel.tx",
+            self.mid,
+            dst,
+            packet.ptype._value_,
+            packet.data_bytes,
             # Fields consumed by the trace invariant checker
             # (repro.analysis.invariants): alternating bit, packet
             # identity (stable across retransmissions), piggybacked ack.
-            seq=packet.seq,
-            pid=packet.packet_id,
-            tid=packet.tid,
-            ack=packet.ack,
+            packet.seq,
+            packet.packet_id,
+            packet.tid,
+            packet.ack,
             # Send/receive correlation for the causal analysis engine
             # (repro.analysis.causal): every transmission is a fresh
             # frame, so the frame id pairs this tx with its rx(s).
-            fid=frame.frame_id,
+            frame.frame_id,
+            packet.epoch,
         )
-        if packet.epoch is not None:
-            fields["epoch"] = packet.epoch
-        trace.record(self.sim.now, "kernel.tx", **fields)
 
     def on_frame(self, frame: Frame) -> None:
         if self.offline_until is not None:
@@ -456,24 +448,24 @@ class SodaKernel:
             # Nobody reads the fields; only the category counter moves.
             trace.record(self.sim.now, "kernel.rx")
             return
-        fields = dict(
-            mid=self.mid,
-            src=src,
-            ptype=packet.ptype._value_,
-            seq=packet.seq,
-            tid=packet.tid,
-            ack=packet.ack,
-            nack=packet.nack_code._value_ if packet.nack_code else None,
+        trace.record(
+            self.sim.now,
+            "kernel.rx",
+            self.mid,
+            src,
+            packet.ptype._value_,
+            packet.seq,
+            packet.tid,
+            packet.ack,
+            packet.nack_code._value_ if packet.nack_code else None,
             # Retry hint as *received* — sodalint rule SODA007 binds a
             # client only to hints that actually reached it.
-            hint=packet.retry_hint_us,
+            packet.retry_hint_us,
             # Frame id pairs this rx with its kernel.tx (causal edge);
             # None for traces replayed without NIC correlation.
-            fid=fid,
+            fid,
+            packet.epoch,
         )
-        if packet.epoch is not None:
-            fields["epoch"] = packet.epoch
-        trace.record(self.sim.now, "kernel.rx", **fields)
 
     def _accept_sequenced(self, conn: Connection, packet: Packet) -> bool:
         """Consume a sequenced packet; False for duplicates (re-acked)."""
@@ -564,12 +556,8 @@ class SodaKernel:
         if self.overload.observe(self._input_occupancy_us()):
             if self._accept_sequenced(conn, packet):
                 self.sim.trace.record(
-                    self.sim.now,
-                    "kernel.shed",
-                    mid=self.mid,
-                    src=src,
-                    tid=packet.tid,
-                    occupancy_us=self.overload.last_occupancy_us,
+                    self.sim.now, "kernel.shed",
+                    self.mid, src, packet.tid, self.overload.last_occupancy_us,
                 )
                 self.overload.sheds += 1
                 conn.send_nack(NackCode.OVERLOAD, tid=packet.tid)
@@ -589,7 +577,8 @@ class SodaKernel:
             )
             self.held = HeldRequest(src, packet, timer)
             self.sim.trace.record(
-                self.sim.now, "kernel.hold", mid=self.mid, src=src, tid=packet.tid
+                self.sim.now, "kernel.hold",
+                self.mid, src, packet.tid,
             )
         else:
             hint = self.overload.retry_hint_us(
@@ -602,9 +591,9 @@ class SodaKernel:
                 retry_hint_us=hint,
             )
             self.sim.trace.record(
-                self.sim.now, "kernel.busy_nack", mid=self.mid, src=src,
-                tid=packet.tid,
-                hint_us=hint,
+                self.sim.now, "kernel.busy_nack", self.mid, src, packet.tid,
+                hint,
+                None,  # hold_expired
             )
 
     def _input_occupancy_us(self) -> float:
@@ -636,13 +625,9 @@ class SodaKernel:
             retry_hint_us=hint,
         )
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.busy_nack",
-            mid=self.mid,
-            src=held.src,
-            tid=held.packet.tid,
-            hold_expired=True,
-            hint_us=hint,
+            self.sim.now, "kernel.busy_nack",
+            self.mid, held.src, held.packet.tid, hint,
+            True,  # hold_expired
         )
 
     def _deliver_arrival(self, src: int, packet: Packet) -> None:
@@ -694,10 +679,8 @@ class SodaKernel:
             "context_switch", self.config.timing.context_switch_us
         )
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.interrupt",
-            mid=self.mid,
-            reason=event.reason.value,
+            self.sim.now, "kernel.interrupt",
+            self.mid, event.reason.value,
         )
         assert self.client is not None
         self.client.run_handler(event)
@@ -719,12 +702,12 @@ class SodaKernel:
         """
         self.handler_open = True
         self._handler_busy = True
-        self.sim.trace.record(self.sim.now, "kernel.boot_handler", mid=self.mid)
+        self.sim.trace.record(self.sim.now, "kernel.boot_handler", self.mid)
 
     def client_endhandler(self) -> Optional[HandlerEvent]:
         """ENDHANDLER: returns an event to run immediately, if any."""
         self.ledger.charge("context_switch", self.config.timing.endhandler_us)
-        self.sim.trace.record(self.sim.now, "kernel.endhandler", mid=self.mid)
+        self.sim.trace.record(self.sim.now, "kernel.endhandler", self.mid)
         self._handler_busy = False
         if self._pending_handler_open is not None:
             self.handler_open = self._pending_handler_open
@@ -792,15 +775,11 @@ class SodaKernel:
         self.patterns.advertise(pattern)
         # Advertisement-table writes are traced so the causal race
         # detector can watch the shared cell (repro.analysis.causal).
-        self.sim.trace.record(
-            self.sim.now, "kernel.advertise", mid=self.mid, pattern=pattern
-        )
+        self.sim.trace.record(self.sim.now, "kernel.advertise", self.mid, pattern)
 
     def client_unadvertise(self, pattern: Pattern) -> None:
         self.patterns.unadvertise(pattern)
-        self.sim.trace.record(
-            self.sim.now, "kernel.unadvertise", mid=self.mid, pattern=pattern
-        )
+        self.sim.trace.record(self.sim.now, "kernel.unadvertise", self.mid, pattern)
 
     def client_getuniqueid(self) -> Pattern:
         return self.uidgen.next_pattern()
@@ -856,14 +835,9 @@ class SodaKernel:
         )
         self.requests[tid] = record
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.request",
-            mid=self.mid,
-            tid=tid,
-            dst=server_sig.mid,
-            pattern=server_sig.pattern,
-            put=len(put_data),
-            get=get_buffer.capacity,
+            self.sim.now, "kernel.request",
+            self.mid, tid, server_sig.mid, server_sig.pattern, len(put_data),
+            get_buffer.capacity,
         )
         if server_sig.mid == BROADCAST:
             record.is_discover = True
@@ -976,16 +950,10 @@ class SodaKernel:
             return
         self._close_request(record, RequestState.COMPLETED, status)
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.complete",
-            mid=self.mid,
-            tid=record.tid,
-            status=status.value,
-            arg=0,
-            taken_put=0,
-            taken_get=0,
-            reason=reason,
-            not_executed=not_executed,
+            self.sim.now, "kernel.complete",
+            self.mid, record.tid, status.value,
+            0, 0, 0,  # arg, taken_put, taken_get
+            reason, not_executed,
         )
         # Crash-report hook (§3.6 → repro.recovery): every failed
         # transaction names the peer it gave up on, why, and whether the
@@ -994,14 +962,9 @@ class SodaKernel:
         # detector's suspicion counters.
         if crash_report:
             self.sim.trace.record(
-                self.sim.now,
-                "kernel.crash_report",
-                mid=self.mid,
-                peer=record.server_sig.mid,
-                tid=record.tid,
-                status=status.value,
-                reason=reason,
-                not_executed=not_executed,
+                self.sim.now, "kernel.crash_report",
+                self.mid, record.server_sig.mid, record.tid, status.value, reason,
+                not_executed,
             )
         event = HandlerEvent(
             reason=HandlerReason.REQUEST_COMPLETE,
@@ -1069,14 +1032,10 @@ class SodaKernel:
             taken_get=taken_get,
         )
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.complete",
-            mid=self.mid,
-            tid=record.tid,
-            status=RequestStatus.COMPLETED.value,
-            arg=packet.arg,
-            taken_put=packet.taken_put,
-            taken_get=taken_get,
+            self.sim.now, "kernel.complete",
+            self.mid, record.tid, RequestStatus.COMPLETED.value,
+            packet.arg, packet.taken_put, taken_get,
+            None, None,  # reason, not_executed
         )
         self._deliver_completion(event)
 
@@ -1170,15 +1129,9 @@ class SodaKernel:
         )
         conn.enqueue(message)
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.accept",
-            mid=self.mid,
-            sig=str(req_sig),
-            src=req_sig.mid,
-            tid=req_sig.tid,
-            wait=wait_for,
-            taken_put=taken_put,
-            taken_get=taken_get,
+            self.sim.now, "kernel.accept",
+            self.mid, str(req_sig), req_sig.mid, req_sig.tid, wait_for, taken_put,
+            taken_get,
         )
         return future
 
@@ -1267,7 +1220,8 @@ class SodaKernel:
         if record.state is RequestState.QUEUED:
             self._close_request(record, RequestState.CANCELLED)
             self.sim.trace.record(
-                self.sim.now, "kernel.cancelled", mid=self.mid, tid=record.tid
+                self.sim.now, "kernel.cancelled",
+                self.mid, record.tid,
             )
             self.sim.schedule(small, future.resolve, CancelStatus.SUCCESS)
             return future
@@ -1322,7 +1276,8 @@ class SodaKernel:
         if packet.arg == 1:
             self._close_request(record, RequestState.CANCELLED)
             self.sim.trace.record(
-                self.sim.now, "kernel.cancelled", mid=self.mid, tid=record.tid
+                self.sim.now, "kernel.cancelled",
+                self.mid, record.tid,
             )
             future.resolve(CancelStatus.SUCCESS)
         else:
@@ -1511,14 +1466,10 @@ class SodaKernel:
         data = mids_to_bytes(sorted(state.mids))
         taken = record.get_buffer.write(data)
         self.sim.trace.record(
-            self.sim.now,
-            "kernel.complete",
-            mid=self.mid,
-            tid=record.tid,
-            status=RequestStatus.COMPLETED.value,
-            arg=0,
-            taken_put=0,
-            taken_get=taken,
+            self.sim.now, "kernel.complete",
+            self.mid, record.tid, RequestStatus.COMPLETED.value,
+            0, 0, taken,  # arg, taken_put, taken_get
+            None, None,  # reason, not_executed
         )
         event = HandlerEvent(
             reason=HandlerReason.REQUEST_COMPLETE,
@@ -1611,9 +1562,7 @@ class SodaKernel:
         )  # convert to a RESERVED pattern (§3.5.2)
         self._load = LoadState(load_pattern=load_pattern, parent_mid=src)
         self._boot_active = False
-        self.sim.trace.record(
-            self.sim.now, "kernel.boot_granted", mid=self.mid, parent=src
-        )
+        self.sim.trace.record(self.sim.now, "kernel.boot_granted", self.mid, src)
         self._kernel_accept(src, packet, data=pattern_to_bytes(load_pattern))
 
     def _handle_load_request(self, src: int, packet: Packet) -> None:
@@ -1648,7 +1597,8 @@ class SodaKernel:
         if self.node is None:
             raise SodaError("kernel has no node; cannot start booted clients")
         self.sim.trace.record(
-            self.sim.now, "kernel.boot_start", mid=self.mid, parent=load.parent_mid
+            self.sim.now, "kernel.boot_start",
+            self.mid, load.parent_mid,
         )
         self.node.start_booted_client(load.image, load.parent_mid)
 
@@ -1710,7 +1660,7 @@ class SodaKernel:
 
     def client_die(self) -> None:
         """DIE: reset kernel state; the node becomes bootable again."""
-        self.sim.trace.record(self.sim.now, "kernel.die", mid=self.mid)
+        self.sim.trace.record(self.sim.now, "kernel.die", self.mid)
         self._kill_client()
 
     def _kill_client(self) -> None:
@@ -1724,9 +1674,7 @@ class SodaKernel:
         # ACCEPT naming one must be answered CRASHED, not CANCELLED
         # (§3.6.1 "stale" ACCEPTs).
         self.epoch += 1
-        self.sim.trace.record(
-            self.sim.now, "kernel.client_reset", mid=self.mid, epoch=self.epoch
-        )
+        self.sim.trace.record(self.sim.now, "kernel.client_reset", self.mid, self.epoch)
         self._tid_watermark = self.uidgen.counter
         self.patterns.clear()
         self.completion_queue.clear()
@@ -1735,10 +1683,8 @@ class SodaKernel:
             # liveness check) sees a terminal state for every REQUEST
             # the dead incarnation left in flight.
             self.sim.trace.record(
-                self.sim.now,
-                "kernel.cancelled",
-                mid=self.mid,
-                tid=record.tid,
+                self.sim.now, "kernel.cancelled",
+                self.mid, record.tid,
             )
             self._close_request(record, RequestState.CANCELLED)
         self._cancelled_tids.clear()
@@ -1793,16 +1739,14 @@ class SodaKernel:
         self._discovers.clear()
         quiet = self.config.deltat.crash_quiet_us
         self.offline_until = self.sim.now + quiet
-        self.sim.trace.record(
-            self.sim.now, "kernel.crash", mid=self.mid, quiet_us=quiet
-        )
+        self.sim.trace.record(self.sim.now, "kernel.crash", self.mid, quiet)
         self.sim.schedule(quiet, self._recover)
 
     def _recover(self) -> None:
         self.offline_until = None
         self.uidgen.reboot(self.uidgen.counter + 1)
         self._boot_active = self.client is None
-        self.sim.trace.record(self.sim.now, "kernel.recovered", mid=self.mid)
+        self.sim.trace.record(self.sim.now, "kernel.recovered", self.mid)
 
     def __repr__(self) -> str:
         return f"<SodaKernel mid={self.mid} {self.machine_type}>"

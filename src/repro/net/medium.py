@@ -147,18 +147,12 @@ class BroadcastBus:
                         self.sim.schedule(delay, nic.deliver, frame)
                 if len(delays) != 1 or delays[0] > 0.0:
                     self.sim.trace.record(
-                        self.sim.now,
-                        "net.replay",
-                        src=frame.src,
-                        dst=nic.mid,
-                        frame_id=frame.frame_id,
-                        kind="dup" if len(delays) > 1 else "reorder",
+                        self.sim.now, "net.replay",
+                        frame.src, nic.mid, frame.frame_id,
+                        "dup" if len(delays) > 1 else "reorder",
                     )
             else:
                 self.sim.trace.record(
-                    self.sim.now,
-                    "net.drop",
-                    src=frame.src,
-                    dst=nic.mid,
-                    frame_id=frame.frame_id,
+                    self.sim.now, "net.drop",
+                    frame.src, nic.mid, frame.frame_id,
                 )

@@ -37,7 +37,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cli import COMMANDS, flag_argv
 from repro.netreal.node import RealNetwork
@@ -211,6 +211,55 @@ def analyze_merged(
 # ---------------------------------------------------------------------------
 
 
+def judge_traces(
+    trace_paths: Sequence[Path],
+    policy: RetransmitPolicy,
+    result: RealRunResult,
+    out=print,
+) -> None:
+    """Merge the per-node trace files and judge the run — or, when a
+    file is missing or torn, report that and attach the merged tail."""
+    present = [
+        (mid, path) for mid, path in enumerate(trace_paths) if path.exists()
+    ]
+    metas, merged, ledger = merge_traces([path for _, path in present])
+    result.records = len(merged)
+    # A child killed mid-dump leaves a torn file: what it holds is
+    # evidence for the failure report, never a run to judge.
+    torn = [
+        f"node {mid}'s trace is torn: {meta['torn']} of "
+        f"{meta.get('records', '?')} records"
+        for (mid, _), meta in zip(present, metas)
+        if "torn" in meta
+    ]
+    result.runner_problems.extend(torn)
+    if len(present) == len(trace_paths) and not torn:
+        out(
+            f"  merged {len(merged)} trace records from "
+            f"{len(present)} process(es)"
+        )
+        analyze_merged(merged, ledger, policy, result)
+    else:
+        # A child wedged or died before (or while) dumping.  The run
+        # is failed, but whatever was written is still evidence: attach
+        # the merged tail so the failure report shows where the trace
+        # stops.
+        if not result.runner_problems:  # pragma: no cover - defensive
+            result.runner_problems.append(
+                f"only {len(present)}/{len(trace_paths)} trace file(s) "
+                f"were written"
+            )
+        if present:
+            result.partial_trace_tail = [
+                {"time": rec.time, "category": rec.category, **rec.fields}
+                for rec in merged[-40:]
+            ]
+            out(
+                f"  partial: merged {len(merged)} record(s) from "
+                f"{len(present)}/{len(trace_paths)} trace file(s)"
+            )
+
+
 async def _parent(
     node: Dict[str, Any], trace_dir: Path, out, horizon_us: Optional[float]
 ) -> RealRunResult:
@@ -374,35 +423,7 @@ async def _parent(
             f"node process(es) {failed} did not finish cleanly"
         )
 
-    present = [path for path in trace_paths if path.exists()]
-    if len(present) == count:
-        metas, merged, ledger = merge_traces(present)
-        result.records = len(merged)
-        out(
-            f"  merged {len(merged)} trace records from "
-            f"{len(present)} process(es)"
-        )
-        analyze_merged(merged, ledger, policy_for(policy_name), result)
-    else:
-        # A child wedged or died before dumping.  The run is failed,
-        # but whatever the survivors wrote is still evidence: merge it
-        # and attach the tail so the failure report shows where the
-        # trace stops.
-        if not result.runner_problems:  # pragma: no cover - defensive
-            result.runner_problems.append(
-                f"only {len(present)}/{count} trace file(s) were written"
-            )
-        if present:
-            _metas, merged, _ledger = merge_traces(present)
-            result.records = len(merged)
-            result.partial_trace_tail = [
-                {"time": rec.time, "category": rec.category, **rec.fields}
-                for rec in merged[-40:]
-            ]
-            out(
-                f"  partial: merged {len(merged)} record(s) from "
-                f"{len(present)}/{count} trace file(s)"
-            )
+    judge_traces(trace_paths, policy_for(policy_name), result, out)
     return result
 
 

@@ -61,21 +61,35 @@ def dump_trace(
 def load_trace(
     path: PathLike,
 ) -> Tuple[Dict[str, Any], List[TraceRecord]]:
-    """Read one JSONL trace back; returns ``(meta, records)``."""
+    """Read one JSONL trace back; returns ``(meta, records)``.
+
+    A writer killed mid-dump leaves a torn file.  Reading stops at the
+    first line that does not decode, and a file that stopped there — or
+    that holds fewer records than its header's ``"records"`` promises
+    (a cut between lines) — comes back with ``meta["torn"]`` set to the
+    number of records that did load.
+    """
     meta: Dict[str, Any] = {}
     records: List[TraceRecord] = []
+    torn = False
     with Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            entry = json.loads(line)
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                torn = True
+                break
             if entry.get("kind") == "meta":
                 meta = entry
                 continue
             records.append(
                 TraceRecord(entry["t"], entry["c"], entry.get("f", {}))
             )
+    if torn or meta.get("records", len(records)) != len(records):
+        meta["torn"] = len(records)
     return meta, records
 
 

@@ -250,12 +250,8 @@ class UdpMedium:
         frame.tx_us = self.serialization_us(frame)
         self.busy_time_us += frame.tx_us
         self.sim.trace.record(
-            self.sim.now,
-            "net.tx",
-            src=frame.src,
-            dst=frame.dst,
-            bytes=frame.wire_bytes,
-            frame_id=frame.frame_id,
+            self.sim.now, "net.tx",
+            frame.src, frame.dst, frame.wire_bytes, frame.frame_id,
         )
         datagram = encode_frame(frame)
         if frame.is_broadcast:
@@ -280,11 +276,8 @@ class UdpMedium:
                 if count % impair.drop_every == 0:
                     self.frames_impaired_lost += 1
                     self.sim.trace.record(
-                        self.sim.now,
-                        "net.drop",
-                        src=frame.src,
-                        dst=dst_mid,
-                        frame_id=frame.frame_id,
+                        self.sim.now, "net.drop",
+                        frame.src, dst_mid, frame.frame_id,
                     )
                     return
             # Per-sender streams: in a multi-process run every process
@@ -294,11 +287,8 @@ class UdpMedium:
             if rng.random() < impair.loss_probability:
                 self.frames_impaired_lost += 1
                 self.sim.trace.record(
-                    self.sim.now,
-                    "net.drop",
-                    src=frame.src,
-                    dst=dst_mid,
-                    frame_id=frame.frame_id,
+                    self.sim.now, "net.drop",
+                    frame.src, dst_mid, frame.frame_id,
                 )
                 return
             delay_us = impair.delay_us
@@ -318,12 +308,8 @@ class UdpMedium:
                 # frame the receiver must treat as stale, not new work.
                 self.frames_duplicated += 1
                 self.sim.trace.record(
-                    self.sim.now,
-                    "net.replay",
-                    src=frame.src,
-                    dst=dst_mid,
-                    frame_id=frame.frame_id,
-                    kind="dup",
+                    self.sim.now, "net.replay",
+                    frame.src, dst_mid, frame.frame_id, "dup",
                 )
                 self.sim.schedule(
                     delay_us + impair.duplicate_delay_us,
@@ -374,11 +360,8 @@ class UdpMedium:
         except WireDecodeError as exc:
             self.decode_errors += 1
             self.sim.trace.record(
-                self.sim.now,
-                "netreal.decode_error",
-                mid=nic.mid,
-                octets=len(data),
-                error=str(exc),
+                self.sim.now, "netreal.decode_error",
+                nic.mid, len(data), str(exc),
             )
             return
         if frame.dst not in (nic.mid, BROADCAST_MID) or frame.src == nic.mid:

@@ -118,12 +118,8 @@ def retry_request(
             return RetryOutcome("rejected", completion, attempts)
         if completion.not_executed is True:
             api.sim.trace.record(
-                api.now,
-                "recovery.retry",
-                mid=api.my_mid,
-                target=mid,
-                attempt=attempts,
-                reason=completion.status.value,
+                api.now, "recovery.retry",
+                api.my_mid, mid, attempts, completion.status.value,
             )
             yield api.compute(policy.backoff_us(attempts - 1))
             continue
@@ -138,21 +134,12 @@ def retry_request(
         if not bumped:
             break
         api.sim.trace.record(
-            api.now,
-            "recovery.retry",
-            mid=api.my_mid,
-            target=mid,
-            attempt=attempts,
-            reason="epoch_advanced",
+            api.now, "recovery.retry",
+            api.my_mid, mid, attempts, "epoch_advanced",
         )
 
     if saw_ambiguous:
-        api.sim.trace.record(
-            api.now,
-            "recovery.maybe",
-            mid=api.my_mid,
-            attempts=attempts,
-        )
+        api.sim.trace.record(api.now, "recovery.maybe", api.my_mid, attempts)
         return RetryOutcome("maybe", None, attempts)
     return RetryOutcome("failed", None, attempts)
 

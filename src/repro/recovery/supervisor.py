@@ -111,11 +111,8 @@ class SupervisorProgram(ClientProgram):
             if run.down:
                 run.restored += 1
                 api.sim.trace.record(
-                    api.now,
-                    "recovery.restored",
-                    mid=api.my_mid,
-                    service_mid=service.mid,
-                    service=service.name,
+                    api.now, "recovery.restored",
+                    api.my_mid, service.mid, service.name,
                 )
             run.misses = 0
             run.down = False
@@ -127,22 +124,15 @@ class SupervisorProgram(ClientProgram):
             return
         if run.misses == self.misses_to_suspect:
             api.sim.trace.record(
-                api.now,
-                "recovery.suspect",
-                mid=api.my_mid,
-                service_mid=service.mid,
-                service=service.name,
-                misses=run.misses,
+                api.now, "recovery.suspect",
+                api.my_mid, service.mid, service.name, run.misses,
             )
         if not run.down:
             run.down = True
             run.crashes_detected += 1
             api.sim.trace.record(
-                api.now,
-                "recovery.crash_detected",
-                mid=api.my_mid,
-                service_mid=service.mid,
-                service=service.name,
+                api.now, "recovery.crash_detected",
+                api.my_mid, service.mid, service.name,
             )
         yield from self._try_reboot(api, service, run)
 
@@ -155,12 +145,8 @@ class SupervisorProgram(ClientProgram):
         if len(run.restarts) >= self.policy.max_restarts:
             run.escalated = True
             api.sim.trace.record(
-                now,
-                "recovery.escalated",
-                mid=api.my_mid,
-                service_mid=service.mid,
-                service=service.name,
-                restarts=len(run.restarts),
+                now, "recovery.escalated",
+                api.my_mid, service.mid, service.name, len(run.restarts),
             )
             return
         run.next_attempt_us = now + self.policy.backoff_us(run.attempt)
@@ -179,13 +165,8 @@ class SupervisorProgram(ClientProgram):
             except SodaError:
                 ok = False
         api.sim.trace.record(
-            api.now,
-            "recovery.reboot_attempt",
-            mid=api.my_mid,
-            service_mid=service.mid,
-            service=service.name,
-            attempt=run.attempt,
-            ok=ok,
+            api.now, "recovery.reboot_attempt",
+            api.my_mid, service.mid, service.name, run.attempt, ok,
         )
         if ok:
             run.reboots += 1
@@ -194,9 +175,6 @@ class SupervisorProgram(ClientProgram):
             # that sees the pattern advertised again.
             run.misses = self.misses_to_suspect
             api.sim.trace.record(
-                api.now,
-                "recovery.reboot",
-                mid=api.my_mid,
-                service_mid=service.mid,
-                service=service.name,
+                api.now, "recovery.reboot",
+                api.my_mid, service.mid, service.name,
             )

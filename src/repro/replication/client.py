@@ -73,14 +73,15 @@ class KvClient(ClientProgram):
             invoked_at = api.now
             api.sim.trace.record(
                 invoked_at, "kv.invoke",
-                mid=api.my_mid, seq=i, op=OP_NAMES[op], key=key, token=token,
+                api.my_mid, i, OP_NAMES[op], key, token,
             )
             status, version, value_token = yield from self._issue(api, arg)
             api.sim.trace.record(
                 api.now, "kv.result",
-                mid=api.my_mid, seq=i, op=OP_NAMES[op], key=key,
-                status=status, version=version, token=value_token,
-                wtoken=token, invoked_at=invoked_at,
+                api.my_mid, i, OP_NAMES[op], key, status, version,
+                value_token,  # token: the value read or written
+                token,  # wtoken: this write's own token
+                invoked_at,
             )
             self.outcomes[i] = status
             if status == "ok":

@@ -90,8 +90,7 @@ class KvFailoverSupervisor(SupervisorProgram):
         )
         api.sim.trace.record(
             api.now, "kv.takeover_sent",
-            mid=api.my_mid, target=best,
-            candidates=len(statuses),
+            api.my_mid, best, len(statuses),
         )
         self.promotions_sent += 1
         yield from api.b_signal(

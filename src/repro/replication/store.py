@@ -155,17 +155,16 @@ class KvReplica(ClientProgram):
                     if entry.token
                 }
                 self._advance_commit_to(api, recovered.commit)
-                self._trace(
-                    api, "kv.recover",
-                    epoch=self.epoch, entries=len(self.log),
-                    commit=self.commit, clean=recovered.clean,
-                    source=recovered.source,
+                api.sim.trace.record(
+                    api.now, "kv.recover",
+                    api.my_mid, self.epoch, len(self.log), self.commit, recovered.clean,
+                    recovered.source,
                 )
             else:
-                self._trace(
-                    api, "kv.recover",
-                    epoch=0, entries=0, commit=0, clean=True,
-                    source="amnesia",
+                # epoch 0, no entries, commit 0, clean.
+                api.sim.trace.record(
+                    api.now, "kv.recover",
+                    api.my_mid, 0, 0, 0, True, "amnesia",
                 )
         yield from api.advertise(REPL_PATTERN)
 
@@ -328,8 +327,10 @@ class KvReplica(ClientProgram):
                     i += 1
                     continue
                 if i < self.commit:
-                    self._trace(api, "kv.error", reason="truncate_below_commit",
-                                index=i, commit=self.commit)
+                    api.sim.trace.record(
+                        api.now, "kv.error",
+                        api.my_mid, "truncate_below_commit", i, self.commit,
+                    )
                     return False
                 self._truncate_to(api, i)
             self.log.append(entry)
@@ -339,9 +340,9 @@ class KvReplica(ClientProgram):
             appended += 1
             i += 1
         if appended:
-            self._trace(
-                api, "kv.sync",
-                from_index=from_index, appended=appended, length=len(self.log),
+            api.sim.trace.record(
+                api.now, "kv.sync",
+                api.my_mid, from_index, appended, len(self.log),
             )
         return True
 
@@ -378,11 +379,10 @@ class KvReplica(ClientProgram):
             self.values[entry.key] = (version, token)
             status = "ok"
         self.results[index] = (status, version, token)
-        self._trace(
-            api, "kv.apply",
-            index=index, epoch=entry.epoch, op=OP_NAMES[entry.op],
-            key=entry.key, token=entry.token, version=version,
-            applied=applied,
+        api.sim.trace.record(
+            api.now, "kv.apply",
+            api.my_mid, index, entry.epoch, OP_NAMES[entry.op], entry.key, entry.token,
+            version, applied,
         )
 
     # -- primary duty: replicate, confirm, commit ----------------------
@@ -514,7 +514,7 @@ class KvReplica(ClientProgram):
     # -- takeover (vote, pull, claim) ----------------------------------
 
     def _takeover(self, api, attempts: int = 8):
-        self._trace(api, "kv.takeover", epoch=self.epoch)
+        api.sim.trace.record(api.now, "kv.takeover", api.my_mid, self.epoch)
         for attempt in range(attempts):
             if self.primary:
                 return True
@@ -575,7 +575,10 @@ class KvReplica(ClientProgram):
             self.log.append(barrier)
             self._persist_entry(len(self.log) - 1, barrier)
             self._persist_sync()
-            self._trace(api, "kv.promote", epoch=self.epoch, length=len(self.log))
+            api.sim.trace.record(
+                api.now, "kv.promote",
+                api.my_mid, self.epoch, len(self.log),
+            )
             yield from api.advertise(KV_PATTERN)
             return True
         return False
@@ -637,7 +640,7 @@ class KvReplica(ClientProgram):
             self.matched = {}
             if self.primary:
                 self.primary = False
-                self._trace(api, "kv.demote", epoch=epoch)
+                api.sim.trace.record(api.now, "kv.demote", api.my_mid, epoch)
                 yield from api.unadvertise(KV_PATTERN)
         return
         yield  # pragma: no cover - keeps this a generator when epoch is old
@@ -653,6 +656,3 @@ class KvReplica(ClientProgram):
             yield from api.reject(asker)
         except SodaError:
             pass
-
-    def _trace(self, api, category: str, **fields) -> None:
-        api.sim.trace.record(api.now, category, mid=api.my_mid, **fields)

@@ -16,40 +16,184 @@ Two observability mechanisms coexist:
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Callable, Dict, List, MutableSequence, Optional
+from typing import (
+    Any, Callable, Dict, List, MutableSequence, Optional, Tuple,
+)
+
+
+#: What a trace record *is*: category -> its field names, in the order
+#: :meth:`Tracer.record` takes their values.  Every emitter under
+#: ``src/`` passes exactly this row; a field the emitter has nothing to
+#: say for (``epoch`` on most packets, ``reason`` on a clean completion)
+#: holds ``None`` in its slot.  ``tests/obs/test_frame_records.py`` names
+#: the reader of every field and docs/OBSERVABILITY.md renders the table.
+#: No field may be called ``time`` or ``category``.
+TRACE_SCHEMA: Dict[str, Tuple[str, ...]] = {
+    # -- core/kernel.py ---------------------------------------------------
+    "kernel.tx": (
+        "mid", "dst", "ptype", "bytes", "seq", "pid", "tid", "ack", "fid",
+        "epoch",
+    ),
+    "kernel.rx": (
+        "mid", "src", "ptype", "seq", "tid", "ack", "nack", "hint", "fid",
+        "epoch",
+    ),
+    "kernel.request": ("mid", "tid", "dst", "pattern", "put", "get"),
+    "kernel.accept": (
+        "mid", "sig", "src", "tid", "wait", "taken_put", "taken_get",
+    ),
+    "kernel.complete": (
+        "mid", "tid", "status", "arg", "taken_put", "taken_get", "reason",
+        "not_executed",
+    ),
+    "kernel.crash_report": (
+        "mid", "peer", "tid", "status", "reason", "not_executed",
+    ),
+    "kernel.cancelled": ("mid", "tid"),
+    "kernel.delivered_state": ("mid", "src", "tid", "state"),
+    "kernel.hold": ("mid", "src", "tid"),
+    "kernel.busy_nack": ("mid", "src", "tid", "hint_us", "hold_expired"),
+    "kernel.shed": ("mid", "src", "tid", "occupancy_us"),
+    "kernel.interrupt": ("mid", "reason"),
+    "kernel.boot_handler": ("mid",),
+    "kernel.endhandler": ("mid",),
+    "kernel.advertise": ("mid", "pattern"),
+    "kernel.unadvertise": ("mid", "pattern"),
+    "kernel.boot_granted": ("mid", "parent"),
+    "kernel.boot_start": ("mid", "parent"),
+    "kernel.die": ("mid",),
+    "kernel.client_reset": ("mid", "epoch"),
+    "kernel.crash": ("mid", "quiet_us"),
+    "kernel.recovered": ("mid",),
+    # -- core/connection.py -----------------------------------------------
+    "conn.acked": ("mid", "peer", "kind", "attempts", "rtt_us", "policy"),
+    "conn.retransmit": ("mid", "peer", "kind", "attempt", "waited_us"),
+    "conn.spurious_retransmit": ("mid", "peer", "kind", "attempts"),
+    "conn.peer_dead": ("mid", "peer", "kind"),
+    "conn.busy_retry": ("mid", "peer", "attempt"),
+    "conn.seq_swap": ("mid", "peer", "parked_pid", "taker_pid", "seq"),
+    "conn.resync": ("mid", "peer", "pid", "seq"),
+    # -- net/medium.py, netreal/udp.py ------------------------------------
+    "net.tx": ("src", "dst", "bytes", "frame_id"),
+    "net.drop": ("src", "dst", "frame_id"),
+    "net.replay": ("src", "dst", "frame_id", "kind"),
+    "netreal.decode_error": ("mid", "octets", "error"),
+    # -- recovery/ ----------------------------------------------------------
+    "recovery.suspect": ("mid", "service_mid", "service", "misses"),
+    "recovery.crash_detected": ("mid", "service_mid", "service"),
+    "recovery.escalated": ("mid", "service_mid", "service", "restarts"),
+    "recovery.reboot_attempt": (
+        "mid", "service_mid", "service", "attempt", "ok",
+    ),
+    "recovery.reboot": ("mid", "service_mid", "service"),
+    "recovery.restored": ("mid", "service_mid", "service"),
+    "recovery.retry": ("mid", "target", "attempt", "reason"),
+    "recovery.maybe": ("mid", "attempts"),
+    # -- replication/ -------------------------------------------------------
+    "kv.invoke": ("mid", "seq", "op", "key", "token"),
+    "kv.result": (
+        "mid", "seq", "op", "key", "status", "version", "token", "wtoken",
+        "invoked_at",
+    ),
+    "kv.apply": (
+        "mid", "index", "epoch", "op", "key", "token", "version", "applied",
+    ),
+    "kv.sync": ("mid", "from_index", "appended", "length"),
+    "kv.recover": ("mid", "epoch", "entries", "commit", "clean", "source"),
+    "kv.promote": ("mid", "epoch", "length"),
+    "kv.demote": ("mid", "epoch"),
+    "kv.takeover": ("mid", "epoch"),
+    "kv.takeover_sent": ("mid", "target", "candidates"),
+    "kv.error": ("mid", "reason", "index", "commit"),
+}
+
+#: category -> (its row's one ``{field: position}`` dict, shared by every
+#: record of the category — what ``rec["tid"]`` looks a name up in — and
+#: the row's length).
+_LAYOUT: Dict[str, Tuple[Dict[str, int], int]] = {
+    category: ({name: pos for pos, name in enumerate(row)}, len(row))
+    for category, row in TRACE_SCHEMA.items()
+}
 
 
 class TraceRecord:
-    """One structured trace entry."""
+    """One structured trace entry: a tuple of values laid out by its
+    category's :data:`TRACE_SCHEMA` row.
 
-    __slots__ = ("time", "category", "fields")
+    ``index`` is the row's shared ``{field: position}`` dict, so a
+    record owns one small object and one tuple.  A field holding
+    ``None`` is *absent*: :meth:`get` returns its default for it and
+    :attr:`fields` leaves it out; only ``rec[name]`` shows the ``None``.
+
+    ``TraceRecord(time, category, {...})`` is the keyword form — test
+    fixtures and :func:`repro.netreal.trace_io.load_trace` use it — and
+    lays the dict out by the row (a field the row does not have is an
+    error); a category outside the table is laid out by an index of its
+    own, in the dict's order.
+    """
+
+    __slots__ = ("time", "category", "index", "values")
 
     def __init__(
         self, time: float, category: str, fields: Optional[Dict[str, Any]] = None
     ) -> None:
+        if fields is None:
+            fields = {}
+        if category not in _LAYOUT:
+            index = {name: pos for pos, name in enumerate(fields)}
+            values = tuple(fields.values())
+        else:
+            index = _LAYOUT[category][0]
+            if not fields.keys() <= index.keys():
+                raise ValueError(
+                    f"{category} has no field "
+                    f"{sorted(fields.keys() - index.keys())}; its row is "
+                    f"{TRACE_SCHEMA[category]}"
+                )
+            values = tuple(map(fields.get, index))
         self.time = time
         self.category = category
-        self.fields = {} if fields is None else fields
+        self.index = index
+        self.values = values
+
+    @property
+    def fields(self) -> Dict[str, Any]:
+        return {
+            name: value
+            for name, value in zip(self.index, self.values)
+            if value is not None
+        }
 
     def __getitem__(self, key: str) -> Any:
-        return self.fields[key]
+        return self.values[self.index[key]]
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
+        try:
+            value = self.values[self.index[key]]
+        except KeyError:
+            return default
+        return default if value is None else value
 
     def __eq__(self, other: object) -> bool:
         # Compared by value, hence (Python's rule) unhashable.
         if other.__class__ is not TraceRecord:
             return NotImplemented
-        return (self.time, self.category, self.fields) == (
-            other.time, other.category, other.fields
-        )
+        if self.time != other.time or self.category != other.category:
+            return False
+        if self.index is other.index:
+            return self.values == other.values
+        return self.fields == other.fields
 
     def __repr__(self) -> str:
         return (
             f"TraceRecord(time={self.time!r}, category={self.category!r}, "
             f"fields={self.fields!r})"
         )
+
+
+#: :meth:`Tracer.record` already holds the laid-out tuple, so it fills
+#: the four slots itself instead of going through ``__init__``.
+_new_record = TraceRecord.__new__
 
 
 class Tracer:
@@ -128,11 +272,32 @@ class Tracer:
         self._sinks.remove(sink)
         self._passive = not self.keep_records and not self._sinks
 
-    def record(self, time: float, category: str, **fields: Any) -> None:
+    def record(
+        self, time: float, category: str, *values: Any, **fields: Any
+    ) -> None:
+        """Emit one record: ``values`` are the category's
+        :data:`TRACE_SCHEMA` row, in row order — the form every emitter
+        under ``src/`` uses; the record keeps the call's own argument
+        tuple.  ``**fields`` is :class:`TraceRecord`'s keyword form, for
+        fixtures."""
         self.counters[category] += 1
         if self._passive:
             return
-        entry = TraceRecord(time, category, fields)
+        if fields or category not in _LAYOUT:
+            arity = 0
+            entry = TraceRecord(time, category, fields)
+        else:
+            entry = _new_record(TraceRecord)
+            entry.time = time
+            entry.category = category
+            entry.index, arity = _LAYOUT[category]
+            entry.values = values
+        if len(values) != arity:
+            raise TypeError(
+                f"record({category!r}) got {len(values)} positional "
+                f"value(s){' and keywords' if fields else ''}; its "
+                f"TRACE_SCHEMA row is {TRACE_SCHEMA.get(category)}"
+            )
         if self.keep_records:
             if (
                 self.max_records is not None

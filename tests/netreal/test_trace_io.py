@@ -134,3 +134,67 @@ def test_tracer_from_records_rebuilds_counters():
     assert tracer.counters["kernel.tx"] == 2
     assert tracer.counters["kernel.rx"] == 1
     assert list(tracer.records) == records
+
+
+# -- a torn file (ISSUE 24 satellite) -----------------------------------------
+# The runner terminate()s children that overrun — possibly mid-dump — and
+# merges whatever files exist exactly when a run has failed: a truncated
+# file must cost its own tail, not the failure report.
+
+
+def _dump_two(path, mid=0):
+    records = [
+        TraceRecord(1.0, "kernel.request", {"mid": mid, "tid": 7}),
+        TraceRecord(2.0, "kernel.complete", {"mid": mid, "tid": 7}),
+    ]
+    dump_trace(path, records, meta={"mid": mid, "records": len(records)})
+    return records
+
+
+def test_a_whole_file_is_not_torn(tmp_path):
+    records = _dump_two(tmp_path / "t.jsonl")
+    meta, loaded = load_trace(tmp_path / "t.jsonl")
+    assert "torn" not in meta
+    assert loaded == records
+
+
+def test_load_stops_at_a_line_cut_mid_record(tmp_path):
+    path = tmp_path / "t.jsonl"
+    records = _dump_two(path)
+    path.write_bytes(path.read_bytes()[:-15])
+    meta, loaded = load_trace(path)
+    assert loaded == records[:1]
+    assert meta["torn"] == 1 and meta["records"] == 2
+    metas, merged, _ledger = merge_traces([path])
+    assert merged == records[:1] and metas[0]["torn"] == 1
+
+
+def test_a_cut_between_lines_is_torn_by_the_headers_count(tmp_path):
+    path = tmp_path / "t.jsonl"
+    records = _dump_two(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))  # every remaining line decodes
+    meta, loaded = load_trace(path)
+    assert loaded == records[:1]
+    assert meta["torn"] == 1
+
+
+def test_runner_reports_a_torn_file_and_does_not_judge_it(tmp_path):
+    from repro.netreal.runner import RealRunResult, judge_traces, policy_for
+
+    paths = [tmp_path / f"trace-{mid}.jsonl" for mid in range(2)]
+    for mid, path in enumerate(paths):
+        _dump_two(path, mid)
+    paths[1].write_bytes(paths[1].read_bytes()[:-15])
+    result = RealRunResult(
+        workload="pingpong", seed=1, policy="adaptive", loss=0.0,
+        processes=2, records=0,
+    )
+    judge_traces(paths, policy_for("adaptive"), result, out=lambda line: None)
+    assert result.runner_problems == ["node 1's trace is torn: 1 of 2 records"]
+    assert not result.ok
+    assert result.records == 3
+    # All files are present, yet the clean path (which would have judged
+    # the half-run and counted its spans) was not taken.
+    assert result.spans_total == 0
+    assert [entry["time"] for entry in result.partial_trace_tail] == [1.0, 1.0, 2.0]

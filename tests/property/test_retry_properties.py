@@ -43,7 +43,7 @@ class _FakeTrace:
     def __init__(self):
         self.records: List[Tuple[float, str]] = []
 
-    def record(self, now, category, **fields):
+    def record(self, now, category, *values):
         self.records.append((now, category))
 
 

@@ -20,6 +20,7 @@ from typing import Iterator, List
 import pytest
 
 from repro.cli import build_parser
+from repro.sim.tracing import TRACE_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,3 +76,29 @@ def test_documented_commands_parse(path):
                 reason = stderr.getvalue().strip().splitlines()[-1]
                 rejected.append(f"python -m repro {' '.join(argv)}\n    {reason}")
     assert not rejected, f"{path.name}:\n" + "\n".join(rejected)
+
+
+# -- the trace schema table (ROADMAP 5d) --------------------------------------
+
+SCHEMA_BEGIN = "<!-- trace-schema:begin (rendered from TRACE_SCHEMA) -->\n"
+SCHEMA_END = "\n<!-- trace-schema:end -->"
+
+
+def render_trace_schema() -> str:
+    """docs/OBSERVABILITY.md's "Trace schema" table, from the table."""
+    lines = ["| category | fields, in `record()` order |", "|---|---|"]
+    lines += [
+        f"| `{category}` | {', '.join(f'`{name}`' for name in row)} |"
+        for category, row in TRACE_SCHEMA.items()
+    ]
+    return "\n".join(lines)
+
+
+def test_the_trace_schema_table_is_the_schema():
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    shown = text.split(SCHEMA_BEGIN)[1].split(SCHEMA_END)[0]
+    expected = render_trace_schema()
+    assert shown == expected, (
+        "docs/OBSERVABILITY.md drifted from TRACE_SCHEMA; between the "
+        "markers it should read:\n" + expected
+    )
