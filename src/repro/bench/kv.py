@@ -15,6 +15,10 @@ per schedule:
   verdicts from :func:`repro.replication.consistency.check_kv_consistency`
   (``verdicts`` pins this to zero: losing an acked write is never
   a tuning regression, it is a correctness bug);
+* **requests_per_op** — kernel REQUESTs (``kernel.request`` records,
+  every node's) per invoked client op: the messages the modelled
+  system spends per op, pinned on ``calm`` by
+  :data:`CALM_REQUESTS_PER_OP` so idle chatter cannot creep back;
 * the full consistency-problem list (must be empty).
 
 Deterministic: same seed ⇒ the same virtual-time runs ⇒ an identical
@@ -41,6 +45,12 @@ KV_BENCH_SCHEDULES = (
 )
 
 WORKLOAD = "kvstore_supervised"
+
+#: ``requests_per_op`` of the calm schedule at seed 1: 857 REQUESTs for
+#: 30 ops, 494 of them the primary's (2 453 and 81.8 while it ran a
+#: round every 20 ms whether or not it had work).  The verdict allows
+#: 10 % above it.
+CALM_REQUESTS_PER_OP = 28.57
 
 
 def _failover_metrics(records) -> Dict[str, Optional[float]]:
@@ -103,6 +113,10 @@ def run_kv_bench(seed: int = 1) -> Dict[str, object]:
             "outcomes": summary["outcomes"],
             "entries_applied": summary["entries_applied"],
             "promotions": summary["promotions"],
+            "requests_per_op": (
+                sum(rec.category == "kernel.request" for rec in records)
+                / summary["ops_invoked"]
+            ),
             "failover": failover,
             "acknowledged_write_loss": sum(
                 1 for p in problems
@@ -147,6 +161,7 @@ def render(body) -> str:
                 ("definitive", lambda c: f"{c['ops_definitive']}/{c['ops_invoked']}"),
                 ("avail", lambda c: f"{c['availability']:.3f}"),
                 ("promoted", "promotions"),
+                ("req/op", lambda c: f"{c['requests_per_op']:.1f}"),
                 ("failover ms", lambda c: ms(c["failover"]["promote_us"])),
                 ("recover ms", lambda c: ms(c["failover"]["client_us"])),
                 ("lost acks", "acknowledged_write_loss"),
@@ -168,8 +183,12 @@ def render(body) -> str:
 def verdicts(body) -> List[str]:
     comparison = body["comparison"]
     lost = comparison["acknowledged_write_loss"]
+    calm = body["schedules"]["calm"]["requests_per_op"]
     return failing(
         [
+            (calm <= 1.1 * CALM_REQUESTS_PER_OP,
+             f"calm spends {calm:.2f} kernel REQUESTs per op "
+             f"(> 1.1 x {CALM_REQUESTS_PER_OP})"),
             (comparison["all_consistent"],
              "a schedule has consistency violations"),
             (not lost, f"{lost} acknowledged write(s) lost"),

@@ -24,6 +24,11 @@ broadcast, built only from SODA primitives:
   carries a ``prev_epoch`` consistency check, conflicts truncate the
   uncommitted suffix, and gaps walk the sender back — the log-matching
   property keeps committed prefixes identical everywhere.
+* The primary talks only when it has something to say: a round runs
+  while a client op is parked, a peer's log is behind, or a peer has
+  not yet been sent the commit index; otherwise the task waits for an
+  interrupt (§5.2.1) and runs one bare round per :data:`IDLE_ROUND_US`,
+  which is how a rebooted, stale or fencing peer is found in a calm.
 
 At-most-once: every write carries a client token; a token lives in the
 log at most once (the dedup table is exactly the log's token index and
@@ -72,7 +77,11 @@ from repro.replication.wire import (
     unpack_status,
 )
 
-__all__ = ["KvReplica"]
+__all__ = ["KvReplica", "IDLE_ROUND_US"]
+
+#: Longest a replica's task sleeps with nothing to do; the primary runs
+#: one bare round when it wakes.  The supervisor's poll interval.
+IDLE_ROUND_US = 200_000.0
 
 
 class KvReplica(ClientProgram):
@@ -125,13 +134,14 @@ class KvReplica(ClientProgram):
         self.matched: Dict[int, int] = {}
         #: peer -> next log index to APPEND from.
         self.next_index: Dict[int, int] = {}
+        #: peer -> commit index carried by its last ACK_OK'd APPEND.
+        self._sent_commit: Dict[int, int] = {}
         #: parked writes: (asker, log index, token, arrival time).
         self.waiters: List[Tuple[object, int, int, float]] = []
         #: parked reads: (asker, key, arrival time).
         self.pending_reads: List[Tuple[object, int, float]] = []
         self._takeover_requested = False
         self._quorum_confirmed_at = float("-inf")
-        self._round_in_progress = False
 
     # -- program -------------------------------------------------------
 
@@ -187,7 +197,28 @@ class KvReplica(ClientProgram):
             if self.primary:
                 yield from self._replicate_round(api)
             yield from self._serve(api)
-            yield api.compute(self.repl_interval_us)
+            if self._has_work():
+                yield api.compute(self.repl_interval_us)
+            else:
+                # WAIT: the handler invocation that parks work wakes us.
+                idle_until = api.now + IDLE_ROUND_US
+                yield from api.poll(
+                    lambda: self._has_work() or api.now >= idle_until,
+                    tick_us=IDLE_ROUND_US,
+                )
+
+    def _has_work(self) -> bool:
+        """Does the next round have something to say?"""
+        if self._takeover_requested or self.waiters or self.pending_reads:
+            return True
+        if not self.primary:
+            return False
+        length, commit = len(self.log), self.commit
+        return any(
+            self.matched.get(mid, 0) < length
+            or self._sent_commit.get(mid, 0) < commit
+            for mid in self.peer_mids
+        )
 
     # -- client operations (KV_PATTERN) --------------------------------
 
@@ -389,7 +420,7 @@ class KvReplica(ClientProgram):
 
     def _replicate_round(self, api):
         round_start = api.now
-        epoch0 = self.epoch
+        epoch0, commit0 = self.epoch, self.commit
         sends = []
         for mid in self.peer_mids:
             from_i = min(self.next_index.get(mid, 0), len(self.log))
@@ -400,7 +431,7 @@ class KvReplica(ClientProgram):
                 arg=pack_repl(
                     MSG_APPEND, self.epoch, prev_epoch, from_i, len(entries)
                 ),
-                put=encode_entries(self.commit, entries),
+                put=encode_entries(commit0, entries),
             )
             sends.append((mid, from_i, len(entries), tid, api.watch_completion(tid)))
         for mid, from_i, count, tid, future in sends:
@@ -415,6 +446,7 @@ class KvReplica(ClientProgram):
             code, value = unpack_ack(completion.arg)
             if code == ACK_OK:
                 self.next_index[mid] = from_i + count
+                self._sent_commit[mid] = commit0
             elif code in (ACK_GAP, ACK_MISMATCH):
                 self.next_index[mid] = min(value, len(self.log))
             elif code == ACK_FENCED:
@@ -567,6 +599,7 @@ class KvReplica(ClientProgram):
                     continue
             self.primary = True
             self.matched = {}
+            self._sent_commit = {}
             self.next_index = {mid: self.commit for mid in self.peer_mids}
             self._quorum_confirmed_at = float("-inf")
             # The barrier no-op: commit can only advance onto an entry

@@ -130,7 +130,7 @@ class SodalApi:
         """One pass of the idle() busy-wait loop (§5.2.1)."""
         return self.tm.idle_poll_us
 
-    def poll(self, predicate) -> Generator:
+    def poll(self, predicate, tick_us: Optional[float] = None) -> Generator:
         """``while not predicate() do idle()`` (§4.1.1).
 
         Models the IDLE/WAIT instruction (§5.2.1): each pass sleeps at
@@ -143,16 +143,20 @@ class SodalApi:
         the clock, the kernel or another node.  A pass that finds
         nothing costs the simulator no generator resume and, mostly, no
         event (:meth:`~repro.core.client.ClientProcessor.wait_activity`).
+
+        ``tick_us`` replaces that grid with a fixed one, ``tick_us``
+        apart: for a task that only needs interrupts and a clock of its
+        own (a predicate with a deadline), one tick per ``tick_us``.
         """
-        delay = self.idle()
+        first = self.idle() if tick_us is None else tick_us
+        cap = IDLE_CAP_US if tick_us is None else tick_us
+        delay = first
         processor = self._processor
         while not predicate():
             seen = processor.activity_counter
-            delay = yield from processor.wait_activity(
-                predicate, delay, IDLE_CAP_US
-            )
+            delay = yield from processor.wait_activity(predicate, delay, cap)
             if processor.activity_counter != seen:
-                delay = self.idle()
+                delay = first
 
     def serve_forever(self) -> Generator:
         """Suspend the task indefinitely; all work happens in the handler.

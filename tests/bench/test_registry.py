@@ -121,6 +121,12 @@ def test_verdicts_bite_on_an_unhealthy_body():
     assert load(BENCHES["kv"]).verdicts(kv) == [
         "1 acknowledged write(s) lost"
     ]
+    kv["comparison"]["acknowledged_write_loss"] = 0
+    # What calm cost while the primary replicated on a 20 ms clock.
+    kv["schedules"]["calm"]["requests_per_op"] = 81.8
+    assert load(BENCHES["kv"]).verdicts(kv) == [
+        "calm spends 81.80 kernel REQUESTs per op (> 1.1 x 28.57)"
+    ]
 
     durability = _committed_body("durability")
     durability["fsync_policies"][0]["runtime_disk_us"] = 0.0  # "always"

@@ -13,8 +13,10 @@ from repro.replication.consistency import check_kv_consistency
 TIMEOUT_US = 30_000_000.0
 GRACE_US = 500_000.0
 
-BLACKOUT_US = 1_600_000.0
-REBOOT_US = 2_100_000.0
+#: The blackout lands after this many definitive client outcomes — a
+#: point in the run, not on the clock, so it is mid-run at any speed.
+BLACKOUT_AFTER_OUTCOMES = 4
+REBOOT_AFTER_US = 500_000.0
 
 
 def _replica(index):
@@ -52,8 +54,18 @@ def test_cluster_power_loss_recovers_from_filedisk(tmp_path):
                     boot_at = node.kernel.offline_until
                 node.install_program(_replica(index), boot_at_us=boot_at)
 
-        net.sim.at(BLACKOUT_US, cut)
-        net.sim.at(REBOOT_US, reboot)
+        def definitive():
+            return sum(
+                status != "unavail" for status in client.outcomes.values()
+            )
+
+        reached = net.run_until(
+            lambda: definitive() >= BLACKOUT_AFTER_OUTCOMES,
+            timeout=TIMEOUT_US,
+        )
+        outcomes_at_cut = len(client.outcomes)
+        cut()
+        net.sim.at(net.now + REBOOT_AFTER_US, reboot)
 
         finished = net.run_until(
             lambda: len(client.outcomes) >= client.total,
@@ -64,6 +76,10 @@ def test_cluster_power_loss_recovers_from_filedisk(tmp_path):
     finally:
         net.close()
 
+    assert reached, "no definitive outcomes before the blackout"
+    # The power really went out mid-run, with client ops still to come.
+    assert outcomes_at_cut < client.total
+    assert sum(r.category == "kernel.crash" for r in records) == len(replicas)
     assert finished, "client did not finish within the wall-clock cap"
     assert check_kv_consistency(records) == []
     # The reboot really went through disk recovery, not amnesia.

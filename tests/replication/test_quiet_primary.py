@@ -1,0 +1,249 @@
+"""The KV primary replicates only when it has something to say.
+
+A round (APPEND, then CONFIRM, to each peer) runs while a client op is
+parked, a peer's log is behind, or a peer has not been sent the commit
+index; otherwise the replica's task waits for an interrupt and runs one
+bare round per ``IDLE_ROUND_US`` (DESIGN.md §16).
+
+Each test fails under the hand mutation of ``KvReplica.task`` /
+``KvReplica._has_work`` named for it:
+
+* (a) ``test_calm_primary_is_silent_between_ops`` — the old
+  unconditional loop: round, serve, ``compute(repl_interval_us)``,
+  every pass.
+* (b) ``test_parked_write_starts_its_round_at_once`` — keep the
+  ``compute(repl_interval_us)`` sleep in the idle branch (rounds
+  without work skipped, but work waits for the 20 ms tick).
+* (c) ``test_amnesiac_backup_catches_up_within_an_idle_interval`` —
+  drop the idle round (poll on ``_has_work`` alone).
+* (d) ``test_followers_apply_without_a_further_client_op`` — drop the
+  ``_sent_commit`` condition from ``_has_work``.
+* (e) ``test_idle_deposed_primary_is_fenced_and_acks_nothing`` — drop
+  the step-down branch of ``KvReplica._adopt``.  No mutation of the
+  quiet loop alone breaks it: at the heal, whichever side's round gets
+  through first (the stale primary's idle round or the rival's catch-up
+  of it) carries the newer epoch, and both fence.
+"""
+
+import bisect
+
+import pytest
+
+from repro.analysis.workloads import build_workload
+from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import NodeCrash, Partition, Reboot, Scenario
+from repro.core.client import ClientProgram
+from repro.core.errors import RequestStatus
+from repro.core.signatures import ServerSignature
+from repro.replication.consistency import check_kv_consistency
+from repro.replication.store import IDLE_ROUND_US, KvReplica
+from repro.replication.wire import (
+    KV_PATTERN,
+    OP_PUT,
+    REPL_PATTERN,
+    make_token,
+    pack_op,
+)
+
+
+def _calm():
+    built = build_workload("kvstore_supervised", seed=1, config=chaos_config())
+    make_schedule("calm", built.spec).run(built)
+    return built, built.net.sim.trace.records
+
+
+def _program(built, mid):
+    return built.net.nodes[mid].kernel.client.program
+
+
+def _round_starts(records, primary, first_peer):
+    """One APPEND per peer per round: the APPENDs to the first peer."""
+    return [
+        rec.time
+        for rec in records
+        if rec.category == "kernel.request"
+        and rec["mid"] == primary
+        and rec["dst"] == first_peer
+        and rec["pattern"] == REPL_PATTERN
+        and rec["put"] > 0
+    ]
+
+
+def test_calm_primary_is_silent_between_ops():
+    built, records = _calm()
+    primary = _program(built, 0)
+    assert primary.primary
+    interval = primary.repl_interval_us
+    promoted = next(r.time for r in records if r.category == "kv.promote")
+    rounds = _round_starts(records, 0, primary.peer_mids[0])
+    # Client REQUESTs, retries included (an op's first attempt may find
+    # no primary yet).
+    sent = [
+        r.time for r in records
+        if r.category == "kernel.request" and r["pattern"] == KV_PATTERN
+    ]
+    commits = [
+        r.time for r in records if r.category == "kv.apply" and r["mid"] == 0
+    ]
+    # Every REPL REQUEST the primary sends belongs to a round.
+    repl = [
+        r for r in records
+        if r.category == "kernel.request" and r["mid"] == 0
+        and r["pattern"] == REPL_PATTERN and r.time > promoted
+    ]
+    assert len(repl) == 2 * len(primary.peer_mids) * len(rounds)
+
+    def between(times, lo, hi):
+        return bisect.bisect_right(times, hi) > bisect.bisect_left(times, lo)
+
+    for before, start in zip(rounds, rounds[1:]):
+        if start - before >= IDLE_ROUND_US:
+            continue  # the idle round
+        # Sooner than that only with work: an op arrived, or the round
+        # before committed and the peers have not heard of it.
+        assert (
+            between(sent, before - interval, start)
+            or between(commits, before, start)
+        ), f"round at {start} us had nothing to say"
+    # And through the calm tail, one bare round per idle interval.
+    last_result = max(r.time for r in records if r.category == "kv.result")
+    tail = [t for t in rounds if t > last_result + 2 * interval]
+    span = built.net.sim.now - last_result
+    assert span / (1.25 * IDLE_ROUND_US) <= len(tail) <= span / IDLE_ROUND_US
+
+
+def test_parked_write_starts_its_round_at_once(monkeypatch):
+    parked = []
+    handle_kv = KvReplica._handle_kv
+
+    def spy(self, api, event):
+        waiting = len(self.waiters)
+        yield from handle_kv(self, api, event)
+        if len(self.waiters) > waiting:
+            parked.append(api.now)
+
+    monkeypatch.setattr(KvReplica, "_handle_kv", spy)
+    built, records = _calm()
+    primary = _program(built, 0)
+    appends = _round_starts(records, 0, primary.peer_mids[0])
+    assert len(parked) == 20  # ops 0, 2, 3, 5, ... of 30: the writes
+    for ended in parked:
+        first = appends[bisect.bisect_left(appends, ended)]
+        # A context switch and one trap (1.1 ms), not the rest of a
+        # 20 ms tick: the WAIT ends with the invocation that parked it.
+        assert first - ended <= 2_000.0, (ended, first)
+    latencies = sorted(
+        r.time - r["invoked_at"]
+        for r in records
+        if r.category == "kv.result" and r["op"] != "get"
+    )
+    # 34.1 ms p50 while the primary replicated on a 20 ms clock.
+    assert latencies[len(latencies) // 2] < 34_000.0
+
+
+def test_amnesiac_backup_catches_up_within_an_idle_interval():
+    crash_at, reboot_at = 6_000_000.0, 6_500_000.0
+    built = build_workload("kvstore", durable=False)
+    Scenario(
+        "idle_amnesia",
+        (NodeCrash(crash_at, role="replica1"), Reboot(reboot_at, role="replica1")),
+    ).run(built)
+    records = built.net.sim.trace.records
+    assert check_kv_consistency(records) == []
+    # The cluster was idle: the client finished well before the crash.
+    assert max(
+        r.time for r in records if r.category == "kv.result"
+    ) < crash_at - IDLE_ROUND_US
+    primary, backup = _program(built, 0), _program(built, 1)
+    assert primary.primary and primary.commit > 0
+    assert backup.commit == primary.commit
+    assert backup.log[: backup.commit] == primary.log[: primary.commit]
+    applied = [
+        r.time for r in records
+        if r.category == "kv.apply" and r["mid"] == 1 and r.time > reboot_at
+    ]
+    assert len(applied) == primary.commit
+    # The next idle round finds the amnesiac peer; a round or two of
+    # anti-entropy (GAP, then the whole log) follows at once.
+    assert max(applied) - reboot_at <= (
+        IDLE_ROUND_US + 3 * primary.repl_interval_us
+    )
+
+
+def test_followers_apply_without_a_further_client_op():
+    built, records = _calm()
+    primary = _program(built, 0)
+    committed = {
+        r["index"]: r.time
+        for r in records if r.category == "kv.apply" and r["mid"] == 0
+    }
+    followers = {}
+    for r in records:
+        if r.category == "kv.apply" and r["mid"] != 0:
+            followers.setdefault(r["mid"], {})[r["index"]] = r.time
+    assert sorted(followers) == list(primary.peer_mids)
+    last = max(committed)
+    for applied in followers.values():
+        assert sorted(applied) == sorted(committed)
+        for index, at in committed.items():
+            # The round after the commit carries it; the last write has
+            # no client op behind it to carry it instead.
+            assert applied[index] - at < 3 * primary.repl_interval_us, (
+                index, index == last
+            )
+
+
+class _Writer(ClientProgram):
+    """One PUT straight at ``target``'s KV pattern at ``at_us``."""
+
+    def __init__(self, target: int, at_us: float) -> None:
+        self.target = target
+        self.at_us = at_us
+        self.completion = None
+
+    def task(self, api):
+        yield api.compute(self.at_us - api.now)
+        self.completion = yield from api.b_signal(
+            ServerSignature(self.target, KV_PATTERN),
+            arg=pack_op(OP_PUT, 1, make_token(api.my_mid, 0)),
+        )
+        yield from api.serve_forever()
+
+
+@pytest.mark.parametrize("write_at_heal", [False, True])
+def test_idle_deposed_primary_is_fenced_and_acks_nothing(write_at_heal):
+    # The client is done by ~4.4 s; isolate the idle primary long enough
+    # for the supervisor to promote a rival, then heal.
+    start, heal = 5_000_000.0, 8_000_000.0
+    built = build_workload("kvstore_supervised", config=chaos_config())
+    writer = _Writer(0, heal + 1_000.0)
+    if write_at_heal:
+        built.net.add_node(program=writer, name="writer", boot_at_us=150.0)
+    Scenario(
+        "idle_partition", (Partition(start, heal, isolate=("replica0",)),)
+    ).run(built)
+    records = built.net.sim.trace.records
+    assert check_kv_consistency(records) == []
+    rivals = [
+        r for r in records
+        if r.category == "kv.promote" and r["mid"] != 0
+    ]
+    assert rivals and start < rivals[0].time < heal
+    demoted = [
+        r.time for r in records
+        if r.category == "kv.demote" and r["mid"] == 0
+    ]
+    assert demoted, "the stale primary was never fenced"
+    replica0 = _program(built, 0)
+    # Fenced on its next round: at the latest, the idle one.
+    assert heal <= demoted[0] <= heal + IDLE_ROUND_US + 2 * (
+        replica0.repl_interval_us
+    )
+    assert not replica0.primary
+    if write_at_heal:
+        completion = writer.completion
+        assert completion is not None
+        assert not (
+            completion.status is RequestStatus.COMPLETED
+            and completion.arg >= 0
+        ), "a deposed primary acknowledged a write"

@@ -176,7 +176,9 @@ def test_non_causal_cell_retains_nothing_and_feeds_everything(cells_seen):
     ((built,), (table,)) = cells_seen
     trace = built.net.sim.trace
     assert len(trace.records) == 0 and not trace.keep_records
-    assert table.records_fed == sum(trace.counters.values()) > 40_000
+    # Every record of the big crash-and-failover cell (14 165 since the
+    # primary replicates only when it has work), not a trivial one.
+    assert table.records_fed == sum(trace.counters.values()) >= 14_165
     assert 0.0 < table.end_time <= built.net.sim.now
     # Uninstalled after the run: the sinks die with run_cell's frame,
     # not with the network's reference cycles.
