@@ -46,11 +46,13 @@ KV_BENCH_SCHEDULES = (
 
 WORKLOAD = "kvstore_supervised"
 
-#: ``requests_per_op`` of the calm schedule at seed 1: 857 REQUESTs for
-#: 30 ops, 494 of them the primary's (2 453 and 81.8 while it ran a
+#: ``requests_per_op`` of the calm schedule at seed 1: 572 REQUESTs for
+#: 30 ops, 358 of them the primary's and 182 the supervisor's (857,
+#: 494 and 331 while the supervisor broadcast once per replica and an
+#: idle round sent CONFIRMs; 2 453 and 81.8 while the primary ran a
 #: round every 20 ms whether or not it had work).  The verdict allows
 #: 10 % above it.
-CALM_REQUESTS_PER_OP = 28.57
+CALM_REQUESTS_PER_OP = 19.07
 
 
 def _failover_metrics(records) -> Dict[str, Optional[float]]:

@@ -61,7 +61,9 @@ FRAME_COST_CELL = ("kvstore_supervised", "primary_crash_load", 3)
 #: Most events and trace records one wire frame may cost on it: 7.385
 #: and 5.699 when the scenario was added, + 5 % (8.369 and 6.699 while
 #: every frame had a finish event and a ``net.tx`` record; 7.353 and
-#: 5.202 since the KV primary replicates only when it has work).
+#: 5.202 since the KV primary replicates only when it has work; 7.66
+#: and 5.527 since the cheap heartbeat frames went: an idle round sends
+#: no CONFIRM and the supervisor DISCOVERs each pattern once a poll).
 EVENTS_PER_FRAME_MAX = 7.75
 RECORDS_PER_FRAME_MAX = 5.99
 

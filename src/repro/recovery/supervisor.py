@@ -7,8 +7,9 @@ crashed service is brought back through the BOOT/LOAD reserved-pattern
 protocol (§3.5.2) — the supervisor is an ordinary client program; the
 kernel needs nothing new.
 
-Detection: every poll interval the supervisor DISCOVERs each service's
-pattern.  ``misses_to_suspect`` *consecutive* silent polls mark the
+Detection: every poll interval the supervisor DISCOVERs each distinct
+advertised pattern once and looks for each service's MID among the
+replies.  ``misses_to_suspect`` *consecutive* silent polls mark the
 service crashed (one lost broadcast round must not trigger a reboot).
 A node that answers again on its own — e.g. after a partition heals —
 is simply restored; reboots happen only while the boot pattern is
@@ -96,17 +97,33 @@ class SupervisorProgram(ClientProgram):
 
     def task(self, api):
         while True:
-            for service in self.services:
-                yield from self._poll(api, service)
+            yield from self._poll_all(api)
             yield api.compute(self.poll_interval_us)
 
     # -- one supervision step -----------------------------------------
 
-    def _poll(self, api, service: SupervisedService):
+    def _poll_all(self, api):
+        """DISCOVER each distinct pattern once, then judge every service.
+
+        Every reply carries its MID (§3.4.4), so one broadcast answers
+        for all the services sharing a pattern.
+        """
+        answers = {}
+        for service in self.services:
+            if (
+                not self.runtime[service.name].escalated
+                and service.pattern not in answers
+            ):
+                answers[service.pattern] = yield from api.discover_all(
+                    service.pattern, max_replies=8
+                )
+        for service in self.services:
+            yield from self._poll(api, service, answers.get(service.pattern, ()))
+
+    def _poll(self, api, service: SupervisedService, mids):
         run = self.runtime[service.name]
         if run.escalated:
             return
-        mids = yield from api.discover_all(service.pattern, max_replies=8)
         if service.mid in mids:
             if run.down:
                 run.restored += 1

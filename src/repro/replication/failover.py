@@ -3,7 +3,8 @@
 :class:`KvFailoverSupervisor` extends the PR-4
 :class:`~repro.recovery.supervisor.SupervisorProgram` — replicas are
 ordinary supervised services (health-polled through their advertised
-``REPL_PATTERN``, rebooted via BOOT/LOAD when their node dies) — with
+``REPL_PATTERN``, one broadcast per poll answering for all of them,
+rebooted via BOOT/LOAD when their node dies) — with
 one extra duty: watching ``KV_PATTERN`` for a live *primary*.  When the
 primary stays undiscoverable for ``misses_to_promote`` consecutive
 polls, the supervisor surveys the surviving replicas' log fingerprints
@@ -55,8 +56,7 @@ class KvFailoverSupervisor(SupervisorProgram):
 
     def task(self, api):
         while True:
-            for service in self.services:
-                yield from self._poll(api, service)
+            yield from self._poll_all(api)
             yield from self._check_primary(api)
             yield api.compute(self.poll_interval_us)
 

@@ -27,8 +27,9 @@ broadcast, built only from SODA primitives:
 * The primary talks only when it has something to say: a round runs
   while a client op is parked, a peer's log is behind, or a peer has
   not yet been sent the commit index; otherwise the task waits for an
-  interrupt (§5.2.1) and runs one bare round per :data:`IDLE_ROUND_US`,
-  which is how a rebooted, stale or fencing peer is found in a calm.
+  interrupt (§5.2.1) and sends one bare APPEND per peer per
+  :data:`IDLE_ROUND_US`, which is how a rebooted, stale or fencing peer
+  is found in a calm.
 
 At-most-once: every write carries a client token; a token lives in the
 log at most once (the dedup table is exactly the log's token index and
@@ -80,7 +81,8 @@ from repro.replication.wire import (
 __all__ = ["KvReplica", "IDLE_ROUND_US"]
 
 #: Longest a replica's task sleeps with nothing to do; the primary runs
-#: one bare round when it wakes.  The supervisor's poll interval.
+#: one idle round (an APPEND to each peer) when it wakes.  The
+#: supervisor's poll interval.
 IDLE_ROUND_US = 200_000.0
 
 
@@ -421,6 +423,10 @@ class KvReplica(ClientProgram):
     def _replicate_round(self, api):
         round_start = api.now
         epoch0, commit0 = self.epoch, self.commit
+        # An idle round is only a heartbeat: its empty APPEND carries the
+        # commit index and its ACK reports FENCED or GAP, which is all a
+        # calm needs; a GAP lowers ``matched`` so the next round has work.
+        idle = not self._has_work()
         sends = []
         for mid in self.peer_mids:
             from_i = min(self.next_index.get(mid, 0), len(self.log))
@@ -449,9 +455,13 @@ class KvReplica(ClientProgram):
                 self._sent_commit[mid] = commit0
             elif code in (ACK_GAP, ACK_MISMATCH):
                 self.next_index[mid] = min(value, len(self.log))
+                if code == ACK_GAP:
+                    self.matched[mid] = min(self.matched.get(mid, 0), value)
             elif code == ACK_FENCED:
                 yield from self._adopt(api, value)
                 return
+        if idle:
+            return
         # The quorum count below includes our own log length: make it
         # durable before counting ourselves, same as peers do before
         # their CONFIRM replies.

@@ -1,8 +1,16 @@
 """Supervision: DISCOVER health polls, BOOT/LOAD reboots, escalation."""
 
+import hashlib
+import itertools
+from collections import Counter
+
 from repro.analysis.workloads import build_workload
 from repro.chaos import ClientDie, NodeCrash, Scenario
+from repro.chaos.runner import chaos_config, make_schedule
+from repro.net import frame
 from repro.recovery import RestartPolicy, SupervisorProgram, check_self_heal
+from repro.replication.wire import KV_PATTERN
+from repro.transport import packet
 
 
 def run_supervised(actions, policy=None):
@@ -107,3 +115,59 @@ def test_single_missed_poll_does_not_reboot():
     assert trace.count("recovery.crash_detected") == 0
     assert trace.count("recovery.reboot_attempt") == 0
     assert check_self_heal(built, scenario.last_action_us) == []
+
+
+def _calm_cell(workload):
+    built = build_workload(workload, seed=1, config=chaos_config())
+    make_schedule("calm", built.spec).run(built)
+    return built
+
+
+def test_one_discover_per_distinct_pattern_per_poll():
+    """The three KV replicas share ``REPL_PATTERN`` and every DISCOVER
+    reply carries its MID (§3.4.4), so a calm poll is one broadcast of
+    it plus the ``KV_PATTERN`` check.  Fails under the old per-service
+    loop, which broadcast ``REPL_PATTERN`` once per replica."""
+    built = _calm_cell("kvstore_supervised")
+    (mid, supervisor), = (
+        (mid, node.kernel.client.program)
+        for mid, node in built.net.nodes.items()
+        if isinstance(node.kernel.client.program, SupervisorProgram)
+    )
+    polls = []
+    last = float("-inf")
+    for rec in built.net.sim.trace.records:
+        if rec.category != "kernel.request" or rec["mid"] != mid:
+            continue
+        # Within a poll DISCOVERs follow each other by one reply window;
+        # between polls the supervisor computes for a poll interval.
+        if rec.time - last >= supervisor.poll_interval_us:
+            polls.append(Counter())
+        polls[-1][rec["pattern"]] += 1
+        last = rec.time
+    patterns = {svc.pattern for svc in supervisor.services} | {KV_PATTERN}
+    assert len(supervisor.services) == 3 and len(patterns) == 2
+    assert len(polls) > built.net.sim.now / (2 * supervisor.poll_interval_us)
+    assert all(poll == dict.fromkeys(patterns, 1) for poll in polls)
+
+
+#: sha256 of ``supervised`` / ``calm`` / 1's trace, one ``repr`` per line,
+#: as it was while the supervisor broadcast once per service.
+SUPERVISED_CALM_DIGEST = (
+    "b4a47ac04d4d9efb15f6c4009f3ef0be7b530916fd6569b36f968f7d8feacd69"
+)
+
+
+def test_one_service_supervisor_trace_is_unchanged(monkeypatch):
+    """With one service, one DISCOVER per distinct pattern is the old
+    loop's one DISCOVER per service: the trace is the same record for
+    record.  Fails if the poll's DISCOVER changes shape, e.g. loses its
+    ``max_replies=8`` (a 16-byte reply buffer becomes 32)."""
+    # Frame and packet ids are minted per process and traced.
+    monkeypatch.setattr(frame, "_frame_ids", itertools.count(1))
+    monkeypatch.setattr(packet, "_packet_ids", itertools.count(1))
+    records = _calm_cell("supervised").net.sim.trace.records
+    digest = hashlib.sha256()
+    for rec in records:
+        digest.update(f"{rec!r}\n".encode())
+    assert (len(records), digest.hexdigest()) == (709, SUPERVISED_CALM_DIGEST)

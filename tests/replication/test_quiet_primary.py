@@ -3,19 +3,21 @@
 A round (APPEND, then CONFIRM, to each peer) runs while a client op is
 parked, a peer's log is behind, or a peer has not been sent the commit
 index; otherwise the replica's task waits for an interrupt and runs one
-bare round per ``IDLE_ROUND_US`` (DESIGN.md §16).
+idle round per ``IDLE_ROUND_US``: an APPEND to each peer and no CONFIRM
+(DESIGN.md §16–17).
 
 Each test fails under the hand mutation of ``KvReplica.task`` /
-``KvReplica._has_work`` named for it:
+``KvReplica._has_work`` / ``KvReplica._replicate_round`` named for it:
 
 * (a) ``test_calm_primary_is_silent_between_ops`` — the old
   unconditional loop: round, serve, ``compute(repl_interval_us)``,
-  every pass.
+  every pass; or an idle round that keeps its CONFIRM.
 * (b) ``test_parked_write_starts_its_round_at_once`` — keep the
   ``compute(repl_interval_us)`` sleep in the idle branch (rounds
   without work skipped, but work waits for the 20 ms tick).
 * (c) ``test_amnesiac_backup_catches_up_within_an_idle_interval`` —
-  drop the idle round (poll on ``_has_work`` alone).
+  drop the idle round (poll on ``_has_work`` alone); or drop the
+  ``ACK_GAP`` lowering of ``matched``.
 * (d) ``test_followers_apply_without_a_further_client_op`` — drop the
   ``_sent_commit`` condition from ``_has_work``.
 * (e) ``test_idle_deposed_primary_is_fenced_and_acks_nothing`` — drop
@@ -69,13 +71,26 @@ def _round_starts(records, primary, first_peer):
     ]
 
 
-def test_calm_primary_is_silent_between_ops():
+def test_calm_primary_is_silent_between_ops(monkeypatch):
+    """A round with work sends an APPEND and a CONFIRM to each peer, an
+    idle round one APPEND to each peer.  Fails under the old
+    unconditional loop, and under an idle round that keeps its CONFIRM."""
+    started = []  # (time, had work) of each of replica0's rounds
+    replicate_round = KvReplica._replicate_round
+
+    def spy(self, api):
+        if api.my_mid == 0:
+            started.append((api.now, self._has_work()))
+        yield from replicate_round(self, api)
+
+    monkeypatch.setattr(KvReplica, "_replicate_round", spy)
     built, records = _calm()
     primary = _program(built, 0)
     assert primary.primary
     interval = primary.repl_interval_us
     promoted = next(r.time for r in records if r.category == "kv.promote")
     rounds = _round_starts(records, 0, primary.peer_mids[0])
+    assert len(rounds) == len(started)
     # Client REQUESTs, retries included (an op's first attempt may find
     # no primary yet).
     sent = [
@@ -85,13 +100,28 @@ def test_calm_primary_is_silent_between_ops():
     commits = [
         r.time for r in records if r.category == "kv.apply" and r["mid"] == 0
     ]
-    # Every REPL REQUEST the primary sends belongs to a round.
+    # Every REPL REQUEST the primary sends belongs to a round: an APPEND
+    # (it carries the commit index, so its put is never empty) to each
+    # peer, then a CONFIRM to each peer only if the round had work.
     repl = [
         r for r in records
         if r.category == "kernel.request" and r["mid"] == 0
         and r["pattern"] == REPL_PATTERN and r.time > promoted
     ]
-    assert len(repl) == 2 * len(primary.peer_mids) * len(rounds)
+    sent_at = [r.time for r in repl]
+    peers = len(primary.peer_mids)
+    ends = [t for t, _work in started[1:]] + [float("inf")]
+    for (start, work), end in zip(started, ends):
+        window = repl[
+            bisect.bisect_left(sent_at, start) : bisect.bisect_left(sent_at, end)
+        ]
+        appends = sum(1 for r in window if r["put"] > 0)
+        assert (appends, len(window) - appends) == (
+            peers, peers if work else 0
+        ), f"round at {start} us (work: {work})"
+    idle = sum(1 for _t, work in started if not work)
+    assert 0 < idle < len(started)
+    assert len(repl) == peers * (2 * len(started) - idle)
 
     def between(times, lo, hi):
         return bisect.bisect_right(times, hi) > bisect.bisect_left(times, lo)
@@ -105,7 +135,7 @@ def test_calm_primary_is_silent_between_ops():
             between(sent, before - interval, start)
             or between(commits, before, start)
         ), f"round at {start} us had nothing to say"
-    # And through the calm tail, one bare round per idle interval.
+    # And through the calm tail, one idle round per idle interval.
     last_result = max(r.time for r in records if r.category == "kv.result")
     tail = [t for t in rounds if t > last_result + 2 * interval]
     span = built.net.sim.now - last_result
@@ -142,6 +172,12 @@ def test_parked_write_starts_its_round_at_once(monkeypatch):
 
 
 def test_amnesiac_backup_catches_up_within_an_idle_interval():
+    """The idle round's empty APPEND finds the rebooted peer (ACK_GAP),
+    the GAP lowers its ``matched`` so the next round has work, and the
+    whole log follows within an idle interval.  Fails with the idle
+    round dropped, and with the ``ACK_GAP`` lowering of ``matched``
+    dropped (the primary then sees no work, and the log trickles over
+    one batch per idle round)."""
     crash_at, reboot_at = 6_000_000.0, 6_500_000.0
     built = build_workload("kvstore", durable=False)
     Scenario(

@@ -176,9 +176,10 @@ def test_non_causal_cell_retains_nothing_and_feeds_everything(cells_seen):
     ((built,), (table,)) = cells_seen
     trace = built.net.sim.trace
     assert len(trace.records) == 0 and not trace.keep_records
-    # Every record of the big crash-and-failover cell (14 165 since the
-    # primary replicates only when it has work), not a trivial one.
-    assert table.records_fed == sum(trace.counters.values()) >= 14_165
+    # Every record of the big crash-and-failover cell, not a trivial one:
+    # 9 810 since the supervisor DISCOVERs each pattern once a poll and
+    # an idle round sends no CONFIRM (14 165 before).
+    assert table.records_fed == sum(trace.counters.values()) >= 9_810
     assert 0.0 < table.end_time <= built.net.sim.now
     # Uninstalled after the run: the sinks die with run_cell's frame,
     # not with the network's reference cycles.
@@ -205,7 +206,17 @@ def test_sinks_must_be_installed_before_the_first_record(monkeypatch):
         run_cell("echo", "calm", 1)
 
 
-def test_live_cell_peaks_at_a_quarter_of_the_retained_one():
+#: Peak bytes a retained run holds beyond a live one, per record emitted:
+#: 194 when the supervisor polled each replica with its own broadcast,
+#: 170 since.  A ratio of the two peaks drifts with traffic instead (the
+#: network's fixed cost is a larger share of a shorter trace).
+RETAINED_BYTES_PER_RECORD = 120
+
+
+def test_live_cell_peaks_at_a_quarter_of_the_retained_one(cells_seen):
+    """A live cell keeps no record, so the retained run's peak is higher
+    by at least ``RETAINED_BYTES_PER_RECORD`` per record emitted.  Fails
+    when a sink appends every record it is fed."""
     def peak_of(fn):
         gc.collect()
         tracemalloc.start()
@@ -217,7 +228,11 @@ def test_live_cell_peaks_at_a_quarter_of_the_retained_one():
 
     run_cell("echo", "calm", 1)  # imports and caches, outside both peaks
     live, retained = peak_of(run_cell), peak_of(reference_run_cell)
-    assert live <= 0.25 * retained, (live, retained)
+    (_echo, built), _tables = cells_seen
+    records = sum(built.net.sim.trace.counters.values())
+    assert retained - live >= RETAINED_BYTES_PER_RECORD * records, (
+        live, retained, records,
+    )
 
 
 # -- a post-hoc judge must see the whole run -----------------------------------
