@@ -63,7 +63,9 @@ FRAME_COST_CELL = ("kvstore_supervised", "primary_crash_load", 3)
 #: every frame had a finish event and a ``net.tx`` record; 7.353 and
 #: 5.202 since the KV primary replicates only when it has work; 7.66
 #: and 5.527 since the cheap heartbeat frames went: an idle round sends
-#: no CONFIRM and the supervisor DISCOVERs each pattern once a poll).
+#: no CONFIRM and the supervisor DISCOVERs each pattern once a poll;
+#: 7.686 and 5.475 since a KV round sends only the phases with
+#: something to carry).
 EVENTS_PER_FRAME_MAX = 7.75
 RECORDS_PER_FRAME_MAX = 5.99
 

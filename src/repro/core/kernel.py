@@ -1075,6 +1075,12 @@ class SodaKernel:
             return future
         conn = self._conn(req_sig.mid)
         if conn.declared_dead:
+            # No ACCEPT can reach the requester: settle the delivery as
+            # _accept_peer_dead does, so a PROBE from a requester that
+            # was only cut off is answered "not alive", not "alive"
+            # forever.
+            delivered.reply_dead = True
+            self._set_delivered_state(delivered, DeliveredState.DONE)
             self.sim.schedule(
                 self.config.timing.protocol_send_us,
                 future.resolve,

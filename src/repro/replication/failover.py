@@ -7,8 +7,10 @@ ordinary supervised services (health-polled through their advertised
 rebooted via BOOT/LOAD when their node dies) — with
 one extra duty: watching ``KV_PATTERN`` for a live *primary*.  When the
 primary stays undiscoverable for ``misses_to_promote`` consecutive
-polls, the supervisor surveys the surviving replicas' log fingerprints
-and nominates the most up-to-date one for takeover.
+polls, the supervisor surveys the replicas' log fingerprints — every
+probe leaves before any answer is read, so the answers are one
+snapshot, not a walk through a log that grows meanwhile — and
+nominates the most up-to-date one for takeover.
 
 The supervisor nominates; it does not elect.  The nominee still has to
 win a vote quorum (:meth:`KvReplica._takeover`), so a confused or
@@ -70,13 +72,20 @@ class KvFailoverSupervisor(SupervisorProgram):
             return
         self._primary_misses = 0
         # Survey fingerprints; a probe CONFIRM at epoch 0 is never a
-        # grant, it just reads (epoch, last_epoch, length) back.
-        statuses = {}
+        # grant, it just reads (epoch, last_epoch, length) back.  All
+        # probes leave before any answer is read: one after another, a
+        # write committed between two answers could make a backup look
+        # longer than the live primary.
+        probes = []
         for mid in self.replica_mids:
-            completion = yield from api.b_signal(
+            tid = yield from api.request(
                 ServerSignature(mid, REPL_PATTERN),
                 arg=pack_repl(MSG_CONFIRM, 0),
             )
+            probes.append((mid, tid, api.watch_completion(tid)))
+        statuses = {}
+        for mid, tid, future in probes:
+            completion = yield from api.wait_completion(tid, future)
             if (
                 completion.status is RequestStatus.COMPLETED
                 and completion.arg >= 0

@@ -30,6 +30,11 @@ broadcast, built only from SODA primitives:
   interrupt (§5.2.1) and sends one bare APPEND per peer per
   :data:`IDLE_ROUND_US`, which is how a rebooted, stale or fencing peer
   is found in a calm.
+* And each half of a round only when it carries something: the APPEND
+  when a peer lacks entries or the commit index, the CONFIRM when an op
+  is parked or a peer is not fingerprint-matched to the log end.  A
+  round that only spreads a new commit index is an APPEND alone, a
+  round that only serves a GET a CONFIRM alone.
 
 At-most-once: every write carries a client token; a token lives in the
 log at most once (the dedup table is exactly the log's token index and
@@ -211,16 +216,29 @@ class KvReplica(ClientProgram):
 
     def _has_work(self) -> bool:
         """Does the next round have something to say?"""
-        if self._takeover_requested or self.waiters or self.pending_reads:
-            return True
+        return self._has_to_confirm() or self._has_to_ship()
+
+    def _has_to_ship(self) -> bool:
+        """An APPEND's cargo: a peer lacks entries or the commit index."""
         if not self.primary:
             return False
         length, commit = len(self.log), self.commit
         return any(
-            self.matched.get(mid, 0) < length
+            self.next_index.get(mid, 0) < length
+            or self.matched.get(mid, 0) < length
             or self._sent_commit.get(mid, 0) < commit
             for mid in self.peer_mids
         )
+
+    def _has_to_confirm(self) -> bool:
+        """A CONFIRM's cargo: an op or TAKEOVER is parked, or a peer is
+        not fingerprint-matched to the log end."""
+        if self._takeover_requested or self.waiters or self.pending_reads:
+            return True
+        if not self.primary:
+            return False
+        length = len(self.log)
+        return any(self.matched.get(mid, 0) < length for mid in self.peer_mids)
 
     # -- client operations (KV_PATTERN) --------------------------------
 
@@ -423,12 +441,16 @@ class KvReplica(ClientProgram):
     def _replicate_round(self, api):
         round_start = api.now
         epoch0, commit0 = self.epoch, self.commit
-        # An idle round is only a heartbeat: its empty APPEND carries the
-        # commit index and its ACK reports FENCED or GAP, which is all a
-        # calm needs; a GAP lowers ``matched`` so the next round has work.
-        idle = not self._has_work()
+        # Each phase runs only with something to carry.  A commit-only
+        # round is an APPEND alone (every peer is matched, nothing is
+        # parked), a read-only round a CONFIRM alone (no peer lacks an
+        # entry or the commit index).  A round with neither is the idle
+        # heartbeat: its empty APPEND carries the commit index and its
+        # ACK reports FENCED or GAP, which is all a calm needs; a GAP
+        # lowers ``matched`` so the next round has work.
+        to_ship, to_confirm = self._has_to_ship(), self._has_to_confirm()
         sends = []
-        for mid in self.peer_mids:
+        for mid in self.peer_mids if to_ship or not to_confirm else ():
             from_i = min(self.next_index.get(mid, 0), len(self.log))
             entries = self.log[from_i : from_i + BATCH_ENTRIES]
             prev_epoch = self.log[from_i - 1].epoch if from_i > 0 else 0
@@ -460,7 +482,7 @@ class KvReplica(ClientProgram):
             elif code == ACK_FENCED:
                 yield from self._adopt(api, value)
                 return
-        if idle:
+        if not to_confirm:
             return
         # The quorum count below includes our own log length: make it
         # durable before counting ourselves, same as peers do before

@@ -126,7 +126,7 @@ def test_verdicts_bite_on_an_unhealthy_body():
     # an idle round sent CONFIRMs.
     kv["schedules"]["calm"]["requests_per_op"] = 28.57
     assert load(BENCHES["kv"]).verdicts(kv) == [
-        "calm spends 28.57 kernel REQUESTs per op (> 1.1 x 19.07)"
+        "calm spends 28.57 kernel REQUESTs per op (> 1.1 x 17.07)"
     ]
 
     durability = _committed_body("durability")

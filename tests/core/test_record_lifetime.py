@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.invariants import check_network_degraded
 from repro.chaos import check_liveness
 from repro.core import (
+    AcceptStatus,
     CancelStatus,
     ClientProgram,
     KernelConfig,
@@ -22,9 +23,9 @@ from repro.core import (
     RequestStatus,
 )
 from repro.core.errors import TooManyRequestsError
-from repro.core.kernel import DeliveredState, SodaKernel
+from repro.core.kernel import DeliveredState, RequestState, SodaKernel
 from repro.core.patterns import BROADCAST, make_well_known_pattern
-from repro.core.signatures import RequesterSignature
+from repro.core.signatures import RequesterSignature, ServerSignature
 from repro.transport.packet import NackCode, Packet, PacketType
 
 from tests.conftest import RecordingServer, ScriptedClient, make_pair
@@ -172,6 +173,65 @@ def test_done_delivery_answers_probes_until_its_accept_is_settled():
     assert status is RequestStatus.CRASHED
     (report,) = net.sim.trace.select("kernel.crash_report", tid=tid)
     assert report["reason"] == "probe_denied"
+
+
+def test_accept_on_a_connection_declared_dead_settles_the_delivery():
+    # Both directions are cut just long enough for the server's own
+    # REQUEST to the requester to exhaust and declare it dead; the server
+    # then ACCEPTs the requester's REQUEST, which fails CRASHED at once.
+    # The delivery must settle as a dead ACCEPT's does (reply_dead,
+    # DONE, retired): after the heal the requester's next PROBE is
+    # denied, where it used to be answered "alive" forever.
+    probe_us = 2_000_000.0
+    config = KernelConfig(probe_interval_us=probe_us)
+    net = Network(seed=21, config=config)
+    server = Holder()
+    net.add_node(program=server, name="server")
+    client = ScriptedClient(signal_once)
+    net.add_node(program=client, name="client", boot_at_us=100.0)
+    kernel, requester = net.nodes[0].kernel, net.nodes[1].kernel
+
+    def cut(frame, receiver):
+        return True
+
+    accepted = []
+
+    def cut_off():
+        # Once the REQUEST is acknowledged, the requester only probes.
+        if not any(
+            record.state is RequestState.DELIVERED
+            for record in requester.requests.values()
+        ):
+            net.sim.schedule(1_000.0, cut_off)
+            return
+        net.faults.add_drop_predicate(cut)
+        kernel.client_request(ServerSignature(1, PATTERN), 0)
+        net.sim.schedule(1_000.0, accept_once_dead)
+
+    def accept_once_dead():
+        if not kernel.connections[1].declared_dead:
+            net.sim.schedule(1_000.0, accept_once_dead)
+            return
+        (sig,) = server.askers
+        future = kernel.client_accept(sig, 0)
+        future.add_callback(lambda f: accepted.append((net.sim.now, f.value)))
+        net.faults.remove_drop_predicate(cut)
+
+    net.sim.schedule(1_000.0, cut_off)
+    net.run(until=RUN_US)
+
+    ((accepted_at, status),) = accepted
+    assert status is AcceptStatus.CRASHED
+    assert kernel.delivered == {} and kernel.pending_accepts == {}
+    tid, status = client.result
+    assert status is RequestStatus.CRASHED
+    (report,) = net.sim.trace.select("kernel.crash_report", mid=1, tid=tid)
+    assert report["reason"] == "probe_denied"
+    # The requester was never cut off long enough to give up by itself:
+    # its first PROBE after the ACCEPT is the one denied.
+    assert report.time - accepted_at <= (
+        probe_us + config.retransmit.ack_timeout_us
+    )
 
 
 def test_delivery_retires_when_its_accept_is_acknowledged(network):

@@ -151,6 +151,42 @@ def test_one_discover_per_distinct_pattern_per_poll():
     assert all(poll == dict.fromkeys(patterns, 1) for poll in polls)
 
 
+def test_takeover_survey_probes_every_replica_before_reading_any():
+    """The survey's fingerprint probes go out together, so a write that
+    commits while they are answered cannot make a backup look longer
+    than the live primary: all three ``kernel.request`` records of a
+    survey precede its first completion.  Fails under the sequential
+    loop (one blocking ``b_signal`` after another)."""
+    built = build_workload("kvstore_supervised", seed=1, config=chaos_config())
+    make_schedule("primary_crash_load", built.spec).run(built)
+    supervisor = next(
+        mid for mid, node in built.net.nodes.items()
+        if isinstance(node.kernel.client.program, SupervisorProgram)
+    )
+    replicas = built.net.nodes[supervisor].kernel.client.program.replica_mids
+    records = built.net.sim.trace.records
+    nominated = [
+        r.time for r in records
+        if r.category == "kv.takeover_sent" and r["mid"] == supervisor
+    ]
+    assert nominated
+    # The probes are the supervisor's only REQUESTs aimed at one replica
+    # (its DISCOVERs broadcast; a TAKEOVER follows a nomination).
+    probes = [
+        r for r in records
+        if r.category == "kernel.request" and r["mid"] == supervisor
+        and r["dst"] in replicas and r.time < nominated[0]
+    ]
+    assert sorted(r["dst"] for r in probes) == sorted(replicas)
+    tids = {r["tid"] for r in probes}
+    first_answer = min(
+        r.time for r in records
+        if r.category == "kernel.complete" and r["mid"] == supervisor
+        and r["tid"] in tids
+    )
+    assert max(r.time for r in probes) < first_answer
+
+
 #: sha256 of ``supervised`` / ``calm`` / 1's trace, one ``repr`` per line,
 #: as it was while the supervisor broadcast once per service.
 SUPERVISED_CALM_DIGEST = (

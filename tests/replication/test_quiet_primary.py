@@ -1,17 +1,22 @@
 """The KV primary replicates only when it has something to say.
 
-A round (APPEND, then CONFIRM, to each peer) runs while a client op is
-parked, a peer's log is behind, or a peer has not been sent the commit
-index; otherwise the replica's task waits for an interrupt and runs one
-idle round per ``IDLE_ROUND_US``: an APPEND to each peer and no CONFIRM
-(DESIGN.md §16–17).
+A round runs while a client op is parked, a peer's log is behind, or a
+peer has not been sent the commit index; otherwise the replica's task
+waits for an interrupt and runs one idle round per ``IDLE_ROUND_US``.
+Each phase of a round runs only with something to carry: the APPEND to
+each peer when a peer lacks entries or the commit index (or as the idle
+round's heartbeat), the CONFIRM to each peer when an op is parked or a
+peer is not fingerprint-matched to the log end (DESIGN.md §16–18).
 
 Each test fails under the hand mutation of ``KvReplica.task`` /
 ``KvReplica._has_work`` / ``KvReplica._replicate_round`` named for it:
 
 * (a) ``test_calm_primary_is_silent_between_ops`` — the old
   unconditional loop: round, serve, ``compute(repl_interval_us)``,
-  every pass; or an idle round that keeps its CONFIRM.
+  every pass; an idle or commit-only round that keeps its CONFIRM; or
+  a read-only round that keeps its APPEND.
+* (a') ``test_get_is_served_by_the_first_confirm_round_after_it_arrived``
+  — set ``_quorum_confirmed_at`` from the previous round's start.
 * (b) ``test_parked_write_starts_its_round_at_once`` — keep the
   ``compute(repl_interval_us)`` sleep in the idle branch (rounds
   without work skipped, but work waits for the 20 ms tick).
@@ -71,26 +76,44 @@ def _round_starts(records, primary, first_peer):
     ]
 
 
-def test_calm_primary_is_silent_between_ops(monkeypatch):
-    """A round with work sends an APPEND and a CONFIRM to each peer, an
-    idle round one APPEND to each peer.  Fails under the old
-    unconditional loop, and under an idle round that keeps its CONFIRM."""
-    started = []  # (time, had work) of each of replica0's rounds
+def _spy_rounds(monkeypatch):
+    """(start time, to ship, to confirm) of each of replica0's rounds."""
+    started = []
     replicate_round = KvReplica._replicate_round
 
     def spy(self, api):
         if api.my_mid == 0:
-            started.append((api.now, self._has_work()))
+            started.append(
+                (api.now, self._has_to_ship(), self._has_to_confirm())
+            )
         yield from replicate_round(self, api)
 
     monkeypatch.setattr(KvReplica, "_replicate_round", spy)
+    return started
+
+
+def _primary_repl_requests(records, promoted):
+    return [
+        r for r in records
+        if r.category == "kernel.request" and r["mid"] == 0
+        and r["pattern"] == REPL_PATTERN and r.time > promoted
+    ]
+
+
+def test_calm_primary_is_silent_between_ops(monkeypatch):
+    """Each phase of a round runs only with something to carry: a write
+    round sends an APPEND and a CONFIRM to each peer, a commit-only
+    round and the idle round one APPEND to each peer, a read-only round
+    one CONFIRM to each peer.  Fails under the old unconditional loop,
+    under a commit-only round that keeps its CONFIRM, and under a
+    read-only round that keeps its APPEND."""
+    started = _spy_rounds(monkeypatch)
     built, records = _calm()
     primary = _program(built, 0)
     assert primary.primary
     interval = primary.repl_interval_us
     promoted = next(r.time for r in records if r.category == "kv.promote")
-    rounds = _round_starts(records, 0, primary.peer_mids[0])
-    assert len(rounds) == len(started)
+    rounds = [t for t, _ship, _confirm in started]
     # Client REQUESTs, retries included (an op's first attempt may find
     # no primary yet).
     sent = [
@@ -102,26 +125,33 @@ def test_calm_primary_is_silent_between_ops(monkeypatch):
     ]
     # Every REPL REQUEST the primary sends belongs to a round: an APPEND
     # (it carries the commit index, so its put is never empty) to each
-    # peer, then a CONFIRM to each peer only if the round had work.
-    repl = [
-        r for r in records
-        if r.category == "kernel.request" and r["mid"] == 0
-        and r["pattern"] == REPL_PATTERN and r.time > promoted
-    ]
+    # peer if there is something to ship or nothing at all to say, then
+    # a CONFIRM to each peer if there is something to confirm.
+    repl = _primary_repl_requests(records, promoted)
     sent_at = [r.time for r in repl]
     peers = len(primary.peer_mids)
-    ends = [t for t, _work in started[1:]] + [float("inf")]
-    for (start, work), end in zip(started, ends):
+    ends = rounds[1:] + [float("inf")]
+    kinds = {}
+    for (start, ship, confirm), end in zip(started, ends):
         window = repl[
             bisect.bisect_left(sent_at, start) : bisect.bisect_left(sent_at, end)
         ]
         appends = sum(1 for r in window if r["put"] > 0)
-        assert (appends, len(window) - appends) == (
-            peers, peers if work else 0
-        ), f"round at {start} us (work: {work})"
-    idle = sum(1 for _t, work in started if not work)
-    assert 0 < idle < len(started)
-    assert len(repl) == peers * (2 * len(started) - idle)
+        shape = (peers if ship or not confirm else 0, peers if confirm else 0)
+        assert (appends, len(window) - appends) == shape, (
+            f"round at {start} us (ship: {ship}, confirm: {confirm})"
+        )
+        kinds[ship, confirm] = kinds.get((ship, confirm), 0) + 1
+    # Writes (ship and confirm), commit-only rounds (ship alone),
+    # read-only rounds (confirm alone) and idle rounds (neither): every
+    # shape is exercised, so each mutation above has rounds to break.
+    assert sorted(kinds) == [
+        (False, False), (False, True), (True, False), (True, True)
+    ], kinds
+    assert len(repl) == peers * sum(
+        count * ((ship or not confirm) + confirm)
+        for (ship, confirm), count in kinds.items()
+    )
 
     def between(times, lo, hi):
         return bisect.bisect_right(times, hi) > bisect.bisect_left(times, lo)
@@ -140,6 +170,52 @@ def test_calm_primary_is_silent_between_ops(monkeypatch):
     tail = [t for t in rounds if t > last_result + 2 * interval]
     span = built.net.sim.now - last_result
     assert span / (1.25 * IDLE_ROUND_US) <= len(tail) <= span / IDLE_ROUND_US
+
+
+def test_get_is_served_by_the_first_confirm_round_after_it_arrived(
+    monkeypatch,
+):
+    """The read-index rule survives the APPEND-less read round: a GET is
+    answered only after a round with a CONFIRM phase that *started*
+    after it arrived, and by the first such round.  Fails when
+    ``_quorum_confirmed_at`` is set from the previous round (the GET
+    then waits for a second CONFIRM round)."""
+    started = _spy_rounds(monkeypatch)
+    arrived, answered = {}, {}
+    handle_kv, accept_arg = KvReplica._handle_kv, KvReplica._accept_arg
+
+    def spy_arrival(self, api, event):
+        reads = len(self.pending_reads)
+        yield from handle_kv(self, api, event)
+        if api.my_mid == 0 and len(self.pending_reads) > reads:
+            arrived[event.asker] = api.now
+
+    def spy_answer(self, api, asker, arg):
+        if api.my_mid == 0 and asker in arrived:
+            answered.setdefault(asker, api.now)
+        yield from accept_arg(self, api, asker, arg)
+
+    monkeypatch.setattr(KvReplica, "_handle_kv", spy_arrival)
+    monkeypatch.setattr(KvReplica, "_accept_arg", spy_answer)
+    built, records = _calm()
+    promoted = next(r.time for r in records if r.category == "kv.promote")
+    confirm_rounds = [t for t, _ship, confirm in started if confirm]
+    confirms_at = [
+        r.time for r in _primary_repl_requests(records, promoted)
+        if r["put"] == 0
+    ]
+    assert len(arrived) == 10  # ops 1, 4, 7, ... of 30: the GETs
+    assert sorted(answered) == sorted(arrived)
+    for asker, at in arrived.items():
+        # "After" is ``>=``: the task's WAIT ends in the instant the
+        # handler parks the GET.
+        lo = bisect.bisect_left(confirm_rounds, at)
+        hi = bisect.bisect_right(confirm_rounds, answered[asker])
+        assert hi - lo == 1, (asker, at, confirm_rounds[lo:hi])
+        # That round really sent its CONFIRMs before the answer.
+        assert bisect.bisect_right(confirms_at, answered[asker]) > (
+            bisect.bisect_left(confirms_at, confirm_rounds[lo])
+        )
 
 
 def test_parked_write_starts_its_round_at_once(monkeypatch):
