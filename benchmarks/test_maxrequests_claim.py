@@ -29,7 +29,7 @@ def _measure(max_requests: int, put_words: int = 100) -> float:
     client = StreamingRequester(put_words * 2, 0, total=14)
     # The streaming requester primes min(OUTSTANDING, total) requests but
     # the kernel caps at max_requests; prime accordingly.
-    import repro.bench.workloads as workloads
+    import repro.workloads as workloads
 
     original = workloads.OUTSTANDING
     workloads.OUTSTANDING = max_requests

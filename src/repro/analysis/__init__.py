@@ -38,15 +38,6 @@ from repro.analysis.invariants import (
 )
 from repro.analysis.linter import LintConfig, Linter, lint_paths
 from repro.analysis.rules import LintRule, all_rules, get_rule, register_rule
-from repro.analysis.workloads import (
-    CAUSAL_WORKLOADS,
-    WORKLOADS,
-    BuiltWorkload,
-    WorkloadRole,
-    WorkloadSpec,
-    build_workload,
-    run_workload,
-)
 
 __all__ = [
     "CausalDiagnostic",
@@ -57,7 +48,6 @@ __all__ = [
     "check_stream",
     "detect_deadlocks",
     "find_races",
-    "CAUSAL_WORKLOADS",
     "LintRule",
     "register_rule",
     "get_rule",
@@ -69,10 +59,4 @@ __all__ = [
     "InvariantViolation",
     "check_network",
     "check_network_degraded",
-    "WORKLOADS",
-    "BuiltWorkload",
-    "WorkloadRole",
-    "WorkloadSpec",
-    "build_workload",
-    "run_workload",
 ]

@@ -8,6 +8,7 @@ Three cooperating pieces, all pure functions of a trace:
 * :mod:`repro.analysis.causal.waitfor` — SODA013 wait-for-graph
   deadlock detection from open transaction spans.
 
+:func:`causal_diagnostics` runs the three over one trace.
 :func:`check_stream` — the invariant checker over a record sequence —
 lives in :mod:`repro.analysis.invariants` and is re-exported here.
 
@@ -24,12 +25,23 @@ from repro.analysis.causal.waitfor import (
 )
 from repro.analysis.invariants import check_stream
 
+
+def causal_diagnostics(records):
+    """The causal verdict of one trace: ``(lines, order)`` — each
+    SODA010-013 diagnostic formatted, and the happens-before relation
+    they were judged on."""
+    order = build_causal_order(records)
+    diagnostics = find_races(records, order) + detect_deadlocks(records)
+    return [diag.format() for diag in diagnostics], order
+
+
 __all__ = [
     "CausalDiagnostic",
     "CausalOrder",
     "WaitForGraph",
     "build_causal_order",
     "build_wait_graph",
+    "causal_diagnostics",
     "check_stream",
     "detect_deadlocks",
     "find_races",

@@ -7,20 +7,16 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.analysis.causal import (
-    build_causal_order,
-    detect_deadlocks,
-    find_races,
-)
+from repro.analysis.causal import causal_diagnostics
 from repro.analysis.invariants import InvariantChecker, check_network
 from repro.analysis.linter import LintConfig, has_errors, lint_paths
-from repro.analysis.workloads import (
+from repro.cli import emit, known
+from repro.workloads import (
     CAUSAL_WORKLOADS,
     WORKLOADS,
     build_workload,
     run_workload,
 )
-from repro.cli import emit, known
 
 #: Linted by default: the repo's own client programs.
 DEFAULT_LINT_PATHS = ("src/repro/apps", "examples")
@@ -111,8 +107,7 @@ def run_causal(ns) -> int:
         ).install(built.net)
         net = built.run()
         records = list(net.sim.trace.records)
-        order = build_causal_order(records)
-        diagnostics = find_races(records, order) + detect_deadlocks(records)
+        diagnostics, order = causal_diagnostics(records)
         if diagnostics:
             failing += 1
         status = "FAILED" if diagnostics else "ok"
@@ -122,8 +117,8 @@ def run_causal(ns) -> int:
             f"{order.send_edges} send/recv edges, "
             f"peak open state {checker.peak_open_state})"
         )
-        for diag in diagnostics:
-            print(f"    {diag.format()}")
+        for line in diagnostics:
+            print(f"    {line}")
         results.append(
             {
                 "workload": name,
@@ -133,7 +128,7 @@ def run_causal(ns) -> int:
                 "unmatched_rx": order.unmatched_rx,
                 "processes": len(order.processes),
                 "peak_open_state": checker.peak_open_state,
-                "diagnostics": [d.format() for d in diagnostics],
+                "diagnostics": diagnostics,
             }
         )
     print(f"causal: {len(names) - failing}/{len(names)} workload(s) clean")

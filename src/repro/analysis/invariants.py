@@ -21,11 +21,14 @@ transport invariants that must hold on every run:
   per-category charges, categories are known, and no charge is negative.
 * **SODA007** — BUSY retry earlier than hinted: when a BUSY NACK
   carries an explicit retry hint (the overload controller's widened
-  decaying-rate hint, §5.2.3 + ISSUE 5), the client must not
-  retransmit the nacked message before the hinted delay has elapsed.
-  The rule binds a client only to hints that actually *reached* it
-  (the ``hint`` field on its own ``kernel.rx`` record), and a priority
-  swap (§5.2.3) releases the parked message from the constraint.
+  decaying-rate hint, §5.2.3), the client must not decide to retry the
+  nacked message before the hinted delay has elapsed.  The rule judges
+  the decision (``conn.busy_retry``), not the wire: a retry decided
+  before a later hint lands may still reach the wire after it, behind
+  kernel-CPU queueing.  It binds a client only to hints that actually
+  *reached* it (the ``hint`` field on its own ``kernel.rx`` record),
+  and a priority swap (§5.2.3) releases the parked message from the
+  constraint.
 
 The checker consumes the extra record fields the kernel emits for it
 (``seq``/``pid``/``ack``/``nack`` on ``kernel.tx``/``kernel.rx``,
@@ -143,9 +146,9 @@ class _ConnState:
         #: legitimizes a non-flipping sequence bit on the next one.
         self.resync_ok = False
         self.live: Optional[_Message] = None
-        #: SODA007: earliest time the live message's next transmission
-        #: may occur, set when a BUSY NACK carrying an explicit retry
-        #: hint arrives.
+        #: SODA007: earliest time the live message's next BUSY retry
+        #: may be decided, set when a BUSY NACK carrying an explicit
+        #: retry hint arrives.
         self.busy_hint: Optional[float] = None
 
 
@@ -359,20 +362,6 @@ class InvariantChecker:
                         f"its sequence bit {live.seq} -> {seq}",
                     )
                 )
-            earliest = conn.busy_hint
-            conn.busy_hint = None
-            if earliest is not None and rec.time < earliest - 1.0:
-                self.violations.append(
-                    InvariantViolation(
-                        "SODA007",
-                        rec.time,
-                        mid,
-                        f"BUSY retry of pkt#{pid} to {dst} sent "
-                        f"{(earliest - rec.time)/1000.0:.1f}ms earlier "
-                        f"than the retry hint allowed; clients must "
-                        f"honor the decaying-rate hint (§5.2.3)",
-                    )
-                )
             live.count += 1
             live.last_us = rec.time
             return
@@ -407,6 +396,27 @@ class InvariantChecker:
         )
         self._live_messages += 1
         self._note_growth()
+
+    def _on_busy_retry(self, rec: TraceRecord) -> None:
+        # SODA007 judges the moment the client decides to retry: a hint
+        # that lands after that is for the next retry, not this one.
+        mid, peer = rec["mid"], rec["peer"]
+        conn = self._conns.get((mid, peer))
+        if conn is None or conn.busy_hint is None:
+            return  # a hint is only ever held for a live message
+        earliest, conn.busy_hint = conn.busy_hint, None
+        if rec.time < earliest - 1.0:
+            self.violations.append(
+                InvariantViolation(
+                    "SODA007",
+                    rec.time,
+                    mid,
+                    f"BUSY retry of pkt#{conn.live.pid} to {peer} sent "
+                    f"{(earliest - rec.time)/1000.0:.1f}ms earlier "
+                    f"than the retry hint allowed; clients must "
+                    f"honor the decaying-rate hint (§5.2.3)",
+                )
+            )
 
     def _deltat_verdict(
         self, mid: int, dst: int, msg: _Message
@@ -474,6 +484,7 @@ class InvariantChecker:
     HANDLERS = {
         "kernel.tx": _on_tx,
         "kernel.rx": _on_rx,
+        "conn.busy_retry": _on_busy_retry,
         "conn.peer_dead": _on_peer_dead,
         "conn.seq_swap": _on_seq_swap,
         "kernel.interrupt": _on_handler_entry,

@@ -1,496 +1,6 @@
-"""Named trace workloads for ``python -m repro check-trace`` and the
-chaos harness.
+"""Old import path of the workload registry, which is
+:mod:`repro.workloads`; kept only while the benchmark imports it."""
 
-Each workload is described by a :class:`WorkloadSpec`: a seed, a run
-horizon, and an ordered list of node *roles* (name, zero-arg program
-factory, boot time).  Separating *build* from *run* lets the chaos
-harness (``repro.chaos``) construct the network, overlay a fault
-schedule, and reboot nodes mid-run from the same role factories —
-while :func:`run_workload` keeps the original one-call behaviour (same
-seeds, same horizons) for the CLI and tests.
+from repro.workloads import WORKLOADS, build_workload
 
-The set is chosen to exercise the protocol paths the invariant checker
-watches: plain exchanges (echo), streamed non-blocking requests
-(stream), BUSY parking and queued accepts (queued), and the CANCEL path
-(cancel).
-"""
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.bench.workloads import (
-    BENCH_PATTERN,
-    AcceptingServer,
-    BlockingSignaler,
-    QueuedServer,
-    StreamingRequester,
-)
-from repro.apps.philosophers import Philosopher
-from repro.core.boot import ProgramImage
-from repro.core.buffers import Buffer
-from repro.core.client import ClientProgram
-from repro.core.config import KernelConfig
-from repro.core.node import Network
-from repro.core.patterns import make_well_known_pattern
-from repro.durability.disk import DiskFaultPlan, FaultDisk, SimDisk
-from repro.net.errors import FaultPlan
-from repro.recovery.retry import RetryPolicy, retry_request
-from repro.recovery.supervisor import SupervisedService, SupervisorProgram
-from repro.replication import (
-    KvClient,
-    KvFailoverSupervisor,
-    KvReplica,
-    REPL_PATTERN,
-)
-
-__all__ = [
-    "BENCH_PATTERN",
-    "CAUSAL_WORKLOADS",
-    "ECHO_PATTERN",
-    "WORKLOADS",
-    "BuiltWorkload",
-    "WorkloadRole",
-    "WorkloadSpec",
-    "build_workload",
-    "run_workload",
-]
-
-ECHO_PATTERN = make_well_known_pattern(0o347)
-
-
-class _EchoServer(ClientProgram):
-    def initialization(self, api, parent_mid):
-        yield from api.advertise(ECHO_PATTERN)
-
-    def handler(self, api, event):
-        if event.is_arrival:
-            buf = Buffer(event.put_size)
-            yield from api.accept_current_exchange(get=buf, put=b"pong")
-
-
-class _EchoClient(ClientProgram):
-    def __init__(self, rounds: int = 4) -> None:
-        self.rounds = rounds
-        self.completions: List[str] = []
-
-    def task(self, api):
-        server = yield from api.discover(ECHO_PATTERN)
-        for i in range(self.rounds):
-            reply = Buffer(16)
-            completion = yield from api.b_exchange(
-                server, put=b"ping%d" % i, get=reply
-            )
-            self.completions.append(completion.status.value)
-        yield from api.serve_forever()
-
-
-class _SlowServer(ClientProgram):
-    """Accepts after burning handler time; provokes BUSY NACKs."""
-
-    def initialization(self, api, parent_mid):
-        yield from api.advertise(ECHO_PATTERN)
-
-    def handler(self, api, event):
-        if event.is_arrival:
-            yield api.compute(30_000.0)
-            yield from api.accept_current_signal()
-
-
-class _NeverAcceptServer(ClientProgram):
-    """Leaves arrivals DELIVERED so the requester can CANCEL them."""
-
-    def initialization(self, api, parent_mid):
-        yield from api.advertise(ECHO_PATTERN)
-
-    def handler(self, api, event):
-        return
-        yield  # pragma: no cover
-
-
-class _CancellingClient(ClientProgram):
-    def __init__(self) -> None:
-        self.cancel_status = None
-
-    def task(self, api):
-        server = yield from api.discover(ECHO_PATTERN)
-        tid = yield from api.signal(server)
-        # Give the REQUEST time to be delivered, then withdraw it.
-        yield api.compute(150_000.0)
-        self.cancel_status = yield from api.cancel(tid)
-        yield from api.serve_forever()
-
-
-class _RetryClient(ClientProgram):
-    """Issues a paced stream of echo ops through the safe-retry shim.
-
-    Survives server crashes mid-stream: provably-unexecuted failures are
-    re-issued against the rebooted incarnation, ambiguous ones resolve
-    to MAYBE (never a silent double execution).
-    """
-
-    def __init__(self, total: int = 10, gap_us: float = 300_000.0) -> None:
-        self.total = total
-        self.gap_us = gap_us
-        self.outcomes: List[str] = []
-
-    def task(self, api):
-        policy = RetryPolicy(max_attempts=6, deadline_us=6_000_000.0)
-        for i in range(self.total):
-            outcome = yield from retry_request(
-                api,
-                ECHO_PATTERN,
-                put=b"op%d" % i,
-                get=16,
-                policy=policy,
-            )
-            self.outcomes.append(outcome.status)
-            yield api.compute(self.gap_us)
-        yield from api.serve_forever()
-
-
-def _make_supervisor() -> SupervisorProgram:
-    return SupervisorProgram(
-        services=(
-            SupervisedService(
-                name="server",
-                mid=0,
-                pattern=ECHO_PATTERN,
-                image=ProgramImage(
-                    "echo-server", _EchoServer, size_bytes=2048
-                ),
-            ),
-        ),
-    )
-
-
-class _Pinger(ClientProgram):
-    def __init__(self, rounds: int = 3) -> None:
-        self.rounds = rounds
-
-    def task(self, api):
-        server = api.server_sig(0, ECHO_PATTERN)
-        for _ in range(self.rounds):
-            yield from api.b_signal(server)
-        yield from api.serve_forever()
-
-
-#: The replicated KV store's cluster shape (MIDs = role indexes 0..2).
-KV_REPLICAS = 3
-KV_QUORUM = 2
-
-
-def _kv_replica(index: int, claim_primary: bool = False) -> KvReplica:
-    peers = tuple(i for i in range(KV_REPLICAS) if i != index)
-    return KvReplica(
-        index=index,
-        peer_mids=peers,
-        quorum=KV_QUORUM,
-        claim_primary=claim_primary,
-    )
-
-
-def _kv_disk(index: int):
-    """A replica's disk: simulated media behind an (initially quiet)
-    fault plan, so chaos ``DiskFault`` actions have a dial to turn."""
-    return FaultDisk(SimDisk(), DiskFaultPlan(seed=100 + index))
-
-
-def _kv_roles() -> Tuple["WorkloadRole", ...]:
-    return (
-        # replica0 claims the first epoch through the vote protocol; a
-        # chaos Reboot of this role re-runs the claim, which is exactly
-        # the stale-primary-resurfacing case epoch fencing must fence.
-        WorkloadRole(
-            "replica0",
-            lambda: _kv_replica(0, claim_primary=True),
-            disk_factory=lambda: _kv_disk(0),
-        ),
-        WorkloadRole(
-            "replica1",
-            lambda: _kv_replica(1),
-            boot_at_us=20.0,
-            disk_factory=lambda: _kv_disk(1),
-        ),
-        WorkloadRole(
-            "replica2",
-            lambda: _kv_replica(2),
-            boot_at_us=40.0,
-            disk_factory=lambda: _kv_disk(2),
-        ),
-    )
-
-
-def _make_kv_supervisor() -> KvFailoverSupervisor:
-    services = tuple(
-        SupervisedService(
-            name=f"replica{i}",
-            mid=i,
-            pattern=REPL_PATTERN,
-            # Reboot images rejoin as backups: a node that lost its
-            # memory must never boot straight back into primaryship.
-            image=ProgramImage(
-                f"kv-replica-{i}",
-                (lambda i=i: _kv_replica(i)),
-                size_bytes=2048,
-            ),
-        )
-        for i in range(KV_REPLICAS)
-    )
-    return KvFailoverSupervisor(
-        services=services,
-        replica_mids=tuple(range(KV_REPLICAS)),
-        quorum=KV_QUORUM,
-    )
-
-
-@dataclass(frozen=True)
-class WorkloadRole:
-    """One node of a workload: MIDs are assigned in listing order."""
-
-    name: str
-    factory: Callable[[], ClientProgram]
-    boot_at_us: float = 0.0
-    #: Builds this node's durable disk (fresh per build — disks must
-    #: never leak across chaos cells).  None = diskless (SODA default).
-    disk_factory: Optional[Callable[[], object]] = None
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A reproducible workload: seed + horizon + node roles."""
-
-    name: str
-    seed: int
-    until_us: float
-    roles: Tuple[WorkloadRole, ...]
-    #: Role names watched by an in-workload supervisor; the chaos
-    #: runner's self-heal judgment (repro.recovery.convergence) applies
-    #: only to these.
-    supervised: Tuple[str, ...] = ()
-
-
-@dataclass
-class BuiltWorkload:
-    """A constructed-but-not-yet-run workload network.
-
-    ``net`` has one node per spec role (MID = role index) with the
-    role's program installed.  The chaos harness reboots a dead node's
-    client by calling its role factory again.
-    """
-
-    spec: WorkloadSpec
-    net: Network
-
-    def role_for(self, mid: int) -> WorkloadRole:
-        return self.spec.roles[mid]
-
-    def mid_of(self, role_name: str) -> int:
-        for mid, role in enumerate(self.spec.roles):
-            if role.name == role_name:
-                return mid
-        raise KeyError(
-            f"workload {self.spec.name!r} has no role {role_name!r}"
-        )
-
-    def run(self) -> Network:
-        self.net.run(until=self.spec.until_us)
-        return self.net
-
-
-WORKLOADS: Dict[str, WorkloadSpec] = {
-    spec.name: spec
-    for spec in (
-        WorkloadSpec(
-            "echo",
-            seed=11,
-            until_us=5_000_000.0,
-            roles=(
-                WorkloadRole("server", _EchoServer),
-                WorkloadRole("client", _EchoClient, boot_at_us=100.0),
-            ),
-        ),
-        WorkloadSpec(
-            "stream",
-            seed=12,
-            until_us=60_000_000.0,
-            roles=(
-                WorkloadRole(
-                    "server", lambda: AcceptingServer(reply_bytes=8)
-                ),
-                WorkloadRole(
-                    "client",
-                    lambda: StreamingRequester(
-                        put_bytes=32, get_bytes=8, total=12
-                    ),
-                    boot_at_us=100.0,
-                ),
-            ),
-        ),
-        WorkloadSpec(
-            "queued",
-            seed=13,
-            until_us=60_000_000.0,
-            roles=(
-                WorkloadRole("server", lambda: QueuedServer(reply_bytes=0)),
-                WorkloadRole(
-                    "client",
-                    lambda: StreamingRequester(
-                        put_bytes=0, get_bytes=0, total=8
-                    ),
-                    boot_at_us=100.0,
-                ),
-            ),
-        ),
-        WorkloadSpec(
-            "busy",
-            seed=14,
-            until_us=60_000_000.0,
-            roles=(
-                WorkloadRole("server", _SlowServer),
-                WorkloadRole("c1", _Pinger, boot_at_us=100.0),
-                WorkloadRole("c2", _Pinger, boot_at_us=150.0),
-            ),
-        ),
-        WorkloadSpec(
-            "cancel",
-            seed=15,
-            until_us=10_000_000.0,
-            roles=(
-                WorkloadRole("server", _NeverAcceptServer),
-                WorkloadRole("client", _CancellingClient, boot_at_us=100.0),
-            ),
-        ),
-        WorkloadSpec(
-            "supervised",
-            seed=17,
-            until_us=10_000_000.0,
-            roles=(
-                WorkloadRole("server", _EchoServer),
-                WorkloadRole("supervisor", _make_supervisor, boot_at_us=50.0),
-                WorkloadRole("client", _RetryClient, boot_at_us=100.0),
-            ),
-            supervised=("server",),
-        ),
-        WorkloadSpec(
-            "kvstore",
-            seed=18,
-            until_us=20_000_000.0,
-            roles=_kv_roles()
-            + (WorkloadRole("client", KvClient, boot_at_us=150.0),),
-        ),
-        WorkloadSpec(
-            "kvstore_supervised",
-            seed=19,
-            until_us=20_000_000.0,
-            roles=_kv_roles()
-            + (
-                WorkloadRole(
-                    "supervisor", _make_kv_supervisor, boot_at_us=60.0
-                ),
-                WorkloadRole("client", KvClient, boot_at_us=150.0),
-            ),
-            supervised=("replica0", "replica1", "replica2"),
-        ),
-        WorkloadSpec(
-            "signal",
-            seed=16,
-            until_us=60_000_000.0,
-            roles=(
-                # Blocking B_SIGNALs against BENCH_PATTERN — §5.5.
-                WorkloadRole("server", AcceptingServer),
-                WorkloadRole(
-                    "client",
-                    lambda: BlockingSignaler(total=6),
-                    boot_at_us=100.0,
-                ),
-            ),
-        ),
-    )
-}
-
-
-def _noarb_philosopher(index: int, count: int = 5):
-    return lambda: Philosopher(
-        left_mid=(index - 1) % count,
-        meals_target=3,
-        grab_own_first=True,
-    )
-
-
-#: Extra workloads for ``python -m repro causal`` only.  They are *not*
-#: part of ``WORKLOADS`` — the chaos matrix, check-trace and the tier-1
-#: gates stay the named set above — because these exist to
-#: demonstrate pathologies: ``philosophers_noarb`` runs the §4.4.3 ring
-#: with the hold-and-wait acquisition order and no deadlock detector,
-#: so it *must* end with a SODA013 wait-for cycle.
-CAUSAL_WORKLOADS: Dict[str, WorkloadSpec] = {
-    **WORKLOADS,
-    "philosophers_noarb": WorkloadSpec(
-        "philosophers_noarb",
-        seed=21,
-        until_us=400_000.0,
-        roles=tuple(
-            WorkloadRole(f"phil{i}", _noarb_philosopher(i))
-            for i in range(5)
-        ),
-    ),
-}
-
-
-def get_spec(name: str) -> WorkloadSpec:
-    try:
-        return CAUSAL_WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; choose from "
-            f"{', '.join(sorted(CAUSAL_WORKLOADS))}"
-        ) from None
-
-
-def build_workload(
-    name: str,
-    seed: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-    config: Optional[KernelConfig] = None,
-    max_trace_records: Optional[int] = None,
-    keep_trace: bool = True,
-    durable: bool = True,
-) -> BuiltWorkload:
-    """Construct a workload network without running it.
-
-    ``seed``/``faults``/``config`` override the spec defaults so the
-    chaos harness can sweep seeds and overlay fault plans;
-    ``keep_trace=False`` runs the tracer in counters-only fast mode
-    (no record retention — the engine benchmark uses it to price
-    tracing itself).  ``durable=False`` builds disk-bearing roles
-    diskless — the pre-durability amnesia behaviour, kept reachable so
-    tests can demonstrate exactly what the WAL buys.
-    """
-    spec = get_spec(name)
-    net = Network(
-        seed=spec.seed if seed is None else seed,
-        faults=faults,
-        config=config,
-        max_trace_records=max_trace_records,
-        keep_trace=keep_trace,
-    )
-    for role in spec.roles:
-        node = net.add_node(
-            program=role.factory(),
-            name=role.name,
-            boot_at_us=role.boot_at_us,
-        )
-        if durable and role.disk_factory is not None:
-            disk = role.disk_factory()
-            media = getattr(disk, "inner", disk)
-            if isinstance(media, SimDisk):
-                media.ledger = net.ledger
-            node.disk = disk
-    return BuiltWorkload(spec=spec, net=net)
-
-
-def run_workload(name: str) -> Network:
-    """Build and run a workload exactly as the CLI always has."""
-    return build_workload(name).run()
+__all__ = ["WORKLOADS", "build_workload"]

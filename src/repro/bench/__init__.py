@@ -1,8 +1,9 @@
 """Benchmark harnesses regenerating the paper's evaluation (Chapter 5).
 
-* :mod:`repro.bench.workloads` — the measurement workloads: streaming
-  PUT/GET/EXCHANGE with MAXREQUESTS outstanding, blocking SIGNALs,
-  queued-accept (port-style) servers;
+* :mod:`repro.bench.workloads` — the measurement runs over the §5.5
+  programs of :mod:`repro.workloads`: streaming PUT/GET/EXCHANGE with
+  MAXREQUESTS outstanding, blocking SIGNALs, queued-accept (port-style)
+  servers;
 * :mod:`repro.bench.perf_tables` — the "SODA Performance" table (T1-T3);
 * :mod:`repro.bench.breakdown` — the "Breakdown of Communications
   Overhead" table (T4);
@@ -14,8 +15,7 @@
   ``BENCHES`` row per committed ``BENCH_<name>.json``, over the seven
   bench modules (``perf_tables``, ``transport``, ``kv``, ``durability``,
   ``causal``, ``sim_bench``, ``real``).  Not imported here: those pull
-  in the chaos, replication and real-socket stacks, and importing
-  :mod:`repro.bench.workloads` must stay cheap.
+  in the chaos and real-socket stacks.
 """
 
 from repro.bench.breakdown import (

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.runner import chaos_config, make_schedule
 from repro.replication.consistency import check_kv_consistency, kv_summary

@@ -1,10 +1,11 @@
 """Sim-vs-real benchmark (``python -m repro bench real``).
 
-Runs the same ping-pong programs on both backends — the discrete-event
-simulator and the wall-clock UDP backend — under the same nominal 10%
-loss, once per retransmit policy, and emits ``BENCH_real.json``
-(``soda.bench/1``) with the four-cell table: backend × policy, each
-cell carrying the RTT distribution, goodput, and retransmit counts.
+Places the one ``burst`` workload spec on both backends — the
+discrete-event simulator and the wall-clock UDP backend — under the
+same nominal 10% loss, once per retransmit policy, and emits
+``BENCH_real.json`` (``soda.bench/1``) with the four-cell table:
+backend × policy, each cell carrying the RTT distribution, goodput,
+and retransmit counts.
 
 The real cells run *in-process* (every node on one event loop, real
 sockets over loopback) so the bench is hermetic and CI-friendly; the
@@ -31,18 +32,19 @@ is then decided by what we actually claim: recovery wait per loss
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.liveness import percentile
 from repro.chaos.runner import chaos_config
+from repro.core.node import Network
 from repro.net.errors import FaultPlan
 from repro.netreal.node import RealNetwork
 from repro.netreal.udp import Impairments
-from repro.netreal.workloads import PingClient, PingServer
 from repro.obs.spans import build_spans
 from repro.transport.adaptive import AdaptivePolicy
 from repro.transport.retransmit import RetransmitPolicy, StaticPolicy
+from repro.workloads import REAL_WORKLOADS, place
 
 #: Nominal injected loss for every cell, both backends.
 BENCH_LOSS = 0.10
@@ -52,7 +54,9 @@ BENCH_LOSS = 0.10
 #: docstring).
 BENCH_DROP_EVERY = 10
 
-#: Exchanges per client; two clients per cell.
+#: Every cell, either backend: one echo server and two clients of
+#: ``BENCH_ROUNDS`` exchanges each, booting 50 ms and 80 ms in.
+BENCH_SPEC = REAL_WORKLOADS["burst"]
 BENCH_ROUNDS = 25
 
 #: Wall-clock safety net per real cell (also the sim horizon), µs.
@@ -108,28 +112,21 @@ def _summarize(records, wall_elapsed_s: float) -> Dict[str, Any]:
     }
 
 
-def _sim_cell(policy: RetransmitPolicy, seed: int) -> Dict[str, Any]:
-    from repro.core.node import Network
+def _placed(net) -> Callable[[], bool]:
+    """Place the bench cluster on ``net``; returns "both clients are
+    finished"."""
+    place(net, BENCH_SPEC)
+    clients = [net.nodes[mid].client.program for mid in (1, 2)]
+    return lambda: all(client.finished for client in clients)
 
+
+def _sim_cell(policy: RetransmitPolicy, seed: int) -> Dict[str, Any]:
     net = Network(
         seed=seed,
         config=chaos_config(policy),
         faults=FaultPlan(loss_probability=BENCH_LOSS),
     )
-    clients: List[PingClient] = []
-    net.add_node(program=PingServer(), name="server")
-    for index in range(2):
-        client = PingClient(rounds=BENCH_ROUNDS)
-        clients.append(client)
-        net.add_node(
-            program=client,
-            name=f"ping{index + 1}",
-            boot_at_us=50_000.0 + 30_000.0 * index,
-        )
-    net.run_until(
-        lambda: all(client.finished for client in clients),
-        timeout=BENCH_HORIZON_US,
-    )
+    net.run_until(_placed(net), timeout=BENCH_HORIZON_US)
     net.run(until=net.now + BENCH_GRACE_US)
     summary = _summarize(net.sim.trace.records, net.now / 1e6)
     summary["sim_now_us"] = net.now
@@ -142,21 +139,9 @@ def _real_cell(policy: RetransmitPolicy, seed: int) -> Dict[str, Any]:
         config=chaos_config(policy),
         impairments=Impairments(drop_every=BENCH_DROP_EVERY),
     ) as net:
-        clients: List[PingClient] = []
-        net.add_node(program=PingServer(), name="server")
-        for index in range(2):
-            client = PingClient(rounds=BENCH_ROUNDS)
-            clients.append(client)
-            net.add_node(
-                program=client,
-                name=f"ping{index + 1}",
-                boot_at_us=50_000.0 + 30_000.0 * index,
-            )
+        done = _placed(net)
         started = time.monotonic()
-        finished = net.run_until(
-            lambda: all(client.finished for client in clients),
-            timeout=BENCH_HORIZON_US,
-        )
+        finished = net.run_until(done, timeout=BENCH_HORIZON_US)
         elapsed = time.monotonic() - started
         net.run(until=net.now + BENCH_GRACE_US)
         summary = _summarize(net.sim.trace.records, elapsed)

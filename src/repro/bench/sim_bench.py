@@ -171,7 +171,7 @@ def _replay_cells(
     noise; every replay is an independent, identically-seeded network.
     ``prepare(built)`` may instrument a cell before it runs.
     """
-    from repro.analysis.workloads import build_workload
+    from repro.workloads import build_workload
     from repro.chaos.runner import chaos_config, make_schedule
 
     events = 0
@@ -236,7 +236,7 @@ def _frame_cost() -> Dict[str, object]:
 
 
 def _traced_workload(keep_trace: bool, iterations: int) -> int:
-    from repro.analysis.workloads import build_workload
+    from repro.workloads import build_workload
 
     events = 0
     for _ in range(iterations):

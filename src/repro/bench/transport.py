@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.liveness import percentile
 from repro.chaos.runner import chaos_config, make_schedule

@@ -1,4 +1,4 @@
-"""Measurement workloads (§5.5).
+"""Measurement runs (§5.5) for the paper tables.
 
 The paper's numbers come from streams of requests between one requester
 and one server on otherwise-idle hardware:
@@ -10,6 +10,9 @@ and one server on otherwise-idle hardware:
   outstanding, reissuing from its completion handler;
 * the **blocking requester** issues B_SIGNALs one at a time and measures
   each call's elapsed time.
+
+The programs live in :mod:`repro.workloads` with every other role
+program and are re-exported here; this module times them.
 """
 
 from __future__ import annotations
@@ -17,18 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.buffers import Buffer
-from repro.core.client import ClientProgram
 from repro.core.config import KernelConfig
 from repro.core.node import Network
-from repro.core.patterns import make_well_known_pattern
-from repro.sodal.queueing import Queue
-
-BENCH_PATTERN = make_well_known_pattern(0o300)
-
-#: Requests kept outstanding by the streaming requester (§5.5 used
-#: MAXREQUESTS = 3 and notes any value > 1 behaves the same).
-OUTSTANDING = 3
+from repro.workloads import (  # noqa: F401  (re-exported §5.5 programs)
+    BENCH_PATTERN,
+    AcceptingServer,
+    BlockingSignaler,
+    QueuedServer,
+    StreamingRequester,
+)
 
 
 @dataclass
@@ -58,94 +58,6 @@ class StreamResult:
                 for key in sorted(self.breakdown_us)
             },
         }
-
-
-class AcceptingServer(ClientProgram):
-    """Accepts every arrival in the handler (the fast path)."""
-
-    def __init__(self, reply_bytes: int = 0):
-        self.reply = bytes(reply_bytes)
-
-    def initialization(self, api, parent_mid):
-        yield from api.advertise(BENCH_PATTERN)
-
-    def handler(self, api, event):
-        if event.is_arrival:
-            buf = Buffer(event.put_size)
-            yield from api.accept_current_exchange(
-                get=buf, put=self.reply[: event.get_size]
-            )
-
-
-class QueuedServer(ClientProgram):
-    """Enqueues signatures in the handler; the task ACCEPTs (§4.2.1)."""
-
-    def __init__(self, reply_bytes: int = 0, queue_size: int = 16):
-        self.reply = bytes(reply_bytes)
-        self.queue_size = queue_size
-
-    def initialization(self, api, parent_mid):
-        self.pending = Queue(self.queue_size)
-        yield from api.advertise(BENCH_PATTERN)
-
-    def handler(self, api, event):
-        if event.is_arrival:
-            yield from api.enqueue(self.pending, (event.asker, event.put_size, event.get_size))
-
-    def task(self, api):
-        while True:
-            yield from api.poll(lambda: not self.pending.is_empty())
-            asker, put_size, get_size = yield from api.dequeue(self.pending)
-            buf = Buffer(put_size)
-            yield from api.accept_exchange(
-                asker, get=buf, put=self.reply[:get_size]
-            )
-
-
-class StreamingRequester(ClientProgram):
-    """Keeps OUTSTANDING requests in flight; marks each completion."""
-
-    def __init__(self, put_bytes: int, get_bytes: int, total: int):
-        self.put_bytes = put_bytes
-        self.get_bytes = get_bytes
-        self.total = total
-        self.issued = 0
-        self.marks: List[tuple] = []
-
-    def _issue(self, api):
-        self.issued += 1
-        yield from api.request(
-            api.server_sig(0, BENCH_PATTERN),
-            put=bytes(self.put_bytes),
-            get=Buffer(self.get_bytes),
-        )
-
-    def task(self, api):
-        for _ in range(min(OUTSTANDING, self.total)):
-            yield from self._issue(api)
-        yield from api.serve_forever()
-
-    def handler(self, api, event):
-        if event.is_completion:
-            self.marks.append((api.now, api.kernel.nic.bus.frames_sent))
-            if self.issued < self.total:
-                yield from self._issue(api)
-
-
-class BlockingSignaler(ClientProgram):
-    """Issues B_SIGNALs back to back, timing each call."""
-
-    def __init__(self, total: int):
-        self.total = total
-        self.call_times_us: List[float] = []
-
-    def task(self, api):
-        sig = api.server_sig(0, BENCH_PATTERN)
-        for _ in range(self.total):
-            t0 = api.now
-            yield from api.b_signal(sig)
-            self.call_times_us.append(api.now - t0)
-        yield from api.serve_forever()
 
 
 def _build(

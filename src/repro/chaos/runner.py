@@ -1,6 +1,6 @@
 """The chaos matrix runner: (workload × schedule × seed) sweep.
 
-Each *cell* builds a workload (:func:`repro.analysis.workloads.build_workload`),
+Each *cell* builds a workload (:func:`repro.workloads.build_workload`),
 applies a fault :class:`~repro.chaos.scenario.Scenario`, runs to a
 horizon past the last fault plus grace, and is judged *while it runs*:
 the judges are record sinks (``feed(record)`` / ``finish(...)``, each
@@ -30,8 +30,8 @@ from dataclasses import asdict, dataclass, field
 from types import MethodType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.causal import causal_diagnostics
 from repro.analysis.invariants import InvariantChecker
-from repro.analysis.workloads import WORKLOADS, WorkloadSpec, build_workload
 from repro.chaos.scenario import (
     ClientDie,
     DiskFault,
@@ -58,6 +58,7 @@ from repro.recovery.convergence import RecoverySink
 from repro.replication.consistency import KvSink
 from repro.transport.adaptive import AdaptivePolicy, deltat_for_policy
 from repro.transport.retransmit import RetransmitPolicy
+from repro.workloads import WORKLOADS, WorkloadSpec, build_workload
 
 
 def _server_role(spec: WorkloadSpec) -> str:
@@ -69,12 +70,10 @@ def _client_role(spec: WorkloadSpec) -> str:
 
 
 def _disk_roles(spec: WorkloadSpec) -> Tuple[str, ...]:
-    """The roles the durability schedules target: every disk-bearing
-    role (the KV replicas), or the server role on diskless workloads —
-    where a power loss degenerates to crash + reboot."""
-    roles = tuple(
-        role.name for role in spec.roles if role.disk_factory is not None
-    )
+    """The roles the durability schedules target: every durable role
+    (the KV replicas), or the server role on diskless workloads — where
+    a power loss degenerates to crash + reboot."""
+    roles = tuple(role.name for role in spec.roles if role.durable)
     return roles or (_server_role(spec),)
 
 
@@ -562,7 +561,9 @@ def run_cell(
     net.sim.trace.remove_sink(table.feed)
 
     violations = checker.finish(ledger=net.ledger, end_time=table.end_time)
-    causal_problems = _causal_verdicts(net) if causal else []
+    causal_problems = (
+        causal_diagnostics(list(net.sim.trace.records))[0] if causal else []
+    )
     spans = span_builder.finish()
     problems = check_liveness(net, spans=spans)
     recovery_digest = recovery.finish()
@@ -616,20 +617,6 @@ def run_cell(
         },
         frames_sent=net.bus.frames_sent,
     )
-
-
-def _causal_verdicts(net) -> List[str]:
-    """The causal column of one cell: SODA010-013 diagnostics."""
-    from repro.analysis.causal import (
-        build_causal_order,
-        detect_deadlocks,
-        find_races,
-    )
-
-    records = list(net.sim.trace.records)
-    order = build_causal_order(records)
-    diagnostics = find_races(records, order) + detect_deadlocks(records)
-    return [diag.format() for diag in diagnostics]
 
 
 def matrix_cells(

@@ -4,7 +4,7 @@ A :class:`Scenario` is an ordered tuple of *actions*, each a frozen
 dataclass naming a virtual time and a fault to inject.  Actions refer to
 nodes by their workload *role name* (``"server"``, ``"client"``, ...)
 so one schedule applies to every workload in
-:mod:`repro.analysis.workloads`.
+:mod:`repro.workloads`.
 
 Every action's ``repr`` is a valid constructor call; the shrinker
 (:mod:`repro.chaos.shrink`) relies on this to print a minimal failing
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from repro.analysis.workloads import BuiltWorkload
+from repro.workloads import BuiltWorkload
 from repro.core.node import SodaNode
 from repro.net.frame import Frame
 

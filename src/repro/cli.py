@@ -201,7 +201,7 @@ def _deltat(ns) -> None:
 
 
 def _metrics(ns) -> int:
-    from repro.analysis.workloads import CAUSAL_WORKLOADS, run_workload
+    from repro.workloads import CAUSAL_WORKLOADS, run_workload
     from repro.bench.tables import format_table
     from repro.obs import (
         MetricsHub,
@@ -244,7 +244,7 @@ def _chaos(ns) -> int:
         run_matrix,
         shrink_scenario,
     )
-    from repro.analysis.workloads import CAUSAL_WORKLOADS, get_spec
+    from repro.workloads import CAUSAL_WORKLOADS, get_spec
     from repro.obs.export import write_snapshot
 
     if not (
@@ -319,7 +319,7 @@ def _chaos(ns) -> int:
 
 def _recover(ns) -> int:
     """One scripted crash/reboot/retry walkthrough."""
-    from repro.analysis.workloads import build_workload
+    from repro.workloads import build_workload
     from repro.chaos.scenario import ClientDie, NodeCrash, Scenario
     from repro.obs import MetricsHub
     from repro.recovery.convergence import RecoverySink
@@ -395,7 +395,7 @@ def _recover(ns) -> int:
 def _real(ns) -> int:
     """The SODA stack over real sockets, one OS process per node."""
     from repro.netreal.runner import run_real
-    from repro.netreal.workloads import REAL_WORKLOADS
+    from repro.workloads import REAL_WORKLOADS
 
     if not known("workload", [ns.workload], REAL_WORKLOADS):
         return 2
@@ -539,7 +539,6 @@ COMMANDS: Dict[str, Command] = {
         _recover,
         "crash -> detect -> reboot -> retry walkthrough (repro.recovery)",
         (
-            Flag("--demo", "the scripted walkthrough (the only mode)", bool),
             Flag("--seed", "override the workload's seed", int, metavar="N"),
             JSON,
         ),

@@ -32,15 +32,13 @@ class SodaNode:
         machine_type: str = "generic",
         config: Optional[KernelConfig] = None,
         name: Optional[str] = None,
-        nic: Optional[NetworkInterface] = None,
     ) -> None:
         self.network = network
         self.mid = mid
         self.name = name or f"node{mid}"
-        # An injected interface lets alternative backends (the UDP NIC
-        # of repro.netreal) host an unmodified kernel; the default wires
-        # up the simulated bus as always.
-        self.nic = nic or NetworkInterface(network.bus, mid)
+        # The network names its interface class, so another backend (the
+        # UDP NIC of repro.netreal) hosts an unmodified kernel.
+        self.nic = network.NIC(network.bus, mid)
         self.kernel = SodaKernel(
             network.sim,
             self.nic,
@@ -120,6 +118,9 @@ class SodaNode:
 
 class Network:
     """A complete simulated SODA network."""
+
+    #: What :class:`SodaNode` attaches to :attr:`bus`.
+    NIC = NetworkInterface
 
     def __init__(
         self,

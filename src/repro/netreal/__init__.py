@@ -20,7 +20,6 @@ from repro.netreal.trace_io import (
     load_trace,
     merge_records,
     merge_traces,
-    tracer_from_records,
 )
 from repro.netreal.udp import Impairments, UdpMedium, UdpNic
 from repro.netreal.wire import (
@@ -40,7 +39,6 @@ __all__ = [
     "load_trace",
     "merge_records",
     "merge_traces",
-    "tracer_from_records",
     "Impairments",
     "UdpMedium",
     "UdpNic",

@@ -1,18 +1,17 @@
 """A SODA network over real sockets: :class:`RealNetwork`.
 
-Mirrors :class:`repro.core.node.Network` — same ``add_node`` /
-``run`` / ``run_until`` surface, same :class:`~repro.core.node.SodaNode`
-objects (with a :class:`~repro.netreal.udp.UdpNic` injected) — but time
-is the wall clock and frames are UDP datagrams.  A single RealNetwork
-hosts *all* nodes of an in-process loopback run, or exactly *one* node
-of a multi-process run (the runner wires the registry and shared epoch
-across processes).
+A :class:`~repro.core.node.Network` whose scheduler is the wall clock
+and whose medium is localhost UDP: it inherits ``add_node`` / ``node`` /
+``now`` and builds the same :class:`~repro.core.node.SodaNode` objects,
+each on a :class:`~repro.netreal.udp.UdpNic` (the class's ``NIC``).  A
+single RealNetwork hosts *all* nodes of an in-process loopback run, or
+exactly *one* node of a multi-process run (the runner wires the registry
+and shared epoch across processes).
 
 The kernel, connection machinery, transport policies, and client
 programs are byte-for-byte the simulator's; only the substrate below
-``SchedulerBackend`` + NIC differs.  That is the tentpole claim of
-ROADMAP item 3, and the loopback smoke test asserts it by running the
-standard invariant checker over the resulting trace.
+``SchedulerBackend`` + NIC differs, and only the wall-clock lifecycle
+(``open`` / ``run`` / ``run_until`` / ``close``) is this class's own.
 """
 
 from __future__ import annotations
@@ -20,16 +19,17 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, Optional
 
-from repro.core.client import ClientProgram
 from repro.core.config import KernelConfig
-from repro.core.node import SodaNode
+from repro.core.node import Network, SodaNode
 from repro.netreal.scheduler import WallClockScheduler
 from repro.netreal.udp import Impairments, UdpMedium, UdpNic
 from repro.sim.tracing import CostLedger
 
 
-class RealNetwork:
+class RealNetwork(Network):
     """A SODA network whose medium is localhost UDP."""
+
+    NIC = UdpNic
 
     def __init__(
         self,
@@ -58,37 +58,6 @@ class RealNetwork:
         self._next_mid = 0
         self._opened = False
 
-    def add_node(
-        self,
-        mid: Optional[int] = None,
-        program: Optional[ClientProgram] = None,
-        machine_type: str = "generic",
-        config: Optional[KernelConfig] = None,
-        name: Optional[str] = None,
-        boot_at_us: float = 0.0,
-    ) -> SodaNode:
-        """Create a node on this process's event loop."""
-        if mid is None:
-            mid = self._next_mid
-        if mid in self.nodes:
-            raise ValueError(f"MID {mid} already in use")
-        self._next_mid = max(self._next_mid, mid + 1)
-        node = SodaNode(
-            self,  # type: ignore[arg-type]  # duck-typed Network surface
-            mid,
-            machine_type=machine_type,
-            config=config,
-            name=name,
-            nic=UdpNic(self.bus, mid),
-        )
-        self.nodes[mid] = node
-        if program is not None:
-            node.install_program(program, boot_at_us=boot_at_us)
-        return node
-
-    def node(self, mid: int) -> SodaNode:
-        return self.nodes[mid]
-
     # -- lifecycle ----------------------------------------------------------
 
     async def open(self) -> Dict[int, tuple]:
@@ -110,12 +79,6 @@ class RealNetwork:
         if not self.sim.started:
             self.sim.start(epoch_monotonic)
         await self.sim.sleep_until(until)
-
-    # -- Network-compatible surface ----------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
 
     def run(self, until: Optional[float] = None, max_events: int = 0) -> int:
         """Blocking run to ``until`` microseconds of wall time."""

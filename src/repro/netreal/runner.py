@@ -15,11 +15,17 @@ choreography:
    epoch, so boot offsets and trace timestamps agree across processes;
 4. children run to the horizon, dump their traces as JSONL
    (:mod:`repro.netreal.trace_io`), report ``done``, and exit;
-5. the parent merges the traces by wall-clock timestamp and runs the
-   *standard* analysis stack over the merged stream: the batch
-   invariant checker (INV-SEQ/DELTAT/HANDLER/COMPLETE/LEDGER, SODA007),
-   the causal engine (SODA010-013), and a post-hoc
-   :class:`~repro.obs.instrument.MetricsHub`.
+5. the parent merges the traces by wall-clock timestamp and judges the
+   merged stream the way a chaos cell is judged: one
+   :class:`~repro.chaos.runner.SinkTable` pass feeds the invariant
+   checker (INV-SEQ/DELTAT/HANDLER/COMPLETE/LEDGER, SODA007), the span
+   builder and the KV sink, and the causal engine (SODA010-013) runs
+   over the same list.
+
+Each child builds its node with :func:`repro.workloads.place` — the
+same spec, role program and disk a sim run of the workload gets — and a
+scripted blackout is the chaos harness's own
+:class:`~repro.chaos.scenario.PowerLoss`.
 
 Every wait carries a hard timeout and stragglers are killed: a wedged
 child can fail the run but never hang it.
@@ -35,16 +41,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cli import COMMANDS, flag_argv
 from repro.netreal.node import RealNetwork
-from repro.netreal.trace_io import dump_trace, merge_traces, tracer_from_records
+from repro.netreal.trace_io import dump_trace, merge_traces
 from repro.netreal.udp import Impairments
-from repro.netreal.workloads import get_real_spec
 from repro.transport.retransmit import RetransmitPolicy
+from repro.workloads import REAL_WORKLOADS, get_spec, place
 
 #: Seconds between spawning children and the shared epoch.
 START_GRACE_S = 0.75
@@ -150,60 +157,58 @@ class RealRunResult:
 def analyze_merged(
     records, ledger, policy: RetransmitPolicy, result: RealRunResult
 ) -> None:
-    """Run the standard analysis stack over one merged record stream."""
-    from repro.analysis.causal import (
-        build_causal_order,
-        detect_deadlocks,
-        find_races,
-    )
+    """Judge one merged record stream with a chaos cell's sinks."""
+    from repro.analysis.causal import causal_diagnostics
     from repro.analysis.invariants import InvariantChecker
-    from repro.obs.instrument import MetricsHub
+    from repro.chaos.liveness import percentile
+    from repro.chaos.runner import SinkTable
+    from repro.obs.spans import SpanBuilder
+    from repro.replication.consistency import KvSink
 
-    from repro.replication.consistency import check_kv_consistency, kv_summary
+    checker, span_builder, kv_sink = (
+        InvariantChecker(policy=policy), SpanBuilder(), KvSink()
+    )
+    table = SinkTable(checker, span_builder, kv_sink)
+    counts: Counter = Counter()
+    rtts: List[float] = []
+    for rec in records:
+        table.feed(rec)
+        counts[rec.category] += 1
+        if rec.category == "conn.acked":
+            rtts.append(rec["rtt_us"])
 
-    summary = kv_summary(records)
+    summary = kv_sink.summary()
     kv_run = bool(summary["ops_invoked"])
     # KV workloads replicate forever — there is always an APPEND in
     # flight when the horizon guillotines the run — so they get the
     # same non-strict completion the sim chaos harness uses; their real
-    # completion story is the linearizability verdict below.
-    checker = InvariantChecker(policy=policy, strict_completion=not kv_run)
+    # completion story is the linearizability verdict below.  Only
+    # ``finish`` reads the flag, so it is set after the pass.
+    checker.strict_completion = not kv_run
     result.invariant_violations = [
-        v.format() for v in checker.check(tracer_from_records(records), ledger=ledger)
+        v.format()
+        for v in checker.finish(ledger=ledger, end_time=table.end_time)
     ]
-    order = build_causal_order(records)
-    diagnostics = find_races(records, order) + detect_deadlocks(records)
-    result.causal_diagnostics = [d.format() for d in diagnostics]
+    result.causal_diagnostics, order = causal_diagnostics(records)
     result.send_edges = order.send_edges
     result.unmatched_rx = order.unmatched_rx
 
-    # The merged stream feeds the standard hub (records-only mode): the
-    # same metric names and span construction as a sim run.
-    report = MetricsHub().ingest_records(records, ledger=ledger.snapshot())
-    result.spans_total = len(report.spans)
-    result.spans_completed = len(report.completed_spans)
-    rtt = report.snapshot.get("transport.rtt_us")
-    if rtt is not None and rtt.get("count"):
-        result.rtt_p50_us = rtt["p50"]
-        result.rtt_p99_us = rtt["p99"]
-    result.spurious_retransmits = sum(
-        1 for rec in records if rec.category == "conn.spurious_retransmit"
-    )
-    result.retransmits = sum(
-        1 for rec in records if rec.category == "conn.retransmit"
-    )
-    result.decode_errors = sum(
-        1 for rec in records if rec.category == "netreal.decode_error"
-    )
-    result.impaired_losses = sum(
-        1 for rec in records if rec.category == "net.drop"
-    )
+    spans = span_builder.finish()
+    result.spans_total = len(spans)
+    result.spans_completed = sum(1 for span in spans if span.completed)
+    if rtts:
+        result.rtt_p50_us = percentile(rtts, 0.50)
+        result.rtt_p99_us = percentile(rtts, 0.99)
+    result.spurious_retransmits = counts["conn.spurious_retransmit"]
+    result.retransmits = counts["conn.retransmit"]
+    result.decode_errors = counts["netreal.decode_error"]
+    result.impaired_losses = counts["net.drop"]
 
     # The KV consistency verdict runs on the same merged stream the sim
     # chaos harness checks — that is the whole point of the design.
     if kv_run:
         result.kv = summary
-        result.consistency_problems = check_kv_consistency(records)
+        result.consistency_problems = kv_sink.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,7 @@ async def _parent(
     row of ``COMMANDS`` names it: workload, seed, policy, loss, durable,
     power_loss_at."""
     workload, policy_name, loss = node["workload"], node["policy"], node["loss"]
-    spec = get_real_spec(workload)
+    spec = get_spec(workload, REAL_WORKLOADS)
     horizon = float(horizon_us) if horizon_us else spec.until_us
     count = len(spec.roles)
     result = RealRunResult(
@@ -472,37 +477,22 @@ def run_real(
 
 
 async def _child(net: RealNetwork, ns) -> None:
-    spec = get_real_spec(ns.workload)
+    from repro.chaos.scenario import PowerLoss
+    from repro.durability.disk import FileDisk
+
+    spec = get_spec(ns.workload, REAL_WORKLOADS)
     role = spec.roles[ns.role]
-    node = net.add_node(
-        mid=ns.role,
-        program=role.factory(),
-        name=role.name,
-        boot_at_us=role.boot_at_us,
+    media = (
+        (lambda durable: FileDisk(os.path.join(ns.durable, durable.name)))
+        if ns.durable
+        else None
     )
-    if ns.durable and role.name.startswith("replica"):
-        from repro.durability.disk import DiskFaultPlan, FaultDisk, FileDisk
-
-        node.disk = FaultDisk(
-            FileDisk(os.path.join(ns.durable, role.name)),
-            DiskFaultPlan(seed=100 + ns.role),
-        )
-        if ns.power_loss_at is not None:
-            # Scripted blackout: power-fail this node mid-run, then
-            # reboot it from its factory half a second later — state
-            # must come back from the FileDisk, not memory.
-            def _cut() -> None:
-                if node.kernel.offline_until is None:
-                    node.crash()
-
-            def _reboot() -> None:
-                boot_at = net.sim.now
-                if node.kernel.offline_until is not None:
-                    boot_at = node.kernel.offline_until
-                node.install_program(role.factory(), boot_at_us=boot_at)
-
-            net.sim.at(ns.power_loss_at, _cut)
-            net.sim.at(ns.power_loss_at + 500_000.0, _reboot)
+    built = place(net, spec, mids=(ns.role,), media=media)
+    if ns.power_loss_at is not None and role.durable:
+        # Scripted blackout: power-fail this node mid-run, then reboot
+        # it from its factory half a second later — state must come
+        # back from the FileDisk, not memory.
+        PowerLoss(ns.power_loss_at, (role.name,)).apply(built)
     addresses = await net.open()
 
     reader, writer = await asyncio.open_connection("127.0.0.1", ns.control)

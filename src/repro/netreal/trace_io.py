@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.tracing import CostLedger, TraceRecord, Tracer
+from repro.sim.tracing import CostLedger, TraceRecord
 
 PathLike = Union[str, Path]
 
@@ -135,19 +135,9 @@ def merge_traces(
     return metas, merge_records(streams), ledger
 
 
-def tracer_from_records(records: Sequence[TraceRecord]) -> Tracer:
-    """Wrap merged records in a Tracer for the batch invariant checker."""
-    tracer = Tracer()
-    for record in records:
-        tracer.counters[record.category] += 1
-        tracer.records.append(record)
-    return tracer
-
-
 __all__ = [
     "dump_trace",
     "load_trace",
     "merge_records",
     "merge_traces",
-    "tracer_from_records",
 ]

@@ -20,7 +20,7 @@ the only per-packet work is the counters the layers already kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanBuilder, TransactionSpan, span_statistics
@@ -107,7 +107,6 @@ class MetricsHub:
         self.registry = registry or MetricsRegistry()
         self.spans = SpanBuilder()
         self._net: Optional["Network"] = None
-        self._ledger: Dict[str, float] = {}
         self._handler_start: Dict[int, float] = {}
         for name in self.RECOVERY_COUNTERS + self.TRANSPORT_COUNTERS:
             self.registry.counter(name)
@@ -132,25 +131,6 @@ class MetricsHub:
         if self._net is None:
             self._net = net
         for record in net.sim.trace.retained():
-            self.on_record(record)
-        return self.report()
-
-    def ingest_records(
-        self,
-        records: Iterable[TraceRecord],
-        ledger: Optional[Dict[str, float]] = None,
-    ) -> ObsReport:
-        """Post-hoc from bare records — no live network required.
-
-        The real runner's merged multi-process traces come through
-        here: the record-driven metrics and spans are built exactly as
-        in :meth:`ingest`, while the pull-collected layer gauges (which
-        need live node objects) are skipped.  ``ledger`` optionally
-        supplies the pooled cost-ledger snapshot for the report.
-        """
-        if ledger is not None:
-            self._ledger = dict(ledger)
-        for record in records:
             self.on_record(record)
         return self.report()
 
@@ -235,8 +215,8 @@ class MetricsHub:
     def collect(self) -> None:
         """Sample the always-on layer counters into gauges.
 
-        A no-op without an attached network (records-only ingest):
-        there are no live layer objects to pull from.
+        A no-op without an attached network: there are no live layer
+        objects to pull from.
         """
         net = self._net
         if net is None:
@@ -301,9 +281,7 @@ class MetricsHub:
         completed = sum(1 for span in spans if span.completed)
         self.registry.gauge("txn.spans").set(len(spans))
         self.registry.gauge("txn.completed").set(completed)
-        ledger = (
-            self._net.ledger.snapshot() if self._net else dict(self._ledger)
-        )
+        ledger = self._net.ledger.snapshot() if self._net else {}
         return ObsReport(
             snapshot=self.registry.snapshot(), spans=spans, ledger=ledger
         )

@@ -24,7 +24,7 @@ from repro.recovery.detector import FailureDetector
 from repro.recovery.supervisor import SupervisorProgram
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.workloads import BuiltWorkload
+    from repro.workloads import BuiltWorkload
 
 #: How long after the last fault (or the crash detection, whichever is
 #: later) a supervised service may take to be advertised-and-answering

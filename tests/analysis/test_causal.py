@@ -13,7 +13,7 @@ from repro.analysis.causal import (
 )
 from repro.analysis.causal.clocks import happens_before_pairs
 from repro.analysis.causal.waitfor import build_wait_graph
-from repro.analysis.workloads import (
+from repro.workloads import (
     CAUSAL_WORKLOADS,
     WORKLOADS,
     run_workload,

@@ -45,7 +45,8 @@ Rule (message) — fires / near-miss:
   ``test_consistent_ledger_is_clean``
 * SODA007 — ``test_busy_retry_earlier_than_hint_is_flagged`` /
   ``test_busy_retry_honoring_hint_is_clean``, ``test_hintless_…``,
-  ``test_hint_for_other_…``, ``test_seq_swap_releases_the_hint``
+  ``test_hint_for_other_…``, ``test_seq_swap_releases_the_hint``,
+  ``test_hint_landing_after_the_retry_decision_does_not_bind_it``
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from repro.analysis.invariants import (
     check_network,
     check_network_degraded,
 )
-from repro.analysis.workloads import WORKLOADS, build_workload, run_workload
+from repro.workloads import WORKLOADS, build_workload, run_workload
 from repro.sim.tracing import CostLedger, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
@@ -319,12 +320,30 @@ def busy_rx(trace, t, hint=None, tid=None, mid=1, src=2):
     trace.record(t, "kernel.rx", mid=mid, src=src, nack="busy", hint=hint, tid=tid)
 
 
+def busy_retry(trace, t, mid=1, peer=2):
+    trace.record(t, "conn.busy_retry", mid=mid, peer=peer, attempt=1)
+
+
 def test_busy_retry_earlier_than_hint_is_flagged():
     trace = Tracer()
     tx_tid(trace, 0.0, 0, 1, tid=7)
     busy_rx(trace, 500.0, hint=50_000.0, tid=7)
-    tx_tid(trace, 10_000.0, 0, 1, tid=7)  # 40 ms before the hint allows
+    busy_retry(trace, 10_000.0)  # 40 ms before the hint allows
+    tx_tid(trace, 10_000.0, 0, 1, tid=7)
     only(checker().check(trace), "SODA007", "sent 40.5ms earlier")
+
+
+def test_hint_landing_after_the_retry_decision_does_not_bind_it():
+    # busy/duplicate seed 93: the retry is decided on a hintless NACK's
+    # timer, a duplicate's hinted NACK lands, and kernel-CPU queueing
+    # puts the already-decided retry on the wire inside the new hint.
+    trace = Tracer()
+    tx_tid(trace, 0.0, 0, 1, tid=7)
+    busy_rx(trace, 500.0, hint=None, tid=7)
+    busy_retry(trace, 4_400.0)
+    busy_rx(trace, 4_700.0, hint=5_658.7, tid=7)
+    tx_tid(trace, 5_800.0, 0, 1, tid=7)
+    assert checker().check(trace) == []
 
 
 def test_busy_retry_honoring_hint_is_clean():

@@ -41,7 +41,7 @@ import pytest
 
 from repro.analysis.causal import check_stream
 from repro.analysis.invariants import InvariantChecker
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.sim.tracing import CostLedger, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
@@ -206,6 +206,7 @@ def test_soda007_hint_violation_matches():
     trace.record(
         500.0, "kernel.rx", mid=1, src=2, nack="busy", hint=50_000.0, tid=7
     )
+    trace.record(10_000.0, "conn.busy_retry", mid=1, peer=2, attempt=1)
     tx(trace, 10_000.0, 0, 1, tid=7)
     verdicts = assert_identical(trace)
     assert any("SODA007" in v for v in verdicts)

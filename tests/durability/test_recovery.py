@@ -9,7 +9,7 @@ acknowledged write vanished and no checker noticed.
 
 import pytest
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos.runner import run_cell
 from repro.chaos.scenario import DiskFault, PowerLoss, Scenario
 from repro.replication.consistency import check_kv_consistency

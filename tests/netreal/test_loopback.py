@@ -14,13 +14,12 @@ import pytest
 
 from repro.analysis.causal import (
     build_causal_order,
+    check_stream,
     detect_deadlocks,
     find_races,
 )
-from repro.analysis.invariants import InvariantChecker
 from repro.netreal import Impairments, RealNetwork
-from repro.netreal.trace_io import tracer_from_records
-from repro.netreal.workloads import PingClient, PingServer
+from repro.workloads import EchoClient, EchoServer
 
 #: Generous wall-clock cap; clean loopback runs finish in well under a
 #: second.  pytest-timeout is not installed, so the cap is enforced by
@@ -33,8 +32,8 @@ GRACE_US = 300_000.0
 def _run_pingpong(impairments=None, rounds=2, seed=11):
     net = RealNetwork(seed=seed, impairments=impairments)
     try:
-        server = PingServer()
-        clients = [PingClient(rounds=rounds) for _ in range(2)]
+        server = EchoServer()
+        clients = [EchoClient(rounds=rounds) for _ in range(2)]
         net.add_node(program=server, name="server")
         for index, client in enumerate(clients):
             net.add_node(
@@ -60,8 +59,7 @@ def test_pingpong_over_real_sockets():
         assert client.completions == ["completed"] * 2
 
     assert any(rec.category == "net.tx" for rec in records)
-    checker = InvariantChecker(strict_completion=True)
-    violations = checker.check(tracer_from_records(records))
+    violations = check_stream(records)
     assert violations == [], [v.format() for v in violations]
 
     order = build_causal_order(records)
@@ -78,9 +76,7 @@ def test_pingpong_survives_seeded_loss():
     assert finished, "clients did not finish despite retransmission"
     for client in clients:
         assert client.completions == ["completed"] * 2
-    violations = InvariantChecker(strict_completion=True).check(
-        tracer_from_records(records)
-    )
+    violations = check_stream(records)
     assert violations == [], [v.format() for v in violations]
 
 
@@ -100,7 +96,7 @@ def test_unknown_destination_vanishes_like_the_bus():
     simulator's absent-MID screening — no socket error escapes."""
     net = RealNetwork(seed=13)
     try:
-        client = PingClient(rounds=1)
+        client = EchoClient(rounds=1)
         net.add_node(program=client, name="lonely")
         finished = net.run_until(lambda: client.finished, timeout=400_000.0)
         assert not finished  # nobody answers DISCOVER
@@ -116,8 +112,8 @@ def test_decode_errors_are_contained(loss):
         seed=14, impairments=Impairments(loss_probability=loss)
     )
     try:
-        client = PingClient(rounds=1)
-        net.add_node(program=PingServer(), name="server")
+        client = EchoClient(rounds=1)
+        net.add_node(program=EchoServer(), name="server")
         net.add_node(program=client, name="ping", boot_at_us=20_000.0)
         addresses = net.sim.loop.run_until_complete(net.open())
 

@@ -5,15 +5,21 @@ microsecond timestamps, wall-clock traces arbitrary floats, and both
 must survive dump/load/merge with their exact types — an ``int()``
 anywhere in the path would silently collapse sub-microsecond wall-clock
 orderings.  The invariant checker and span builder must accept either.
+
+``test_tracer_from_records_rebuilds_counters`` is gone with
+``tracer_from_records``: the real runner now feeds the merged records
+through one ``SinkTable`` pass, as a chaos cell is judged, and no longer
+wraps them in a ``Tracer``.  ``test_checker_and_spans_accept_mixed_
+timestamp_types`` checks the bare record list with ``check_stream``, and
+``test_runner_judges_a_merged_kv_trace_in_one_pass`` covers the pass.
 """
 
-from repro.analysis.invariants import InvariantChecker
+from repro.analysis.invariants import check_stream
 from repro.netreal.trace_io import (
     dump_trace,
     load_trace,
     merge_records,
     merge_traces,
-    tracer_from_records,
 )
 from repro.obs.spans import build_spans
 from repro.sim.tracing import TraceRecord
@@ -118,22 +124,7 @@ def test_checker_and_spans_accept_mixed_timestamp_types():
     assert spans[0].completed
     assert spans[0].latency_us == 2000.25 - 1000.5
 
-    violations = InvariantChecker(strict_completion=True).check(
-        tracer_from_records(records)
-    )
-    assert violations == []
-
-
-def test_tracer_from_records_rebuilds_counters():
-    records = [
-        TraceRecord(1.0, "kernel.tx", {}),
-        TraceRecord(2.0, "kernel.tx", {}),
-        TraceRecord(3.0, "kernel.rx", {}),
-    ]
-    tracer = tracer_from_records(records)
-    assert tracer.counters["kernel.tx"] == 2
-    assert tracer.counters["kernel.rx"] == 1
-    assert list(tracer.records) == records
+    assert check_stream(records, strict_completion=True) == []
 
 
 # -- a torn file (ISSUE 24 satellite) -----------------------------------------
@@ -198,3 +189,44 @@ def test_runner_reports_a_torn_file_and_does_not_judge_it(tmp_path):
     # the half-run and counted its spans) was not taken.
     assert result.spans_total == 0
     assert [entry["time"] for entry in result.partial_trace_tail] == [1.0, 1.0, 2.0]
+
+
+def test_runner_judges_a_merged_kv_trace_in_one_pass():
+    """One ``SinkTable`` pass over a merged stream gives the verdicts
+    and counts the post-hoc functions give the same records; a KV run
+    is judged with non-strict completion, as a chaos cell is."""
+    from repro.analysis.causal import causal_diagnostics
+    from repro.chaos.liveness import percentile
+    from repro.netreal.runner import RealRunResult, analyze_merged
+    from repro.obs.spans import build_spans
+    from repro.replication import check_kv_consistency, kv_summary
+    from repro.transport.retransmit import RetransmitPolicy
+    from repro.workloads import build_workload
+
+    net = build_workload("kvstore").run()
+    records = list(net.sim.trace.records)
+    result = RealRunResult(
+        workload="kvstore", seed=18, policy="static", loss=0.0,
+        processes=4, records=len(records),
+    )
+    analyze_merged(records, net.ledger, RetransmitPolicy(), result)
+
+    assert result.invariant_violations == [
+        v.format()
+        for v in check_stream(records, strict_completion=False, ledger=net.ledger)
+    ]
+    assert result.causal_diagnostics == causal_diagnostics(records)[0]
+    assert result.kv == kv_summary(records) and result.kv["ops_invoked"]
+    assert result.consistency_problems == check_kv_consistency(records)
+    spans = build_spans(records)
+    assert (result.spans_total, result.spans_completed) == (
+        len(spans), sum(1 for span in spans if span.completed),
+    )
+    rtts = [rec["rtt_us"] for rec in records if rec.category == "conn.acked"]
+    assert (result.rtt_p50_us, result.rtt_p99_us) == (
+        percentile(rtts, 0.50), percentile(rtts, 0.99),
+    )
+    assert result.retransmits == sum(
+        1 for rec in records if rec.category == "conn.retransmit"
+    )
+    assert result.ok, result.problems()

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos.runner import chaos_config, make_schedule
 from repro.sim.tracing import TRACE_SCHEMA, TraceRecord, Tracer
 from tests.test_chaos import GATE_CELLS

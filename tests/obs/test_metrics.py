@@ -154,7 +154,7 @@ class TestHubFaultAndTransportMetrics:
     histograms (fed by the chaos sweep, useful everywhere)."""
 
     def _report(self, loss=0.0):
-        from repro.analysis.workloads import build_workload
+        from repro.workloads import build_workload
         from repro.net.errors import FaultPlan
         from repro.obs.instrument import MetricsHub
 

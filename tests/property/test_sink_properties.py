@@ -444,7 +444,7 @@ def test_the_forged_streams_trip_every_rule():
 
 
 def test_check_self_heal_is_the_sink_over_the_retained_trace():
-    from repro.analysis.workloads import build_workload
+    from repro.workloads import build_workload
     from repro.chaos import ClientDie, Scenario
 
     built = build_workload("supervised")

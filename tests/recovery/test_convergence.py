@@ -1,6 +1,6 @@
 """The self-heal judgment and the recovery digest (repro.recovery.convergence)."""
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos import ClientDie, Scenario
 from repro.recovery import SELF_HEAL_BOUND_US, check_self_heal, recovery_summary
 from repro.sim.tracing import TraceRecord

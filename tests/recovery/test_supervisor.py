@@ -4,7 +4,7 @@ import hashlib
 import itertools
 from collections import Counter
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos import ClientDie, NodeCrash, Scenario
 from repro.chaos.runner import chaos_config, make_schedule
 from repro.net import frame

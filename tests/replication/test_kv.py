@@ -8,7 +8,7 @@ runner use.
 
 import pytest
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos.runner import run_cell
 from repro.chaos.scenario import (
     DuplicateWindow,

@@ -36,7 +36,7 @@ import bisect
 
 import pytest
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos.runner import chaos_config, make_schedule
 from repro.chaos.scenario import NodeCrash, Partition, Reboot, Scenario
 from repro.core.client import ClientProgram

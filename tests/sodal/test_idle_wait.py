@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos.runner import chaos_config
 from repro.chaos.scenario import ClientDie, NodeCrash
 from repro.core import ClientProgram, KernelConfig, Network

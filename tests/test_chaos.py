@@ -22,7 +22,7 @@ from repro.chaos import (
     shrink_scenario,
 )
 from repro.chaos.scenario import ClientDie, LossWindow, TargetedDrop
-from repro.analysis.workloads import WORKLOADS, get_spec
+from repro.workloads import WORKLOADS, get_spec
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_sim_bench_writes_snapshot(capsys, tmp_path):
 
 def test_recover_demo_converges(capsys, tmp_path):
     json_path = tmp_path / "recover.json"
-    assert main(["recover", "--demo", "--json", str(json_path)]) == 0
+    assert main(["recover", "--json", str(json_path)]) == 0
     out = capsys.readouterr().out
     assert "self-heal: converged" in out
     assert "supervisor rebooted the node" in out

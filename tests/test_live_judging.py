@@ -14,8 +14,9 @@ import tracemalloc
 
 import pytest
 
+from repro.analysis.causal import causal_diagnostics
 from repro.analysis.invariants import check_network
-from repro.analysis.workloads import build_workload
+from repro.workloads import build_workload
 from repro.chaos import check_liveness, run_cell, runner
 from repro.chaos.liveness import check_degradation
 from repro.chaos.runner import (
@@ -45,8 +46,9 @@ KV_FAULT_CELLS = [
         "torn_write_primary",
     )
 ]
-#: ROADMAP's three reproducible unclean cells: their verdict lists are
-#: not empty, so the comparison is word for word.
+#: The matrix's three reproducible unclean cells: their verdict lists
+#: were not empty, so the comparison is word for word.  ``busy/duplicate/93``
+#: is clean since SODA007 judges the retry decision, not the wire.
 UNCLEAN_CELLS = [
     ("cancel", "lossy", 5),
     ("stream", "sustained_loss", 6),
@@ -70,7 +72,9 @@ def reference_run_cell(workload, schedule, seed, causal=False):
     records = net.sim.trace.records
 
     violations = check_network(net, strict_completion=False)
-    causal_problems = runner._causal_verdicts(net) if causal else []
+    causal_problems = (
+        causal_diagnostics(list(records))[0] if causal else []
+    )
     spans = build_spans(records)
     summary = kv_summary(records)
     by_status = {}
@@ -130,12 +134,10 @@ def test_live_verdict_equals_post_hoc_verdict(cell, monkeypatch):
 
     live = as_in_a_fresh_process(run_cell)
     assert live == as_in_a_fresh_process(reference_run_cell)
-    if cell in UNCLEAN_CELLS:
+    if cell in UNCLEAN_CELLS[:2]:
         assert not live["ok"]
     if cell == UNCLEAN_CELLS[2]:
-        assert "SODA007 [mid=1] BUSY retry of pkt#33" in "".join(
-            live["invariant_violations"]
-        )
+        assert live["ok"], live
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,18 @@
 Runs canned workloads through the metrics hub and checks the contract
 the docs promise: spans match completed transactions, bus utilization is
 sane, live and post-hoc collection agree, and exports are deterministic.
+
+``test_records_only_ingest_matches_network_ingest`` is gone with
+``MetricsHub.ingest_records``, whose one caller was the real runner: a
+merged multi-process trace is now judged by one ``SinkTable`` pass
+(``SpanBuilder`` for spans, ``percentile`` for rtt), which
+``tests/netreal/test_trace_io.py::test_runner_judges_a_merged_kv_trace_
+in_one_pass`` checks against the post-hoc functions.
 """
 
 import json
 
-from repro.analysis.workloads import run_workload
+from repro.workloads import run_workload
 from repro.obs import MetricsHub
 from repro.cli import main
 
@@ -58,7 +65,7 @@ def test_key_metrics_present():
 
 
 def test_live_and_posthoc_collection_agree():
-    from repro.analysis.workloads import build_workload
+    from repro.workloads import build_workload
 
     # Live: attach the hub before the run via a tracer sink.
     built = build_workload("echo")
@@ -73,29 +80,6 @@ def test_live_and_posthoc_collection_agree():
         s.to_dict() for s in posthoc.spans
     ]
     assert net_live.sim.trace.count("kernel.request") > 0
-
-
-def test_records_only_ingest_matches_network_ingest():
-    """ingest_records (no live network) produces the same record-driven
-    metrics and spans as a full ingest; only pull-collected layer gauges
-    are absent, and the supplied ledger flows to the report."""
-    net = run_workload("echo")
-    full = MetricsHub().ingest(net)
-    bare = MetricsHub().ingest_records(
-        net.sim.trace.records, ledger=net.ledger.snapshot()
-    )
-    assert bare.ledger == full.ledger
-    assert [s.to_dict() for s in bare.spans] == [
-        s.to_dict() for s in full.spans
-    ]
-    for name, data in bare.snapshot.items():
-        if data["type"] in ("counter", "histogram") or name.startswith(
-            "txn."
-        ):
-            assert full.snapshot[name] == data, name
-    # Pull-only gauges need live layer objects and are rightly absent.
-    assert "bus.utilization" in full.snapshot
-    assert "bus.utilization" not in bare.snapshot
 
 
 def test_same_seed_runs_export_identically():
