@@ -34,7 +34,6 @@ from repro.analysis.invariants import (
     InvariantChecker,
     InvariantViolation,
     check_network,
-    check_network_degraded,
 )
 from repro.analysis.linter import LintConfig, Linter, lint_paths
 from repro.analysis.rules import LintRule, all_rules, get_rule, register_rule
@@ -58,5 +57,4 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "check_network",
-    "check_network_degraded",
 ]

@@ -20,10 +20,12 @@ and the clock width stays fixed for the whole trace.  The epoch is kept
 as per-event metadata for the rules that need incarnation identity
 (SODA011/SODA012).
 
-Traces missing ``fid`` fields (pre-PR-6 captures, truncated ring
-buffers) degrade gracefully: the edge is simply not drawn, weakening the
-relation toward "everything cross-node is concurrent" — safe for the
-race rules, which only *suppress* diagnostics when an order exists.
+Traces missing ``fid`` fields (captures older than frame ids) or a
+receive's send (a merged real-UDP trace short of a node's dump; counted
+as ``unmatched_rx``) degrade gracefully: the edge is simply not drawn,
+weakening the relation toward "everything cross-node is concurrent" —
+safe for the race rules, which only *suppress* diagnostics when an order
+exists.
 """
 
 from __future__ import annotations

@@ -70,10 +70,6 @@ state is a transition from ``None``.  Either can pass unflagged; the
 guarantee they lean on — the alternating bit, one record per delivered
 request — is the kernel's to keep and INV-SEQ's to check on the sends
 that are still live (DESIGN.md §13).
-
-Ring-buffer traces that dropped records (``trace.truncated``) cannot be
-replayed, but :func:`check_network_degraded` still audits what survives
-truncation: record counters, live kernel state, and the cost ledger.
 """
 
 from __future__ import annotations
@@ -595,84 +591,3 @@ def check_network(
         strict_completion=strict_completion,
         ledger=net.ledger,
     )
-
-
-def _timer_live(timer) -> bool:
-    return timer is not None and not timer.cancelled
-
-
-def check_network_degraded(net) -> List[InvariantViolation]:
-    """Best-effort checks for runs whose ring-buffer trace lost records.
-
-    A truncated trace cannot be replayed — the missing prefix holds the
-    first transmissions, handler entries, and delivered-state
-    transitions the full checker keys on.  But two sources survive
-    truncation intact and can still be audited:
-
-    * the tracer's **counters**, which count every record ever emitted
-      regardless of retention — handler entries and exits must balance
-      to the number of handlers legitimately still open (at most one
-      per node, INV-HANDLER);
-    * the **live kernel state** at the horizon — closed requests must
-      not hold armed probe timers, and no connection may sit with an
-      outstanding message and no armed timer;
-
-    plus the cost ledger (INV-LEDGER), which is cumulative and
-    unaffected by record retention.
-    """
-    violations: List[InvariantViolation] = []
-    now = net.sim.now
-    counters = net.sim.trace.counters
-
-    # Boot handlers (Initialization) enter via ``kernel.boot_handler``,
-    # everything else via ``kernel.interrupt``; both exit through
-    # ``kernel.endhandler``.  At the horizon at most one handler per
-    # node may legitimately still be open.
-    entered = counters.get("kernel.interrupt", 0) + counters.get(
-        "kernel.boot_handler", 0
-    )
-    exited = counters.get("kernel.endhandler", 0)
-    open_handlers = entered - exited
-    if not 0 <= open_handlers <= len(net.nodes):
-        violations.append(
-            InvariantViolation(
-                "INV-HANDLER",
-                now,
-                None,
-                f"handler entry/exit counters do not balance: "
-                f"{entered} entries vs {exited} ENDHANDLERs leaves "
-                f"{open_handlers} open across {len(net.nodes)} node(s)",
-            )
-        )
-
-    for mid in sorted(net.nodes):
-        kernel = net.nodes[mid].kernel
-        for tid, attr in kernel.leaked_probe_timers():
-            violations.append(
-                InvariantViolation(
-                    "INV-DELTAT",
-                    now,
-                    mid,
-                    f"closed request #{tid} still holds a live {attr}",
-                )
-            )
-        for peer in sorted(kernel.connections):
-            conn = kernel.connections[peer]
-            if conn.outstanding is None:
-                continue
-            if not (
-                _timer_live(conn._retransmit_timer)
-                or _timer_live(conn._busy_timer)
-            ):
-                violations.append(
-                    InvariantViolation(
-                        "INV-DELTAT",
-                        now,
-                        mid,
-                        f"connection to {peer} wedged: outstanding "
-                        f"{conn.outstanding.kind!r} with no armed timer",
-                    )
-                )
-
-    _check_ledger(net.ledger, now, violations)
-    return violations

@@ -141,11 +141,7 @@ class Connection:
         parked.busy_attempts = 0
         message = self.outbox.popleft()
         self.outbox.appendleft(parked)
-        self.outstanding = message
-        message.packet.seq = self.send_seq
-        self._mark_resync(message)
-        if message.on_transmit is not None:
-            message.on_transmit()
+        self._take_channel(message)
         self._transmit(message, first=True)
 
     def _pump(self) -> None:
@@ -153,11 +149,7 @@ class Connection:
             message = self.outbox.popleft()
             if message.void_check is not None and message.void_check():
                 continue
-            self.outstanding = message
-            message.packet.seq = self.send_seq
-            self._mark_resync(message)
-            if message.on_transmit is not None:
-                message.on_transmit()
+            self._take_channel(message)
             # Defer the actual transmission one event: when the pump runs
             # from within inbound-packet processing (a piggybacked ack
             # freed the channel), the rest of that packet — whose own
@@ -165,11 +157,17 @@ class Connection:
             # first so the ack can piggyback on this transmission.
             self.sim.schedule(0.0, self._transmit_fresh, message)
 
-    def _mark_resync(self, message: OutboundMessage) -> None:
-        """Clear the open bit on the first message after a peer death."""
+    def _take_channel(self, message: OutboundMessage) -> None:
+        """``message`` becomes the outstanding one, on the current
+        sequence bit; the first message after a peer death clears the
+        open bit.  The kernel is told the command is noted."""
+        self.outstanding = message
+        message.packet.seq = self.send_seq
         if self.resync_next:
             message.packet.connection_open = False
             self.resync_next = False
+        if message.on_transmit is not None:
+            message.on_transmit()
 
     def _transmit_fresh(self, message: OutboundMessage) -> None:
         if self.outstanding is not message:
@@ -445,25 +443,26 @@ class Connection:
 
     def _ack_timer_fire(self) -> None:
         self._ack_timer = None
-        if self.owed_ack is None:
-            return
-        ack, self.owed_ack = self.owed_ack, None
-        tx_us, self.owed_ack_tx_us = self.owed_ack_tx_us, None
-        self.kernel.transmit_packet(
-            self.peer_mid,
-            Packet(PacketType.ACK, ack=ack, echo_tx_us=tx_us),
-            sequenced=False,
-        )
+        owed = self.take_piggyback_ack()
+        if owed is not None:
+            self.send_immediate_ack(*owed)
 
     def send_immediate_ack(
         self, seq: int, echo_tx_us: Optional[float] = None
     ) -> None:
-        """Re-acknowledge a duplicate right away (no deferral)."""
+        """Acknowledge right away (no deferral): a duplicate, or an owed
+        ack whose deferral ran out."""
         self.kernel.transmit_packet(
             self.peer_mid,
             Packet(PacketType.ACK, ack=seq, echo_tx_us=echo_tx_us),
             sequenced=False,
         )
+
+    def send_unsequenced(self, packet: Packet) -> None:
+        """Send a one-shot reply (a NACK, PROBE_REPLY or CANCEL_REPLY)
+        carrying the owed ack, if any."""
+        self.attach_piggyback(packet)
+        self.kernel.transmit_packet(self.peer_mid, packet, sequenced=False)
 
     def send_nack(
         self,
@@ -471,21 +470,17 @@ class Connection:
         *,
         tid: Optional[int] = None,
         nacked_seq: Optional[int] = None,
-        ack: Optional[int] = None,
         retry_hint_us: Optional[float] = None,
     ) -> None:
-        packet = Packet(
-            PacketType.NACK,
-            nack_code=code,
-            tid=tid,
-            nacked_seq=nacked_seq,
-            retry_hint_us=retry_hint_us,
+        self.send_unsequenced(
+            Packet(
+                PacketType.NACK,
+                nack_code=code,
+                tid=tid,
+                nacked_seq=nacked_seq,
+                retry_hint_us=retry_hint_us,
+            )
         )
-        if ack is not None:
-            packet.ack = ack
-        else:
-            self.attach_piggyback(packet)
-        self.kernel.transmit_packet(self.peer_mid, packet, sequenced=False)
 
     # ------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from repro.core.boot import (
     pattern_from_bytes,
     pattern_to_bytes,
 )
-from repro.core.buffers import Buffer, OverloadController
+from repro.core.buffers import Buffer, OverloadController, buffer_or_nil
 from repro.core.client import ClientProcessor, HandlerEvent
 from repro.core.config import KernelConfig
 from repro.core.connection import Connection, OutboundMessage
@@ -263,19 +263,19 @@ class SodaKernel:
     def _set_delivered_state(
         self, delivered: DeliveredRequest, state: DeliveredState
     ) -> None:
-        """Transition a delivered request, tracing the change.
+        """Transition a delivered request, tracing the change, and retire
+        it if that (or a flag set just before) settled it.
 
         The ``kernel.delivered_state`` records drive the post-run leak
         check (every DELIVERED request must reach DONE or CANCELLED);
         no-op transitions are not recorded.
         """
-        if delivered.state is state:
-            return
-        delivered.state = state
-        self.sim.trace.record(
-            self.sim.now, "kernel.delivered_state",
-            self.mid, delivered.sig.mid, delivered.sig.tid, state.value,
-        )
+        if delivered.state is not state:
+            delivered.state = state
+            self.sim.trace.record(
+                self.sim.now, "kernel.delivered_state",
+                self.mid, delivered.sig.mid, delivered.sig.tid, state.value,
+            )
         self._retire_if_settled(delivered)
 
     def _retire_if_settled(self, delivered: DeliveredRequest) -> None:
@@ -418,29 +418,8 @@ class SodaKernel:
             return
         if packet.ack is not None:
             conn.handle_ack(packet.ack, echo_tx_us=packet.echo_tx_us)
-
-        if ptype is PacketType.ACK:
-            return
-        if ptype is PacketType.NACK:
-            self._handle_nack(src, packet, conn)
-        elif ptype is PacketType.REQUEST:
-            self._handle_request_packet(src, packet, conn)
-        elif ptype is PacketType.ACCEPT:
-            self._handle_accept_packet(src, packet, conn)
-        elif ptype is PacketType.DATA:
-            self._handle_data_packet(src, packet, conn)
-        elif ptype is PacketType.CANCEL:
-            self._handle_cancel_packet(src, packet, conn)
-        elif ptype is PacketType.CANCEL_REPLY:
-            self._handle_cancel_reply(src, packet)
-        elif ptype is PacketType.PROBE:
-            self._handle_probe(src, packet, conn)
-        elif ptype is PacketType.PROBE_REPLY:
-            self._handle_probe_reply(src, packet)
-        elif ptype is PacketType.DISCOVER_QUERY:
-            self._handle_discover_query(src, packet)
-        elif ptype is PacketType.DISCOVER_REPLY:
-            self._handle_discover_reply(src, packet)
+        if ptype is not PacketType.ACK:
+            self._DISPATCH[ptype._value_](self, src, packet, conn)
 
     def _trace_rx(self, src: int, packet: Packet, fid: Optional[int]) -> None:
         trace = self.sim.trace
@@ -494,37 +473,24 @@ class SodaKernel:
             # kernel.crash_report — the peer is alive, just saturated.
             record = self.requests.get(packet.tid)
             if record is not None:
-                self._complete_request_failure(
-                    record,
-                    RequestStatus.OVERLOADED,
-                    reason="nack_overload",
+                self._fail(
+                    record, RequestStatus.OVERLOADED, "nack_overload",
                     not_executed=True,
-                    crash_report=False,
                 )
             return
         if code is NackCode.UNADVERTISED:
             record = self.requests.get(packet.tid)
             if record is not None:
-                self._complete_request_failure(
-                    record,
-                    RequestStatus.UNADVERTISED,
-                    reason="nack_unadvertised",
+                self._fail(
+                    record, RequestStatus.UNADVERTISED, "nack_unadvertised",
                     not_executed=True,
                 )
             return
         if code in (NackCode.CANCELLED, NackCode.CRASHED):
-            sig = RequesterSignature(src, packet.tid)
-            pending = self.pending_accepts.pop(sig, None)
-            if pending is not None:
-                status = (
-                    AcceptStatus.CANCELLED
-                    if code is NackCode.CANCELLED
-                    else AcceptStatus.CRASHED
-                )
-                pending.resolve(status)
-            delivered = self.delivered.get(sig)
-            if delivered is not None:
-                self._set_delivered_state(delivered, DeliveredState.DONE)
+            # Our ACCEPT's answer: the code is the ACCEPT's status.
+            self._settle(
+                RequesterSignature(src, packet.tid), AcceptStatus(code.value)
+            )
 
     # ------------------------------------------------------------------
     # REQUEST arrival (server side)
@@ -565,7 +531,7 @@ class SodaKernel:
         # A client pattern: delivery depends on the handler state.
         if self._handler_eligible_for_arrival():
             if self._accept_sequenced(conn, packet):
-                self._deliver_arrival(src, packet)
+                self._invoke_handler(self._arrival(src, packet))
             return
         # Handler BUSY or CLOSED.
         if self.config.pipelined and self.held is None:
@@ -581,20 +547,25 @@ class SodaKernel:
                 self.mid, src, packet.tid,
             )
         else:
-            hint = self.overload.retry_hint_us(
-                self.config.retransmit.busy_retry_base_us
-            )
-            conn.send_nack(
-                NackCode.BUSY,
-                tid=packet.tid,
-                nacked_seq=packet.seq,
-                retry_hint_us=hint,
-            )
-            self.sim.trace.record(
-                self.sim.now, "kernel.busy_nack", self.mid, src, packet.tid,
-                hint,
-                None,  # hold_expired
-            )
+            # None, not False: the field is absent on a plain BUSY NACK.
+            self._busy_nack(conn, packet, None)
+
+    def _busy_nack(
+        self, conn: Connection, packet: Packet, hold_expired: Optional[bool]
+    ) -> None:
+        hint = self.overload.retry_hint_us(
+            self.config.retransmit.busy_retry_base_us
+        )
+        conn.send_nack(
+            NackCode.BUSY,
+            tid=packet.tid,
+            nacked_seq=packet.seq,
+            retry_hint_us=hint,
+        )
+        self.sim.trace.record(
+            self.sim.now, "kernel.busy_nack",
+            self.mid, conn.peer_mid, packet.tid, hint, hold_expired,
+        )
 
     def _input_occupancy_us(self) -> float:
         """Input-side occupancy: the kernel-CPU backlog the packet being
@@ -607,30 +578,26 @@ class SodaKernel:
         )
 
     def _held_expired(self) -> None:
-        held = self.held
-        if held is None:
-            return
-        self.held = None
-        conn = self._conn(held.src)
-        conn.rollback_sequenced(held.packet)
-        conn.forget_owed_ack(held.packet.seq)
-        hint = self.overload.retry_hint_us(
-            self.config.retransmit.busy_retry_base_us
-        )
-        conn.send_nack(
-            NackCode.BUSY,
-            tid=held.packet.tid,
-            nacked_seq=held.packet.seq,
-            ack=None,
-            retry_hint_us=hint,
-        )
-        self.sim.trace.record(
-            self.sim.now, "kernel.busy_nack",
-            self.mid, held.src, held.packet.tid, hint,
-            True,  # hold_expired
-        )
+        if self.held is not None:
+            held = self._release_held(rollback=True)
+            self._busy_nack(self._conn(held.src), held.packet, True)
 
-    def _deliver_arrival(self, src: int, packet: Packet) -> None:
+    def _release_held(self, rollback: bool) -> HeldRequest:
+        """Empty the input buffer.  ``rollback`` un-consumes the held
+        REQUEST's sequence number and forgets its ack, so the requester's
+        retry is taken as new; without it the REQUEST is being delivered
+        and its ack piggybacks on whatever the handler sends back."""
+        held, self.held = self.held, None
+        if held.timer is not None:
+            held.timer.cancel()
+        if rollback:
+            conn = self._conn(held.src)
+            conn.rollback_sequenced(held.packet)
+            conn.forget_owed_ack(held.packet.seq)
+        return held
+
+    def _arrival(self, src: int, packet: Packet) -> HandlerEvent:
+        """Note a REQUEST as delivered; returns its handler event."""
         sig = RequesterSignature(src, packet.tid)
         self._note_delivered(
             DeliveredRequest(
@@ -642,7 +609,7 @@ class SodaKernel:
                 put_data=packet.data,
             )
         )
-        event = HandlerEvent(
+        return HandlerEvent(
             reason=HandlerReason.REQUEST_ARRIVAL,
             asker=sig,
             pattern=packet.pattern,
@@ -650,7 +617,6 @@ class SodaKernel:
             put_size=packet.put_size,
             get_size=packet.get_size,
         )
-        self._invoke_handler(event)
 
     # ------------------------------------------------------------------
     # handler invocation machinery
@@ -719,43 +685,16 @@ class SodaKernel:
             return None
         if self.completion_queue:
             event = self.completion_queue.popleft()
-            self._handler_busy = True
-            self.ledger.charge(
-                "context_switch", self.config.timing.context_switch_us
-            )
-            return event
-        if self.held is not None:
-            held = self.held
-            self.held = None
-            if held.timer is not None:
-                held.timer.cancel()
-            # Becomes a normal arrival; its ack is still owed and will
-            # piggyback on whatever the handler sends back.
-            src, packet = held.src, held.packet
-            self._handler_busy = True
-            sig = RequesterSignature(src, packet.tid)
-            self._note_delivered(
-                DeliveredRequest(
-                    sig=sig,
-                    pattern=packet.pattern,
-                    arg=packet.arg,
-                    put_size=packet.put_size,
-                    get_size=packet.get_size,
-                    put_data=packet.data,
-                )
-            )
-            self.ledger.charge(
-                "context_switch", self.config.timing.context_switch_us
-            )
-            return HandlerEvent(
-                reason=HandlerReason.REQUEST_ARRIVAL,
-                asker=sig,
-                pattern=packet.pattern,
-                arg=packet.arg,
-                put_size=packet.put_size,
-                get_size=packet.get_size,
-            )
-        return None
+        elif self.held is not None:
+            held = self._release_held(rollback=False)
+            event = self._arrival(held.src, held.packet)
+        else:
+            return None
+        self._handler_busy = True
+        self.ledger.charge(
+            "context_switch", self.config.timing.context_switch_us
+        )
+        return event
 
     def poll_handler(self) -> None:
         """Deliver pending interrupts if the handler just became eligible
@@ -815,7 +754,7 @@ class SodaKernel:
         PUTs raw core-image bytes; in the simulation the executable part
         is a ProgramImage object (§3.5.2).
         """
-        get_buffer = get_buffer if get_buffer is not None else Buffer.nil()
+        get_buffer = buffer_or_nil(get_buffer)
         limit = self.config.max_message_bytes
         if len(put_data) > limit or get_buffer.capacity > limit:
             raise SodaError(
@@ -886,27 +825,21 @@ class SodaKernel:
             self._send_cancel_packet(record)
 
     def _request_peer_dead(self, record: RequestRecord, conn: Connection) -> None:
-        if not record.open:
-            return
-        status = (
-            RequestStatus.CRASHED
-            if conn.heard_from_peer
-            else RequestStatus.UNADVERTISED
-        )
-        # A REQUEST still QUEUED behind the dead head of the outbox was
-        # never transmitted, so it provably never executed.  One that was
-        # transmitted but never acked is ambiguous: the *ack* may be what
-        # was lost, with the server alive and executing behind a
-        # partition (docs/RECOVERY.md, retry-safety table).
-        not_executed: Optional[bool]
-        if status is RequestStatus.UNADVERTISED:
-            not_executed = True  # never heard from the peer at all
-        elif record.state is RequestState.QUEUED:
-            not_executed = True
-        else:
-            not_executed = None
-        self._complete_request_failure(
-            record, status, reason="retransmit_exhausted", not_executed=not_executed
+        # A peer never heard from provably never executed the REQUEST, nor
+        # did one it was never transmitted to (still QUEUED behind the
+        # dead head of the outbox).  One transmitted but never acked is
+        # ambiguous: the *ack* may be what was lost, with the server alive
+        # and executing behind a partition (docs/RECOVERY.md, retry-safety
+        # table).
+        heard = conn.heard_from_peer
+        self._fail(
+            record,
+            RequestStatus.CRASHED if heard else RequestStatus.UNADVERTISED,
+            "retransmit_exhausted",
+            not_executed=(
+                True if not heard or record.state is RequestState.QUEUED
+                else None
+            ),
         )
 
     def _close_request(
@@ -925,7 +858,8 @@ class SodaKernel:
         (FAIL), and the record is retired from ``requests``, which frees
         its MAXREQUESTS slot.  After this a lookup misses; each caller
         of ``requests.get`` answers a miss as it answered the closed
-        record (DESIGN.md "Record lifetime").
+        record (DESIGN.md "Record lifetime").  A withdrawal is traced
+        here too: it fires no callback, so nothing can come between.
         """
         record.state = state
         record.completion_status = status
@@ -933,26 +867,43 @@ class SodaKernel:
         del self.requests[record.tid]
         if state is RequestState.CANCELLED:
             self._cancelled_tids.add(record.tid)
+            self.sim.trace.record(
+                self.sim.now, "kernel.cancelled", self.mid, record.tid
+            )
         elif record.pending_cancel is not None:
             record.pending_cancel.resolve(CancelStatus.FAIL)
             record.pending_cancel = None
 
-    def _complete_request_failure(
+    def _fail(
+        self,
+        record: RequestRecord,
+        status: RequestStatus,
+        reason: str,
+        not_executed: Optional[bool] = None,
+    ) -> None:
+        """Close an open REQUEST as failed and tell its handler."""
+        if record.open:
+            self._close_request(record, RequestState.COMPLETED, status)
+            self._complete(
+                record, status, reason=reason, not_executed=not_executed
+            )
+
+    def _complete(
         self,
         record: RequestRecord,
         status: RequestStatus,
         *,
-        reason: str = "",
+        arg: int = 0,
+        taken_put: int = 0,
+        taken_get: int = 0,
+        reason: Optional[str] = None,
         not_executed: Optional[bool] = None,
-        crash_report: bool = True,
     ) -> None:
-        if not record.open:
-            return
-        self._close_request(record, RequestState.COMPLETED, status)
+        """Trace a closed REQUEST's outcome and deliver its completion
+        interrupt: the one ``kernel.complete`` emitter."""
         self.sim.trace.record(
             self.sim.now, "kernel.complete",
-            self.mid, record.tid, status.value,
-            0, 0, 0,  # arg, taken_put, taken_get
+            self.mid, record.tid, status.value, arg, taken_put, taken_get,
             reason, not_executed,
         )
         # Crash-report hook (§3.6 → repro.recovery): every failed
@@ -960,20 +911,26 @@ class SodaKernel:
         # failure proves non-execution.  An OVERLOAD rejection is not a
         # crash — the peer answered — so it must not feed the failure
         # detector's suspicion counters.
-        if crash_report:
+        if (
+            status is RequestStatus.CRASHED
+            or status is RequestStatus.UNADVERTISED
+        ):
             self.sim.trace.record(
                 self.sim.now, "kernel.crash_report",
                 self.mid, record.server_sig.mid, record.tid, status.value, reason,
                 not_executed,
             )
-        event = HandlerEvent(
-            reason=HandlerReason.REQUEST_COMPLETE,
-            asker=RequesterSignature(self.mid, record.tid),
-            status=status,
-            arg=0,
-            not_executed=not_executed,
+        self._deliver_completion(
+            HandlerEvent(
+                reason=HandlerReason.REQUEST_COMPLETE,
+                asker=RequesterSignature(self.mid, record.tid),
+                status=status,
+                arg=arg,
+                taken_put=taken_put,
+                taken_get=taken_get,
+                not_executed=not_executed,
+            )
         )
-        self._deliver_completion(event)
 
     # -- ACCEPT (inbound, requester side) --------------------------------
 
@@ -1023,21 +980,13 @@ class SodaKernel:
                 PacketType.DATA, tid=record.tid, data=data if data else None
             )
             conn.enqueue_priority(OutboundMessage(pull_packet, "data"))
-        event = HandlerEvent(
-            reason=HandlerReason.REQUEST_COMPLETE,
-            asker=RequesterSignature(self.mid, record.tid),
-            status=RequestStatus.COMPLETED,
+        self._complete(
+            record,
+            RequestStatus.COMPLETED,
             arg=packet.arg,
             taken_put=packet.taken_put,
             taken_get=taken_get,
         )
-        self.sim.trace.record(
-            self.sim.now, "kernel.complete",
-            self.mid, record.tid, RequestStatus.COMPLETED.value,
-            packet.arg, packet.taken_put, taken_get,
-            None, None,  # reason, not_executed
-        )
-        self._deliver_completion(event)
 
     # -- ACCEPT (outbound, server side) -------------------------------------
 
@@ -1049,44 +998,33 @@ class SodaKernel:
         put_data: bytes = b"",
     ) -> "SimFuture":
         """Blocking ACCEPT; resolves to an AcceptStatus."""
-        get_buffer = get_buffer if get_buffer is not None else Buffer.nil()
+        get_buffer = buffer_or_nil(get_buffer)
         future = self.sim.new_future()
         delivered = self.delivered.get(req_sig)
         conn = self.connections.get(req_sig.mid)
-        if (
-            delivered is None
-            or delivered.state is not DeliveredState.DELIVERED
-        ):
+        dead = conn is not None and conn.declared_dead
+        acceptable = (
+            delivered is not None
+            and delivered.state is DeliveredState.DELIVERED
+        )
+        if dead or not acceptable:
             # Completed, cancelled, never delivered here, or forged
-            # (§3.3.2 rule 6); a requester already known to have crashed
-            # is reported as CRASHED immediately (§3.3.2).
-            if conn is not None and conn.declared_dead:
-                status = AcceptStatus.CRASHED
-            elif (
-                delivered is not None
-                and delivered.state is DeliveredState.CANCELLED
-            ):
-                status = AcceptStatus.CANCELLED
-            else:
-                status = AcceptStatus.CANCELLED
-            self.sim.schedule(
-                self.config.timing.protocol_send_us, future.resolve, status
-            )
-            return future
-        conn = self._conn(req_sig.mid)
-        if conn.declared_dead:
-            # No ACCEPT can reach the requester: settle the delivery as
-            # _accept_peer_dead does, so a PROBE from a requester that
-            # was only cut off is answered "not alive", not "alive"
+            # (§3.3.2 rule 6): CANCELLED.  A requester already known to
+            # have crashed is reported CRASHED immediately (§3.3.2), and
+            # no ACCEPT can reach it: an open delivery is settled as
+            # _accept_peer_dead settles it, so a PROBE from a requester
+            # that was only cut off is answered "not alive", not "alive"
             # forever.
-            delivered.reply_dead = True
-            self._set_delivered_state(delivered, DeliveredState.DONE)
+            if acceptable:
+                delivered.reply_dead = True
+                self._set_delivered_state(delivered, DeliveredState.DONE)
             self.sim.schedule(
                 self.config.timing.protocol_send_us,
                 future.resolve,
-                AcceptStatus.CRASHED,
+                AcceptStatus.CRASHED if dead else AcceptStatus.CANCELLED,
             )
             return future
+        conn = self._conn(req_sig.mid)
         self._set_delivered_state(delivered, DeliveredState.ACCEPTED)
         taken_put = min(delivered.put_size, get_buffer.capacity)
         taken_get = min(len(put_data), delivered.get_size)
@@ -1156,14 +1094,12 @@ class SodaKernel:
     def _accept_noted(
         self, pending: PendingAccept, delivered: DeliveredRequest
     ) -> None:
-        if self._accept_stale(pending, delivered):
-            return
-        # Dataless ACCEPT: the exchange was local; unblock the server as
-        # soon as the kernel has noted and dispatched the command.  The
-        # delivery stays (DONE, answering PROBEs) until the ACCEPT's ack.
-        self._set_delivered_state(delivered, DeliveredState.DONE)
-        self.pending_accepts.pop(pending.sig, None)
-        pending.resolve(AcceptStatus.SUCCESS)
+        if not self._accept_stale(pending, delivered):
+            # Dataless ACCEPT: the exchange was local; unblock the server
+            # as soon as the kernel has noted and dispatched the command.
+            # The delivery stays (DONE, answering PROBEs) until the
+            # ACCEPT's ack.
+            self._settle(pending.sig, AcceptStatus.SUCCESS)
 
     def _accept_acked(
         self, pending: PendingAccept, delivered: DeliveredRequest
@@ -1172,22 +1108,29 @@ class SodaKernel:
             return
         delivered.accept_acked = True
         if pending.wait_for == "ack":
-            self._set_delivered_state(delivered, DeliveredState.DONE)
-            self.pending_accepts.pop(pending.sig, None)
-            pending.resolve(AcceptStatus.SUCCESS)
-        # wait_for == "data": resolution happens when the DATA arrives.
-        self._retire_if_settled(delivered)
+            self._settle(pending.sig, AcceptStatus.SUCCESS)
+        else:
+            # Settled at transmission ("none") or when the DATA arrives
+            # ("data"): the ack may be all the delivery waited for.
+            self._retire_if_settled(delivered)
 
     def _accept_peer_dead(
         self, pending: PendingAccept, delivered: DeliveredRequest
     ) -> None:
-        if self._accept_stale(pending, delivered):
-            return
-        delivered.reply_dead = True
-        self._set_delivered_state(delivered, DeliveredState.DONE)
-        self._retire_if_settled(delivered)  # it may have been DONE already
-        self.pending_accepts.pop(pending.sig, None)
-        pending.resolve(AcceptStatus.CRASHED)
+        if not self._accept_stale(pending, delivered):
+            delivered.reply_dead = True
+            self._settle(pending.sig, AcceptStatus.CRASHED)
+
+    def _settle(self, sig: RequesterSignature, status: AcceptStatus) -> None:
+        """An ACCEPT's exchange is over: its delivery goes DONE (retiring
+        if nothing can ask about it any more), then the server's blocked
+        ACCEPT returns ``status``."""
+        delivered = self.delivered.get(sig)
+        if delivered is not None:
+            self._set_delivered_state(delivered, DeliveredState.DONE)
+        pending = self.pending_accepts.pop(sig, None)
+        if pending is not None:
+            pending.resolve(status)
 
     def _handle_data_packet(
         self, src: int, packet: Packet, conn: Connection
@@ -1195,15 +1138,11 @@ class SodaKernel:
         if not self._accept_sequenced(conn, packet):
             return
         sig = RequesterSignature(src, packet.tid)
-        pending = self.pending_accepts.pop(sig, None)
-        if pending is None:
-            return
-        if packet.data is not None:
-            pending.get_buffer.write(packet.data)
-        delivered = self.delivered.get(sig)
-        if delivered is not None:
-            self._set_delivered_state(delivered, DeliveredState.DONE)
-        pending.resolve(AcceptStatus.SUCCESS)
+        pending = self.pending_accepts.get(sig)
+        if pending is not None:
+            if packet.data is not None:
+                pending.get_buffer.write(packet.data)
+            self._settle(sig, AcceptStatus.SUCCESS)
 
     # -- CANCEL ----------------------------------------------------------
 
@@ -1225,10 +1164,6 @@ class SodaKernel:
             return future
         if record.state is RequestState.QUEUED:
             self._close_request(record, RequestState.CANCELLED)
-            self.sim.trace.record(
-                self.sim.now, "kernel.cancelled",
-                self.mid, record.tid,
-            )
             self.sim.schedule(small, future.resolve, CancelStatus.SUCCESS)
             return future
         record.pending_cancel = future
@@ -1266,25 +1201,19 @@ class SodaKernel:
         ok = delivered is not None and delivered.state is DeliveredState.DELIVERED
         if ok:
             self._set_delivered_state(delivered, DeliveredState.CANCELLED)
-        reply = Packet(
-            PacketType.CANCEL_REPLY,
-            tid=packet.tid,
-            arg=1 if ok else 0,
+        conn.send_unsequenced(
+            Packet(PacketType.CANCEL_REPLY, tid=packet.tid, arg=1 if ok else 0)
         )
-        conn.attach_piggyback(reply)
-        self.transmit_packet(src, reply, sequenced=False)
 
-    def _handle_cancel_reply(self, src: int, packet: Packet) -> None:
+    def _handle_cancel_reply(
+        self, src: int, packet: Packet, conn: Connection
+    ) -> None:
         record = self.requests.get(packet.tid)
         if record is None or record.pending_cancel is None:
             return
         future, record.pending_cancel = record.pending_cancel, None
         if packet.arg == 1:
             self._close_request(record, RequestState.CANCELLED)
-            self.sim.trace.record(
-                self.sim.now, "kernel.cancelled",
-                self.mid, record.tid,
-            )
             future.resolve(CancelStatus.SUCCESS)
         else:
             future.resolve(CancelStatus.FAIL)
@@ -1350,26 +1279,18 @@ class SodaKernel:
             return
         record.probe_failures += 1
         if record.probe_failures >= self.config.probe_failures_to_crash:
-            self._complete_request_failure(
-                record, RequestStatus.CRASHED, reason="probe_timeout"
-            )
+            self._fail(record, RequestStatus.CRASHED, "probe_timeout")
         else:
             self._probe_fire(record)
 
     def _handle_probe(self, src: int, packet: Packet, conn: Connection) -> None:
         sig = RequesterSignature(src, packet.tid)
         delivered = self.delivered.get(sig)
-        alive = (
+        if (
             delivered is not None
             and not delivered.reply_dead
-            and delivered.state
-            in (
-                DeliveredState.DELIVERED,
-                DeliveredState.ACCEPTED,
-                DeliveredState.DONE,
-            )
-        )
-        if alive:
+            and delivered.state is not DeliveredState.CANCELLED
+        ):
             arg = 1
         elif sig in self.crashed_unaccepted:
             # The previous incarnation died holding this REQUEST
@@ -1378,19 +1299,22 @@ class SodaKernel:
             arg = 2
         else:
             arg = 0
-        reply = Packet(
-            PacketType.PROBE_REPLY,
-            tid=packet.tid,
-            arg=arg,
-            # Which incarnation is vouching: a reply carrying a newer
-            # epoch than the delivery proves the answering kernel is not
-            # the one that holds the REQUEST (repro.analysis.causal).
-            epoch=self.epoch,
+        conn.send_unsequenced(
+            Packet(
+                PacketType.PROBE_REPLY,
+                tid=packet.tid,
+                arg=arg,
+                # Which incarnation is vouching: a reply carrying a newer
+                # epoch than the delivery proves the answering kernel is
+                # not the one that holds the REQUEST
+                # (repro.analysis.causal).
+                epoch=self.epoch,
+            )
         )
-        conn.attach_piggyback(reply)
-        self.transmit_packet(src, reply, sequenced=False)
 
-    def _handle_probe_reply(self, src: int, packet: Packet) -> None:
+    def _handle_probe_reply(
+        self, src: int, packet: Packet, conn: Connection
+    ) -> None:
         record = self.requests.get(packet.tid)
         if record is None or record.state is not RequestState.DELIVERED:
             return
@@ -1401,16 +1325,12 @@ class SodaKernel:
             record.probe_failures = 0
             self._schedule_probe(record)
         elif packet.arg == 2:
-            self._complete_request_failure(
-                record,
-                RequestStatus.CRASHED,
-                reason="probe_crashed_unaccepted",
+            self._fail(
+                record, RequestStatus.CRASHED, "probe_crashed_unaccepted",
                 not_executed=True,
             )
         else:
-            self._complete_request_failure(
-                record, RequestStatus.CRASHED, reason="probe_denied"
-            )
+            self._fail(record, RequestStatus.CRASHED, "probe_denied")
 
     # -- DISCOVER (§3.4.4, §5.3) ------------------------------------------
 
@@ -1430,12 +1350,18 @@ class SodaKernel:
         record.state = RequestState.INFLIGHT
         self.transmit_packet(BROADCAST_MID, packet, sequenced=False)
 
-    def _handle_discover_query(self, src: int, packet: Packet) -> None:
+    def _handle_discover_query(
+        self, src: int, packet: Packet, conn: Connection
+    ) -> None:
         pattern = packet.pattern
-        matched = self.patterns.matches(pattern) or (
-            is_reserved(pattern) and self._reserved_discoverable(pattern)
-        )
-        if not matched:
+        if not (
+            self.patterns.matches(pattern)
+            or (
+                is_reserved(pattern)
+                and self._boot_active
+                and pattern in self.boot_patterns
+            )
+        ):
             return
         # Staggered replies avoid a response collision storm (§5.3).
         delay = self.mid * self.config.discover_stagger_us
@@ -1448,43 +1374,45 @@ class SodaKernel:
             delay, self.transmit_packet, src, reply, 0, False
         )
 
-    def _reserved_discoverable(self, pattern: Pattern) -> bool:
-        if self._boot_active and pattern in self.boot_patterns:
-            return True
-        return False
-
-    def _handle_discover_reply(self, src: int, packet: Packet) -> None:
+    def _handle_discover_reply(
+        self, src: int, packet: Packet, conn: Connection
+    ) -> None:
         state = self._discovers.get(packet.query_token)
-        if state is None:
-            return
-        state.mids.add(packet.reply_mid)
+        if state is not None:
+            state.mids.add(packet.reply_mid)
 
     def _discover_done(self, token: int) -> None:
         state = self._discovers.pop(token, None)
-        if state is None:
+        if state is None or not state.record.open:
             return
         record = state.record
-        if not record.open:
-            return
         self._close_request(
             record, RequestState.COMPLETED, RequestStatus.COMPLETED
         )
-        data = mids_to_bytes(sorted(state.mids))
-        taken = record.get_buffer.write(data)
-        self.sim.trace.record(
-            self.sim.now, "kernel.complete",
-            self.mid, record.tid, RequestStatus.COMPLETED.value,
-            0, 0, taken,  # arg, taken_put, taken_get
-            None, None,  # reason, not_executed
+        self._complete(
+            record,
+            RequestStatus.COMPLETED,
+            taken_get=record.get_buffer.write(
+                mids_to_bytes(sorted(state.mids))
+            ),
         )
-        event = HandlerEvent(
-            reason=HandlerReason.REQUEST_COMPLETE,
-            asker=RequesterSignature(self.mid, record.tid),
-            status=RequestStatus.COMPLETED,
-            arg=0,
-            taken_get=taken,
-        )
-        self._deliver_completion(event)
+
+    #: Packet type -> its handler, all called ``(kernel, src, packet,
+    #: conn)``; an ACK has none, its ``handle_ack`` was the whole of it.
+    #: Keyed by the type's value: a str hashes in C, an Enum member by a
+    #: Python ``__hash__`` call per packet.
+    _DISPATCH = {
+        PacketType.NACK.value: _handle_nack,
+        PacketType.REQUEST.value: _handle_request_packet,
+        PacketType.ACCEPT.value: _handle_accept_packet,
+        PacketType.DATA.value: _handle_data_packet,
+        PacketType.CANCEL.value: _handle_cancel_packet,
+        PacketType.CANCEL_REPLY.value: _handle_cancel_reply,
+        PacketType.PROBE.value: _handle_probe,
+        PacketType.PROBE_REPLY.value: _handle_probe_reply,
+        PacketType.DISCOVER_QUERY.value: _handle_discover_query,
+        PacketType.DISCOVER_REPLY.value: _handle_discover_reply,
+    }
 
     # ==================================================================
     # reserved patterns: boot / load / kill / system (§3.5)
@@ -1685,13 +1613,9 @@ class SodaKernel:
         self.patterns.clear()
         self.completion_queue.clear()
         for record in list(self.requests.values()):
-            # Trace the withdrawal so span reconstruction (and the chaos
-            # liveness check) sees a terminal state for every REQUEST
-            # the dead incarnation left in flight.
-            self.sim.trace.record(
-                self.sim.now, "kernel.cancelled",
-                self.mid, record.tid,
-            )
+            # Traced as a withdrawal, so span reconstruction (and the
+            # chaos liveness check) sees a terminal state for every
+            # REQUEST the dead incarnation left in flight.
             self._close_request(record, RequestState.CANCELLED)
         self._cancelled_tids.clear()
         # Remember which exchanges died DELIVERED-but-unACCEPTed: their
@@ -1716,12 +1640,7 @@ class SodaKernel:
                 pending.resolved = True  # futures belong to the dead client
         self.pending_accepts.clear()
         if self.held is not None:
-            held = self.held
-            self.held = None
-            if held.timer is not None:
-                held.timer.cancel()
-            self._conn(held.src).rollback_sequenced(held.packet)
-            self._conn(held.src).forget_owed_ack(held.packet.seq)
+            self._release_held(rollback=True)
         self.handler_open = False
         self._handler_busy = False
         self._pending_handler_open = None
@@ -1742,7 +1661,6 @@ class SodaKernel:
         for conn in self.connections.values():
             conn.reset()
         self.connections.clear()
-        self._discovers.clear()
         quiet = self.config.deltat.crash_quiet_us
         self.offline_until = self.sim.now + quiet
         self.sim.trace.record(self.sim.now, "kernel.crash", self.mid, quiet)

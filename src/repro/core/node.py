@@ -130,13 +130,8 @@ class Network:
         propagation_us: float = 5.0,
         faults: Optional[FaultPlan] = None,
         keep_trace: bool = True,
-        max_trace_records: Optional[int] = None,
     ) -> None:
-        self.sim = Simulator(
-            seed=seed,
-            keep_trace=keep_trace,
-            max_trace_records=max_trace_records,
-        )
+        self.sim = Simulator(seed=seed, keep_trace=keep_trace)
         self.config = config or KernelConfig()
         self.faults = faults or FaultPlan()
         self.bus = BroadcastBus(

@@ -39,13 +39,8 @@ class RealNetwork(Network):
         impairments: Optional[Impairments] = None,
         host: str = "127.0.0.1",
         keep_trace: bool = True,
-        max_trace_records: Optional[int] = None,
     ) -> None:
-        self.sim = WallClockScheduler(
-            seed=seed,
-            keep_trace=keep_trace,
-            max_trace_records=max_trace_records,
-        )
+        self.sim = WallClockScheduler(seed=seed, keep_trace=keep_trace)
         self.config = config or KernelConfig()
         self.bus = UdpMedium(
             self.sim,

@@ -83,14 +83,11 @@ class WallClockScheduler:
         self,
         seed: int = 0,
         keep_trace: bool = True,
-        max_trace_records: Optional[int] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ) -> None:
         self.loop = loop or asyncio.new_event_loop()
         self.rng = RngStreams(seed)
-        self.trace = Tracer(
-            keep_records=keep_trace, max_records=max_trace_records
-        )
+        self.trace = Tracer(keep_records=keep_trace)
         self._events_processed = 0
         #: loop.time() that t=0µs maps to; None until started.
         self._epoch_s: Optional[float] = None

@@ -23,18 +23,11 @@ class Simulator:
         "now", "queue", "rng", "trace", "_events_processed", "_horizon"
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        keep_trace: bool = True,
-        max_trace_records: Optional[int] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, keep_trace: bool = True) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
         self.rng = RngStreams(seed)
-        self.trace = Tracer(
-            keep_records=keep_trace, max_records=max_trace_records
-        )
+        self.trace = Tracer(keep_records=keep_trace)
         self._events_processed = 0
         #: How far :meth:`skip_to` may move the clock: the ``until`` of
         #: the :meth:`run` in progress, None when there is nothing to

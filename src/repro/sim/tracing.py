@@ -15,10 +15,8 @@ Two observability mechanisms coexist:
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import (
-    Any, Callable, Dict, List, MutableSequence, Optional, Tuple,
-)
+from collections import Counter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 #: What a trace record *is*: category -> its field names, in the order
@@ -200,32 +198,19 @@ class Tracer:
     """Structured event log with counters.
 
     Tracing is cheap but not free; large benchmark runs can disable record
-    retention (``keep_records=False``) and still use counters.  Soak runs
-    that want *recent* records without unbounded growth set
-    ``max_records``: retention becomes a ring buffer and
-    :attr:`dropped_records` counts what fell off the front (a trace with
-    drops is :attr:`truncated` and cannot be replayed by the invariant
-    checker).
+    retention (``keep_records=False``) and still use counters.  A run too
+    long to retain is judged by sinks instead.
 
     Sinks (:meth:`add_sink`) stream every record to a live consumer —
-    the observability hub uses one — independent of retention.  With no
-    sinks installed the per-record cost is a single falsy check.
+    the invariant checker and the observability hub use them —
+    independent of retention.  With no sinks installed the per-record
+    cost is a single falsy check.
     """
 
-    def __init__(
-        self,
-        keep_records: bool = True,
-        max_records: Optional[int] = None,
-    ) -> None:
-        if max_records is not None and max_records <= 0:
-            raise ValueError(f"max_records must be positive: {max_records}")
+    def __init__(self, keep_records: bool = True) -> None:
         self.keep_records = keep_records
-        self.max_records = max_records
-        self.records: MutableSequence[TraceRecord] = (
-            deque(maxlen=max_records) if max_records is not None else []
-        )
+        self.records: List[TraceRecord] = []
         self.counters: Counter = Counter()
-        self.dropped_records = 0
         self._sinks: List[Callable[[TraceRecord], None]] = []
         # Precomputed fast-mode flag: with retention off and no sinks,
         # record() never constructs a TraceRecord — it only bumps the
@@ -239,27 +224,16 @@ class Tracer:
         building its fields and call ``record(time, category)`` bare."""
         return self._passive
 
-    @property
-    def truncated(self) -> bool:
-        """True if ring-buffer mode has dropped any records."""
-        return self.dropped_records > 0
-
-    @property
-    def replayable(self) -> bool:
-        """True while :attr:`records` holds every record ever emitted."""
-        return self.keep_records and not self.truncated
-
-    def retained(self) -> MutableSequence[TraceRecord]:
+    def retained(self) -> List[TraceRecord]:
         """:attr:`records`, for a post-hoc pass over a finished run — an
-        error on a partial list, which would be judged clean vacuously
-        (or guilty of what its missing prefix explains)."""
-        if not self.replayable:
+        error on a counters-only tracer, whose empty list would be judged
+        clean vacuously."""
+        if not self.keep_records:
             raise ValueError(
-                f"trace holds {len(self.records)} of "
+                f"a counters-only trace kept none of the "
                 f"{sum(self.counters.values())} records emitted: a post-hoc "
-                f"pass would judge a partial run; use "
-                f"check_network_degraded(net), or install() the sink on "
-                f"the tracer before running"
+                f"pass would judge an empty run; install() the sink on the "
+                f"tracer before running"
             )
         return self.records
 
@@ -299,11 +273,6 @@ class Tracer:
                 f"TRACE_SCHEMA row is {TRACE_SCHEMA.get(category)}"
             )
         if self.keep_records:
-            if (
-                self.max_records is not None
-                and len(self.records) >= self.max_records
-            ):
-                self.dropped_records += 1
             self.records.append(entry)
         for sink in self._sinks:
             sink(entry)
@@ -340,7 +309,6 @@ class Tracer:
     def reset(self) -> None:
         self.records.clear()
         self.counters.clear()
-        self.dropped_records = 0
 
 
 class CostLedger:

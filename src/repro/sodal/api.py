@@ -57,6 +57,22 @@ class Completion:
         return self.status is RequestStatus.COMPLETED
 
 
+def _completion(tid: int, event) -> Completion:
+    """The Completion a blocking request returns for its completion
+    interrupt ``event``."""
+    status = event.status
+    if status is RequestStatus.COMPLETED and event.arg == REJECT_ARG:
+        status = RequestStatus.REJECTED
+    return Completion(
+        status=status,
+        arg=event.arg,
+        taken_put=event.taken_put,
+        taken_get=event.taken_get,
+        tid=tid,
+        not_executed=event.not_executed,
+    )
+
+
 def _coerce_put(data: PutData) -> bytes:
     """Objects are coerced into BUFFERS as necessary (§4.1.1)."""
     if data is None:
@@ -262,9 +278,17 @@ class SodalApi:
     ) -> Generator:
         """Blocking ACCEPT; returns an AcceptStatus."""
         yield self._overhead()
-        future = self.kernel.client_accept(
-            requester, arg, _coerce_get(get), _coerce_put(put)
+        return (
+            yield from self._blocked_on(
+                self.kernel.client_accept(
+                    requester, arg, _coerce_get(get), _coerce_put(put)
+                )
+            )
         )
+
+    def _blocked_on(self, future) -> Generator:
+        """Wait out a blocking primitive (ACCEPT, CANCEL): no handler runs
+        until it returns; then a pending interrupt may."""
         self._processor.in_blocking_primitive = True
         try:
             status = yield future
@@ -341,14 +365,11 @@ class SodalApi:
     def cancel(self, tid: int) -> Generator:
         """Blocking CANCEL of one of our own requests."""
         yield self._overhead()
-        future = self.kernel.client_cancel(RequesterSignature(self.my_mid, tid))
-        self._processor.in_blocking_primitive = True
-        try:
-            status = yield future
-        finally:
-            self._processor.in_blocking_primitive = False
-        self.kernel.poll_handler()
-        return status
+        return (
+            yield from self._blocked_on(
+                self.kernel.client_cancel(RequesterSignature(self.my_mid, tid))
+            )
+        )
 
     # ------------------------------------------------------------------
     # blocking requests (§4.1.1)
@@ -377,22 +398,10 @@ class SodalApi:
         tid = self.kernel.client_request(
             server, arg, _coerce_put(put), _coerce_get(get), image=image
         )
-        future = self.sim.new_future()
-        self._processor.awaited_completions[tid] = future
-        event = yield future
+        event = yield self.watch_completion(tid)
         # ...and restore it when the completion unblocks us.
         yield self.tm.blocking_wrapper_half_us
-        status = event.status
-        if status is RequestStatus.COMPLETED and event.arg == REJECT_ARG:
-            status = RequestStatus.REJECTED
-        return Completion(
-            status=status,
-            arg=event.arg,
-            taken_put=event.taken_put,
-            taken_get=event.taken_get,
-            tid=tid,
-            not_executed=event.not_executed,
-        )
+        return _completion(tid, event)
 
     def watch_completion(self, tid: int):
         """Register interest in a request's completion *right now*.
@@ -408,35 +417,12 @@ class SodalApi:
 
     def wait_completion(self, tid: int, future) -> Generator:
         """Block until a watched completion arrives; returns a Completion."""
-        event = yield future
-        status = event.status
-        if status is RequestStatus.COMPLETED and event.arg == REJECT_ARG:
-            status = RequestStatus.REJECTED
-        return Completion(
-            status=status,
-            arg=event.arg,
-            taken_put=event.taken_put,
-            taken_get=event.taken_get,
-            tid=tid,
-            not_executed=event.not_executed,
-        )
+        return _completion(tid, (yield future))
 
     def await_completion(self, tid: int) -> Generator:
         """watch + wait in one step (safe only when the completion cannot
         arrive before this call runs)."""
-        future = self.watch_completion(tid)
-        event = yield future
-        status = event.status
-        if status is RequestStatus.COMPLETED and event.arg == REJECT_ARG:
-            status = RequestStatus.REJECTED
-        return Completion(
-            status=status,
-            arg=event.arg,
-            taken_put=event.taken_put,
-            taken_get=event.taken_get,
-            tid=tid,
-            not_executed=event.not_executed,
-        )
+        return _completion(tid, (yield self.watch_completion(tid)))
 
     def b_signal(self, server: ServerSignature, arg: int = OK) -> Generator:
         return self.b_request(server, arg)

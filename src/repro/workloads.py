@@ -626,7 +626,6 @@ def build_workload(
     seed: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
     config: Optional[KernelConfig] = None,
-    max_trace_records: Optional[int] = None,
     keep_trace: bool = True,
     durable: bool = True,
 ) -> BuiltWorkload:
@@ -645,7 +644,6 @@ def build_workload(
         seed=spec.seed if seed is None else seed,
         faults=faults,
         config=config,
-        max_trace_records=max_trace_records,
         keep_trace=keep_trace,
     )
     media = (lambda role: SimDisk(net.ledger)) if durable else None

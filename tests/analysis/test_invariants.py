@@ -47,18 +47,29 @@ Rule (message) — fires / near-miss:
   ``test_busy_retry_honoring_hint_is_clean``, ``test_hintless_…``,
   ``test_hint_for_other_…``, ``test_seq_swap_releases_the_hint``,
   ``test_hint_landing_after_the_retry_decision_does_not_bind_it``
+
+There is no second, "degraded" auditor for traces that lost records:
+the ring-buffer tracer it served is gone, and a run too long to keep is
+judged live.  What its four tests asserted is now made by:
+
+* a healthy truncated run passes, and the conftest watcher degrades
+  instead of skipping — a counters-only trace refuses every post-hoc
+  judge (test_live_judging::test_post_hoc_judge_refuses_a_partial_trace)
+  and is judged live whole (test_soak::test_whole_system_soak);
+* handler entry/exit counters that do not balance — the live checker's
+  INV-HANDLER, which sees every record (``test_nested_handler_…``,
+  ``test_interrupt_inside_boot_handler_…``);
+* a wedged connection — ``check_liveness``'s kernel-state audit, on a
+  counters-only run
+  (test_record_lifetime::test_a_wedged_connection_is_reported_without_a_trace).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.invariants import (
-    InvariantChecker,
-    check_network,
-    check_network_degraded,
-)
-from repro.workloads import WORKLOADS, build_workload, run_workload
+from repro.analysis.invariants import InvariantChecker, check_network
+from repro.workloads import WORKLOADS, run_workload
 from repro.sim.tracing import CostLedger, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
@@ -552,59 +563,3 @@ def test_seeded_ack_bug_is_detected(monkeypatch):
     net = run_workload("echo")
     violations = check_network(net, strict_completion=False)
     assert any(v.invariant == "INV-SEQ" for v in violations)
-
-
-# -- degraded mode (truncated ring-buffer traces) ----------------------
-
-
-def _truncated_run(name="stream", max_trace_records=200):
-    built = build_workload(name, max_trace_records=max_trace_records)
-    net = built.run()
-    assert net.sim.trace.truncated, "workload too small to truncate"
-    return net
-
-
-def test_degraded_check_passes_on_truncated_healthy_run():
-    net = _truncated_run()
-    violations = check_network_degraded(net)
-    assert violations == [], "\n".join(v.format() for v in violations)
-
-
-def test_degraded_check_flags_handler_counter_imbalance():
-    net = _truncated_run()
-    # Simulate ENDHANDLER records going missing in the *counters*
-    # (which truncation can never cause — a real imbalance is a bug).
-    net.sim.trace.counters["kernel.interrupt"] += len(net.nodes) + 1
-    violations = check_network_degraded(net)
-    assert any(v.invariant == "INV-HANDLER" for v in violations)
-
-
-def test_degraded_check_flags_wedged_connection():
-    from types import SimpleNamespace
-
-    net = _truncated_run()
-    kernel = net.nodes[0].kernel
-    conn = kernel._conn(1)
-    conn._cancel_timer("_retransmit_timer")
-    conn._cancel_timer("_busy_timer")
-    conn.outstanding = SimpleNamespace(kind="data")
-    violations = check_network_degraded(net)
-    assert any(
-        v.invariant == "INV-DELTAT" and "wedged" in v.message
-        for v in violations
-    )
-
-
-def test_watcher_degrades_instead_of_skipping(recwarn):
-    """The conftest watcher's degraded path: a truncated trace must
-    yield the explicit 'invariants degraded' notice, not silence."""
-    import warnings
-
-    net = _truncated_run()
-    with pytest.warns(UserWarning, match="invariants degraded"):
-        warnings.warn(
-            "trace ring buffer dropped records: invariants degraded "
-            "(counter balance, live timers, ledger only)",
-            stacklevel=2,
-        )
-    assert check_network_degraded(net) == []

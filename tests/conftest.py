@@ -111,10 +111,7 @@ def _trace_invariant_watch(request, monkeypatch):
         yield
         return
 
-    from repro.analysis.invariants import (
-        check_network,
-        check_network_degraded,
-    )
+    from repro.analysis.invariants import check_network
 
     seen: List[Network] = []
 
@@ -133,22 +130,11 @@ def _trace_invariant_watch(request, monkeypatch):
     yield
     problems = []
     for net in seen:
-        if net.sim.trace.replayable:
+        # A counters-only trace has nothing to replay: a test that runs
+        # one judges it live (``InvariantChecker.install``) itself.
+        if net.sim.trace.keep_records:
             for violation in check_network(net, strict_completion=False):
                 problems.append(violation.format())
-        elif net.sim.trace.truncated:
-            # Ring-buffer traces lost their prefix; full replay is
-            # unsound, but counters / live state / ledger still hold.
-            import warnings
-
-            warnings.warn(
-                "trace ring buffer dropped records: invariants degraded "
-                "(counter balance, live timers, ledger only)",
-                stacklevel=2,
-            )
-            for violation in check_network_degraded(net):
-                problems.append("degraded: " + violation.format())
-        # else counters-only (judged live, or not at all): nothing to replay
     if problems:
         pytest.fail(
             "trace invariant violations:\n" + "\n".join(problems),

@@ -164,11 +164,14 @@ def test_owed_ack_piggybacks_on_next_send():
 
 def test_owed_ack_times_out_to_pure_ack():
     sim, kernel, conn = build()
-    conn.note_owed_ack(1)
+    conn.note_owed_ack(1, tx_us=42.0)
     sim.run(until=10_000.0)
     acks = [p for _, p, _ in kernel.sent if p.ptype is PacketType.ACK]
     assert len(acks) == 1
-    assert acks[0].ack == 1
+    # It echoes the acknowledged copy's stamp (spurious-retransmit
+    # detection) and is owed no more.
+    assert (acks[0].ack, acks[0].echo_tx_us) == (1, 42.0)
+    assert conn.take_piggyback_ack() is None
 
 
 def test_suspend_owed_ack_holds_the_timer():

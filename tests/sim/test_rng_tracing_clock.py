@@ -1,4 +1,16 @@
-"""Unit tests for RNG streams, tracing, the cost ledger, and clock utils."""
+"""Unit tests for RNG streams, tracing, the cost ledger, and clock utils.
+
+The tracer keeps every record or none; its ring-buffer mode is gone, and
+with it five tests (``test_ring_buffer_keeps_recent_records``,
+``…_not_truncated_until_full``, ``…_reset_clears_drops``,
+``…_rejects_nonpositive_size``, ``test_sink_sees_all_records_despite_ring``).
+What a ring was for — judging a run too long to keep — is a live sink's
+job (test_soak::test_whole_system_soak); a counters-only trace refuses a
+post-hoc pass
+(test_live_judging::test_post_hoc_judge_refuses_a_partial_trace); a sink
+sees every record until removed, retained or not
+(``test_sink_sees_every_record_until_removed``).
+"""
 
 import random
 
@@ -99,57 +111,16 @@ def test_tracer_reset():
     assert tracer.records == []
 
 
-def test_ring_buffer_keeps_recent_records():
-    tracer = Tracer(max_records=3)
-    for i in range(5):
-        tracer.record(float(i), "x", n=i)
-    assert tracer.count("x") == 5  # counters stay exact
-    assert [rec["n"] for rec in tracer.records] == [2, 3, 4]
-    assert tracer.dropped_records == 2
-    assert tracer.truncated
-    # select / iter_category / last see only the retained window.
-    assert [rec["n"] for rec in tracer.select("x")] == [2, 3, 4]
-    assert [rec["n"] for rec in tracer.iter_category("x")] == [2, 3, 4]
-    assert tracer.last("x")["n"] == 4
-
-
-def test_ring_buffer_not_truncated_until_full():
-    tracer = Tracer(max_records=10)
-    for i in range(10):
-        tracer.record(float(i), "x")
-    assert not tracer.truncated
-    tracer.record(10.0, "x")
-    assert tracer.truncated
-
-
-def test_ring_buffer_reset_clears_drops():
-    tracer = Tracer(max_records=1)
-    tracer.record(1.0, "x")
-    tracer.record(2.0, "x")
-    assert tracer.truncated
-    tracer.reset()
-    assert not tracer.truncated
-    assert tracer.dropped_records == 0
-    assert list(tracer.records) == []
-
-
-def test_ring_buffer_rejects_nonpositive_size():
-    with pytest.raises(ValueError):
-        Tracer(max_records=0)
-    with pytest.raises(ValueError):
-        Tracer(max_records=-5)
-
-
-def test_sink_sees_all_records_despite_ring():
+def test_sink_sees_every_record_until_removed():
     seen = []
-    tracer = Tracer(max_records=2)
+    tracer = Tracer()
     tracer.add_sink(seen.append)
     for i in range(4):
         tracer.record(float(i), "x", n=i)
     assert [rec["n"] for rec in seen] == [0, 1, 2, 3]
     tracer.remove_sink(seen.append)
     tracer.record(4.0, "x", n=4)
-    assert len(seen) == 4
+    assert len(seen) == 4 and len(tracer.records) == 5
 
 
 def test_sink_works_without_record_retention():

@@ -7,7 +7,7 @@ from repro.core.errors import NotInHandlerError
 from repro.core.patterns import is_unique_id, make_well_known_pattern
 from repro.sodal.api import _coerce_get, _coerce_put
 
-from tests.conftest import ECHO_PATTERN, EchoServer, make_pair
+from tests.conftest import ECHO_PATTERN, EchoServer, ScriptedClient, make_pair
 
 RUN_US = 30_000_000.0
 PATTERN = make_well_known_pattern(0o610)
@@ -158,3 +158,54 @@ def test_poll_helper_waits_for_predicate(network):
     # No handler runs, so the passes sleep 100, 200, 400, ... µs: the
     # first tick at or after the flag's 5 000 µs is 100 * (2**6 - 1).
     assert client.result == 6_300.0
+
+
+class TaskAcceptor(ClientProgram):
+    """Queues arrivals in its handler; its task ACCEPTs them with reply
+    data, so each ACCEPT blocks until the requester acknowledges it."""
+
+    def __init__(self):
+        self.queue = []
+        self.entered_while_accepting = 0
+        self.accepted = 0
+
+    def initialization(self, api, parent_mid):
+        yield from api.advertise(PATTERN)
+
+    def handler(self, api, event):
+        if event.is_arrival:
+            # An ACCEPT the kernel still holds is one the task waits in.
+            self.entered_while_accepting += bool(api.kernel.pending_accepts)
+            self.queue.append(event.asker)
+        return
+        yield  # pragma: no cover
+
+    def task(self, api):
+        while True:
+            yield from api.poll(lambda: self.queue)
+            yield from api.accept(self.queue.pop(0), put=b"reply")
+            self.accepted += 1
+
+
+def test_no_handler_runs_inside_a_blocking_accept():
+    # While the task waits in ACCEPT no client code can run (§5.2.1):
+    # arrivals meanwhile are refused BUSY and retried, never taken.
+    net = Network(seed=8)
+    server = TaskAcceptor()
+    net.add_node(program=server, name="server")
+
+    def body(api, self):
+        sig = yield from api.discover(PATTERN)
+        for _ in range(5):
+            completion = yield from api.b_get(sig, get=8)
+            assert completion.completed
+        return True
+
+    clients = [ScriptedClient(body) for _ in range(3)]
+    for i, client in enumerate(clients):
+        net.add_node(program=client, boot_at_us=100.0 + 700.0 * i)
+    net.run(until=RUN_US)
+    assert [client.result for client in clients] == [True] * 3
+    assert server.accepted == 15
+    assert server.entered_while_accepting == 0
+    assert net.sim.trace.count("kernel.busy_nack") > 0

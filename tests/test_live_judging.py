@@ -193,7 +193,7 @@ def test_causal_cell_retains_every_record(cells_seen):
     assert run_cell("echo", "lossy", 1, causal=True).ok
     ((built,), (table,)) = cells_seen
     trace = built.net.sim.trace
-    assert trace.replayable
+    assert trace.keep_records
     assert len(trace.records) == sum(trace.counters.values()) > 0
     assert table.records_fed == len(trace.records)
 
@@ -256,24 +256,22 @@ POST_HOC_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(POST_HOC_ENTRY_POINTS))
-@pytest.mark.parametrize(
-    "shape", [{"keep_trace": False}, {"max_trace_records": 50}], ids=str
-)
+@pytest.mark.parametrize("shape", [{"keep_trace": False}], ids=str)
 def test_post_hoc_judge_refuses_a_partial_trace(entry, shape):
-    """Counters-only, the judges passed vacuously; truncated, they
-    reported an ``illegal transition None -> 'accepted'`` the missing
-    prefix explains."""
+    """Counters-only, the judges passed vacuously.  (A ring-buffer trace
+    was the other partial shape, refused the same way; the ring is gone,
+    and its four ``{'max_trace_records': 50}`` ids with it.)"""
     built = _ran("supervised" if entry == "check_self_heal" else "echo", **shape)
     trace = built.net.sim.trace
-    assert not trace.replayable
-    assert sum(trace.counters.values()) > len(trace.records)
-    with pytest.raises(ValueError, match="check_network_degraded.*install"):
+    assert not trace.keep_records
+    assert sum(trace.counters.values()) > len(trace.records) == 0
+    with pytest.raises(ValueError, match="counters-only.*install"):
         POST_HOC_ENTRY_POINTS[entry](built)
 
 
 def test_post_hoc_judges_still_check_a_retained_run():
     built = _ran("echo")
-    assert built.net.sim.trace.replayable
+    assert built.net.sim.trace.keep_records
     assert check_network(built.net) == []
     assert check_liveness(built.net) == []
     assert check_self_heal(built, 0.0) == []
