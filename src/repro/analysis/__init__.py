@@ -23,11 +23,10 @@ See ``docs/ANALYSIS.md`` for the rule table and extension guide.
 
 from repro.analysis.causal import (
     CausalDiagnostic,
-    CausalOrder,
+    CausalSink,
     build_causal_order,
     check_stream,
     detect_deadlocks,
-    find_races,
 )
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.invariants import (
@@ -40,13 +39,12 @@ from repro.analysis.rules import LintRule, all_rules, get_rule, register_rule
 
 __all__ = [
     "CausalDiagnostic",
-    "CausalOrder",
+    "CausalSink",
     "Diagnostic",
     "Severity",
     "build_causal_order",
     "check_stream",
     "detect_deadlocks",
-    "find_races",
     "LintRule",
     "register_rule",
     "get_rule",

@@ -23,11 +23,10 @@ ordering and diagnostic text never depend on hash seeds).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.analysis.causal.races import CausalDiagnostic
-from repro.obs.spans import TransactionSpan, build_spans
-from repro.sim.tracing import TraceRecord
+from repro.analysis.causal.sink import CausalDiagnostic
+from repro.obs.spans import TransactionSpan
 
 
 class WaitForGraph:
@@ -106,10 +105,10 @@ class WaitForGraph:
         return components
 
 
-def build_wait_graph(records: Sequence[TraceRecord]) -> WaitForGraph:
+def build_wait_graph(spans: Iterable[TransactionSpan]) -> WaitForGraph:
     """The wait-for graph of every span still pending at end of trace."""
     graph = WaitForGraph()
-    for span in build_spans(records):
+    for span in spans:
         if span.status != "pending" or span.is_discover:
             continue
         if span.server_mid is None or span.server_mid < 0:
@@ -119,10 +118,13 @@ def build_wait_graph(records: Sequence[TraceRecord]) -> WaitForGraph:
 
 
 def detect_deadlocks(
-    records: Sequence[TraceRecord],
+    spans: Iterable[TransactionSpan],
 ) -> List[CausalDiagnostic]:
-    """SODA013: one diagnostic per wait-for cycle, with span witnesses."""
-    graph = build_wait_graph(records)
+    """SODA013: one diagnostic per wait-for cycle, with span witnesses —
+    from the spans of the :class:`~repro.obs.spans.SpanBuilder` that
+    rode the same table as the
+    :class:`~repro.analysis.causal.sink.CausalSink`."""
+    graph = build_wait_graph(spans)
     diagnostics: List[CausalDiagnostic] = []
     for component in graph.cycles():
         witness: List[str] = []

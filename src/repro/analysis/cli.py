@@ -7,16 +7,13 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.analysis.causal import causal_diagnostics
-from repro.analysis.invariants import InvariantChecker, check_network
+from repro.analysis.causal import CausalSink, detect_deadlocks
+from repro.analysis.invariants import InvariantChecker
 from repro.analysis.linter import LintConfig, has_errors, lint_paths
 from repro.cli import emit, known
-from repro.workloads import (
-    CAUSAL_WORKLOADS,
-    WORKLOADS,
-    build_workload,
-    run_workload,
-)
+from repro.obs.spans import SpanBuilder
+from repro.sim.tracing import SinkTable
+from repro.workloads import CAUSAL_WORKLOADS, WORKLOADS, build_workload
 
 #: Linted by default: the repo's own client programs.
 DEFAULT_LINT_PATHS = ("src/repro/apps", "examples")
@@ -61,11 +58,16 @@ def run_check_trace(ns) -> int:
     failures = 0
     results: List[Dict[str, Any]] = []
     for name in names:
-        net = run_workload(name)
+        built = build_workload(name, keep_trace=False)
+        net = built.net
+        checker = InvariantChecker(network=net, strict_completion=True)
+        table = SinkTable(checker).install(net)
+        built.run()
         violations = [
-            v.format() for v in check_network(net, strict_completion=True)
+            v.format()
+            for v in checker.finish(ledger=net.ledger, end_time=table.end_time)
         ]
-        records = len(net.sim.trace.records)
+        records = table.records_fed
         if violations:
             failures += 1
             print(f"{name}: FAILED ({records} trace records)")
@@ -88,12 +90,13 @@ def run_check_trace(ns) -> int:
 def run_causal(ns) -> int:
     """``causal``: 0 = no causal diagnostics.
 
-    Runs each workload with the invariant checker attached as a live
-    tracer sink (for its open-state figure), builds the happens-before
-    relation, and reports races (SODA010-012) and wait-for deadlocks
-    (SODA013).  The default set is the standard (clean) workloads; the
-    causal-only pathology demos — e.g. ``philosophers_noarb``, which
-    must FAIL with a SODA013 cycle — run only when named explicitly.
+    Runs each workload counters-only with one live table of the
+    invariant checker (for its open-state figure), the span builder and
+    the causal engine, and reports races (SODA010-012) and wait-for
+    deadlocks (SODA013).  The default set is the standard (clean)
+    workloads; the causal-only pathology demos — e.g.
+    ``philosophers_noarb``, which must FAIL with a SODA013 cycle — run
+    only when named explicitly.
     """
     if not known("workload", ns.workload, CAUSAL_WORKLOADS):
         return 2
@@ -101,20 +104,22 @@ def run_causal(ns) -> int:
     failing = 0
     results: List[Dict[str, Any]] = []
     for name in names:
-        built = build_workload(name)
-        checker = InvariantChecker(
-            network=built.net, strict_completion=False
-        ).install(built.net)
-        net = built.run()
-        records = list(net.sim.trace.records)
-        diagnostics, order = causal_diagnostics(records)
+        built = build_workload(name, keep_trace=False)
+        checker = InvariantChecker(network=built.net, strict_completion=False)
+        spans, causal = SpanBuilder(), CausalSink()
+        table = SinkTable(checker, spans, causal).install(built.net)
+        built.run()
+        diagnostics = [
+            diag.format()
+            for diag in causal.finish() + detect_deadlocks(spans.finish())
+        ]
         if diagnostics:
             failing += 1
         status = "FAILED" if diagnostics else "ok"
         print(
-            f"{name}: {status} ({len(records)} records, "
-            f"{order.clocks_allocated} clocks, "
-            f"{order.send_edges} send/recv edges, "
+            f"{name}: {status} ({table.records_fed} records, "
+            f"{causal.clocks_allocated} clocks, "
+            f"{causal.send_edges} send/recv edges, "
             f"peak open state {checker.peak_open_state})"
         )
         for line in diagnostics:
@@ -122,11 +127,11 @@ def run_causal(ns) -> int:
         results.append(
             {
                 "workload": name,
-                "records": len(records),
-                "clocks_allocated": order.clocks_allocated,
-                "send_edges": order.send_edges,
-                "unmatched_rx": order.unmatched_rx,
-                "processes": len(order.processes),
+                "records": table.records_fed,
+                "clocks_allocated": causal.clocks_allocated,
+                "send_edges": causal.send_edges,
+                "unmatched_rx": causal.unmatched_rx,
+                "processes": len(causal.processes),
                 "peak_open_state": checker.peak_open_state,
                 "diagnostics": diagnostics,
             }

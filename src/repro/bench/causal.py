@@ -1,10 +1,11 @@
 """``python -m repro bench analysis`` — invariant checker state vs trace length.
 
 One long soak (a streaming requester pushing a fixed request count
-through an accepting server) runs with
-:class:`~repro.analysis.invariants.InvariantChecker` attached as a live
-tracer sink: its working set is the open-transaction state only, while
-a retained trace grows with the run.
+through an accepting server) runs counters-only with
+:class:`~repro.analysis.invariants.InvariantChecker` and the causal
+engine in one live :class:`~repro.sim.tracing.SinkTable`: the checker's
+working set is the open-transaction state only, while the trace it
+judges grows with the run.
 
 The committed ``BENCH_analysis.json`` carries only *deterministic*
 numbers (record counts, simulated-time throughput, peak retained state,
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.analysis.causal.clocks import build_causal_order
+from repro.analysis.causal import CausalSink
 from repro.analysis.invariants import InvariantChecker
 from repro.bench.workloads import AcceptingServer, StreamingRequester
 from repro.core.node import Network
+from repro.sim.tracing import SinkTable
 
 #: Fixed soak shape: enough transactions that open state vs trace
 #: length separates by orders of magnitude, small enough for CI.
@@ -30,7 +32,7 @@ SOAK_HORIZON_US = 120_000_000.0
 
 
 def _build_soak() -> Network:
-    net = Network(seed=SOAK_SEED)
+    net = Network(seed=SOAK_SEED, keep_trace=False)
     net.add_node(program=AcceptingServer(reply_bytes=8))
     net.add_node(
         program=StreamingRequester(put_bytes=32, get_bytes=8, total=SOAK_TXNS),
@@ -43,35 +45,35 @@ def run(ns=None) -> Dict[str, Any]:
     """Run the soak under the live checker; returns the deterministic body."""
     net = _build_soak()
     checker = InvariantChecker(network=net, strict_completion=True)
-    checker.install(net)
+    causal = CausalSink()
+    table = SinkTable(checker, causal).install(net)
     net.run(until=SOAK_HORIZON_US)
-    violations = checker.finish(ledger=net.ledger)
-    records = net.sim.trace.records
+    violations = checker.finish(ledger=net.ledger, end_time=table.end_time)
+    records = table.records_fed
     horizon_us = net.sim.now
-    order = build_causal_order(records)
     return {
         "soak": {
             "seed": SOAK_SEED,
             "transactions": SOAK_TXNS,
             "horizon_sim_s": horizon_us / 1e6,
-            "records_total": len(records),
+            "records_total": records,
         },
         "streaming": {
-            "records_checked": checker.records_checked,
+            "records_checked": records,
             "peak_open_state": checker.peak_open_state,
             "retained_ratio": (
-                checker.peak_open_state / len(records) if records else 0.0
+                checker.peak_open_state / records if records else 0.0
             ),
             "violations": [v.format() for v in violations],
         },
         "causal": {
-            "clocks_allocated": order.clocks_allocated,
-            "send_edges": order.send_edges,
-            "unmatched_rx": order.unmatched_rx,
-            "processes": len(order.processes),
+            "clocks_allocated": causal.clocks_allocated,
+            "send_edges": causal.send_edges,
+            "unmatched_rx": causal.unmatched_rx,
+            "processes": len(causal.processes),
         },
         "records_per_sim_second": (
-            len(records) / (horizon_us / 1e6) if horizon_us else 0.0
+            records / (horizon_us / 1e6) if horizon_us else 0.0
         ),
     }
 

@@ -3,10 +3,11 @@
 Each *cell* builds a workload (:func:`repro.workloads.build_workload`),
 applies a fault :class:`~repro.chaos.scenario.Scenario`, runs to a
 horizon past the last fault plus grace, and is judged *while it runs*:
-the judges are record sinks (``feed(record)`` / ``finish(...)``, each
-naming the categories it reads in a ``HANDLERS`` table) and
-:class:`SinkTable` merges them into the one sink the cell's tracer
-streams to, so no record outlives its dispatch (DESIGN.md §14):
+the judges are record sinks (a ``HANDLERS`` table naming the categories
+each reads, and a ``finish(...)``) and
+:class:`~repro.sim.tracing.SinkTable` merges them into the one sink the
+cell's tracer streams to, so no record outlives its dispatch (DESIGN.md
+§14):
 
 * the invariant checker (safety; non-strict completion, because a
   requester that died mid-transaction legitimately leaves the server
@@ -17,6 +18,7 @@ streams to, so no record outlives its dispatch (DESIGN.md §14):
   no wedged connections, goodput and p99 within the schedule's bounds);
 * the KV sink (linearizability verdict and operation accounting) and
   the recovery sink (failure detector, recovery counts, self-heal);
+* under ``causal``, the causal engine (SODA010-013, DESIGN.md §21);
 * fault-plan accounting (what the schedule actually injected), folded
   into the report so a cell that injected nothing is visible.
 
@@ -27,10 +29,9 @@ virtual-time run ⇒ an identical report.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from types import MethodType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.causal import causal_diagnostics
+from repro.analysis.causal import CausalSink, detect_deadlocks
 from repro.analysis.invariants import InvariantChecker
 from repro.chaos.scenario import (
     ClientDie,
@@ -56,6 +57,7 @@ from repro.obs.export import snapshot_payload
 from repro.obs.spans import SpanBuilder
 from repro.recovery.convergence import RecoverySink
 from repro.replication.consistency import KvSink
+from repro.sim.tracing import SinkTable
 from repro.transport.adaptive import AdaptivePolicy, deltat_for_policy
 from repro.transport.retransmit import RetransmitPolicy
 from repro.workloads import WORKLOADS, WorkloadSpec, build_workload
@@ -492,42 +494,6 @@ def make_schedule(name: str, spec: WorkloadSpec) -> Scenario:
     return factory(spec)
 
 
-class SinkTable:
-    """One ``{category: (handlers…)}`` table over the ``HANDLERS`` rows
-    of its sinks, installed as a tracer's sink: a record reaches the
-    judges that read its category — once, as it is emitted — and nobody
-    keeps it (DESIGN.md §14)."""
-
-    def __init__(self, *sinks) -> None:
-        rows: Dict[str, Tuple[Callable, ...]] = {}
-        for sink in sinks:
-            for category, handler in sink.HANDLERS.items():
-                rows[category] = rows.get(category, ()) + (
-                    MethodType(handler, sink),
-                )
-        self._rows = rows.get
-        self.records_fed = 0
-        self.end_time = 0.0
-
-    def install(self, net) -> "SinkTable":
-        """Attach to ``net``'s tracer, which must not have emitted yet:
-        a judge that joins late would pass on what it did not see."""
-        emitted = sum(net.sim.trace.counters.values())
-        if emitted:
-            raise RuntimeError(
-                f"{emitted} record(s) were emitted before the sinks "
-                f"were installed; live judging must see the whole run"
-            )
-        net.sim.trace.add_sink(self.feed)
-        return self
-
-    def feed(self, rec) -> None:
-        self.records_fed += 1
-        self.end_time = rec.time
-        for handler in self._rows(rec.category, ()):
-            handler(rec)
-
-
 def run_cell(
     workload: str,
     schedule: str,
@@ -539,32 +505,36 @@ def run_cell(
     """Run one chaos cell; ``scenario`` overrides the named schedule
     (used by the shrinker and by checked-in reproducers), ``policy``
     overrides the adaptive default (used by the transport benchmark).
-    ``causal`` additionally runs the causal analysis engine over the
-    cell's trace: the SODA010-013 race/deadlock rules.
+    ``causal`` adds the causal engine to the judges: the SODA010-013
+    race/deadlock rules.
 
     The judges run live, as one :class:`SinkTable` on the tracer, and
-    the trace is not retained — except under ``causal``, whose engine
-    indexes records by position and so is the one consumer of the list.
-    The table comes off the tracer at the horizon, so the sinks' state
-    is freed with this frame and not with the network's reference cycles.
+    the trace is not retained.  The table comes off the tracer at the
+    horizon, so the sinks' state is freed with this frame and not with
+    the network's reference cycles.
     """
     built = build_workload(
-        workload, seed=seed, config=chaos_config(policy), keep_trace=causal
+        workload, seed=seed, config=chaos_config(policy), keep_trace=False
     )
     if scenario is None:
         scenario = make_schedule(schedule, built.spec)
     net = built.net
     checker = InvariantChecker(network=net, strict_completion=False)
     span_builder, kv_sink, recovery = SpanBuilder(), KvSink(), RecoverySink()
-    table = SinkTable(checker, span_builder, kv_sink, recovery).install(net)
+    engine = [CausalSink()] if causal else []
+    table = SinkTable(
+        checker, span_builder, kv_sink, recovery, recovery.detector, *engine
+    ).install(net)
     horizon = scenario.run(built)
     net.sim.trace.remove_sink(table.feed)
 
     violations = checker.finish(ledger=net.ledger, end_time=table.end_time)
-    causal_problems = (
-        causal_diagnostics(list(net.sim.trace.records))[0] if causal else []
-    )
     spans = span_builder.finish()
+    causal_problems = [
+        diag.format()
+        for sink in engine
+        for diag in sink.finish() + detect_deadlocks(spans)
+    ]
     problems = check_liveness(net, spans=spans)
     recovery_digest = recovery.finish()
     selfheal = recovery.self_heal(built, scenario.last_action_us)

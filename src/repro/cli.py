@@ -201,7 +201,7 @@ def _deltat(ns) -> None:
 
 
 def _metrics(ns) -> int:
-    from repro.workloads import CAUSAL_WORKLOADS, run_workload
+    from repro.workloads import CAUSAL_WORKLOADS, build_workload
     from repro.bench.tables import format_table
     from repro.obs import (
         MetricsHub,
@@ -212,7 +212,10 @@ def _metrics(ns) -> int:
 
     if not known("workload", [ns.workload], CAUSAL_WORKLOADS):
         return 2
-    report = MetricsHub().ingest(run_workload(ns.workload))
+    built = build_workload(ns.workload, keep_trace=False)
+    hub = MetricsHub().install(built.net)
+    built.run()
+    report = hub.report()
     print(render_span_table(report.spans))
     print()
     print(render_metrics(report.snapshot))
@@ -323,6 +326,7 @@ def _recover(ns) -> int:
     from repro.chaos.scenario import ClientDie, NodeCrash, Scenario
     from repro.obs import MetricsHub
     from repro.recovery.convergence import RecoverySink
+    from repro.sim.tracing import SinkTable
 
     built = build_workload("supervised", seed=ns.seed)
     hub = MetricsHub().install(built.net)
@@ -348,10 +352,11 @@ def _recover(ns) -> int:
         "recovery.retry": "client safely re-issued a failed REQUEST",
         "recovery.maybe": "client surfaced an ambiguous failure as MAYBE",
     }
+    records = built.net.sim.trace.retained()
     sink = RecoverySink()
+    SinkTable(sink, sink.detector).replay(records)
     print("timeline:")
-    for record in built.net.sim.trace.retained():
-        sink.feed(record)
+    for record in records:
         label = watched.get(record.category)
         if label is not None:
             print(f"  t={record.time / 1000.0:9.2f} ms  {label}")

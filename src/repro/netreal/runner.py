@@ -17,10 +17,9 @@ choreography:
    (:mod:`repro.netreal.trace_io`), report ``done``, and exit;
 5. the parent merges the traces by wall-clock timestamp and judges the
    merged stream the way a chaos cell is judged: one
-   :class:`~repro.chaos.runner.SinkTable` pass feeds the invariant
+   :class:`~repro.sim.tracing.SinkTable` pass feeds the invariant
    checker (INV-SEQ/DELTAT/HANDLER/COMPLETE/LEDGER, SODA007), the span
-   builder and the KV sink, and the causal engine (SODA010-013) runs
-   over the same list.
+   builder, the KV sink and the causal engine (SODA010-013).
 
 Each child builds its node with :func:`repro.workloads.place` — the
 same spec, role program and disk a sim run of the workload gets — and a
@@ -158,17 +157,17 @@ def analyze_merged(
     records, ledger, policy: RetransmitPolicy, result: RealRunResult
 ) -> None:
     """Judge one merged record stream with a chaos cell's sinks."""
-    from repro.analysis.causal import causal_diagnostics
+    from repro.analysis.causal import CausalSink, detect_deadlocks
     from repro.analysis.invariants import InvariantChecker
     from repro.chaos.liveness import percentile
-    from repro.chaos.runner import SinkTable
     from repro.obs.spans import SpanBuilder
     from repro.replication.consistency import KvSink
+    from repro.sim.tracing import SinkTable
 
-    checker, span_builder, kv_sink = (
-        InvariantChecker(policy=policy), SpanBuilder(), KvSink()
+    checker, span_builder, kv_sink, causal = (
+        InvariantChecker(policy=policy), SpanBuilder(), KvSink(), CausalSink()
     )
-    table = SinkTable(checker, span_builder, kv_sink)
+    table = SinkTable(checker, span_builder, kv_sink, causal)
     counts: Counter = Counter()
     rtts: List[float] = []
     for rec in records:
@@ -189,11 +188,12 @@ def analyze_merged(
         v.format()
         for v in checker.finish(ledger=ledger, end_time=table.end_time)
     ]
-    result.causal_diagnostics, order = causal_diagnostics(records)
-    result.send_edges = order.send_edges
-    result.unmatched_rx = order.unmatched_rx
-
     spans = span_builder.finish()
+    result.causal_diagnostics = [
+        diag.format() for diag in causal.finish() + detect_deadlocks(spans)
+    ]
+    result.send_edges = causal.send_edges
+    result.unmatched_rx = causal.unmatched_rx
     result.spans_total = len(spans)
     result.spans_completed = sum(1 for span in spans if span.completed)
     if rtts:

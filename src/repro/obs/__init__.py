@@ -12,13 +12,13 @@ instead of ad-hoc test code:
   (REQUEST → delivered → ACCEPT → complete, keyed by requester TID)
   from retained :class:`~repro.sim.tracing.Tracer` records;
 * :mod:`repro.obs.instrument` — :class:`MetricsHub`, which turns a run
-  (live, via a tracer sink, or post-hoc, from retained records) into a
-  populated registry plus spans;
+  (live, through a tracer's :class:`~repro.sim.tracing.SinkTable`) into
+  a populated registry plus spans;
 * :mod:`repro.obs.export` — console tables, JSONL, and the
   ``BENCH_*.json`` snapshot writer used by ``python -m repro``.
 
 Metrics collection is **zero-overhead by default**: nothing here runs
-unless a hub is installed on (or ingests) a network, and the per-layer
+unless a hub is installed on a network, and the per-layer
 counters it reads (``BroadcastBus.busy_time_us``, the NIC frame/byte
 counters, the cost ledger) are the ones the simulation already
 maintains.

@@ -1,17 +1,13 @@
-"""Wiring the metrics registry into a running (or finished) network.
+"""Wiring the metrics registry into a running network.
 
-:class:`MetricsHub` has two modes, producing identical results for the
-same run:
-
-* **live** — :meth:`install` registers a tracer sink, so every record
-  feeds the registry and span builder as it is emitted (works even with
-  ``keep_records=False``);
-* **post-hoc** — :meth:`ingest` replays a finished network's retained
-  trace records through the same code path.
-
-Either way, :meth:`report` pull-collects the always-on layer counters
-(bus busy time and queue depth, NIC frame/byte counters, Delta-t record
-expiries, the cost ledger) and returns an :class:`ObsReport`.
+:meth:`MetricsHub.install` puts one :class:`~repro.sim.tracing.SinkTable`
+of the hub and its span builder on the network's tracer before the run,
+so every record feeds the registry and the spans as it is emitted (a
+counters-only ``keep_trace=False`` run is observed the same way).
+:meth:`~MetricsHub.report` then pull-collects the always-on layer
+counters (bus busy time and queue depth, NIC frame/byte counters,
+Delta-t record expiries, the cost ledger) and returns an
+:class:`ObsReport`.
 
 Nothing in the simulation references this module: with no hub attached,
 the only per-packet work is the counters the layers already kept.
@@ -24,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanBuilder, TransactionSpan, span_statistics
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import SinkTable, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import Network
@@ -114,33 +110,15 @@ class MetricsHub:
     # -- attachment --------------------------------------------------------
 
     def install(self, net: "Network") -> "MetricsHub":
-        """Observe ``net`` live via a tracer sink (before running it)."""
+        """Observe ``net`` live: one table of the hub and its span
+        builder on the tracer, before the run."""
         if self._net is not None:
             raise RuntimeError("hub already attached to a network")
+        SinkTable(self, self.spans).install(net)
         self._net = net
-        net.sim.trace.add_sink(self.on_record)
         return self
 
-    def uninstall(self) -> None:
-        if self._net is not None:
-            self._net.sim.trace.remove_sink(self.on_record)
-            self._net = None
-
-    def ingest(self, net: "Network") -> ObsReport:
-        """Post-hoc: replay a finished run's retained trace records."""
-        if self._net is None:
-            self._net = net
-        for record in net.sim.trace.retained():
-            self.on_record(record)
-        return self.report()
-
-    # -- the tracer sink ---------------------------------------------------
-
-    def on_record(self, record: TraceRecord) -> None:
-        self.spans.feed(record)
-        handler = self.HANDLERS.get(record.category)
-        if handler is not None:
-            handler(self, record)
+    # -- the record handlers -----------------------------------------------
 
     def _on_tx(self, record: TraceRecord) -> None:
         self.registry.counter("kernel.tx_packets").inc()

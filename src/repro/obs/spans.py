@@ -16,9 +16,10 @@ record                    span event
 ``kernel.busy_nack``      the REQUEST bounced off a BUSY handler
 ========================  ==============================================
 
-Because reconstruction is a pure function of retained trace records it
-can run live (through a tracer sink) or entirely post-hoc, and costs the
-simulation nothing when unused.
+Because reconstruction is a pure function of trace records it runs live
+(in a tracer's :class:`~repro.sim.tracing.SinkTable`) or over a
+retained trace (:func:`build_spans`), and costs the simulation nothing
+when unused.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import SinkTable, TraceRecord
 
 #: Transaction verbs, derived from buffer sizes exactly as §3.1 names
 #: them: both empty = SIGNAL, put only = PUT, get only = GET, both =
@@ -114,15 +115,11 @@ class TransactionSpan:
 
 
 class SpanBuilder:
-    """Incremental span reconstruction; feed records in time order."""
+    """Incremental span reconstruction, a record sink: a
+    :class:`~repro.sim.tracing.SinkTable` feeds it in time order."""
 
     def __init__(self) -> None:
         self._spans: Dict[Tuple[int, int], TransactionSpan] = {}
-
-    def feed(self, record: TraceRecord) -> None:
-        handler = self.HANDLERS.get(record.category)
-        if handler is not None:
-            handler(self, record)
 
     def _on_request(self, record: TraceRecord) -> None:
         put_bytes = record.get("put", 0)
@@ -204,8 +201,7 @@ class SpanBuilder:
 def build_spans(records: Iterable[TraceRecord]) -> List[TransactionSpan]:
     """Reconstruct spans from retained trace records."""
     builder = SpanBuilder()
-    for record in records:
-        builder.feed(record)
+    SinkTable(builder).replay(records)
     return builder.finish()
 
 

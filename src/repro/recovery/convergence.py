@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.recovery.detector import FailureDetector
 from repro.recovery.supervisor import SupervisorProgram
+from repro.sim.tracing import SinkTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads import BuiltWorkload
@@ -45,9 +46,11 @@ _SUMMARY_CATEGORIES = {
 
 
 class RecoverySink:
-    """The recovery judge as a record sink: the failure detector, the
-    :data:`_SUMMARY_CATEGORIES` counts, and the instants the self-heal
-    verdict compares (a handful of entries per crash)."""
+    """The recovery judge as a record sink: the
+    :data:`_SUMMARY_CATEGORIES` counts and the instants the self-heal
+    verdict compares (a handful of entries per crash).  Its
+    :attr:`detector` is a sink of its own, and goes in the same table:
+    ``SinkTable(sink, sink.detector)``."""
 
     def __init__(self) -> None:
         self.detector = FailureDetector()
@@ -57,21 +60,10 @@ class RecoverySink:
         #: (category, time, service mid) of every escalation and crash
         #: detection, in emission order — the order the verdict reports in.
         self.alarms: List[Tuple[str, float, int]] = []
-        self._finished = False
-
-    def feed(self, record) -> None:
-        """Consume one trace record."""
-        if self._finished:
-            raise RuntimeError("RecoverySink already finished")
-        if record.category in self.HANDLERS:
-            self._on_record(record)
 
     def _on_record(self, record) -> None:
         category = record.category
-        key = _SUMMARY_CATEGORIES.get(category)
-        if key is not None:
-            self.counts[key] += 1
-        self.detector.on_record(record)
+        self.counts[_SUMMARY_CATEGORIES[category]] += 1
         if category == "recovery.restored":
             self.restored.setdefault(record["service_mid"], []).append(
                 record.time
@@ -80,17 +72,11 @@ class RecoverySink:
             self.alarms.append((category, record.time, record["service_mid"]))
 
     #: The rows this sink adds to a ``{category: handlers}`` dispatch
-    #: table: the counted categories plus the rest of what the detector
-    #: reads (it ignores what it does not).
-    HANDLERS = dict.fromkeys(
-        (*_SUMMARY_CATEGORIES, "kernel.boot_handler", "kernel.die",
-         "kernel.crash"),
-        _on_record,
-    )
+    #: table: the counted categories.
+    HANDLERS = dict.fromkeys(_SUMMARY_CATEGORIES, _on_record)
 
     def finish(self) -> Dict[str, object]:
-        """Close the stream; returns the deterministic recovery digest."""
-        self._finished = True
+        """The deterministic recovery digest of what was fed."""
         detector = self.detector
         return {
             "counts": self.counts,
@@ -157,16 +143,11 @@ class RecoverySink:
         return problems
 
 
-def _fed(records) -> RecoverySink:
-    sink = RecoverySink()
-    for record in records:
-        sink.feed(record)
-    return sink
-
-
 def recovery_summary(records) -> Dict[str, object]:
     """Deterministic recovery digest of one run's trace records."""
-    return _fed(records).finish()
+    sink = RecoverySink()
+    SinkTable(sink, sink.detector).replay(records)
+    return sink.finish()
 
 
 def _supervisor_patterns(built: "BuiltWorkload") -> Dict[int, int]:
@@ -195,5 +176,6 @@ def check_self_heal(
     """
     if not built.spec.supervised:
         return []
-    sink = _fed(built.net.sim.trace.retained())
+    sink = RecoverySink()
+    SinkTable(sink, sink.detector).replay(built.net.sim.trace.retained())
     return sink.self_heal(built, last_fault_us, bound_us)

@@ -1,9 +1,10 @@
 """Failure detector: a per-(node, epoch) liveness view (§3.6).
 
 The detector is an observer in the `repro.obs` mold: nothing in the
-simulation references it.  It consumes trace records — live via a
-tracer sink (:meth:`FailureDetector.install`) or post-hoc via
-:meth:`ingest` — and folds them into one :class:`NodeView` per node:
+simulation references it.  It is a record sink — a
+:class:`~repro.sim.tracing.SinkTable` feeds it live or replays a
+retained trace into it — that folds records into one :class:`NodeView`
+per node:
 
 * ``kernel.boot_handler`` — a client started on the node: the boot
   counter (epoch) advances and the incarnation is ALIVE.  A rebooted
@@ -26,12 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List
 
 from repro.sim.tracing import TraceRecord
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.node import Network
 
 
 class NodeState(enum.Enum):
@@ -80,61 +78,50 @@ class FailureDetector:
 
     def __init__(self) -> None:
         self.views: Dict[int, NodeView] = {}
-        self._net: Optional["Network"] = None
         #: Suspicions raised against a node whose incarnation was, per
         #: ground truth, alive at report time.  Under faults these are
         #: legitimate (partitions look like crashes); a fault-free run
         #: must report zero.
         self.false_suspicions: int = 0
 
-    # -- attachment ----------------------------------------------------
+    # -- the record handlers -------------------------------------------
 
-    def install(self, net: "Network") -> "FailureDetector":
-        """Observe ``net`` live via a tracer sink (before running it)."""
-        if self._net is not None:
-            raise RuntimeError("detector already attached to a network")
-        self._net = net
-        net.sim.trace.add_sink(self.on_record)
-        return self
+    def _on_boot(self, record: TraceRecord) -> None:
+        view = self._view(record["mid"])
+        view.epoch += 1
+        view.boots += 1
+        view.crash_reports = 0
+        self._transition(view, NodeState.ALIVE, record.time)
 
-    def uninstall(self) -> None:
-        if self._net is not None:
-            self._net.sim.trace.remove_sink(self.on_record)
-            self._net = None
+    def _on_death(self, record: TraceRecord) -> None:
+        view = self._view(record["mid"])
+        view.deaths += 1
+        self._transition(view, NodeState.DEAD, record.time)
 
-    def ingest(self, records) -> "FailureDetector":
-        """Post-hoc: replay retained trace records."""
-        for record in records:
-            self.on_record(record)
-        return self
+    def _on_crash_report(self, record: TraceRecord) -> None:
+        view = self._view(record["peer"])
+        view.crash_reports += 1
+        view.total_crash_reports += 1
+        if view.state is NodeState.ALIVE:
+            self.false_suspicions += 1
+        if view.state is not NodeState.DEAD:
+            self._transition(view, NodeState.SUSPECT, record.time)
 
-    # -- the tracer sink -----------------------------------------------
-
-    def on_record(self, record: TraceRecord) -> None:
-        category = record.category
-        if category == "kernel.boot_handler":
-            view = self._view(record["mid"])
-            view.epoch += 1
-            view.boots += 1
+    def _on_restored(self, record: TraceRecord) -> None:
+        view = self._view(record["service_mid"])
+        if view.state is not NodeState.DEAD:
             view.crash_reports = 0
             self._transition(view, NodeState.ALIVE, record.time)
-        elif category in ("kernel.die", "kernel.crash"):
-            view = self._view(record["mid"])
-            view.deaths += 1
-            self._transition(view, NodeState.DEAD, record.time)
-        elif category == "kernel.crash_report":
-            view = self._view(record["peer"])
-            view.crash_reports += 1
-            view.total_crash_reports += 1
-            if view.state is NodeState.ALIVE:
-                self.false_suspicions += 1
-            if view.state is not NodeState.DEAD:
-                self._transition(view, NodeState.SUSPECT, record.time)
-        elif category == "recovery.restored":
-            view = self._view(record["service_mid"])
-            if view.state is not NodeState.DEAD:
-                view.crash_reports = 0
-                self._transition(view, NodeState.ALIVE, record.time)
+
+    #: The rows this sink adds to a ``{category: handlers}`` dispatch
+    #: table (the record list of the module docstring).
+    HANDLERS = {
+        "kernel.boot_handler": _on_boot,
+        "kernel.die": _on_death,
+        "kernel.crash": _on_death,
+        "kernel.crash_report": _on_crash_report,
+        "recovery.restored": _on_restored,
+    }
 
     def _view(self, mid: int) -> NodeView:
         view = self.views.get(mid)

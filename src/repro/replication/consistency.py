@@ -36,13 +36,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Set, Tuple
 
+from repro.sim.tracing import SinkTable
+
 __all__ = ["KvSink", "check_kv_consistency", "kv_summary"]
 
 
 class KvSink:
-    """The KV judge as a record sink: :meth:`feed` collects (one tuple
-    per ``kv.apply`` / ``kv.result`` — state grows with the run's KV
-    operations, not with its packets), :meth:`finish` replays."""
+    """The KV judge as a record sink: its ``HANDLERS`` collect (one
+    tuple per ``kv.apply`` / ``kv.result`` — state grows with the run's
+    KV operations, not with its packets), :meth:`finish` replays."""
 
     def __init__(self) -> None:
         #: Divergent commits as they happen; :meth:`finish` adds the rest.
@@ -60,14 +62,6 @@ class KvSink:
         self._seen: Counter = Counter()
         self._outcomes: Counter = Counter()
         self._finished = False
-
-    def feed(self, rec) -> None:
-        """Consume one trace record."""
-        if self._finished:
-            raise RuntimeError("KvSink already finished")
-        handler = self.HANDLERS.get(rec.category)
-        if handler is not None:
-            handler(self, rec)
 
     def _count(self, rec) -> None:
         self._seen[rec.category] += 1
@@ -239,18 +233,15 @@ class KvSink:
         return problems
 
 
-def _fed(records) -> KvSink:
-    sink = KvSink()
-    for rec in records:
-        sink.feed(rec)
-    return sink
-
-
 def check_kv_consistency(records) -> List[str]:
     """Replay ``kv.*`` trace records; returns violation strings."""
-    return _fed(records).finish()
+    sink = KvSink()
+    SinkTable(sink).replay(records)
+    return sink.finish()
 
 
 def kv_summary(records) -> Dict[str, object]:
     """Operation accounting for reports and the kv bench."""
-    return _fed(records).summary()
+    sink = KvSink()
+    SinkTable(sink).replay(records)
+    return sink.summary()

@@ -16,7 +16,8 @@ Two observability mechanisms coexist:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import MethodType
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 
 #: What a trace record *is*: category -> its field names, in the order
@@ -202,8 +203,8 @@ class Tracer:
     long to retain is judged by sinks instead.
 
     Sinks (:meth:`add_sink`) stream every record to a live consumer —
-    the invariant checker and the observability hub use them —
-    independent of retention.  With no sinks installed the per-record
+    a :class:`SinkTable` or the invariant checker — independent of
+    retention.  With no sinks installed the per-record
     cost is a single falsy check.
     """
 
@@ -290,16 +291,6 @@ class Tracer:
                 out.append(record)
         return out
 
-    def iter_category(self, category: str):
-        """Lazily yield retained records of one category, in time order."""
-        for record in self.records:
-            if record.category == category:
-                yield record
-
-    def categories(self) -> List[str]:
-        """All categories seen so far (retained or counted), sorted."""
-        return sorted(self.counters)
-
     def last(self, category: str) -> Optional[TraceRecord]:
         for record in reversed(self.records):
             if record.category == category:
@@ -309,6 +300,57 @@ class Tracer:
     def reset(self) -> None:
         self.records.clear()
         self.counters.clear()
+
+
+class SinkTable:
+    """The one way a record reaches an observer: a ``{category:
+    (handlers…)}`` table over the ``HANDLERS`` rows of its sinks.  A
+    record reaches the sinks that read its category, once, and nobody
+    keeps it (DESIGN.md §14).  :meth:`install` streams a live run
+    through the table; :meth:`replay` feeds it a retained or merged
+    trace."""
+
+    def __init__(self, *sinks) -> None:
+        rows: Dict[str, Tuple[Callable, ...]] = {}
+        for sink in sinks:
+            for category, handler in sink.HANDLERS.items():
+                rows[category] = rows.get(category, ()) + (
+                    MethodType(handler, sink),
+                )
+        self._rows = rows.get
+        self.records_fed = 0
+        self.end_time = 0.0
+
+    def install(self, net) -> "SinkTable":
+        """Attach to ``net``'s tracer, which must not have emitted yet:
+        a judge that joins late would pass on what it did not see."""
+        emitted = sum(net.sim.trace.counters.values())
+        if emitted:
+            raise RuntimeError(
+                f"{emitted} record(s) were emitted before the sinks "
+                f"were installed; live judging must see the whole run"
+            )
+        net.sim.trace.add_sink(self.feed)
+        return self
+
+    def feed(self, rec: TraceRecord) -> None:
+        self.records_fed += 1
+        self.end_time = rec.time
+        for handler in self._rows(rec.category, ()):
+            handler(rec)
+
+    def replay(self, records: Iterable[TraceRecord]) -> None:
+        """:meth:`feed` every record of ``records``, in order."""
+        rows = self._rows
+        fed = 0
+        rec = None
+        for rec in records:
+            fed += 1
+            for handler in rows(rec.category, ()):
+                handler(rec)
+        if rec is not None:
+            self.records_fed += fed
+            self.end_time = rec.time
 
 
 class CostLedger:

@@ -1,18 +1,28 @@
 """Causal engine tests: vector-clock properties on fabricated and real
-traces, seeded-bug fixtures per SODA010-012 rule, and the SODA013
-dining-philosophers no-arbitration deadlock."""
+traces, seeded-bug fixtures per SODA010-012 rule with their exact
+witness text, and the SODA013 dining-philosophers no-arbitration
+deadlock.
+
+The clock tests query the events :meth:`CausalSink.stamp` returns, not
+record indices.  ``test_soda010_needs_an_order_to_fire`` is gone with
+the ``order=None`` path of ``find_races``: the sink always keeps clocks,
+so every witness carries its clock annotation, and
+``test_soda010_delivery_without_request_in_causal_past`` pins the
+clock-concurrent one.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.causal import (
+    CausalSink,
     build_causal_order,
+    build_wait_graph,
     detect_deadlocks,
-    find_races,
 )
-from repro.analysis.causal.clocks import happens_before_pairs
-from repro.analysis.causal.waitfor import build_wait_graph
+from repro.analysis.causal.sink import concurrent, happens_before
+from repro.obs.spans import build_spans
 from repro.workloads import (
     CAUSAL_WORKLOADS,
     WORKLOADS,
@@ -22,8 +32,18 @@ from repro.net.frame import BROADCAST_MID
 from repro.sim.tracing import Tracer
 
 
-def order_of(trace):
-    return build_causal_order(list(trace.records))
+def stamped(trace):
+    """``(sink, events)``: every record of ``trace`` stamped in order."""
+    sink = CausalSink()
+    return sink, [sink.stamp(rec) for rec in trace.records]
+
+
+def races(trace):
+    return build_causal_order(trace.records).finish()
+
+
+def deadlocks(trace):
+    return detect_deadlocks(build_spans(trace.records))
 
 
 def rules(diagnostics):
@@ -37,9 +57,9 @@ def test_program_order_is_happens_before():
     trace = Tracer()
     trace.record(0.0, "kernel.request", mid=0, tid=1, dst=1)
     trace.record(10.0, "kernel.tx", mid=0, dst=1, seq=0, pid=1, fid=100)
-    order = order_of(trace)
-    assert order.happens_before(0, 1)
-    assert not order.happens_before(1, 0)
+    _, ev = stamped(trace)
+    assert happens_before(ev[0], ev[1])
+    assert not happens_before(ev[1], ev[0])
 
 
 def test_frame_id_draws_the_send_receive_edge():
@@ -50,38 +70,39 @@ def test_frame_id_draws_the_send_receive_edge():
     trace.record(
         30.0, "kernel.delivered_state", mid=1, src=0, tid=1, state="delivered"
     )
-    order = order_of(trace)
-    assert order.send_edges == 1
-    assert order.unmatched_rx == 0
+    sink, ev = stamped(trace)
+    assert sink.send_edges == 1
+    assert sink.unmatched_rx == 0
     # The REQUEST is in the delivery's causal past, through the wire.
-    assert order.happens_before(0, 3)
-    assert happens_before_pairs(order, [0, 3]) == [(0, 3)]
+    assert happens_before(ev[0], ev[3])
+    assert not happens_before(ev[3], ev[0])
 
 
 def test_events_without_an_edge_are_concurrent():
     trace = Tracer()
     trace.record(0.0, "kernel.request", mid=0, tid=1, dst=1)
     trace.record(5.0, "kernel.advertise", mid=1, pattern=0o700)
-    order = order_of(trace)
-    assert order.concurrent(0, 1)
-    assert not order.ordered(0, 1)
+    _, ev = stamped(trace)
+    assert concurrent(ev[0], ev[1])
+    assert not happens_before(ev[0], ev[1])
+    assert not happens_before(ev[1], ev[0])
 
 
 def test_missing_fid_degrades_to_no_edge():
     trace = Tracer()
     trace.record(0.0, "kernel.tx", mid=0, dst=1, seq=0, pid=1)  # no fid
     trace.record(10.0, "kernel.rx", mid=1, src=0)  # no fid
-    order = order_of(trace)
-    assert order.send_edges == 0
-    assert order.unmatched_rx == 0
-    assert order.concurrent(0, 1)
+    sink, ev = stamped(trace)
+    assert sink.send_edges == 0
+    assert sink.unmatched_rx == 0
+    assert concurrent(ev[0], ev[1])
 
 
 def test_unmatched_frame_id_is_counted():
     trace = Tracer()
     trace.record(0.0, "kernel.rx", mid=1, src=0, fid=999)
-    order = order_of(trace)
-    assert order.unmatched_rx == 1
+    sink, _ = stamped(trace)
+    assert sink.unmatched_rx == 1
 
 
 def test_broadcast_frame_fans_out_to_every_receiver():
@@ -91,10 +112,10 @@ def test_broadcast_frame_fans_out_to_every_receiver():
     )
     trace.record(10.0, "kernel.rx", mid=1, src=0, fid=7)
     trace.record(20.0, "kernel.rx", mid=2, src=0, fid=7)
-    order = order_of(trace)
-    assert order.send_edges == 2
-    assert order.happens_before(0, 1)
-    assert order.happens_before(0, 2)
+    sink, ev = stamped(trace)
+    assert sink.send_edges == 2
+    assert happens_before(ev[0], ev[1])
+    assert happens_before(ev[0], ev[2])
 
 
 def test_unicast_frame_joins_exactly_one_receiver():
@@ -102,9 +123,9 @@ def test_unicast_frame_joins_exactly_one_receiver():
     trace.record(0.0, "kernel.tx", mid=0, dst=1, seq=0, pid=1, fid=7)
     trace.record(10.0, "kernel.rx", mid=1, src=0, fid=7)
     trace.record(20.0, "kernel.rx", mid=2, src=0, fid=7)  # stale duplicate
-    order = order_of(trace)
-    assert order.send_edges == 1
-    assert order.unmatched_rx == 1
+    sink, _ = stamped(trace)
+    assert sink.send_edges == 1
+    assert sink.unmatched_rx == 1
 
 
 def test_client_reset_starts_a_new_process_in_program_order():
@@ -112,21 +133,21 @@ def test_client_reset_starts_a_new_process_in_program_order():
     trace.record(0.0, "kernel.request", mid=0, tid=1, dst=1)
     trace.record(10.0, "kernel.client_reset", mid=0, epoch=1)
     trace.record(20.0, "kernel.request", mid=0, tid=1, dst=1)
-    order = order_of(trace)
-    assert order.proc(0) == (0, 0)
-    assert order.proc(1) == (0, 1)  # the reset opens the new incarnation
-    assert order.proc(2) == (0, 1)
-    # Epochs chain: one physical kernel executes both incarnations.
-    assert order.happens_before(0, 2)
-    assert order.processes == [(0, 0), (0, 1)]
+    sink, ev = stamped(trace)
+    assert [(e.mid, e.epoch) for e in ev] == [(0, 0), (0, 1), (0, 1)]
+    # The reset opens the new incarnation; epochs chain: one physical
+    # kernel executes both incarnations.
+    assert happens_before(ev[0], ev[2])
+    assert sink.processes == [(0, 0), (0, 1)]
 
 
 def test_real_echo_trace_orders_every_transaction():
     net = run_workload("echo")
     records = list(net.sim.trace.records)
-    order = build_causal_order(records)
-    assert order.unmatched_rx == 0
-    assert order.send_edges > 0
+    sink = CausalSink()
+    events = [sink.stamp(rec) for rec in records]
+    assert sink.unmatched_rx == 0
+    assert sink.send_edges > 0
     by_txn = {}
     for idx, rec in enumerate(records):
         if rec.category == "kernel.request":
@@ -139,10 +160,13 @@ def test_real_echo_trace_orders_every_transaction():
         elif rec.category == "kernel.complete":
             by_txn.setdefault((rec["mid"], rec["tid"]), {})["done"] = idx
     checked = 0
-    for events in by_txn.values():
-        if {"req", "del", "done"} <= set(events):
-            assert order.happens_before(events["req"], events["del"])
-            assert order.happens_before(events["del"], events["done"])
+    for by in by_txn.values():
+        if {"req", "del", "done"} <= set(by):
+            req, dlv, done = (events[i] for i in (
+                by["req"], by["del"], by["done"]
+            ))
+            assert happens_before(req, dlv)
+            assert happens_before(dlv, done)
             checked += 1
     assert checked > 0
 
@@ -157,13 +181,16 @@ def test_soda010_delivery_without_request_in_causal_past():
     trace.record(
         20.0, "kernel.delivered_state", mid=1, src=0, tid=5, state="delivered"
     )
-    records = list(trace.records)
-    diags = find_races(records, build_causal_order(records))
+    diags = races(trace)
     assert rules(diags) == ["SODA010"]
     assert "delivered at the server without the issuing REQUEST" in (
         diags[0].message
     )
-    assert "clock-concurrent" in diags[0].witness
+    assert diags[0].witness == (
+        "#0 t=0.000ms kernel.request [mid=0/e0]",
+        "#1 t=0.020ms kernel.delivered_state [mid=1/e0]",
+        "clock-concurrent",
+    )
 
 
 def test_soda010_completion_without_delivery_in_causal_past():
@@ -176,10 +203,14 @@ def test_soda010_completion_without_delivery_in_causal_past():
     )
     # COMPLETED interrupt with no reply frame: the effect has no cause.
     trace.record(40.0, "kernel.complete", mid=0, tid=5, status="completed")
-    records = list(trace.records)
-    diags = find_races(records, build_causal_order(records))
+    diags = races(trace)
     assert rules(diags) == ["SODA010"]
     assert "completed COMPLETED without its delivery" in diags[0].message
+    assert diags[0].witness == (
+        "#3 t=0.030ms kernel.delivered_state [mid=1/e0]",
+        "#4 t=0.040ms kernel.complete [mid=0/e0]",
+        "clock-concurrent",
+    )
 
 
 def test_soda010_clean_when_wire_edges_close_the_loop():
@@ -193,19 +224,7 @@ def test_soda010_clean_when_wire_edges_close_the_loop():
     trace.record(40.0, "kernel.tx", mid=1, dst=0, seq=0, pid=2, fid=2)
     trace.record(50.0, "kernel.rx", mid=0, src=1, fid=2)
     trace.record(60.0, "kernel.complete", mid=0, tid=5, status="completed")
-    records = list(trace.records)
-    assert find_races(records, build_causal_order(records)) == []
-
-
-def test_soda010_needs_an_order_to_fire():
-    # Without clocks the rule cannot distinguish inversion from benign
-    # trace-order jitter, so it stays silent rather than guess.
-    trace = Tracer()
-    trace.record(0.0, "kernel.request", mid=0, tid=5, dst=1)
-    trace.record(
-        20.0, "kernel.delivered_state", mid=1, src=0, tid=5, state="delivered"
-    )
-    assert find_races(list(trace.records)) == []
+    assert races(trace) == []
 
 
 # -- SODA011: ACCEPT/reset race ----------------------------------------
@@ -216,12 +235,16 @@ def test_soda011_completion_in_a_later_incarnation():
     trace.record(0.0, "kernel.request", mid=0, tid=5, dst=1)
     trace.record(10.0, "kernel.client_reset", mid=0, epoch=1)
     trace.record(20.0, "kernel.complete", mid=0, tid=5, status="completed")
-    diags = find_races(list(trace.records))
+    diags = races(trace)
     assert rules(diags) == ["SODA011"]
     assert "issued by incarnation e0 but completed COMPLETED in e1" in (
         diags[0].message
     )
-    assert diags[0].witness  # the reset boundary is the witness
+    # The reset boundary is the witness.
+    assert diags[0].witness == (
+        "#1 t=0.010ms kernel.client_reset [mid=0/e1]",
+        "#2 t=0.020ms kernel.complete [mid=0/e1]",
+    )
 
 
 def test_soda011_ignores_non_completed_statuses():
@@ -231,14 +254,14 @@ def test_soda011_ignores_non_completed_statuses():
     trace.record(0.0, "kernel.request", mid=0, tid=5, dst=1)
     trace.record(10.0, "kernel.client_reset", mid=0, epoch=1)
     trace.record(20.0, "kernel.complete", mid=0, tid=5, status="crashed")
-    assert find_races(list(trace.records)) == []
+    assert races(trace) == []
 
 
 def test_soda011_same_incarnation_is_clean():
     trace = Tracer()
     trace.record(0.0, "kernel.request", mid=0, tid=5, dst=1)
     trace.record(20.0, "kernel.complete", mid=0, tid=5, status="completed")
-    assert find_races(list(trace.records)) == []
+    assert races(trace) == []
 
 
 # -- SODA012: shared-state write across a reset ------------------------
@@ -253,9 +276,13 @@ def test_soda012_delivered_cell_advances_across_reset():
     trace.record(
         20.0, "kernel.delivered_state", mid=1, src=0, tid=5, state="accepted"
     )
-    diags = find_races(list(trace.records))
+    diags = races(trace)
     assert rules(diags) == ["SODA012"]
     assert "across mid 1's incarnation boundary" in diags[0].message
+    assert diags[0].witness == (
+        "#1 t=0.010ms kernel.client_reset [mid=1/e1]",
+        "#2 t=0.020ms kernel.delivered_state [mid=1/e1]",
+    )
 
 
 def test_soda012_connection_resurrection_after_crash():
@@ -263,10 +290,14 @@ def test_soda012_connection_resurrection_after_crash():
     trace.record(0.0, "kernel.tx", mid=0, dst=1, seq=0, pid=1)
     trace.record(10.0, "kernel.crash", mid=0)
     trace.record(20.0, "conn.retransmit", mid=0, peer=1, kind="data")
-    diags = find_races(list(trace.records))
+    diags = races(trace)
     assert rules(diags) == ["SODA012"]
     assert "after mid 0's power failure with no fresh transmission" in (
         diags[0].message
+    )
+    assert diags[0].witness == (
+        "#1 t=0.010ms kernel.crash [mid=0/e0]",
+        "#2 t=0.020ms conn.retransmit [mid=0/e0]",
     )
 
 
@@ -276,7 +307,7 @@ def test_soda012_connection_clean_after_fresh_transmission():
     trace.record(10.0, "kernel.crash", mid=0)
     trace.record(20.0, "kernel.tx", mid=0, dst=1, seq=0, pid=2)
     trace.record(30.0, "conn.retransmit", mid=0, peer=1, kind="data")
-    assert find_races(list(trace.records)) == []
+    assert races(trace) == []
 
 
 def test_soda012_cross_epoch_unadvertise():
@@ -284,16 +315,20 @@ def test_soda012_cross_epoch_unadvertise():
     trace.record(0.0, "kernel.advertise", mid=0, pattern=0o700)
     trace.record(10.0, "kernel.client_reset", mid=0, epoch=1)
     trace.record(20.0, "kernel.unadvertise", mid=0, pattern=0o700)
-    diags = find_races(list(trace.records))
+    diags = races(trace)
     assert rules(diags) == ["SODA012"]
     assert "advertisement-table entry" in diags[0].message
+    assert diags[0].witness == (
+        "#1 t=0.010ms kernel.client_reset [mid=0/e1]",
+        "#2 t=0.020ms kernel.unadvertise [mid=0/e1]",
+    )
 
 
 def test_soda012_same_epoch_unadvertise_is_clean():
     trace = Tracer()
     trace.record(0.0, "kernel.advertise", mid=0, pattern=0o700)
     trace.record(20.0, "kernel.unadvertise", mid=0, pattern=0o700)
-    assert find_races(list(trace.records)) == []
+    assert races(trace) == []
 
 
 # -- SODA013: wait-for deadlock ----------------------------------------
@@ -303,7 +338,7 @@ def test_soda013_two_node_cycle_from_pending_spans():
     trace = Tracer()
     trace.record(0.0, "kernel.request", mid=0, tid=1, dst=1)
     trace.record(10.0, "kernel.request", mid=1, tid=1, dst=0)
-    diags = detect_deadlocks(list(trace.records))
+    diags = deadlocks(trace)
     assert rules(diags) == ["SODA013"]
     assert "wait-for cycle among mids {0, 1}" in diags[0].message
     assert any("mid 0 blocked on REQUEST" in w for w in diags[0].witness)
@@ -315,20 +350,20 @@ def test_soda013_completed_spans_draw_no_edges():
     trace.record(10.0, "kernel.request", mid=1, tid=1, dst=0)
     trace.record(20.0, "kernel.complete", mid=0, tid=1, status="completed")
     trace.record(30.0, "kernel.complete", mid=1, tid=1, status="completed")
-    assert detect_deadlocks(list(trace.records)) == []
+    assert deadlocks(trace) == []
 
 
 def test_soda013_chain_without_cycle_is_clean():
     trace = Tracer()
     trace.record(0.0, "kernel.request", mid=0, tid=1, dst=1)
     trace.record(10.0, "kernel.request", mid=1, tid=1, dst=2)
-    assert detect_deadlocks(list(trace.records)) == []
+    assert deadlocks(trace) == []
 
 
 def test_soda013_self_loop_counts():
     trace = Tracer()
     trace.record(0.0, "kernel.request", mid=3, tid=1, dst=3)
-    diags = detect_deadlocks(list(trace.records))
+    diags = deadlocks(trace)
     assert rules(diags) == ["SODA013"]
     assert "{3}" in diags[0].message
 
@@ -337,16 +372,16 @@ def test_philosophers_noarb_deadlocks_with_the_full_ring():
     """The §4.4.3 dining philosophers without arbitration (grab your own
     fork first) must produce the textbook 5-cycle."""
     net = run_workload("philosophers_noarb")
-    records = list(net.sim.trace.records)
-    graph = build_wait_graph(records)
-    diags = detect_deadlocks(records)
+    spans = build_spans(net.sim.trace.records)
+    graph = build_wait_graph(spans)
+    diags = detect_deadlocks(spans)
     assert rules(diags) == ["SODA013"]
     assert "wait-for cycle among mids {0, 1, 2, 3, 4}" in diags[0].message
     # Each philosopher holds its own fork and waits on its left neighbour.
     assert len(diags[0].witness) >= 5
     assert set(graph.nodes) == {0, 1, 2, 3, 4}
     # The deadlock is causal, not a trace artifact: no races on top.
-    assert find_races(records, build_causal_order(records)) == []
+    assert races(net.sim.trace) == []
 
 
 def test_arbitrated_philosophers_do_not_deadlock():
@@ -377,7 +412,7 @@ def test_arbitrated_philosophers_do_not_deadlock():
         timeout=600_000_000.0,
     )
     assert done, [p.meals for p in philosophers]
-    assert detect_deadlocks(list(net.sim.trace.records)) == []
+    assert deadlocks(net.sim.trace) == []
 
 
 # -- zero false positives on healthy runs ------------------------------
@@ -386,9 +421,7 @@ def test_arbitrated_philosophers_do_not_deadlock():
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_shipped_workloads_are_race_and_deadlock_free(name):
     net = run_workload(name)
-    records = list(net.sim.trace.records)
-    order = build_causal_order(records)
-    diags = find_races(records, order) + detect_deadlocks(records)
+    diags = races(net.sim.trace) + deadlocks(net.sim.trace)
     assert diags == [], "\n".join(d.format() for d in diags)
 
 

@@ -40,9 +40,9 @@ def test_body_shape_and_positive_rates(body):
     trace = body["scenarios"]["trace_overhead"]
     assert trace["traced"]["events"] == trace["no_trace"]["events"]
     assert trace["fast_mode_speedup"] > 0
-    assert isinstance(
-        body["comparison"]["no_trace_faster_than_traced"], bool
-    )
+    # The verdict is a count: retention costs Python calls on any host.
+    assert trace["no_trace"]["calls"] < trace["traced"]["calls"]
+    assert body["comparison"]["no_trace_fewer_calls_than_traced"] is True
     json.dumps(body)  # JSON-serializable end to end
 
 

@@ -16,9 +16,9 @@ from repro.analysis.causal import (
     build_causal_order,
     check_stream,
     detect_deadlocks,
-    find_races,
 )
 from repro.netreal import Impairments, RealNetwork
+from repro.obs.spans import build_spans
 from repro.workloads import EchoClient, EchoServer
 
 #: Generous wall-clock cap; clean loopback runs finish in well under a
@@ -62,10 +62,10 @@ def test_pingpong_over_real_sockets():
     violations = check_stream(records)
     assert violations == [], [v.format() for v in violations]
 
-    order = build_causal_order(records)
-    assert order.send_edges > 0
-    assert order.unmatched_rx == 0
-    diagnostics = find_races(records, order) + detect_deadlocks(records)
+    causal = build_causal_order(records)
+    assert causal.send_edges > 0
+    assert causal.unmatched_rx == 0
+    diagnostics = causal.finish() + detect_deadlocks(build_spans(records))
     assert diagnostics == [], [d.format() for d in diagnostics]
 
 

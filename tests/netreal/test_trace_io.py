@@ -195,13 +195,13 @@ def test_runner_judges_a_merged_kv_trace_in_one_pass():
     """One ``SinkTable`` pass over a merged stream gives the verdicts
     and counts the post-hoc functions give the same records; a KV run
     is judged with non-strict completion, as a chaos cell is."""
-    from repro.analysis.causal import causal_diagnostics
     from repro.chaos.liveness import percentile
     from repro.netreal.runner import RealRunResult, analyze_merged
     from repro.obs.spans import build_spans
     from repro.replication import check_kv_consistency, kv_summary
     from repro.transport.retransmit import RetransmitPolicy
     from repro.workloads import build_workload
+    from tests.analysis.test_causal_sink import reference_causal
 
     net = build_workload("kvstore").run()
     records = list(net.sim.trace.records)
@@ -215,7 +215,7 @@ def test_runner_judges_a_merged_kv_trace_in_one_pass():
         v.format()
         for v in check_stream(records, strict_completion=False, ledger=net.ledger)
     ]
-    assert result.causal_diagnostics == causal_diagnostics(records)[0]
+    assert result.causal_diagnostics == reference_causal(records)[0]
     assert result.kv == kv_summary(records) and result.kv["ops_invoked"]
     assert result.consistency_problems == check_kv_consistency(records)
     spans = build_spans(records)

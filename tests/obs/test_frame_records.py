@@ -38,9 +38,8 @@ SRC = Path(repro.__file__).parent
 HUMAN = "human"
 INVARIANTS = "analysis/invariants.py"
 #: Reads ``mid`` off *every* record that has one: the process an event
-#: belongs to in the causal order.
-CLOCKS = "analysis/causal/clocks.py"
-RACES = "analysis/causal/races.py"
+#: belongs to in the causal order; and the fields the race rules read.
+CAUSAL = "analysis/causal/sink.py"
 SPANS = "obs/spans.py"
 HUB = "obs/instrument.py"
 KV = "replication/consistency.py"
@@ -57,7 +56,7 @@ READERS = {
         "pid": INVARIANTS,  # INV-SEQ / INV-DELTAT / SODA007 packet identity
         "tid": INVARIANTS,  # SODA007 matches a BUSY hint to its REQUEST
         "ack": HUMAN,
-        "fid": CLOCKS,  # joins this tx to its kernel.rx
+        "fid": CAUSAL,  # joins this tx to its kernel.rx
         "epoch": HUMAN,  # probe replies only
     },
     "kernel.rx": {
@@ -69,14 +68,14 @@ READERS = {
         "ack": HUMAN,
         "nack": INVARIANTS,  # 'busy' opens the slow-retry regime
         "hint": INVARIANTS,  # SODA007
-        "fid": CLOCKS,  # joins this rx to its kernel.tx
+        "fid": CAUSAL,  # joins this rx to its kernel.tx
         "epoch": HUMAN,
     },
     "kernel.request": dict.fromkeys(
         ("mid", "tid", "dst", "pattern", "put", "get"), SPANS
     ),
     "kernel.accept": {
-        "mid": CLOCKS,
+        "mid": CAUSAL,
         "sig": HUMAN,
         "src": SPANS,
         "tid": SPANS,
@@ -95,7 +94,7 @@ READERS = {
         "not_executed": HUMAN,
     },
     "kernel.crash_report": {
-        "mid": CLOCKS,
+        "mid": CAUSAL,
         "peer": DETECTOR,
         "tid": HUMAN,
         "status": HUMAN,
@@ -106,48 +105,48 @@ READERS = {
     "kernel.delivered_state": dict.fromkeys(
         ("mid", "src", "tid", "state"), INVARIANTS
     ),
-    "kernel.hold": {"mid": CLOCKS, "src": HUMAN, "tid": HUMAN},
+    "kernel.hold": {"mid": CAUSAL, "src": HUMAN, "tid": HUMAN},
     "kernel.busy_nack": {
-        "mid": CLOCKS,
+        "mid": CAUSAL,
         "src": SPANS,
         "tid": SPANS,
         "hint_us": HUMAN,
         "hold_expired": HUMAN,
     },
     "kernel.shed": {
-        "mid": CLOCKS, "src": HUMAN, "tid": HUMAN, "occupancy_us": HUMAN,
+        "mid": CAUSAL, "src": HUMAN, "tid": HUMAN, "occupancy_us": HUMAN,
     },
     "kernel.interrupt": {"mid": HUB, "reason": HUB},
     "kernel.boot_handler": {"mid": DETECTOR},
     "kernel.endhandler": {"mid": HUB},  # kernel.handler_occupancy_us
-    "kernel.advertise": {"mid": RACES, "pattern": RACES},
-    "kernel.unadvertise": {"mid": RACES, "pattern": RACES},
-    "kernel.boot_granted": {"mid": CLOCKS, "parent": HUMAN},
-    "kernel.boot_start": {"mid": CLOCKS, "parent": HUMAN},
+    "kernel.advertise": {"mid": CAUSAL, "pattern": CAUSAL},
+    "kernel.unadvertise": {"mid": CAUSAL, "pattern": CAUSAL},
+    "kernel.boot_granted": {"mid": CAUSAL, "parent": HUMAN},
+    "kernel.boot_start": {"mid": CAUSAL, "parent": HUMAN},
     "kernel.die": {"mid": DETECTOR},
-    "kernel.client_reset": {"mid": CLOCKS, "epoch": CLOCKS},
+    "kernel.client_reset": {"mid": CAUSAL, "epoch": CAUSAL},
     "kernel.crash": {"mid": DETECTOR, "quiet_us": HUMAN},
-    "kernel.recovered": {"mid": CLOCKS},
+    "kernel.recovered": {"mid": CAUSAL},
     "conn.acked": {
-        "mid": RACES,  # SODA012
-        "peer": RACES,
+        "mid": CAUSAL,  # SODA012
+        "peer": CAUSAL,
         "kind": HUB,  # transport.rtt_us.<kind>
         "attempts": HUB,  # transport.attempts_to_ack
         "rtt_us": HUB,  # transport.rtt_us; bench.real mean RTT
         "policy": HUB,  # transport.attempts_to_ack.policy.<policy>
     },
     "conn.retransmit": {
-        "mid": RACES,
-        "peer": RACES,
+        "mid": CAUSAL,
+        "peer": CAUSAL,
         "kind": HUB,
         "attempt": HUMAN,
         "waited_us": "bench/real.py",
     },
     "conn.spurious_retransmit": {
-        "mid": RACES, "peer": RACES, "kind": HUB, "attempts": HUMAN,
+        "mid": CAUSAL, "peer": CAUSAL, "kind": HUB, "attempts": HUMAN,
     },
     "conn.peer_dead": {"mid": INVARIANTS, "peer": INVARIANTS, "kind": HUMAN},
-    "conn.busy_retry": {"mid": RACES, "peer": RACES, "attempt": HUMAN},
+    "conn.busy_retry": {"mid": CAUSAL, "peer": CAUSAL, "attempt": HUMAN},
     "conn.seq_swap": {
         "mid": INVARIANTS,
         "peer": INVARIANTS,
@@ -156,47 +155,47 @@ READERS = {
         "seq": HUMAN,
     },
     "conn.resync": {
-        "mid": CLOCKS, "peer": HUMAN, "pid": HUMAN, "seq": HUMAN,
+        "mid": CAUSAL, "peer": HUMAN, "pid": HUMAN, "seq": HUMAN,
     },
     # One per *discarded* / replayed delivery, emitted from the bus's
     # per-frame path; counted (bus.frames_dropped), never read.
     "net.tx": dict.fromkeys(("src", "dst", "bytes", "frame_id"), HUMAN),
     "net.drop": dict.fromkeys(("src", "dst", "frame_id"), HUMAN),
     "net.replay": dict.fromkeys(("src", "dst", "frame_id", "kind"), HUMAN),
-    "netreal.decode_error": {"mid": CLOCKS, "octets": HUMAN, "error": HUMAN},
+    "netreal.decode_error": {"mid": CAUSAL, "octets": HUMAN, "error": HUMAN},
     "recovery.suspect": {
-        "mid": CLOCKS, "service_mid": HUMAN, "service": HUMAN, "misses": HUMAN,
+        "mid": CAUSAL, "service_mid": HUMAN, "service": HUMAN, "misses": HUMAN,
     },
     "recovery.crash_detected": {
-        "mid": CLOCKS, "service_mid": SELF_HEAL, "service": HUMAN,
+        "mid": CAUSAL, "service_mid": SELF_HEAL, "service": HUMAN,
     },
     "recovery.escalated": {
-        "mid": CLOCKS,
+        "mid": CAUSAL,
         "service_mid": SELF_HEAL,
         "service": HUMAN,
         "restarts": HUMAN,
     },
     "recovery.reboot_attempt": {
-        "mid": CLOCKS,
+        "mid": CAUSAL,
         "service_mid": HUMAN,
         "service": HUMAN,
         "attempt": HUMAN,
         "ok": HUMAN,
     },
     "recovery.reboot": {
-        "mid": CLOCKS, "service_mid": HUMAN, "service": HUMAN,
+        "mid": CAUSAL, "service_mid": HUMAN, "service": HUMAN,
     },
     "recovery.restored": {
-        "mid": CLOCKS, "service_mid": SELF_HEAL, "service": HUMAN,
+        "mid": CAUSAL, "service_mid": SELF_HEAL, "service": HUMAN,
     },
     "recovery.retry": {
-        "mid": CLOCKS, "target": HUMAN, "attempt": HUMAN, "reason": HUMAN,
+        "mid": CAUSAL, "target": HUMAN, "attempt": HUMAN, "reason": HUMAN,
     },
-    "recovery.maybe": {"mid": CLOCKS, "attempts": HUMAN},
+    "recovery.maybe": {"mid": CAUSAL, "attempts": HUMAN},
     # Counted by KvSink (ops_invoked); its fields are for the reader of
     # a dump pairing an invoke with its kv.result.
     "kv.invoke": {
-        "mid": CLOCKS, "seq": HUMAN, "op": HUMAN, "key": HUMAN, "token": HUMAN,
+        "mid": CAUSAL, "seq": HUMAN, "op": HUMAN, "key": HUMAN, "token": HUMAN,
     },
     "kv.result": dict.fromkeys(
         ("mid", "seq", "op", "key", "status", "version", "token", "wtoken",
@@ -208,10 +207,10 @@ READERS = {
         KV,
     ),
     "kv.sync": {
-        "mid": CLOCKS, "from_index": HUMAN, "appended": HUMAN, "length": HUMAN,
+        "mid": CAUSAL, "from_index": HUMAN, "appended": HUMAN, "length": HUMAN,
     },
     "kv.recover": {
-        "mid": CLOCKS,
+        "mid": CAUSAL,
         "epoch": HUMAN,
         "entries": HUMAN,  # tests/durability: recovery came from disk
         "commit": HUMAN,
@@ -219,11 +218,11 @@ READERS = {
         "source": HUMAN,  # tests/durability, tests/netreal
     },
     "kv.promote": {"mid": "bench/kv.py", "epoch": HUMAN, "length": HUMAN},
-    "kv.demote": {"mid": CLOCKS, "epoch": HUMAN},
-    "kv.takeover": {"mid": CLOCKS, "epoch": HUMAN},
-    "kv.takeover_sent": {"mid": CLOCKS, "target": HUMAN, "candidates": HUMAN},
+    "kv.demote": {"mid": CAUSAL, "epoch": HUMAN},
+    "kv.takeover": {"mid": CAUSAL, "epoch": HUMAN},
+    "kv.takeover_sent": {"mid": CAUSAL, "target": HUMAN, "candidates": HUMAN},
     "kv.error": {
-        "mid": CLOCKS, "reason": HUMAN, "index": HUMAN, "commit": HUMAN,
+        "mid": CAUSAL, "reason": HUMAN, "index": HUMAN, "commit": HUMAN,
     },
 }
 

@@ -159,8 +159,10 @@ class TestHubFaultAndTransportMetrics:
         from repro.obs.instrument import MetricsHub
 
         faults = FaultPlan(loss_probability=loss) if loss else None
-        net = build_workload("echo", faults=faults).run()
-        return MetricsHub().ingest(net)
+        built = build_workload("echo", faults=faults)
+        hub = MetricsHub().install(built.net)
+        built.run()
+        return hub.report()
 
     def test_fault_counters_surface_as_gauges(self):
         snap = self._report(loss=0.15).snapshot

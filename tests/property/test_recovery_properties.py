@@ -16,6 +16,7 @@ from repro.chaos import RECOVERY_SCHEDULES, check_liveness, run_cell
 from repro.core import Buffer, ClientProgram, KernelConfig, Network
 from repro.core.patterns import make_well_known_pattern
 from repro.recovery import FailureDetector, RetryPolicy, retry_request
+from repro.sim.tracing import SinkTable
 
 PATTERN = make_well_known_pattern(0o202)
 
@@ -79,7 +80,8 @@ def test_no_double_execution_per_incarnation(
     net = Network(seed=seed, config=KernelConfig(probe_interval_us=50_000.0))
     incarnations = [_PayloadServer()]
     server_node = net.add_node(program=incarnations[0], name="server")
-    detector = FailureDetector().install(net)
+    detector = FailureDetector()
+    SinkTable(detector).install(net)
     client = _SafeRetryClient(detector)
     net.add_node(program=client, boot_at_us=100.0)
 

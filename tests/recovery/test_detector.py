@@ -1,8 +1,17 @@
-"""FailureDetector: per-(node, epoch) liveness from trace records."""
+"""FailureDetector: per-(node, epoch) liveness from trace records.
+
+The detector is a ``HANDLERS`` sink: a ``SinkTable`` replays records into
+it or streams a live run through it.  ``test_install_is_exclusive_and_
+uninstall_detaches`` is gone with ``install`` / ``uninstall``; a table
+that joins late is refused by ``SinkTable.install``
+(``tests/test_live_judging.py::test_sinks_must_be_installed_before_the_
+first_record``), and ``test_epoch_bumps_on_observed_reboot`` below
+observes a live run through one.
+"""
 
 from repro.core import KernelConfig, Network
 from repro.recovery import FailureDetector, NodeState
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import SinkTable, TraceRecord
 
 from tests.conftest import ECHO_PATTERN, EchoServer, ScriptedClient, make_pair
 
@@ -11,19 +20,31 @@ def rec(time, category, **fields):
     return TraceRecord(time, category, fields)
 
 
+def detected(records):
+    detector = FailureDetector()
+    SinkTable(detector).replay(records)
+    return detector
+
+
+def watching(net):
+    detector = FailureDetector()
+    SinkTable(detector).install(net)
+    return detector
+
+
 # ---------------------------------------------------------------------------
 # Pure state-machine behaviour (synthetic records).
 
 
 def test_boot_advances_epoch_and_marks_alive():
-    det = FailureDetector().ingest([rec(10.0, "kernel.boot_handler", mid=3)])
+    det = detected([rec(10.0, "kernel.boot_handler", mid=3)])
     view = det.view(3)
     assert (view.epoch, view.state, view.boots) == (1, NodeState.ALIVE, 1)
     assert det.alive(3)
 
 
 def test_crash_report_makes_suspect_and_counts_false_suspicion():
-    det = FailureDetector().ingest(
+    det = detected(
         [
             rec(0.0, "kernel.boot_handler", mid=0),
             rec(5.0, "kernel.crash_report", mid=1, peer=0),
@@ -38,7 +59,7 @@ def test_crash_report_makes_suspect_and_counts_false_suspicion():
 
 
 def test_ground_truth_death_beats_crash_reports():
-    det = FailureDetector().ingest(
+    det = detected(
         [
             rec(0.0, "kernel.boot_handler", mid=0),
             rec(5.0, "kernel.die", mid=0),
@@ -53,7 +74,7 @@ def test_ground_truth_death_beats_crash_reports():
 
 
 def test_reboot_starts_a_fresh_incarnation():
-    det = FailureDetector().ingest(
+    det = detected(
         [
             rec(0.0, "kernel.boot_handler", mid=0),
             rec(5.0, "kernel.crash_report", mid=1, peer=0),
@@ -69,7 +90,7 @@ def test_reboot_starts_a_fresh_incarnation():
 
 
 def test_restored_corroborates_alive():
-    det = FailureDetector().ingest(
+    det = detected(
         [
             rec(0.0, "kernel.boot_handler", mid=0),
             rec(5.0, "kernel.crash_report", mid=2, peer=0),
@@ -86,8 +107,8 @@ def test_summary_is_deterministic_and_sorted():
         rec(1.0, "kernel.boot_handler", mid=0),
         rec(2.0, "kernel.crash_report", mid=0, peer=2),
     ]
-    one = FailureDetector().ingest(records).summary()
-    two = FailureDetector().ingest(records).summary()
+    one = detected(records).summary()
+    two = detected(records).summary()
     assert one == two
     assert [node["mid"] for node in one["nodes"]] == [0, 2]
 
@@ -98,7 +119,7 @@ def test_summary_is_deterministic_and_sorted():
 
 def test_epoch_bumps_on_observed_reboot():
     net = Network(seed=5, config=KernelConfig(probe_interval_us=50_000.0))
-    detector = FailureDetector().install(net)
+    detector = watching(net)
     server_node = net.add_node(program=EchoServer(), name="server")
 
     def body(api, self):
@@ -127,23 +148,8 @@ def test_epoch_bumps_on_observed_reboot():
     assert detector.false_suspicions == 0
 
 
-def test_install_is_exclusive_and_uninstall_detaches():
-    net = Network(seed=1)
-    detector = FailureDetector().install(net)
-    try:
-        detector.install(net)
-    except RuntimeError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("double install must raise")
-    detector.uninstall()
-    net.add_node(program=EchoServer(), name="server")
-    net.run(until=200_000.0)
-    assert detector.views == {}  # detached before the boot record
-
-
 def test_fault_free_run_has_zero_crash_reports(network):
-    detector = FailureDetector().install(network)
+    detector = watching(network)
     server = EchoServer()
 
     def body(api, self):

@@ -9,6 +9,7 @@ execution.
 from repro.core import Buffer, ClientProgram, KernelConfig, Network
 from repro.core.patterns import make_well_known_pattern
 from repro.recovery import FailureDetector, RetryOutcome, RetryPolicy, retry_request
+from repro.sim.tracing import SinkTable
 
 from tests.conftest import ScriptedClient
 
@@ -139,7 +140,8 @@ def test_ambiguous_retry_waits_for_epoch_bump():
     first = PayloadServer(accept_delay_us=400_000.0)
     second = PayloadServer()
     server_node = net.add_node(program=first, name="server")
-    detector = FailureDetector().install(net)
+    detector = FailureDetector()
+    SinkTable(detector).install(net)
     client = ScriptedClient(retry_body(detector=detector))
     net.add_node(program=client, name="client", boot_at_us=100.0)
 

@@ -1,11 +1,25 @@
 """Live judging equals post-hoc judging (DESIGN.md §14).
 
-``run_cell`` judges a cell through one :class:`~repro.chaos.runner.
+``run_cell`` judges a cell through one :class:`~repro.sim.tracing.
 SinkTable` on the tracer and retains no record.  The way it judged
 before — build retained, run, then walk the list with the public
 post-hoc functions — is kept *here* as the reference
 (:func:`reference_run_cell`), so a sink that drifts from its function
 fails a test instead of moving a verdict quietly.
+
+Two ids are gone since the causal engine became a sink and the metrics
+hub install-only (DESIGN.md §21):
+
+* ``test_causal_cell_retains_every_record`` — a causal cell retains
+  nothing now; ``test_causal_cell_peaks_with_a_plain_one`` asserts that
+  (``keep_records`` False, every record fed) and bounds its peak by the
+  plain cell's, and ``test_causal_cell_equals_post_hoc_verdict`` still
+  compares its verdict with the batch engine's
+  (``tests/analysis/test_causal_sink.py`` keeps that engine).
+* ``test_post_hoc_judge_refuses_a_partial_trace[{'keep_trace': False}-
+  MetricsHub.ingest]`` — ``MetricsHub.ingest`` is gone; a hub observes a
+  run only through ``install``, which ``tests/test_observability.py``
+  checks on a counters-only build.
 """
 
 import gc
@@ -14,7 +28,6 @@ import tracemalloc
 
 import pytest
 
-from repro.analysis.causal import causal_diagnostics
 from repro.analysis.invariants import check_network
 from repro.workloads import build_workload
 from repro.chaos import check_liveness, run_cell, runner
@@ -23,14 +36,13 @@ from repro.chaos.runner import (
     DEFAULT_DEGRADATION_BOUNDS,
     DEGRADATION_BOUNDS,
     CellResult,
-    SinkTable,
     chaos_config,
     make_schedule,
 )
-from repro.obs import MetricsHub
 from repro.obs.spans import build_spans
 from repro.recovery import check_self_heal, recovery_summary
 from repro.replication import check_kv_consistency, kv_summary
+from repro.sim.tracing import SinkTable
 from repro.transport import packet
 from tests.test_chaos import GATE_CELLS
 
@@ -65,6 +77,8 @@ CELLS = (
 def reference_run_cell(workload, schedule, seed, causal=False):
     """``run_cell`` as it was while the trace was retained and walked
     once per judge."""
+    from tests.analysis.test_causal_sink import reference_causal
+
     built = build_workload(workload, seed=seed, config=chaos_config())
     scenario = make_schedule(schedule, built.spec)
     horizon = scenario.run(built)
@@ -73,7 +87,7 @@ def reference_run_cell(workload, schedule, seed, causal=False):
 
     violations = check_network(net, strict_completion=False)
     causal_problems = (
-        causal_diagnostics(list(records))[0] if causal else []
+        reference_causal(list(records))[0] if causal else []
     )
     spans = build_spans(records)
     summary = kv_summary(records)
@@ -189,13 +203,29 @@ def test_non_causal_cell_retains_nothing_and_feeds_everything(cells_seen):
     assert trace.passive
 
 
-def test_causal_cell_retains_every_record(cells_seen):
-    assert run_cell("echo", "lossy", 1, causal=True).ok
-    ((built,), (table,)) = cells_seen
+def _peak_of(fn, *args, **kwargs):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_causal_cell_peaks_with_a_plain_one(cells_seen):
+    """The causal engine is one more sink in the table: a causal cell
+    keeps no record, and peaks within 1.1× of the same cell without
+    ``causal`` (3.94 MB against 0.65 MB while the engine indexed a
+    retained trace).  Fails when the engine keeps history per record."""
+    run_cell("echo", "calm", 1, causal=True)  # imports and caches
+    plain = _peak_of(run_cell, *BASELINE_CELL)
+    causal = _peak_of(run_cell, *BASELINE_CELL, causal=True)
+    (_echo, _plain, built), (*_, table) = cells_seen
     trace = built.net.sim.trace
-    assert trace.keep_records
-    assert len(trace.records) == sum(trace.counters.values()) > 0
-    assert table.records_fed == len(trace.records)
+    assert not trace.keep_records and len(trace.records) == 0
+    assert table.records_fed == sum(trace.counters.values()) > 0
+    assert causal <= 1.1 * plain, (causal, plain)
 
 
 def test_sinks_must_be_installed_before_the_first_record(monkeypatch):
@@ -220,17 +250,9 @@ def test_live_cell_peaks_at_a_quarter_of_the_retained_one(cells_seen):
     """A live cell keeps no record, so the retained run's peak is higher
     by at least ``RETAINED_BYTES_PER_RECORD`` per record emitted.  Fails
     when a sink appends every record it is fed."""
-    def peak_of(fn):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            fn(*BASELINE_CELL)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     run_cell("echo", "calm", 1)  # imports and caches, outside both peaks
-    live, retained = peak_of(run_cell), peak_of(reference_run_cell)
+    live = _peak_of(run_cell, *BASELINE_CELL)
+    retained = _peak_of(reference_run_cell, *BASELINE_CELL)
     (_echo, built), _tables = cells_seen
     records = sum(built.net.sim.trace.counters.values())
     assert retained - live >= RETAINED_BYTES_PER_RECORD * records, (
@@ -251,7 +273,6 @@ POST_HOC_ENTRY_POINTS = {
     "check_network": lambda built: check_network(built.net),
     "check_liveness": lambda built: check_liveness(built.net),
     "check_self_heal": lambda built: check_self_heal(built, 0.0),
-    "MetricsHub.ingest": lambda built: MetricsHub().ingest(built.net),
 }
 
 
@@ -275,4 +296,3 @@ def test_post_hoc_judges_still_check_a_retained_run():
     assert check_network(built.net) == []
     assert check_liveness(built.net) == []
     assert check_self_heal(built, 0.0) == []
-    assert MetricsHub().ingest(built.net).completed_spans

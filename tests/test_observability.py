@@ -2,7 +2,15 @@
 
 Runs canned workloads through the metrics hub and checks the contract
 the docs promise: spans match completed transactions, bus utilization is
-sane, live and post-hoc collection agree, and exports are deterministic.
+sane, a counters-only run reports what a retained one does, and exports
+are deterministic.
+
+``test_live_and_posthoc_collection_agree`` is gone with
+``MetricsHub.ingest``: the hub observes a run only through ``install``
+(one ``SinkTable`` of the hub and its span builder), so there is no
+post-hoc path to agree with.  ``test_counters_only_run_reports_what_a_
+retained_run_does`` checks the property the ``metrics`` command now
+rests on — it builds counters-only.
 
 ``test_records_only_ingest_matches_network_ingest`` is gone with
 ``MetricsHub.ingest_records``, whose one caller was the real runner: a
@@ -14,18 +22,24 @@ in_one_pass`` checks against the post-hoc functions.
 
 import json
 
-from repro.workloads import run_workload
+from repro.workloads import build_workload
 from repro.obs import MetricsHub
 from repro.cli import main
 
 
+def _observed(name, **kwargs):
+    """``(network, report)`` of one run observed by an installed hub."""
+    built = build_workload(name, **kwargs)
+    hub = MetricsHub().install(built.net)
+    return built.run(), hub.report()
+
+
 def _report(name):
-    return MetricsHub().ingest(run_workload(name))
+    return _observed(name)[1]
 
 
 def test_span_count_matches_completed_transactions():
-    net = run_workload("echo")
-    report = MetricsHub().ingest(net)
+    net, report = _observed("echo")
     client = net.nodes[1].kernel.node.client.program
     completed = [
         span
@@ -64,20 +78,13 @@ def test_key_metrics_present():
         assert required in names, required
 
 
-def test_live_and_posthoc_collection_agree():
-    from repro.workloads import build_workload
-
-    # Live: attach the hub before the run via a tracer sink.
-    built = build_workload("echo")
-    live_hub = MetricsHub()
-    live_hub.install(built.net)
-    net_live = built.run()
-    live = live_hub.report()
-
-    posthoc = MetricsHub().ingest(run_workload("echo"))
-    assert live.snapshot == posthoc.snapshot
+def test_counters_only_run_reports_what_a_retained_run_does():
+    net_live, live = _observed("echo", keep_trace=False)
+    retained = _report("echo")
+    assert not net_live.sim.trace.records
+    assert live.snapshot == retained.snapshot
     assert [s.to_dict() for s in live.spans] == [
-        s.to_dict() for s in posthoc.spans
+        s.to_dict() for s in retained.spans
     ]
     assert net_live.sim.trace.count("kernel.request") > 0
 

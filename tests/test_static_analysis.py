@@ -54,15 +54,13 @@ def _causal_fixture(rows):
     return list(trace.records)
 
 
-def _fired(records, with_order=False):
-    from repro.analysis.causal import (
-        build_causal_order,
-        detect_deadlocks,
-        find_races,
-    )
+def _fired(records):
+    from repro.analysis.causal import build_causal_order, detect_deadlocks
+    from repro.obs.spans import build_spans
 
-    order = build_causal_order(records) if with_order else None
-    return find_races(records, order) + detect_deadlocks(records)
+    return build_causal_order(records).finish() + detect_deadlocks(
+        build_spans(records)
+    )
 
 
 def test_seeded_causality_inversion_fires_soda010():
@@ -72,7 +70,7 @@ def test_seeded_causality_inversion_fires_soda010():
         (20.0, "kernel.delivered_state",
          dict(mid=1, src=0, tid=5, state="delivered")),
     ])
-    diags = _fired(records, with_order=True)
+    diags = _fired(records)
     assert [d.rule_id for d in diags] == ["SODA010"], diags
     assert diags[0].witness
 
