@@ -26,7 +26,8 @@ Fsync policies: ``always`` syncs after every record (one barrier per
 append), ``batch`` leaves syncing to the caller's explicit barriers
 (the replica syncs before any CONFIRM/VOTE reply and before counting
 its own quorum — the protocol points where durability is attested),
-``never`` is for the bench's lower bound only.
+``never`` is for the bench's lower bound only.  A commit mark (only a
+lower bound of the primary's commit) asks for no barrier: it rides the next.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ class ReplicaStorage:
             return
         self.appends += 1
         self._records_since_snapshot += 1
-        self._dirty = True
+        # A commit mark attests nothing: it rides the next barrier.
+        self._dirty |= rtype != REC_COMMIT or self.fsync_policy == "always"
         if self.fsync_policy == "always":
             self.sync()
 

@@ -19,22 +19,23 @@ broadcast, built only from SODA primitives:
   promotion appends a no-op barrier entry to make that live).
 * Reads are linearizable via the read-index discipline: a GET parks at
   arrival and is served from committed state only after a quorum
-  confirmation round that *started* after the read arrived.
+  confirmation round that *started* after the read arrived, and once
+  commit holds an entry of the primary's own epoch (Raft §8).
 * A rebooted or deposed replica rejoins by anti-entropy: APPEND
   carries a ``prev_epoch`` consistency check, conflicts truncate the
   uncommitted suffix, and gaps walk the sender back — the log-matching
   property keeps committed prefixes identical everywhere.
 * The primary talks only when it has something to say: a round runs
-  while a client op is parked, a peer's log is behind, or a peer has
-  not yet been sent the commit index; otherwise the task waits for an
-  interrupt (§5.2.1) and sends one bare APPEND per peer per
-  :data:`IDLE_ROUND_US`, which is how a rebooted, stale or fencing peer
-  is found in a calm.
+  while a client op is parked or a peer's log is behind; otherwise the
+  task waits for an interrupt (§5.2.1) and sends one bare APPEND per
+  peer per :data:`IDLE_ROUND_US`, which is how a rebooted, stale or
+  fencing peer is found in a calm.  A new commit index is no work: a
+  follower's is only a lower bound of the primary's, so it rides the
+  next APPEND (and its WAL mark the next fsync), not a round of its own.
 * And each half of a round only when it carries something: the APPEND
-  when a peer lacks entries or the commit index, the CONFIRM when an op
-  is parked or a peer is not fingerprint-matched to the log end.  A
-  round that only spreads a new commit index is an APPEND alone, a
-  round that only serves a GET a CONFIRM alone.
+  when a peer lacks entries, the CONFIRM when an op is parked or a peer
+  is not fingerprint-matched to the log end.  A round that only serves
+  a GET is a CONFIRM alone.
 
 At-most-once: every write carries a client token; a token lives in the
 log at most once (the dedup table is exactly the log's token index and
@@ -141,8 +142,6 @@ class KvReplica(ClientProgram):
         self.matched: Dict[int, int] = {}
         #: peer -> next log index to APPEND from.
         self.next_index: Dict[int, int] = {}
-        #: peer -> commit index carried by its last ACK_OK'd APPEND.
-        self._sent_commit: Dict[int, int] = {}
         #: parked writes: (asker, log index, token, arrival time).
         self.waiters: List[Tuple[object, int, int, float]] = []
         #: parked reads: (asker, key, arrival time).
@@ -219,14 +218,13 @@ class KvReplica(ClientProgram):
         return self._has_to_confirm() or self._has_to_ship()
 
     def _has_to_ship(self) -> bool:
-        """An APPEND's cargo: a peer lacks entries or the commit index."""
+        """An APPEND's cargo: a peer lacks entries (commit rides along)."""
         if not self.primary:
             return False
-        length, commit = len(self.log), self.commit
+        length = len(self.log)
         return any(
             self.next_index.get(mid, 0) < length
             or self.matched.get(mid, 0) < length
-            or self._sent_commit.get(mid, 0) < commit
             for mid in self.peer_mids
         )
 
@@ -441,13 +439,12 @@ class KvReplica(ClientProgram):
     def _replicate_round(self, api):
         round_start = api.now
         epoch0, commit0 = self.epoch, self.commit
-        # Each phase runs only with something to carry.  A commit-only
-        # round is an APPEND alone (every peer is matched, nothing is
-        # parked), a read-only round a CONFIRM alone (no peer lacks an
-        # entry or the commit index).  A round with neither is the idle
-        # heartbeat: its empty APPEND carries the commit index and its
-        # ACK reports FENCED or GAP, which is all a calm needs; a GAP
-        # lowers ``matched`` so the next round has work.
+        # Each phase runs only with something to carry.  A read-only
+        # round is a CONFIRM alone (no peer lacks an entry).  A round
+        # with neither is the idle heartbeat: its empty APPEND carries
+        # the commit index and its ACK reports FENCED or GAP, which is
+        # all a calm needs; a GAP lowers ``matched`` so the next round
+        # has work.
         to_ship, to_confirm = self._has_to_ship(), self._has_to_confirm()
         sends = []
         for mid in self.peer_mids if to_ship or not to_confirm else ():
@@ -474,7 +471,6 @@ class KvReplica(ClientProgram):
             code, value = unpack_ack(completion.arg)
             if code == ACK_OK:
                 self.next_index[mid] = from_i + count
-                self._sent_commit[mid] = commit0
             elif code in (ACK_GAP, ACK_MISMATCH):
                 self.next_index[mid] = min(value, len(self.log))
                 if code == ACK_GAP:
@@ -563,7 +559,13 @@ class KvReplica(ClientProgram):
             asker, key, arrived = read
             if not self.primary or now - arrived > self.read_deadline_us:
                 yield from self._reject(api, asker)
-            elif self._quorum_confirmed_at >= arrived:
+            elif (
+                self._quorum_confirmed_at >= arrived
+                and self.commit
+                and self.log[self.commit - 1].epoch == self.epoch
+            ):
+                # Until this epoch's barrier commits, ``values`` may
+                # predate a write the deposed primary acknowledged.
                 version, token = self.values.get(key, (0, 0))
                 yield from self._accept_arg(api, asker, pack_result(version, token))
             else:
@@ -631,7 +633,6 @@ class KvReplica(ClientProgram):
                     continue
             self.primary = True
             self.matched = {}
-            self._sent_commit = {}
             self.next_index = {mid: self.commit for mid in self.peer_mids}
             self._quorum_confirmed_at = float("-inf")
             # The barrier no-op: commit can only advance onto an entry

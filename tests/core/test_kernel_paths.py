@@ -5,7 +5,9 @@ Every cell is a chaos cell run with its trace kept.  Its pin is the
 sha256 of ``repr([(time, category, values) …])`` over every record and
 of the cost ledger's charges, taken before the folds of §20 and equal
 after them, plus the counts of the paths it is here for, read off the
-records by :func:`paths`.  A ``/pipelined`` cell runs the pipelined
+records by :func:`paths`.  The two KV cells' digests were re-taken when
+the commit index began to ride the next round (§22: no commit-only
+round, so the replicas' traffic moved); their path counts did not move.  A ``/pipelined`` cell runs the pipelined
 kernel (no matrix cell does) and holds a REQUEST 10 ms instead of 40 ms,
 which is what makes a hold expire.
 
@@ -115,12 +117,12 @@ CELLS = {
         {"complete.discover": 62, "complete.nack_unadvertised": 1},
     ),
     "kvstore_supervised/primary_crash_load/3": (
-        "59b8fc771e353bc6e09f36d2a5d39c0b95a03f933f4620344c4be1f9b1cd7a7c",
+        "8bfe0f0ad4d039ada5a5400677cf29f19391a9d066f12aea85ca3f127afdb6d9",
         {"crash_report": 18, "complete.nack_unadvertised": 17,
          "request_peer_dead": 1, "complete.discover": 184},
     ),
     "kvstore_supervised/partition_heal/1": (
-        "b53edd81f551831e622e4e88fa4195499219761a8c495063bf7769d6240a7b20",
+        "e11c0eb94b3ee90efe5ba926fae74eb05b6a482f60f14bc462fdec0921768a35",
         {"accept_peer_dead": 1, "nack_settle": 1,
          "complete.probe_denied": 1, "complete.probe_timeout": 1},
     ),

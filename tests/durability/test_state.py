@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.scenario import PowerLoss, Scenario
 from repro.durability.disk import (
     DiskFaultPlan,
     FaultDisk,
@@ -10,6 +11,8 @@ from repro.durability.disk import (
 from repro.durability.snapshot import snap_name
 from repro.durability.state import ReplicaStorage
 from repro.durability.wal import wal_name
+from repro.replication.consistency import check_kv_consistency
+from repro.workloads import build_workload
 
 
 def entry(i, epoch=1):
@@ -212,6 +215,90 @@ def test_fsync_policies():
         ReplicaStorage(SimDisk(), fsync_policy="sometimes")
     with pytest.raises(ValueError):
         ReplicaStorage(SimDisk(), snapshot_interval=0)
+
+
+def test_batch_commit_mark_rides_the_next_barrier():
+    """Under ``batch`` a commit mark alone leaves nothing to sync: it
+    attests nothing, so it reaches disk with the next record that does."""
+    disk = FaultDisk(SimDisk(), DiskFaultPlan(seed=3))
+    st = ReplicaStorage(disk, snapshot_interval=10**9, fsync_policy="batch")
+    st.log_entry(0, entry(0))
+    st.sync()
+    assert st.syncs == 1
+    st.log_commit(1)
+    st.sync()  # a commit mark alone: no barrier
+    assert st.syncs == 1
+    st.log_entry(1, entry(1))
+    st.sync()  # the entry's barrier carries the commit mark too
+    assert st.syncs == 2
+    disk.power_loss()
+    r = reopen(disk).recover()
+    assert r.log == [entry(0), entry(1)] and r.commit == 1
+
+
+def test_always_syncs_every_record_commit_marks_included():
+    st = ReplicaStorage(SimDisk(), fsync_policy="always")
+    st.log_entry(0, entry(0))
+    st.log_commit(1)
+    st.log_epoch(2)
+    assert st.syncs == 3
+
+
+def test_power_loss_drops_an_unsynced_commit_mark_to_the_previous_one():
+    disk = FaultDisk(SimDisk(), DiskFaultPlan(seed=4))
+    st = ReplicaStorage(disk, snapshot_interval=10**9)
+    for i in range(3):
+        st.log_entry(i, entry(i))
+    st.log_commit(2)
+    st.sync()
+    st.log_commit(3)
+    st.sync()  # no barrier: the mark stays in the page cache
+    disk.power_loss()
+    st2 = reopen(disk)
+    r = st2.recover()
+    assert r.clean and r.log == [entry(i) for i in range(3)]
+    assert r.commit == 2  # a lower bound of what was committed
+    # The store goes on from there.
+    st2.log_commit(3)
+    st2.log_entry(3, entry(3))
+    st2.sync()
+    r2 = reopen(disk).recover()
+    assert r2.commit == 3 and len(r2.log) == 4
+
+
+def test_replica_that_lost_its_commit_mark_rejoins():
+    """A backup learns the last commit index from an idle heartbeat,
+    whose APPEND asks for no barrier; a power loss in the calm then
+    drops that mark.  The backup recovers the previous one, and the
+    next heartbeat brings it level with the primary."""
+    loss_at = 6_000_000.0
+    built = build_workload("kvstore", seed=1)
+    Scenario(
+        "calm_power_loss", (PowerLoss(at_us=loss_at, roles=("replica1",)),)
+    ).run(built)
+    records = built.net.sim.trace.records
+    assert check_kv_consistency(records) == []
+    assert max(
+        r.time for r in records if r.category == "kv.result"
+    ) < loss_at
+    backup_mid = built.mid_of("replica1")
+    held = 1 + max(
+        r["index"] for r in records
+        if r.category == "kv.apply" and r["mid"] == backup_mid
+        and r.time < loss_at
+    )
+    (recovered,) = [
+        r for r in records
+        if r.category == "kv.recover" and r["mid"] == backup_mid
+        and r.time > loss_at
+    ]
+    assert recovered["source"] != "amnesia"
+    assert 0 < recovered["commit"] < held
+    nodes = built.net.nodes
+    primary = nodes[built.mid_of("replica0")].kernel.client.program
+    backup = nodes[backup_mid].kernel.client.program
+    assert backup.commit == primary.commit >= held
+    assert backup.log == primary.log
 
 
 def test_snapshot_failure_on_full_disk_keeps_old_generation():

@@ -1,20 +1,22 @@
 """The KV primary replicates only when it has something to say.
 
-A round runs while a client op is parked, a peer's log is behind, or a
-peer has not been sent the commit index; otherwise the replica's task
-waits for an interrupt and runs one idle round per ``IDLE_ROUND_US``.
-Each phase of a round runs only with something to carry: the APPEND to
-each peer when a peer lacks entries or the commit index (or as the idle
-round's heartbeat), the CONFIRM to each peer when an op is parked or a
-peer is not fingerprint-matched to the log end (DESIGN.md §16–18).
+A round runs while a client op is parked or a peer's log is behind;
+otherwise the replica's task waits for an interrupt and runs one idle
+round per ``IDLE_ROUND_US``.  Each phase of a round runs only with
+something to carry: the APPEND to each peer when a peer lacks entries
+(or as the idle round's heartbeat), the CONFIRM to each peer when an op
+is parked or a peer is not fingerprint-matched to the log end
+(DESIGN.md §16–18).  A new commit index is no work of its own: it rides
+the next round's APPEND, the idle heartbeat's at the latest (§22).
 
 Each test fails under the hand mutation of ``KvReplica.task`` /
 ``KvReplica._has_work`` / ``KvReplica._replicate_round`` named for it:
 
 * (a) ``test_calm_primary_is_silent_between_ops`` — the old
   unconditional loop: round, serve, ``compute(repl_interval_us)``,
-  every pass; an idle or commit-only round that keeps its CONFIRM; or
-  a read-only round that keeps its APPEND.
+  every pass; an idle round that keeps its CONFIRM; a read-only round
+  that keeps its APPEND; or the ``_sent_commit`` clause restored in
+  ``_has_to_ship`` (a commit-only APPEND round after every write).
 * (a') ``test_get_is_served_by_the_first_confirm_round_after_it_arrived``
   — set ``_quorum_confirmed_at`` from the previous round's start.
 * (b) ``test_parked_write_starts_its_round_at_once`` — keep the
@@ -24,7 +26,8 @@ Each test fails under the hand mutation of ``KvReplica.task`` /
   drop the idle round (poll on ``_has_work`` alone); or drop the
   ``ACK_GAP`` lowering of ``matched``.
 * (d) ``test_followers_apply_without_a_further_client_op`` — drop the
-  ``_sent_commit`` condition from ``_has_work``.
+  idle heartbeat's APPEND (a round with neither cargo sends nothing):
+  the last writes' commit index then never reaches the followers.
 * (e) ``test_idle_deposed_primary_is_fenced_and_acks_nothing`` — drop
   the step-down branch of ``KvReplica._adopt``.  No mutation of the
   quiet loop alone breaks it: at the heal, whichever side's round gets
@@ -102,11 +105,13 @@ def _primary_repl_requests(records, promoted):
 
 def test_calm_primary_is_silent_between_ops(monkeypatch):
     """Each phase of a round runs only with something to carry: a write
-    round sends an APPEND and a CONFIRM to each peer, a commit-only
-    round and the idle round one APPEND to each peer, a read-only round
-    one CONFIRM to each peer.  Fails under the old unconditional loop,
-    under a commit-only round that keeps its CONFIRM, and under a
-    read-only round that keeps its APPEND."""
+    round sends an APPEND and a CONFIRM to each peer, a read-only round
+    one CONFIRM to each peer, the idle round one APPEND to each peer.
+    After a write's round no REPL REQUEST follows until the next op or
+    the idle round: the new commit index waits for either.  Fails under
+    the old unconditional loop, under an idle round that keeps its
+    CONFIRM, under a read-only round that keeps its APPEND, and with a
+    commit-only round restored."""
     started = _spy_rounds(monkeypatch)
     built, records = _calm()
     primary = _program(built, 0)
@@ -119,9 +124,6 @@ def test_calm_primary_is_silent_between_ops(monkeypatch):
     sent = [
         r.time for r in records
         if r.category == "kernel.request" and r["pattern"] == KV_PATTERN
-    ]
-    commits = [
-        r.time for r in records if r.category == "kv.apply" and r["mid"] == 0
     ]
     # Every REPL REQUEST the primary sends belongs to a round: an APPEND
     # (it carries the commit index, so its put is never empty) to each
@@ -142,12 +144,13 @@ def test_calm_primary_is_silent_between_ops(monkeypatch):
             f"round at {start} us (ship: {ship}, confirm: {confirm})"
         )
         kinds[ship, confirm] = kinds.get((ship, confirm), 0) + 1
-    # Writes (ship and confirm), commit-only rounds (ship alone),
-    # read-only rounds (confirm alone) and idle rounds (neither): every
-    # shape is exercised, so each mutation above has rounds to break.
-    assert sorted(kinds) == [
-        (False, False), (False, True), (True, False), (True, True)
-    ], kinds
+    # Writes (ship and confirm), read-only rounds (confirm alone) and
+    # idle rounds (neither): every shape the mutations above break is
+    # exercised.  A calm has no round that ships without confirming:
+    # a commit index alone is no cargo.
+    assert sorted(kinds) == [(False, False), (False, True), (True, True)], (
+        kinds
+    )
     assert len(repl) == peers * sum(
         count * ((ship or not confirm) + confirm)
         for (ship, confirm), count in kinds.items()
@@ -159,12 +162,11 @@ def test_calm_primary_is_silent_between_ops(monkeypatch):
     for before, start in zip(rounds, rounds[1:]):
         if start - before >= IDLE_ROUND_US:
             continue  # the idle round
-        # Sooner than that only with work: an op arrived, or the round
-        # before committed and the peers have not heard of it.
-        assert (
-            between(sent, before - interval, start)
-            or between(commits, before, start)
-        ), f"round at {start} us had nothing to say"
+        # Sooner than that only for an op that arrived since the round
+        # before started; a commit the round before made is no reason.
+        assert between(sent, before, start), (
+            f"round at {start} us had nothing to say"
+        )
     # And through the calm tail, one idle round per idle interval.
     last_result = max(r.time for r in records if r.category == "kv.result")
     tail = [t for t in rounds if t > last_result + 2 * interval]
@@ -283,6 +285,14 @@ def test_amnesiac_backup_catches_up_within_an_idle_interval():
 
 
 def test_followers_apply_without_a_further_client_op():
+    """Every committed entry is applied on every follower, never before
+    the primary, by the first APPEND the primary sends after the commit
+    (the next write's round, or the idle heartbeat after the last
+    write), and the primary never falls silent for longer than an idle
+    interval (plus three round intervals of slack) in between.  A
+    read-only round is a CONFIRM alone and restarts the idle wait, so
+    the whole delay can exceed one idle interval; the silence cannot.
+    Fails with the idle heartbeat's APPEND dropped."""
     built, records = _calm()
     primary = _program(built, 0)
     committed = {
@@ -294,15 +304,23 @@ def test_followers_apply_without_a_further_client_op():
         if r.category == "kv.apply" and r["mid"] != 0:
             followers.setdefault(r["mid"], {})[r["index"]] = r.time
     assert sorted(followers) == list(primary.peer_mids)
-    last = max(committed)
-    for applied in followers.values():
+    repl = _primary_repl_requests(records, 0.0)
+    said = [r.time for r in repl]
+    slack = 3 * primary.repl_interval_us
+    for mid, applied in followers.items():
         assert sorted(applied) == sorted(committed)
+        appends = [r.time for r in repl if r["dst"] == mid and r["put"] > 0]
         for index, at in committed.items():
-            # The round after the commit carries it; the last write has
-            # no client op behind it to carry it instead.
-            assert applied[index] - at < 3 * primary.repl_interval_us, (
-                index, index == last
-            )
+            done = applied[index]
+            assert at <= done, (mid, index)
+            # The first APPEND after the commit carried it.
+            carrier = appends[bisect.bisect_right(appends, at)]
+            assert done - slack <= carrier <= done, (mid, index, carrier)
+            heard = [at] + said[
+                bisect.bisect_right(said, at) : bisect.bisect_right(said, done)
+            ]
+            silence = max(b - a for a, b in zip(heard, heard[1:]))
+            assert silence <= IDLE_ROUND_US + slack, (mid, index, silence)
 
 
 class _Writer(ClientProgram):
