@@ -32,6 +32,7 @@ is then decided by what we actually claim: recovery wait per loss
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Any, Callable, Dict, List
 
 from repro.bench.tables import dict_table, failing, ms
@@ -40,7 +41,6 @@ from repro.chaos.runner import chaos_config
 from repro.core.node import Network
 from repro.net.errors import FaultPlan
 from repro.netreal.node import RealNetwork
-from repro.netreal.udp import Impairments
 from repro.obs.spans import build_spans
 from repro.transport.adaptive import AdaptivePolicy
 from repro.transport.retransmit import RetransmitPolicy, StaticPolicy
@@ -120,6 +120,19 @@ def _placed(net) -> Callable[[], bool]:
     return lambda: all(client.finished for client in clients)
 
 
+def _every_nth_delivery(n: int) -> FaultPlan:
+    """A plan that drops every ``n``-th delivery of each sender."""
+    counts: Counter = Counter()
+
+    def drop(frame, receiver_mid: int) -> bool:
+        counts[frame.src] += 1
+        return counts[frame.src] % n == 0
+
+    plan = FaultPlan()
+    plan.add_drop_predicate(drop)
+    return plan
+
+
 def _sim_cell(policy: RetransmitPolicy, seed: int) -> Dict[str, Any]:
     net = Network(
         seed=seed,
@@ -137,7 +150,7 @@ def _real_cell(policy: RetransmitPolicy, seed: int) -> Dict[str, Any]:
     with RealNetwork(
         seed=seed,
         config=chaos_config(policy),
-        impairments=Impairments(drop_every=BENCH_DROP_EVERY),
+        faults=_every_nth_delivery(BENCH_DROP_EVERY),
     ) as net:
         done = _placed(net)
         started = time.monotonic()

@@ -13,6 +13,10 @@ schedule as a ready-to-paste regression test.
 Actions are deliberately forgiving at fire time (a ``ClientDie`` for an
 already-dead client is a no-op): the shrinker removes actions one at a
 time, and the survivors must still apply cleanly in any combination.
+A role action is a no-op on a network that does not host its role
+(:meth:`BuiltWorkload.placed`), and a network action turns the plan of
+the network it is applied to: a real run applies the schedule in every
+node process, each governing its own sends.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from repro.workloads import BuiltWorkload
+from repro.workloads import BuiltWorkload, WorkloadSpec
 from repro.core.node import SodaNode
 from repro.net.frame import Frame
 
@@ -206,7 +210,9 @@ class ClientDie:
     role: str
 
     def apply(self, built: BuiltWorkload) -> None:
-        node = built.net.nodes[built.mid_of(self.role)]
+        node = built.placed(self.role)
+        if node is None:
+            return
 
         def fire() -> None:
             if node.kernel.offline_until is not None:
@@ -225,7 +231,9 @@ class NodeCrash:
     role: str
 
     def apply(self, built: BuiltWorkload) -> None:
-        node = built.net.nodes[built.mid_of(self.role)]
+        node = built.placed(self.role)
+        if node is None:
+            return
 
         def fire() -> None:
             if node.kernel.offline_until is None:
@@ -246,9 +254,10 @@ class Reboot:
     role: str
 
     def apply(self, built: BuiltWorkload) -> None:
-        mid = built.mid_of(self.role)
-        node = built.net.nodes[mid]
-        role = built.role_for(mid)
+        node = built.placed(self.role)
+        if node is None:
+            return
+        role = built.role_for(node.mid)
 
         def fire() -> None:
             if _client_alive(node):
@@ -317,9 +326,10 @@ class PowerLoss:
 
     def apply(self, built: BuiltWorkload) -> None:
         for role_name in self.roles:
-            mid = built.mid_of(role_name)
-            node = built.net.nodes[mid]
-            role = built.role_for(mid)
+            node = built.placed(role_name)
+            if node is None:
+                continue
+            role = built.role_for(node.mid)
 
             def cut(node: SodaNode = node) -> None:
                 if node.kernel.offline_until is None:
@@ -370,7 +380,9 @@ class DiskFault:
             )
 
     def apply(self, built: BuiltWorkload) -> None:
-        node = built.net.nodes[built.mid_of(self.role)]
+        node = built.placed(self.role)
+        if node is None:
+            return
 
         def fire() -> None:
             disk = getattr(node, "disk", None)
@@ -430,14 +442,15 @@ class Scenario:
         for action in self.actions:
             action.apply(built)
 
+    def horizon(self, spec: WorkloadSpec) -> float:
+        """The workload's own horizon, or two grace periods past the
+        last fault, whichever is later."""
+        return max(spec.until_us, self.last_action_us + 2 * GRACE_US)
+
     def run(self, built: BuiltWorkload) -> float:
-        """Apply, run ``built`` to the horizon, and return the horizon:
-        the workload's own, or two grace periods past the last fault,
-        whichever is later."""
+        """Apply, run ``built`` to :meth:`horizon`, and return it."""
         self.apply(built)
-        horizon = max(
-            built.spec.until_us, self.last_action_us + 2 * GRACE_US
-        )
+        horizon = self.horizon(built.spec)
         built.net.run(until=horizon)
         return horizon
 

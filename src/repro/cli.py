@@ -64,15 +64,14 @@ def add_flags(parser: argparse.ArgumentParser, flags: Sequence[Flag]) -> None:
 
 
 def flag_argv(flags: Sequence[Flag], values: Mapping[str, Any]) -> List[str]:
-    """The argument list that parses back to ``values`` (by ``dest``;
-    None = leave out) under ``flags``, none of them a switch."""
+    """The argument list that parses back to ``values`` (by ``dest``)
+    under ``flags``, none of them a switch."""
     argv: List[str] = []
     for flag in flags:
         dest = flag.name.lstrip("-").replace("-", "_")
-        value = values.get(dest)
-        if value is not None:
-            # A positional's name is its dest; an option goes by name.
-            argv += [str(value)] if flag.name == dest else [flag.name, str(value)]
+        value = str(values[dest])
+        # A positional's name is its dest; an option goes by name.
+        argv += [value] if flag.name == dest else [flag.name, value]
     return argv
 
 
@@ -399,22 +398,21 @@ def _recover(ns) -> int:
 
 def _real(ns) -> int:
     """The SODA stack over real sockets, one OS process per node."""
-    from repro.netreal.runner import run_real
+    from repro.netreal.runner import real_schedule, run_real
     from repro.workloads import REAL_WORKLOADS
 
     if not known("workload", [ns.workload], REAL_WORKLOADS):
         return 2
-    if ns.power_loss_at is not None and not ns.durable:
-        print("--power-loss-at requires --durable DIR", file=sys.stderr)
+    try:
+        real_schedule(ns.schedule, REAL_WORKLOADS[ns.workload])
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
     result = run_real(
         ns.workload,
         seed=ns.seed,
-        policy=ns.policy,
-        loss=ns.loss,
+        schedule=ns.schedule,
         keep_traces=ns.keep_traces,
-        durable=ns.durable,
-        power_loss_at_us=ns.power_loss_at,
     )
     print(
         f"  spans: {result.spans_completed}/{result.spans_total} completed, "
@@ -427,7 +425,7 @@ def _real(ns) -> int:
             f"p99={result.rtt_p99_us / 1000.0:.2f} ms; "
             f"retransmits={result.retransmits} "
             f"(spurious={result.spurious_retransmits}), "
-            f"impaired losses={result.impaired_losses}"
+            f"drops={result.drops}"
         )
     if result.kv:
         print(
@@ -469,14 +467,8 @@ _WORKLOADS = Flag("workload", "default: every standard workload", nargs="*")
 #: What ``real`` hands down to each ``real-node`` child unchanged.
 _REAL_FLAGS = (
     SEED,
-    Flag("--policy", "retransmit policy", default="adaptive",
-         choices=("static", "adaptive")),
-    Flag("--loss", "injected datagram loss probability", float, 0.0,
-         metavar="F"),
-    Flag("--durable", "keep each replica's WAL + snapshots in DIR/<role>",
-         metavar="DIR"),
-    Flag("--power-loss-at", "power-fail the durable nodes at this run time, "
-         "reboot them 0.5 s later", float, metavar="US"),
+    Flag("--schedule", "chaos schedule to run under (docs/CHAOS.md)",
+         default="calm", metavar="S"),
 )
 
 COMMANDS: Dict[str, Command] = {
@@ -554,8 +546,8 @@ COMMANDS: Dict[str, Command] = {
         "(repro.netreal)",
         (Flag("workload", "netreal workload", default="pingpong", nargs="?"),)
         + _REAL_FLAGS
-        + (Flag("--keep-traces", "keep each node's trace JSONL here",
-                metavar="DIR"), JSON),
+        + (Flag("--keep-traces", "keep each node's trace JSONL and "
+                "durable files here", metavar="DIR"), JSON),
     ),
     "real-node": Command(
         "repro.netreal.runner:run_real_node",

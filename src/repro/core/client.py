@@ -150,6 +150,8 @@ class ClientProcessor:
 
     def boot(self, parent_mid: Optional[int] = None) -> None:
         """Start the client: Initialization (as a BOOTING handler), then Task."""
+        if self.dead:  # DIEd before its boot instant
+            return
         if self.booted:
             raise RuntimeError(f"{self.name} already booted")
         self.booted = True

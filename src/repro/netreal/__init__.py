@@ -21,7 +21,7 @@ from repro.netreal.trace_io import (
     merge_records,
     merge_traces,
 )
-from repro.netreal.udp import Impairments, UdpMedium, UdpNic
+from repro.netreal.udp import UdpMedium, UdpNic
 from repro.netreal.wire import (
     MAX_DATAGRAM_BYTES,
     WIRE_VERSION,
@@ -39,7 +39,6 @@ __all__ = [
     "load_trace",
     "merge_records",
     "merge_traces",
-    "Impairments",
     "UdpMedium",
     "UdpNic",
     "MAX_DATAGRAM_BYTES",

@@ -10,7 +10,10 @@ and shared epoch across processes).
 
 The kernel, connection machinery, transport policies, and client
 programs are byte-for-byte the simulator's; only the substrate below
-``SchedulerBackend`` + NIC differs, and only the wall-clock lifecycle
+``SchedulerBackend`` + NIC differs.  ``faults`` is the bus's
+:class:`~repro.net.errors.FaultPlan`, asked per delivery exactly as on
+the simulator, so chaos schedule actions turn the same dials on either
+backend.  Only the wall-clock lifecycle
 (``open`` / ``run`` / ``run_until`` / ``close``) is this class's own.
 """
 
@@ -21,8 +24,9 @@ from typing import Callable, Dict, Optional
 
 from repro.core.config import KernelConfig
 from repro.core.node import Network, SodaNode
+from repro.net.errors import FaultPlan
 from repro.netreal.scheduler import WallClockScheduler
-from repro.netreal.udp import Impairments, UdpMedium, UdpNic
+from repro.netreal.udp import UdpMedium, UdpNic
 from repro.sim.tracing import CostLedger
 
 
@@ -36,16 +40,17 @@ class RealNetwork(Network):
         seed: int = 0,
         config: Optional[KernelConfig] = None,
         bandwidth_bps: int = 1_000_000,
-        impairments: Optional[Impairments] = None,
+        faults: Optional[FaultPlan] = None,
         host: str = "127.0.0.1",
         keep_trace: bool = True,
     ) -> None:
         self.sim = WallClockScheduler(seed=seed, keep_trace=keep_trace)
         self.config = config or KernelConfig()
+        self.faults = faults or FaultPlan()
         self.bus = UdpMedium(
             self.sim,
             bandwidth_bps=bandwidth_bps,
-            impairments=impairments,
+            faults=self.faults,
             host=host,
         )
         self.ledger = CostLedger()

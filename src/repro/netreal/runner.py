@@ -22,9 +22,11 @@ choreography:
    builder, the KV sink and the causal engine (SODA010-013).
 
 Each child builds its node with :func:`repro.workloads.place` — the
-same spec, role program and disk a sim run of the workload gets — and a
-scripted blackout is the chaos harness's own
-:class:`~repro.chaos.scenario.PowerLoss`.
+same spec and role program a sim run gets, a durable role's disk as
+real files in the run directory — and applies the named chaos schedule
+(:func:`real_schedule`): network actions turn the child's own
+:class:`~repro.net.errors.FaultPlan`, which governs its sends, and role
+actions fire only in the child hosting the role.
 
 Every wait carries a hard timeout and stragglers are killed: a wedged
 child can fail the run but never hang it.
@@ -45,12 +47,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import Scenario, TargetedDrop, ThunderingHerd
 from repro.cli import COMMANDS, flag_argv
+from repro.durability.disk import FileDisk
 from repro.netreal.node import RealNetwork
 from repro.netreal.trace_io import dump_trace, merge_traces
-from repro.netreal.udp import Impairments
 from repro.transport.retransmit import RetransmitPolicy
-from repro.workloads import REAL_WORKLOADS, get_spec, place
+from repro.workloads import REAL_WORKLOADS, WorkloadSpec, get_spec, place
 
 #: Seconds between spawning children and the shared epoch.
 START_GRACE_S = 0.75
@@ -69,15 +73,24 @@ def _kill_group(child: subprocess.Popen) -> None:
         child.kill()
 
 
-def policy_for(name: str) -> RetransmitPolicy:
-    from repro.transport.adaptive import AdaptivePolicy
-    from repro.transport.retransmit import StaticPolicy
+#: Actions a run with one node per OS process cannot honour, and why.
+UNFIT_ACTIONS = {
+    TargetedDrop: "counts frames network-wide",
+    ThunderingHerd: "adds nodes that no process hosts",
+}
 
-    if name == "static":
-        return StaticPolicy()
-    if name == "adaptive":
-        return AdaptivePolicy()
-    raise ValueError(f"unknown policy {name!r} (static|adaptive)")
+
+def real_schedule(name: str, spec: WorkloadSpec) -> Scenario:
+    """The named chaos schedule for a real run of ``spec``: KeyError if
+    unknown, ValueError naming an action in :data:`UNFIT_ACTIONS`."""
+    scenario = make_schedule(name, spec)
+    for action in scenario.actions:
+        if type(action) in UNFIT_ACTIONS:
+            raise ValueError(
+                f"schedule {name!r} does not fit the real backend: "
+                f"{type(action).__name__} {UNFIT_ACTIONS[type(action)]}"
+            )
+    return scenario
 
 
 @dataclass
@@ -86,8 +99,7 @@ class RealRunResult:
 
     workload: str
     seed: int
-    policy: str
-    loss: float
+    schedule: str
     processes: int
     records: int
     invariant_violations: List[str] = field(default_factory=list)
@@ -109,7 +121,7 @@ class RealRunResult:
     spurious_retransmits: int = 0
     retransmits: int = 0
     decode_errors: int = 0
-    impaired_losses: int = 0
+    drops: int = 0
 
     def problems(self) -> List[str]:
         return (
@@ -127,8 +139,7 @@ class RealRunResult:
         return {
             "workload": self.workload,
             "seed": self.seed,
-            "policy": self.policy,
-            "loss": self.loss,
+            "schedule": self.schedule,
             "processes": self.processes,
             "records": self.records,
             "ok": self.ok,
@@ -149,7 +160,7 @@ class RealRunResult:
             "spurious_retransmits": self.spurious_retransmits,
             "retransmits": self.retransmits,
             "decode_errors": self.decode_errors,
-            "impaired_losses": self.impaired_losses,
+            "drops": self.drops,
         }
 
 
@@ -202,7 +213,7 @@ def analyze_merged(
     result.spurious_retransmits = counts["conn.spurious_retransmit"]
     result.retransmits = counts["conn.retransmit"]
     result.decode_errors = counts["netreal.decode_error"]
-    result.impaired_losses = counts["net.drop"]
+    result.drops = counts["net.drop"]
 
     # The KV consistency verdict runs on the same merged stream the sim
     # chaos harness checks — that is the whole point of the design.
@@ -266,20 +277,18 @@ def judge_traces(
 
 
 async def _parent(
-    node: Dict[str, Any], trace_dir: Path, out, horizon_us: Optional[float]
+    node: Dict[str, Any], trace_dir: Path, out
 ) -> RealRunResult:
     """``node`` is what every child is told, keyed as the ``real-node``
-    row of ``COMMANDS`` names it: workload, seed, policy, loss, durable,
-    power_loss_at."""
-    workload, policy_name, loss = node["workload"], node["policy"], node["loss"]
+    row of ``COMMANDS`` names it: workload, seed, schedule."""
+    workload, schedule = node["workload"], node["schedule"]
     spec = get_spec(workload, REAL_WORKLOADS)
-    horizon = float(horizon_us) if horizon_us else spec.until_us
+    horizon = real_schedule(schedule, spec).horizon(spec)
     count = len(spec.roles)
     result = RealRunResult(
         workload=workload,
         seed=node["seed"],
-        policy=policy_name,
-        loss=loss,
+        schedule=schedule,
         processes=count,
         records=0,
     )
@@ -388,8 +397,7 @@ async def _parent(
                 await writers[mid].drain()
             out(
                 f"real: {workload} across {count} OS process(es) "
-                f"[policy={policy_name}, loss={loss:g}, "
-                f"horizon={horizon / 1e6:.1f}s]"
+                f"[schedule={schedule}, horizon={horizon / 1e6:.1f}s]"
             )
             await gather(
                 dones,
@@ -428,47 +436,30 @@ async def _parent(
             f"node process(es) {failed} did not finish cleanly"
         )
 
-    judge_traces(trace_paths, policy_for(policy_name), result, out)
+    judge_traces(trace_paths, chaos_config().retransmit, result, out)
     return result
 
 
 def run_real(
     workload: str,
     seed: int = 1,
-    policy: str = "adaptive",
-    loss: float = 0.0,
+    schedule: str = "calm",
     out=print,
-    horizon_us: Optional[float] = None,
     keep_traces: Optional[str] = None,
-    durable: Optional[str] = None,
-    power_loss_at_us: Optional[float] = None,
 ) -> RealRunResult:
-    """Run one workload across real OS processes and analyze the merge.
+    """Run one workload under a chaos schedule across real OS processes
+    and analyze the merge.
 
-    ``durable`` roots each replica role's WAL + snapshots in real files
-    under ``<durable>/<role>`` (a :class:`~repro.durability.disk.
-    FileDisk` behind the standard fault disk); ``power_loss_at_us``
-    power-fails every durable node at that run time and reboots it
-    half a second later, so the cluster must recover from disk.
+    The traces, and the files of each durable role's disk, go under
+    ``keep_traces`` or a temporary directory.
     """
-    if power_loss_at_us is not None and not durable:
-        raise ValueError("--power-loss-at requires --durable DIR")
-    if durable:
-        Path(durable).mkdir(parents=True, exist_ok=True)
-    node = {
-        "workload": workload,
-        "seed": seed,
-        "policy": policy,
-        "loss": loss,
-        "durable": durable,
-        "power_loss_at": power_loss_at_us,
-    }
+    node = {"workload": workload, "seed": seed, "schedule": schedule}
     if keep_traces:
         trace_dir = Path(keep_traces)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        return asyncio.run(_parent(node, trace_dir, out, horizon_us))
+        return asyncio.run(_parent(node, trace_dir, out))
     with tempfile.TemporaryDirectory(prefix="repro-real-") as tmp:
-        return asyncio.run(_parent(node, Path(tmp), out, horizon_us))
+        return asyncio.run(_parent(node, Path(tmp), out))
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +468,16 @@ def run_real(
 
 
 async def _child(net: RealNetwork, ns) -> None:
-    from repro.chaos.scenario import PowerLoss
-    from repro.durability.disk import FileDisk
-
     spec = get_spec(ns.workload, REAL_WORKLOADS)
     role = spec.roles[ns.role]
-    media = (
-        (lambda durable: FileDisk(os.path.join(ns.durable, durable.name)))
-        if ns.durable
-        else None
+    # A durable role keeps its WAL and snapshots as real files in the
+    # run directory, next to the trace.
+    run_dir = os.path.dirname(ns.trace)
+    built = place(
+        net, spec, mids=(ns.role,),
+        media=lambda durable: FileDisk(os.path.join(run_dir, durable.name)),
     )
-    built = place(net, spec, mids=(ns.role,), media=media)
-    if ns.power_loss_at is not None and role.durable:
-        # Scripted blackout: power-fail this node mid-run, then reboot
-        # it from its factory half a second later — state must come
-        # back from the FileDisk, not memory.
-        PowerLoss(ns.power_loss_at, (role.name,)).apply(built)
+    real_schedule(ns.schedule, spec).apply(built)
     addresses = await net.open()
 
     reader, writer = await asyncio.open_connection("127.0.0.1", ns.control)
@@ -521,8 +506,7 @@ async def _child(net: RealNetwork, ns) -> None:
             "role": role.name,
             "workload": ns.workload,
             "seed": ns.seed,
-            "policy": ns.policy,
-            "loss": ns.loss,
+            "schedule": ns.schedule,
             "ledger": net.ledger.snapshot(),
             "records": len(records),
         },
@@ -536,17 +520,8 @@ async def _child(net: RealNetwork, ns) -> None:
 
 def run_real_node(ns) -> int:
     """Entry point for one node process (not for interactive use)."""
-    # chaos_config harmonizes Delta-t windows with the retransmit
-    # policy, exactly as the chaos harness runs the sim backend.
-    from repro.chaos.runner import chaos_config
-
-    net = RealNetwork(
-        seed=ns.seed,
-        config=chaos_config(policy_for(ns.policy)),
-        impairments=(
-            Impairments(loss_probability=ns.loss) if ns.loss > 0.0 else None
-        ),
-    )
+    # The kernel configuration a chaos cell runs under, on either backend.
+    net = RealNetwork(seed=ns.seed, config=chaos_config())
     try:
         # The whole child — control handshake included — runs on the
         # scheduler's own event loop: the UDP endpoints and kernel

@@ -18,11 +18,15 @@ Differences from the bus, all consequences of being real:
   1 Mbit/s Megalink figure) so sim-vs-real cost breakdowns stay
   comparable, but the OS owns actual queueing; ``busy_time_us``
   accumulates the model figure.
-* **Faults.**  Real loopback never drops, so chaos-style impairment is
-  a userspace shim on the send path: seeded drop/delay/reorder per
-  delivery (netem's model), drawing from the scheduler's named RNG
-  streams so fault *decisions* replay deterministically even though
-  timing does not.
+* **Faults.**  Real loopback never drops, so the bus's own
+  :class:`~repro.net.errors.FaultPlan` is asked per delivery on the
+  send path, with the bus's rule and ``net.drop`` / ``net.replay``
+  records: chaos schedules drive both backends.  Coins come from a
+  per-sender stream, so fault *decisions* replay deterministically even
+  though timing does not.
+* **Send order.**  A datagram leaves after the callback that sent it
+  returns (``call_soon``), so the sender's ``kernel.tx`` is always
+  stamped before any peer can stamp the matching ``kernel.rx``.
 * **Decode errors.**  A datagram that fails :func:`~repro.netreal.wire.
   decode_frame` is counted and traced (``netreal.decode_error``) and
   dropped right there — the exception never crosses the NIC boundary.
@@ -31,9 +35,9 @@ Differences from the bus, all consequences of being real:
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.net.errors import FaultPlan
 from repro.net.frame import BROADCAST_MID, Frame, sender_frame_ids
 from repro.net.nic import NetworkInterface
 from repro.netreal.wire import WireDecodeError, decode_frame, encode_frame
@@ -42,44 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netreal.scheduler import WallClockScheduler
 
 Address = Tuple[str, int]
-
-
-@dataclass
-class Impairments:
-    """Seeded userspace link impairment (netem-style).
-
-    Applied independently per delivery on the send path: a broadcast to
-    three peers draws three loss coins.  ``delay_us`` + uniform jitter
-    holds a datagram in the scheduler before the socket write; a
-    reorder strike adds ``reorder_extra_us`` on top, letting a later
-    send overtake this one.
-    """
-
-    loss_probability: float = 0.0
-    delay_us: float = 0.0
-    jitter_us: float = 0.0
-    reorder_probability: float = 0.0
-    reorder_extra_us: float = 2_000.0
-    #: Deliver a fraction of datagrams twice, the copy this much later —
-    #: the real-socket mirror of the sim's ``DuplicateWindow``.
-    duplicate_probability: float = 0.0
-    duplicate_delay_us: float = 2_000.0
-    #: Deterministic alternative to ``loss_probability``: drop every
-    #: Nth delivery per sender (0 = off).  The sim-vs-real bench uses
-    #: this so both policies face the *same* loss pattern — coin-flip
-    #: losses make wall-clock A/B comparisons unrepeatable.
-    drop_every: int = 0
-
-    @property
-    def active(self) -> bool:
-        return (
-            self.loss_probability > 0.0
-            or self.delay_us > 0.0
-            or self.jitter_us > 0.0
-            or self.reorder_probability > 0.0
-            or self.duplicate_probability > 0.0
-            or self.drop_every > 0
-        )
 
 
 class UdpNic(NetworkInterface):
@@ -145,14 +111,14 @@ class UdpMedium:
         self,
         sim: "WallClockScheduler",
         bandwidth_bps: int = 1_000_000,
-        impairments: Optional[Impairments] = None,
+        faults: Optional[FaultPlan] = None,
         host: str = "127.0.0.1",
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.sim = sim
         self.bandwidth_bps = bandwidth_bps
-        self.impairments = impairments or Impairments()
+        self.faults = faults or FaultPlan()
         self.host = host
         self.registry: Dict[int, Address] = {}
         self._interfaces: Dict[int, UdpNic] = {}
@@ -164,12 +130,7 @@ class UdpMedium:
         self.datagrams_received = 0
         self.decode_errors = 0
         self.socket_errors = 0
-        self.frames_impaired_lost = 0
-        self.frames_delayed = 0
-        self.frames_reordered = 0
-        self.frames_duplicated = 0
         self.mid_screened = 0
-        self._deliveries_by_sender: Dict[int, int] = {}
         self._closed = False
 
     # -- topology -----------------------------------------------------------
@@ -244,7 +205,7 @@ class UdpMedium:
     # -- transmission -------------------------------------------------------
 
     def send(self, frame: Frame) -> None:
-        """Encode once, deliver per target (with optional impairment)."""
+        """Encode once, deliver per target under the fault plan."""
         self.frames_sent += 1
         self.bytes_sent += frame.wire_bytes
         frame.tx_us = self.serialization_us(frame)
@@ -268,70 +229,42 @@ class UdpMedium:
     def _deliver_one(
         self, frame: Frame, datagram: bytes, dst_mid: int
     ) -> None:
-        impair = self.impairments
-        if impair.active:
-            if impair.drop_every > 0:
-                count = self._deliveries_by_sender.get(frame.src, 0) + 1
-                self._deliveries_by_sender[frame.src] = count
-                if count % impair.drop_every == 0:
-                    self.frames_impaired_lost += 1
-                    self.sim.trace.record(
-                        self.sim.now, "net.drop",
-                        frame.src, dst_mid, frame.frame_id,
-                    )
-                    return
-            # Per-sender streams: in a multi-process run every process
-            # shares the master seed, so a single shared stream name
-            # would give all senders the *same* coin sequence.
-            rng = self.sim.rng.stream(f"netreal.impair.{frame.src}")
-            if rng.random() < impair.loss_probability:
-                self.frames_impaired_lost += 1
-                self.sim.trace.record(
-                    self.sim.now, "net.drop",
-                    frame.src, dst_mid, frame.frame_id,
+        # BroadcastBus._deliver's rule, with a per-sender stream: every
+        # process of a run shares the master seed, so one shared stream
+        # would give all senders the *same* coin sequence.
+        rng = self.sim.rng.stream(f"bus.faults.{frame.src}")
+        if not self.faults.delivers(frame, dst_mid, rng):
+            self.sim.trace.record(
+                self.sim.now, "net.drop", frame.src, dst_mid, frame.frame_id,
+            )
+            return
+        delays = self.faults.delivery_delays(frame, dst_mid, rng)
+        for delay in delays:
+            if delay <= 0.0:
+                self.sim.loop.call_soon(
+                    self._sendto, frame.src, datagram, dst_mid
                 )
-                return
-            delay_us = impair.delay_us
-            if impair.jitter_us > 0.0:
-                delay_us += rng.uniform(0.0, impair.jitter_us)
-            if (
-                impair.reorder_probability > 0.0
-                and rng.random() < impair.reorder_probability
-            ):
-                delay_us += impair.reorder_extra_us
-                self.frames_reordered += 1
-            if (
-                impair.duplicate_probability > 0.0
-                and rng.random() < impair.duplicate_probability
-            ):
-                # Second copy of the same datagram, later: a replayed
-                # frame the receiver must treat as stale, not new work.
-                self.frames_duplicated += 1
-                self.sim.trace.record(
-                    self.sim.now, "net.replay",
-                    frame.src, dst_mid, frame.frame_id, "dup",
-                )
+            else:
                 self.sim.schedule(
-                    delay_us + impair.duplicate_delay_us,
-                    self._sendto, frame.src, datagram, dst_mid,
+                    delay, self._sendto, frame.src, datagram, dst_mid
                 )
-            if delay_us > 0.0:
-                self.frames_delayed += 1
-                self.sim.schedule(
-                    delay_us, self._sendto, frame.src, datagram, dst_mid
-                )
-                return
-        self._sendto(frame.src, datagram, dst_mid)
+        if len(delays) != 1 or delays[0] > 0.0:
+            self.sim.trace.record(
+                self.sim.now, "net.replay",
+                frame.src, dst_mid, frame.frame_id,
+                "dup" if len(delays) > 1 else "reorder",
+            )
 
     def _sendto(self, src_mid: int, datagram: bytes, dst_mid: int) -> None:
         if self._closed:
-            # A timer callback (retransmit, replication round, delayed
-            # duplicate) racing the shutdown path: the socket is gone,
+            # A queued datagram or timer callback (retransmit,
+            # replication round, delayed duplicate) racing the shutdown
+            # path: the socket is gone,
             # the datagram simply never leaves — exactly like pulling a
             # real cable.
             return
         address = self.registry.get(dst_mid)
-        if address is None:  # peer vanished after a delay strike
+        if address is None:  # peer vanished meanwhile
             return
         transport = self._transport_for_send(src_mid)
         if transport is None:

@@ -36,7 +36,7 @@ from repro.core.boot import ProgramImage
 from repro.core.buffers import Buffer
 from repro.core.client import ClientProgram
 from repro.core.config import KernelConfig
-from repro.core.node import Network
+from repro.core.node import Network, SodaNode
 from repro.core.patterns import make_well_known_pattern
 from repro.durability.disk import DiskFaultPlan, FaultDisk, SimDisk
 from repro.net.errors import FaultPlan
@@ -390,7 +390,8 @@ class BuiltWorkload:
     """A placed-but-not-yet-run workload.
 
     ``net`` has one node per placed role (MID = role index) with the
-    role's program installed.  The chaos harness reboots a dead node's
+    role's program installed; :meth:`placed` finds it, or None for a
+    role placed elsewhere.  The chaos harness reboots a dead node's
     client by calling its role factory again.
     """
 
@@ -407,6 +408,11 @@ class BuiltWorkload:
         raise KeyError(
             f"workload {self.spec.name!r} has no role {role_name!r}"
         )
+
+    def placed(self, role_name: str) -> Optional[SodaNode]:
+        """The role's node, or None where this network does not host it
+        (a real node process places one role)."""
+        return self.net.nodes.get(self.mid_of(role_name))
 
     def run(self) -> Network:
         self.net.run(until=self.spec.until_us)

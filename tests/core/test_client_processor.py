@@ -194,3 +194,46 @@ def test_repr_reflects_state(network):
     node.crash_client()
     # ClientProcessor.kill leaves a dead processor behind.
     assert node.kernel.client is None
+
+
+def test_a_client_died_before_its_boot_instant_never_boots():
+    """DIE at 25 ms on a client booting at 50 ms, reboot at 600 ms: the
+    dead incarnation must not boot beside the rebooted one (two
+    incarnations on one kernel read as INV-HANDLER), and the rebooted
+    client completes every round."""
+    from repro.analysis.invariants import check_stream
+    from repro.chaos.runner import chaos_config
+    from repro.chaos.scenario import ClientDie, Reboot, Scenario
+    from repro.workloads import (
+        EchoClient,
+        EchoServer,
+        WorkloadRole,
+        WorkloadSpec,
+        place,
+    )
+
+    spec = WorkloadSpec(
+        "late_client",
+        seed=3,
+        until_us=2_000_000.0,
+        roles=(
+            WorkloadRole("server", EchoServer),
+            WorkloadRole(
+                "client", lambda: EchoClient(rounds=3), boot_at_us=50_000.0
+            ),
+        ),
+    )
+    net = Network(seed=3, config=chaos_config())
+    built = place(net, spec)
+    first = net.nodes[1].client
+    Scenario(
+        "client_flap",
+        (ClientDie(25_000.0, "client"), Reboot(600_000.0, "client")),
+    ).run(built)
+
+    violations = check_stream(net.sim.trace.records)
+    assert violations == [], [v.format() for v in violations]
+    assert first.dead and not first.booted
+    rebooted = net.nodes[1].client
+    assert rebooted is not first
+    assert rebooted.program.completions == ["completed"] * 3

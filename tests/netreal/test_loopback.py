@@ -17,7 +17,8 @@ from repro.analysis.causal import (
     check_stream,
     detect_deadlocks,
 )
-from repro.netreal import Impairments, RealNetwork
+from repro.net.errors import FaultPlan
+from repro.netreal import RealNetwork
 from repro.obs.spans import build_spans
 from repro.workloads import EchoClient, EchoServer
 
@@ -29,8 +30,8 @@ TIMEOUT_US = 20_000_000.0
 GRACE_US = 300_000.0
 
 
-def _run_pingpong(impairments=None, rounds=2, seed=11):
-    net = RealNetwork(seed=seed, impairments=impairments)
+def _run_pingpong(faults=None, rounds=2, seed=11):
+    net = RealNetwork(seed=seed, faults=faults)
     try:
         server = EchoServer()
         clients = [EchoClient(rounds=rounds) for _ in range(2)]
@@ -71,7 +72,7 @@ def test_pingpong_over_real_sockets():
 
 def test_pingpong_survives_seeded_loss():
     finished, clients, records = _run_pingpong(
-        impairments=Impairments(loss_probability=0.15), seed=12
+        faults=FaultPlan(loss_probability=0.15), seed=12
     )
     assert finished, "clients did not finish despite retransmission"
     for client in clients:
@@ -108,9 +109,7 @@ def test_unknown_destination_vanishes_like_the_bus():
 @pytest.mark.parametrize("loss", [0.0, 0.3])
 def test_decode_errors_are_contained(loss):
     """Garbage datagrams hit the counter, not the kernel."""
-    net = RealNetwork(
-        seed=14, impairments=Impairments(loss_probability=loss)
-    )
+    net = RealNetwork(seed=14, faults=FaultPlan(loss_probability=loss))
     try:
         client = EchoClient(rounds=1)
         net.add_node(program=EchoServer(), name="server")
@@ -136,3 +135,66 @@ def test_decode_errors_are_contained(loss):
         assert all(rec["mid"] == 1 for rec in errors)
     finally:
         net.close()
+
+
+@pytest.mark.parametrize(
+    "plan, counter, category, kind",
+    [
+        ({"loss_probability": 0.3}, "frames_lost", "net.drop", None),
+        ({"duplicate_probability": 0.3}, "deliveries_duplicated",
+         "net.replay", "dup"),
+        ({"reorder_probability": 0.3}, "deliveries_reordered",
+         "net.replay", "reorder"),
+    ],
+    ids=["loss", "duplicate", "reorder"],
+)
+def test_the_bus_fault_plan_governs_real_deliveries(
+    plan, counter, category, kind
+):
+    """The medium asks the bus's FaultPlan per delivery: each fault
+    shows in the plan's own counter and as the bus's trace record."""
+    faults = FaultPlan(**plan)
+    finished, clients, records = _run_pingpong(faults=faults, seed=15)
+    assert finished
+    for client in clients:
+        assert client.completions == ["completed"] * 2
+    struck = [
+        rec for rec in records
+        if rec.category == category
+        and (kind is None or rec["kind"] == kind)
+    ]
+    assert getattr(faults, counter) == len(struck) > 0
+    violations = check_stream(records)
+    assert violations == [], [v.format() for v in violations]
+
+
+def test_a_datagram_leaves_after_its_kernel_tx_is_recorded():
+    """A datagram is written only once the sender's ``kernel.tx`` for
+    it is in the trace, so no peer can record the ``kernel.rx`` first
+    (the merge of a multi-process run would then order rx before tx)."""
+    from repro.netreal.wire import decode_frame
+
+    net = RealNetwork(seed=16)
+    late: list = []
+    written: list = []
+    sendto = net.bus._sendto
+
+    def checked_sendto(src_mid, datagram, dst_mid):
+        fid = decode_frame(datagram).frame_id
+        written.append(fid)
+        if not any(
+            rec.category == "kernel.tx" and rec["fid"] == fid
+            for rec in net.sim.trace.records
+        ):
+            late.append(fid)
+        sendto(src_mid, datagram, dst_mid)
+
+    net.bus._sendto = checked_sendto
+    try:
+        client = EchoClient(rounds=2)
+        net.add_node(program=EchoServer(), name="server")
+        net.add_node(program=client, name="ping", boot_at_us=20_000.0)
+        assert net.run_until(lambda: client.finished, timeout=TIMEOUT_US)
+    finally:
+        net.close()
+    assert written and late == []

@@ -171,17 +171,20 @@ def test_a_cut_between_lines_is_torn_by_the_headers_count(tmp_path):
 
 
 def test_runner_reports_a_torn_file_and_does_not_judge_it(tmp_path):
-    from repro.netreal.runner import RealRunResult, judge_traces, policy_for
+    from repro.chaos.runner import chaos_config
+    from repro.netreal.runner import RealRunResult, judge_traces
 
     paths = [tmp_path / f"trace-{mid}.jsonl" for mid in range(2)]
     for mid, path in enumerate(paths):
         _dump_two(path, mid)
     paths[1].write_bytes(paths[1].read_bytes()[:-15])
     result = RealRunResult(
-        workload="pingpong", seed=1, policy="adaptive", loss=0.0,
+        workload="pingpong", seed=1, schedule="calm",
         processes=2, records=0,
     )
-    judge_traces(paths, policy_for("adaptive"), result, out=lambda line: None)
+    judge_traces(
+        paths, chaos_config().retransmit, result, out=lambda line: None
+    )
     assert result.runner_problems == ["node 1's trace is torn: 1 of 2 records"]
     assert not result.ok
     assert result.records == 3
@@ -206,7 +209,7 @@ def test_runner_judges_a_merged_kv_trace_in_one_pass():
     net = build_workload("kvstore").run()
     records = list(net.sim.trace.records)
     result = RealRunResult(
-        workload="kvstore", seed=18, policy="static", loss=0.0,
+        workload="kvstore", seed=18, schedule="calm",
         processes=4, records=len(records),
     )
     analyze_merged(records, net.ledger, RetransmitPolicy(), result)

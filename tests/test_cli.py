@@ -84,10 +84,26 @@ def test_lint_disable_takes_its_value_as_the_next_word(capsys):
 def test_unknown_names_are_usage_errors(capsys):
     assert main(["chaos", "--schedule", "nope"]) == 2
     assert main(["real", "nope"]) == 2
-    assert main(["real", "pingpong", "--power-loss-at", "5"]) == 2
+    assert main(["real", "pingpong", "--schedule", "nope"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown schedule(s): nope" in captured.err
+    assert "unknown schedule 'nope'; choose from" in captured.err
+
+
+@pytest.mark.parametrize(
+    "workload, schedule, action",
+    [("pingpong", "strike", "TargetedDrop"),
+     ("kvstore", "thundering_herd", "ThunderingHerd")],
+)
+def test_real_refuses_a_schedule_that_does_not_fit(
+    capsys, workload, schedule, action
+):
+    assert main(["real", workload, "--schedule", schedule]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"schedule {schedule!r} does not fit" in captured.err
+    assert action in captured.err
 
 
 def test_real_node_argv_round_trips_through_its_table_row():
@@ -95,11 +111,11 @@ def test_real_node_argv_round_trips_through_its_table_row():
     # child parses that list with the same row.
     values = {
         "workload": "kvstore", "role": 0, "control": 5000,
-        "trace": "/tmp/trace-0.jsonl", "seed": 3, "policy": "static",
-        "loss": 0.1, "durable": None, "power_loss_at": 2000000.0,
+        "trace": "/tmp/trace-0.jsonl", "seed": 3,
+        "schedule": "cluster_restart",
     }
     argv = flag_argv(COMMANDS["real-node"].flags, values)
-    assert "--durable" not in argv  # None = left out
+    assert argv[-2:] == ["--schedule", "cluster_restart"]
     parsed = vars(build_parser().parse_args(["real-node"] + argv))
     assert parsed == {"command": "real-node", **values}
 
