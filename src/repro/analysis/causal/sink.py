@@ -15,15 +15,19 @@ clock-annotated; ``#index`` is a record's position in the stream.
 terminal record (``kernel.complete`` / ``kernel.cancelled``), except
 that a COMPLETED non-DISCOVER one whose delivery has not been seen waits
 for it; a delivered cell is dropped at ``done`` / ``cancelled``, and of
-crashes only the last per node is kept.  Frame clocks are the state
-that outlives its use: a broadcast frame's, and a lost unicast frame's
-(DESIGN.md §21).
+crashes only the last per node is kept.  A unicast frame's clock is
+dropped at its rx; every frame's, broadcast or lost, once the stream
+passes its ``kernel.tx`` time plus Delta-t's maximum packet lifetime
+(``mpl_us``, §5.2.2: no frame lives longer).  An rx after that draws no
+edge and counts in ``late_rx``, a transport violation (DESIGN.md §21).
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.net.frame import BROADCAST_MID
 from repro.sim.tracing import TRACE_SCHEMA, SinkTable, TraceRecord
@@ -120,7 +124,10 @@ class _Txn:
 class CausalSink:
     """Vector clocks and SODA010-012, one record at a time."""
 
-    def __init__(self) -> None:
+    def __init__(self, mpl_us: float = math.inf) -> None:
+        #: Maximum packet lifetime: how long a frame's clock is kept.
+        #: Pass the network's ``config.deltat.mpl_us``.
+        self.mpl_us = mpl_us
         #: Records stamped so far (the next record's ``#index``).
         self.records = 0
         self.clocks_allocated = 0
@@ -128,12 +135,19 @@ class CausalSink:
         self.send_edges = 0
         #: rx events whose frame id had no recorded tx: no edge drawn.
         self.unmatched_rx = 0
+        #: rx events more than ``mpl_us`` after their tx: no edge drawn.
+        self.late_rx = 0
         self._procs: Set[Tuple[int, int]] = set()
         self._slot: Dict[int, int] = {}
         self._clock: Dict[int, List[int]] = {}
         self._epoch: Dict[int, int] = {}
         #: fid -> (sender clock snapshot, broadcast?) of frames in flight.
         self._frames: Dict[int, Tuple[Tuple[int, ...], bool]] = {}
+        #: (expiry, sender, fid) of every recorded tx, in stream order.
+        self._lifetimes: Deque[Tuple[float, int, int]] = deque()
+        #: sender -> its highest fid whose lifetime has ended (a
+        #: sender's fids rise with its tx times).
+        self._expired: Dict[int, int] = {}
         self._txns: Dict[Tuple[int, int], _Txn] = {}
         #: per mid: its reset events, in trace order.
         self._resets: Dict[int, List[Event]] = {}
@@ -173,6 +187,7 @@ class CausalSink:
         clock[self._slot[mid]] += 1
         if category == "kernel.rx":
             fid = rec.get("fid")
+            self._expire(rec.time)
             entry = self._frames.get(fid)
             if entry is not None:
                 snapshot, broadcast = entry
@@ -184,16 +199,30 @@ class CausalSink:
                 if not broadcast:
                     del self._frames[fid]
             elif fid is not None:
-                self.unmatched_rx += 1
+                if fid <= self._expired.get(rec.get("src"), 0):
+                    self.late_rx += 1
+                else:
+                    self.unmatched_rx += 1
         snapshot = tuple(clock)
         if category == "kernel.tx":
             fid = rec.get("fid")
             if fid is not None:
+                self._expire(rec.time)
                 self._frames[fid] = (snapshot, rec.get("dst") == BROADCAST_MID)
+                if self.mpl_us < math.inf:
+                    self._lifetimes.append((rec.time + self.mpl_us, mid, fid))
         epoch = self._epoch[mid]
         self.clocks_allocated += 1
         self._procs.add((mid, epoch))
         return Event(index, rec.time, category, mid, epoch, snapshot)
+
+    def _expire(self, now: float) -> None:
+        """Drop the clocks of frames whose lifetime ended before ``now``."""
+        lifetimes = self._lifetimes
+        while lifetimes and lifetimes[0][0] < now:
+            _expiry, sender, fid = lifetimes.popleft()
+            self._frames.pop(fid, None)
+            self._expired[sender] = fid
 
     # -- SODA010 / SODA011: per transaction ---------------------------------
 

@@ -106,7 +106,8 @@ def run_causal(ns) -> int:
     for name in names:
         built = build_workload(name, keep_trace=False)
         checker = InvariantChecker(network=built.net, strict_completion=False)
-        spans, causal = SpanBuilder(), CausalSink()
+        spans = SpanBuilder()
+        causal = CausalSink(mpl_us=built.net.config.deltat.mpl_us)
         table = SinkTable(checker, spans, causal).install(built.net)
         built.run()
         diagnostics = [

@@ -457,3 +457,78 @@ class KernelMutationRule(LintRule):
                         f"{'.'.join(chain)}(); internal kernel/runtime "
                         f"entry points are not part of the client API",
                     )
+
+
+def _is_idle_yield(node: ast.AST) -> bool:
+    """``yield api.idle()``: one pass of the busy-wait loop."""
+    return (
+        isinstance(node, ast.Yield)
+        and isinstance(node.value, ast.Call)
+        and api_call_name(node.value) == "idle"
+    )
+
+
+@register_rule
+class IdleSpinRule(LintRule):
+    """SODA008: a task loop that can go round on ``yield api.idle()`` alone.
+
+    ``idle()`` is one pass of a busy-wait: the task wakes every
+    ``idle_poll_us`` whether or not anything happened.  A loop that can
+    come back to its head having blocked on nothing else spins for as
+    long as it waits; ``api.poll(predicate)`` waits for the handler
+    invocation that makes ``predicate`` true (the WAIT instruction,
+    §5.2.1) and costs nothing meanwhile.
+    """
+
+    rule_id = "SODA008"
+    summary = "task loop whose only blocking step is yield api.idle()"
+
+    def _simple(self, stmt: ast.AST, states):
+        """A path's state is (blocked on something else, idled)."""
+        yields = [
+            node
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Yield, ast.YieldFrom))
+        ]
+        idles = sum(1 for node in yields if _is_idle_yield(node))
+        other = len(yields) > idles
+        return {(blocked or other, idled or idles > 0) for blocked, idled in states}
+
+    def _walk(self, stmts, states, back):
+        """States at the end of ``stmts``; ``continue`` adds to ``back``."""
+        for stmt in stmts:
+            if not states:
+                break
+            if isinstance(stmt, ast.If):
+                states = self._walk(stmt.body, states, back) | self._walk(
+                    stmt.orelse, states, back
+                )
+            elif isinstance(stmt, ast.With):
+                states = self._walk(stmt.body, states, back)
+            elif isinstance(stmt, ast.Continue):
+                back |= states
+                states = set()
+            elif isinstance(stmt, (ast.Break, ast.Return, ast.Raise)):
+                states = set()
+            else:
+                states = self._simple(stmt, states)
+        return states
+
+    def check(self, model: ModuleModel) -> Iterator[Diagnostic]:
+        for cls in model.program_classes:
+            task = cls.sections.get("task")
+            if task is None:
+                continue
+            for loop in ast.walk(task):
+                if not isinstance(loop, (ast.While, ast.For)):
+                    continue
+                back = set()
+                back |= self._walk(loop.body, {(False, False)}, back)
+                if (False, True) in back:
+                    yield self.diagnostic(
+                        model,
+                        loop,
+                        f"{cls.name}.task loops on 'yield api.idle()' "
+                        f"alone; wait with 'yield from api.poll(...)' "
+                        f"for the handler invocation instead",
+                    )

@@ -120,9 +120,10 @@ class BufferConsumer(ClientProgram):
             # Checking emptiness is a single machine word; only the
             # multi-step dequeue/accept sequences need the CLOSE/OPEN
             # critical section, so the handler stays open while idle.
-            if self.produced.is_empty() and self.pending.is_empty():
-                yield api.idle()
-                continue
+            # The handler fills both queues: WAIT for its invocation.
+            yield from api.poll(
+                lambda: not (self.produced.is_empty() and self.pending.is_empty())
+            )
             yield from api.close()
             work = None
             if not self.produced.is_empty():

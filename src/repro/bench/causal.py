@@ -45,7 +45,7 @@ def run(ns=None) -> Dict[str, Any]:
     """Run the soak under the live checker; returns the deterministic body."""
     net = _build_soak()
     checker = InvariantChecker(network=net, strict_completion=True)
-    causal = CausalSink()
+    causal = CausalSink(mpl_us=net.config.deltat.mpl_us)
     table = SinkTable(checker, causal).install(net)
     net.run(until=SOAK_HORIZON_US)
     violations = checker.finish(ledger=net.ledger, end_time=table.end_time)

@@ -66,7 +66,9 @@ FRAME_COST_CELL = ("kvstore_supervised", "primary_crash_load", 3)
 #: and 5.527 since the cheap heartbeat frames went: an idle round sends
 #: no CONFIRM and the supervisor DISCOVERs each pattern once a poll;
 #: 7.686 and 5.475 since a KV round sends only the phases with
-#: something to carry).
+#: something to carry; 7.703 and 5.435 since a commit is said once;
+#: 7.447 and 5.228 since a calm primary runs one idle round per quiet
+#: period).
 EVENTS_PER_FRAME_MAX = 7.75
 RECORDS_PER_FRAME_MAX = 5.99
 

@@ -521,7 +521,7 @@ def run_cell(
     net = built.net
     checker = InvariantChecker(network=net, strict_completion=False)
     span_builder, kv_sink, recovery = SpanBuilder(), KvSink(), RecoverySink()
-    engine = [CausalSink()] if causal else []
+    engine = [CausalSink(mpl_us=net.config.deltat.mpl_us)] if causal else []
     table = SinkTable(
         checker, span_builder, kv_sink, recovery, recovery.detector, *engine
     ).install(net)

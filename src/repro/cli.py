@@ -417,7 +417,7 @@ def _real(ns) -> int:
     print(
         f"  spans: {result.spans_completed}/{result.spans_total} completed, "
         f"{result.send_edges} causal send edges, "
-        f"{result.unmatched_rx} unmatched rx"
+        f"{result.unmatched_rx} unmatched rx, {result.late_rx} late rx"
     )
     if result.rtt_p50_us is not None:
         print(

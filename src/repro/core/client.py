@@ -24,6 +24,7 @@ is active.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
@@ -291,7 +292,9 @@ class ClientProcessor:
         moves the clock itself while the simulator lets it
         (:meth:`~repro.sim.engine.Simulator.skip_to`).  DESIGN.md §11
         has the argument that this is the same evaluation at the same
-        instant, never an earlier or a dropped one.
+        instant, never an earlier or a dropped one.  With ``delay_us``
+        infinite there are no ticks and no timer at all: only a handler
+        invocation wakes the caller.
 
         A generator for client code; returns the sleep that follows the
         last tick: ``delay = yield from processor.wait_activity(...)``.
@@ -328,13 +331,14 @@ class ClientProcessor:
             if not future.resolved:
                 future.resolve(None)
 
-        timer = sim.schedule(delay_us, tick)
+        timer = None if delay_us == math.inf else sim.schedule(delay_us, tick)
         self._activity_waiters.append(future)
         try:
             yield future
         finally:
             # Also the way out when the context is killed mid-wait.
-            timer.cancel()
+            if timer is not None:
+                timer.cancel()
             self._activity_waiters.remove(future)
         return delay_us
 

@@ -114,6 +114,9 @@ class RealRunResult:
     partial_trace_tail: List[Dict[str, Any]] = field(default_factory=list)
     send_edges: int = 0
     unmatched_rx: int = 0
+    #: rx records more than Delta-t's packet lifetime after their tx:
+    #: a transport violation, counted (the causal sink draws no edge).
+    late_rx: int = 0
     spans_total: int = 0
     spans_completed: int = 0
     rtt_p50_us: Optional[float] = None
@@ -151,6 +154,7 @@ class RealRunResult:
             "partial_trace_tail": self.partial_trace_tail,
             "send_edges": self.send_edges,
             "unmatched_rx": self.unmatched_rx,
+            "late_rx": self.late_rx,
             "spans": {
                 "total": self.spans_total,
                 "completed": self.spans_completed,
@@ -176,7 +180,8 @@ def analyze_merged(
     from repro.sim.tracing import SinkTable
 
     checker, span_builder, kv_sink, causal = (
-        InvariantChecker(policy=policy), SpanBuilder(), KvSink(), CausalSink()
+        InvariantChecker(policy=policy), SpanBuilder(), KvSink(),
+        CausalSink(mpl_us=chaos_config().deltat.mpl_us),
     )
     table = SinkTable(checker, span_builder, kv_sink, causal)
     counts: Counter = Counter()
@@ -205,6 +210,7 @@ def analyze_merged(
     ]
     result.send_edges = causal.send_edges
     result.unmatched_rx = causal.unmatched_rx
+    result.late_rx = causal.late_rx
     result.spans_total = len(spans)
     result.spans_completed = sum(1 for span in spans if span.completed)
     if rtts:

@@ -26,12 +26,17 @@ broadcast, built only from SODA primitives:
   uncommitted suffix, and gaps walk the sender back — the log-matching
   property keeps committed prefixes identical everywhere.
 * The primary talks only when it has something to say: a round runs
-  while a client op is parked or a peer's log is behind; otherwise the
-  task waits for an interrupt (§5.2.1) and sends one bare APPEND per
-  peer per :data:`IDLE_ROUND_US`, which is how a rebooted, stale or
-  fencing peer is found in a calm.  A new commit index is no work: a
-  follower's is only a lower bound of the primary's, so it rides the
-  next APPEND (and its WAL mark the next fsync), not a round of its own.
+  while a client op is parked or a peer's log is behind.  After a
+  round with work, the task waits for an interrupt (§5.2.1) for at
+  most :data:`IDLE_ROUND_US` and then runs one idle round, a bare
+  APPEND per peer; after that it WAITs with no timer at all.  A new
+  commit index is no work: a follower's is only a lower bound of the
+  primary's, so it rides the next APPEND (the idle round's at the
+  latest, and its WAL mark the next fsync), not a round of its own.
+* A calm needs no heartbeat to find a peer that came back: a replica
+  on a rebooted node says HELLO to the primary it DISCOVERs, and the
+  primary drops that peer's ``matched`` so its next round has work.
+  A stale or fencing peer is found by the next op's round.
 * And each half of a round only when it carries something: the APPEND
   when a peer lacks entries, the CONFIRM when an op is parked or a peer
   is not fingerprint-matched to the log end.  A round that only serves
@@ -45,6 +50,7 @@ failovers — including retries of MAYBE outcomes — are always safe.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.buffers import Buffer
@@ -63,6 +69,7 @@ from repro.replication.wire import (
     MSG_APPEND,
     MSG_CONFIRM,
     MSG_FETCH,
+    MSG_HELLO,
     MSG_TAKEOVER,
     MSG_VOTE,
     OP_CAS,
@@ -86,8 +93,8 @@ from repro.replication.wire import (
 
 __all__ = ["KvReplica", "IDLE_ROUND_US"]
 
-#: Longest a replica's task sleeps with nothing to do; the primary runs
-#: one idle round (an APPEND to each peer) when it wakes.  The
+#: How long after a round with work the primary runs its one idle round
+#: (an APPEND to each peer) if no new work comes first.  The
 #: supervisor's poll interval.
 IDLE_ROUND_US = 200_000.0
 
@@ -148,6 +155,8 @@ class KvReplica(ClientProgram):
         self.pending_reads: List[Tuple[object, int, float]] = []
         self._takeover_requested = False
         self._quorum_confirmed_at = float("-inf")
+        #: Did the last round run without work (the idle round)?
+        self._idle_round_ran = False
 
     # -- program -------------------------------------------------------
 
@@ -195,6 +204,8 @@ class KvReplica(ClientProgram):
     def task(self, api):
         if self.claim_primary:
             yield from self._takeover(api)
+        if api.kernel.epoch and not self.primary:  # a rebooted backup
+            yield from self._hello(api)
         while True:
             if self._takeover_requested:
                 self._takeover_requested = False
@@ -205,13 +216,18 @@ class KvReplica(ClientProgram):
             yield from self._serve(api)
             if self._has_work():
                 yield api.compute(self.repl_interval_us)
-            else:
-                # WAIT: the handler invocation that parks work wakes us.
+            elif self.primary and not self._idle_round_ran:
+                # WAIT: the handler invocation that parks work wakes us;
+                # else the idle round carries the commit index out.
                 idle_until = api.now + IDLE_ROUND_US
                 yield from api.poll(
                     lambda: self._has_work() or api.now >= idle_until,
                     tick_us=IDLE_ROUND_US,
                 )
+            else:
+                # WAIT with no timer: every input of ``_has_work`` is
+                # written by a handler invocation or by this task.
+                yield from api.poll(self._has_work, tick_us=math.inf)
 
     def _has_work(self) -> bool:
         """Does the next round have something to say?"""
@@ -314,6 +330,11 @@ class KvReplica(ClientProgram):
                 pass
         elif header.msg == MSG_TAKEOVER:
             self._takeover_requested = True
+            yield from self._accept_arg(api, asker, 0)
+        elif header.msg == MSG_HELLO:
+            # The peer rebooted: whatever we matched may be gone (an
+            # amnesiac log, a lost commit mark).  Unmatched is work.
+            self.matched.pop(asker.mid, None)
             yield from self._accept_arg(api, asker, 0)
 
     def _handle_append(self, api, asker, header, put_size):
@@ -446,6 +467,7 @@ class KvReplica(ClientProgram):
         # all a calm needs; a GAP lowers ``matched`` so the next round
         # has work.
         to_ship, to_confirm = self._has_to_ship(), self._has_to_confirm()
+        self._idle_round_ran = not (to_ship or to_confirm)
         sends = []
         for mid in self.peer_mids if to_ship or not to_confirm else ():
             from_i = min(self.next_index.get(mid, 0), len(self.log))
@@ -577,7 +599,15 @@ class KvReplica(ClientProgram):
         arg = REPLY_CAS_FAIL if status == "cas_fail" else pack_result(version, token)
         yield from self._accept_arg(api, asker, arg)
 
-    # -- takeover (vote, pull, claim) ----------------------------------
+    # -- rejoin and takeover (hello, vote, pull, claim) ----------------
+
+    def _hello(self, api):
+        """Tell the primary we rebooted, one REQUEST open at a time."""
+        primaries = yield from api.discover_all(KV_PATTERN)
+        for mid in primaries:
+            yield from api.b_signal(
+                ServerSignature(mid, REPL_PATTERN), arg=pack_repl(MSG_HELLO)
+            )
 
     def _takeover(self, api, attempts: int = 8):
         api.sim.trace.record(api.now, "kv.takeover", api.my_mid, self.epoch)

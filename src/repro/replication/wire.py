@@ -103,6 +103,8 @@ MSG_CONFIRM = 2
 MSG_VOTE = 3
 MSG_FETCH = 4
 MSG_TAKEOVER = 5
+#: A rebooted replica to the primary: "I am back, maybe behind".
+MSG_HELLO = 6
 
 _EPOCH_MASK = (1 << 14) - 1
 _INDEX_MASK = (1 << 24) - 1

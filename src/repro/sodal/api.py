@@ -163,6 +163,10 @@ class SodalApi:
         ``tick_us`` replaces that grid with a fixed one, ``tick_us``
         apart: for a task that only needs interrupts and a clock of its
         own (a predicate with a deadline), one tick per ``tick_us``.
+        ``tick_us=math.inf`` is the pure WAIT: no tick and no timer, so
+        only a handler invocation looks at ``predicate`` again.  It is
+        exact only for a predicate whose every input a handler
+        invocation or the task itself writes (DESIGN.md §11).
         """
         first = self.idle() if tick_us is None else tick_us
         cap = IDLE_CAP_US if tick_us is None else tick_us

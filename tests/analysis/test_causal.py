@@ -105,6 +105,41 @@ def test_unmatched_frame_id_is_counted():
     assert sink.unmatched_rx == 1
 
 
+def test_a_frame_clock_lives_one_packet_lifetime():
+    """A frame's clock is kept until the stream passes its tx time plus
+    the maximum packet lifetime: an rx at the lifetime still draws the
+    edge, a later one draws none and counts as late (a transport
+    violation), and a frame id never sent still counts as unmatched."""
+    trace = Tracer()
+    trace.record(0.0, "kernel.tx", mid=0, dst=BROADCAST_MID, seq=0, pid=1, fid=100)
+    trace.record(50.0, "kernel.rx", mid=1, src=0, fid=100)
+    trace.record(51.0, "kernel.rx", mid=2, src=0, fid=100)
+    trace.record(60.0, "kernel.rx", mid=2, src=0, fid=101)
+    sink = CausalSink(mpl_us=50.0)
+    ev = [sink.stamp(rec) for rec in trace.records]
+    assert (sink.send_edges, sink.late_rx, sink.unmatched_rx) == (1, 1, 1)
+    assert happens_before(ev[0], ev[1])
+    assert concurrent(ev[0], ev[2])
+
+
+def test_frame_clocks_are_bounded_by_the_packet_lifetime():
+    """State bounded by open work, not by history: with the lifetime
+    from the network's config, the broadcast and lost frames of a whole
+    20 s supervised KV run are not all kept to the horizon."""
+    net = run_workload("kvstore_supervised")
+    bounded, unbounded = CausalSink(net.config.deltat.mpl_us), CausalSink()
+    for rec in net.sim.trace.records:
+        bounded.stamp(rec)
+        unbounded.stamp(rec)
+    assert bounded.send_edges == unbounded.send_edges > 0
+    assert (bounded.late_rx, bounded.unmatched_rx) == (0, 0)
+    end = net.sim.trace.records[-1].time
+    assert all(
+        expiry >= end for expiry, _mid, _fid in bounded._lifetimes
+    )
+    assert len(bounded._frames) < len(unbounded._frames) / 10
+
+
 def test_broadcast_frame_fans_out_to_every_receiver():
     trace = Tracer()
     trace.record(

@@ -26,7 +26,9 @@ from repro.analysis.linter import PARSE_ERROR_RULE, has_errors
 from repro.analysis.rules import _REGISTRY
 
 FIXTURES = Path(__file__).parent / "fixtures"
-RULE_IDS = ["SODA001", "SODA002", "SODA003", "SODA004", "SODA005", "SODA006"]
+RULE_IDS = [
+    "SODA001", "SODA002", "SODA003", "SODA004", "SODA005", "SODA006", "SODA008",
+]
 
 
 def lint_fixture(name: str, config: LintConfig = None):

@@ -257,11 +257,12 @@ def test_peak_open_state_equals_a_recount_after_every_record():
         open_now = recount(checker)
         assert checker.open_state() == open_now
         peak = max(peak, open_now)
-    # The whole crash-and-failover cell went through, not a stub: 8 082
-    # records since the commit index rides the next round (8 766 before,
+    # The whole crash-and-failover cell went through, not a stub: 5 699
+    # records since a calm primary runs one idle round per quiet period
+    # (8 082 before, 8 766 before the commit index rode the next round,
     # 9 810 before a round sent only the phases with something to carry,
     # 14 165 before the supervisor DISCOVERed each pattern once a poll).
-    assert checker.records_checked >= 8_082
+    assert checker.records_checked >= 5_699
     assert checker.peak_open_state == peak > 3
 
 

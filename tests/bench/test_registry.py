@@ -122,11 +122,12 @@ def test_verdicts_bite_on_an_unhealthy_body():
         "1 acknowledged write(s) lost"
     ]
     kv["comparison"]["acknowledged_write_loss"] = 0
-    # What calm cost while the supervisor broadcast once per replica and
-    # an idle round sent CONFIRMs.
-    kv["schedules"]["calm"]["requests_per_op"] = 28.57
+    # What calm cost while a calm primary ran an idle round every 200 ms
+    # (28.57 while the supervisor broadcast once per replica and an idle
+    # round sent CONFIRMs).
+    kv["schedules"]["calm"]["requests_per_op"] = 15.67
     assert load(BENCHES["kv"]).verdicts(kv) == [
-        "calm spends 28.57 kernel REQUESTs per op (> 1.1 x 17.07)"
+        "calm spends 15.67 kernel REQUESTs per op (> 1.1 x 10.73)"
     ]
 
     durability = _committed_body("durability")

@@ -267,10 +267,11 @@ def test_power_loss_drops_an_unsynced_commit_mark_to_the_previous_one():
 
 
 def test_replica_that_lost_its_commit_mark_rejoins():
-    """A backup learns the last commit index from an idle heartbeat,
-    whose APPEND asks for no barrier; a power loss in the calm then
-    drops that mark.  The backup recovers the previous one, and the
-    next heartbeat brings it level with the primary."""
+    """A backup learns the last commit index from the idle round, whose
+    APPEND asks for no barrier; a power loss in the calm then drops that
+    mark.  The backup recovers the previous one and says HELLO, and the
+    silent primary's next round brings it level.  Fails with the HELLO
+    dropped."""
     loss_at = 6_000_000.0
     built = build_workload("kvstore", seed=1)
     Scenario(

@@ -1,38 +1,52 @@
 """The KV primary replicates only when it has something to say.
 
-A round runs while a client op is parked or a peer's log is behind;
-otherwise the replica's task waits for an interrupt and runs one idle
-round per ``IDLE_ROUND_US``.  Each phase of a round runs only with
-something to carry: the APPEND to each peer when a peer lacks entries
-(or as the idle round's heartbeat), the CONFIRM to each peer when an op
-is parked or a peer is not fingerprint-matched to the log end
-(DESIGN.md §16–18).  A new commit index is no work of its own: it rides
-the next round's APPEND, the idle heartbeat's at the latest (§22).
+A round runs while a client op is parked or a peer's log is behind.
+After a round with work the replica's task waits for an interrupt for
+at most ``IDLE_ROUND_US`` and then runs one idle round; after that it
+WAITs with no timer until a handler invocation gives it work.  Each
+phase of a round runs only with something to carry: the APPEND to each
+peer when a peer lacks entries (or as the idle round's heartbeat), the
+CONFIRM to each peer when an op is parked or a peer is not
+fingerprint-matched to the log end (DESIGN.md §16).  A new commit index
+is no work of its own: it rides the next round's APPEND, the idle
+round's at the latest.  A replica on a rebooted node says HELLO to the
+primary, which unmatches it: that is how a calm finds a peer that came
+back.
 
 Each test fails under the hand mutation of ``KvReplica.task`` /
-``KvReplica._has_work`` / ``KvReplica._replicate_round`` named for it:
+``KvReplica._has_work`` / ``KvReplica._replicate_round`` /
+``KvReplica._hello`` / ``ClientProcessor.wait_activity`` named for it
+(each was applied to a copy and the named test seen failing):
 
 * (a) ``test_calm_primary_is_silent_between_ops`` — the old
   unconditional loop: round, serve, ``compute(repl_interval_us)``,
   every pass; an idle round that keeps its CONFIRM; a read-only round
-  that keeps its APPEND; or the ``_sent_commit`` clause restored in
-  ``_has_to_ship`` (a commit-only APPEND round after every write).
+  that keeps its APPEND; the ``_sent_commit`` clause restored in
+  ``_has_to_ship`` (a commit-only APPEND round after every write); or
+  the periodic idle round restored (poll with ``tick_us=IDLE_ROUND_US``
+  after an idle round too).
 * (a') ``test_get_is_served_by_the_first_confirm_round_after_it_arrived``
   — set ``_quorum_confirmed_at`` from the previous round's start.
 * (b) ``test_parked_write_starts_its_round_at_once`` — keep the
   ``compute(repl_interval_us)`` sleep in the idle branch (rounds
   without work skipped, but work waits for the 20 ms tick).
 * (c) ``test_amnesiac_backup_catches_up_within_an_idle_interval`` —
-  drop the idle round (poll on ``_has_work`` alone); or drop the
-  ``ACK_GAP`` lowering of ``matched``.
+  drop the HELLO (``_hello`` returns at once), or the primary's
+  ``matched.pop`` on it.  Dropping the HELLO also fails
+  ``tests/durability/test_state.py::
+  test_replica_that_lost_its_commit_mark_rejoins``.
 * (d) ``test_followers_apply_without_a_further_client_op`` — drop the
   idle heartbeat's APPEND (a round with neither cargo sends nothing):
   the last writes' commit index then never reaches the followers.
 * (e) ``test_idle_deposed_primary_is_fenced_and_acks_nothing`` — drop
   the step-down branch of ``KvReplica._adopt``.  No mutation of the
-  quiet loop alone breaks it: at the heal, whichever side's round gets
-  through first (the stale primary's idle round or the rival's catch-up
-  of it) carries the newer epoch, and both fence.
+  quiet loop alone breaks it: at the heal, the rival's catch-up round
+  (or, with a write at the heal, the stale primary's own round) carries
+  the newer epoch, and both fence.
+* (f) ``test_a_timer_free_wait_schedules_no_event`` — let
+  ``wait_activity`` schedule its tick at an infinite delay (the heap
+  entry is never popped, but it is pushed); or wait with
+  ``tick_us=IDLE_ROUND_US`` after the idle round.
 """
 
 import bisect
@@ -54,6 +68,7 @@ from repro.replication.wire import (
     make_token,
     pack_op,
 )
+from repro.sim.engine import Simulator
 
 
 def _calm():
@@ -167,11 +182,21 @@ def test_calm_primary_is_silent_between_ops(monkeypatch):
         assert between(sent, before, start), (
             f"round at {start} us had nothing to say"
         )
-    # And through the calm tail, one idle round per idle interval.
+    # Through the calm tail: exactly one idle round, an idle interval
+    # after the last op's round, and then no REPL REQUEST at all until
+    # the horizon.
     last_result = max(r.time for r in records if r.category == "kv.result")
-    tail = [t for t in rounds if t > last_result + 2 * interval]
-    span = built.net.sim.now - last_result
-    assert span / (1.25 * IDLE_ROUND_US) <= len(tail) <= span / IDLE_ROUND_US
+    last_work = max(
+        i for i, (_t, ship, confirm) in enumerate(started) if ship or confirm
+    )
+    assert started[last_work][0] < last_result
+    ((idle_at, ship, confirm),) = started[last_work + 1 :]
+    assert not (ship or confirm)
+    assert idle_at - started[last_work][0] >= IDLE_ROUND_US
+    assert idle_at - last_result <= IDLE_ROUND_US + interval
+    after = [r for r in repl if r.time >= idle_at]
+    assert len(after) == peers and all(r["put"] > 0 for r in after)
+    assert built.net.sim.now - idle_at > 10 * IDLE_ROUND_US
 
 
 def test_get_is_served_by_the_first_confirm_round_after_it_arrived(
@@ -250,12 +275,11 @@ def test_parked_write_starts_its_round_at_once(monkeypatch):
 
 
 def test_amnesiac_backup_catches_up_within_an_idle_interval():
-    """The idle round's empty APPEND finds the rebooted peer (ACK_GAP),
-    the GAP lowers its ``matched`` so the next round has work, and the
-    whole log follows within an idle interval.  Fails with the idle
-    round dropped, and with the ``ACK_GAP`` lowering of ``matched``
-    dropped (the primary then sees no work, and the log trickles over
-    one batch per idle round)."""
+    """The rebooted peer says HELLO, the primary drops its ``matched``
+    so the next round has work, the round's APPEND finds the gap
+    (ACK_GAP), and the whole log follows at once, although the primary
+    had gone silent long before.  Fails with the HELLO dropped (the
+    silent primary never looks at the peer again)."""
     crash_at, reboot_at = 6_000_000.0, 6_500_000.0
     built = build_workload("kvstore", durable=False)
     Scenario(
@@ -277,11 +301,10 @@ def test_amnesiac_backup_catches_up_within_an_idle_interval():
         if r.category == "kv.apply" and r["mid"] == 1 and r.time > reboot_at
     ]
     assert len(applied) == primary.commit
-    # The next idle round finds the amnesiac peer; a round or two of
-    # anti-entropy (GAP, then the whole log) follows at once.
-    assert max(applied) - reboot_at <= (
-        IDLE_ROUND_US + 3 * primary.repl_interval_us
-    )
+    # The HELLO finds the silent primary; a round or two of
+    # anti-entropy (GAP, then the whole log) follows at once: the boot,
+    # one DISCOVER window, the HELLO and two rounds (68.7 ms).
+    assert max(applied) - reboot_at <= 4 * primary.repl_interval_us
 
 
 def test_followers_apply_without_a_further_client_op():
@@ -377,3 +400,29 @@ def test_idle_deposed_primary_is_fenced_and_acks_nothing(write_at_heal):
             completion.status is RequestStatus.COMPLETED
             and completion.arg >= 0
         ), "a deposed primary acknowledged a write"
+
+
+def test_a_timer_free_wait_schedules_no_event(monkeypatch):
+    """After the idle round no replica schedules a single ``tick``: the
+    primary and both backups WAIT with ``tick_us=math.inf``, which arms
+    no timer, so only a handler invocation wakes them.  Fails when
+    ``wait_activity`` schedules its tick at an infinite delay, and when
+    the primary keeps a periodic idle round."""
+    started = _spy_rounds(monkeypatch)
+    ticks = []
+    schedule = Simulator.schedule
+
+    def spy(sim, delay, fn, *args, **kwargs):
+        if fn.__qualname__ == "ClientProcessor.wait_activity.<locals>.tick":
+            owner = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+            ticks.append((sim.now, owner["self"].cell_contents.name))
+        return schedule(sim, delay, fn, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "schedule", spy)
+    built, _records = _calm()
+    idle_at, ship, confirm = started[-1]
+    assert not (ship or confirm)
+    replicas = {f"replica{i}.client" for i in range(3)}
+    assert [t for t, name in ticks if name in replicas and t >= idle_at] == []
+    # Before it, the primary's waits did tick (the idle interval's timer).
+    assert any(name == "replica0.client" for _t, name in ticks)
