@@ -16,7 +16,7 @@ Three parts:
   completion, and cost-ledger consistency.
 * **causal analysis engine** — :mod:`repro.analysis.causal` builds a
   vector-clock happens-before relation over the same records and runs
-  the SODA010-013 race/deadlock rules.
+  the SODA010-014 race/deadlock/late-rx rules.
 
 See ``docs/ANALYSIS.md`` for the rule table and extension guide.
 """

@@ -4,7 +4,8 @@ Two pieces:
 
 * :mod:`repro.analysis.causal.sink` — :class:`CausalSink`, a record sink
   that keeps vector clocks (happens-before) and judges the SODA010-SODA012
-  causal race rules with witness pairs as the records stream past;
+  causal race rules with witness pairs as the records stream past,
+  and SODA014 (an rx past the packet lifetime);
 * :mod:`repro.analysis.causal.waitfor` — SODA013 wait-for-graph
   deadlock detection from the pending spans of a
   :class:`~repro.obs.spans.SpanBuilder` in the same table.

@@ -1,6 +1,7 @@
-"""The causal engine as one record sink: vector clocks (happens-before)
-and the race rules SODA010-SODA012.  docs/ANALYSIS.md ("Causal
-analysis") has the clock model and the rule table.
+"""The causal engine as one record sink: vector clocks (happens-before),
+the race rules SODA010-SODA012 and the late-rx rule SODA014.
+docs/ANALYSIS.md ("Causal analysis") has the clock model and the rule
+table.
 
 **Clocks.**  Every record naming a node (``mid`` ≥ 0) is an event of
 that node's current process ``(mid, epoch)``, ordered by program order
@@ -19,7 +20,8 @@ crashes only the last per node is kept.  A unicast frame's clock is
 dropped at its rx; every frame's, broadcast or lost, once the stream
 passes its ``kernel.tx`` time plus Delta-t's maximum packet lifetime
 (``mpl_us``, §5.2.2: no frame lives longer).  An rx after that draws no
-edge and counts in ``late_rx``, a transport violation (DESIGN.md §21).
+edge and counts in ``late_rx``; :meth:`CausalSink.finish` reports any as
+one SODA014 transport violation (DESIGN.md §21).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class _Txn:
 
 
 class CausalSink:
-    """Vector clocks and SODA010-012, one record at a time."""
+    """Vector clocks, SODA010-012 and SODA014, one record at a time."""
 
     def __init__(self, mpl_us: float = math.inf) -> None:
         #: Maximum packet lifetime: how long a frame's clock is kept.
@@ -137,6 +139,8 @@ class CausalSink:
         self.unmatched_rx = 0
         #: rx events more than ``mpl_us`` after their tx: no edge drawn.
         self.late_rx = 0
+        #: (time, mid) of the first late rx, until SODA014 reports it.
+        self._first_late: Optional[Tuple[float, int]] = None
         self._procs: Set[Tuple[int, int]] = set()
         self._slot: Dict[int, int] = {}
         self._clock: Dict[int, List[int]] = {}
@@ -200,6 +204,8 @@ class CausalSink:
                     del self._frames[fid]
             elif fid is not None:
                 if fid <= self._expired.get(rec.get("src"), 0):
+                    if not self.late_rx:
+                        self._first_late = (rec.time, mid)
                     self.late_rx += 1
                 else:
                     self.unmatched_rx += 1
@@ -412,11 +418,20 @@ class CausalSink:
     }
 
     def finish(self) -> List[CausalDiagnostic]:
-        """SODA010-012, every transaction still open judged now, in a
-        deterministic order.  SODA013 reads spans, not records:
+        """SODA010-012, every transaction still open judged now, and
+        SODA014 if any rx was late, in a deterministic order.  SODA013
+        reads spans, not records:
         :func:`~repro.analysis.causal.waitfor.detect_deadlocks`."""
         for key, txn in list(self._txns.items()):
             self._retire(key, txn)
+        if self._first_late is not None:
+            self._diagnostics.append(CausalDiagnostic(
+                "SODA014", *self._first_late,
+                f"{self.late_rx} rx record(s) arrived more than Delta-t's "
+                f"maximum packet lifetime ({self.mpl_us / 1000.0:.0f}ms) "
+                f"after their tx: the transport broke §5.2.2's bound",
+            ))
+            self._first_late = None
         self._diagnostics.sort(
             key=lambda d: (d.time, d.rule_id, d.mid or -1, d.message)
         )

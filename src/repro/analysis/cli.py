@@ -60,7 +60,7 @@ def run_check_trace(ns) -> int:
     for name in names:
         built = build_workload(name, keep_trace=False)
         net = built.net
-        checker = InvariantChecker(network=net, strict_completion=True)
+        checker = InvariantChecker(network=net)
         table = SinkTable(checker).install(net)
         built.run()
         violations = [
@@ -105,7 +105,7 @@ def run_causal(ns) -> int:
     results: List[Dict[str, Any]] = []
     for name in names:
         built = build_workload(name, keep_trace=False)
-        checker = InvariantChecker(network=built.net, strict_completion=False)
+        checker = InvariantChecker(network=built.net)
         spans = SpanBuilder()
         causal = CausalSink(mpl_us=built.net.config.deltat.mpl_us)
         table = SinkTable(checker, spans, causal).install(built.net)

@@ -16,7 +16,9 @@ transport invariants that must hold on every run:
 * **INV-COMPLETE** — every DELIVERED request reaches a terminal state
   (DONE or CANCELLED) through legal transitions; in strict mode a
   request still sitting DELIVERED/ACCEPTED at the end of the run is a
-  leak.
+  leak unless its requester stopped waiting for it (a
+  ``kernel.complete`` with status other than ``completed``, or a
+  ``kernel.cancelled``, for that ``<src, tid>``).
 * **INV-LEDGER** — the cost ledger's total equals the sum of the
   per-category charges, categories are known, and no charge is negative.
 * **SODA007** — BUSY retry earlier than hinted: when a BUSY NACK
@@ -36,12 +38,13 @@ The checker consumes the extra record fields the kernel emits for it
 ``kernel.client_reset``).
 
 **One pass, O(open work) state.**  :class:`InvariantChecker` is a
-forward-only state machine: :meth:`~InvariantChecker.feed` it records —
-as a live :class:`~repro.sim.tracing.Tracer` sink
-(:meth:`~InvariantChecker.install`, so a soak need not retain its trace
-at all) or from a retained trace (:func:`check_stream`,
-:func:`check_network`) — and :meth:`~InvariantChecker.finish` it once.
-State is retired as transactions close:
+forward-only state machine: a record sink (its ``HANDLERS`` rows) that
+a :class:`~repro.sim.tracing.SinkTable` feeds — live on a tracer
+(``SinkTable(checker).install(net)``, so a soak need not retain its
+trace at all) or over a retained trace (:meth:`~InvariantChecker.check`,
+:func:`check_stream`, :func:`check_network`) — and
+:meth:`~InvariantChecker.finish` closes once.  State is retired as
+transactions close:
 
 * a message's send-direction state is retired the moment a *new*
   message starts on its connection — the alternating-bit protocol
@@ -52,7 +55,8 @@ State is retired as transactions close:
   rare *dirty* messages are kept, not the state of every clean one;
 * a delivered-request cell is retired on reaching a terminal state
   (DONE/CANCELLED) — the kernel deletes its record then, so no further
-  transition can reference it;
+  transition can reference it — and its "requester stopped waiting"
+  mark, kept only on open cells, goes with it;
 * BUSY NACKs, peer-death, sequence swaps, crashes and resets clear
   retained state, pending verdicts of retired messages included.
 
@@ -75,9 +79,9 @@ that are still live (DESIGN.md §13).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.tracing import CostLedger, TraceRecord, Tracer
+from repro.sim.tracing import CostLedger, SinkTable, TraceRecord, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
 #: Delivered-request states considered terminal.
@@ -151,11 +155,11 @@ class _ConnState:
 class InvariantChecker:
     """The invariant state machine.
 
-    Feed records with :meth:`feed` (or attach via :meth:`install`), then
-    call :meth:`finish` once for the end-of-trace verdicts;
-    :meth:`check` does both for a retained trace.  Violations detectable
-    mid-stream (INV-SEQ, INV-HANDLER, illegal transitions, SODA007) are
-    appended to :attr:`violations` as they happen.
+    A :class:`~repro.sim.tracing.SinkTable` feeds it records, then
+    :meth:`finish` runs the end-of-trace verdicts once; :meth:`check`
+    does both for a retained trace.  Violations detectable mid-stream
+    (INV-SEQ, INV-HANDLER, illegal transitions, SODA007) are appended
+    to :attr:`violations` as they happen.
     """
 
     def __init__(
@@ -173,13 +177,14 @@ class InvariantChecker:
         self._deltat_pending: Dict[Tuple[int, int, int], InvariantViolation] = {}
         #: Open (non-terminal) delivered-request cells only.
         self._delivered: Dict[Tuple[int, int, int], str] = {}
+        #: Open cells whose requester stopped waiting (a subset of
+        #: ``_delivered``, retired with them): not a leak at the end.
+        self._abandoned: Set[Tuple[int, int, int]] = set()
         self._handler_depth: Dict[int, int] = {}
-        self._end_time = 0.0
         self._finished = False
         #: Connections whose ``live`` is set, counted where it changes so
         #: that no record has to re-sum every connection.
         self._live_messages = 0
-        self.records_checked = 0
         self.peak_open_state = 0
 
     def _policy_for(self, mid: int) -> RetransmitPolicy:
@@ -215,31 +220,13 @@ class InvariantChecker:
             for key in [k for k in pending if k[: len(prefix)] == prefix]:
                 del pending[key]
 
-    # -- streaming ---------------------------------------------------------
-
-    def install(self, net) -> "InvariantChecker":
-        """Attach as a live sink on ``net``'s tracer; returns self."""
-        net.sim.trace.add_sink(self.feed)
-        return self
-
     def check(
         self, trace: Tracer, ledger: Optional[CostLedger] = None
     ) -> List[InvariantViolation]:
-        """Feed a retained trace and finish."""
-        for rec in trace.records:
-            self.feed(rec)
-        return self.finish(ledger=ledger)
-
-    def feed(self, rec: TraceRecord) -> None:
-        """Consume one trace record."""
-        if self._finished:
-            raise RuntimeError("InvariantChecker already finished")
-        self.records_checked += 1
-        if rec.time > self._end_time:
-            self._end_time = rec.time
-        handler = self.HANDLERS.get(rec.category)
-        if handler is not None:
-            handler(self, rec)
+        """Replay a retained trace and finish."""
+        table = SinkTable(self)
+        table.replay(trace.records)
+        return self.finish(ledger=ledger, end_time=table.end_time)
 
     # -- per-category handlers ---------------------------------------------
 
@@ -291,6 +278,7 @@ class InvariantChecker:
         self._handler_depth[mid] = 0
         for cell in [k for k in self._delivered if k[0] == mid]:
             del self._delivered[cell]
+            self._abandoned.discard(cell)
         if rec.category == "kernel.crash":
             for key in [k for k in self._conns if k[0] == mid]:
                 self._forget_live(self._conns.pop(key))
@@ -471,9 +459,20 @@ class InvariantChecker:
             # The kernel deletes the record at DONE/CANCELLED; retire
             # the cell (this is the O(open) win for long soaks).
             self._delivered.pop(key, None)
+            self._abandoned.discard(key)
         else:
             self._delivered[key] = new
             self._note_growth()
+
+    def _on_gave_up(self, rec: TraceRecord) -> None:
+        # A requester that died or gave up never ACKs the ACCEPT that
+        # would close its server cell; a COMPLETED one still owes that.
+        if not self._delivered or rec.get("status") == "completed":
+            return
+        src, tid = rec["mid"], rec["tid"]
+        for key in self._delivered:
+            if key[1] == src and key[2] == tid:
+                self._abandoned.add(key)
 
     #: The rows this sink adds to a ``{category: handlers}`` dispatch
     #: table: everything it reads, nothing else reaches it.
@@ -487,6 +486,8 @@ class InvariantChecker:
         "kernel.boot_handler": _on_handler_entry,
         "kernel.endhandler": _on_handler_exit,
         "kernel.delivered_state": _on_delivered,
+        "kernel.complete": _on_gave_up,
+        "kernel.cancelled": _on_gave_up,
         "kernel.crash": _on_reset,
         "kernel.client_reset": _on_reset,
         "kernel.die": _on_reset,
@@ -497,16 +498,14 @@ class InvariantChecker:
     def finish(
         self,
         ledger: Optional[CostLedger] = None,
-        end_time: Optional[float] = None,
+        end_time: float = 0.0,
     ) -> List[InvariantViolation]:
         """Close the stream; returns the full verdict list.  ``end_time``
-        stamps the end-of-run verdicts when a dispatch table drove the
-        handlers directly, past :meth:`feed`'s own bookkeeping."""
+        (the feeding table's ``end_time``) stamps the end-of-run
+        verdicts."""
         if self._finished:
             return self.violations
         self._finished = True
-        if end_time is not None:
-            self._end_time = end_time
         # INV-DELTAT: pending verdicts of retired messages merged with
         # the still-live ones, sorted by (mid, dst, pid).
         verdicts = dict(self._deltat_pending)
@@ -517,12 +516,16 @@ class InvariantChecker:
                     verdicts[mid, dst, conn.live.pid] = verdict
         self.violations.extend(verdicts[key] for key in sorted(verdicts))
         if self.strict_completion:
-            for (mid, src, tid), state in sorted(self._delivered.items()):
-                # Only open cells are retained, so every entry is a leak.
+            for cell, state in sorted(self._delivered.items()):
+                # Only open cells are retained, so every entry the
+                # requester still waits on is a leak.
+                if cell in self._abandoned:
+                    continue
+                mid, src, tid = cell
                 self.violations.append(
                     InvariantViolation(
                         "INV-COMPLETE",
-                        self._end_time,
+                        end_time,
                         mid,
                         f"request <{src},{tid}> left in state "
                         f"'{state}' at end of run (never reached "
@@ -530,7 +533,7 @@ class InvariantChecker:
                     )
                 )
         if ledger is not None:
-            _check_ledger(ledger, self._end_time, self.violations)
+            _check_ledger(ledger, end_time, self.violations)
         return self.violations
 
 
@@ -576,9 +579,9 @@ def check_stream(
     checker = InvariantChecker(
         network=network, strict_completion=strict_completion
     )
-    for rec in records:
-        checker.feed(rec)
-    return checker.finish(ledger=ledger)
+    table = SinkTable(checker)
+    table.replay(records)
+    return checker.finish(ledger=ledger, end_time=table.end_time)
 
 
 def check_network(

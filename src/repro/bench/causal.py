@@ -44,7 +44,7 @@ def _build_soak() -> Network:
 def run(ns=None) -> Dict[str, Any]:
     """Run the soak under the live checker; returns the deterministic body."""
     net = _build_soak()
-    checker = InvariantChecker(network=net, strict_completion=True)
+    checker = InvariantChecker(network=net)
     causal = CausalSink(mpl_us=net.config.deltat.mpl_us)
     table = SinkTable(checker, causal).install(net)
     net.run(until=SOAK_HORIZON_US)

@@ -33,24 +33,31 @@ def _timer_live(timer) -> bool:
     return timer is not None and not timer.cancelled
 
 
+def pending_spans(
+    spans: List[TransactionSpan], horizon: float, grace_us: float = GRACE_US
+) -> List[str]:
+    """The span half of liveness, the half both backends judge: every
+    REQUEST issued before the trailing grace window reached a terminal
+    status."""
+    return [
+        f"span <{span.requester_mid},{span.tid}> ({span.verb}) "
+        f"issued at t={span.request_us / 1000.0:.1f}ms never "
+        f"reached a terminal status"
+        for span in spans
+        if span.status == "pending" and span.request_us < horizon - grace_us
+    ]
+
+
 def check_liveness(
     net: Network,
     spans: Optional[List[TransactionSpan]] = None,
     grace_us: float = GRACE_US,
 ) -> List[str]:
-    """Return human-readable liveness problems (empty = healthy)."""
-    problems: List[str] = []
-    horizon = net.sim.now
+    """Return human-readable liveness problems (empty = healthy): the
+    span half, then what the live kernel tables hold at the horizon."""
     if spans is None:
         spans = build_spans(net.sim.trace.retained())
-
-    for span in spans:
-        if span.status == "pending" and span.request_us < horizon - grace_us:
-            problems.append(
-                f"span <{span.requester_mid},{span.tid}> ({span.verb}) "
-                f"issued at t={span.request_us / 1000.0:.1f}ms never "
-                f"reached a terminal status"
-            )
+    problems = pending_spans(spans, net.sim.now, grace_us)
 
     for mid in sorted(net.nodes):
         kernel = net.nodes[mid].kernel

@@ -2,25 +2,28 @@
 
 Each *cell* builds a workload (:func:`repro.workloads.build_workload`),
 applies a fault :class:`~repro.chaos.scenario.Scenario`, runs to a
-horizon past the last fault plus grace, and is judged *while it runs*:
-the judges are record sinks (a ``HANDLERS`` table naming the categories
-each reads, and a ``finish(...)``) and
-:class:`~repro.sim.tracing.SinkTable` merges them into the one sink the
+horizon past the last fault plus grace, and is judged *while it runs*
+by :class:`CellJudges`: record sinks (a ``HANDLERS`` table naming the
+categories each reads, and a ``finish(...)``) that one
+:class:`~repro.sim.tracing.SinkTable` merges into the one sink the
 cell's tracer streams to, so no record outlives its dispatch (DESIGN.md
-§14):
+§14).  A real run's merged trace is replayed into the same judges
+(:func:`repro.netreal.runner.judge_traces`), so both backends return
+one :class:`CellResult` (DESIGN.md §19):
 
-* the invariant checker (safety; non-strict completion, because a
-  requester that died mid-transaction legitimately leaves the server
-  holding an un-ACCEPTed DELIVERED record forever);
+* the invariant checker (safety; a DELIVERED cell still open at the
+  end is a leak unless its requester stopped waiting — one that died
+  mid-transaction legitimately leaves the server holding it forever);
 * the span builder, whose spans :mod:`repro.chaos.liveness` judges at
   the horizon together with live kernel state (every REQUEST outside
   the grace window reached a terminal status, no leaked timers/windows,
   no wedged connections, goodput and p99 within the schedule's bounds);
 * the KV sink (linearizability verdict and operation accounting) and
   the recovery sink (failure detector, recovery counts, self-heal);
-* under ``causal``, the causal engine (SODA010-013, DESIGN.md §21);
-* fault-plan accounting (what the schedule actually injected), folded
-  into the report so a cell that injected nothing is visible.
+* under ``causal``, the causal engine (SODA010-014, DESIGN.md §21);
+* fault-plan accounting (:func:`fault_counts`: what the schedule
+  actually injected), folded into the report so a cell that injected
+  nothing is visible.
 
 Everything is deterministic: same (workload, schedule, seed) ⇒ the same
 virtual-time run ⇒ an identical report.
@@ -28,6 +31,7 @@ virtual-time run ⇒ an identical report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +61,7 @@ from repro.obs.export import snapshot_payload
 from repro.obs.spans import SpanBuilder
 from repro.recovery.convergence import RecoverySink
 from repro.replication.consistency import KvSink
-from repro.sim.tracing import SinkTable
+from repro.sim.tracing import CostLedger, SinkTable
 from repro.transport.adaptive import AdaptivePolicy, deltat_for_policy
 from repro.transport.retransmit import RetransmitPolicy
 from repro.workloads import WORKLOADS, WorkloadSpec, build_workload
@@ -442,7 +446,7 @@ class CellResult:
     liveness_problems: List[str] = field(default_factory=list)
     selfheal_problems: List[str] = field(default_factory=list)
     degradation_problems: List[str] = field(default_factory=list)
-    #: Causal verdicts (``run_cell(..., causal=True)``): SODA010-013
+    #: Causal verdicts (``run_cell(..., causal=True)``): SODA010-014
     #: race and deadlock diagnostics.
     causal_problems: List[str] = field(default_factory=list)
     #: KV linearizability verdicts (lost acked writes, stale reads,
@@ -494,6 +498,83 @@ def make_schedule(name: str, spec: WorkloadSpec) -> Scenario:
     return factory(spec)
 
 
+#: The bus fault plan's counters a cell reports.
+_BUS_FAULTS = (
+    "frames_lost", "frames_corrupted", "frames_scripted_drops",
+    "deliveries_predicate_dropped", "deliveries_duplicated",
+    "deliveries_reordered",
+)
+
+
+def fault_counts(net) -> Dict[str, int]:
+    """What ``net``'s fault plans injected: the bus plan's counters, and
+    every node disk plan's summed as ``disk_<counter>``."""
+    counts = {name: getattr(net.faults, name) for name in _BUS_FAULTS}
+    for node in net.nodes.values():
+        plan = getattr(getattr(node, "disk", None), "plan", None)
+        if plan is not None:
+            for key, value in plan.counter_snapshot().items():
+                counts[f"disk_{key}"] = counts.get(f"disk_{key}", 0) + value
+    return counts
+
+
+class CellJudges:
+    """One cell's judges, on either backend, as one :attr:`table`: the
+    invariant checker, span builder, KV sink, recovery sink and its
+    failure detector, plus the causal engine under ``causal``.
+    ``config`` is what the cell ran under: its retransmit policy bounds
+    INV-DELTAT, its Delta-t packet lifetime the causal frame clocks.  A
+    sim cell installs the table before its run, a real run replays its
+    merged trace into it; :meth:`verdict` closes the judges once."""
+
+    def __init__(self, config: KernelConfig, causal: bool = False) -> None:
+        self.checker = InvariantChecker(policy=config.retransmit)
+        self.spans, self.kv, self.recovery = (
+            SpanBuilder(), KvSink(), RecoverySink()
+        )
+        self.causal = [CausalSink(config.deltat.mpl_us)] if causal else []
+        self.table = SinkTable(
+            self.checker, self.spans, self.kv, self.recovery,
+            self.recovery.detector, *self.causal,
+        )
+
+    def verdict(
+        self, workload: str, schedule: str, seed: int, horizon: float,
+        ledger: Optional[CostLedger], liveness: Callable[[list], List[str]],
+        selfheal: List[str], faults: Dict[str, int], frames_sent: int,
+    ) -> CellResult:
+        """The cell's :class:`CellResult`.  ``liveness(spans)`` is the
+        backend's liveness verdict over the finished spans; the other
+        arguments are what the backend read off its run."""
+        violations = self.checker.finish(
+            ledger=ledger, end_time=self.table.end_time
+        )
+        spans = self.spans.finish()
+        summary = self.kv.summary()
+        return CellResult(
+            workload, schedule, seed, horizon,
+            invariant_violations=[v.format() for v in violations],
+            liveness_problems=liveness(spans),
+            selfheal_problems=selfheal,
+            degradation_problems=check_degradation(
+                spans,
+                horizon,
+                DEGRADATION_BOUNDS.get(schedule, DEFAULT_DEGRADATION_BOUNDS),
+            ),
+            causal_problems=[
+                diag.format()
+                for sink in self.causal
+                for diag in sink.finish() + detect_deadlocks(spans)
+            ],
+            consistency_problems=self.kv.finish(),
+            recovery=self.recovery.finish(),
+            kv=summary if summary["ops_invoked"] else {},
+            spans_by_status=dict(Counter(span.status for span in spans)),
+            faults=faults,
+            frames_sent=frames_sent,
+        )
+
+
 def run_cell(
     workload: str,
     schedule: str,
@@ -505,7 +586,7 @@ def run_cell(
     """Run one chaos cell; ``scenario`` overrides the named schedule
     (used by the shrinker and by checked-in reproducers), ``policy``
     overrides the adaptive default (used by the transport benchmark).
-    ``causal`` adds the causal engine to the judges: the SODA010-013
+    ``causal`` adds the causal engine to the judges: the SODA010-014
     race/deadlock rules.
 
     The judges run live, as one :class:`SinkTable` on the tracer, and
@@ -519,72 +600,15 @@ def run_cell(
     if scenario is None:
         scenario = make_schedule(schedule, built.spec)
     net = built.net
-    checker = InvariantChecker(network=net, strict_completion=False)
-    span_builder, kv_sink, recovery = SpanBuilder(), KvSink(), RecoverySink()
-    engine = [CausalSink(mpl_us=net.config.deltat.mpl_us)] if causal else []
-    table = SinkTable(
-        checker, span_builder, kv_sink, recovery, recovery.detector, *engine
-    ).install(net)
+    judges = CellJudges(net.config, causal=causal)
+    judges.table.install(net)
     horizon = scenario.run(built)
-    net.sim.trace.remove_sink(table.feed)
-
-    violations = checker.finish(ledger=net.ledger, end_time=table.end_time)
-    spans = span_builder.finish()
-    causal_problems = [
-        diag.format()
-        for sink in engine
-        for diag in sink.finish() + detect_deadlocks(spans)
-    ]
-    problems = check_liveness(net, spans=spans)
-    recovery_digest = recovery.finish()
-    selfheal = recovery.self_heal(built, scenario.last_action_us)
-    degradation = check_degradation(
-        spans,
-        horizon,
-        DEGRADATION_BOUNDS.get(schedule, DEFAULT_DEGRADATION_BOUNDS),
-    )
-    consistency = kv_sink.finish()
-    summary = kv_sink.summary()
-    kv = summary if summary["ops_invoked"] else {}
-
-    by_status: Dict[str, int] = {}
-    for span in spans:
-        by_status[span.status] = by_status.get(span.status, 0) + 1
-    faults = net.faults
-    disk_faults: Dict[str, int] = {}
-    for node in net.nodes.values():
-        plan = getattr(getattr(node, "disk", None), "plan", None)
-        if plan is None:
-            continue
-        for key, value in plan.counter_snapshot().items():
-            disk_faults[f"disk_{key}"] = (
-                disk_faults.get(f"disk_{key}", 0) + value
-            )
-    return CellResult(
-        workload=workload,
-        schedule=schedule,
-        seed=seed,
-        horizon_us=horizon,
-        invariant_violations=[v.format() for v in violations],
-        liveness_problems=problems,
-        selfheal_problems=selfheal,
-        degradation_problems=degradation,
-        causal_problems=causal_problems,
-        consistency_problems=consistency,
-        recovery=recovery_digest,
-        kv=kv,
-        spans_by_status=by_status,
-        faults={
-            "frames_lost": faults.frames_lost,
-            "frames_corrupted": faults.frames_corrupted,
-            "frames_scripted_drops": faults.frames_scripted_drops,
-            "deliveries_predicate_dropped": (
-                faults.deliveries_predicate_dropped
-            ),
-            "deliveries_duplicated": faults.deliveries_duplicated,
-            "deliveries_reordered": faults.deliveries_reordered,
-            **disk_faults,
-        },
+    net.sim.trace.remove_sink(judges.table.feed)
+    return judges.verdict(
+        workload, schedule, seed, horizon, net.ledger,
+        liveness=lambda spans: check_liveness(net, spans=spans),
+        selfheal=judges.recovery.self_heal(built, scenario.last_action_us),
+        faults=fault_counts(net),
         frames_sent=net.bus.frames_sent,
     )
 

@@ -415,18 +415,9 @@ def _real(ns) -> int:
         keep_traces=ns.keep_traces,
     )
     print(
-        f"  spans: {result.spans_completed}/{result.spans_total} completed, "
-        f"{result.send_edges} causal send edges, "
-        f"{result.unmatched_rx} unmatched rx, {result.late_rx} late rx"
+        f"  spans: {dict(sorted(result.spans_by_status.items()))}, "
+        f"{sum(result.faults.values())} fault(s) injected"
     )
-    if result.rtt_p50_us is not None:
-        print(
-            f"  rtt: p50={result.rtt_p50_us / 1000.0:.2f} ms "
-            f"p99={result.rtt_p99_us / 1000.0:.2f} ms; "
-            f"retransmits={result.retransmits} "
-            f"(spurious={result.spurious_retransmits}), "
-            f"drops={result.drops}"
-        )
     if result.kv:
         print(
             f"  kv: {result.kv['ops_definitive']}/"
@@ -520,7 +511,7 @@ COMMANDS: Dict[str, Command] = {
             Flag("--schedule", "only these schedules", csv, None, "S[,S...]"),
             Flag("--no-shrink", "do not shrink the first failure to a "
                  "minimal reproducer", bool),
-            Flag("--causal", "add the causal column: SODA010-013 race "
+            Flag("--causal", "add the causal column: SODA010-014 race "
                  "and deadlock rules", bool),
             PARALLEL,
             JSON,

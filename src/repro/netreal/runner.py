@@ -15,11 +15,14 @@ choreography:
    epoch, so boot offsets and trace timestamps agree across processes;
 4. children run to the horizon, dump their traces as JSONL
    (:mod:`repro.netreal.trace_io`), report ``done``, and exit;
-5. the parent merges the traces by wall-clock timestamp and judges the
-   merged stream the way a chaos cell is judged: one
-   :class:`~repro.sim.tracing.SinkTable` pass feeds the invariant
-   checker (INV-SEQ/DELTAT/HANDLER/COMPLETE/LEDGER, SODA007), the span
-   builder, the KV sink and the causal engine (SODA010-013).
+5. the parent merges the traces by wall-clock timestamp and replays the
+   merged stream into a chaos cell's own judges
+   (:class:`~repro.chaos.runner.CellJudges`, causal engine included):
+   a real run returns the :class:`~repro.chaos.runner.CellResult` a sim
+   cell does.  Its liveness column is the runner's own problems (an
+   early exit, a timeout, a missing or torn trace) plus the span half
+   of the sim's; the node half reads live kernel tables, which only a
+   sim cell has at its horizon.
 
 Each child builds its node with :func:`repro.workloads.place` — the
 same spec and role program a sim run gets, a durable role's disk as
@@ -42,18 +45,22 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.liveness import pending_spans
+from repro.chaos.runner import (
+    CellJudges,
+    CellResult,
+    chaos_config,
+    fault_counts,
+    make_schedule,
+)
 from repro.chaos.scenario import Scenario, TargetedDrop, ThunderingHerd
 from repro.cli import COMMANDS, flag_argv
 from repro.durability.disk import FileDisk
 from repro.netreal.node import RealNetwork
 from repro.netreal.trace_io import dump_trace, merge_traces
-from repro.transport.retransmit import RetransmitPolicy
 from repro.workloads import REAL_WORKLOADS, WorkloadSpec, get_spec, place
 
 #: Seconds between spawning children and the shared epoch.
@@ -93,141 +100,6 @@ def real_schedule(name: str, spec: WorkloadSpec) -> Scenario:
     return scenario
 
 
-@dataclass
-class RealRunResult:
-    """Everything the parent learned from one multi-process run."""
-
-    workload: str
-    seed: int
-    schedule: str
-    processes: int
-    records: int
-    invariant_violations: List[str] = field(default_factory=list)
-    causal_diagnostics: List[str] = field(default_factory=list)
-    runner_problems: List[str] = field(default_factory=list)
-    #: KV linearizability verdicts over the merged trace (empty for
-    #: workloads without ``kv.*`` records).
-    consistency_problems: List[str] = field(default_factory=list)
-    kv: Dict[str, Any] = field(default_factory=dict)
-    #: When a child wedged or died, the tail of whatever trace records
-    #: it *did* write — evidence attached to the failed run.
-    partial_trace_tail: List[Dict[str, Any]] = field(default_factory=list)
-    send_edges: int = 0
-    unmatched_rx: int = 0
-    #: rx records more than Delta-t's packet lifetime after their tx:
-    #: a transport violation, counted (the causal sink draws no edge).
-    late_rx: int = 0
-    spans_total: int = 0
-    spans_completed: int = 0
-    rtt_p50_us: Optional[float] = None
-    rtt_p99_us: Optional[float] = None
-    spurious_retransmits: int = 0
-    retransmits: int = 0
-    decode_errors: int = 0
-    drops: int = 0
-
-    def problems(self) -> List[str]:
-        return (
-            self.invariant_violations
-            + self.causal_diagnostics
-            + self.runner_problems
-            + self.consistency_problems
-        )
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "schedule": self.schedule,
-            "processes": self.processes,
-            "records": self.records,
-            "ok": self.ok,
-            "invariant_violations": self.invariant_violations,
-            "causal_diagnostics": self.causal_diagnostics,
-            "runner_problems": self.runner_problems,
-            "consistency_problems": self.consistency_problems,
-            "kv": self.kv,
-            "partial_trace_tail": self.partial_trace_tail,
-            "send_edges": self.send_edges,
-            "unmatched_rx": self.unmatched_rx,
-            "late_rx": self.late_rx,
-            "spans": {
-                "total": self.spans_total,
-                "completed": self.spans_completed,
-            },
-            "rtt_p50_us": self.rtt_p50_us,
-            "rtt_p99_us": self.rtt_p99_us,
-            "spurious_retransmits": self.spurious_retransmits,
-            "retransmits": self.retransmits,
-            "decode_errors": self.decode_errors,
-            "drops": self.drops,
-        }
-
-
-def analyze_merged(
-    records, ledger, policy: RetransmitPolicy, result: RealRunResult
-) -> None:
-    """Judge one merged record stream with a chaos cell's sinks."""
-    from repro.analysis.causal import CausalSink, detect_deadlocks
-    from repro.analysis.invariants import InvariantChecker
-    from repro.chaos.liveness import percentile
-    from repro.obs.spans import SpanBuilder
-    from repro.replication.consistency import KvSink
-    from repro.sim.tracing import SinkTable
-
-    checker, span_builder, kv_sink, causal = (
-        InvariantChecker(policy=policy), SpanBuilder(), KvSink(),
-        CausalSink(mpl_us=chaos_config().deltat.mpl_us),
-    )
-    table = SinkTable(checker, span_builder, kv_sink, causal)
-    counts: Counter = Counter()
-    rtts: List[float] = []
-    for rec in records:
-        table.feed(rec)
-        counts[rec.category] += 1
-        if rec.category == "conn.acked":
-            rtts.append(rec["rtt_us"])
-
-    summary = kv_sink.summary()
-    kv_run = bool(summary["ops_invoked"])
-    # KV workloads replicate forever — there is always an APPEND in
-    # flight when the horizon guillotines the run — so they get the
-    # same non-strict completion the sim chaos harness uses; their real
-    # completion story is the linearizability verdict below.  Only
-    # ``finish`` reads the flag, so it is set after the pass.
-    checker.strict_completion = not kv_run
-    result.invariant_violations = [
-        v.format()
-        for v in checker.finish(ledger=ledger, end_time=table.end_time)
-    ]
-    spans = span_builder.finish()
-    result.causal_diagnostics = [
-        diag.format() for diag in causal.finish() + detect_deadlocks(spans)
-    ]
-    result.send_edges = causal.send_edges
-    result.unmatched_rx = causal.unmatched_rx
-    result.late_rx = causal.late_rx
-    result.spans_total = len(spans)
-    result.spans_completed = sum(1 for span in spans if span.completed)
-    if rtts:
-        result.rtt_p50_us = percentile(rtts, 0.50)
-        result.rtt_p99_us = percentile(rtts, 0.99)
-    result.spurious_retransmits = counts["conn.spurious_retransmit"]
-    result.retransmits = counts["conn.retransmit"]
-    result.decode_errors = counts["netreal.decode_error"]
-    result.drops = counts["net.drop"]
-
-    # The KV consistency verdict runs on the same merged stream the sim
-    # chaos harness checks — that is the whole point of the design.
-    if kv_run:
-        result.kv = summary
-        result.consistency_problems = kv_sink.finish()
-
-
 # ---------------------------------------------------------------------------
 # parent
 # ---------------------------------------------------------------------------
@@ -235,69 +107,52 @@ def analyze_merged(
 
 def judge_traces(
     trace_paths: Sequence[Path],
-    policy: RetransmitPolicy,
-    result: RealRunResult,
-    out=print,
-) -> None:
-    """Merge the per-node trace files and judge the run — or, when a
-    file is missing or torn, report that and attach the merged tail."""
-    present = [
-        (mid, path) for mid, path in enumerate(trace_paths) if path.exists()
-    ]
-    metas, merged, ledger = merge_traces([path for _, path in present])
-    result.records = len(merged)
-    # A child killed mid-dump leaves a torn file: what it holds is
-    # evidence for the failure report, never a run to judge.
-    torn = [
+    node: Dict[str, Any],
+    horizon: float,
+    problems: List[str],
+) -> CellResult:
+    """Merge the per-node trace files and judge them as a chaos cell.
+
+    ``node`` names the run (workload, seed, schedule) and ``problems``
+    are the runner's own; a missing or torn file joins them, and the
+    records that were written are judged all the same."""
+    present = [mid for mid, path in enumerate(trace_paths) if path.exists()]
+    metas, merged, ledger = merge_traces([trace_paths[m] for m in present])
+    problems = problems + [
+        f"node {mid} wrote no trace"
+        for mid in range(len(trace_paths))
+        if mid not in present
+    ] + [
         f"node {mid}'s trace is torn: {meta['torn']} of "
         f"{meta.get('records', '?')} records"
-        for (mid, _), meta in zip(present, metas)
+        for mid, meta in zip(present, metas)
         if "torn" in meta
     ]
-    result.runner_problems.extend(torn)
-    if len(present) == len(trace_paths) and not torn:
-        out(
-            f"  merged {len(merged)} trace records from "
-            f"{len(present)} process(es)"
-        )
-        analyze_merged(merged, ledger, policy, result)
-    else:
-        # A child wedged or died before (or while) dumping.  The run
-        # is failed, but whatever was written is still evidence: attach
-        # the merged tail so the failure report shows where the trace
-        # stops.
-        if not result.runner_problems:  # pragma: no cover - defensive
-            result.runner_problems.append(
-                f"only {len(present)}/{len(trace_paths)} trace file(s) "
-                f"were written"
-            )
-        if present:
-            result.partial_trace_tail = [
-                {"time": rec.time, "category": rec.category, **rec.fields}
-                for rec in merged[-40:]
-            ]
-            out(
-                f"  partial: merged {len(merged)} record(s) from "
-                f"{len(present)}/{len(trace_paths)} trace file(s)"
-            )
+    judges = CellJudges(chaos_config(), causal=True)
+    judges.table.replay(merged)
+    faults: Dict[str, int] = {}
+    for meta in metas:
+        for key, value in meta.get("faults", {}).items():
+            faults[key] = faults.get(key, 0) + value
+    return judges.verdict(
+        node["workload"], node["schedule"], node["seed"], horizon, ledger,
+        liveness=lambda spans: problems + pending_spans(spans, horizon),
+        selfheal=[],  # no real workload is supervised
+        faults=faults,
+        frames_sent=sum(meta.get("frames_sent", 0) for meta in metas),
+    )
 
 
 async def _parent(
     node: Dict[str, Any], trace_dir: Path, out
-) -> RealRunResult:
+) -> CellResult:
     """``node`` is what every child is told, keyed as the ``real-node``
     row of ``COMMANDS`` names it: workload, seed, schedule."""
     workload, schedule = node["workload"], node["schedule"]
     spec = get_spec(workload, REAL_WORKLOADS)
     horizon = real_schedule(schedule, spec).horizon(spec)
     count = len(spec.roles)
-    result = RealRunResult(
-        workload=workload,
-        seed=node["seed"],
-        schedule=schedule,
-        processes=count,
-        records=0,
-    )
+    problems: List[str] = []
 
     hellos: Dict[int, Dict[str, Any]] = {}
     dones: Dict[int, Dict[str, Any]] = {}
@@ -357,7 +212,7 @@ async def _parent(
                 if child.poll() is not None and mid not in dones
             ]
             if dead:
-                result.runner_problems.append(
+                problems.append(
                     f"{phase}: node process(es) {dead} exited early "
                     f"(exit codes {[children[m].poll() for m in dead]})"
                 )
@@ -367,7 +222,7 @@ async def _parent(
                 wedged = sorted(
                     mid for mid in range(len(children)) if mid not in have
                 )
-                result.runner_problems.append(
+                problems.append(
                     f"{phase}: timed out after {timeout_s:.0f}s waiting "
                     f"for node process(es) {wedged}; killing their "
                     f"process groups"
@@ -437,13 +292,12 @@ async def _parent(
         for mid, child in enumerate(children)
         if child.returncode != 0 or mid not in dones
     ]
-    if failed and not result.runner_problems:
-        result.runner_problems.append(
+    if failed and not problems:
+        problems.append(
             f"node process(es) {failed} did not finish cleanly"
         )
 
-    judge_traces(trace_paths, chaos_config().retransmit, result, out)
-    return result
+    return judge_traces(trace_paths, node, horizon, problems)
 
 
 def run_real(
@@ -452,9 +306,9 @@ def run_real(
     schedule: str = "calm",
     out=print,
     keep_traces: Optional[str] = None,
-) -> RealRunResult:
+) -> CellResult:
     """Run one workload under a chaos schedule across real OS processes
-    and analyze the merge.
+    and judge the merge.
 
     The traces, and the files of each durable role's disk, go under
     ``keep_traces`` or a temporary directory.
@@ -514,6 +368,8 @@ async def _child(net: RealNetwork, ns) -> None:
             "seed": ns.seed,
             "schedule": ns.schedule,
             "ledger": net.ledger.snapshot(),
+            "faults": fault_counts(net),
+            "frames_sent": net.bus.frames_sent,
             "records": len(records),
         },
     )

@@ -109,7 +109,9 @@ def test_a_frame_clock_lives_one_packet_lifetime():
     """A frame's clock is kept until the stream passes its tx time plus
     the maximum packet lifetime: an rx at the lifetime still draws the
     edge, a later one draws none and counts as late (a transport
-    violation), and a frame id never sent still counts as unmatched."""
+    violation, reported once as SODA014), and a frame id never sent
+    still counts as unmatched (a replayed frame makes those legitimately:
+    no verdict)."""
     trace = Tracer()
     trace.record(0.0, "kernel.tx", mid=0, dst=BROADCAST_MID, seq=0, pid=1, fid=100)
     trace.record(50.0, "kernel.rx", mid=1, src=0, fid=100)
@@ -120,6 +122,10 @@ def test_a_frame_clock_lives_one_packet_lifetime():
     assert (sink.send_edges, sink.late_rx, sink.unmatched_rx) == (1, 1, 1)
     assert happens_before(ev[0], ev[1])
     assert concurrent(ev[0], ev[2])
+    (late,) = sink.finish()
+    assert (late.rule_id, late.time, late.mid) == ("SODA014", 51.0, 2)
+    assert "1 rx record(s) arrived more than" in late.message
+    assert sink.finish() == [late]
 
 
 def test_frame_clocks_are_bounded_by_the_packet_lifetime():

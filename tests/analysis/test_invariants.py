@@ -37,8 +37,12 @@ Rule (message) — fires / near-miss:
 * INV-COMPLETE "illegal transition" — ``test_illegal_transition_is_flagged`` /
   ``test_full_lifecycle_is_clean``
 * INV-COMPLETE "left in state" —
-  ``test_unfinished_request_is_a_leak_in_strict_mode`` / the same trace
-  non-strict, ``test_crash_forgives_unfinished_requests``
+  ``test_unfinished_request_is_a_leak_in_strict_mode``,
+  ``test_a_completed_requester_does_not_excuse_an_open_cell``,
+  ``test_a_server_reset_retires_the_mark`` / the same trace non-strict,
+  ``test_crash_forgives_unfinished_requests``,
+  ``test_a_requester_that_gave_up_excuses_the_open_cell``,
+  ``test_a_cancelled_request_excuses_the_open_cell``
 * INV-LEDGER "unknown cost category", "ledger total", "negative charge" —
   ``test_unknown_ledger_category_``, ``test_inconsistent_ledger_total_``,
   ``test_negative_ledger_charge_is_flagged`` /
@@ -70,7 +74,7 @@ import pytest
 
 from repro.analysis.invariants import InvariantChecker, check_network
 from repro.workloads import WORKLOADS, run_workload
-from repro.sim.tracing import CostLedger, Tracer
+from repro.sim.tracing import CostLedger, SinkTable, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
 
@@ -492,6 +496,59 @@ def test_crash_forgives_unfinished_requests():
     delivered(trace, 0.0, "delivered", mid=5)
     trace.record(10.0, "kernel.crash", mid=5)
     assert checker(strict_completion=True).check(trace) == []
+
+
+# An open cell at the end of the run is a leak unless its requester
+# stopped waiting for it: it never sends the ACK that would close it.
+
+
+def complete(trace, t, status, mid=1, tid=7):
+    trace.record(t, "kernel.complete", mid=mid, tid=tid, status=status)
+
+
+def test_a_requester_that_gave_up_excuses_the_open_cell():
+    trace = Tracer()
+    delivered(trace, 0.0, "delivered")
+    complete(trace, 10.0, "crashed")
+    complete(trace, 20.0, "crashed", tid=8)  # another request: no cell
+    assert checker().check(trace) == []
+
+
+def test_a_cancelled_request_excuses_the_open_cell():
+    trace = Tracer()
+    delivered(trace, 0.0, "delivered")
+    delivered(trace, 5.0, "accepted")
+    trace.record(10.0, "kernel.cancelled", mid=1, tid=7)
+    assert checker().check(trace) == []
+
+
+def test_a_completed_requester_does_not_excuse_an_open_cell():
+    trace = Tracer()
+    delivered(trace, 0.0, "delivered")
+    complete(trace, 10.0, "completed")
+    complete(trace, 20.0, "crashed", mid=3)  # another requester's tid 7
+    only(checker().check(trace), "INV-COMPLETE", "left in state 'delivered'")
+
+
+@pytest.mark.parametrize("reset", ["kernel.crash", "kernel.client_reset"])
+def test_a_server_reset_retires_the_mark(reset):
+    trace = Tracer()
+    delivered(trace, 0.0, "delivered")
+    complete(trace, 10.0, "crashed")
+    trace.record(20.0, reset, mid=2)
+    judge = checker()
+    table = SinkTable(judge)
+    table.replay(trace.records)
+    assert judge._delivered == {} and judge._abandoned == set()
+    # The same <src, tid> delivered again is judged afresh.
+    later = Tracer()
+    delivered(later, 30.0, "delivered")
+    table.replay(later.records)
+    only(
+        judge.finish(end_time=table.end_time),
+        "INV-COMPLETE",
+        "left in state 'delivered'",
+    )
 
 
 # -- INV-LEDGER --------------------------------------------------------

@@ -29,20 +29,26 @@ What the deleted cross-checks asserted is now made by:
 
 The forged traces below were the ``*_matches`` / ``*_in_both`` inputs
 of that proof.  They stay as inputs to the comparison that remains —
-the checker fed record by record as a sink on the tracer that emits
-them, against ``InvariantChecker.check`` over the retained trace — and
-each also lives in ``test_invariants.py`` beside its near-miss, which
-is where a rule's own proof of life is kept.
+the checker fed record by record through a
+:class:`~repro.sim.tracing.SinkTable` on the tracer that emits them,
+against ``InvariantChecker.check`` over the retained trace — and each
+also lives in ``test_invariants.py`` beside its near-miss, which is
+where a rule's own proof of life is kept.
+
+The checker has no dispatcher of its own any more (no ``feed``,
+``install`` or ``records_checked``): a ``SinkTable`` feeds it, live or
+in replay, and counts ``records_fed``.  One id went with that:
+
+* ``test_feed_after_finish_is_an_error`` — behaviour removed: the
+  checker has no ``feed``, so there is nothing left to refuse.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.causal import check_stream
 from repro.analysis.invariants import InvariantChecker
 from repro.workloads import build_workload
-from repro.sim.tracing import CostLedger, Tracer
+from repro.sim.tracing import CostLedger, SinkTable, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
 
@@ -63,13 +69,15 @@ def assert_identical(trace, ledger=None, **kwargs):
     """Replay ``trace`` through a live sink and post hoc; same verdicts."""
     kwargs.setdefault("policy", RetransmitPolicy())
     live = InvariantChecker(**kwargs)
+    table = SinkTable(live)
     emitter = Tracer()
-    emitter.add_sink(live.feed)
+    emitter.add_sink(table.feed)
     for rec in trace.records:
         emitter.record(rec.time, rec.category, **rec.fields)
         assert live.open_state() == recount(live)
     post_hoc = formatted(InvariantChecker(**kwargs).check(trace, ledger=ledger))
-    assert formatted(live.finish(ledger=ledger)) == post_hoc
+    verdicts = live.finish(ledger=ledger, end_time=table.end_time)
+    assert formatted(verdicts) == post_hoc
     return post_hoc
 
 
@@ -78,20 +86,19 @@ def assert_identical(trace, ledger=None, **kwargs):
 
 def test_live_sink_matches_post_hoc_replay():
     built = build_workload("stream")
-    live = InvariantChecker(network=built.net, strict_completion=True)
-    live.install(built.net)
+    live = InvariantChecker(network=built.net)
+    table = SinkTable(live).install(built.net)
     net = built.run()
-    live_verdicts = formatted(live.finish(ledger=net.ledger))
+    live_verdicts = formatted(
+        live.finish(ledger=net.ledger, end_time=table.end_time)
+    )
     replay = formatted(
         check_stream(
-            list(net.sim.trace.records),
-            network=net,
-            strict_completion=True,
-            ledger=net.ledger,
+            list(net.sim.trace.records), network=net, ledger=net.ledger
         )
     )
     assert live_verdicts == replay
-    assert live.records_checked == len(net.sim.trace.records)
+    assert table.records_fed == len(net.sim.trace.records)
 
 
 # -- live sink == post-hoc replay on fabricated violations -------------
@@ -215,29 +222,16 @@ def test_soda007_hint_violation_matches():
 # -- streaming semantics -----------------------------------------------
 
 
-def test_feed_after_finish_is_an_error():
-    checker = InvariantChecker(policy=RetransmitPolicy())
-    checker.finish()
-    with pytest.raises(RuntimeError):
-        checker.feed(next(iter(_one_record_trace().records)))
-
-
-def _one_record_trace():
-    trace = Tracer()
-    tx(trace, 0.0, 0, 1)
-    return trace
-
-
 def test_open_state_stays_sublinear_on_a_long_run():
     """The whole point of checking as a stream: retained state tracks
     *open* transactions, not trace length."""
     built = build_workload("stream")
-    checker = InvariantChecker(network=built.net, strict_completion=True)
-    checker.install(built.net)
+    checker = InvariantChecker(network=built.net)
+    table = SinkTable(checker).install(built.net)
     net = built.run()
-    checker.finish(ledger=net.ledger)
-    assert checker.records_checked > 300
-    assert checker.peak_open_state * 10 < checker.records_checked
+    checker.finish(ledger=net.ledger, end_time=table.end_time)
+    assert table.records_fed > 300
+    assert checker.peak_open_state * 10 < table.records_fed
     assert checker.peak_open_state < 40
 
 
@@ -245,24 +239,27 @@ def test_peak_open_state_equals_a_recount_after_every_record():
     """``peak_open_state`` comes from a live-message counter bumped where
     ``conn.live`` changes and two table sizes, noted only where state can
     grow; a brute-force recount after every record of a crash-and-failover
-    KV cell must never disagree."""
+    KV cell must never disagree.  The "requester stopped waiting" marks
+    stay a subset of the open cells throughout."""
     from repro.chaos.runner import chaos_config, make_schedule
 
     built = build_workload("kvstore_supervised", seed=3, config=chaos_config())
     make_schedule("primary_crash_load", built.spec).run(built)
-    checker = InvariantChecker(network=built.net, strict_completion=False)
+    checker = InvariantChecker(network=built.net)
+    table = SinkTable(checker)
     peak = 0
     for rec in built.net.sim.trace.records:
-        checker.feed(rec)
+        table.feed(rec)
         open_now = recount(checker)
         assert checker.open_state() == open_now
+        assert checker._abandoned <= checker._delivered.keys()
         peak = max(peak, open_now)
     # The whole crash-and-failover cell went through, not a stub: 5 699
     # records since a calm primary runs one idle round per quiet period
     # (8 082 before, 8 766 before the commit index rode the next round,
     # 9 810 before a round sent only the phases with something to carry,
     # 14 165 before the supervisor DISCOVERed each pattern once a poll).
-    assert checker.records_checked >= 5_699
+    assert table.records_fed >= 5_699
     assert checker.peak_open_state == peak > 3
 
 
@@ -271,8 +268,7 @@ def test_violations_surface_mid_stream():
     trace = Tracer()
     trace.record(0.0, "kernel.interrupt", mid=3)
     trace.record(10.0, "kernel.interrupt", mid=3)
-    for rec in trace.records:
-        checker.feed(rec)
+    SinkTable(checker).replay(trace.records)
     # INV-HANDLER is detectable the moment the nested interrupt lands,
     # before finish() runs the end-of-trace passes.
     assert any(v.invariant == "INV-HANDLER" for v in checker.violations)

@@ -12,6 +12,12 @@ through one ``SinkTable`` pass, as a chaos cell is judged, and no longer
 wraps them in a ``Tracer``.  ``test_checker_and_spans_accept_mixed_
 timestamp_types`` checks the bare record list with ``check_stream``, and
 ``test_runner_judges_a_merged_kv_trace_in_one_pass`` covers the pass.
+
+A real run is judged by a chaos cell's own judges and returns a
+``CellResult`` (``RealRunResult`` and ``analyze_merged`` are gone), and
+a torn file no longer keeps the rest from being judged:
+``test_runner_reports_a_torn_file_and_does_not_judge_it`` is now
+``test_runner_reports_a_torn_file_and_judges_what_it_holds``.
 """
 
 from repro.analysis.invariants import check_stream
@@ -135,8 +141,11 @@ def test_checker_and_spans_accept_mixed_timestamp_types():
 
 def _dump_two(path, mid=0):
     records = [
-        TraceRecord(1.0, "kernel.request", {"mid": mid, "tid": 7}),
-        TraceRecord(2.0, "kernel.complete", {"mid": mid, "tid": 7}),
+        TraceRecord(1.0, "kernel.request", {"mid": mid, "tid": 7, "dst": 9}),
+        TraceRecord(
+            2.0, "kernel.complete",
+            {"mid": mid, "tid": 7, "status": "completed"},
+        ),
     ]
     dump_trace(path, records, meta={"mid": mid, "records": len(records)})
     return records
@@ -170,66 +179,60 @@ def test_a_cut_between_lines_is_torn_by_the_headers_count(tmp_path):
     assert meta["torn"] == 1
 
 
-def test_runner_reports_a_torn_file_and_does_not_judge_it(tmp_path):
-    from repro.chaos.runner import chaos_config
-    from repro.netreal.runner import RealRunResult, judge_traces
+def test_runner_reports_a_torn_file_and_judges_what_it_holds(tmp_path):
+    """A torn or missing file is a runner problem in the liveness
+    column, and the records that were written are judged anyway."""
+    from repro.netreal.runner import judge_traces
 
-    paths = [tmp_path / f"trace-{mid}.jsonl" for mid in range(2)]
-    for mid, path in enumerate(paths):
+    paths = [tmp_path / f"trace-{mid}.jsonl" for mid in range(3)]
+    for mid, path in enumerate(paths[:2]):
         _dump_two(path, mid)
     paths[1].write_bytes(paths[1].read_bytes()[:-15])
-    result = RealRunResult(
-        workload="pingpong", seed=1, schedule="calm",
-        processes=2, records=0,
-    )
-    judge_traces(
-        paths, chaos_config().retransmit, result, out=lambda line: None
-    )
-    assert result.runner_problems == ["node 1's trace is torn: 1 of 2 records"]
-    assert not result.ok
-    assert result.records == 3
-    # All files are present, yet the clean path (which would have judged
-    # the half-run and counted its spans) was not taken.
-    assert result.spans_total == 0
-    assert [entry["time"] for entry in result.partial_trace_tail] == [1.0, 1.0, 2.0]
-
-
-def test_runner_judges_a_merged_kv_trace_in_one_pass():
-    """One ``SinkTable`` pass over a merged stream gives the verdicts
-    and counts the post-hoc functions give the same records; a KV run
-    is judged with non-strict completion, as a chaos cell is."""
-    from repro.chaos.liveness import percentile
-    from repro.netreal.runner import RealRunResult, analyze_merged
-    from repro.obs.spans import build_spans
-    from repro.replication import check_kv_consistency, kv_summary
-    from repro.transport.retransmit import RetransmitPolicy
-    from repro.workloads import build_workload
-    from tests.analysis.test_causal_sink import reference_causal
-
-    net = build_workload("kvstore").run()
-    records = list(net.sim.trace.records)
-    result = RealRunResult(
-        workload="kvstore", seed=18, schedule="calm",
-        processes=4, records=len(records),
-    )
-    analyze_merged(records, net.ledger, RetransmitPolicy(), result)
-
-    assert result.invariant_violations == [
-        v.format()
-        for v in check_stream(records, strict_completion=False, ledger=net.ledger)
+    node = {"workload": "pingpong", "seed": 1, "schedule": "calm"}
+    result = judge_traces(paths, node, 6_000_000.0, ["run: timed out"])
+    assert result.liveness_problems[:3] == [
+        "run: timed out",
+        "node 2 wrote no trace",
+        "node 1's trace is torn: 1 of 2 records",
     ]
-    assert result.causal_diagnostics == reference_causal(records)[0]
-    assert result.kv == kv_summary(records) and result.kv["ops_invoked"]
-    assert result.consistency_problems == check_kv_consistency(records)
-    spans = build_spans(records)
-    assert (result.spans_total, result.spans_completed) == (
-        len(spans), sum(1 for span in spans if span.completed),
+    # Node 1's REQUEST survived the cut, its completion did not: judged,
+    # its span is pending past the grace window.
+    assert result.spans_by_status == {"completed": 1, "pending": 1}
+    assert result.liveness_problems[3:] == [
+        "span <1,7> (signal) issued at t=0.0ms never reached a "
+        "terminal status"
+    ]
+    assert not result.ok
+
+
+def test_runner_judges_a_merged_kv_trace_in_one_pass(tmp_path):
+    """A real run is judged by a chaos cell's own judges: a sim cell's
+    retained trace, dumped as a node process dumps its own and handed to
+    ``judge_traces``, gets the verdict ``run_cell`` gives that cell live
+    (its node-state liveness half is clean, so the columns agree)."""
+    from repro.chaos.runner import (
+        chaos_config,
+        fault_counts,
+        make_schedule,
+        run_cell,
     )
-    rtts = [rec["rtt_us"] for rec in records if rec.category == "conn.acked"]
-    assert (result.rtt_p50_us, result.rtt_p99_us) == (
-        percentile(rtts, 0.50), percentile(rtts, 0.99),
-    )
-    assert result.retransmits == sum(
-        1 for rec in records if rec.category == "conn.retransmit"
-    )
-    assert result.ok, result.problems()
+    from repro.netreal.runner import judge_traces
+    from repro.workloads import build_workload
+
+    cell = ("kvstore", "lossy", 1)
+    built = build_workload("kvstore", seed=1, config=chaos_config())
+    horizon = make_schedule("lossy", built.spec).run(built)
+    net = built.net
+    records = list(net.sim.trace.records)
+    path = tmp_path / "trace-0.jsonl"
+    dump_trace(path, records, meta={
+        "ledger": net.ledger.snapshot(),
+        "faults": fault_counts(net),
+        "frames_sent": net.bus.frames_sent,
+        "records": len(records),
+    })
+    node = dict(zip(("workload", "schedule", "seed"), cell))
+    judged = judge_traces([path], node, horizon, []).to_dict()
+    assert judged == run_cell(*cell, causal=True).to_dict()
+    assert judged["ok"] and judged["kv"]["ops_invoked"]
+    assert judged["faults"]["frames_lost"] > 0

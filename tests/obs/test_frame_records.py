@@ -9,7 +9,7 @@ emitted under ``src/`` (DESIGN.md §15); this file holds it to that:
 * ``READERS`` names, for every ``(category, field)``, the module under
   ``src/repro`` that reads it, or ``human`` for a field nothing under
   ``src/`` reads, kept for trace dumps (``netreal/trace_io.py`` JSONL,
-  ``repr``, ``partial_trace_tail``) and for tests that filter on it.  A
+  ``repr``) and for tests that filter on it.  A
   field added to a row must be added here with its reader beside it;
   a field whose reader goes away shows up as a stale literal;
 * every ``.record(`` call under ``src/repro`` is positional, names a
@@ -291,7 +291,7 @@ def test_every_field_names_its_reader():
     sources = {}
     for category, fields in READERS.items():
         for name, reader in fields.items():
-            # partial_trace_tail spreads **rec.fields beside these keys.
+            # A field may not shadow the record's own time and category.
             assert name not in ("time", "category"), category
             if reader == HUMAN:
                 continue

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` entry point."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,23 @@ def test_real_refuses_a_schedule_that_does_not_fit(
     assert captured.out == ""
     assert f"schedule {schedule!r} does not fit" in captured.err
     assert action in captured.err
+
+
+def test_real_json_is_a_chaos_cell_result(capsys, tmp_path):
+    """One verdict for both backends: a real run's ``--json`` body has
+    exactly the keys of a chaos cell's ``CellResult.to_dict()``."""
+    from repro.chaos import run_cell
+
+    path = tmp_path / "real.json"
+    argv = ["real", "pingpong", "--schedule", "calm", "--seed", "3"]
+    assert main(argv + ["--json", str(path)]) == 0
+    assert "real: ok" in capsys.readouterr().out
+    body = json.loads(path.read_text())["body"]
+    assert body.keys() == run_cell("echo", "calm", 1).to_dict().keys()
+    assert (body["workload"], body["schedule"], body["seed"]) == (
+        "pingpong", "calm", 3,
+    )
+    assert body["ok"] and body["spans_by_status"]["completed"] > 0
 
 
 def test_real_node_argv_round_trips_through_its_table_row():

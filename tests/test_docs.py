@@ -102,3 +102,41 @@ def test_the_trace_schema_table_is_the_schema():
         "docs/OBSERVABILITY.md drifted from TRACE_SCHEMA; between the "
         "markers it should read:\n" + expected
     )
+
+
+# -- cited DESIGN sections ----------------------------------------------------
+
+#: A DESIGN.md citation and the section numbers that follow it:
+#: "DESIGN.md §14", "DESIGN.md §14, §21", "DESIGN.md §16 and §22".
+DESIGN_CITATION = re.compile(r"DESIGN\.md((?:\s*(?:,|and|or)?\s*§\s?\d+)+)")
+
+#: Where the sections are cited from.
+CITING = [
+    ROOT / ".github" / "workflows" / "ci.yml",
+    *(
+        path
+        for tree in ("src", "tests", "perf", "docs")
+        for path in sorted((ROOT / tree).rglob("*"))
+        if path.suffix in (".py", ".md")
+    ),
+]
+
+
+def test_cited_design_sections_exist():
+    """A renumbered, merged or deleted DESIGN.md section fails every
+    citation of it here, not in a reader's hands."""
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    headings = set(re.findall(r"^## (\d+)\. ", design, re.MULTILINE))
+    cited = {}
+    for path in CITING:
+        text = path.read_text(encoding="utf-8")
+        for match in DESIGN_CITATION.finditer(text):
+            for section in re.findall(r"§\s?(\d+)", match.group(1)):
+                cited.setdefault(section, str(path.relative_to(ROOT)))
+    # 14 distinct sections (§9-§22) when this was written.
+    assert len(cited) >= 14
+    dangling = {
+        section: path for section, path in cited.items()
+        if section not in headings
+    }
+    assert not dangling, f"cited but no '## N.' heading: {dangling}"

@@ -7,6 +7,10 @@ post-hoc functions — is kept *here* as the reference
 (:func:`reference_run_cell`), so a sink that drifts from its function
 fails a test instead of moving a verdict quietly.
 
+Both sides judge completion by the one rule (an open delivered cell is a
+leak unless its requester stopped waiting), so the reference runs
+``check_network`` strict, as ``run_cell``'s checker is.
+
 Two ids are gone since the causal engine became a sink and the metrics
 hub install-only (DESIGN.md §21):
 
@@ -37,6 +41,7 @@ from repro.chaos.runner import (
     DEGRADATION_BOUNDS,
     CellResult,
     chaos_config,
+    fault_counts,
     make_schedule,
 )
 from repro.obs.spans import build_spans
@@ -61,6 +66,9 @@ KV_FAULT_CELLS = [
 #: The matrix's three reproducible unclean cells: their verdict lists
 #: were not empty, so the comparison is word for word.  ``busy/duplicate/93``
 #: is clean since SODA007 judges the retry decision, not the wire.
+#: ``stream/sustained_loss/6`` also reports the server's half of its
+#: stranded EXCHANGE: ``INV-COMPLETE [mid=0] request <1,5> left in state
+#: 'accepted'`` at 59 950 ms.
 UNCLEAN_CELLS = [
     ("cancel", "lossy", 5),
     ("stream", "sustained_loss", 6),
@@ -85,7 +93,7 @@ def reference_run_cell(workload, schedule, seed, causal=False):
     net = built.net
     records = net.sim.trace.records
 
-    violations = check_network(net, strict_completion=False)
+    violations = check_network(net)
     causal_problems = (
         reference_causal(list(records))[0] if causal else []
     )
@@ -94,16 +102,6 @@ def reference_run_cell(workload, schedule, seed, causal=False):
     by_status = {}
     for span in spans:
         by_status[span.status] = by_status.get(span.status, 0) + 1
-    faults = net.faults
-    disk_faults = {}
-    for node in net.nodes.values():
-        plan = getattr(getattr(node, "disk", None), "plan", None)
-        if plan is None:
-            continue
-        for key, value in plan.counter_snapshot().items():
-            disk_faults[f"disk_{key}"] = (
-                disk_faults.get(f"disk_{key}", 0) + value
-            )
     return CellResult(
         workload=workload,
         schedule=schedule,
@@ -122,17 +120,7 @@ def reference_run_cell(workload, schedule, seed, causal=False):
         recovery=recovery_summary(records),
         kv=summary if summary["ops_invoked"] else {},
         spans_by_status=by_status,
-        faults={
-            "frames_lost": faults.frames_lost,
-            "frames_corrupted": faults.frames_corrupted,
-            "frames_scripted_drops": faults.frames_scripted_drops,
-            "deliveries_predicate_dropped": (
-                faults.deliveries_predicate_dropped
-            ),
-            "deliveries_duplicated": faults.deliveries_duplicated,
-            "deliveries_reordered": faults.deliveries_reordered,
-            **disk_faults,
-        },
+        faults=fault_counts(net),
         frames_sent=net.bus.frames_sent,
     )
 
@@ -150,6 +138,11 @@ def test_live_verdict_equals_post_hoc_verdict(cell, monkeypatch):
     assert live == as_in_a_fresh_process(reference_run_cell)
     if cell in UNCLEAN_CELLS[:2]:
         assert not live["ok"]
+    if cell == UNCLEAN_CELLS[1]:
+        assert any(
+            "INV-COMPLETE [mid=0] request <1,5> left in state 'accepted'" in v
+            for v in live["invariant_violations"]
+        )
     if cell == UNCLEAN_CELLS[2]:
         assert live["ok"], live
 
