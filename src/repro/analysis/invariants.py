@@ -62,7 +62,8 @@ transactions close:
 
 Peak retained state is therefore proportional to *open* work — live
 messages, undecided delivered requests, pending verdicts — not to trace
-length (``python -m repro bench analysis`` measures the ratio).
+length (``tests/analysis/test_streaming_checker.py`` and the soak in
+``tests/integration/test_soak.py`` hold it to that).
 
 **What retirement gives up.**  The rules above are exact on any trace a
 SODA kernel can emit.  A hand-built trace that breaks a kernel

@@ -12,10 +12,13 @@
   figure (F1);
 * :mod:`repro.bench.tables` — plain-text table rendering;
 * :mod:`repro.bench.registry` — ``python -m repro bench <name>``: one
-  ``BENCHES`` row per committed ``BENCH_<name>.json``, over the seven
+  ``BENCHES`` row per committed ``BENCH_<name>.json``, over the five
   bench modules (``perf_tables``, ``transport``, ``kv``, ``durability``,
-  ``causal``, ``sim_bench``, ``real``).  Not imported here: those pull
-  in the chaos and real-socket stacks.
+  ``real``).  Not imported here: those pull in the chaos and
+  real-socket stacks.
+
+The model's results are measured here; the implementation's cost (wall
+clock, events per second, Python calls) is ``perf/``'s.
 """
 
 from repro.bench.breakdown import (

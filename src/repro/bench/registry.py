@@ -14,8 +14,8 @@ holds the bench's three functions, imported only when the bench runs:
 ``--check`` re-runs the bench (at the defaults, which are what produced
 the committed file), judges both bodies, and for a deterministic bench
 requires the fresh snapshot to equal ``./BENCH_<name>.json`` byte for
-byte; the wall-clock benches (``sim``, ``real``) must only have the
-same keys.  It never writes.
+byte; the wall-clock bench (``real``) must only have the same keys.
+It never writes.
 """
 
 from __future__ import annotations
@@ -76,23 +76,6 @@ BENCHES: Dict[str, Bench] = {
         "durability",
         "WAL replay, snapshot-interval and fsync-policy costs",
         deterministic=True,
-    ),
-    "analysis": Bench(
-        "causal_bench",
-        "causal",
-        "invariant checker open state vs trace length over one soak",
-        deterministic=True,
-    ),
-    "sim": Bench(
-        "sim_bench",
-        "sim_bench",
-        "raw engine events/sec (wall clock)",
-        deterministic=False,
-        flags=(
-            Flag("--repeats", "best-of-R timing", int, 3, metavar="R"),
-            Flag("--scale", "shrink the event budgets", float, 1.0, "F"),
-        ),
-        meta=lambda body: {"repeats": body["repeats"]},
     ),
     "real": Bench(
         "real_bench",

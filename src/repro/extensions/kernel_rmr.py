@@ -8,8 +8,8 @@ access (the paper's proposed synchronization); a reference arriving
 while CLOSEd is REJECTed and retried here.
 
 Compare with :mod:`repro.facilities.rmr`, the pure-library version the
-paper actually recommends; ``benchmarks/test_ablation_kernel_rmr.py``
-measures the difference.
+paper actually recommends; ``tests/bench/test_paper_claims.py::
+test_kernel_rmr_vs_library_rmr`` measures the difference.
 """
 
 from __future__ import annotations

@@ -102,5 +102,3 @@ def test_main_help_mentions_analysis_commands(capsys):
     for name in ("lint", "check-trace", "causal"):
         assert f"python -m repro {name} " in help_text
         assert COMMANDS[name].description in help_text
-    assert main(["bench", "--help"]) == 0
-    assert "python -m repro bench analysis " in capsys.readouterr().out

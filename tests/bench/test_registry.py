@@ -9,16 +9,56 @@ preceded it; what each of those asserted is now made by:
   test_bench_snapshot::test_envelope,
   test_cli::test_durability_bench_writes_snapshot) — the envelope step
   of ``check_committed``;
-* "no-trace beats traced" of ``BENCH_sim.json`` — ``sim_bench.verdicts``;
-  ``all_finished`` and ``adaptive_recovers_faster_real`` of
-  ``BENCH_real.json`` — ``real.verdicts``; the scenario set and the
-  backend x policy grid — a missing key fails ``verdicts`` as a
-  malformed snapshot here, and CI's ``--check`` compares every key of
-  the committed file with a fresh run's;
+* ``all_finished`` and ``adaptive_recovers_faster_real`` of
+  ``BENCH_real.json`` — ``real.verdicts``; the backend x policy grid —
+  a missing key fails ``verdicts`` as a malformed snapshot here, and
+  CI's ``--check`` compares every key of the committed file with a
+  fresh run's;
 * durability's "replay grows with log length" and "fsync always > batch
   >= never" (tail of test_bench_schema_and_determinism, and the CLI's
   own exit code) — ``durability.verdicts``; "a second run is
-  byte-identical" — the byte comparison of ``bench durability --check``.
+  byte-identical" — the byte comparison of ``bench durability --check``;
+* T1-T3 of the ``benchmarks/`` suite (``test_performance_table[<verb>-
+  <variant>]``, six ids: packets per transaction, growth with size,
+  each cell within 40 % of ``paper_ms``, 60 % for pipelined cells of
+  at most 100 words; ``test_pipelining_wins_where_paper_says``: at 500
+  words 1 < GET speedup < EXCHANGE speedup) — ``perf_tables.verdicts``,
+  which ``bench obs --check`` applies to a fresh run and to
+  ``BENCH_obs.json``.
+
+Two benches went, each verdict to the one place that owns its claim
+(the model's results are measured here, the implementation's cost in
+``perf/``):
+
+* ``bench sim`` — ``test_sim_bench::test_body_shape_and_positive_rates``
+  and ``::test_event_counts_are_deterministic_across_runs``: events per
+  second are ``perf/``'s ``sim.events_per_s`` and
+  ``sim.bare_events_per_s``, heap compaction is
+  ``tests/sim/test_events.py::test_compaction_when_cancelled_dominate``,
+  an idle poll tick's cost is
+  ``tests/sodal/test_idle_wait.py::
+  test_an_idle_hour_parks_one_waiter_and_costs_no_events``, and
+  "counters-only mode makes fewer Python calls on the same events" is
+  ``tests/sim/test_rng_tracing_clock.py::
+  test_counters_only_tracing_makes_fewer_calls``;
+  ``test_sim_bench::test_frame_cost_counts_and_verdicts`` (events and
+  records per frame) — ``tests/obs/test_frame_records.py::
+  test_kv_cell_keeps_its_records_per_frame``;
+  ``test_committed_wall_clock_snapshot_is_healthy[sim]`` and
+  ``test_cli::test_sim_bench_writes_snapshot`` (``--repeats`` /
+  ``--scale``) — behaviour removed with the bench and its flags;
+* ``bench analysis`` — ``test_fresh_run_reproduces_the_committed_bytes
+  [analysis]``: peak open state against trace length is
+  ``tests/analysis/test_streaming_checker.py::
+  test_open_state_stays_sublinear_on_a_long_run`` (which also wants the
+  long run clean under the checker and a ``CausalSink``), ``::
+  test_peak_open_state_equals_a_recount_after_every_record`` and
+  ``tests/integration/test_soak.py``; the causal counters are
+  ``tests/analysis/test_causal_sink.py``'s comparison against its
+  reference order.
+
+``test_registry_names_the_seven_committed_snapshots`` is
+``test_registry_names_the_five_committed_snapshots``.
 """
 
 import json
@@ -35,8 +75,8 @@ ROOT = Path(__file__).resolve().parents[2]
 DETERMINISTIC = [name for name, bench in BENCHES.items() if bench.deterministic]
 
 
-def test_registry_names_the_seven_committed_snapshots():
-    assert DETERMINISTIC == ["obs", "transport", "kv", "durability", "analysis"]
+def test_registry_names_the_five_committed_snapshots():
+    assert DETERMINISTIC == ["obs", "transport", "kv", "durability"]
     assert sorted(
         path.name for path in ROOT.glob("BENCH_*.json")
     ) == sorted(f"BENCH_{name}.json" for name in BENCHES)
@@ -55,9 +95,9 @@ def test_fresh_run_reproduces_the_committed_bytes(
     assert written.read_bytes() == (ROOT / f"BENCH_{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["sim", "real"])
+@pytest.mark.parametrize("name", ["real"])
 def test_committed_wall_clock_snapshot_is_healthy(name, monkeypatch):
-    # Wall-clock benches are not re-run in tier 1 (`real` needs loopback
+    # The wall-clock bench is not re-run in tier 1 (it needs loopback
     # UDP); the committed file must still pass envelope and verdicts.
     monkeypatch.chdir(ROOT)
     assert check_committed(name) == []
@@ -95,8 +135,8 @@ def test_check_rejects_a_missing_or_foreign_snapshot(monkeypatch, tmp_path):
 
 
 def test_wall_clock_check_compares_keys_not_values(monkeypatch, tmp_path):
-    # What CI's `bench sim --check` / `bench real --check` add to the
-    # verdicts: the scenario set and the backend x policy grid.
+    # What CI's `bench real --check` adds to the verdicts: the backend x
+    # policy grid.
     from repro.obs.export import snapshot_payload
 
     monkeypatch.chdir(ROOT)
@@ -142,8 +182,24 @@ def test_verdicts_bite_on_an_unhealthy_body():
     real["backends"]["real"]["static"]["all_finished"] = False
     assert len(load(BENCHES["real"]).verdicts(real)) == 2
 
-    sim = _committed_body("sim")
-    sim["comparison"]["no_trace_fewer_calls_than_traced"] = False
-    assert load(BENCHES["sim"]).verdicts(sim) == [
-        "no-trace fast mode makes no fewer Python calls than traced mode"
+    obs = _committed_body("obs")
+    assert load(BENCHES["obs"]).verdicts(obs) == []
+    cell = obs["put.non_pipelined"][-1]
+    measured, cell["measured_ms"] = cell["measured_ms"], 1.9 * cell["paper_ms"]
+    assert load(BENCHES["obs"]).verdicts(obs) == [
+        "put.non_pipelined at 1000 words: 89.3 ms, not within 40% of the "
+        "paper's 47"
+    ]
+    cell["measured_ms"] = measured
+    # EXCHANGE's 500-word speedup flattened to GET's 1.20x.
+    at_500 = {
+        name: next(row for row in rows if row["words"] == 500)["measured_ms"]
+        for name, rows in obs.items()
+    }
+    get = at_500["get.non_pipelined"] / at_500["get.pipelined"]
+    row = next(row for row in obs["exchange.pipelined"] if row["words"] == 500)
+    row["measured_ms"] = at_500["exchange.non_pipelined"] / get
+    assert load(BENCHES["obs"]).verdicts(obs) == [
+        "pipelining at 500 words: GET 1.20x, EXCHANGE 1.20x; the paper has "
+        "1 < GET < EXCHANGE"
     ]

@@ -10,8 +10,16 @@ post-hoc pass
 (test_live_judging::test_post_hoc_judge_refuses_a_partial_trace); a sink
 sees every record until removed, retained or not
 (``test_sink_sees_every_record_until_removed``).
+
+``bench sim``'s ``trace_overhead`` verdict (part of
+``tests/bench/test_sim_bench.py::test_body_shape_and_positive_rates``:
+a counters-only run processes the same events in fewer Python calls)
+is ``test_counters_only_tracing_makes_fewer_calls``; what either mode
+costs in wall clock is ``perf/``'s ``trace.overhead_ratio``.
 """
 
+import cProfile
+import pstats
 import random
 
 import pytest
@@ -101,6 +109,38 @@ def test_tracer_without_records_still_counts():
     tracer.record(1.0, "x")
     assert tracer.count("x") == 1
     assert tracer.records == []
+
+
+def _stream_run(keep_trace, sink=None):
+    """``(events, records emitted, Python calls)`` of one ``stream`` run
+    under cProfile."""
+    from repro.workloads import build_workload
+
+    built = build_workload("stream", keep_trace=keep_trace)
+    trace = built.net.sim.trace
+    if sink is not None:
+        trace.add_sink(sink)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    built.net.run(until=built.spec.until_us)
+    profiler.disable()
+    calls = pstats.Stats(profiler).total_calls
+    return built.net.sim.events_processed, sum(trace.counters.values()), calls
+
+
+def test_counters_only_tracing_makes_fewer_calls():
+    """With no retention and no sink a record is one counter bump: the
+    same events for at least one call fewer per record (344 events, 318
+    records; ~11 700 calls traced, ~10 750 counters-only on CPython
+    3.11, give or take a few dozen with what the process ran before).
+    A sink on the counters-only tracer builds every record again, and
+    the saving is gone."""
+    events, records, traced = _stream_run(True)
+    counters_only = _stream_run(False)
+    with_sink = _stream_run(False, sink=lambda rec: None)
+    assert counters_only[:2] == with_sink[:2] == (events, records)
+    assert traced - counters_only[2] >= records
+    assert traced - with_sink[2] < records
 
 
 def test_tracer_reset():

@@ -6,6 +6,11 @@ the simulator allows, without an event at all (DESIGN.md §11).  The old
 loop is kept here as :func:`reference_poll`, and seeded random scripts
 are run under both: the instants at which each predicate is looked at,
 the instants at which each poll returns, and the trace must be equal.
+
+``bench sim``'s ``idle_wait`` verdict (an idle poll tick costs next to
+no events; part of ``tests/bench/test_sim_bench.py::
+test_body_shape_and_positive_rates``) is
+``test_an_idle_hour_parks_one_waiter_and_costs_no_events``.
 """
 
 import itertools

@@ -234,6 +234,65 @@ def test_causal_column_defaults_off():
 
 
 # ---------------------------------------------------------------------------
+# Known bug, pinned: a stream exchange stranded by nine calm drops.
+
+#: Three scripted strikes, all armed at 0 µs: the client's first
+#: REQUEST, the server's first NACK, and seven client REQUESTs after
+#: skipping two.  No RNG in the fault path.
+STRANDED_EXCHANGE = Scenario(
+    "stranded_exchange",
+    (
+        TargetedDrop(0.0, ptype="request", src="client"),
+        TargetedDrop(0.0, ptype="nack", src="server"),
+        TargetedDrop(0.0, ptype="request", src="client", skip=2, count=7),
+    ),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nine_calm_drops_strand_a_stream_exchange(seed):
+    """ROADMAP item 1(b)'s shape on a calm schedule: the server's
+    delivery of <1,0> stays ``accepted`` to the horizon, and three
+    exchanges issued within 3 ms of each other never terminate.  This
+    pins the bug as it is; the fix flips it to ``result.ok``."""
+    result = run_cell(
+        "stream", "stranded_exchange", seed, scenario=STRANDED_EXCHANGE
+    )
+    assert result.faults["frames_scripted_drops"] == 9
+    [violation] = result.invariant_violations
+    assert (
+        "INV-COMPLETE [mid=0] request <1,0> left in state 'accepted'"
+        in violation
+    )
+    assert [line.split(" (")[0] for line in result.liveness_problems] == [
+        "span <1,4>", "span <1,5>", "span <1,6>",
+    ]
+    assert result.spans_by_status == {"completed": 1, "crashed": 3, "pending": 3}
+    # A schedule name the floors do not know has a goodput floor of 0.
+    assert result.degradation_problems == []
+
+
+@pytest.mark.parametrize(
+    "spared,spans",
+    [
+        (0, {"completed": 9, "crashed": 3}),
+        (1, {"completed": 12}),
+        (2, {"completed": 12}),
+    ],
+)
+def test_each_stranding_strike_is_needed(spared, spans):
+    """Without any one of the three strikes the cell is clean: each hits
+    a frame the bug needs."""
+    actions = STRANDED_EXCHANGE.actions
+    scenario = Scenario(
+        "stranded_exchange", actions[:spared] + actions[spared + 1 :]
+    )
+    result = run_cell("stream", "stranded_exchange", 1, scenario=scenario)
+    assert result.ok, result.problems()
+    assert result.spans_by_status == spans
+
+
+# ---------------------------------------------------------------------------
 # Shrinker + reproducer formatting (synthetic predicate: no sim runs).
 
 

@@ -229,34 +229,6 @@ def test_chaos_parallel_matches_serial_json(capsys, tmp_path):
     assert serial_path.read_bytes() == parallel_path.read_bytes()
 
 
-def test_sim_bench_writes_snapshot(capsys, tmp_path):
-    # The one bench test at non-default flags: `bench NAME --check`
-    # (tests/bench/test_registry.py) only ever runs the defaults.
-    import json
-
-    json_path = tmp_path / "sim.json"
-    code = main(
-        [
-            "bench",
-            "sim",
-            "--repeats",
-            "1",
-            "--scale",
-            "0.01",
-            "--json",
-            str(json_path),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert "timer_churn" in out
-    assert "events/sec" in out
-    payload = json.loads(json_path.read_text())
-    assert payload["kind"] == "sim_bench"
-    assert payload["meta"] == {"repeats": 1}
-    assert code in (0, 1)  # verdict is wall-clock, not pinned here
-    assert "trace_overhead" in payload["body"]["scenarios"]
-
-
 def test_recover_demo_converges(capsys, tmp_path):
     json_path = tmp_path / "recover.json"
     assert main(["recover", "--json", str(json_path)]) == 0
@@ -300,7 +272,7 @@ def test_help_lists_every_registered_command(capsys):
     for expected in ("quickstart", "chaos", "bench", "real"):
         assert expected in COMMANDS
     assert list(BENCHES) == [
-        "obs", "transport", "kv", "durability", "analysis", "sim", "real",
+        "obs", "transport", "kv", "durability", "real",
     ]
 
 

@@ -78,6 +78,44 @@ def test_documented_commands_parse(path):
     assert not rejected, f"{path.name}:\n" + "\n".join(rejected)
 
 
+# -- bench names --------------------------------------------------------------
+
+#: A bench named in prose or code: `bench NAME`, repro bench NAME,
+#: BENCH_NAME.json.  Placeholders (``<name>``, ``*``) do not match.
+BENCH_NAME = re.compile(
+    r"`bench ([a-z_]+)|repro bench ([a-z_]+)|BENCH_([a-z_]+)\.json"
+)
+
+#: Where a bench is named as current; DESIGN.md, CHANGES.md and
+#: ROADMAP.md are history and may name benches that are gone.
+NAMING = [
+    ROOT / "README.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    *sorted((ROOT / "src").rglob("*.py")),
+]
+
+
+def test_named_benches_are_registered():
+    """A deleted or renamed bench fails every line that still names it
+    (or names a BENCH file ``bench --check`` would reject)."""
+    from repro.bench.registry import BENCHES
+
+    named, unknown = 0, []
+    for path in NAMING:
+        if not path.exists():
+            continue
+        text = path.read_text(encoding="utf-8")
+        for match in BENCH_NAME.finditer(text):
+            named += 1
+            if next(filter(None, match.groups())) not in BENCHES:
+                line = text.count("\n", 0, match.start()) + 1
+                unknown.append(f"{path.relative_to(ROOT)}:{line}: {match[0]}")
+    assert named >= 30
+    assert not unknown, "no BENCHES row:\n" + "\n".join(unknown)
+
+
 # -- the trace schema table (ROADMAP 5d) --------------------------------------
 
 SCHEMA_BEGIN = "<!-- trace-schema:begin (rendered from TRACE_SCHEMA) -->\n"
