@@ -11,13 +11,10 @@ Run:  python examples/performance_tables.py          (full, ~2 min)
 
 import sys
 
-from repro.bench import (
-    WORD_SIZES,
-    format_table,
-    generate_performance_table,
-    measure_comparison,
-    measure_signal_breakdown,
-)
+from repro.bench.breakdown import measure_signal_breakdown
+from repro.bench.comparison import measure_comparison
+from repro.bench.perf_tables import WORD_SIZES, generate_performance_table
+from repro.bench.tables import format_table
 
 
 def main() -> None:

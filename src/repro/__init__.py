@@ -61,7 +61,8 @@ from repro.core import (
     make_reserved_pattern,
     make_well_known_pattern,
 )
-from repro.sodal import OK, Completion, Queue, SodalApi
+from repro.sodal.api import OK, Completion, SodalApi
+from repro.sodal.queueing import Queue
 
 __version__ = "1.0.0"
 

@@ -20,39 +20,3 @@ Three parts:
 
 See ``docs/ANALYSIS.md`` for the rule table and extension guide.
 """
-
-from repro.analysis.causal import (
-    CausalDiagnostic,
-    CausalSink,
-    build_causal_order,
-    check_stream,
-    detect_deadlocks,
-)
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    check_network,
-)
-from repro.analysis.linter import LintConfig, Linter, lint_paths
-from repro.analysis.rules import LintRule, all_rules, get_rule, register_rule
-
-__all__ = [
-    "CausalDiagnostic",
-    "CausalSink",
-    "Diagnostic",
-    "Severity",
-    "build_causal_order",
-    "check_stream",
-    "detect_deadlocks",
-    "LintRule",
-    "register_rule",
-    "get_rule",
-    "all_rules",
-    "LintConfig",
-    "Linter",
-    "lint_paths",
-    "InvariantChecker",
-    "InvariantViolation",
-    "check_network",
-]

@@ -5,7 +5,7 @@ Each rule is a class with a ``rule_id``, a one-line ``summary``, and a
 register themselves with :func:`register_rule`; extensions add their own
 rules the same way:
 
-    from repro.analysis import LintRule, register_rule
+    from repro.analysis.rules import LintRule, register_rule
 
     @register_rule
     class MulticastFanoutRule(LintRule):

@@ -6,35 +6,3 @@
 4. concurrent readers and writers (a moderator process);
 5. a file service.
 """
-
-from repro.apps.bounded_buffer import BufferConsumer, BufferProducer, CONSUMER_PATTERN
-from repro.apps.file_server import FileServer, RemoteFile, FILESERVER_PATTERN
-from repro.apps.four_way import Device, FourWayClient
-from repro.apps.philosophers import DeadlockDetector, Philosopher
-from repro.apps.readers_writers import (
-    Moderator,
-    ReaderWriterClient,
-    rw_end_read,
-    rw_end_write,
-    rw_start_read,
-    rw_start_write,
-)
-
-__all__ = [
-    "BufferConsumer",
-    "BufferProducer",
-    "CONSUMER_PATTERN",
-    "DeadlockDetector",
-    "Device",
-    "FILESERVER_PATTERN",
-    "FileServer",
-    "FourWayClient",
-    "Moderator",
-    "Philosopher",
-    "ReaderWriterClient",
-    "RemoteFile",
-    "rw_end_read",
-    "rw_end_write",
-    "rw_start_read",
-    "rw_start_write",
-]

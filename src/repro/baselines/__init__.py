@@ -5,11 +5,3 @@ PDP-11/23 + Megalink hardware (§5.5): a synchronous remote port call
 took 20.7 ms and an asynchronous port call 11.1 ms, versus SODA's
 8.5/10.0 ms (blocking) and 4.9/5.8 ms (non-blocking) SIGNALs.
 """
-
-from repro.baselines.starmod import (
-    StarModConfig,
-    StarModNetwork,
-    StarModNode,
-)
-
-__all__ = ["StarModConfig", "StarModNetwork", "StarModNode"]

@@ -10,48 +10,3 @@ shrinks failures to minimal ready-to-paste reproducers
 CLI: ``python -m repro chaos [--matrix] [--seed N] [--json PATH]``.
 See ``docs/CHAOS.md``.
 """
-
-from repro.chaos.liveness import check_liveness
-from repro.chaos.runner import (
-    RECOVERY_SCHEDULES,
-    SCHEDULES,
-    CellResult,
-    make_schedule,
-    matrix_cells,
-    matrix_payload,
-    run_cell,
-    run_matrix,
-)
-from repro.chaos.scenario import (
-    GRACE_US,
-    ClientDie,
-    LossWindow,
-    NodeCrash,
-    Partition,
-    Reboot,
-    Scenario,
-    TargetedDrop,
-)
-from repro.chaos.shrink import format_repro, shrink_scenario
-
-__all__ = [
-    "GRACE_US",
-    "RECOVERY_SCHEDULES",
-    "SCHEDULES",
-    "CellResult",
-    "ClientDie",
-    "LossWindow",
-    "NodeCrash",
-    "Partition",
-    "Reboot",
-    "Scenario",
-    "TargetedDrop",
-    "check_liveness",
-    "format_repro",
-    "make_schedule",
-    "matrix_cells",
-    "matrix_payload",
-    "run_cell",
-    "run_matrix",
-    "shrink_scenario",
-]

@@ -57,7 +57,6 @@ from repro.chaos.liveness import (
     check_liveness,
 )
 from repro.core.config import KernelConfig
-from repro.obs.export import snapshot_payload
 from repro.obs.spans import SpanBuilder
 from repro.recovery.convergence import RecoverySink
 from repro.replication.consistency import KvSink
@@ -677,6 +676,8 @@ def matrix_payload(
     results: Sequence[CellResult], seed: int
 ) -> Dict[str, object]:
     """The ``soda.bench/1`` report for a finished sweep."""
+    from repro.obs.export import snapshot_payload
+
     failed = [r for r in results if not r.ok]
     body = {
         "cells": [r.to_dict() for r in results],

@@ -64,9 +64,10 @@ def test_chaos_regression_{workload}_{scenario.name}_seed{seed}():
     Observed failure:
 {problem_lines}
     """
-    from repro.chaos import Scenario, run_cell
+    from repro.chaos.runner import run_cell
     from repro.chaos.scenario import (
-        ClientDie, LossWindow, NodeCrash, Partition, Reboot, TargetedDrop,
+        ClientDie, LossWindow, NodeCrash, Partition, Reboot, Scenario,
+        TargetedDrop,
     )
 
     scenario = Scenario(

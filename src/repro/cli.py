@@ -6,7 +6,10 @@ tree from the table (plus one nested subparser per
 :data:`repro.bench.registry.BENCHES` row under ``bench``), so usage
 text, ``--help``, type conversion and unknown-flag rejection cannot
 drift from what dispatches.  Rows are plain data and every command
-imports what it needs when it runs: ``--help`` loads no simulator.
+imports what it needs when it runs: ``--help`` loads the kernel that
+``repro``'s quickstart names come from, and no chaos, analysis,
+replication, durability, netreal, app or facility module
+(``tests/test_import_closure.py``).
 
 Exit codes, for every command: 0 ok, 1 a verdict or check failed,
 2 usage error.
@@ -152,7 +155,8 @@ def _tables(ns) -> None:
 
 
 def _breakdown(ns) -> None:
-    from repro.bench import format_table, measure_signal_breakdown
+    from repro.bench.breakdown import measure_signal_breakdown
+    from repro.bench.tables import format_table
 
     result = measure_signal_breakdown()
     rows = [
@@ -171,7 +175,8 @@ def _breakdown(ns) -> None:
 
 
 def _comparison(ns) -> None:
-    from repro.bench import format_table, measure_comparison
+    from repro.bench.comparison import measure_comparison
+    from repro.bench.tables import format_table
 
     rows = measure_comparison()
     print(
@@ -185,7 +190,7 @@ def _comparison(ns) -> None:
 
 
 def _deltat(ns) -> None:
-    from repro.bench import deltat_scenarios
+    from repro.bench.deltat_figure import deltat_scenarios
 
     scenarios = deltat_scenarios()
     for scenario in scenarios.values():
@@ -202,12 +207,12 @@ def _deltat(ns) -> None:
 def _metrics(ns) -> int:
     from repro.workloads import CAUSAL_WORKLOADS, build_workload
     from repro.bench.tables import format_table
-    from repro.obs import (
-        MetricsHub,
+    from repro.obs.export import (
         render_metrics,
         render_span_table,
         write_metrics_jsonl,
     )
+    from repro.obs.instrument import MetricsHub
 
     if not known("workload", [ns.workload], CAUSAL_WORKLOADS):
         return 2
@@ -237,15 +242,14 @@ def _metrics(ns) -> int:
 
 
 def _chaos(ns) -> int:
-    from repro.chaos import (
+    from repro.chaos.runner import (
         SCHEDULES,
-        format_repro,
         make_schedule,
         matrix_payload,
         run_cell,
         run_matrix,
-        shrink_scenario,
     )
+    from repro.chaos.shrink import format_repro, shrink_scenario
     from repro.workloads import CAUSAL_WORKLOADS, get_spec
     from repro.obs.export import write_snapshot
 
@@ -323,7 +327,7 @@ def _recover(ns) -> int:
     """One scripted crash/reboot/retry walkthrough."""
     from repro.workloads import build_workload
     from repro.chaos.scenario import ClientDie, NodeCrash, Scenario
-    from repro.obs import MetricsHub
+    from repro.obs.instrument import MetricsHub
     from repro.recovery.convergence import RecoverySink
     from repro.sim.tracing import SinkTable
 

@@ -289,8 +289,8 @@ class ClientProcessor:
         no handler executing, (b) no other event is due at this instant,
         so nothing runs between this tick and that wake-up, and (c)
         ``predicate()`` is false, the tick sleeps again in place, and
-        moves the clock itself while the simulator lets it
-        (:meth:`~repro.sim.engine.Simulator.skip_to`).  DESIGN.md §11
+        moves the clock itself up to the simulator's
+        :meth:`~repro.sim.engine.Simulator.skip_limit`.  DESIGN.md §11
         has the argument that this is the same evaluation at the same
         instant, never an earlier or a dropped one.  With ``delay_us``
         infinite there are no ticks and no timer at all: only a handler
@@ -321,13 +321,18 @@ class ClientProcessor:
                 and self.handler_process is None
                 and sim.quiet()
             )
+            # Only the clock moves below, and a predicate has no side
+            # effects: the limit holds for every look of this callback.
+            limit = sim.skip_limit() if in_place else -math.inf
             while True:
                 delay_us = min(delay_us * 2.0, cap_us)
                 if not in_place or predicate():
                     break
-                if not sim.skip_to(sim.now + delay_us):
+                instant = sim.now + delay_us
+                if instant > limit:
                     timer = sim.schedule(delay_us, tick)
                     return
+                sim.now = instant
             if not future.resolved:
                 future.resolve(None)
 

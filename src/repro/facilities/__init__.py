@@ -5,57 +5,3 @@ RPC, links, or rendezvous.  That is the paper's point — a bufferless,
 two-phase REQUEST/ACCEPT kernel is enough to express all of these as
 libraries.
 """
-
-from repro.facilities.connector import (
-    ConnectedProgram,
-    ModuleSpec,
-    Switchboard,
-    Wiring,
-    lookup_service,
-    register_service,
-    run_connector,
-)
-from repro.facilities.ports import InputPort, PriorityPort, port_write
-from repro.facilities.rmr import MemoryServer, peek, poke
-from repro.facilities.rpc import RpcClient, RpcServer, rpc_call
-from repro.facilities.links import LinkEnd, LinkService
-from repro.facilities.rendezvous import CspGuard, CspProcess
-from repro.facilities.timeservice import TimeServer, set_alarm, sleep_via
-
-# The supervision facility lives in repro.recovery (it ships with the
-# failure detector and retry shim) but is, like everything here, pure
-# client code over BOOT/LOAD — re-exported as a facility.
-from repro.recovery.supervisor import (
-    RestartPolicy,
-    SupervisedService,
-    SupervisorProgram,
-)
-
-__all__ = [
-    "ConnectedProgram",
-    "RestartPolicy",
-    "SupervisedService",
-    "SupervisorProgram",
-    "CspGuard",
-    "CspProcess",
-    "InputPort",
-    "ModuleSpec",
-    "Switchboard",
-    "Wiring",
-    "lookup_service",
-    "register_service",
-    "run_connector",
-    "LinkEnd",
-    "LinkService",
-    "MemoryServer",
-    "PriorityPort",
-    "RpcClient",
-    "RpcServer",
-    "TimeServer",
-    "peek",
-    "poke",
-    "port_write",
-    "rpc_call",
-    "set_alarm",
-    "sleep_via",
-]

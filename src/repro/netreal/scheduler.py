@@ -25,7 +25,7 @@ Divergences from the virtual-time engine, all inherent to real time:
   ready callbacks.
 * ``run(until=None)`` (run to queue exhaustion) is not meaningful and
   raises; wall-clock runs always need a horizon.
-* ``quiet()`` is always true and ``skip_to()`` always false: no two
+* ``quiet()`` is always true and ``skip_limit()`` always ``-inf``: no two
   callbacks share a real instant, and real time cannot be skipped.  An
   idle wait therefore re-arms one ordinary timer per tick.
 """
@@ -33,6 +33,7 @@ Divergences from the virtual-time engine, all inherent to real time:
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.sim.process import Process, SimFuture
@@ -190,9 +191,9 @@ class WallClockScheduler:
         """Real time has no ties: a callback never shares its instant."""
         return True
 
-    def skip_to(self, time: float) -> bool:
+    def skip_limit(self) -> float:
         """Real time cannot be skipped; the caller arms a timer."""
-        return False
+        return -math.inf
 
     # -- execution ---------------------------------------------------------
 

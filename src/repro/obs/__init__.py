@@ -23,38 +23,3 @@ counters it reads (``BroadcastBus.busy_time_us``, the NIC frame/byte
 counters, the cost ledger) are the ones the simulation already
 maintains.
 """
-
-from repro.obs.export import (
-    BENCH_SCHEMA,
-    emit_snapshot,
-    render_metrics,
-    render_span_table,
-    write_metrics_jsonl,
-    write_snapshot,
-)
-from repro.obs.instrument import MetricsHub, ObsReport
-from repro.obs.metrics import (
-    CounterMetric,
-    GaugeMetric,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.spans import TransactionSpan, build_spans, span_statistics
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "CounterMetric",
-    "GaugeMetric",
-    "Histogram",
-    "MetricsHub",
-    "MetricsRegistry",
-    "ObsReport",
-    "TransactionSpan",
-    "build_spans",
-    "emit_snapshot",
-    "render_metrics",
-    "render_span_table",
-    "span_statistics",
-    "write_metrics_jsonl",
-    "write_snapshot",
-]

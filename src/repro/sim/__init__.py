@@ -6,30 +6,3 @@ inside a :class:`~repro.sim.engine.Simulator`.  Time is virtual and
 expressed in microseconds; all randomness flows through named, seeded
 streams so a run is reproducible from ``(seed,)`` alone.
 """
-
-from repro.sim.clock import MICROSECOND, MILLISECOND, SECOND, format_us
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
-from repro.sim.interface import SchedulerBackend, TimerHandle
-from repro.sim.process import Process, ProcessKilled, SimFuture
-from repro.sim.rng import RngStreams
-from repro.sim.tracing import CostLedger, TraceRecord, Tracer
-
-__all__ = [
-    "MICROSECOND",
-    "MILLISECOND",
-    "SECOND",
-    "CostLedger",
-    "Event",
-    "EventQueue",
-    "Process",
-    "ProcessKilled",
-    "RngStreams",
-    "SchedulerBackend",
-    "SimFuture",
-    "Simulator",
-    "TimerHandle",
-    "TraceRecord",
-    "Tracer",
-    "format_us",
-]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterator, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
@@ -29,7 +30,7 @@ class Simulator:
         self.rng = RngStreams(seed)
         self.trace = Tracer(keep_records=keep_trace)
         self._events_processed = 0
-        #: How far :meth:`skip_to` may move the clock: the ``until`` of
+        #: How far :meth:`skip_limit` lets the clock move: the ``until`` of
         #: the :meth:`run` in progress, None when there is nothing to
         #: bound the skipping or someone is watching every event.
         self._horizon: Optional[float] = None
@@ -81,29 +82,30 @@ class Simulator:
         due = self.queue.peek_time()
         return due is None or due > self.now
 
-    def skip_to(self, time: float) -> bool:
-        """Move the clock to ``time`` without an event, if no one can tell.
+    def skip_limit(self) -> float:
+        """The latest instant the clock may move to without an event.
 
         For a periodic callback that found nothing to do and would only
-        re-arm itself for ``time``: when that is *strictly* before the
-        next live event (state cannot change before it) and not past the
-        ``until`` of the :meth:`run` in progress, set ``now`` and return
-        True — the caller then looks again, as if its timer had fired.
-        Otherwise return False and the caller arms a real timer; always
-        so under :meth:`run_until` (its predicate is owed a look at
-        every event) and under a :meth:`run` with no ``until`` (each
-        pass stays one event, so ``max_events`` still ends a run that
-        would idle for ever).  Skipped instants are not events and
-        ``events_processed`` does not count them.
+        re-arm itself for some instant: when that is not past the limit,
+        the callback may set ``now`` to it and look again, as if its
+        timer had fired; past it, it arms a real timer.  The limit is
+        *strictly* before the next live event (state cannot change
+        before it) and not past the ``until`` of the :meth:`run` in
+        progress.  It is ``-inf`` under :meth:`run_until` (its predicate
+        is owed a look at every event) and under a :meth:`run` with no
+        ``until`` (each pass stays one event, so ``max_events`` still
+        ends a run that would idle for ever).  Moving the clock changes
+        neither bound, so one call serves every instant a callback
+        skips.  Skipped instants are not events and ``events_processed``
+        does not count them.
         """
         horizon = self._horizon
-        if horizon is None or time > horizon:
-            return False
+        if horizon is None:
+            return -math.inf
         due = self.queue.peek_time()
-        if due is not None and due <= time:
-            return False
-        self.now = time
-        return True
+        if due is None:
+            return horizon
+        return min(horizon, math.nextafter(due, -math.inf))
 
     # -- execution ---------------------------------------------------------
 

@@ -31,13 +31,13 @@ Semantics every backend must honor:
   carry ``now`` at emission.
 * ``quiet()`` is true only when nothing else is due at ``now``, so work
   a callback would defer by a zero-delay hop may be done in place; and
-  ``skip_to(time)`` moves ``now`` to ``time`` and returns True only when
-  no callback, run horizon or watched predicate lies in between — a
-  periodic callback with nothing to do may then look again at once
-  instead of arming a timer (the idle wait of
+  ``skip_limit()`` is the latest instant ``now`` may be set to with no
+  callback, run horizon or watched predicate in between — a periodic
+  callback with nothing to do may move the clock up to it and look
+  again at once instead of arming a timer (the idle wait of
   :meth:`~repro.core.client.ClientProcessor.wait_activity`, DESIGN.md
   §11).  A backend that cannot know may answer ``quiet`` as it likes
-  where ties carry no meaning, and must answer ``skip_to`` False.
+  where ties carry no meaning, and must answer ``skip_limit`` ``-inf``.
 
 :class:`~repro.sim.engine.Simulator` is the reference implementation
 (virtual time, deterministic); both it and the wall-clock backend are
@@ -101,4 +101,4 @@ class SchedulerBackend(Protocol):
 
     def quiet(self) -> bool: ...
 
-    def skip_to(self, time: float) -> bool: ...
+    def skip_limit(self) -> float: ...

@@ -12,17 +12,3 @@ compiler contributed:
 * a blocking DISCOVER wrapper;
 * the bounded QUEUE type with the six paper operations.
 """
-
-from repro.sodal.api import OK, Completion, SodalApi
-from repro.sodal.dispatch import HandlerDispatcher
-from repro.sodal.queueing import Queue, QueueEmptyError, QueueFullError
-
-__all__ = [
-    "OK",
-    "Completion",
-    "HandlerDispatcher",
-    "Queue",
-    "QueueEmptyError",
-    "QueueFullError",
-    "SodalApi",
-]

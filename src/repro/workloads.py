@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.philosophers import Philosopher
 from repro.core.boot import ProgramImage
 from repro.core.buffers import Buffer
 from repro.core.client import ClientProgram
@@ -286,11 +285,18 @@ class _Pinger(ClientProgram):
 
 
 def _noarb_philosopher(index: int, count: int = 5):
-    return lambda: Philosopher(
-        left_mid=(index - 1) % count,
-        meals_target=3,
-        grab_own_first=True,
-    )
+    def make():
+        # Imported at build time, so that importing the registry loads
+        # no example application.
+        from repro.apps.philosophers import Philosopher
+
+        return Philosopher(
+            left_mid=(index - 1) % count,
+            meals_target=3,
+            grab_own_first=True,
+        )
+
+    return make
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Diagnostic,
+from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.linter import (
+    PARSE_ERROR_RULE,
     LintConfig,
     Linter,
+    has_errors,
+    lint_paths,
+)
+from repro.analysis.rules import (
+    _REGISTRY,
     LintRule,
-    Severity,
     all_rules,
     get_rule,
-    lint_paths,
     register_rule,
 )
-from repro.analysis.linter import PARSE_ERROR_RULE, has_errors
-from repro.analysis.rules import _REGISTRY
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RULE_IDS = [

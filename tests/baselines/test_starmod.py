@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import StarModConfig, StarModNetwork
+from repro.baselines.starmod import StarModConfig, StarModNetwork
 
 
 def test_sync_call_returns_reply():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import KernelConfig
 from repro.core.connection import Connection, OutboundMessage
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.transport.packet import NackCode, Packet, PacketType
 
 

@@ -13,7 +13,7 @@ it by walking closed records still do: ``leaked_probe_timers()`` and
 
 import pytest
 
-from repro.chaos import check_liveness
+from repro.chaos.liveness import check_liveness
 from repro.core import (
     AcceptStatus,
     CancelStatus,

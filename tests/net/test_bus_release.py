@@ -51,7 +51,7 @@ import pytest
 
 from repro.net import BROADCAST_MID, BroadcastBus, FaultPlan, NetworkInterface
 from repro.net.frame import FRAME_HEADER_BYTES
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 SCRIPTS = 240
 END_US = 60_000.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import BROADCAST_MID, BroadcastBus, FaultPlan, Frame, NetworkInterface
 from repro.net.frame import FRAME_HEADER_BYTES
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 
 def build_bus(n_nodes=3, **kwargs):

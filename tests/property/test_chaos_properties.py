@@ -12,7 +12,7 @@ handler (§3.3, Delta-t duplicate detection).
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import check_liveness
+from repro.chaos.liveness import check_liveness
 from repro.core import Buffer, ClientProgram, Network
 from repro.core.patterns import make_well_known_pattern
 from repro.net.errors import FaultPlan

@@ -12,7 +12,8 @@ one (§3.6.1), and each incarnation sees each op at most once.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import RECOVERY_SCHEDULES, check_liveness, run_cell
+from repro.chaos.liveness import check_liveness
+from repro.chaos.runner import RECOVERY_SCHEDULES, run_cell
 from repro.core import Buffer, ClientProgram, KernelConfig, Network
 from repro.core.patterns import make_well_known_pattern
 from repro.recovery import FailureDetector, RetryPolicy, retry_request

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import KernelConfig
 from repro.core.connection import Connection, OutboundMessage
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.transport.adaptive import (
     AdaptivePolicy,
     RttEstimator,

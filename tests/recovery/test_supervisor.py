@@ -5,7 +5,7 @@ import itertools
 from collections import Counter
 
 from repro.workloads import build_workload
-from repro.chaos import ClientDie, NodeCrash, Scenario
+from repro.chaos.scenario import ClientDie, NodeCrash, Scenario
 from repro.chaos.runner import chaos_config, make_schedule
 from repro.net import frame
 from repro.recovery import RestartPolicy, SupervisorProgram, check_self_heal

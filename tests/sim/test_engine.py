@@ -1,8 +1,10 @@
 """Unit tests for the simulator core."""
 
+import math
+
 import pytest
 
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 
 
 def test_run_advances_clock_in_order():
@@ -177,7 +179,7 @@ def test_events_processed_counter():
     assert sim.events_processed == 5
 
 
-# -- idle time: quiet() and skip_to() (DESIGN.md §11) -----------------------
+# -- idle time: quiet() and skip_limit() (DESIGN.md §11) --------------------
 
 
 def test_quiet_means_nothing_else_is_due_now():
@@ -194,41 +196,39 @@ def test_quiet_means_nothing_else_is_due_now():
     assert seen == [False, True]
 
 
-def test_skip_to_stops_short_of_the_next_event_and_of_until():
+def test_skip_limit_stops_short_of_the_next_event_and_of_until():
     sim = Simulator()
     seen = []
 
     def periodic():
-        skipped = []
-        for instant in (20.0, 30.0, 40.0, 50.0):
-            skipped.append(sim.skip_to(instant))
-            seen.append(sim.now)
-        seen.append(skipped)
+        seen.append(sim.skip_limit())
+        sim.now = 30.0  # moving the clock moves neither bound
+        seen.append(sim.skip_limit())
 
     sim.schedule(10.0, periodic)
-    sim.schedule(40.0, lambda: None)
+    sim.schedule(40.0, lambda: seen.append(sim.skip_limit()))
     assert sim.run(until=45.0) == 2
     # Strictly before the event at 40: a tie is the event's to break.
-    assert seen == [20.0, 30.0, 30.0, 30.0, [True, True, False, False]]
+    before_40 = math.nextafter(40.0, -math.inf)
+    assert seen == [before_40, before_40, 45.0]
     assert sim.events_processed == 2
 
 
-def test_skip_to_may_land_on_until_but_not_past_it():
+def test_skip_limit_may_be_until_but_not_past_it():
     sim = Simulator()
     seen = []
-    sim.schedule(10.0, lambda: seen.extend(
-        [sim.skip_to(45.0), sim.skip_to(45.5), sim.now]
-    ))
+    sim.schedule(10.0, lambda: seen.append(sim.skip_limit()))
+    sim.schedule(50.0, lambda: None)
     sim.run(until=45.0)
-    assert seen == [True, False, 45.0]
+    assert seen == [45.0]
 
 
-def test_skip_to_needs_a_run_with_an_until_and_no_watcher():
+def test_skip_limit_needs_a_run_with_an_until_and_no_watcher():
     sim = Simulator()
     seen = []
 
     def probe():
-        seen.append(sim.skip_to(sim.now + 1.0))
+        seen.append(sim.skip_limit() > -math.inf)
 
     probe()  # no run in progress
     sim.schedule(1.0, probe)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Process, ProcessKilled, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.process import Process, ProcessKilled
 
 
 def test_delay_yields_advance_time():

@@ -97,7 +97,7 @@ def test_my_mid_matches_node(network):
 
 
 def test_queue_helpers_charge_time(network):
-    from repro.sodal import Queue
+    from repro.sodal.queueing import Queue
 
     def body(api, self):
         q = Queue(4)

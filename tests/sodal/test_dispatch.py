@@ -2,7 +2,7 @@
 
 from repro.core import ClientProgram, Network, RequestStatus
 from repro.core.patterns import make_well_known_pattern
-from repro.sodal import HandlerDispatcher
+from repro.sodal.dispatch import HandlerDispatcher
 
 from tests.conftest import ECHO_PATTERN, EchoServer
 

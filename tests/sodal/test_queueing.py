@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sodal import Queue, QueueEmptyError, QueueFullError
+from repro.sodal.queueing import Queue, QueueEmptyError, QueueFullError
 
 
 def test_fifo_order():

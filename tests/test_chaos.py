@@ -10,18 +10,16 @@ import json
 
 import pytest
 
-from repro.chaos import (
+from repro.chaos.runner import (
     SCHEDULES,
-    Scenario,
-    format_repro,
     make_schedule,
     matrix_cells,
     matrix_payload,
     run_cell,
     run_matrix,
-    shrink_scenario,
 )
-from repro.chaos.scenario import ClientDie, LossWindow, TargetedDrop
+from repro.chaos.scenario import ClientDie, LossWindow, Scenario, TargetedDrop
+from repro.chaos.shrink import format_repro, shrink_scenario
 from repro.workloads import WORKLOADS, get_spec
 
 
@@ -106,7 +104,7 @@ def test_client_flap_produces_crashed_or_cancelled_spans():
 
 
 def test_recovery_schedules_inject_and_heal():
-    from repro.chaos import RECOVERY_SCHEDULES
+    from repro.chaos.runner import RECOVERY_SCHEDULES
 
     for schedule in RECOVERY_SCHEDULES:
         result = run_cell("supervised", schedule, seed=1)

@@ -58,13 +58,13 @@ def test_unknown_command_fails(capsys):
     ids=" ".join,
 )
 def test_malformed_command_line_is_a_usage_error(argv, capsys, monkeypatch):
-    import repro.chaos
+    import repro.chaos.runner
     import repro.bench.perf_tables
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    monkeypatch.setattr(repro.chaos, "run_matrix", must_not_run)
+    monkeypatch.setattr(repro.chaos.runner, "run_matrix", must_not_run)
     monkeypatch.setattr(
         repro.bench.perf_tables, "performance_tables", must_not_run
     )
@@ -110,7 +110,7 @@ def test_real_refuses_a_schedule_that_does_not_fit(
 def test_real_json_is_a_chaos_cell_result(capsys, tmp_path):
     """One verdict for both backends: a real run's ``--json`` body has
     exactly the keys of a chaos cell's ``CellResult.to_dict()``."""
-    from repro.chaos import run_cell
+    from repro.chaos.runner import run_cell
 
     path = tmp_path / "real.json"
     argv = ["real", "pingpong", "--schedule", "calm", "--seed", "3"]
@@ -155,7 +155,7 @@ def test_chaos_single_cell_exits_zero(capsys):
 def test_chaos_matrix_failure_exits_nonzero(capsys, monkeypatch):
     # Regression: a failed cell must flip the process exit code (CI
     # keys off it), and --no-shrink must skip the shrink pass entirely.
-    import repro.chaos
+    import repro.chaos.runner
     from repro.chaos.runner import CellResult
 
     failing = CellResult(
@@ -174,7 +174,7 @@ def test_chaos_matrix_failure_exits_nonzero(capsys, monkeypatch):
             progress(failing)
         return [failing]
 
-    monkeypatch.setattr(repro.chaos, "run_matrix", fake_matrix)
+    monkeypatch.setattr(repro.chaos.runner, "run_matrix", fake_matrix)
     assert main(["chaos", "--matrix", "--no-shrink"]) == 1
     out = capsys.readouterr().out
     assert "0/1 cell(s) clean" in out
@@ -190,7 +190,7 @@ def test_chaos_failure_lists_every_verdict_column(
 ):
     # Regression: a cell failing only on one of these two columns
     # printed FAIL with no reason, and its reproducer quoted none.
-    import repro.chaos
+    import repro.chaos.runner
     from repro.chaos.runner import CellResult
 
     reason = "lost acknowledged write k=3 v=7"
@@ -200,9 +200,9 @@ def test_chaos_failure_lists_every_verdict_column(
     )
     assert failing.problems() == [reason] and not failing.ok
     monkeypatch.setattr(
-        repro.chaos, "run_matrix", lambda **kwargs: [failing]
+        repro.chaos.runner, "run_matrix", lambda **kwargs: [failing]
     )
-    monkeypatch.setattr(repro.chaos, "run_cell", lambda *a, **kw: failing)
+    monkeypatch.setattr(repro.chaos.runner, "run_cell", lambda *a, **kw: failing)
     assert main(["chaos", "--workload", "echo", "--schedule", "calm"]) == 1
     out = capsys.readouterr().out
     assert f"echo/calm: {reason}" in out

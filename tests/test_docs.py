@@ -116,6 +116,37 @@ def test_named_benches_are_registered():
     assert not unknown, "no BENCHES row:\n" + "\n".join(unknown)
 
 
+# -- imports in snippets ------------------------------------------------------
+
+#: A ``repro`` import a snippet shows: one line, or a parenthesised list.
+DOC_IMPORT = re.compile(
+    r"^[ \t]*(from repro[\w.]* import (?:\([^)]*\)|[^\n(]+)|import repro[\w.]*)",
+    re.MULTILINE,
+)
+
+#: Where a reader copies code from: the current docs ``NAMING`` scans.
+SNIPPETS = [path for path in NAMING if path.suffix == ".md"]
+
+
+def test_documented_imports_resolve():
+    """A package ``__init__`` re-exports nothing (DESIGN.md §7), so a
+    snippet that still imports a name from its package fails here."""
+    shown, broken = 0, []
+    for path in SNIPPETS:
+        if not path.exists():
+            continue
+        text = path.read_text(encoding="utf-8")
+        for match in DOC_IMPORT.finditer(text):
+            shown += 1
+            try:
+                exec(compile(match[1], str(path), "exec"), {})
+            except ImportError as exc:
+                line = text.count("\n", 0, match.start()) + 1
+                broken.append(f"{path.relative_to(ROOT)}:{line}: {exc}")
+    assert shown >= 9
+    assert not broken, "\n".join(broken)
+
+
 # -- the trace schema table (ROADMAP 5d) --------------------------------------
 
 SCHEMA_BEGIN = "<!-- trace-schema:begin (rendered from TRACE_SCHEMA) -->\n"

@@ -34,8 +34,8 @@ import pytest
 
 from repro.analysis.invariants import check_network
 from repro.workloads import build_workload
-from repro.chaos import check_liveness, run_cell, runner
-from repro.chaos.liveness import check_degradation
+from repro.chaos import runner
+from repro.chaos.liveness import check_degradation, check_liveness
 from repro.chaos.runner import (
     DEFAULT_DEGRADATION_BOUNDS,
     DEGRADATION_BOUNDS,
@@ -43,6 +43,7 @@ from repro.chaos.runner import (
     chaos_config,
     fault_counts,
     make_schedule,
+    run_cell,
 )
 from repro.obs.spans import build_spans
 from repro.recovery import check_self_heal, recovery_summary

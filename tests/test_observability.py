@@ -23,7 +23,7 @@ in_one_pass`` checks against the post-hoc functions.
 import json
 
 from repro.workloads import build_workload
-from repro.obs import MetricsHub
+from repro.obs.instrument import MetricsHub
 from repro.cli import main
 
 

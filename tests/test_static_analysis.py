@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import lint_paths
-from repro.analysis.linter import has_errors
+from repro.analysis.linter import has_errors, lint_paths
 
 ROOT = Path(__file__).resolve().parents[1]
 
