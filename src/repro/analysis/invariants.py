@@ -82,19 +82,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.kernel import DELIVERED_SUCCESSORS
 from repro.sim.tracing import CostLedger, SinkTable, TraceRecord, Tracer
 from repro.transport.retransmit import RetransmitPolicy
 
-#: Delivered-request states considered terminal.
-_TERMINAL = frozenset({"done", "cancelled"})
-
-#: Legal delivered-state transitions (server side, §3.3.2).
-_TRANSITIONS = {
-    None: {"delivered"},
-    "delivered": {"accepted", "cancelled", "done"},
-    "accepted": {"done", "cancelled"},
-    "done": set(),
-    "cancelled": set(),
+#: ``DELIVERED_SUCCESSORS`` by the state values a trace carries.
+_SUCCESSORS = {
+    None if old is None else old.value: frozenset(new.value for new in successors)
+    for old, successors in DELIVERED_SUCCESSORS.items()
 }
 
 
@@ -446,7 +441,7 @@ class InvariantChecker:
         key = (rec["mid"], rec["src"], rec["tid"])
         new = rec["state"]
         old = self._delivered.get(key)
-        if new not in _TRANSITIONS.get(old, ()):
+        if new not in _SUCCESSORS.get(old, ()):
             self.violations.append(
                 InvariantViolation(
                     "INV-COMPLETE",
@@ -456,9 +451,10 @@ class InvariantChecker:
                     f"transition {old!r} -> {new!r}",
                 )
             )
-        if new in _TERMINAL:
-            # The kernel deletes the record at DONE/CANCELLED; retire
-            # the cell (this is the O(open) win for long soaks).
+        if new in _SUCCESSORS and not _SUCCESSORS[new]:
+            # A terminal state: the kernel deletes the record at
+            # DONE/CANCELLED; retire the cell (this is the O(open) win
+            # for long soaks).
             self._delivered.pop(key, None)
             self._abandoned.discard(key)
         else:

@@ -30,7 +30,6 @@ from typing import (
 )
 
 from repro.cli import PARALLEL, SEED, Flag, build_parser, emit
-from repro.obs.export import BENCH_SCHEMA, serialize_snapshot, snapshot_payload
 
 Body = Dict[str, Any]
 
@@ -104,6 +103,8 @@ def _leaves(value: Any, values: bool, where: str = "") -> Iterator[Tuple[str, An
 def check_committed(name: str, fresh: Optional[Body] = None) -> List[str]:
     """What is wrong with ``./BENCH_<name>.json``: its envelope, its
     verdicts and, given the payload of a fresh run, where the two differ."""
+    from repro.obs.export import BENCH_SCHEMA, serialize_snapshot
+
     bench = BENCHES[name]
     path = Path(f"BENCH_{name}.json")
     try:
@@ -140,6 +141,8 @@ def load(bench: Bench):
 
 
 def _run_one(name: str, ns: Namespace) -> int:
+    from repro.obs.export import snapshot_payload
+
     bench = BENCHES[name]
     module = load(bench)
     body = module.run(ns)

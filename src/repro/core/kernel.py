@@ -19,7 +19,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.boot import (
     DEFAULT_KILL_PATTERN,
@@ -79,6 +79,22 @@ class DeliveredState(enum.Enum):
     ACCEPTED = "accepted"    # ACCEPT issued; exchange under way
     DONE = "done"            # exchange finished
     CANCELLED = "cancelled"  # withdrawn by the requester
+
+
+#: Legal successors of each delivered-cell state (server side, §3.3.2);
+#: ``None`` is a cell not yet delivered.  A state with no successor is
+#: terminal: the kernel retires the cell there.
+DELIVERED_SUCCESSORS: Dict[Optional[DeliveredState], FrozenSet[DeliveredState]] = {
+    None: frozenset({DeliveredState.DELIVERED}),
+    DeliveredState.DELIVERED: frozenset(
+        {DeliveredState.ACCEPTED, DeliveredState.CANCELLED, DeliveredState.DONE}
+    ),
+    DeliveredState.ACCEPTED: frozenset(
+        {DeliveredState.DONE, DeliveredState.CANCELLED}
+    ),
+    DeliveredState.DONE: frozenset(),
+    DeliveredState.CANCELLED: frozenset(),
+}
 
 
 @dataclass

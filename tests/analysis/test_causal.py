@@ -409,9 +409,17 @@ def test_soda013_self_loop_counts():
     assert "{3}" in diags[0].message
 
 
+@pytest.mark.expect_violations(
+    "request <1,0> left in state 'delivered'",
+    "request <2,0> left in state 'delivered'",
+    "request <3,0> left in state 'delivered'",
+    "request <4,0> left in state 'delivered'",
+    "request <0,0> left in state 'delivered'",
+)
 def test_philosophers_noarb_deadlocks_with_the_full_ring():
     """The §4.4.3 dining philosophers without arbitration (grab your own
-    fork first) must produce the textbook 5-cycle."""
+    fork first) must produce the textbook 5-cycle: each philosopher's
+    GETFORK stays delivered, never granted, at its left neighbour."""
     net = run_workload("philosophers_noarb")
     spans = build_spans(net.sim.trace.records)
     graph = build_wait_graph(spans)
@@ -425,9 +433,12 @@ def test_philosophers_noarb_deadlocks_with_the_full_ring():
     assert races(net.sim.trace) == []
 
 
+@pytest.mark.expect_violations("request <4,15> left in state 'delivered'")
 def test_arbitrated_philosophers_do_not_deadlock():
     # The shipped variant (grab-left-first plus the §4.4.3 detector)
     # finishes every meal; no wait-for cycle survives to end of trace.
+    # The predicate stops the run with the detector (MID 4) waiting on
+    # its next alarm at the time server.
     from repro.apps.philosophers import DeadlockDetector, Philosopher
     from repro.core import Network
     from repro.facilities.timeservice import TimeServer

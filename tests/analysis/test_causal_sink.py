@@ -32,7 +32,7 @@ from repro.net.frame import BROADCAST_MID
 from repro.obs.spans import SpanBuilder, build_spans
 from repro.sim.tracing import SinkTable, TraceRecord
 from repro.workloads import build_workload
-from tests.test_live_judging import CELLS
+from tests.test_live_judging import CELL_PARAMS
 
 # -- the reference: clocks.py, races.py and waitfor's span pass ---------------
 
@@ -350,9 +350,7 @@ def cell_trace(workload, schedule, seed):
     return tuple(built.net.sim.trace.records)
 
 
-@pytest.mark.parametrize(
-    "cell", CELLS, ids=["/".join(map(str, cell)) for cell in CELLS]
-)
+@pytest.mark.parametrize("cell", CELL_PARAMS)
 def test_sink_equals_the_batch_engine_on_a_cell(cell):
     """Also with frame clocks dropped one packet lifetime after their tx,
     as ``run_cell`` drops them: no rx of a real cell comes later."""

@@ -73,6 +73,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.invariants import InvariantChecker, check_network
+from repro.core.kernel import DELIVERED_SUCCESSORS, DeliveredState
 from repro.workloads import WORKLOADS, run_workload
 from repro.sim.tracing import CostLedger, SinkTable, Tracer
 from repro.transport.retransmit import RetransmitPolicy
@@ -399,7 +400,6 @@ def test_seq_swap_releases_the_hint():
     assert checker().check(trace) == []
 
 
-@pytest.mark.no_auto_invariants
 def test_seeded_hint_blind_client_is_detected(monkeypatch):
     """A client that ignores the server's widened BUSY retry hint (the
     overload controller's load-spreading signal) must be caught by
@@ -466,13 +466,12 @@ def delivered(trace, t, state, mid=2, src=1, tid=7):
 
 
 def test_illegal_transition_is_flagged():
+    # The legal transitions are the kernel's table, a row per state.
+    assert set(DELIVERED_SUCCESSORS) == {None, *DeliveredState}
     trace = Tracer()
     delivered(trace, 0.0, "accepted")  # accepted before delivered
-    only(
-        checker(strict_completion=False).check(trace),
-        "INV-COMPLETE",
-        "None -> 'accepted'",
-    )
+    delivered(trace, 1.0, "done")
+    only(checker().check(trace), "INV-COMPLETE", "None -> 'accepted'")
 
 
 def test_unfinished_request_is_a_leak_in_strict_mode():
@@ -495,7 +494,7 @@ def test_crash_forgives_unfinished_requests():
     trace = Tracer()
     delivered(trace, 0.0, "delivered", mid=5)
     trace.record(10.0, "kernel.crash", mid=5)
-    assert checker(strict_completion=True).check(trace) == []
+    assert checker().check(trace) == []
 
 
 # An open cell at the end of the run is a leak unless its requester
@@ -594,11 +593,11 @@ def test_consistent_ledger_is_clean():
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_shipped_workloads_hold_all_invariants(name):
     net = run_workload(name)
-    violations = check_network(net, strict_completion=True)
+    violations = check_network(net)
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
-@pytest.mark.no_auto_invariants
+@pytest.mark.expect_violations("INV-SEQ [mid=1] new message")
 def test_seeded_ack_bug_is_detected(monkeypatch):
     """A kernel that stops flipping the alternating bit on ACK must be
     caught by INV-SEQ when the trace is replayed."""
@@ -618,5 +617,5 @@ def test_seeded_ack_bug_is_detected(monkeypatch):
 
     monkeypatch.setattr(Connection, "handle_ack", sticky_ack)
     net = run_workload("echo")
-    violations = check_network(net, strict_completion=False)
+    violations = check_network(net)
     assert any(v.invariant == "INV-SEQ" for v in violations)

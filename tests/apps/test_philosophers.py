@@ -1,4 +1,10 @@
-"""Tests for dining philosophers with deadlock detection (§4.4.3)."""
+"""Tests for dining philosophers with deadlock detection (§4.4.3).
+
+A run stops on its predicate with the detector (MID 6) waiting on its
+next alarm at the time server (MID 5), and sometimes mid-probe at a
+philosopher: each test names those open delivered cells, and the trace
+judge must see exactly them.
+"""
 
 import pytest
 
@@ -40,6 +46,7 @@ def everyone_ate(philosophers, target):
     return all(p.meals >= target for p in philosophers)
 
 
+@pytest.mark.expect_violations("request <6,28> left in state 'delivered'")
 def test_all_philosophers_eat_with_staggered_thinking():
     net, philosophers, detector = build_table(
         111, think_us=5_000.0, eat_us=3_000.0, meals_target=3
@@ -50,6 +57,7 @@ def test_all_philosophers_eat_with_staggered_thinking():
     assert done, [p.meals for p in philosophers]
 
 
+@pytest.mark.expect_violations("request <6,33> left in state 'delivered'")
 def test_progress_under_heavy_contention():
     # Zero thinking time maximizes contention -- grab-left-then-right
     # with everyone synchronized is exactly the deadlock recipe; the
@@ -64,6 +72,10 @@ def test_progress_under_heavy_contention():
     assert done, [p.meals for p in philosophers]
 
 
+@pytest.mark.expect_violations(
+    "request <6,45> left in state 'delivered'",
+    "request <6,46> left in state 'delivered'",
+)
 def test_deadlock_actually_detected_and_broken():
     # Synchronized hungry philosophers: with identical think times they
     # all grab their left fork together, deadlocking repeatedly.
@@ -93,6 +105,7 @@ def test_three_philosophers_also_work():
     assert done, [p.meals for p in philosophers]
 
 
+@pytest.mark.expect_violations("request <6,52> left in state 'delivered'")
 def test_fairness_no_philosopher_starves():
     net, philosophers, detector = build_table(
         115, think_us=200.0, eat_us=2_000.0, meals_target=6,

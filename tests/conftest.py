@@ -6,6 +6,7 @@ from typing import Callable, List, Optional
 
 import pytest
 
+from repro.analysis.invariants import check_network
 from repro.core import Buffer, ClientProgram, KernelConfig, Network
 from repro.core.patterns import make_well_known_pattern
 
@@ -83,36 +84,17 @@ class RecordingServer(ClientProgram):
         yield  # pragma: no cover
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--check-invariants",
-        action="store_true",
-        default=False,
-        help=(
-            "replay every Network trace through the protocol invariant "
-            "checker (repro.analysis.invariants) when each test finishes"
-        ),
-    )
-
-
 @pytest.fixture(autouse=True)
-def _trace_invariant_watch(request, monkeypatch):
-    """Opt-in post-test trace replay (docs/ANALYSIS.md).
+def _trace_invariant_judge(request, monkeypatch):
+    """Judge every traced Network a test runs, at teardown (docs/ANALYSIS.md).
 
-    Enabled by ``--check-invariants`` or the ``check_invariants`` marker
-    (tests/integration applies the marker to everything it collects).
-    Tests that seed protocol bugs on purpose opt out with the
-    ``no_auto_invariants`` marker.
+    Each Network the test ran (``run`` or ``run_until``) and that kept
+    its trace is replayed through ``check_network`` with the one strict
+    completion rule.  A test that ends with violations on purpose names
+    them with ``@pytest.mark.expect_violations(*patterns)``: it passes
+    only if every violation line contains one of the patterns and every
+    pattern is contained in some violation line.
     """
-    opted_in = request.config.getoption("--check-invariants") or (
-        request.node.get_closest_marker("check_invariants") is not None
-    )
-    if not opted_in or request.node.get_closest_marker("no_auto_invariants"):
-        yield
-        return
-
-    from repro.analysis.invariants import check_network
-
     seen: List[Network] = []
 
     def track(method_name):
@@ -128,20 +110,23 @@ def _trace_invariant_watch(request, monkeypatch):
     track("run")
     track("run_until")  # soak-style runs never call plain run()
     yield
-    problems = []
-    for net in seen:
-        # A counters-only trace has nothing to replay: a test that runs
-        # one judges it live (``SinkTable(checker).install``) itself.
-        # Completion is not judged strictly: a unit test may stop with
-        # requests open by design (a server that never ACCEPTs, a run
-        # cut by a predicate), as some in tests/core, tests/facilities
-        # and tests/apps do.
-        if net.sim.trace.keep_records:
-            for violation in check_network(net, strict_completion=False):
-                problems.append(violation.format())
-    if problems:
+    # A counters-only trace has nothing to replay: a test that runs one
+    # judges it live (``SinkTable(checker).install``) itself.
+    lines = [
+        violation.format()
+        for net in seen
+        if net.sim.trace.keep_records
+        for violation in check_network(net)
+    ]
+    marker = request.node.get_closest_marker("expect_violations")
+    patterns = marker.args if marker else ()
+    unexpected = [line for line in lines if not any(p in line for p in patterns)]
+    unmet = [p for p in patterns if not any(p in line for line in lines)]
+    if unexpected or unmet:
         pytest.fail(
-            "trace invariant violations:\n" + "\n".join(problems),
+            "trace invariant violations:\n"
+            + "".join(f"  {line}\n" for line in unexpected)
+            + "".join(f"  expected, not seen: {p!r}\n" for p in unmet),
             pytrace=False,
         )
 

@@ -104,12 +104,17 @@ def test_cancel_before_transmission_succeeds(network):
 
     def body(api, self):
         sig = yield from api.discover(PATTERN)
-        yield from api.signal(sig)
-        yield from api.signal(sig)
+        held = []
+        for _ in range(2):
+            held.append((yield from api.signal(sig)))
         tid3 = yield from api.signal(sig)
         status = yield from api.cancel(tid3)
         yield api.compute(100_000)
-        return status, len(server.arrivals)
+        arrivals = len(server.arrivals)
+        # Drain: withdraw the two the server holds, so none stays open.
+        for tid in held:
+            yield from api.cancel(tid)
+        return status, arrivals
 
     _, client = make_pair(network, server, body)
     network.run(until=RUN_US)

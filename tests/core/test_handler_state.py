@@ -1,5 +1,7 @@
 """Handler state machine tests (§3.3.4, §3.7.5)."""
 
+import pytest
+
 from repro.core import (
     Buffer,
     ClientProgram,
@@ -121,10 +123,12 @@ def test_completions_queue_while_handler_closed(network):
     assert completions and completions[0] >= requester.opened_at
 
 
+@pytest.mark.expect_violations("request <1,0> left in state 'delivered'")
 def test_completions_before_arrivals_at_endhandler(network):
     # §3.7.5: if C1 issues an ACCEPT followed by a REQUEST to C2, the
     # ACCEPT invokes C2's handler first.  We stage it with a long first
     # handler invocation on C2 so both interrupts pend, then check order.
+    # C2 never ACCEPTs that first arrival, C1's <1,0>.
     events_seen = []
 
     class C2(ClientProgram):

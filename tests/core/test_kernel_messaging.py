@@ -203,6 +203,11 @@ def test_requests_delivered_in_issue_order(network):
     assert arrivals == [0, 1, 2]
 
 
+@pytest.mark.expect_violations(
+    "request <1,0> left in state 'delivered'",
+    "request <1,1> left in state 'delivered'",
+    "request <1,2> left in state 'delivered'",
+)
 def test_maxrequests_enforced(network):
     def body(api, self):
         server = api.server_sig(0, ECHO_PATTERN)

@@ -310,6 +310,11 @@ def test_cancel_racing_a_discover_loses_when_the_window_closes(network):
 # MAXREQUESTS (§3.3.1): the open count is the table's size.
 
 
+@pytest.mark.expect_violations(
+    "request <1,2> left in state 'delivered'",
+    "request <1,3> left in state 'delivered'",
+    "request <1,4> left in state 'delivered'",
+)
 def test_maxrequests_refuses_at_exactly_the_limit_and_readmits(network):
     server = Holder()
     limit = network.config.max_requests
@@ -375,7 +380,6 @@ def test_healthy_close_leaves_no_probe_timer():
     assert check_liveness(net, spans=[]) == []
 
 
-@pytest.mark.no_auto_invariants
 def test_timer_leaked_by_a_close_is_still_reported(monkeypatch):
     # Seeded bug: the close forgets the probe timers.  The record retires
     # all the same, so no table leads to the timer any more — the oracles

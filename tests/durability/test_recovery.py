@@ -7,8 +7,6 @@ here: a full-cluster crash used to silently empty the store — every
 acknowledged write vanished and no checker noticed.
 """
 
-import pytest
-
 from repro.workloads import build_workload
 from repro.chaos.runner import run_cell
 from repro.chaos.scenario import DiskFault, PowerLoss, Scenario
@@ -61,7 +59,6 @@ def test_full_cluster_power_loss_keeps_acknowledged_writes():
     assert sum(int(r.fields.get("entries", 0)) for r in recovers) > 0
 
 
-@pytest.mark.no_auto_invariants
 def test_regression_amnesiac_cluster_crash_is_flagged_not_silent():
     """The bug this PR fixes: with diskless replicas, a full-cluster
     crash after acknowledged writes silently emptied the store.  The

@@ -1,5 +1,7 @@
 """Tests for links / virtual circuits and link moving (§4.2.4)."""
 
+import pytest
+
 from repro.core import ClientProgram, Network
 from repro.facilities.links import LinkRole, LinkService, LinkState
 
@@ -74,9 +76,11 @@ def test_connect_assigns_roles():
     assert state["passive_role"] is LinkRole.SLAVE
 
 
+@pytest.mark.expect_violations("request <0,4> left in state 'delivered'")
 def test_link_move_transparent_to_partner():
     # A(1) has a link to S(0) and a link to B(2); A moves its S-link end
     # to B.  S keeps sending on the same link id and the messages reach B.
+    # B stops after two, so S's last message stays delivered at B.
     net = Network(seed=63)
 
     stationary_sent = []

@@ -134,13 +134,15 @@ def test_symmetric_rendezvous_no_deadlock():
     assert outcomes[receiver_mid][1] == f"from {sender_mid}".encode()
 
 
+@pytest.mark.expect_violations("request <1,3> left in state 'delivered'")
 def test_three_cycle_query_breaks():
     # P0 queries P1, P1 queries P2, P2 queries P0 -- the paper's cycle
     # scenario.  Each process loops on an alternative command with both
     # an output guard (to its successor) and an input guard, until it
     # has taken part in two rendezvous.  The MID ordering must prevent
     # both deadlock (everyone delayed) and livelock (synchronized
-    # abort/retry): every process finishes.
+    # abort/retry): every process finishes.  The predicate stops the run
+    # with P1's query <1,3> delivered at P2, not yet answered.
     net = Network(seed=74)
     rendezvous_counts = {0: 0, 1: 0, 2: 0}
 

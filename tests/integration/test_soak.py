@@ -38,9 +38,7 @@ def test_whole_system_soak():
         faults=FaultPlan(loss_probability=0.03),
         keep_trace=False,
     )
-    # Stopped by a predicate mid-protocol: a request still in flight at
-    # that instant is no leak, so completion is not judged strictly.
-    checker = InvariantChecker(network=net, strict_completion=False)
+    checker = InvariantChecker(network=net)
     table = SinkTable(checker).install(net)
     philosophers = []
     for i in range(N_PHIL):
@@ -110,7 +108,17 @@ def test_whole_system_soak():
     totals = [int(x) for x in content]
     assert totals == sorted(totals)
     # Judged whole and live, in state bounded by open work: 30 entries
-    # at peak over the run's ~2 100 records.
+    # at peak over the run's ~2 100 records.  The predicate stops the run
+    # with the detector's next alarm delivered at the time server: the
+    # one open cell, and the one violation.
     assert net.sim.trace.records == []
-    assert checker.finish(ledger=net.ledger, end_time=table.end_time) == []
+    problems = [
+        v.format()
+        for v in checker.finish(ledger=net.ledger, end_time=table.end_time)
+    ]
+    assert len(problems) == 1, problems
+    assert (
+        "INV-COMPLETE [mid=5] request <6,42> left in state 'delivered'"
+        in problems[0]
+    )
     assert 0 < checker.peak_open_state <= 40

@@ -130,7 +130,7 @@ def test_checker_and_spans_accept_mixed_timestamp_types():
     assert spans[0].completed
     assert spans[0].latency_us == 2000.25 - 1000.5
 
-    assert check_stream(records, strict_completion=True) == []
+    assert check_stream(records) == []
 
 
 # -- a torn file (ISSUE 24 satellite) -----------------------------------------

@@ -43,7 +43,7 @@ ENTRY_POINTS = {
     "Network": (["-c", "from repro.core.node import Network"], ROOT, 33),
     "run_cell": (["-c", "from repro.chaos.runner import run_cell"], ROOT, 67),
     "perf": (["-c", "import workloads"], ROOT / "perf", 70),
-    "help": (["-m", "repro", "--help"], ROOT, 40),
+    "help": (["-m", "repro", "--help"], ROOT, 35),
     # What ``python -m repro real-node ...`` does before it runs: build
     # the parser, import the row's module.
     "real-node": (
@@ -92,6 +92,6 @@ def test_help_loads_no_run_stack():
     comes with ``repro``'s quickstart names, nothing past it does."""
     stacks = re.compile(
         r"repro\.(chaos|analysis|apps|facilities|replication|durability"
-        r"|netreal)(\.|$)"
+        r"|netreal|obs)(\.|$)"
     )
     assert sorted(filter(stacks.match, loaded("help"))) == []

@@ -68,19 +68,34 @@ KV_FAULT_CELLS = [
 #: were not empty, so the comparison is word for word.  ``busy/duplicate/93``
 #: is clean since SODA007 judges the retry decision, not the wire.
 #: ``stream/sustained_loss/6`` also reports the server's half of its
-#: stranded EXCHANGE: ``INV-COMPLETE [mid=0] request <1,5> left in state
-#: 'accepted'`` at 59 950 ms.
+#: stranded EXCHANGE (ROADMAP item 1(b)) at 59 950 ms, ``INV-COMPLETE
+#: [mid=0]`` and then :data:`STRANDED_EXCHANGE`.
 UNCLEAN_CELLS = [
     ("cancel", "lossy", 5),
     ("stream", "sustained_loss", 6),
     ("busy", "duplicate", 93),
 ]
+STRANDED_EXCHANGE = "request <1,5> left in state 'accepted'"
 CELLS = (
     [(workload, schedule, 1) for workload, schedule in GATE_CELLS]
     + [BASELINE_CELL]
     + KV_FAULT_CELLS
     + UNCLEAN_CELLS
 )
+
+
+def cell_param(cell, id=None):
+    """``cell`` as a parameter; a test that retains the stranded-EXCHANGE
+    cell's trace expects the teardown judge to report that line."""
+    marks = (
+        pytest.mark.expect_violations(STRANDED_EXCHANGE)
+        if cell == UNCLEAN_CELLS[1]
+        else ()
+    )
+    return pytest.param(cell, id=id or "/".join(map(str, cell)), marks=marks)
+
+
+CELL_PARAMS = [cell_param(cell) for cell in CELLS]
 
 
 def reference_run_cell(workload, schedule, seed, causal=False):
@@ -126,9 +141,7 @@ def reference_run_cell(workload, schedule, seed, causal=False):
     )
 
 
-@pytest.mark.parametrize(
-    "cell", CELLS, ids=["/".join(map(str, cell)) for cell in CELLS]
-)
+@pytest.mark.parametrize("cell", CELL_PARAMS)
 def test_live_verdict_equals_post_hoc_verdict(cell, monkeypatch):
     def as_in_a_fresh_process(fn):
         # Packet ids are minted per process and SODA007 quotes one.
@@ -141,7 +154,7 @@ def test_live_verdict_equals_post_hoc_verdict(cell, monkeypatch):
         assert not live["ok"]
     if cell == UNCLEAN_CELLS[1]:
         assert any(
-            "INV-COMPLETE [mid=0] request <1,5> left in state 'accepted'" in v
+            f"INV-COMPLETE [mid=0] {STRANDED_EXCHANGE}" in v
             for v in live["invariant_violations"]
         )
     if cell == UNCLEAN_CELLS[2]:
@@ -149,7 +162,8 @@ def test_live_verdict_equals_post_hoc_verdict(cell, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cell", [BASELINE_CELL, UNCLEAN_CELLS[1]], ids=["kv", "stream"]
+    "cell",
+    [cell_param(BASELINE_CELL, "kv"), cell_param(UNCLEAN_CELLS[1], "stream")],
 )
 def test_causal_cell_equals_post_hoc_verdict(cell):
     assert (

@@ -7,6 +7,10 @@ fixtures below play the same role for the SODA010+ trace rules: each
 seeded bug must keep producing its exact diagnostic.
 (``test_streaming_checker_agrees_with_batch_on_a_real_run`` went with the
 batch checker; ``tests/analysis/test_streaming_checker.py`` maps it.)
+``test_pyproject_carries_static_analysis_config`` looked for the marker
+that armed the teardown trace judge per directory; the judge always
+runs now, so that marker and its command-line option are gone, and the
+test looks for the ``expect_violations`` marker that took their place.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def test_pyproject_carries_static_analysis_config():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert "[tool.ruff]" in text
     assert "[tool.mypy]" in text
-    assert "check_invariants" in text
+    assert "expect_violations" in text
     assert "repro.analysis.causal" in text
 
 
