@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 
 from repro.workloads import build_workload
 from repro.bench.tables import dict_table, failing, ms
-from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import chaos_config, make_schedule
 from repro.replication.consistency import check_kv_consistency, kv_summary
 
 __all__ = ["run_kv_bench", "KV_BENCH_SCHEDULES"]

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List
 
 from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.liveness import percentile
-from repro.chaos.runner import chaos_config
+from repro.chaos.scenario import chaos_config
 from repro.core.node import Network
 from repro.net.errors import FaultPlan
 from repro.netreal.node import RealNetwork

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.workloads import build_workload
 from repro.bench.tables import dict_table, failing, ms
 from repro.chaos.liveness import percentile
-from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import chaos_config, make_schedule
 from repro.obs.spans import build_spans
 from repro.transport.adaptive import AdaptivePolicy
 from repro.transport.retransmit import RetransmitPolicy, StaticPolicy

@@ -17,16 +17,26 @@ A role action is a no-op on a network that does not host its role
 (:meth:`BuiltWorkload.placed`), and a network action turns the plan of
 the network it is applied to: a real run applies the schedule in every
 node process, each governing its own sends.
+
+The named schedules live here too (:data:`SCHEDULES`, built for a
+workload by :func:`make_schedule`), with the kernel configuration every
+chaos run uses (:func:`chaos_config`) and the count of what a run's
+fault plans injected (:func:`fault_counts`).  This module imports no
+judge, so a ``real-node`` process applies a schedule without one
+(DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.workloads import BuiltWorkload, WorkloadSpec
+from repro.core.config import KernelConfig
 from repro.core.node import SodaNode
 from repro.net.frame import Frame
+from repro.transport.adaptive import AdaptivePolicy, deltat_for_policy
+from repro.transport.retransmit import RetransmitPolicy
 
 #: Time excused at the end of a run: a REQUEST issued inside the last
 #: ``GRACE_US`` may legitimately still be pending at the horizon, and
@@ -469,3 +479,358 @@ class Scenario:
         """A copy with one action removed (shrinking step)."""
         remaining = self.actions[:index] + self.actions[index + 1 :]
         return Scenario(name=self.name, actions=remaining)
+
+
+def _server_role(spec: WorkloadSpec) -> str:
+    return spec.roles[0].name
+
+
+def _client_role(spec: WorkloadSpec) -> str:
+    return spec.roles[-1].name
+
+
+def _disk_roles(spec: WorkloadSpec) -> Tuple[str, ...]:
+    """The roles the durability schedules target: every durable role
+    (the KV replicas), or the server role on diskless workloads — where
+    a power loss degenerates to crash + reboot."""
+    roles = tuple(role.name for role in spec.roles if role.durable)
+    return roles or (_server_role(spec),)
+
+
+def _lossy(spec: WorkloadSpec) -> Scenario:
+    # Opens at t=0 so even short workloads (echo finishes in ~100ms)
+    # run their whole transaction stream through the noise.
+    return Scenario(
+        "lossy",
+        (LossWindow(0.0, 2_000_000.0, loss=0.15, corruption=0.05),),
+    )
+
+
+def _partition(spec: WorkloadSpec) -> Scenario:
+    # Starts at 20ms — inside every workload's request stream — and
+    # lasts past retransmission exhaustion, so requesters both declare
+    # the server dead AND see it heal.
+    return Scenario(
+        "partition",
+        (
+            Partition(
+                20_000.0, 860_000.0, isolate=(_server_role(spec),)
+            ),
+        ),
+    )
+
+
+def _strike(spec: WorkloadSpec) -> Scenario:
+    # Surgical frame kills: the very first REQUEST (hits every
+    # workload), the 3rd ACCEPT reply, and the 2nd pure ACK — each
+    # forces a distinct retransmission path.
+    return Scenario(
+        "strike",
+        (
+            TargetedDrop(0.0, ptype="request", skip=0),
+            TargetedDrop(0.0, ptype="accept", skip=2),
+            TargetedDrop(0.0, ptype="ack", skip=1),
+        ),
+    )
+
+
+def _client_flap(spec: WorkloadSpec) -> Scenario:
+    # DIE lands mid-transaction for every workload (even echo, whose
+    # whole stream runs ~0.1-60ms); the reboot restarts the role.
+    role = _client_role(spec)
+    return Scenario(
+        "client_flap",
+        (
+            ClientDie(25_000.0, role=role),
+            Reboot(600_000.0, role=role),
+        ),
+    )
+
+
+def _server_flap(spec: WorkloadSpec) -> Scenario:
+    role = _server_role(spec)
+    return Scenario(
+        "server_flap",
+        (
+            ClientDie(22_000.0, role=role),
+            Reboot(500_000.0, role=role),
+        ),
+    )
+
+
+def _server_crash(spec: WorkloadSpec) -> Scenario:
+    role = _server_role(spec)
+    return Scenario(
+        "server_crash",
+        (
+            NodeCrash(30_000.0, role=role),
+            Reboot(1_200_000.0, role=role),
+        ),
+    )
+
+
+def _calm(spec: WorkloadSpec) -> Scenario:
+    # The fault-free control row: a healthy run must produce zero crash
+    # reports and zero false suspicions (docs/RECOVERY.md).
+    return Scenario("calm", ())
+
+
+def _crash_idle(spec: WorkloadSpec) -> Scenario:
+    # Crash-then-idle: the server dies and *nothing in the schedule*
+    # brings it back.  Supervised workloads must self-heal through the
+    # supervisor's BOOT/LOAD path; unsupervised ones must terminate
+    # every pending span against the permanently-dead server.
+    # t=15ms lands inside the supervised client's first exchange, so the
+    # DIE leaves a DELIVERED-but-unACCEPTed record behind and the retry
+    # shim's probe-proof path (arg=2) gets exercised, not just healing.
+    return Scenario(
+        "crash_idle", (ClientDie(15_000.0, role=_server_role(spec)),)
+    )
+
+
+def _crash_load(spec: WorkloadSpec) -> Scenario:
+    # Power-fail the server node under request load; no scripted reboot
+    # — recovery, if promised, is the supervisor's job.
+    # t=334ms is inside a later exchange of the supervised client: a
+    # power failure wipes the crashed-unaccepted memory with the rest of
+    # the kernel, so the in-flight op must resolve as MAYBE (ambiguous),
+    # never as a blind retry.
+    return Scenario(
+        "crash_load", (NodeCrash(334_000.0, role=_server_role(spec)),)
+    )
+
+
+def _sustained_loss(spec: WorkloadSpec) -> Scenario:
+    # The degradation tentpole: a 30% loss *plateau* held for three
+    # seconds.  Not a burst to survive but a steady state to serve
+    # through — the schedule the adaptive-vs-static transport benchmark
+    # (repro.bench.transport) runs under.
+    return Scenario(
+        "sustained_loss",
+        (LossWindow(0.0, 3_000_000.0, loss=0.30),),
+    )
+
+
+def _thundering_herd(spec: WorkloadSpec) -> Scenario:
+    # N clones of the client role hammer the one server from t=10ms;
+    # exercises BUSY parking, the widened retry hints, and the kernel
+    # overload controller's OVERLOAD shed path.
+    return Scenario(
+        "thundering_herd",
+        (ThunderingHerd(10_000.0, role=_client_role(spec), clones=6),),
+    )
+
+
+def _duplicate(spec: WorkloadSpec) -> Scenario:
+    # Frame replay: 15% of surviving deliveries arrive twice, the echo
+    # 150µs behind the original — stale REQUESTs, ACCEPT replies, and
+    # replication APPENDs all replayed after they were acted on.
+    return Scenario(
+        "duplicate",
+        (DuplicateWindow(0.0, 2_500_000.0, probability=0.15),),
+    )
+
+
+def _reorder(spec: WorkloadSpec) -> Scenario:
+    # Overtaking: 15% of deliveries held back 600µs so younger frames
+    # pass them — out-of-order arrival with nothing actually lost.
+    return Scenario(
+        "reorder",
+        (ReorderWindow(0.0, 2_500_000.0, probability=0.15, extra_us=600.0),),
+    )
+
+
+def _primary_crash_load(spec: WorkloadSpec) -> Scenario:
+    # The KV failover headline: power-fail the first role (the initial
+    # KV primary) under client load with *no scripted reboot* — a
+    # supervised cluster must fail over, an unsupervised one must fail
+    # every subsequent op definitively rather than lie.
+    return Scenario(
+        "primary_crash_load",
+        (NodeCrash(200_000.0, role=_server_role(spec)),),
+    )
+
+
+def _backup_flap(spec: WorkloadSpec) -> Scenario:
+    # Kill and reboot a *backup* (the second replica role when there is
+    # one).  The primary keeps serving through the flap at quorum; the
+    # rebooted backup comes back amnesiac and must anti-entropy catch up
+    # before its CONFIRMs count again.
+    roles = [role.name for role in spec.roles]
+    role = roles[1] if len(roles) >= 3 else roles[-1]
+    return Scenario(
+        "backup_flap",
+        (
+            ClientDie(180_000.0, role=role),
+            Reboot(900_000.0, role=role),
+        ),
+    )
+
+
+def _partition_heal(spec: WorkloadSpec) -> Scenario:
+    # Isolate the first role (the KV primary) long enough for the
+    # supervisor to promote a replacement *during* the partition, then
+    # heal: the stale primary resurfaces mid-epoch and must be fenced by
+    # the first APPEND/CONFIRM it exchanges, not allowed to ack writes.
+    return Scenario(
+        "partition_heal",
+        (
+            Partition(
+                120_000.0, 2_600_000.0, isolate=(_server_role(spec),)
+            ),
+        ),
+    )
+
+
+def _flap(spec: WorkloadSpec) -> Scenario:
+    # Flapping node: die, get healed (supervisor), die again — forcing
+    # two full supervision cycles.  For unsupervised workloads the
+    # second DIE is a forgiving no-op on an already-dead client.
+    role = _server_role(spec)
+    return Scenario(
+        "flap",
+        (
+            ClientDie(25_000.0, role=role),
+            ClientDie(1_292_000.0, role=role),
+        ),
+    )
+
+
+def _cluster_restart(spec: WorkloadSpec) -> Scenario:
+    # The durability headline: power-fail EVERY disk-bearing role at
+    # the same instant under load, then reboot them all.  No surviving
+    # peer holds the state, so anti-entropy cannot repair anyone —
+    # acknowledged writes come back only from local WAL + snapshots.
+    return Scenario(
+        "cluster_restart",
+        (
+            PowerLoss(
+                900_000.0, roles=_disk_roles(spec),
+                reboot_delay_us=500_000.0,
+            ),
+        ),
+    )
+
+
+def _cluster_power_loss(spec: WorkloadSpec) -> Scenario:
+    # cluster_restart with the disks set to tear: each node's in-flight
+    # unsynced write survives only as a prefix (ALICE-style torn
+    # write), so every recovery must walk a damaged WAL tail.
+    roles = _disk_roles(spec)
+    torn = tuple(
+        DiskFault(0.0, role=role, kind="torn_write") for role in roles
+    )
+    return Scenario(
+        "cluster_power_loss",
+        torn
+        + (PowerLoss(900_000.0, roles=roles, reboot_delay_us=500_000.0),),
+    )
+
+
+def _torn_write_primary(spec: WorkloadSpec) -> Scenario:
+    # Tear only the initial primary's disk, then power-fail it alone
+    # mid-load: the cluster fails over while the old primary recovers
+    # from a torn WAL and rejoins as a fenced backup.
+    role = _disk_roles(spec)[0]
+    return Scenario(
+        "torn_write_primary",
+        (
+            DiskFault(0.0, role=role, kind="torn_write"),
+            PowerLoss(700_000.0, roles=(role,), reboot_delay_us=500_000.0),
+        ),
+    )
+
+
+def _bitrot_backup(spec: WorkloadSpec) -> Scenario:
+    # Flip bits in a backup's *durable* WAL, then power-cycle it: the
+    # CRC framing must detect the rot (truncating replay at the damage,
+    # never deserializing garbage) and anti-entropy must repair the
+    # re-joined replica from its peers.
+    roles = _disk_roles(spec)
+    role = roles[1] if len(roles) >= 2 else roles[0]
+    return Scenario(
+        "bitrot_backup",
+        (
+            DiskFault(1_000_000.0, role=role, kind="bitrot", count=4),
+            PowerLoss(
+                1_050_000.0, roles=(role,), reboot_delay_us=400_000.0
+            ),
+        ),
+    )
+
+
+#: Named schedule factories; each adapts to the workload's role names.
+SCHEDULES: Dict[str, Callable[[WorkloadSpec], Scenario]] = {
+    "lossy": _lossy,
+    "partition": _partition,
+    "strike": _strike,
+    "client_flap": _client_flap,
+    "server_flap": _server_flap,
+    "server_crash": _server_crash,
+    "calm": _calm,
+    "crash_idle": _crash_idle,
+    "crash_load": _crash_load,
+    "flap": _flap,
+    "sustained_loss": _sustained_loss,
+    "thundering_herd": _thundering_herd,
+    "duplicate": _duplicate,
+    "reorder": _reorder,
+    "primary_crash_load": _primary_crash_load,
+    "backup_flap": _backup_flap,
+    "partition_heal": _partition_heal,
+    "cluster_restart": _cluster_restart,
+    "cluster_power_loss": _cluster_power_loss,
+    "torn_write_primary": _torn_write_primary,
+    "bitrot_backup": _bitrot_backup,
+}
+
+#: The recovery schedules judged by the self-heal check (plus every
+#: other schedule: the check runs on all cells of supervised workloads).
+RECOVERY_SCHEDULES = ("crash_idle", "crash_load", "flap")
+
+
+def make_schedule(name: str, spec: WorkloadSpec) -> Scenario:
+    try:
+        factory = SCHEDULES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown schedule {name!r}; choose from "
+            f"{', '.join(sorted(SCHEDULES))}"
+        ) from None
+    return factory(spec)
+
+
+def chaos_config(
+    policy: Optional[RetransmitPolicy] = None,
+) -> KernelConfig:
+    """The kernel configuration chaos cells run under.
+
+    The adaptive policy is the chaos/soak default; the static
+    paper-faithful policy stays the default everywhere else.  Delta-t's
+    ``R`` is harmonized with the policy's true retry window either way
+    (the §5.2.2 consistency condition).
+    """
+    policy = policy if policy is not None else AdaptivePolicy()
+    return KernelConfig(
+        retransmit=policy, deltat=deltat_for_policy(policy)
+    )
+
+
+#: The bus fault plan's counters a cell reports.
+_BUS_FAULTS = (
+    "frames_lost", "frames_corrupted", "frames_scripted_drops",
+    "deliveries_predicate_dropped", "deliveries_duplicated",
+    "deliveries_reordered",
+)
+
+
+def fault_counts(net) -> Dict[str, int]:
+    """What ``net``'s fault plans injected: the bus plan's counters, and
+    every node disk plan's summed as ``disk_<counter>``."""
+    counts = {name: getattr(net.faults, name) for name in _BUS_FAULTS}
+    for node in net.nodes.values():
+        plan = getattr(getattr(node, "disk", None), "plan", None)
+        if plan is not None:
+            for key, value in plan.counter_snapshot().items():
+                counts[f"disk_{key}"] = counts.get(f"disk_{key}", 0) + value
+    return counts

@@ -242,13 +242,8 @@ def _metrics(ns) -> int:
 
 
 def _chaos(ns) -> int:
-    from repro.chaos.runner import (
-        SCHEDULES,
-        make_schedule,
-        matrix_payload,
-        run_cell,
-        run_matrix,
-    )
+    from repro.chaos.runner import matrix_payload, run_cell, run_matrix
+    from repro.chaos.scenario import SCHEDULES, make_schedule
     from repro.chaos.shrink import format_repro, shrink_scenario
     from repro.workloads import CAUSAL_WORKLOADS, get_spec
     from repro.obs.export import write_snapshot
@@ -402,7 +397,8 @@ def _recover(ns) -> int:
 
 def _real(ns) -> int:
     """The SODA stack over real sockets, one OS process per node."""
-    from repro.netreal.runner import real_schedule, run_real
+    from repro.netreal.child import real_schedule
+    from repro.netreal.runner import run_real
     from repro.workloads import REAL_WORKLOADS
 
     if not known("workload", [ns.workload], REAL_WORKLOADS):
@@ -545,7 +541,7 @@ COMMANDS: Dict[str, Command] = {
                 "durable files here", metavar="DIR"), JSON),
     ),
     "real-node": Command(
-        "repro.netreal.runner:run_real_node",
+        "repro.netreal.child:run_real_node",
         "child-process entry for `real` (internal): one node, one socket",
         (
             Flag("workload", "netreal workload"),

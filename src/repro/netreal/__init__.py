@@ -7,8 +7,9 @@ udp.UdpMedium` replaces the broadcast bus with localhost UDP datagrams
 carrying the :mod:`repro.netreal.wire` binary frame codec.  The kernel,
 connections, transport policies, and client programs are untouched.
 
-Entry points: ``python -m repro real <workload>`` (multi-process,
-:mod:`repro.netreal.runner`), ``python -m repro bench real``
+Entry points: ``python -m repro real <workload>`` (multi-process: the
+parent is :mod:`repro.netreal.runner`, each node process
+:mod:`repro.netreal.child`), ``python -m repro bench real``
 (:mod:`repro.bench.real`), or in-process via :class:`~repro.netreal.
 node.RealNetwork`.  See docs/NET.md.
 """

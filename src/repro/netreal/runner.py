@@ -1,9 +1,9 @@
 """Multi-process runner: one OS process per SODA node.
 
-``python -m repro real <workload>`` drives the parent side; each child
-is ``python -m repro real-node ...`` (internal; its argument list is
-built from, and parsed by, the one ``COMMANDS["real-node"]`` row).  The
-choreography:
+``python -m repro real <workload>`` runs this module, the parent; each
+child is ``python -m repro real-node ...`` (internal,
+:mod:`repro.netreal.child`; its argument list is built from, and parsed
+by, the one ``COMMANDS["real-node"]`` row).  The choreography:
 
 1. parent opens a TCP *control socket* on loopback and spawns one child
    per workload role;
@@ -24,13 +24,6 @@ choreography:
    of the sim's; the node half reads live kernel tables, which only a
    sim cell has at its horizon.
 
-Each child builds its node with :func:`repro.workloads.place` — the
-same spec and role program a sim run gets, a durable role's disk as
-real files in the run directory — and applies the named chaos schedule
-(:func:`real_schedule`): network actions turn the child's own
-:class:`~repro.net.errors.FaultPlan`, which governs its sends, and role
-actions fire only in the child hosting the role.
-
 Every wait carries a hard timeout and stragglers are killed: a wedged
 child can fail the run but never hang it.
 """
@@ -49,19 +42,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.chaos.liveness import pending_spans
-from repro.chaos.runner import (
-    CellJudges,
-    CellResult,
-    chaos_config,
-    fault_counts,
-    make_schedule,
-)
-from repro.chaos.scenario import Scenario, TargetedDrop, ThunderingHerd
+from repro.chaos.runner import CellJudges, CellResult
+from repro.chaos.scenario import chaos_config
 from repro.cli import COMMANDS, flag_argv
-from repro.durability.disk import FileDisk
-from repro.netreal.node import RealNetwork
-from repro.netreal.trace_io import dump_trace, merge_traces
-from repro.workloads import REAL_WORKLOADS, WorkloadSpec, get_spec, place
+from repro.netreal.child import real_schedule
+from repro.netreal.trace_io import merge_traces
+from repro.workloads import REAL_WORKLOADS, get_spec
 
 #: Seconds between spawning children and the shared epoch.
 START_GRACE_S = 0.75
@@ -80,29 +66,6 @@ def _kill_group(child: subprocess.Popen) -> None:
         child.kill()
 
 
-#: Actions a run with one node per OS process cannot honour, and why.
-UNFIT_ACTIONS = {
-    TargetedDrop: "counts frames network-wide",
-    ThunderingHerd: "adds nodes that no process hosts",
-}
-
-
-def real_schedule(name: str, spec: WorkloadSpec) -> Scenario:
-    """The named chaos schedule for a real run of ``spec``: KeyError if
-    unknown, ValueError naming an action in :data:`UNFIT_ACTIONS`."""
-    scenario = make_schedule(name, spec)
-    for action in scenario.actions:
-        if type(action) in UNFIT_ACTIONS:
-            raise ValueError(
-                f"schedule {name!r} does not fit the real backend: "
-                f"{type(action).__name__} {UNFIT_ACTIONS[type(action)]}"
-            )
-    return scenario
-
-
-# ---------------------------------------------------------------------------
-# parent
-# ---------------------------------------------------------------------------
 
 
 def judge_traces(
@@ -320,75 +283,3 @@ def run_real(
         return asyncio.run(_parent(node, trace_dir, out))
     with tempfile.TemporaryDirectory(prefix="repro-real-") as tmp:
         return asyncio.run(_parent(node, Path(tmp), out))
-
-
-# ---------------------------------------------------------------------------
-# child (``python -m repro real-node``, internal)
-# ---------------------------------------------------------------------------
-
-
-async def _child(net: RealNetwork, ns) -> None:
-    spec = get_spec(ns.workload, REAL_WORKLOADS)
-    role = spec.roles[ns.role]
-    # A durable role keeps its WAL and snapshots as real files in the
-    # run directory, next to the trace.
-    run_dir = os.path.dirname(ns.trace)
-    built = place(
-        net, spec, mids=(ns.role,),
-        media=lambda durable: FileDisk(os.path.join(run_dir, durable.name)),
-    )
-    real_schedule(ns.schedule, spec).apply(built)
-    addresses = await net.open()
-
-    reader, writer = await asyncio.open_connection("127.0.0.1", ns.control)
-    hello = {"hello": {"mid": ns.role, "port": addresses[ns.role][1]}}
-    writer.write((json.dumps(hello) + "\n").encode("utf-8"))
-    await writer.drain()
-
-    line = await asyncio.wait_for(reader.readline(), timeout=60.0)
-    if not line:
-        raise RuntimeError("control socket closed before start")
-    start = json.loads(line)["start"]
-    net.bus.set_registry(
-        {int(mid): tuple(addr) for mid, addr in start["registry"].items()}
-    )
-    await net.run_async(
-        float(start["horizon_us"]),
-        epoch_monotonic=float(start["epoch_monotonic"]),
-    )
-
-    records = list(net.sim.trace.records)
-    dump_trace(
-        ns.trace,
-        records,
-        meta={
-            "mid": ns.role,
-            "role": role.name,
-            "workload": ns.workload,
-            "seed": ns.seed,
-            "schedule": ns.schedule,
-            "ledger": net.ledger.snapshot(),
-            "faults": fault_counts(net),
-            "frames_sent": net.bus.frames_sent,
-            "records": len(records),
-        },
-    )
-    done = {"done": {"mid": ns.role, "records": len(records)}}
-    writer.write((json.dumps(done) + "\n").encode("utf-8"))
-    await writer.drain()
-    writer.close()
-    net.bus.close()
-
-
-def run_real_node(ns) -> int:
-    """Entry point for one node process (not for interactive use)."""
-    # The kernel configuration a chaos cell runs under, on either backend.
-    net = RealNetwork(seed=ns.seed, config=chaos_config())
-    try:
-        # The whole child — control handshake included — runs on the
-        # scheduler's own event loop: the UDP endpoints and kernel
-        # timers must share one loop.
-        net.sim.loop.run_until_complete(_child(net, ns))
-    finally:
-        net.close()
-    return 0

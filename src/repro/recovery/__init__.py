@@ -17,35 +17,3 @@ Four layers close the loop the paper opens in §3.6 (crash semantics) and
   after the last fault clears, supervised services must return to
   advertised-and-answering within a bounded horizon.
 """
-
-from repro.recovery.convergence import (
-    SELF_HEAL_BOUND_US,
-    check_self_heal,
-    recovery_summary,
-)
-from repro.recovery.detector import FailureDetector, NodeState, NodeView
-from repro.recovery.retry import (
-    RetryOutcome,
-    RetryPolicy,
-    retry_request,
-)
-from repro.recovery.supervisor import (
-    RestartPolicy,
-    SupervisedService,
-    SupervisorProgram,
-)
-
-__all__ = [
-    "FailureDetector",
-    "NodeState",
-    "NodeView",
-    "RestartPolicy",
-    "RetryOutcome",
-    "RetryPolicy",
-    "SELF_HEAL_BOUND_US",
-    "SupervisedService",
-    "SupervisorProgram",
-    "check_self_heal",
-    "recovery_summary",
-    "retry_request",
-]

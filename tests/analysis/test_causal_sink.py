@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.causal import CausalSink, detect_deadlocks
 from repro.analysis.causal.sink import CausalDiagnostic
-from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import chaos_config, make_schedule
 from repro.net.frame import BROADCAST_MID
 from repro.obs.spans import SpanBuilder, build_spans
 from repro.sim.tracing import SinkTable, TraceRecord

@@ -253,7 +253,7 @@ def test_peak_open_state_equals_a_recount_after_every_record():
     grow; a brute-force recount after every record of a crash-and-failover
     KV cell must never disagree.  The "requester stopped waiting" marks
     stay a subset of the open cells throughout."""
-    from repro.chaos.runner import chaos_config, make_schedule
+    from repro.chaos.scenario import chaos_config, make_schedule
 
     built = build_workload("kvstore_supervised", seed=3, config=chaos_config())
     make_schedule("primary_crash_load", built.spec).run(built)

@@ -202,8 +202,7 @@ def test_a_client_died_before_its_boot_instant_never_boots():
     incarnations on one kernel read as INV-HANDLER), and the rebooted
     client completes every round."""
     from repro.analysis.invariants import check_stream
-    from repro.chaos.runner import chaos_config
-    from repro.chaos.scenario import ClientDie, Reboot, Scenario
+    from repro.chaos.scenario import ClientDie, Reboot, Scenario, chaos_config
     from repro.workloads import (
         EchoClient,
         EchoServer,

@@ -1,7 +1,5 @@
 """Handler state machine tests (§3.3.4, §3.7.5)."""
 
-import pytest
-
 from repro.core import (
     Buffer,
     ClientProgram,
@@ -123,12 +121,11 @@ def test_completions_queue_while_handler_closed(network):
     assert completions and completions[0] >= requester.opened_at
 
 
-@pytest.mark.expect_violations("request <1,0> left in state 'delivered'")
 def test_completions_before_arrivals_at_endhandler(network):
     # §3.7.5: if C1 issues an ACCEPT followed by a REQUEST to C2, the
     # ACCEPT invokes C2's handler first.  We stage it with a long first
     # handler invocation on C2 so both interrupts pend, then check order.
-    # C2 never ACCEPTs that first arrival, C1's <1,0>.
+    # C2 ACCEPTs that first arrival, C1's <1,0>, only after the stall.
     events_seen = []
 
     class C2(ClientProgram):
@@ -142,6 +139,7 @@ def test_completions_before_arrivals_at_endhandler(network):
                 # C1's ACCEPT-completion and C1's REQUEST both pend.
                 yield from api.get(api.server_sig(1, PATTERN), get=4)
                 yield api.compute(120_000)
+                yield from api.accept_current_signal()
             elif event.is_arrival:
                 yield from api.accept_current_signal()
 

@@ -67,7 +67,7 @@ from collections import Counter
 
 import pytest
 
-from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import chaos_config, make_schedule
 from repro.core import ClientProgram, KernelConfig, Network, RequestStatus
 from repro.core.patterns import BROADCAST, make_well_known_pattern
 from repro.net import frame

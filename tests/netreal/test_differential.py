@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.chaos.runner import chaos_config
+from repro.chaos.scenario import chaos_config
 from repro.core.node import Network
 from repro.netreal import RealNetwork
 from repro.replication import KvClient

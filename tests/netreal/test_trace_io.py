@@ -210,12 +210,8 @@ def test_runner_judges_a_merged_kv_trace_in_one_pass(tmp_path):
     retained trace, dumped as a node process dumps its own and handed to
     ``judge_traces``, gets the verdict ``run_cell`` gives that cell live
     (its node-state liveness half is clean, so the columns agree)."""
-    from repro.chaos.runner import (
-        chaos_config,
-        fault_counts,
-        make_schedule,
-        run_cell,
-    )
+    from repro.chaos.runner import run_cell
+    from repro.chaos.scenario import chaos_config, fault_counts, make_schedule
     from repro.netreal.runner import judge_traces
     from repro.workloads import build_workload
 

@@ -34,7 +34,7 @@ import pytest
 
 import repro
 from repro.workloads import build_workload
-from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import chaos_config, make_schedule
 from repro.sim.tracing import TRACE_SCHEMA, TraceRecord, Tracer
 from tests.test_chaos import GATE_CELLS
 

@@ -13,10 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.liveness import check_liveness
-from repro.chaos.runner import RECOVERY_SCHEDULES, run_cell
+from repro.chaos.runner import run_cell
+from repro.chaos.scenario import RECOVERY_SCHEDULES
 from repro.core import Buffer, ClientProgram, KernelConfig, Network
 from repro.core.patterns import make_well_known_pattern
-from repro.recovery import FailureDetector, RetryPolicy, retry_request
+from repro.recovery.detector import FailureDetector
+from repro.recovery.retry import RetryPolicy, retry_request
 from repro.sim.tracing import SinkTable
 
 PATTERN = make_well_known_pattern(0o202)

@@ -2,7 +2,7 @@
 
 from repro.workloads import build_workload
 from repro.chaos.scenario import ClientDie, Scenario
-from repro.recovery import SELF_HEAL_BOUND_US, check_self_heal, recovery_summary
+from repro.recovery.convergence import SELF_HEAL_BOUND_US, check_self_heal, recovery_summary
 from repro.sim.tracing import TraceRecord
 
 

@@ -10,7 +10,7 @@ observes a live run through one.
 """
 
 from repro.core import KernelConfig, Network
-from repro.recovery import FailureDetector, NodeState
+from repro.recovery.detector import FailureDetector, NodeState
 from repro.sim.tracing import SinkTable, TraceRecord
 
 from tests.conftest import ECHO_PATTERN, EchoServer, ScriptedClient, make_pair

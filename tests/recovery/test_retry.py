@@ -8,7 +8,8 @@ execution.
 
 from repro.core import Buffer, ClientProgram, KernelConfig, Network
 from repro.core.patterns import make_well_known_pattern
-from repro.recovery import FailureDetector, RetryOutcome, RetryPolicy, retry_request
+from repro.recovery.detector import FailureDetector
+from repro.recovery.retry import RetryOutcome, RetryPolicy, retry_request
 from repro.sim.tracing import SinkTable
 
 from tests.conftest import ScriptedClient

@@ -5,10 +5,16 @@ import itertools
 from collections import Counter
 
 from repro.workloads import build_workload
-from repro.chaos.scenario import ClientDie, NodeCrash, Scenario
-from repro.chaos.runner import chaos_config, make_schedule
+from repro.chaos.scenario import (
+    ClientDie,
+    NodeCrash,
+    Scenario,
+    chaos_config,
+    make_schedule,
+)
 from repro.net import frame
-from repro.recovery import RestartPolicy, SupervisorProgram, check_self_heal
+from repro.recovery.convergence import check_self_heal
+from repro.recovery.supervisor import RestartPolicy, SupervisorProgram
 from repro.replication.wire import KV_PATTERN
 from repro.transport import packet
 

@@ -54,8 +54,14 @@ import bisect
 import pytest
 
 from repro.workloads import build_workload
-from repro.chaos.runner import chaos_config, make_schedule
-from repro.chaos.scenario import NodeCrash, Partition, Reboot, Scenario
+from repro.chaos.scenario import (
+    NodeCrash,
+    Partition,
+    Reboot,
+    Scenario,
+    chaos_config,
+    make_schedule,
+)
 from repro.core.client import ClientProgram
 from repro.core.errors import RequestStatus
 from repro.core.signatures import ServerSignature

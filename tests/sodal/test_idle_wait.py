@@ -19,8 +19,7 @@ import random
 import pytest
 
 from repro.workloads import build_workload
-from repro.chaos.runner import chaos_config
-from repro.chaos.scenario import ClientDie, NodeCrash
+from repro.chaos.scenario import ClientDie, NodeCrash, chaos_config
 from repro.core import ClientProgram, KernelConfig, Network
 from repro.core.config import TimingModel
 from repro.core.patterns import make_well_known_pattern

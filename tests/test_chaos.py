@@ -10,15 +10,15 @@ import json
 
 import pytest
 
-from repro.chaos.runner import (
+from repro.chaos.runner import matrix_cells, matrix_payload, run_cell, run_matrix
+from repro.chaos.scenario import (
     SCHEDULES,
+    ClientDie,
+    LossWindow,
+    Scenario,
+    TargetedDrop,
     make_schedule,
-    matrix_cells,
-    matrix_payload,
-    run_cell,
-    run_matrix,
 )
-from repro.chaos.scenario import ClientDie, LossWindow, Scenario, TargetedDrop
 from repro.chaos.shrink import format_repro, shrink_scenario
 from repro.workloads import WORKLOADS, get_spec
 
@@ -104,7 +104,7 @@ def test_client_flap_produces_crashed_or_cancelled_spans():
 
 
 def test_recovery_schedules_inject_and_heal():
-    from repro.chaos.runner import RECOVERY_SCHEDULES
+    from repro.chaos.scenario import RECOVERY_SCHEDULES
 
     for schedule in RECOVERY_SCHEDULES:
         result = run_cell("supervised", schedule, seed=1)

@@ -55,7 +55,7 @@ ENTRY_POINTS = {
             "importlib.import_module(COMMANDS['real-node'].run.split(':')[0])",
         ],
         ROOT,
-        75,
+        58,
     ),
 }
 
@@ -95,3 +95,15 @@ def test_help_loads_no_run_stack():
         r"|netreal|obs)(\.|$)"
     )
     assert sorted(filter(stacks.match, loaded("help"))) == []
+
+
+def test_real_node_loads_no_judge():
+    """A node process is a kernel, its role's program and the fault
+    schedule: no invariant checker, span builder, causal engine,
+    liveness or self-heal verdict, failure detector or sweep.  The
+    parent judges the merged traces."""
+    judges = re.compile(
+        r"repro\.(analysis|obs|chaos\.(runner|liveness)"
+        r"|recovery\.(convergence|detector))(\.|$)"
+    )
+    assert sorted(filter(judges.match, loaded("real-node"))) == []

@@ -40,13 +40,11 @@ from repro.chaos.runner import (
     DEFAULT_DEGRADATION_BOUNDS,
     DEGRADATION_BOUNDS,
     CellResult,
-    chaos_config,
-    fault_counts,
-    make_schedule,
     run_cell,
 )
+from repro.chaos.scenario import chaos_config, fault_counts, make_schedule
 from repro.obs.spans import build_spans
-from repro.recovery import check_self_heal, recovery_summary
+from repro.recovery.convergence import check_self_heal, recovery_summary
 from repro.replication import check_kv_consistency, kv_summary
 from repro.sim.tracing import SinkTable
 from repro.transport import packet

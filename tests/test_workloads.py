@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro.analysis
-from repro.chaos.runner import chaos_config
-from repro.chaos.scenario import PowerLoss
+from repro.chaos.scenario import PowerLoss, chaos_config
 from repro.core.node import Network
 from repro.durability.disk import FaultDisk, FileDisk
 from repro.netreal import RealNetwork, UdpNic
