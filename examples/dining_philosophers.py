@@ -4,8 +4,8 @@
 Five philosopher nodes (each owning its right fork), a timeserver, and
 the deadlock-detector process.  Thinking times are deliberately
 synchronized so the table deadlocks repeatedly; watch the detector probe
-the ring and break each deadlock by asking a fair victim to give its
-left fork back.
+the ring, break each deadlock by asking a fair victim to give its left
+fork back, and stop once a philosopher has eaten its fill.
 
 Run:  python examples/dining_philosophers.py
 """
@@ -35,7 +35,7 @@ def main() -> None:
     net.add_node(mid=N + 1, program=detector, boot_at_us=500.0)
 
     done = net.run_until(
-        lambda: all(p.meals >= MEALS for p in philosophers),
+        lambda: all(p.meals >= MEALS for p in philosophers) and detector.stopped,
         timeout=900_000_000.0,
     )
     print(f"finished: {done} at t={net.now/1000:.1f} ms\n")
@@ -46,7 +46,8 @@ def main() -> None:
         )
     print(
         f"\ndetector: {detector.probes} probe rounds, "
-        f"{detector.deadlocks_broken} deadlock(s) broken"
+        f"{detector.deadlocks_broken} deadlock(s) broken, "
+        f"stopped: {detector.stopped}"
     )
 
 

@@ -13,7 +13,10 @@ paper's induction argument).  The victim — chosen fairly via
 LIST_OF_NICE_PHILOS — is told to GIVE_BACK its left fork, with the
 guarantee that a returned fork comes back to the returner before the
 successor uses it twice (the RETURN_FORK entry records the returner as
-the next waiter).
+the next waiter).  A philosopher that has eaten its ``meals_target`` is
+never needful again, so the ring can never deadlock again: it answers
+CHECK with :data:`SATED`, and the detector withdraws its alarm and
+stops.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ PUTFORK: Pattern = make_well_known_pattern(0o431)
 RETURN_FORK: Pattern = make_well_known_pattern(0o432)
 CHECK: Pattern = make_well_known_pattern(0o433)
 GIVE_BACK: Pattern = make_well_known_pattern(0o434)
+
+#: The CHECK accept argument of a philosopher that has eaten its fill
+#: (REJECT's -1 means "not needful now").
+SATED = 1
+
+#: How long a philosopher backs off when its own fork is lent out.
+BACKOFF_US = 100.0
 
 
 class ForkState(enum.Enum):
@@ -103,7 +113,7 @@ class Philosopher(ClientProgram):
                     got = yield from self.grab_my_fork(api)
                     if got:
                         break
-                    yield api.idle()
+                    yield api.compute(BACKOFF_US)
                     yield from api.poll(
                         lambda: self.i_own is not ForkState.HIS
                     )
@@ -121,7 +131,7 @@ class Philosopher(ClientProgram):
                     # We may have been told to give the left fork back;
                     # wait until it returns (§4.4.3's retest).
                     if not got:
-                        yield api.idle()
+                        yield api.compute(BACKOFF_US)
                     yield from api.poll(
                         lambda: self.he_owns is ForkState.MINE
                     )
@@ -156,7 +166,9 @@ class Philosopher(ClientProgram):
                 self.i_own = ForkState.HIS
                 yield from api.accept_current_signal()
         elif event.pattern == CHECK:
-            if (
+            if self.meals_target is not None and self.meals >= self.meals_target:
+                yield from api.accept_current_signal(SATED)
+            elif (
                 self.he_owns is ForkState.MINE
                 and self.i_own is ForkState.HIS
                 and self.myrequest is not None
@@ -196,7 +208,11 @@ class Philosopher(ClientProgram):
 
 
 class DeadlockDetector(ClientProgram):
-    """Periodically probes the ring; breaks certain deadlocks (§4.4.3)."""
+    """Periodically probes the ring; breaks certain deadlocks (§4.4.3).
+
+    Stops, with its alarm CANCELled, once a CHECK finds a philosopher
+    :data:`SATED`; a table without a ``meals_target`` is probed forever.
+    """
 
     def __init__(
         self,
@@ -207,9 +223,11 @@ class DeadlockDetector(ClientProgram):
         self.interval_ms = interval_ms
         self.deadlocks_broken = 0
         self.probes = 0
+        self.stopped = False
 
     def initialization(self, api, parent_mid):
         self.times_up = False
+        self.sated_seen = False
         self.alarm_tid = None
         rng = api.sim.rng.stream("deadlock-detector")
         self._rng = rng
@@ -234,12 +252,13 @@ class DeadlockDetector(ClientProgram):
 
     def _check(self, api, index: int) -> Generator:
         """Ask philosopher ``index`` if it is needful; returns its episode
-        TID or None."""
+        TID or None (and notes a :data:`SATED` answer)."""
         buf = Buffer(8)
         completion = yield from api.b_get(
             ServerSignature(self.phil[index], CHECK), get=buf
         )
         if completion.status is not RequestStatus.COMPLETED or len(buf.data) < 8:
+            self.sated_seen |= completion.arg == SATED
             return None
         return int.from_bytes(buf.data, "big")
 
@@ -250,6 +269,11 @@ class DeadlockDetector(ClientProgram):
             yield from api.poll(lambda: self.times_up)
             self.times_up = False
             self.alarm_tid = yield from set_alarm(api, timeserver, self.interval_ms)
+            if self.sated_seen:
+                # A sated philosopher is never needful again, so no ring
+                # of needful philosophers can form: withdraw the alarm
+                # just armed and stop probing.
+                break
             self.probes += 1
             first_tid = yield from self._check(api, self.next_victim)
             if first_tid is None:
@@ -275,3 +299,6 @@ class DeadlockDetector(ClientProgram):
             victim = self.next_victim
             self.next_victim = self._pick_victim()
             yield from api.b_signal(ServerSignature(self.phil[victim], GIVE_BACK))
+        yield from api.cancel(self.alarm_tid)
+        self.stopped = True
+        yield from api.serve_forever()

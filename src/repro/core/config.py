@@ -30,7 +30,7 @@ class TimingModel:
     trap_us: float = 550.0
     #: Descriptor-pool management (lock with CLOSE/OPEN, alloc, fill).
     descriptor_us: float = 550.0
-    #: One polling pass of an idle() loop in the task.
+    #: The first tick of ``SodalApi.poll`` (the paper's idle() loop).
     idle_poll_us: float = 100.0
     #: SODAL queueing constructs: one EnQueue or DeQueue (§5.5 measured
     #: 0.7 ms of queueing overhead per queued transaction, i.e. two ops).

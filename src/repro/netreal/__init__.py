@@ -13,39 +13,3 @@ parent is :mod:`repro.netreal.runner`, each node process
 (:mod:`repro.bench.real`), or in-process via :class:`~repro.netreal.
 node.RealNetwork`.  See docs/NET.md.
 """
-
-from repro.netreal.node import RealNetwork
-from repro.netreal.scheduler import WallClockScheduler, WallClockTimer
-from repro.netreal.trace_io import (
-    dump_trace,
-    load_trace,
-    merge_records,
-    merge_traces,
-)
-from repro.netreal.udp import UdpMedium, UdpNic
-from repro.netreal.wire import (
-    MAX_DATAGRAM_BYTES,
-    WIRE_VERSION,
-    WireDecodeError,
-    WireEncodeError,
-    decode_frame,
-    encode_frame,
-)
-
-__all__ = [
-    "RealNetwork",
-    "WallClockScheduler",
-    "WallClockTimer",
-    "dump_trace",
-    "load_trace",
-    "merge_records",
-    "merge_traces",
-    "UdpMedium",
-    "UdpNic",
-    "MAX_DATAGRAM_BYTES",
-    "WIRE_VERSION",
-    "WireDecodeError",
-    "WireEncodeError",
-    "decode_frame",
-    "encode_frame",
-]

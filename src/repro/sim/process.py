@@ -13,8 +13,8 @@ communicates with the engine by *yielding*:
 
 ``yield None``
     A pure scheduling point: continue at the same instant, but give the
-    engine a chance to deliver interrupts first.  Busy-wait loops (the
-    paper's ``idle()``) are written as ``yield IDLE_POLL_US``.
+    engine a chance to deliver interrupts first.  The paper's ``idle()``
+    loop is ``SodalApi.poll``, whose first tick is ``idle_poll_us``.
 
 Processes can be *paused* (used to suspend a client task while its handler
 runs) and *killed* (a :class:`ProcessKilled` is thrown into the generator,

@@ -142,23 +142,20 @@ class SodalApi:
         """Burn client CPU time: ``yield api.compute(us)``."""
         return us
 
-    def idle(self) -> float:
-        """One pass of the idle() busy-wait loop (§5.2.1)."""
-        return self.tm.idle_poll_us
-
     def poll(self, predicate, tick_us: Optional[float] = None) -> Generator:
         """``while not predicate() do idle()`` (§4.1.1).
 
         Models the IDLE/WAIT instruction (§5.2.1): each pass sleeps at
-        most an exponentially-growing quantum (``idle()``, doubling to
-        :data:`IDLE_CAP_US`) but is woken immediately by any completed
-        handler invocation, so the task reacts to fresh interrupts at
-        idle-poll granularity without burning simulated cycles while
-        nothing is going on.  ``predicate`` is looked at on every tick
-        of that grid, so it must be free of side effects; it may read
-        the clock, the kernel or another node.  A pass that finds
-        nothing costs the simulator no generator resume and, mostly, no
-        event (:meth:`~repro.core.client.ClientProcessor.wait_activity`).
+        most an exponentially-growing quantum (``tm.idle_poll_us``,
+        doubling to :data:`IDLE_CAP_US`) but is woken immediately by
+        any completed handler invocation, so the task reacts to fresh
+        interrupts at idle-poll granularity without burning simulated
+        cycles while nothing is going on.  ``predicate`` is looked at on
+        every tick of that grid, so it must be free of side effects; it
+        may read the clock, the kernel or another node.  A pass that
+        finds nothing costs the simulator no generator resume and,
+        mostly, no event
+        (:meth:`~repro.core.client.ClientProcessor.wait_activity`).
 
         ``tick_us`` replaces that grid with a fixed one, ``tick_us``
         apart: for a task that only needs interrupts and a clock of its
@@ -168,7 +165,7 @@ class SodalApi:
         exact only for a predicate whose every input a handler
         invocation or the task itself writes (DESIGN.md §11).
         """
-        first = self.idle() if tick_us is None else tick_us
+        first = self.tm.idle_poll_us if tick_us is None else tick_us
         cap = IDLE_CAP_US if tick_us is None else tick_us
         delay = first
         processor = self._processor

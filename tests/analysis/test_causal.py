@@ -433,12 +433,10 @@ def test_philosophers_noarb_deadlocks_with_the_full_ring():
     assert races(net.sim.trace) == []
 
 
-@pytest.mark.expect_violations("request <4,15> left in state 'delivered'")
 def test_arbitrated_philosophers_do_not_deadlock():
     # The shipped variant (grab-left-first plus the §4.4.3 detector)
-    # finishes every meal; no wait-for cycle survives to end of trace.
-    # The predicate stops the run with the detector (MID 4) waiting on
-    # its next alarm at the time server.
+    # finishes every meal; no wait-for cycle survives to end of trace,
+    # and the detector (MID 4) stops once a philosopher is sated.
     from repro.apps.philosophers import DeadlockDetector, Philosopher
     from repro.core import Network
     from repro.facilities.timeservice import TimeServer
@@ -454,13 +452,10 @@ def test_arbitrated_philosophers_do_not_deadlock():
         philosophers.append(philosopher)
         net.add_node(mid=i, program=philosopher, boot_at_us=i * 20.0)
     net.add_node(mid=n, program=TimeServer())
-    net.add_node(
-        mid=n + 1,
-        program=DeadlockDetector(list(range(n)), interval_ms=10),
-        boot_at_us=500.0,
-    )
+    detector = DeadlockDetector(list(range(n)), interval_ms=10)
+    net.add_node(mid=n + 1, program=detector, boot_at_us=500.0)
     done = net.run_until(
-        lambda: all(p.meals >= 2 for p in philosophers),
+        lambda: all(p.meals >= 2 for p in philosophers) and detector.stopped,
         timeout=600_000_000.0,
     )
     assert done, [p.meals for p in philosophers]

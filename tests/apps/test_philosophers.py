@@ -1,12 +1,9 @@
 """Tests for dining philosophers with deadlock detection (§4.4.3).
 
-A run stops on its predicate with the detector (MID 6) waiting on its
-next alarm at the time server (MID 5), and sometimes mid-probe at a
-philosopher: each test names those open delivered cells, and the trace
-judge must see exactly them.
+Every table has a ``meals_target``, so a run ends drained: the
+detector (MID n+1) meets a sated philosopher, CANCELs its alarm at the
+time server (MID n) and stops, and the trace judge finds no open cell.
 """
-
-import pytest
 
 from repro.apps.philosophers import DeadlockDetector, Philosopher
 from repro.core import Network
@@ -46,18 +43,23 @@ def everyone_ate(philosophers, target):
     return all(p.meals >= target for p in philosophers)
 
 
-@pytest.mark.expect_violations("request <6,28> left in state 'delivered'")
+def run_to_stop(net, philosophers, detector, target, timeout):
+    """Run until every philosopher ate ``target`` meals and the detector
+    stopped."""
+    return net.run_until(
+        lambda: everyone_ate(philosophers, target) and detector.stopped,
+        timeout=timeout,
+    )
+
+
 def test_all_philosophers_eat_with_staggered_thinking():
     net, philosophers, detector = build_table(
         111, think_us=5_000.0, eat_us=3_000.0, meals_target=3
     )
-    done = net.run_until(
-        lambda: everyone_ate(philosophers, 3), timeout=600_000_000.0
-    )
+    done = run_to_stop(net, philosophers, detector, 3, timeout=600_000_000.0)
     assert done, [p.meals for p in philosophers]
 
 
-@pytest.mark.expect_violations("request <6,33> left in state 'delivered'")
 def test_progress_under_heavy_contention():
     # Zero thinking time maximizes contention -- grab-left-then-right
     # with everyone synchronized is exactly the deadlock recipe; the
@@ -66,16 +68,10 @@ def test_progress_under_heavy_contention():
         112, think_us=0.0, eat_us=1_000.0, meals_target=4,
         detector_interval_ms=10,
     )
-    done = net.run_until(
-        lambda: everyone_ate(philosophers, 4), timeout=900_000_000.0
-    )
+    done = run_to_stop(net, philosophers, detector, 4, timeout=900_000_000.0)
     assert done, [p.meals for p in philosophers]
 
 
-@pytest.mark.expect_violations(
-    "request <6,45> left in state 'delivered'",
-    "request <6,46> left in state 'delivered'",
-)
 def test_deadlock_actually_detected_and_broken():
     # Synchronized hungry philosophers: with identical think times they
     # all grab their left fork together, deadlocking repeatedly.
@@ -83,9 +79,7 @@ def test_deadlock_actually_detected_and_broken():
         113, think_us=1_000.0, eat_us=1_000.0, meals_target=5,
         detector_interval_ms=10,
     )
-    done = net.run_until(
-        lambda: everyone_ate(philosophers, 5), timeout=900_000_000.0
-    )
+    done = run_to_stop(net, philosophers, detector, 5, timeout=900_000_000.0)
     assert done, [p.meals for p in philosophers]
     assert detector.probes >= 1
     # Under this much contention at least one deadlock must have formed
@@ -99,22 +93,36 @@ def test_three_philosophers_also_work():
         114, n=3, think_us=500.0, eat_us=500.0, meals_target=4,
         detector_interval_ms=10,
     )
-    done = net.run_until(
-        lambda: everyone_ate(philosophers, 4), timeout=600_000_000.0
-    )
+    done = run_to_stop(net, philosophers, detector, 4, timeout=600_000_000.0)
     assert done, [p.meals for p in philosophers]
 
 
-@pytest.mark.expect_violations("request <6,52> left in state 'delivered'")
 def test_fairness_no_philosopher_starves():
     net, philosophers, detector = build_table(
         115, think_us=200.0, eat_us=2_000.0, meals_target=6,
         detector_interval_ms=10,
     )
-    done = net.run_until(
-        lambda: everyone_ate(philosophers, 6), timeout=1_500_000_000.0
-    )
+    done = run_to_stop(net, philosophers, detector, 6, timeout=1_500_000_000.0)
     assert done, [p.meals for p in philosophers]
     meals = [p.meals for p in philosophers]
     # All reached the target; spread stays bounded (fair victims).
     assert max(meals) - min(meals) <= 6
+
+
+def test_detector_stops_once_a_philosopher_is_sated():
+    net, philosophers, detector = build_table(
+        113, think_us=1_000.0, eat_us=1_000.0, meals_target=5,
+        detector_interval_ms=10,
+    )
+    assert run_to_stop(net, philosophers, detector, 5, timeout=900_000_000.0)
+    assert detector.stopped
+    assert detector.deadlocks_broken >= 1
+    # The alarm the detector had armed when it stopped is withdrawn at
+    # the time server (MID 5), not left to fire.
+    alarms = [
+        rec["state"]
+        for rec in net.sim.trace.records
+        if rec.category == "kernel.delivered_state"
+        and rec["mid"] == 5 and rec["src"] == 6
+    ]
+    assert alarms[-1] == "cancelled"

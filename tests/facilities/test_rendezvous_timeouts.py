@@ -134,21 +134,24 @@ def test_symmetric_rendezvous_no_deadlock():
     assert outcomes[receiver_mid][1] == f"from {sender_mid}".encode()
 
 
-@pytest.mark.expect_violations("request <1,3> left in state 'delivered'")
 def test_three_cycle_query_breaks():
     # P0 queries P1, P1 queries P2, P2 queries P0 -- the paper's cycle
     # scenario.  Each process loops on an alternative command with both
-    # an output guard (to its successor) and an input guard, until it
-    # has taken part in two rendezvous.  The MID ordering must prevent
-    # both deadlock (everyone delayed) and livelock (synchronized
-    # abort/retry): every process finishes.  The predicate stops the run
-    # with P1's query <1,3> delivered at P2, not yet answered.
+    # an output guard (to its successor) and an input guard, until every
+    # process has taken part in two rendezvous.  The MID ordering must
+    # prevent both deadlock (everyone delayed) and livelock (synchronized
+    # abort/retry): every process finishes.  The run then goes on for a
+    # second, so that a query still out when the loops stopped is
+    # REJECTed by a peer no longer in an alternative.
     net = Network(seed=74)
     rendezvous_counts = {0: 0, 1: 0, 2: 0}
 
+    def everyone_met():
+        return all(count >= 2 for count in rendezvous_counts.values())
+
     def make_body(peer_mid):
         def body(api, self):
-            while True:
+            while not everyone_met():
                 guards = [
                     CspGuard(
                         kind="output", msg_type=1,
@@ -170,12 +173,10 @@ def test_three_cycle_query_breaks():
             mid=mid, program=CspClient(mid, make_body(peer)),
             boot_at_us=mid * 40.0,
         )
-    done = net.run_until(
-        lambda: all(count >= 2 for count in rendezvous_counts.values()),
-        timeout=RUN_US,
-    )
+    done = net.run_until(everyone_met, timeout=RUN_US)
     # No livelock/deadlock: every process keeps rendezvousing.
     assert done, f"starvation: {rendezvous_counts}"
+    net.run(until=net.now + 1_000_000.0)
 
 
 def test_pure_guard_executes_without_communication():

@@ -16,7 +16,7 @@ import pytest
 
 from repro.chaos.scenario import chaos_config
 from repro.core.node import Network
-from repro.netreal import RealNetwork
+from repro.netreal.node import RealNetwork
 from repro.replication import KvClient
 from repro.workloads import REAL_WORKLOADS, EchoClient, place
 

@@ -6,7 +6,7 @@ acknowledged write from disk.  Wall-clock timeouts throughout.
 """
 
 from repro.durability.disk import DiskFaultPlan, FaultDisk, FileDisk
-from repro.netreal import RealNetwork
+from repro.netreal.node import RealNetwork
 from repro.replication import KvClient, KvReplica
 from repro.replication.consistency import check_kv_consistency
 

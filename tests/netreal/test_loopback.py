@@ -18,7 +18,7 @@ from repro.analysis.causal import (
     detect_deadlocks,
 )
 from repro.net.errors import FaultPlan
-from repro.netreal import RealNetwork
+from repro.netreal.node import RealNetwork
 from repro.obs.spans import build_spans
 from repro.workloads import EchoClient, EchoServer
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core import ClientProgram
-from repro.netreal import RealNetwork
+from repro.netreal.node import RealNetwork
 from repro.netreal.scheduler import WallClockScheduler
 from repro.sim.interface import SchedulerBackend, TimerHandle
 from repro.sodal.api import IDLE_CAP_US

@@ -19,7 +19,7 @@ from repro.chaos.scenario import (
 )
 from repro.core.node import Network
 from repro.net.frame import Frame
-from repro.netreal import RealNetwork
+from repro.netreal.node import RealNetwork
 from repro.workloads import REAL_WORKLOADS, place
 
 SPEC = REAL_WORKLOADS["pingpong"]  # server = 0, ping1 = 1, ping2 = 2

@@ -39,7 +39,7 @@ DRIVES = ("whole", "sliced", "run_until", "drain")
 def reference_poll(api, predicate):
     """``poll`` as it was: every tick wakes the generator."""
     processor = api._processor
-    delay = api.idle()
+    delay = api.tm.idle_poll_us
     while not predicate():
         seen = processor.activity_counter
         future = api.sim.new_future()
@@ -51,7 +51,7 @@ def reference_poll(api, predicate):
         timer.cancel()
         processor._activity_waiters.remove(future)
         if processor.activity_counter != seen:
-            delay = api.idle()
+            delay = api.tm.idle_poll_us
         else:
             delay = min(delay * 2.0, IDLE_CAP_US)
 
@@ -188,7 +188,7 @@ class Poller(Observed):
             elif kind == "on_tick_planted_first":
                 # Due at exactly the value-th tick, and scheduled before
                 # that tick's timer is: it runs ahead of the tick.
-                instant = tick_instants(start, value, api.idle())[-1]
+                instant = tick_instants(start, value, api.tm.idle_poll_us)[-1]
                 sim.at(instant, self.flags.__setitem__, index, True)
                 self.log.planted.append(instant)
                 yield from self.wait(
@@ -197,7 +197,7 @@ class Poller(Observed):
             elif kind == "on_tick_planted_last":
                 # Same instant, but scheduled between the previous tick
                 # and this one: it runs after the tick's timer.
-                ticks = tick_instants(start, value, api.idle())
+                ticks = tick_instants(start, value, api.tm.idle_poll_us)
                 before = ticks[-2] if value > 1 else start
                 sim.at(
                     (before + ticks[-1]) / 2.0,

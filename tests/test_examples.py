@@ -42,7 +42,7 @@ def test_typical_network():
 def test_dining_philosophers():
     out = run_example("dining_philosophers.py")
     assert "finished: True" in out
-    assert "deadlock(s) broken" in out
+    assert "deadlock(s) broken, stopped: True" in out
 
 
 def test_deltat_scenarios():

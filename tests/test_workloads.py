@@ -17,7 +17,8 @@ import repro.analysis
 from repro.chaos.scenario import PowerLoss, chaos_config
 from repro.core.node import Network
 from repro.durability.disk import FaultDisk, FileDisk
-from repro.netreal import RealNetwork, UdpNic
+from repro.netreal.node import RealNetwork
+from repro.netreal.udp import UdpNic
 from repro.workloads import REAL_WORKLOADS, WORKLOADS, get_spec, place
 
 #: Packages whose code produces traces; ``repro.analysis`` only reads them.
