@@ -49,7 +49,6 @@ TASK_ONLY_BLOCKING = frozenset(
         "poll",
         "serve_forever",
         "wait_completion",
-        "await_completion",
         "sleep",
     }
 )
@@ -101,7 +100,6 @@ GENERATOR_API = frozenset(
         "poll",
         "serve_forever",
         "wait_completion",
-        "await_completion",
     }
 )
 
@@ -269,7 +267,7 @@ class OrphanRequestRule(LintRule):
 
     #: A class "handles completions" if any of these appear in its body.
     _COMPLETION_CALLS = frozenset(
-        {"await_completion", "watch_completion", "wait_completion", "cancel"}
+        {"watch_completion", "wait_completion", "cancel"}
     )
     _COMPLETION_MARKS = frozenset(
         {"is_completion", "REQUEST_COMPLETE", "status", "reason"}

@@ -133,15 +133,6 @@ class Device:
             self.xoff_count += 1
             self._flow_notices.append(CTRL_S)
 
-    @property
-    def exhausted(self) -> bool:
-        return (
-            not self.pending_input
-            and self.input_ready is None
-            and not self.out_buffer
-            and not self._flow_notices
-        )
-
 
 class FourWayClient(ClientProgram):
     """One of the two symmetric device-relay clients (§4.4.2)."""

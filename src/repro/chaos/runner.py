@@ -241,7 +241,7 @@ def run_cell(
     judges = CellJudges(net.config, causal=causal)
     judges.table.install(net)
     horizon = scenario.run(built)
-    net.sim.trace.remove_sink(judges.table.feed)
+    judges.table.uninstall(net)
     return judges.verdict(
         workload, schedule, seed, horizon, net.ledger,
         liveness=lambda spans: check_liveness(net, spans=spans),

@@ -522,6 +522,13 @@ class SodaKernel:
         if conn.peek_sequenced(packet) == "duplicate":
             conn.send_immediate_ack(packet.seq, echo_tx_us=packet.tx_us)
             return
+        if not packet.connection_open:
+            # The requester declared us dead and opened a new connection:
+            # the DATA an ACCEPT of the old conversation pulls is gone
+            # with it, so that ACCEPT ends as if the requester had died.
+            for pending in list(self.pending_accepts.values()):
+                if pending.sig.mid == src and pending.wait_for == "data":
+                    self._accept_peer_dead(pending, self.delivered[pending.sig])
         pattern = packet.pattern
         if is_reserved(pattern):
             if self._accept_sequenced(conn, packet):

@@ -90,14 +90,10 @@ class Disk:
         raise NotImplementedError
 
     def size(self, name: str) -> int:
-        return len(self.read(name))
+        raise NotImplementedError
 
     def list_files(self) -> List[str]:
         raise NotImplementedError
-
-    def power_loss(self) -> None:
-        """Honest disks hold nothing volatile; FaultDisk overrides."""
-        return None
 
 
 class SimDisk(Disk):

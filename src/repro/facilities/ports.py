@@ -82,9 +82,6 @@ class InputPort:
             return (yield from self.read(api))
         return buf.data
 
-    def __len__(self) -> int:
-        return len(self.pending)
-
 
 class PriorityPort(InputPort):
     """An input port whose reads return the highest-priority write first.
@@ -117,9 +114,6 @@ class PriorityPort(InputPort):
         yield api.tm.queue_op_us
         neg_priority, _, asker = heapq.heappop(self._heap)
         return (asker, -neg_priority)
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 def port_write(api, port_sig: ServerSignature, data, priority: int = 0) -> Generator:

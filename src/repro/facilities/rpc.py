@@ -135,18 +135,3 @@ def rpc_call(
     if completion.status is not RequestStatus.COMPLETED:
         raise SodaError(f"rpc result transfer failed: {completion.status.value}")
     return buf.data
-
-
-class RpcClient:
-    """A small convenience wrapper binding an api to a remote procedure."""
-
-    def __init__(self, api, procedure: ServerSignature, out_capacity: int = 1024):
-        self.api = api
-        self.procedure = procedure
-        self.out_capacity = out_capacity
-
-    def call(self, in_params) -> Generator:
-        result = yield from rpc_call(
-            self.api, self.procedure, in_params, self.out_capacity
-        )
-        return result

@@ -59,13 +59,6 @@ class BroadcastBus:
     def detach(self, mid: int) -> None:
         self._interfaces.pop(mid, None)
 
-    def interface(self, mid: int) -> Optional["NetworkInterface"]:
-        return self._interfaces.get(mid)
-
-    @property
-    def mids(self):
-        return sorted(self._interfaces)
-
     # -- transmission ---------------------------------------------------------
 
     def serialization_us(self, frame: Frame) -> float:

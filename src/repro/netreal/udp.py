@@ -35,7 +35,7 @@ Differences from the bus, all consequences of being real:
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.net.errors import FaultPlan
 from repro.net.frame import BROADCAST_MID, Frame, sender_frame_ids
@@ -96,9 +96,9 @@ class UdpMedium:
     """All local NICs' shared view of the real network.
 
     Duck-types the :class:`~repro.net.medium.BroadcastBus` attributes
-    the stack and the observability layer read (``serialization_us``,
-    ``frames_sent``, ``bytes_sent``, ``busy_time_us``, ``utilization``,
-    ``queue_depth``, ``peak_queue_depth``, ``attach``/``detach``).
+    the stack reads (``serialization_us``, ``frames_sent``,
+    ``bytes_sent``, ``busy_time_us``, ``peak_queue_depth``, ``attach``);
+    the metrics hub's bus gauges are the simulated bus's.
 
     One medium serves every NIC in this process: the in-process loopback
     tests run a whole network on one event loop, the multi-process
@@ -139,16 +139,6 @@ class UdpMedium:
         if nic.mid in self._interfaces:
             raise ValueError(f"MID {nic.mid} already attached")
         self._interfaces[nic.mid] = nic
-
-    def detach(self, mid: int) -> None:
-        self._interfaces.pop(mid, None)
-
-    def interface(self, mid: int) -> Optional[UdpNic]:
-        return self._interfaces.get(mid)
-
-    @property
-    def mids(self) -> List[int]:
-        return sorted(self._interfaces)
 
     async def open(self) -> Dict[int, Address]:
         """Bind one UDP socket per attached NIC; returns mid -> address.
@@ -192,15 +182,6 @@ class UdpMedium:
     def serialization_us(self, frame: Frame) -> float:
         """Model serialization time (the ledger's transmission charge)."""
         return frame.wire_bytes * 8.0 * 1_000_000.0 / self.bandwidth_bps
-
-    @property
-    def queue_depth(self) -> int:
-        return 0
-
-    def utilization(self, now_us: float) -> float:
-        if now_us <= 0:
-            return 0.0
-        return min(1.0, self.busy_time_us / now_us)
 
     # -- transmission -------------------------------------------------------
 

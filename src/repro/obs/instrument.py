@@ -99,8 +99,8 @@ class MetricsHub:
         "kernel.shed",
     )
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry or MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.spans = SpanBuilder()
         self._net: Optional["Network"] = None
         self._handler_start: Dict[int, float] = {}

@@ -157,20 +157,8 @@ class MetricsRegistry:
         """Insert (or replace) a fully built metric under its own name."""
         self._metrics[metric.name] = metric
 
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {
             name: self._metrics[name].snapshot()
             for name in sorted(self._metrics)
         }
-
-    def reset(self) -> None:
-        self._metrics.clear()

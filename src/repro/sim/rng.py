@@ -44,6 +44,3 @@ class RngStreams:
         if probability >= 1.0:
             return True
         return self.stream(name).random() < probability
-
-    def choice(self, name: str, seq):
-        return self.stream(name).choice(seq)

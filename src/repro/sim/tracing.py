@@ -200,28 +200,30 @@ class Tracer:
 
     Tracing is cheap but not free; large benchmark runs can disable record
     retention (``keep_records=False``) and still use counters.  A run too
-    long to retain is judged by sinks instead.
+    long to retain is judged by its :class:`SinkTable` instead.
 
-    Sinks (:meth:`add_sink`) stream every record to a live consumer —
-    a :class:`SinkTable` or the invariant checker — independent of
-    retention.  With no sinks installed the per-record
-    cost is a single falsy check.
+    A tracer has at most one reader, the :class:`SinkTable` that
+    :meth:`SinkTable.install` sets on it (:attr:`table`): each record
+    goes to the table's rows for its category, retained or not.  With
+    no table and no retention the per-record cost is one counter bump
+    and a falsy check; with a table and no retention a record of a
+    category no row reads is counted and never built.
     """
 
     def __init__(self, keep_records: bool = True) -> None:
         self.keep_records = keep_records
         self.records: List[TraceRecord] = []
         self.counters: Counter = Counter()
-        self._sinks: List[Callable[[TraceRecord], None]] = []
-        # Precomputed fast-mode flag: with retention off and no sinks,
+        self.table: Optional[SinkTable] = None
+        # Precomputed fast-mode flag: with retention off and no table,
         # record() never constructs a TraceRecord — it only bumps the
-        # category counter.  Kept in sync by add_sink/remove_sink.
+        # category counter.  Kept in sync by SinkTable.install/uninstall.
         self._passive = not keep_records
 
     @property
     def passive(self) -> bool:
         """True while nothing consumes record fields (no retention, no
-        sinks): :meth:`record` only counts, so a hot call site may skip
+        table): :meth:`record` only counts, so a hot call site may skip
         building its fields and call ``record(time, category)`` bare."""
         return self._passive
 
@@ -238,15 +240,6 @@ class Tracer:
             )
         return self.records
 
-    def add_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        """Stream every future record to ``sink`` (live metrics)."""
-        self._sinks.append(sink)
-        self._passive = False
-
-    def remove_sink(self, sink: Callable[[TraceRecord], None]) -> None:
-        self._sinks.remove(sink)
-        self._passive = not self.keep_records and not self._sinks
-
     def record(
         self, time: float, category: str, *values: Any, **fields: Any
     ) -> None:
@@ -258,6 +251,16 @@ class Tracer:
         self.counters[category] += 1
         if self._passive:
             return
+        table = self.table
+        handlers: Tuple[Callable, ...] = ()
+        if table is not None:
+            table.records_fed += 1
+            table.end_time = time
+            rows = table.rows
+            if category in rows:
+                handlers = rows[category]
+            elif not self.keep_records:
+                return
         if fields or category not in _LAYOUT:
             arity = 0
             entry = TraceRecord(time, category, fields)
@@ -275,8 +278,8 @@ class Tracer:
             )
         if self.keep_records:
             self.records.append(entry)
-        for sink in self._sinks:
-            sink(entry)
+        for handler in handlers:
+            handler(entry)
 
     def count(self, category: str) -> int:
         return self.counters[category]
@@ -306,9 +309,11 @@ class SinkTable:
     """The one way a record reaches an observer: a ``{category:
     (handlers…)}`` table over the ``HANDLERS`` rows of its sinks.  A
     record reaches the sinks that read its category, once, and nobody
-    keeps it (DESIGN.md §14).  :meth:`install` streams a live run
-    through the table; :meth:`replay` feeds it a retained or merged
-    trace."""
+    keeps it (DESIGN.md §14).  :meth:`install` makes the table its
+    tracer's one reader for a live run; :meth:`replay` feeds it a
+    retained or merged trace.  Either way :attr:`records_fed` counts
+    every record and :attr:`end_time` is the last one's time, read or
+    not."""
 
     def __init__(self, *sinks) -> None:
         rows: Dict[str, Tuple[Callable, ...]] = {}
@@ -317,31 +322,40 @@ class SinkTable:
                 rows[category] = rows.get(category, ()) + (
                     MethodType(handler, sink),
                 )
-        self._rows = rows.get
+        self.rows = rows
         self.records_fed = 0
         self.end_time = 0.0
 
     def install(self, net) -> "SinkTable":
-        """Attach to ``net``'s tracer, which must not have emitted yet:
-        a judge that joins late would pass on what it did not see."""
-        emitted = sum(net.sim.trace.counters.values())
+        """Make this table the one reader of ``net``'s tracer, which
+        must have no table yet and must not have emitted: a judge that
+        joins late would pass on what it did not see."""
+        trace = net.sim.trace
+        if trace.table is not None:
+            raise RuntimeError(
+                "the tracer already has a table; one table reads a run"
+            )
+        emitted = sum(trace.counters.values())
         if emitted:
             raise RuntimeError(
                 f"{emitted} record(s) were emitted before the sinks "
                 f"were installed; live judging must see the whole run"
             )
-        net.sim.trace.add_sink(self.feed)
+        trace.table = self
+        trace._passive = False
         return self
 
-    def feed(self, rec: TraceRecord) -> None:
-        self.records_fed += 1
-        self.end_time = rec.time
-        for handler in self._rows(rec.category, ()):
-            handler(rec)
+    def uninstall(self, net) -> None:
+        """Take this table off ``net``'s tracer: later records reach no
+        sink, and the tracer no longer holds the sinks' state."""
+        trace = net.sim.trace
+        trace.table = None
+        trace._passive = not trace.keep_records
 
     def replay(self, records: Iterable[TraceRecord]) -> None:
-        """:meth:`feed` every record of ``records``, in order."""
-        rows = self._rows
+        """Hand every record of ``records``, in order, to the rows that
+        read its category."""
+        rows = self.rows.get
         fed = 0
         rec = None
         for rec in records:

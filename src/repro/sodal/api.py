@@ -420,11 +420,6 @@ class SodalApi:
         """Block until a watched completion arrives; returns a Completion."""
         return _completion(tid, (yield future))
 
-    def await_completion(self, tid: int) -> Generator:
-        """watch + wait in one step (safe only when the completion cannot
-        arrive before this call runs)."""
-        return _completion(tid, (yield self.watch_completion(tid)))
-
     def b_signal(self, server: ServerSignature, arg: int = OK) -> Generator:
         return self.b_request(server, arg)
 

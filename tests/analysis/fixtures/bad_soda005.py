@@ -14,5 +14,5 @@ class ResultDropper(ClientProgram):
     def task(self, api):
         tid = yield from api.exchange(3, put=b"x", get_size=8)
         api.watch_completion(tid)
-        result = yield from api.await_completion(tid)
+        result = yield from api.wait_completion(tid, api.new_future())
         del result

@@ -15,5 +15,5 @@ class ResultKeeper(ClientProgram):
     def task(self, api):
         tid = yield from api.exchange(3, put=b"x", get_size=8)
         future = api.watch_completion(tid)
-        completion = yield from api.await_completion(tid)
-        del future, completion
+        completion = yield from api.wait_completion(tid, future)
+        del completion

@@ -30,8 +30,8 @@ What the deleted cross-checks asserted is now made by:
 The forged traces below were the ``*_matches`` / ``*_in_both`` inputs
 of that proof.  They stay as inputs to the comparison that remains —
 the checker fed record by record through a
-:class:`~repro.sim.tracing.SinkTable` on the tracer that emits them,
-against ``InvariantChecker.check`` over the retained trace — and each
+:class:`~repro.sim.tracing.SinkTable`, checking its open state after
+each, against ``InvariantChecker.check`` over the retained trace — and each
 also lives in ``test_invariants.py`` beside its near-miss, which is
 where a rule's own proof of life is kept.
 
@@ -79,10 +79,8 @@ def assert_identical(trace, ledger=None, **kwargs):
     kwargs.setdefault("policy", RetransmitPolicy())
     live = InvariantChecker(**kwargs)
     table = SinkTable(live)
-    emitter = Tracer()
-    emitter.add_sink(table.feed)
     for rec in trace.records:
-        emitter.record(rec.time, rec.category, **rec.fields)
+        table.replay((rec,))
         assert live.open_state() == recount(live)
     post_hoc = formatted(InvariantChecker(**kwargs).check(trace, ledger=ledger))
     verdicts = live.finish(ledger=ledger, end_time=table.end_time)
@@ -261,7 +259,7 @@ def test_peak_open_state_equals_a_recount_after_every_record():
     table = SinkTable(checker)
     peak = 0
     for rec in built.net.sim.trace.records:
-        table.feed(rec)
+        table.replay((rec,))
         open_now = recount(checker)
         assert checker.open_state() == open_now
         assert checker._abandoned <= checker._delivered.keys()

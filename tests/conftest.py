@@ -145,6 +145,21 @@ def run_to_quiescence(net: Network, until: float = 5_000_000.0) -> None:
     net.run(until=until)
 
 
+def quiescent(net: Network) -> bool:
+    """True when no kernel of ``net`` holds an open REQUEST or a pending
+    ACCEPT and no connection has a message outstanding or queued: every
+    exchange has been answered and every answer acked.  A run that
+    drains on it stops when its work ends, not after a guessed grace."""
+    for node in net.nodes.values():
+        kernel = node.kernel
+        if kernel.requests or kernel.pending_accepts:
+            return False
+        for conn in kernel.connections.values():
+            if conn.outstanding is not None or conn.outbox:
+                return False
+    return True
+
+
 def make_pair(net: Network, server_program, client_body):
     """One server node + one scripted client node; returns (server, client)."""
     net.add_node(program=server_program, name="server")

@@ -50,6 +50,9 @@ kills it (each was applied to a copy and the named test seen failing):
   ``cancel/calm/1``, ``echo/flap/1``.
 * ``Connection._ack_timer_fire`` dropping the echoed stamp —
   ``test_connection_unit::test_owed_ack_times_out_to_pure_ack``.
+* ``_cancel_peer_dead`` leaving the CANCEL blocked (the REQUEST's probe
+  timeout then fails it, later) or answering SUCCESS —
+  ``test_a_cancel_whose_server_stays_dark_fails_when_its_peer_dies``.
 * SODAL's ``_completion`` not folding REJECT —
   ``test_app_edges::test_rpc_double_put_rejected``.
 * SODAL's ``_blocked_on`` not polling the handler after the wait —
@@ -68,13 +71,19 @@ from collections import Counter
 import pytest
 
 from repro.chaos.scenario import chaos_config, make_schedule
-from repro.core import ClientProgram, KernelConfig, Network, RequestStatus
+from repro.core import (
+    CancelStatus,
+    ClientProgram,
+    KernelConfig,
+    Network,
+    RequestStatus,
+)
 from repro.core.patterns import BROADCAST, make_well_known_pattern
 from repro.net import frame
 from repro.transport import packet
 from repro.workloads import build_workload
 
-from tests.conftest import ScriptedClient
+from tests.conftest import RecordingServer, ScriptedClient
 
 #: cell id -> (sha256 of every record, the path counts it is pinned for).
 CELLS = {
@@ -283,3 +292,35 @@ def test_a_client_reset_rolls_the_held_request_back():
     assert (second.result.status, second.result.not_executed) == (
         RequestStatus.UNADVERTISED, True,
     )
+
+
+def test_a_cancel_whose_server_stays_dark_fails_when_its_peer_dies():
+    """A CANCEL of a DELIVERED request, sent after the server's node
+    power-failed, is never acked: the server is down for two quiet
+    periods in a row, longer than the CANCEL's retries.  The CANCEL
+    fails (FAIL, §3.3.3) the moment its own transmission is declared
+    dead, before the REQUEST's probe times out and completes it
+    CRASHED; no matrix cell cancels across a crash."""
+    pattern = make_well_known_pattern(0o654)
+    net = Network(seed=7)
+    server = net.add_node(program=RecordingServer(pattern), name="server")
+
+    def cancel_after_delivery(api, self):
+        tid = yield from api.signal(api.server_sig(0, pattern))
+        yield api.compute(50_000)
+        status = yield from api.cancel(tid)
+        return status, net.sim.now
+
+    client = ScriptedClient(cancel_after_delivery)
+    net.add_node(program=client, boot_at_us=100.0)
+    quiet = net.config.deltat.crash_quiet_us
+    net.sim.schedule(40_000.0, server.crash)
+    net.sim.schedule(40_000.0 + quiet + 1.0, server.crash)
+    net.run(until=2_000_000.0)
+    trace = net.sim.trace
+    [dead] = trace.select("conn.peer_dead", mid=1)
+    [complete] = trace.select("kernel.complete", mid=1)
+    assert dead["kind"] == "cancel"
+    assert client.result == (CancelStatus.FAIL, dead.time)
+    assert (complete["status"], complete["reason"]) == ("crashed", "probe_timeout")
+    assert complete.time > dead.time

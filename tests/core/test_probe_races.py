@@ -9,6 +9,7 @@ client reset must distinguish "provably unexecuted" (arg=2) from
 
 from repro.core import ClientProgram, KernelConfig, Network, RequestStatus
 from repro.core.patterns import make_well_known_pattern
+from repro.sim.tracing import SinkTable
 
 from tests.conftest import RecordingServer, ScriptedClient
 
@@ -130,21 +131,20 @@ def test_accept_arriving_while_probe_in_flight():
     net, server, client = make_net(5, body)
     probe_seen = []
 
-    def watch(record):
-        if (
-            record.category == "kernel.tx"
-            and record.get("ptype") == "probe"
-            and not probe_seen
-        ):
+    def watch(_sink, record):
+        if record.get("ptype") == "probe" and not probe_seen:
             probe_seen.append(record.time)
             net.faults.drop_matching(is_probe_reply, count=1)
             net.sim.schedule(5_000.0, accept_now)
+
+    class Watch:
+        HANDLERS = {"kernel.tx": watch}
 
     def accept_now():
         sig = server.events[0].asker
         net.nodes[0].kernel.client_accept(sig, 0)
 
-    net.sim.trace.add_sink(watch)
+    SinkTable(Watch()).install(net)
     net.run(until=RUN_US)
     assert probe_seen, "the probe under test never fired"
     assert client.result.status is RequestStatus.COMPLETED

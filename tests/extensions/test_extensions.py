@@ -83,6 +83,34 @@ def test_multicast_reports_failed_members():
     assert outcome["result"].failed_members == [2]
 
 
+def test_a_member_that_left_is_not_multicast_to():
+    net = Network(seed=143)
+    members = [GroupMember() for _ in range(2)]
+    for member in members:
+        net.add_node(program=member)
+
+    class Leaver(GroupMember):
+        def initialization(self, api, parent_mid):
+            yield from self.group.join(api)
+            yield from self.group.leave(api)
+
+    leaver = Leaver()
+    net.add_node(program=leaver)
+    outcome = {}
+
+    class Caster(ClientProgram):
+        def task(self, api):
+            result = yield from ProcessGroup(GROUP).multicast(api, b"stayers")
+            outcome["result"] = result
+            yield from api.serve_forever()
+
+    net.add_node(program=Caster(), boot_at_us=500.0)
+    net.run(until=RUN_US)
+    assert outcome["result"].delivered_to == [0, 1]
+    assert leaver.got == []
+    assert net.nodes[2].kernel.patterns.advertised() == []
+
+
 # -- kernel RMR (§6.17.2) -------------------------------------------------------
 
 

@@ -10,8 +10,9 @@ from repro.netreal.node import RealNetwork
 from repro.replication import KvClient, KvReplica
 from repro.replication.consistency import check_kv_consistency
 
+from tests.conftest import quiescent
+
 TIMEOUT_US = 30_000_000.0
-GRACE_US = 500_000.0
 
 #: The blackout lands after this many definitive client outcomes — a
 #: point in the run, not on the clock, so it is mid-run at any speed.
@@ -71,7 +72,7 @@ def test_cluster_power_loss_recovers_from_filedisk(tmp_path):
             lambda: len(client.outcomes) >= client.total,
             timeout=TIMEOUT_US,
         )
-        net.run(until=net.now + GRACE_US)
+        drained = net.run_until(lambda: quiescent(net), TIMEOUT_US)
         records = list(net.sim.trace.records)
     finally:
         net.close()
@@ -81,6 +82,7 @@ def test_cluster_power_loss_recovers_from_filedisk(tmp_path):
     assert outcomes_at_cut < client.total
     assert sum(r.category == "kernel.crash" for r in records) == len(replicas)
     assert finished, "client did not finish within the wall-clock cap"
+    assert drained, "the cluster did not go quiet within the wall-clock cap"
     assert check_kv_consistency(records) == []
     # The reboot really went through disk recovery, not amnesia.
     recovers = [

@@ -22,12 +22,12 @@ from repro.netreal.node import RealNetwork
 from repro.obs.spans import build_spans
 from repro.workloads import EchoClient, EchoServer
 
+from tests.conftest import quiescent
+
 #: Generous wall-clock cap; clean loopback runs finish in well under a
 #: second.  pytest-timeout is not installed, so the cap is enforced by
 #: run_until's own deadline.
 TIMEOUT_US = 20_000_000.0
-
-GRACE_US = 300_000.0
 
 
 def _run_pingpong(faults=None, rounds=2, seed=11):
@@ -42,11 +42,11 @@ def _run_pingpong(faults=None, rounds=2, seed=11):
                 name=f"ping{index + 1}",
                 boot_at_us=30_000.0 * (index + 1),
             )
+        # Then drain: the last ACCEPT is acked before the trace is read.
         finished = net.run_until(
             lambda: all(client.finished for client in clients),
             timeout=TIMEOUT_US,
-        )
-        net.run(until=net.now + GRACE_US)  # drain the final ACKs
+        ) and net.run_until(lambda: quiescent(net), TIMEOUT_US)
         records = list(net.sim.trace.records)
     finally:
         net.close()

@@ -1,4 +1,4 @@
-"""Unit tests for RNG streams, tracing, the cost ledger, and clock utils.
+"""Unit tests for RNG streams, tracing and the cost ledger.
 
 The tracer keeps every record or none; its ring-buffer mode is gone, and
 with it five tests (``test_ring_buffer_keeps_recent_records``,
@@ -10,6 +10,18 @@ post-hoc pass
 (test_live_judging::test_post_hoc_judge_refuses_a_partial_trace); a sink
 sees every record until removed, retained or not
 (``test_sink_sees_every_record_until_removed``).
+
+A tracer has one reader, the ``SinkTable`` installed on it; its generic
+list of sink callables is gone.  The three tests that
+attached a bare callable now install a one-row table:
+``test_sink_sees_every_record_until_removed`` uninstalls it,
+``test_sink_works_without_record_retention`` is unchanged in claim, and
+``test_counters_only_tracing_makes_fewer_calls`` pins that a table builds
+only the records its rows read.
+
+``sim/clock.py`` (unit conversions nothing under ``src/`` called) is
+gone, and its two tests with it: ``test_unit_conversions`` and
+``test_format_us_scales`` — behaviour removed.
 
 ``bench sim``'s ``trace_overhead`` verdict (part of
 ``tests/bench/test_sim_bench.py::test_body_shape_and_positive_rates``:
@@ -24,9 +36,9 @@ import random
 
 import pytest
 
-from repro.sim.clock import format_us, ms_to_us, us_to_ms
+from repro.core.node import Network
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import CostLedger, TraceRecord, Tracer
+from repro.sim.tracing import CostLedger, SinkTable, TraceRecord, Tracer
 
 
 # -- RNG ------------------------------------------------------------------
@@ -111,36 +123,57 @@ def test_tracer_without_records_still_counts():
     assert tracer.records == []
 
 
-def _stream_run(keep_trace, sink=None):
-    """``(events, records emitted, Python calls)`` of one ``stream`` run
-    under cProfile."""
+class Seen:
+    """A one-row sink: every record of ``category``, in order."""
+
+    def __init__(self, category):
+        self.HANDLERS = {category: Seen.see}
+        self.seen = []
+
+    def see(self, rec):
+        self.seen.append(rec)
+
+
+def _stream_run(keep_trace, category=None):
+    """``(events, records emitted, Python calls, records the one-row
+    table over ``category`` saw)`` of one ``stream`` run under cProfile."""
     from repro.workloads import build_workload
 
     built = build_workload("stream", keep_trace=keep_trace)
     trace = built.net.sim.trace
-    if sink is not None:
-        trace.add_sink(sink)
+    sink = Seen(category)
+    if category is not None:
+        SinkTable(sink).install(built.net)
     profiler = cProfile.Profile()
     profiler.enable()
     built.net.run(until=built.spec.until_us)
     profiler.disable()
     calls = pstats.Stats(profiler).total_calls
-    return built.net.sim.events_processed, sum(trace.counters.values()), calls
+    return (
+        built.net.sim.events_processed,
+        sum(trace.counters.values()),
+        calls,
+        len(sink.seen),
+    )
 
 
 def test_counters_only_tracing_makes_fewer_calls():
-    """With no retention and no sink a record is one counter bump: the
+    """With no retention and no table a record is one counter bump: the
     same events for at least one call fewer per record (344 events, 318
     records; ~11 700 calls traced, ~10 750 counters-only on CPython
     3.11, give or take a few dozen with what the process ran before).
-    A sink on the counters-only tracer builds every record again, and
-    the saving is gone."""
-    events, records, traced = _stream_run(True)
+    A table on the counters-only tracer builds the records its rows read
+    and no other: one row over ``kernel.tx`` gives back the saving on
+    those records only."""
+    events, records, traced, _ = _stream_run(True)
     counters_only = _stream_run(False)
-    with_sink = _stream_run(False, sink=lambda rec: None)
-    assert counters_only[:2] == with_sink[:2] == (events, records)
+    one_row = _stream_run(False, "kernel.tx")
+    read = one_row[3]
+    assert counters_only[:2] == one_row[:2] == (events, records)
+    assert 0 < read < records
     assert traced - counters_only[2] >= records
-    assert traced - with_sink[2] < records
+    assert traced - one_row[2] >= records - read
+    assert one_row[2] - counters_only[2] >= read
 
 
 def test_tracer_reset():
@@ -152,24 +185,29 @@ def test_tracer_reset():
 
 
 def test_sink_sees_every_record_until_removed():
-    seen = []
-    tracer = Tracer()
-    tracer.add_sink(seen.append)
+    net = Network(seed=1)
+    tracer = net.sim.trace
+    sink = Seen("x")
+    table = SinkTable(sink).install(net)
     for i in range(4):
         tracer.record(float(i), "x", n=i)
-    assert [rec["n"] for rec in seen] == [0, 1, 2, 3]
-    tracer.remove_sink(seen.append)
-    tracer.record(4.0, "x", n=4)
-    assert len(seen) == 4 and len(tracer.records) == 5
+    tracer.record(4.0, "y", n=4)
+    assert [rec["n"] for rec in sink.seen] == [0, 1, 2, 3]
+    assert table.records_fed == 5 and table.end_time == 4.0
+    with pytest.raises(RuntimeError, match="already has a table"):
+        SinkTable(Seen("x")).install(net)
+    table.uninstall(net)
+    tracer.record(5.0, "x", n=5)
+    assert len(sink.seen) == 4 and len(tracer.records) == 6
 
 
 def test_sink_works_without_record_retention():
-    seen = []
-    tracer = Tracer(keep_records=False)
-    tracer.add_sink(seen.append)
-    tracer.record(1.0, "x", n=1)
-    assert tracer.records == []
-    assert len(seen) == 1 and seen[0]["n"] == 1
+    net = Network(seed=1, keep_trace=False)
+    sink = Seen("x")
+    SinkTable(sink).install(net)
+    net.sim.trace.record(1.0, "x", n=1)
+    assert net.sim.trace.records == []
+    assert len(sink.seen) == 1 and sink.seen[0]["n"] == 1
 
 
 def test_record_get_default():
@@ -265,17 +303,3 @@ def test_ledger_reset():
     ledger.charge("protocol", 1.0)
     ledger.reset()
     assert ledger.total() == 0.0
-
-
-# -- clock --------------------------------------------------------------------
-
-
-def test_unit_conversions():
-    assert us_to_ms(7100.0) == 7.1
-    assert ms_to_us(7.1) == 7100.0
-
-
-def test_format_us_scales():
-    assert format_us(16.0).endswith("us")
-    assert format_us(7100.0) == "7.100ms"
-    assert format_us(2_500_000.0) == "2.500s"

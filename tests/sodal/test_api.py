@@ -145,6 +145,25 @@ def test_completion_object_fields(network):
     assert completion.status is RequestStatus.COMPLETED
 
 
+def test_exchange_completes_through_a_watched_tid(network):
+    # EXCHANGE (§3.7.4) without blocking: the TID comes back at once and
+    # the completion, put and get both moved, arrives through the watch.
+    def body(api, self):
+        server = yield from api.discover(ECHO_PATTERN)
+        buf = Buffer(10)
+        tid = yield from api.exchange(server, put=b"12345", get=buf)
+        future = api.watch_completion(tid)
+        completion = yield from api.wait_completion(tid, future)
+        return completion, buf.data
+
+    _, client = make_pair(network, EchoServer(greeting=b"abcdefgh"), body)
+    network.run(until=RUN_US)
+    completion, data = client.result
+    assert completion.status is RequestStatus.COMPLETED
+    assert (completion.taken_put, completion.taken_get) == (5, 8)
+    assert data == b"abcdefgh"
+
+
 def test_poll_helper_waits_for_predicate(network):
     def body(api, self):
         flag = {"set": False}

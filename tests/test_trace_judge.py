@@ -75,9 +75,9 @@ def test_naming_a_line_that_never_occurs_fails(judged):
 
 
 #: Who may call the ``expect_violations`` marker, as (file, enclosing
-#: function): the judge and its own tests, the two seeded bugs, and the
-#: cell whose stranded EXCHANGE is ROADMAP item 1(b).  Every other test
-#: drains.
+#: function): the judge and its own tests, and the two seeded bugs.
+#: Every other test drains; ``test_live_judging.cell_param`` left the
+#: list when ROADMAP item 1(b)'s stranded EXCHANGE was fixed.
 MARKER_USERS = {
     ("tests/conftest.py", "_trace_invariant_judge"),
     ("tests/test_trace_judge.py", "test_naming_the_open_cell_passes"),
@@ -87,7 +87,6 @@ MARKER_USERS = {
         "tests/analysis/test_causal.py",
         "test_philosophers_noarb_deadlocks_with_the_full_ring",
     ),
-    ("tests/test_live_judging.py", "cell_param"),
 }
 
 
