@@ -21,7 +21,7 @@ dropped at its rx; every frame's, broadcast or lost, once the stream
 passes its ``kernel.tx`` time plus Delta-t's maximum packet lifetime
 (``mpl_us``, §5.2.2: no frame lives longer).  An rx after that draws no
 edge and counts in ``late_rx``; :meth:`CausalSink.finish` reports any as
-one SODA014 transport violation (DESIGN.md §21).
+one SODA014 transport violation (DESIGN.md §12.3).
 """
 
 from __future__ import annotations

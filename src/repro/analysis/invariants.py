@@ -74,7 +74,7 @@ and window restart), and a delivered cell written after its terminal
 state is a transition from ``None``.  Either can pass unflagged; the
 guarantee they lean on — the alternating bit, one record per delivered
 request — is the kernel's to keep and INV-SEQ's to check on the sends
-that are still live (DESIGN.md §13).
+that are still live (DESIGN.md §12.1).
 """
 
 from __future__ import annotations

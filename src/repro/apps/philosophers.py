@@ -15,8 +15,8 @@ guarantee that a returned fork comes back to the returner before the
 successor uses it twice (the RETURN_FORK entry records the returner as
 the next waiter).  A philosopher that has eaten its ``meals_target`` is
 never needful again, so the ring can never deadlock again: it answers
-CHECK with :data:`SATED`, and the detector withdraws its alarm and
-stops.
+CHECK with :data:`SATED`, and the detector stops: it arms its next
+alarm only after a probe, so none is left outstanding.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class Philosopher(ClientProgram):
 class DeadlockDetector(ClientProgram):
     """Periodically probes the ring; breaks certain deadlocks (§4.4.3).
 
-    Stops, with its alarm CANCELled, once a CHECK finds a philosopher
+    Stops, with no alarm outstanding, once a CHECK finds a philosopher
     :data:`SATED`; a table without a ``meals_target`` is probed forever.
     """
 
@@ -264,16 +264,14 @@ class DeadlockDetector(ClientProgram):
 
     def task(self, api):
         timeserver = yield from api.discover(ALARM_CLOCK)
-        self.alarm_tid = yield from set_alarm(api, timeserver, self.interval_ms)
-        while True:
+        # The next alarm is armed after the probe, so the period is the
+        # interval however long a probe takes.  A sated philosopher is
+        # never needful again, so no ring of needful philosophers can
+        # form: once one is seen the detector stops, no alarm pending.
+        while not self.sated_seen:
+            self.alarm_tid = yield from set_alarm(api, timeserver, self.interval_ms)
             yield from api.poll(lambda: self.times_up)
             self.times_up = False
-            self.alarm_tid = yield from set_alarm(api, timeserver, self.interval_ms)
-            if self.sated_seen:
-                # A sated philosopher is never needful again, so no ring
-                # of needful philosophers can form: withdraw the alarm
-                # just armed and stop probing.
-                break
             self.probes += 1
             first_tid = yield from self._check(api, self.next_victim)
             if first_tid is None:
@@ -299,6 +297,5 @@ class DeadlockDetector(ClientProgram):
             victim = self.next_victim
             self.next_victim = self._pick_victim()
             yield from api.b_signal(ServerSignature(self.phil[victim], GIVE_BACK))
-        yield from api.cancel(self.alarm_tid)
         self.stopped = True
         yield from api.serve_forever()

@@ -12,9 +12,9 @@
   figure (F1);
 * :mod:`repro.bench.tables` — plain-text table rendering;
 * :mod:`repro.bench.registry` — ``python -m repro bench <name>``: one
-  ``BENCHES`` row per committed ``BENCH_<name>.json``, over the five
+  ``BENCHES`` row per committed ``BENCH_<name>.json``, over the six
   bench modules (``perf_tables``, ``transport``, ``kv``, ``durability``,
-  ``real``).
+  ``chaos``, ``real``).
 
 This ``__init__`` re-exports nothing: importing one harness loads that
 harness and what it needs, never its neighbours (DESIGN.md §7).

@@ -29,7 +29,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
 )
 
-from repro.cli import PARALLEL, SEED, Flag, build_parser, emit
+from repro.cli import CAUSAL, PARALLEL, SEED, Flag, build_parser, emit
 
 Body = Dict[str, Any]
 
@@ -75,6 +75,14 @@ BENCHES: Dict[str, Bench] = {
         "durability",
         "WAL replay, snapshot-interval and fsync-policy costs",
         deterministic=True,
+    ),
+    "chaos": Bench(
+        "chaos_matrix",
+        "chaos",
+        "every workload under every fault schedule: each cell's verdict",
+        deterministic=True,
+        flags=(SEED, PARALLEL, CAUSAL),
+        meta=lambda body: {"seed": body["seed"]},
     ),
     "real": Bench(
         "real_bench",

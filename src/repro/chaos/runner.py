@@ -8,9 +8,9 @@ fault plus grace, and is judged *while it runs* by :class:`CellJudges`:
 record sinks (a ``HANDLERS`` table naming the categories each reads,
 and a ``finish(...)``) that one :class:`~repro.sim.tracing.SinkTable`
 merges into the one sink the cell's tracer streams to, so no record
-outlives its dispatch (DESIGN.md §14).  A real run's merged trace is replayed into the same judges
+outlives its dispatch (DESIGN.md §12.2).  A real run's merged trace is replayed into the same judges
 (:func:`repro.netreal.runner.judge_traces`), so both backends return
-one :class:`CellResult` (DESIGN.md §19):
+one :class:`CellResult` (DESIGN.md §12.4):
 
 * the invariant checker (safety; a DELIVERED cell still open at the
   end is a leak unless its requester stopped waiting — one that died
@@ -21,7 +21,7 @@ one :class:`CellResult` (DESIGN.md §19):
   no wedged connections, goodput and p99 within the schedule's bounds);
 * the KV sink (linearizability verdict and operation accounting) and
   the recovery sink (failure detector, recovery counts, self-heal);
-* under ``causal``, the causal engine (SODA010-014, DESIGN.md §21);
+* under ``causal``, the causal engine (SODA010-014, DESIGN.md §12.3);
 * fault-plan accounting (:func:`~repro.chaos.scenario.fault_counts`:
   what the schedule actually injected), folded into the report so a
   cell that injected nothing is visible.

@@ -447,6 +447,11 @@ SEED = Flag("--seed", "seed of every run", int, 1, metavar="N")
 PARALLEL = Flag(
     "--parallel", "use N worker processes (same bytes)", int, metavar="N"
 )
+CAUSAL = Flag(
+    "--causal",
+    "add the causal column: SODA010-014 race and deadlock rules",
+    bool,
+)
 CHECK = Flag(
     "--check",
     "also judge ./BENCH_<name>.json and compare it with this run (bytes "
@@ -511,8 +516,7 @@ COMMANDS: Dict[str, Command] = {
             Flag("--schedule", "only these schedules", csv, None, "S[,S...]"),
             Flag("--no-shrink", "do not shrink the first failure to a "
                  "minimal reproducer", bool),
-            Flag("--causal", "add the causal column: SODA010-014 race "
-                 "and deadlock rules", bool),
+            CAUSAL,
             PARALLEL,
             JSON,
         ),

@@ -290,7 +290,7 @@ class ClientProcessor:
         so nothing runs between this tick and that wake-up, and (c)
         ``predicate()`` is false, the tick sleeps again in place, and
         moves the clock itself up to the simulator's
-        :meth:`~repro.sim.engine.Simulator.skip_limit`.  DESIGN.md §11
+        :meth:`~repro.sim.engine.Simulator.skip_limit`.  DESIGN.md §11.1
         has the argument that this is the same evaluation at the same
         instant, never an earlier or a dropped one.  With ``delay_us``
         infinite there are no ticks and no timer at all: only a handler

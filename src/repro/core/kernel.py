@@ -215,7 +215,7 @@ class SodaKernel:
         # requester side.  ``requests`` holds *open* REQUESTs only:
         # _close_request retires a record the moment it completes or is
         # cancelled, so len(requests) is the MAXREQUESTS count (§3.3.1)
-        # and the table is bounded by it (DESIGN.md "Record lifetime").
+        # and the table is bounded by it (DESIGN.md §9.1).
         self.requests: Dict[int, RequestRecord] = {}
         # All a retired CANCELLED record still has to answer: a repeated
         # CANCEL of a withdrawn tid resolves SUCCESS, of a completed or
@@ -881,7 +881,7 @@ class SodaKernel:
         (FAIL), and the record is retired from ``requests``, which frees
         its MAXREQUESTS slot.  After this a lookup misses; each caller
         of ``requests.get`` answers a miss as it answered the closed
-        record (DESIGN.md "Record lifetime").  A withdrawal is traced
+        record (DESIGN.md §9.1).  A withdrawal is traced
         here too: it fires no callback, so nothing can come between.
         """
         record.state = state

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Generator, List, Tuple
 
 from repro.core.client import ClientProgram
@@ -29,12 +30,12 @@ class TimeServer(ClientProgram):
     """Accepts wakeup SIGNALs when their delay expires.
 
     The REQUEST argument is the delay in milliseconds.  The hardware
-    clock is modelled by polling the simulator clock every ``tick_us``.
+    clock is one timer, armed for the earliest pending expiry; with
+    nothing pending the server WAITs without one.
     """
 
-    def __init__(self, pattern: Pattern = ALARM_CLOCK, tick_us: float = TICK_US):
+    def __init__(self, pattern: Pattern = ALARM_CLOCK):
         self.pattern = pattern
-        self.tick_us = tick_us
         self._pending: List[Tuple[float, int, RequesterSignature]] = []
         self._tiebreak = itertools.count()
         self.alarms_served = 0
@@ -53,19 +54,20 @@ class TimeServer(ClientProgram):
 
     def task(self, api):
         while True:
-            # Sleep to the next interesting instant: the earliest pending
-            # expiry, or a coarse idle tick when nothing is registered
-            # (alarms that arrive mid-sleep are late by at most one
-            # segment, like any real tick-driven clock).
-            if self._pending:
-                wait = max(self.tick_us, self._pending[0][0] - api.now)
-            else:
-                wait = 10 * self.tick_us
-            yield api.compute(min(wait, 10 * self.tick_us))
             while self._pending and self._pending[0][0] <= api.now:
                 _expiry, _n, asker = heapq.heappop(self._pending)
                 yield from api.accept_signal(asker)
                 self.alarms_served += 1
+            # WAIT until the earliest alarm is due or the handler
+            # registers a new one: one tick at that expiry, none while
+            # nothing is pending.
+            registered = len(self._pending)
+            wait = self._pending[0][0] - api.now if self._pending else math.inf
+            due = api.now + wait
+            yield from api.poll(
+                lambda: len(self._pending) != registered or api.now >= due,
+                tick_us=wait,
+            )
 
 
 def set_alarm(api, timeserver: ServerSignature, delay_ms: int) -> Generator:

@@ -97,7 +97,7 @@ class BroadcastBus:
         Nothing has to happen when the last bit leaves: the wire is
         free from ``_busy_until`` on and :meth:`send` reads that stamp.
         Only a frame that had to wait needs an event to start it
-        (:meth:`_release`) — DESIGN.md §12.
+        (:meth:`_release`) — DESIGN.md §11.2.
         """
         self.frames_sent += 1
         self.bytes_sent += frame.wire_bytes

@@ -9,6 +9,7 @@ commit.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -35,9 +36,24 @@ def snapshot_payload(
     }
 
 
+#: Stands in for each row of a body's ``rows`` while the rest is laid out.
+_ROW = "\0row"
+
+
 def serialize_snapshot(payload: Dict[str, Any]) -> str:
-    """The exact text of a snapshot file (sorted keys, trailing newline)."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The exact text of a snapshot file (sorted keys, trailing newline).
+
+    A body's ``rows`` mapping keeps one compact row per line, so a row
+    that changes is one changed line of the diff."""
+    body = payload["body"]
+    rows = body.get("rows", {})
+    stub = {**body, "rows": dict.fromkeys(rows, _ROW)} if rows else body
+    text = json.dumps({**payload, "body": stub}, sort_keys=True, indent=2)
+    compact = (
+        json.dumps(rows[key], sort_keys=True, separators=(",", ":"))
+        for key in sorted(rows)
+    )
+    return re.sub(re.escape(json.dumps(_ROW)), lambda _: next(compact), text) + "\n"
 
 
 def write_snapshot(path: PathLike, payload: Dict[str, Any]) -> Path:

@@ -70,7 +70,7 @@ class Simulator:
     def new_future(self) -> SimFuture:
         return SimFuture(self)
 
-    # -- idle time (DESIGN.md §11) -------------------------------------------
+    # -- idle time (DESIGN.md §11.1) -----------------------------------------
 
     def quiet(self) -> bool:
         """True when no other live event is due at ``now``.

@@ -36,7 +36,7 @@ Semantics every backend must honor:
   callback with nothing to do may move the clock up to it and look
   again at once instead of arming a timer (the idle wait of
   :meth:`~repro.core.client.ClientProcessor.wait_activity`, DESIGN.md
-  §11).  A backend that cannot know may answer ``quiet`` as it likes
+  §11.1).  A backend that cannot know may answer ``quiet`` as it likes
   where ties carry no meaning, and must answer ``skip_limit`` ``-inf``.
 
 :class:`~repro.sim.engine.Simulator` is the reference implementation

@@ -309,7 +309,7 @@ class SinkTable:
     """The one way a record reaches an observer: a ``{category:
     (handlers…)}`` table over the ``HANDLERS`` rows of its sinks.  A
     record reaches the sinks that read its category, once, and nobody
-    keeps it (DESIGN.md §14).  :meth:`install` makes the table its
+    keeps it (DESIGN.md §12.2).  :meth:`install` makes the table its
     tracer's one reader for a live run; :meth:`replay` feeds it a
     retained or merged trace.  Either way :attr:`records_fed` counts
     every record and :attr:`end_time` is the last one's time, read or

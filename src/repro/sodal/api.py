@@ -163,7 +163,7 @@ class SodalApi:
         ``tick_us=math.inf`` is the pure WAIT: no tick and no timer, so
         only a handler invocation looks at ``predicate`` again.  It is
         exact only for a predicate whose every input a handler
-        invocation or the task itself writes (DESIGN.md §11).
+        invocation or the task itself writes (DESIGN.md §11.1).
         """
         first = self.tm.idle_poll_us if tick_us is None else tick_us
         cap = IDLE_CAP_US if tick_us is None else tick_us

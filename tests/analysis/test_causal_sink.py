@@ -11,7 +11,7 @@ must give the same lines and the same four counts on every cell of
 — all but one kind of mutated trace: a delivered cell written after its
 ``done`` / ``cancelled``, which no kernel emits.  The sink has retired
 the cell by then and the reference judges the write against the
-terminal one (DESIGN.md §21).
+terminal one (DESIGN.md §12.3).
 """
 
 from __future__ import annotations

@@ -298,7 +298,7 @@ def test_client_reset_keeps_connection_verdicts():
     only(checker().check(trace), "INV-DELTAT", "pkt#1 to 2 retransmitted")
 
 
-# -- outside the contract (DESIGN.md §13) ------------------------------
+# -- outside the contract (DESIGN.md §12.1) ----------------------------
 #
 # Retired state is gone: a trace no kernel can emit is judged by what is
 # still held.  Pinned so the limits stay the documented ones.

@@ -1,8 +1,13 @@
 """Tests for dining philosophers with deadlock detection (§4.4.3).
 
 Every table has a ``meals_target``, so a run ends drained: the
-detector (MID n+1) meets a sated philosopher, CANCELs its alarm at the
-time server (MID n) and stops, and the trace judge finds no open cell.
+detector (MID n+1) meets a sated philosopher and stops with no alarm
+outstanding at the time server (MID n), and the trace judge finds no
+open cell.  ``test_detector_stops_once_a_philosopher_is_sated`` asked,
+while the detector armed its next alarm before the probe, that the
+last alarm end ``cancelled``; the detector now arms after the probe,
+so it asks that the time server hold no alarm and that none was
+withdrawn.
 """
 
 from repro.apps.philosophers import DeadlockDetector, Philosopher
@@ -117,12 +122,15 @@ def test_detector_stops_once_a_philosopher_is_sated():
     assert run_to_stop(net, philosophers, detector, 5, timeout=900_000_000.0)
     assert detector.stopped
     assert detector.deadlocks_broken >= 1
-    # The alarm the detector had armed when it stopped is withdrawn at
-    # the time server (MID 5), not left to fire.
+    # The detector arms its next alarm only after a probe, so it stops
+    # with none outstanding: the time server (MID 5) holds none of its
+    # alarms, and none was ever withdrawn.
+    assert net.node(5).client.program._pending == []
     alarms = [
         rec["state"]
         for rec in net.sim.trace.records
         if rec.category == "kernel.delivered_state"
         and rec["mid"] == 5 and rec["src"] == 6
     ]
-    assert alarms[-1] == "cancelled"
+    assert alarms[-1] == "done"
+    assert "cancelled" not in alarms

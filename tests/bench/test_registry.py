@@ -58,7 +58,10 @@ Two benches went, each verdict to the one place that owns its claim
   reference order.
 
 ``test_registry_names_the_seven_committed_snapshots`` is
-``test_registry_names_the_five_committed_snapshots``.
+``test_registry_names_every_committed_snapshot``, which also holds
+``BENCH_chaos.json``; tier-1 compares that file's bytes in
+``tests/test_chaos.py::test_full_matrix_is_clean``, the one matrix
+sweep of the suite, so it is not re-run here.
 """
 
 import json
@@ -72,11 +75,16 @@ from repro.cli import main
 
 ROOT = Path(__file__).resolve().parents[2]
 
-DETERMINISTIC = [name for name, bench in BENCHES.items() if bench.deterministic]
+#: The deterministic benches re-run here: all but the chaos matrix.
+DETERMINISTIC = [
+    name for name, bench in BENCHES.items()
+    if bench.deterministic and name != "chaos"
+]
 
 
-def test_registry_names_the_five_committed_snapshots():
+def test_registry_names_every_committed_snapshot():
     assert DETERMINISTIC == ["obs", "transport", "kv", "durability"]
+    assert BENCHES["chaos"].deterministic and not BENCHES["real"].deterministic
     assert sorted(
         path.name for path in ROOT.glob("BENCH_*.json")
     ) == sorted(f"BENCH_{name}.json" for name in BENCHES)

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.invariants import check_network
 from repro.core import Buffer, ClientProgram, KernelConfig, Network
 from repro.core.patterns import make_well_known_pattern
+from repro.netreal.node import RealNetwork
 
 #: A well-known pattern used by the generic echo/sink servers below.
 ECHO_PATTERN = make_well_known_pattern(0o1234)
@@ -88,7 +89,8 @@ class RecordingServer(ClientProgram):
 def _trace_invariant_judge(request, monkeypatch):
     """Judge every traced Network a test runs, at teardown (docs/ANALYSIS.md).
 
-    Each Network the test ran (``run`` or ``run_until``) and that kept
+    Each Network the test ran (``run`` or ``run_until``, on the
+    simulator or on real sockets) and that kept
     its trace is replayed through ``check_network`` with the one strict
     completion rule.  A test that ends with violations on purpose names
     them with ``@pytest.mark.expect_violations(*patterns)``: it passes
@@ -97,18 +99,20 @@ def _trace_invariant_judge(request, monkeypatch):
     """
     seen: List[Network] = []
 
-    def track(method_name):
-        original = getattr(Network, method_name)
+    def track(cls, method_name):
+        original = getattr(cls, method_name)
 
         def tracked(self, *args, **kwargs):
             if all(net is not self for net in seen):
                 seen.append(self)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(Network, method_name, tracked)
+        monkeypatch.setattr(cls, method_name, tracked)
 
-    track("run")
-    track("run_until")  # soak-style runs never call plain run()
+    # RealNetwork overrides both methods, so each class is patched.
+    for cls in (Network, RealNetwork):
+        track(cls, "run")
+        track(cls, "run_until")  # soak-style runs never call plain run()
     yield
     # A counters-only trace has nothing to replay: a test that runs one
     # judges it live (``SinkTable(checker).install``) itself.

@@ -1,12 +1,12 @@
 """Each kernel transition has one path; these cells pin it record for
-record (DESIGN.md §20).
+record (DESIGN.md §9.2).
 
 Every cell is a chaos cell run with its trace kept.  Its pin is the
 sha256 of ``repr([(time, category, values) …])`` over every record and
-of the cost ledger's charges, taken before the folds of §20 and equal
+of the cost ledger's charges, taken before PR 30's folds and equal
 after them, plus the counts of the paths it is here for, read off the
 records by :func:`paths`.  The two KV cells' digests were re-taken when
-the commit index began to ride the next round (§22: no commit-only
+the commit index began to ride the next round (PR 34: no commit-only
 round, so the replicas' traffic moved); their path counts did not move.  A ``/pipelined`` cell runs the pipelined
 kernel (no matrix cell does) and holds a REQUEST 10 ms instead of 40 ms,
 which is what makes a hold expire.

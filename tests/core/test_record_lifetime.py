@@ -1,5 +1,5 @@
-"""Retired records answer as the closed records did (DESIGN.md "Record
-lifetime"; docs/PROTOCOL.md).
+"""Retired records answer as the closed records did (DESIGN.md §9.1;
+docs/PROTOCOL.md).
 
 ``kernel.requests`` and ``kernel.delivered`` hold live work only.  Each
 test here closes a transaction, checks the record is gone, and then asks

@@ -8,7 +8,7 @@ a whole operating system built from cooperating uniprogrammed clients.
 
 The soak keeps no trace: the invariant checker rides the tracer as a
 live sink (one row set of a ``SinkTable``) and judges every record as
-it is emitted, holding only open work (DESIGN.md §13).
+it is emitted, holding only open work (DESIGN.md §12.1).
 """
 
 import pytest

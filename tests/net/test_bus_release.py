@@ -4,7 +4,7 @@
 (``_finish_transmission``) to clear a ``_busy`` flag, book the delivery
 and start the next queued frame.  It now books the delivery when the
 transmission *starts* and keeps a ``_busy_until`` stamp; only a frame
-that had to wait is started by an event (DESIGN.md §12).  The eager bus
+that had to wait is started by an event (DESIGN.md §11.2).  The eager bus
 is kept here as :class:`EagerBus` — its ``net.tx`` record aside, which
 nothing read — and seeded random scripts are run over both: delivery
 instants and per-NIC delivery order, the bus counters at sampled

@@ -122,7 +122,10 @@ def test_decode_errors_are_contained(loss):
                 transport.sendto(junk, addresses[1])
 
         net.sim.schedule(10_000.0, spray)
-        finished = net.run_until(lambda: client.finished, timeout=TIMEOUT_US)
+        # Drain as _run_pingpong does: the last ACCEPT is acked.
+        finished = net.run_until(
+            lambda: client.finished, timeout=TIMEOUT_US
+        ) and net.run_until(lambda: quiescent(net), TIMEOUT_US)
         assert finished
         assert client.completions == ["completed"]
         assert net.bus.decode_errors >= 3  # b"" may be dropped by the OS
@@ -195,6 +198,7 @@ def test_a_datagram_leaves_after_its_kernel_tx_is_recorded():
         net.add_node(program=EchoServer(), name="server")
         net.add_node(program=client, name="ping", boot_at_us=20_000.0)
         assert net.run_until(lambda: client.finished, timeout=TIMEOUT_US)
+        assert net.run_until(lambda: quiescent(net), TIMEOUT_US)
     finally:
         net.close()
     assert written and late == []

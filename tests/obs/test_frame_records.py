@@ -1,7 +1,7 @@
 """What a trace record is, row by row and field by field.
 
 ``repro.sim.tracing.TRACE_SCHEMA`` states the layout of every category
-emitted under ``src/`` (DESIGN.md §15); this file holds it to that:
+emitted under ``src/`` (DESIGN.md §11.3); this file holds it to that:
 
 * every record a run emits is laid out by its row — one shared index
   dict per category, one value per field — over the chaos gate cells
@@ -18,7 +18,7 @@ emitted under ``src/`` (DESIGN.md §15); this file holds it to that:
 
 The per-frame rows (``kernel.tx``, ``kernel.rx``, ``conn.acked``,
 ``net.drop``, ``net.replay``) are the ones paid for on every wire frame
-(DESIGN.md §12); ``EVENTS_PER_FRAME_MAX`` and ``RECORDS_PER_FRAME_MAX``
+(DESIGN.md §11.2); ``EVENTS_PER_FRAME_MAX`` and ``RECORDS_PER_FRAME_MAX``
 keep what a frame costs on a KV cell.  They were ``bench sim``'s
 ``frame_cost`` verdicts (``tests/bench/test_sim_bench.py::
 test_frame_cost_counts_and_verdicts``), counted here on cells the
@@ -248,7 +248,7 @@ PER_FRAME = ("kernel.tx", "kernel.rx", "conn.acked", "net.drop", "net.replay")
 #: while every frame had a finish event and a ``net.tx`` record).
 #: ``kvstore_supervised/primary_crash_load`` at seed 1 is 8 112 events,
 #: 1 090 frames and 5 699 records: 7.442 and 5.228 since a calm KV
-#: primary runs one idle round per quiet period (DESIGN.md §16).
+#: primary runs one idle round per quiet period (DESIGN.md §13.2).
 EVENTS_PER_FRAME_MAX = 7.75
 RECORDS_PER_FRAME_MAX = 5.99
 

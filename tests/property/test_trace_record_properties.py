@@ -1,7 +1,7 @@
 """One record representation, whichever way a record is made.
 
 A ``TraceRecord`` is a tuple of values laid out by its category's
-``TRACE_SCHEMA`` row (DESIGN.md §15).  Emitters pass the row
+``TRACE_SCHEMA`` row (DESIGN.md §11.3).  Emitters pass the row
 positionally; fixtures and ``load_trace`` pass a dict.  Hypothesis draws
 rows and value tuples and holds the two forms — and a JSONL round trip —
 to the same record: equal, field for field, ``None`` absent in both,

@@ -7,7 +7,7 @@ WAITs with no timer until a handler invocation gives it work.  Each
 phase of a round runs only with something to carry: the APPEND to each
 peer when a peer lacks entries (or as the idle round's heartbeat), the
 CONFIRM to each peer when an op is parked or a peer is not
-fingerprint-matched to the log end (DESIGN.md §16).  A new commit index
+fingerprint-matched to the log end (DESIGN.md §13.2).  A new commit index
 is no work of its own: it rides the next round's APPEND, the idle
 round's at the latest.  A replica on a rebooted node says HELLO to the
 primary, which unmatches it: that is how a calm finds a peer that came

@@ -179,7 +179,7 @@ def test_events_processed_counter():
     assert sim.events_processed == 5
 
 
-# -- idle time: quiet() and skip_limit() (DESIGN.md §11) --------------------
+# -- idle time: quiet() and skip_limit() (DESIGN.md §11.1) ------------------
 
 
 def test_quiet_means_nothing_else_is_due_now():

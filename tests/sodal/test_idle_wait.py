@@ -2,7 +2,7 @@
 
 ``SodalApi.poll`` used to resolve a future on every tick and loop in the
 generator; ticks are now evaluated inside the timer callback and, where
-the simulator allows, without an event at all (DESIGN.md §11).  The old
+the simulator allows, without an event at all (DESIGN.md §11.1).  The old
 loop is kept here as :func:`reference_poll`, and seeded random scripts
 are run under both: the instants at which each predicate is looked at,
 the instants at which each poll returns, and the trace must be equal.

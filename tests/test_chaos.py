@@ -7,9 +7,12 @@ A bounded handful of cells runs in the default suite; the full
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench.chaos import rows
+from repro.bench.registry import BENCHES, check_committed
 from repro.chaos.runner import matrix_cells, matrix_payload, run_cell, run_matrix
 from repro.chaos.scenario import (
     SCHEDULES,
@@ -20,7 +23,10 @@ from repro.chaos.scenario import (
     make_schedule,
 )
 from repro.chaos.shrink import format_repro, shrink_scenario
+from repro.obs.export import snapshot_payload
 from repro.workloads import WORKLOADS, get_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +57,7 @@ GATE_CELLS = [
 
 #: Cells at other seeds with a history: a KV primary's round once wedged
 #: in both when an ACCEPT on a connection declared dead left its
-#: delivery answering PROBEs "alive" forever (DESIGN.md §18).
+#: delivery answering PROBEs "alive" forever (DESIGN.md §13.3).
 SEEDED_GATE_CELLS = [
     ("kvstore_supervised", "partition_heal", 7),
     ("kvstore_supervised", "partition_heal", 9),
@@ -352,7 +358,7 @@ def test_make_schedule_unknown_name():
 
 
 @pytest.mark.chaos
-def test_full_matrix_is_clean():
+def test_full_matrix_is_clean(monkeypatch):
     """Every (workload × schedule) cell is clean in all six verdict
     columns, the causal one included: the SODA010-013 rules must stay
     silent on surviving-the-chaos runs.
@@ -362,6 +368,10 @@ def test_full_matrix_is_clean():
     matrix with ``causal=True`` to compare the streaming checker's
     verdicts with the batch replay's (there is one checker now) and to
     assert ``causal_problems`` empty — which ``r.ok`` below includes.
+
+    The sweep is also ``bench chaos --causal --parallel 2 --check``:
+    its rows must be the bytes of the committed ``BENCH_chaos.json``,
+    the verdict contract, so tier-1 sweeps the matrix once for both.
     """
     # parallel=2 doubles as the full-matrix determinism gate: the
     # harness asserts the same verdicts the serial sweep has always
@@ -374,3 +384,9 @@ def test_full_matrix_is_clean():
         for r in failed
     )
     assert not failed, report
+    body = {"seed": 1, "rows": rows(results)}
+    fresh = snapshot_payload(
+        BENCHES["chaos"].kind, body, BENCHES["chaos"].meta(body)
+    )
+    monkeypatch.chdir(ROOT)
+    assert check_committed("chaos", fresh) == []

@@ -272,7 +272,7 @@ def test_help_lists_every_registered_command(capsys):
     for expected in ("quickstart", "chaos", "bench", "real"):
         assert expected in COMMANDS
     assert list(BENCHES) == [
-        "obs", "transport", "kv", "durability", "real",
+        "obs", "transport", "kv", "durability", "chaos", "real",
     ]
 
 

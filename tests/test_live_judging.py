@@ -1,4 +1,4 @@
-"""Live judging equals post-hoc judging (DESIGN.md §14).
+"""Live judging equals post-hoc judging (DESIGN.md §12.2).
 
 ``run_cell`` judges a cell through one :class:`~repro.sim.tracing.
 SinkTable` on the tracer and retains no record.  The way it judged
@@ -12,7 +12,7 @@ leak unless its requester stopped waiting), so the reference runs
 ``check_network`` strict, as ``run_cell``'s checker is.
 
 Two ids are gone since the causal engine became a sink and the metrics
-hub install-only (DESIGN.md §21):
+hub install-only (DESIGN.md §12.2):
 
 * ``test_causal_cell_retains_every_record`` — a causal cell retains
   nothing now; ``test_causal_cell_peaks_with_a_plain_one`` asserts that

@@ -2,8 +2,9 @@
 
 Each case runs one test in a fresh pytest process whose conftest is the
 suite's own judge.  The test leaves one REQUEST delivered and never
-ACCEPTed, so the judge's strict completion rule reports it.  The last
-test holds the ``expect_violations`` marker to the few that may use it.
+ACCEPTed, so the judge's strict completion rule reports it, on the
+simulator and on real sockets alike.  The last test holds the
+``expect_violations`` marker to the few that may use it.
 """
 
 import ast
@@ -36,9 +37,32 @@ def test_leaves_a_cell_open():
 """
 
 
+#: The same open cell on real sockets: a run stopped once the server
+#: holds the REQUEST (a pingpong stopped at its client's finish leaves
+#: the last ACCEPT unacknowledged only when the ACK is slower than the
+#: stop, which wall-clock scheduling does not promise).
+OPEN_ON_REAL_SOCKETS = """
+from tests.conftest import RecordingServer, SINK_PATTERN, make_pair
+from repro.netreal.node import RealNetwork
+
+
+def test_leaves_a_cell_open_on_real_sockets():
+    def body(api, self):
+        yield from api.signal(api.server_sig(0, SINK_PATTERN))
+
+    net = RealNetwork(seed=1)
+    try:
+        server, _client = make_pair(net, RecordingServer(), body)
+        assert net.run_until(lambda: server.events, timeout=20_000_000.0)
+    finally:
+        net.close()
+"""
+
+
 @pytest.fixture
 def judged(pytester, monkeypatch):
-    """Run the open-cell test under ``marker`` and return the outcome."""
+    """Run ``body`` (the open-cell test by default) under ``marker``
+    and return the outcome."""
     monkeypatch.setenv(
         "PYTHONPATH", os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     )
@@ -46,8 +70,8 @@ def judged(pytester, monkeypatch):
         "from tests.conftest import _trace_invariant_judge  # noqa: F401\n"
     )
 
-    def run(marker=""):
-        pytester.makepyfile(LEAVES_A_CELL_OPEN.format(marker=marker))
+    def run(marker="", body=LEAVES_A_CELL_OPEN):
+        pytester.makepyfile(body.format(marker=marker))
         return pytester.runpytest_subprocess("-p", "no:cacheprovider")
 
     return run
@@ -72,6 +96,12 @@ def test_naming_a_line_that_never_occurs_fails(judged):
     )
     result.assert_outcomes(passed=1, errors=1)
     result.stdout.fnmatch_lines([f"*expected, not seen: {never!r}*"])
+
+
+def test_an_undrained_real_socket_run_fails_at_teardown(judged):
+    result = judged(body=OPEN_ON_REAL_SOCKETS)
+    result.assert_outcomes(passed=1, errors=1)
+    result.stdout.fnmatch_lines([f"*INV-COMPLETE [[]mid=0[]] {OPEN_CELL}*"])
 
 
 #: Who may call the ``expect_violations`` marker, as (file, enclosing

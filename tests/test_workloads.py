@@ -1,4 +1,4 @@
-"""One workload registry, placed on either backend (DESIGN.md §19).
+"""One workload registry, placed on either backend (DESIGN.md §14).
 
 ``repro.workloads`` holds every spec and role program; ``place(net,
 spec, mids, media)`` puts a spec's roles on a simulated ``Network`` or a
