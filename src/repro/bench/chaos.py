@@ -1,10 +1,10 @@
 """The chaos matrix's verdicts: ``bench chaos`` and ``BENCH_chaos.json``.
 
-Every standard workload under every named fault schedule at one seed
-(docs/CHAOS.md), one row per cell keyed ``workload/schedule`` and
-written on one line: the cell's
-:meth:`~repro.chaos.runner.CellResult.to_dict` without its key fields
-and without the lists that are empty.  A clean cell has no problem
+Every standard workload under every named fault schedule at seed 1
+(docs/CHAOS.md; ``chaos --matrix --seed N --json`` sweeps another),
+one row per cell keyed ``workload/schedule`` and written on one line:
+the cell's :meth:`~repro.chaos.runner.CellResult.to_dict` without its
+key fields and without the lists that are empty.  A clean cell has no problem
 column at all, so ``--causal``, which only adds the SODA010-014 column,
 writes the same bytes on a clean matrix.
 
@@ -18,29 +18,35 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+#: The one seed the committed file holds.
+SEED = 1
+
 #: ``CellResult`` fields a row is keyed by, not a column of.
 _KEY = ("workload", "schedule", "seed")
 
 
-def rows(results: Sequence) -> Dict[str, Dict[str, object]]:
-    """``{"workload/schedule": row}`` for a sweep's cell results."""
+def body(results: Sequence) -> Dict[str, object]:
+    """The bench's body for a seed-:data:`SEED` sweep's cell results:
+    ``{"workload/schedule": row}`` under ``rows``."""
     return {
-        f"{result.workload}/{result.schedule}": {
-            column: value
-            for column, value in result.to_dict().items()
-            if column not in _KEY and value != []
-        }
-        for result in results
+        "seed": SEED,
+        "rows": {
+            f"{result.workload}/{result.schedule}": {
+                column: value
+                for column, value in result.to_dict().items()
+                if column not in _KEY and value != []
+            }
+            for result in results
+        },
     }
 
 
 def run(ns) -> Dict[str, object]:
     from repro.chaos.runner import run_matrix
 
-    results = run_matrix(
-        seeds=(ns.seed,), causal=ns.causal, parallel=ns.parallel
+    return body(
+        run_matrix(seeds=(SEED,), causal=ns.causal, parallel=ns.parallel)
     )
-    return {"seed": ns.seed, "rows": rows(results)}
 
 
 def render(body) -> str:

@@ -81,7 +81,7 @@ BENCHES: Dict[str, Bench] = {
         "chaos",
         "every workload under every fault schedule: each cell's verdict",
         deterministic=True,
-        flags=(SEED, PARALLEL, CAUSAL),
+        flags=(PARALLEL, CAUSAL),
         meta=lambda body: {"seed": body["seed"]},
     ),
     "real": Bench(
@@ -108,30 +108,34 @@ def _leaves(value: Any, values: bool, where: str = "") -> Iterator[Tuple[str, An
         yield where, value if values else None
 
 
-def check_committed(name: str, fresh: Optional[Body] = None) -> List[str]:
+def check_committed(name: str, body: Optional[Body] = None) -> List[str]:
     """What is wrong with ``./BENCH_<name>.json``: its envelope, its
-    verdicts and, given the payload of a fresh run, where the two differ."""
-    from repro.obs.export import BENCH_SCHEMA, serialize_snapshot
+    verdicts and, given the body of a fresh run, where the snapshot that
+    body makes differs from it."""
+    from repro.obs.export import (
+        BENCH_SCHEMA, serialize_snapshot, snapshot_payload,
+    )
 
     bench = BENCHES[name]
     path = Path(f"BENCH_{name}.json")
     try:
         text = path.read_text(encoding="utf-8")
         committed = json.loads(text)
-        body = committed["body"]
+        kept = committed["body"]
         if (
             committed["schema"] != BENCH_SCHEMA
             or committed["kind"] != bench.kind
-            or committed["meta"] != bench.meta(body)
+            or committed["meta"] != bench.meta(kept)
         ):
             return [f"{path}: not a {BENCH_SCHEMA} {bench.kind} envelope"]
-        problems = [f"{path}: {line}" for line in load(bench).verdicts(body)]
+        problems = [f"{path}: {line}" for line in load(bench).verdicts(kept)]
     except OSError as exc:
         return [f"{path}: {exc.strerror}"]
     except (ValueError, KeyError, TypeError) as exc:
         return [f"{path}: malformed snapshot ({exc!r})"]
-    if fresh is None:
+    if body is None:
         return problems
+    fresh = snapshot_payload(bench.kind, body, bench.meta(body))
     ours, theirs = (
         dict(_leaves(tree, bench.deterministic)) for tree in (fresh, committed)
     )
@@ -149,25 +153,20 @@ def load(bench: Bench):
 
 
 def _run_one(name: str, ns: Namespace) -> int:
-    from repro.obs.export import snapshot_payload
-
     bench = BENCHES[name]
     module = load(bench)
     body = module.run(ns)
     print(module.render(body))
-    meta = bench.meta(body)
     problems = module.verdicts(body)
     if ns.check:
-        problems += check_committed(
-            name, snapshot_payload(bench.kind, body, meta)
-        )
+        problems += check_committed(name, body)
     for line in problems:
         print(f"bench {name}: FAILED: {line}")
     if not problems:
         how = "byte for byte" if bench.deterministic else "key for key"
         matches = f", BENCH_{name}.json matches {how}" if ns.check else ""
         print(f"bench {name}: ok{matches}")
-    emit(ns, bench.kind, body, meta)
+    emit(ns, bench.kind, body, bench.meta(body))
     return 1 if problems else 0
 
 

@@ -145,13 +145,11 @@ def test_check_rejects_a_missing_or_foreign_snapshot(monkeypatch, tmp_path):
 def test_wall_clock_check_compares_keys_not_values(monkeypatch, tmp_path):
     # What CI's `bench real --check` adds to the verdicts: the backend x
     # policy grid.
-    from repro.obs.export import snapshot_payload
-
     monkeypatch.chdir(ROOT)
-    fresh = snapshot_payload("real_bench", _committed_body("real"), {"seed": 1})
-    fresh["body"]["backends"]["real"]["static"]["retransmits"] += 1
+    fresh = _committed_body("real")
+    fresh["backends"]["real"]["static"]["retransmits"] += 1
     assert check_committed("real", fresh) == []
-    del fresh["body"]["backends"]["sim"]["static"]
+    del fresh["backends"]["sim"]["static"]
     assert check_committed("real", fresh) == [
         "BENCH_real.json: differs from this run at "
         "body.backends.sim.static.completed_exchanges"
@@ -184,6 +182,11 @@ def test_verdicts_bite_on_an_unhealthy_body():
         "always > batch >= never" in line
         for line in load(BENCHES["durability"]).verdicts(durability)
     )
+
+    chaos = _committed_body("chaos")
+    assert load(BENCHES["chaos"]).verdicts(chaos) == []
+    chaos["rows"]["echo/calm"]["ok"] = False
+    assert load(BENCHES["chaos"]).verdicts(chaos) == ["echo/calm is not clean"]
 
     real = _committed_body("real")
     real["comparison"]["adaptive_recovers_faster_real"] = False

@@ -5,8 +5,8 @@ Each ``REAL_WORKLOADS`` spec is placed with :func:`repro.workloads.place`
 on the simulator's ``Network`` and on an in-process ``RealNetwork`` (every
 node on one event loop, real loopback sockets), both under the kernel
 configuration a chaos cell runs under.  Each runs until every client has
-finished, then drains; the multiset of client outcomes must be the same
-on both backends.  A divergence means the substrate leaks into the
+finished, then drains until quiescent; the multiset of client outcomes
+must be the same on both backends.  A divergence means the substrate leaks into the
 protocol, which the paper says it must not.
 """
 
@@ -19,13 +19,11 @@ from repro.core.node import Network
 from repro.netreal.node import RealNetwork
 from repro.replication import KvClient
 from repro.workloads import REAL_WORKLOADS, EchoClient, place
+from tests.conftest import quiescent
 
 #: Wall-clock (and virtual) cap on either backend; clean runs finish
 #: in well under it.
 TIMEOUT_US = 30_000_000.0
-
-#: Drain after the last client finishes, so final ACKs land.
-DRAIN_US = 300_000.0
 
 
 def _clients(net):
@@ -53,7 +51,9 @@ def _run(net, spec) -> Counter:
         lambda: all(_finished(client) for client in clients),
         timeout=TIMEOUT_US,
     ), f"{type(net).__name__}: {spec.name}'s clients did not finish"
-    net.run(until=net.now + DRAIN_US)
+    # Drain until every final ACK has landed: the teardown judge holds
+    # each backend's trace to the strict completion rule.
+    assert net.run_until(lambda: quiescent(net), TIMEOUT_US)
     return Counter(
         outcome for client in clients for outcome in _outcomes(client)
     )

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.chaos import rows
-from repro.bench.registry import BENCHES, check_committed
+from repro.bench import chaos as chaos_bench
+from repro.bench.registry import check_committed
 from repro.chaos.runner import matrix_cells, matrix_payload, run_cell, run_matrix
 from repro.chaos.scenario import (
     SCHEDULES,
@@ -23,7 +23,6 @@ from repro.chaos.scenario import (
     make_schedule,
 )
 from repro.chaos.shrink import format_repro, shrink_scenario
-from repro.obs.export import snapshot_payload
 from repro.workloads import WORKLOADS, get_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -376,7 +375,7 @@ def test_full_matrix_is_clean(monkeypatch):
     # parallel=2 doubles as the full-matrix determinism gate: the
     # harness asserts the same verdicts the serial sweep has always
     # produced, via worker processes.
-    results = run_matrix(seeds=(1,), causal=True, parallel=2)
+    results = run_matrix(seeds=(chaos_bench.SEED,), causal=True, parallel=2)
     assert len(results) >= 24
     failed = [r for r in results if not r.ok]
     report = "\n".join(
@@ -384,9 +383,5 @@ def test_full_matrix_is_clean(monkeypatch):
         for r in failed
     )
     assert not failed, report
-    body = {"seed": 1, "rows": rows(results)}
-    fresh = snapshot_payload(
-        BENCHES["chaos"].kind, body, BENCHES["chaos"].meta(body)
-    )
     monkeypatch.chdir(ROOT)
-    assert check_committed("chaos", fresh) == []
+    assert check_committed("chaos", chaos_bench.body(results)) == []
