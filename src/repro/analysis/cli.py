@@ -1,19 +1,15 @@
-"""The analysis commands of ``python -m repro``: ``lint``,
-``check-trace`` and ``causal`` (flags declared in ``repro.cli.COMMANDS``)."""
+"""``python -m repro lint`` (flags declared in ``repro.cli.COMMANDS``).
+
+A workload's judged run is a ``chaos`` cell (``chaos --workload W
+--schedule calm [--causal]``); this module runs no workload."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
 
-from repro.analysis.causal import CausalSink, detect_deadlocks
-from repro.analysis.invariants import InvariantChecker
 from repro.analysis.linter import LintConfig, has_errors, lint_paths
-from repro.cli import emit, known
-from repro.obs.spans import SpanBuilder
-from repro.sim.tracing import SinkTable
-from repro.workloads import CAUSAL_WORKLOADS, WORKLOADS, build_workload
+from repro.cli import emit
 
 #: Linted by default: the repo's own client programs.
 DEFAULT_LINT_PATHS = ("src/repro/apps", "examples")
@@ -49,94 +45,3 @@ def run_lint(ns) -> int:
     )
     return 1 if has_errors(diagnostics) else 0
 
-
-def run_check_trace(ns) -> int:
-    """``check-trace``: 0 = every invariant holds."""
-    if not known("workload", ns.workload, WORKLOADS):
-        return 2
-    names = ns.workload or sorted(WORKLOADS)
-    failures = 0
-    results: List[Dict[str, Any]] = []
-    for name in names:
-        built = build_workload(name, keep_trace=False)
-        net = built.net
-        checker = InvariantChecker(network=net)
-        table = SinkTable(checker).install(net)
-        built.run()
-        violations = [
-            v.format()
-            for v in checker.finish(ledger=net.ledger, end_time=table.end_time)
-        ]
-        records = table.records_fed
-        if violations:
-            failures += 1
-            print(f"{name}: FAILED ({records} trace records)")
-            for violation in violations:
-                print(f"    {violation}")
-        else:
-            print(
-                f"{name}: ok ({records} trace records, all invariants hold)"
-            )
-        results.append(
-            {"workload": name, "records": records, "violations": violations}
-        )
-    print(
-        f"check-trace: {len(names) - failures}/{len(names)} workload(s) clean"
-    )
-    emit(ns, "check_trace", {"workloads": results})
-    return 1 if failures else 0
-
-
-def run_causal(ns) -> int:
-    """``causal``: 0 = no causal diagnostics.
-
-    Runs each workload counters-only with one live table of the
-    invariant checker (for its open-state figure), the span builder and
-    the causal engine, and reports races (SODA010-012) and wait-for
-    deadlocks (SODA013).  The default set is the standard (clean)
-    workloads; the causal-only pathology demos — e.g.
-    ``philosophers_noarb``, which must FAIL with a SODA013 cycle — run
-    only when named explicitly.
-    """
-    if not known("workload", ns.workload, CAUSAL_WORKLOADS):
-        return 2
-    names = ns.workload or sorted(WORKLOADS)
-    failing = 0
-    results: List[Dict[str, Any]] = []
-    for name in names:
-        built = build_workload(name, keep_trace=False)
-        checker = InvariantChecker(network=built.net)
-        spans = SpanBuilder()
-        causal = CausalSink(mpl_us=built.net.config.deltat.mpl_us)
-        table = SinkTable(checker, spans, causal).install(built.net)
-        built.run()
-        diagnostics = [
-            diag.format()
-            for diag in causal.finish() + detect_deadlocks(spans.finish())
-        ]
-        if diagnostics:
-            failing += 1
-        status = "FAILED" if diagnostics else "ok"
-        print(
-            f"{name}: {status} ({table.records_fed} records, "
-            f"{causal.clocks_allocated} clocks, "
-            f"{causal.send_edges} send/recv edges, "
-            f"peak open state {checker.peak_open_state})"
-        )
-        for line in diagnostics:
-            print(f"    {line}")
-        results.append(
-            {
-                "workload": name,
-                "records": table.records_fed,
-                "clocks_allocated": causal.clocks_allocated,
-                "send_edges": causal.send_edges,
-                "unmatched_rx": causal.unmatched_rx,
-                "processes": len(causal.processes),
-                "peak_open_state": checker.peak_open_state,
-                "diagnostics": diagnostics,
-            }
-        )
-    print(f"causal: {len(names) - failing}/{len(names)} workload(s) clean")
-    emit(ns, "causal", {"workloads": results})
-    return 1 if failing else 0

@@ -1,7 +1,8 @@
 """The chaos matrix's verdicts: ``bench chaos`` and ``BENCH_chaos.json``.
 
 Every standard workload under every named fault schedule at seed 1
-(docs/CHAOS.md; ``chaos --matrix --seed N --json`` sweeps another),
+(docs/CHAOS.md; ``chaos --matrix --seed N --json`` writes the same rows
+at another seed, and at seed 1 this file's bytes),
 one row per cell keyed ``workload/schedule`` and written on one line:
 the cell's :meth:`~repro.chaos.runner.CellResult.to_dict` without its
 key fields and without the lists that are empty.  A clean cell has no problem
@@ -25,11 +26,12 @@ SEED = 1
 _KEY = ("workload", "schedule", "seed")
 
 
-def body(results: Sequence) -> Dict[str, object]:
-    """The bench's body for a seed-:data:`SEED` sweep's cell results:
-    ``{"workload/schedule": row}`` under ``rows``."""
+def body(results: Sequence, seed: int) -> Dict[str, object]:
+    """The body for a one-seed sweep's cell results:
+    ``{"workload/schedule": row}`` under ``rows``.  ``bench chaos``
+    writes it at :data:`SEED`, ``chaos --json`` at its ``--seed``."""
     return {
-        "seed": SEED,
+        "seed": seed,
         "rows": {
             f"{result.workload}/{result.schedule}": {
                 column: value
@@ -45,7 +47,8 @@ def run(ns) -> Dict[str, object]:
     from repro.chaos.runner import run_matrix
 
     return body(
-        run_matrix(seeds=(SEED,), causal=ns.causal, parallel=ns.parallel)
+        run_matrix(seeds=(SEED,), causal=ns.causal, parallel=ns.parallel),
+        SEED,
     )
 
 

@@ -18,7 +18,8 @@ from repro.bench.workloads import run_stream
 #: Payload sizes, in 16-bit words, of the paper's table columns.
 WORD_SIZES: List[int] = [0, 1, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
 
-#: The columns ``tables --quick`` and ``bench obs`` (BENCH_obs.json) run.
+#: The five columns ``bench obs`` (BENCH_obs.json) runs; ``tables`` runs
+#: all twelve.
 QUICK_SIZES: List[int] = [0, 1, 100, 500, 1000]
 
 #: Published values (milliseconds), keyed by (verb, pipelined).
@@ -116,7 +117,7 @@ def performance_tables(sizes: List[int]) -> Body:
 
 
 def run(ns) -> Body:
-    """``bench obs``: the tables at the quick sizes."""
+    """``bench obs``: the tables at :data:`QUICK_SIZES`."""
     return performance_tables(QUICK_SIZES)
 
 

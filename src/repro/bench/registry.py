@@ -47,7 +47,7 @@ BENCHES: Dict[str, Bench] = {
     "obs": Bench(
         "performance_tables",
         "perf_tables",
-        "the paper's PUT/GET/EXCHANGE tables at the `tables --quick` sizes",
+        "the paper's PUT/GET/EXCHANGE tables at five of `tables`' sizes",
         deterministic=True,
         meta=lambda body: {
             "quick": True,

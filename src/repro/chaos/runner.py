@@ -309,23 +309,3 @@ def run_matrix(
         if progress is not None:
             progress(result)
     return results
-
-
-def matrix_payload(
-    results: Sequence[CellResult], seed: int
-) -> Dict[str, object]:
-    """The ``soda.bench/1`` report for a finished sweep."""
-    from repro.obs.export import snapshot_payload
-
-    failed = [r for r in results if not r.ok]
-    body = {
-        "cells": [r.to_dict() for r in results],
-        "summary": {
-            "total": len(results),
-            "failed": len(failed),
-            "failed_cells": sorted(
-                f"{r.workload}/{r.schedule}/seed={r.seed}" for r in failed
-            ),
-        },
-    }
-    return snapshot_payload("chaos", body, meta={"seed": seed})

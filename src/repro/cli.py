@@ -136,22 +136,11 @@ def _quickstart(ns) -> None:
 
 
 def _tables(ns) -> None:
-    from repro.bench.perf_tables import (
-        QUICK_SIZES,
-        WORD_SIZES,
-        performance_tables,
-        render,
-    )
+    from repro.bench.perf_tables import WORD_SIZES, performance_tables, render
 
-    sizes = QUICK_SIZES if ns.quick else WORD_SIZES
-    body = performance_tables(sizes)
+    body = performance_tables(WORD_SIZES)
     print(render(body))
-    emit(
-        ns,
-        "performance_tables",
-        body,
-        meta={"quick": ns.quick, "word_sizes": sizes},
-    )
+    emit(ns, "performance_tables", body, meta={"word_sizes": WORD_SIZES})
 
 
 def _breakdown(ns) -> None:
@@ -242,11 +231,12 @@ def _metrics(ns) -> int:
 
 
 def _chaos(ns) -> int:
-    from repro.chaos.runner import matrix_payload, run_cell, run_matrix
+    from repro.bench.chaos import body
+    from repro.bench.registry import BENCHES
+    from repro.chaos.runner import run_cell, run_matrix
     from repro.chaos.scenario import SCHEDULES, make_schedule
     from repro.chaos.shrink import format_repro, shrink_scenario
     from repro.workloads import CAUSAL_WORKLOADS, get_spec
-    from repro.obs.export import write_snapshot
 
     if not (
         known("workload", ns.workload, CAUSAL_WORKLOADS)
@@ -312,9 +302,9 @@ def _chaos(ns) -> int:
                 rerun(minimal).problems(),
             )
         )
-    if ns.json:
-        write_snapshot(ns.json, matrix_payload(results, ns.seed))
-        print(f"wrote {ns.json}")
+    # `bench chaos`'s envelope and rows, at this run's seed.
+    sweep = body(results, ns.seed)
+    emit(ns, BENCHES["chaos"].kind, sweep, BENCHES["chaos"].meta(sweep))
     return 1 if failed else 0
 
 
@@ -458,7 +448,6 @@ CHECK = Flag(
     "if the bench is deterministic, keys otherwise); writes nothing",
     bool,
 )
-_WORKLOADS = Flag("workload", "default: every standard workload", nargs="*")
 
 #: What ``real`` hands down to each ``real-node`` child unchanged.
 _REAL_FLAGS = (
@@ -472,7 +461,7 @@ COMMANDS: Dict[str, Command] = {
     "tables": Command(
         _tables,
         "the paper's performance tables",
-        (Flag("--quick", "five payload sizes instead of twelve", bool), JSON),
+        (JSON,),
     ),
     "breakdown": Command(_breakdown, "overhead-breakdown table", (JSON,)),
     "comparison": Command(_comparison, "SODA vs *MOD", (JSON,)),
@@ -494,17 +483,6 @@ COMMANDS: Dict[str, Command] = {
             Flag("--disable", "rule ids to silence", csv, (), "ID[,ID...]"),
             JSON,
         ),
-    ),
-    "check-trace": Command(
-        "repro.analysis.cli:run_check_trace",
-        "replay workload traces against the invariants",
-        (_WORKLOADS, JSON),
-    ),
-    "causal": Command(
-        "repro.analysis.cli:run_causal",
-        "vector-clock happens-before, race + deadlock detection "
-        "(SODA010-SODA013)",
-        (_WORKLOADS, JSON),
     ),
     "chaos": Command(
         _chaos,

@@ -43,10 +43,13 @@ _ROW = "\0row"
 def serialize_snapshot(payload: Dict[str, Any]) -> str:
     """The exact text of a snapshot file (sorted keys, trailing newline).
 
-    A body's ``rows`` mapping keeps one compact row per line, so a row
-    that changes is one changed line of the diff."""
+    A body whose ``rows`` is a mapping (``bench chaos``, ``chaos
+    --json``) keeps one compact row per line, so a row that changes is
+    one changed line of the diff; a ``rows`` list is laid out like any
+    other value."""
     body = payload["body"]
-    rows = body.get("rows", {})
+    rows = body.get("rows")
+    rows = rows if isinstance(rows, dict) else {}
     stub = {**body, "rows": dict.fromkeys(rows, _ROW)} if rows else body
     text = json.dumps({**payload, "body": stub}, sort_keys=True, indent=2)
     compact = (

@@ -13,10 +13,10 @@ can run (§3.5).
 
 Three registries share the vocabulary:
 
-* :data:`WORKLOADS` — the named set ``check-trace``, the chaos matrix
-  and the tier-1 gates run (virtual µs);
-* :data:`CAUSAL_WORKLOADS` — those plus the pathology demos only
-  ``python -m repro causal`` runs;
+* :data:`WORKLOADS` — the named set the chaos matrix and the tier-1
+  gates run (virtual µs);
+* :data:`CAUSAL_WORKLOADS` — those plus the pathology demos, which run
+  only when named (``python -m repro chaos --workload W``);
 * :data:`REAL_WORKLOADS` — ``python -m repro real`` and ``bench real``,
   whose horizons and boot offsets are *wall clock*: ``until_us=2_000_000``
   really is two seconds.
@@ -527,9 +527,10 @@ WORKLOADS: Dict[str, WorkloadSpec] = _registry(
     ),
 )
 
-#: Extra workloads for ``python -m repro causal`` only.  They are *not*
-#: part of ``WORKLOADS`` — the chaos matrix, check-trace and the tier-1
-#: gates stay the named set above — because these exist to
+#: Extra workloads that run only when named (``chaos --workload W
+#: --schedule calm --causal``).  They are *not* part of ``WORKLOADS`` —
+#: the chaos matrix and the tier-1 gates stay the named set above —
+#: because these exist to
 #: demonstrate pathologies: ``philosophers_noarb`` runs the §4.4.3 ring
 #: with the hold-and-wait acquisition order and no deadlock detector,
 #: so it *must* end with a SODA013 wait-for cycle.

@@ -1,4 +1,26 @@
-"""CLI surface: `python -m repro lint`, `check-trace`, and `causal`."""
+"""CLI surface: `python -m repro lint`, and a workload's judged run as a
+calm `chaos` cell.
+
+`check-trace` and `causal` are gone: a calm `chaos` cell judges a
+workload with the same checker, span builder and causal sink, plus
+liveness, KV and self-heal.  Their tests map as follows:
+
+* ``test_check_trace_clean_workload`` and
+  ``test_check_trace_json_names_records_and_violations`` ->
+  ``tests/analysis/test_invariants.py::
+  test_shipped_workloads_hold_all_invariants`` (the same nine workloads)
+  and ``tests/test_cli.py::test_json_command_writes_a_snapshot[chaos]``;
+* ``test_causal_defaults_to_the_clean_workloads`` ->
+  ``tests/analysis/test_causal.py::
+  test_shipped_workloads_are_race_and_deadlock_free``;
+* ``test_causal_flags_the_noarb_philosophers`` ->
+  ``tests/analysis/test_causal.py::
+  test_philosophers_noarb_deadlocks_with_the_full_ring`` and
+  ``test_chaos_causal_flags_the_noarb_philosophers`` below;
+* ``test_check_trace_rejects_unknown_workload`` and
+  ``test_causal_rejects_unknown_workload`` ->
+  ``tests/test_cli.py::test_unknown_names_are_usage_errors``.
+"""
 
 from __future__ import annotations
 
@@ -40,49 +62,6 @@ def test_lint_missing_path_is_a_usage_error(capsys):
     assert "no such file or directory" in capsys.readouterr().err
 
 
-def test_check_trace_clean_workload(capsys):
-    assert main(["check-trace", "echo"]) == 0
-    assert "echo: ok" in capsys.readouterr().out
-
-
-def test_check_trace_rejects_unknown_workload(capsys):
-    assert main(["check-trace", "no-such-workload"]) == 2
-    assert "unknown workload(s): no-such-workload" in capsys.readouterr().err
-
-
-def test_check_trace_json_names_records_and_violations(tmp_path, capsys):
-    json_path = tmp_path / "trace.json"
-    assert main(["check-trace", "echo", "--json", str(json_path)]) == 0
-    assert "all invariants hold" in capsys.readouterr().out
-    body = json.loads(json_path.read_text())["body"]
-    (echo,) = body["workloads"]
-    assert echo["workload"] == "echo"
-    assert echo["records"] > 0
-    assert echo["violations"] == []
-
-
-def test_causal_defaults_to_the_clean_workloads(capsys):
-    assert main(["causal", "echo", "signal"]) == 0
-    assert "causal: 2/2 workload(s) clean" in capsys.readouterr().out
-
-
-def test_causal_flags_the_noarb_philosophers(tmp_path, capsys):
-    json_path = tmp_path / "causal.json"
-    status = main(["causal", "philosophers_noarb", "--json", str(json_path)])
-    assert status == 1
-    assert "SODA013" in capsys.readouterr().out
-    body = json.loads(json_path.read_text())["body"]
-    assert any(
-        "SODA013" in diag
-        for wl in body["workloads"]
-        for diag in wl["diagnostics"]
-    )
-
-
-def test_causal_rejects_unknown_workload():
-    assert main(["causal", "no-such-workload"]) == 2
-
-
 def test_lint_json_snapshot(tmp_path):
     json_path = tmp_path / "lint.json"
     status = main(
@@ -96,9 +75,22 @@ def test_lint_json_snapshot(tmp_path):
     )
 
 
+def test_chaos_causal_flags_the_noarb_philosophers(tmp_path, capsys):
+    json_path = tmp_path / "noarb.json"
+    status = main(
+        ["chaos", "--workload", "philosophers_noarb", "--schedule", "calm",
+         "--causal", "--no-shrink", "--json", str(json_path)]
+    )
+    assert status == 1
+    assert "SODA013" in capsys.readouterr().out
+    row = json.loads(json_path.read_text())["body"]["rows"][
+        "philosophers_noarb/calm"
+    ]
+    assert any("SODA013" in line for line in row["causal_problems"])
+
+
 def test_main_help_mentions_analysis_commands(capsys):
     assert main(["--help"]) == 0
     help_text = capsys.readouterr().out
-    for name in ("lint", "check-trace", "causal"):
-        assert f"python -m repro {name} " in help_text
-        assert COMMANDS[name].description in help_text
+    assert "python -m repro lint " in help_text
+    assert COMMANDS["lint"].description in help_text

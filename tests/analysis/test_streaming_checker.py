@@ -19,10 +19,9 @@ What the deleted cross-checks asserted is now made by:
   comparison that still has two sides;
 * ``tests/analysis/test_cli.py::test_check_trace_streaming_agrees``
   (``check-trace --streaming``, ``streaming_agrees`` in the JSON) — the
-  flag and the key are gone; ``test_check_trace_clean_workload`` and
-  ``test_check_trace_json_names_records_and_violations`` cover the one
-  mode left, and ``tests/test_docs.py`` fails any doc line that still
-  passes the flag;
+  flag, the key and later the command are gone (``tests/analysis/
+  test_cli.py``'s docstring maps its tests), and ``tests/test_docs.py``
+  fails any doc line that still runs it;
 * ``tests/test_chaos.py::test_full_matrix_streaming_verdicts_match_batch``
   — merged into ``test_full_matrix_is_clean`` (one ``causal=True``
   sweep, see its docstring).

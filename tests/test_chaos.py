@@ -4,6 +4,10 @@ A bounded handful of cells runs in the default suite; the full
 (workload × schedule × seed) matrix hides behind the ``chaos`` marker:
 
     PYTHONPATH=src python -m pytest -m chaos tests/test_chaos.py
+
+A sweep has one serialisation, ``bench.chaos.body``: the old report's
+determinism test ``test_matrix_payload_is_deterministic`` is
+``test_matrix_body_is_deterministic``.
 """
 
 import json
@@ -13,7 +17,7 @@ import pytest
 
 from repro.bench import chaos as chaos_bench
 from repro.bench.registry import check_committed
-from repro.chaos.runner import matrix_cells, matrix_payload, run_cell, run_matrix
+from repro.chaos.runner import matrix_cells, run_cell, run_matrix
 from repro.chaos.scenario import (
     SCHEDULES,
     ClientDie,
@@ -169,10 +173,10 @@ def test_cell_result_is_deterministic():
     assert first.to_dict() == second.to_dict()
 
 
-def test_matrix_payload_is_deterministic():
+def test_matrix_body_is_deterministic():
     kwargs = dict(workloads=["echo"], schedules=["strike", "client_flap"])
-    one = matrix_payload(run_matrix(seeds=(3,), **kwargs), seed=3)
-    two = matrix_payload(run_matrix(seeds=(3,), **kwargs), seed=3)
+    one = chaos_bench.body(run_matrix(seeds=(3,), **kwargs), 3)
+    two = chaos_bench.body(run_matrix(seeds=(3,), **kwargs), 3)
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
@@ -182,9 +186,9 @@ def test_parallel_matrix_is_byte_identical_to_serial():
     kwargs = dict(
         workloads=["echo", "cancel"], schedules=["calm", "strike"]
     )
-    serial = matrix_payload(run_matrix(seeds=(1,), **kwargs), seed=1)
-    parallel = matrix_payload(
-        run_matrix(seeds=(1,), parallel=2, **kwargs), seed=1
+    serial = chaos_bench.body(run_matrix(seeds=(1,), **kwargs), 1)
+    parallel = chaos_bench.body(
+        run_matrix(seeds=(1,), parallel=2, **kwargs), 1
     )
     assert json.dumps(serial, sort_keys=True) == json.dumps(
         parallel, sort_keys=True
@@ -384,4 +388,5 @@ def test_full_matrix_is_clean(monkeypatch):
     )
     assert not failed, report
     monkeypatch.chdir(ROOT)
-    assert check_committed("chaos", chaos_bench.body(results)) == []
+    body = chaos_bench.body(results, chaos_bench.SEED)
+    assert check_committed("chaos", body) == []

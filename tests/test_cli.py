@@ -1,11 +1,18 @@
-"""Tests for the ``python -m repro`` entry point."""
+"""Tests for the ``python -m repro`` entry point.
+
+``test_every_command_has_generated_help[check-trace]`` and ``[causal]``
+went with the two commands; ``tests/analysis/test_cli.py``'s docstring
+maps what they judged.
+"""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, flag_argv, main
+from repro.cli import COMMANDS, JSON, build_parser, flag_argv, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_quickstart_runs(capsys):
@@ -84,11 +91,13 @@ def test_lint_disable_takes_its_value_as_the_next_word(capsys):
 
 def test_unknown_names_are_usage_errors(capsys):
     assert main(["chaos", "--schedule", "nope"]) == 2
+    assert main(["chaos", "--workload", "nope"]) == 2
     assert main(["real", "nope"]) == 2
     assert main(["real", "pingpong", "--schedule", "nope"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown schedule(s): nope" in captured.err
+    assert "unknown workload(s): nope" in captured.err
     assert "unknown schedule 'nope'; choose from" in captured.err
 
 
@@ -227,6 +236,35 @@ def test_chaos_parallel_matches_serial_json(capsys, tmp_path):
     )
     capsys.readouterr()
     assert serial_path.read_bytes() == parallel_path.read_bytes()
+
+
+#: One cheap run of every command that declares ``--json`` (``real``,
+#: which needs sockets, has ``test_real_json_is_a_chaos_cell_result``).
+JSON_RUNS = [
+    ["tables"],
+    ["breakdown"],
+    ["comparison"],
+    ["deltat"],
+    ["metrics"],
+    ["lint"],
+    ["chaos", "--workload", "echo", "--schedule", "calm"],
+    ["recover"],
+]
+
+
+def test_json_runs_cover_every_json_command():
+    declared = {name for name, row in COMMANDS.items() if JSON in row.flags}
+    assert declared - {"real"} == {argv[0] for argv in JSON_RUNS}
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS, ids=lambda argv: argv[0])
+def test_json_command_writes_a_snapshot(argv, tmp_path, capsys, monkeypatch):
+    # `comparison --json` used to raise TypeError: its `rows` is a list.
+    monkeypatch.chdir(ROOT)  # lint's default paths are relative
+    path = tmp_path / "out.json"
+    assert main(argv + ["--json", str(path)]) == 0
+    assert f"wrote {path}" in capsys.readouterr().out
+    assert json.loads(path.read_text())["schema"] == "soda.bench/1"
 
 
 def test_recover_demo_converges(capsys, tmp_path):

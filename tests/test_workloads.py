@@ -40,14 +40,12 @@ def _imported_modules(path: Path):
 
 
 def test_analysis_depends_on_traces_only():
-    """Only the CLI front end runs workloads; the old-path shim may
+    """Nothing in the package runs a workload; the old-path shim may
     re-export the registry and nothing else."""
     root = Path(repro.analysis.__file__).parent
     offenders = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
-        if relative == "cli.py":
-            continue
         for lineno, modules in _imported_modules(path):
             for module in modules:
                 parts = module.split(".")
