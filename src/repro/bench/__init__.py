@@ -4,7 +4,10 @@
   programs of :mod:`repro.workloads`: streaming PUT/GET/EXCHANGE with
   MAXREQUESTS outstanding, blocking SIGNALs, queued-accept (port-style)
   servers;
-* :mod:`repro.bench.perf_tables` — the "SODA Performance" table (T1-T3);
+* :mod:`repro.bench.perf_tables` — ``bench obs``, the one producer of
+  the whole chapter: the "SODA Performance" table (T1-T3) at the
+  paper's twelve sizes, plus the three parts below, each measured,
+  rendered and judged by its own module;
 * :mod:`repro.bench.breakdown` — the "Breakdown of Communications
   Overhead" table (T4);
 * :mod:`repro.bench.comparison` — the §5.5 \\*MOD comparison (C1-C2);

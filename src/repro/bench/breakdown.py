@@ -10,8 +10,9 @@ measured window, and report simulated microseconds per category.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
+from repro.bench.tables import failing, format_table
 from repro.bench.workloads import BENCH_PATTERN, AcceptingServer
 from repro.core.client import ClientProgram
 from repro.core.config import KernelConfig
@@ -89,4 +90,43 @@ def measure_signal_breakdown(seed: int = 5) -> BreakdownResult:
         total_measured_ms=sum(measured_ms.values()),
         total_paper_ms=BREAKDOWN_TOTAL_PAPER_MS,
         elapsed_call_ms=client.elapsed_us / 1000.0,
+    )
+
+
+def render(body) -> str:
+    """T4 as a console table, in the paper's category order."""
+    rows = [
+        (name, body["measured_ms"][name], body["paper_ms"][name])
+        for name in BREAKDOWN_PAPER_MS
+    ]
+    rows.append(("TOTAL", body["total_measured_ms"], body["total_paper_ms"]))
+    table = format_table(
+        ["category", "measured ms", "paper ms"], rows,
+        title="Breakdown of protocol time (2-packet SIGNAL)",
+    )
+    return f"{table}\nelapsed B_SIGNAL: {body['elapsed_call_ms']:.2f} ms"
+
+
+def verdicts(body) -> List[str]:
+    """Each category within 25 % of the paper's, the total within 15 %,
+    and the B_SIGNAL call's elapsed time more than half of that
+    total."""
+    measured, paper = body["measured_ms"], body["paper_ms"]
+    total, total_paper = body["total_measured_ms"], body["total_paper_ms"]
+    elapsed = body["elapsed_call_ms"]
+    return failing(
+        [
+            (abs(measured[name] - paper[name]) <= 0.25 * paper[name],
+             f"T4 {name}: {measured[name]:.2f} ms, not within 25% of the "
+             f"paper's {paper[name]}")
+            for name in paper
+        ]
+        + [
+            (abs(total - total_paper) <= 0.15 * total_paper,
+             f"T4 total: {total:.2f} ms, not within 15% of the paper's "
+             f"{total_paper}"),
+            (elapsed > total / 2,
+             f"T4: the B_SIGNAL call took {elapsed:.2f} ms, not more than "
+             f"half the {total:.2f} ms its categories add up to"),
+        ]
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.baselines.starmod import StarModNetwork
+from repro.bench.tables import dict_table, failing
 from repro.bench.workloads import run_blocking_signals, run_stream
 
 
@@ -117,3 +118,46 @@ def measure_comparison(seed: int = 5) -> List[ComparisonRow]:
         ),
     ]
     return rows
+
+
+def render(rows) -> str:
+    return dict_table(
+        "SODA vs *MOD",
+        (
+            ("scenario", "scenario"),
+            ("measured ms", "measured_ms"),
+            ("paper ms", "paper_ms"),
+        ),
+        rows,
+    )
+
+
+def verdicts(rows) -> List[str]:
+    """Each row within 20 % of the paper's; a queued accept slower than
+    one in the handler, a SIGNAL stream faster than B_SIGNAL, and \\*MOD
+    more than 1.5x slower than its SODA counterpart, both ways."""
+    ms = {row["scenario"]: row["measured_ms"] for row in rows}
+    ratios = {
+        "sync": ms["starmod_sync_call"] / ms["soda_b_signal_queued"],
+        "async": ms["starmod_async_send"] / ms["soda_signal_stream_queued"],
+    }
+    return failing(
+        [
+            (abs(row["measured_ms"] - row["paper_ms"]) <= 0.20 * row["paper_ms"],
+             f"{row['scenario']}: {row['measured_ms']:.1f} ms, not within "
+             f"20% of the paper's {row['paper_ms']}")
+            for row in rows
+        ]
+        + [
+            (ms["soda_b_signal"] < ms["soda_b_signal_queued"],
+             "a queued accept is not slower than one in the handler"),
+            (ms["soda_signal_stream"] < ms["soda_b_signal"],
+             "a SIGNAL stream is not faster than B_SIGNAL"),
+        ]
+        + [
+            (ratio > 1.5,
+             f"*MOD {way} call: {ratio:.2f}x its queued SODA counterpart, "
+             f"not > 1.5x")
+            for way, ratio in ratios.items()
+        ]
+    )

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.bench.tables import failing
 from repro.core.client import ClientProgram
 from repro.core.config import KernelConfig
 from repro.core.node import Network
@@ -62,7 +63,6 @@ class _Pinger(ClientProgram):
         self.done = []
 
     def task(self, api):
-        self.api = api
         sig = api.server_sig(0, PATTERN)
         completion = yield from api.b_signal(sig)
         self.done.append((api.now, completion.status.value))
@@ -135,7 +135,6 @@ def _scenario_duplicate(deltat: DeltaTConfig) -> ScenarioResult:
         r for r in net.sim.trace.records
         if r.category == "conn.retransmit"
     ]
-    arrivals = net.sim.trace.count("kernel.interrupt")
     result.events.append(
         (net.now / 1000.0,
          f"requester retransmitted {len(dup_records)} time(s); "
@@ -200,11 +199,32 @@ def _scenario_crash_quiet(deltat: DeltaTConfig) -> ScenarioResult:
     return result
 
 
-def deltat_scenarios(deltat: DeltaTConfig = None) -> Dict[str, ScenarioResult]:
+def deltat_scenarios() -> Dict[str, ScenarioResult]:
     """Run all three Delta-t scenarios; returns results by name."""
-    deltat = deltat or DeltaTConfig(mpl_us=20_000.0, r_us=60_000.0, a_us=5_000.0)
+    deltat = DeltaTConfig(mpl_us=20_000.0, r_us=60_000.0, a_us=5_000.0)
     return {
         "take_any": _scenario_take_any(deltat),
         "duplicate": _scenario_duplicate(deltat),
         "crash_quiet": _scenario_crash_quiet(deltat),
     }
+
+
+def render(body) -> str:
+    """Each scenario's verdict and event timeline."""
+    lines = []
+    for s in body.values():
+        lines.append(f"{s['name']} [{'ok' if s['ok'] else 'FAILED'}]")
+        lines += [f"    t={e['at_ms']:9.1f} ms  {e['event']}" for e in s["events"]]
+    return "\n".join(lines)
+
+
+def verdicts(body) -> List[str]:
+    """Every scenario behaves as the figure says and shows its events."""
+    return failing(
+        check
+        for scenario in body.values()
+        for check in (
+            (scenario["ok"], f"{scenario['name']} is not ok"),
+            (scenario["events"], f"{scenario['name']} recorded no events"),
+        )
+    )

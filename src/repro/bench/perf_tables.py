@@ -1,26 +1,27 @@
-"""The "SODA Performance" table (p. 115): T1-T3.
+"""The paper's Chapter 5, measured: what ``bench obs`` runs.
 
-Milliseconds per PUT / GET / EXCHANGE at payload sizes from 0 to 1000
-words, for the non-pipelined and pipelined kernels, measured on the
-streaming workload of §5.5 (MAXREQUESTS=3, ACCEPT in the server
-handler).  ``PAPER_PERFORMANCE_MS`` holds the published values for
-side-by-side comparison.
+The "SODA Performance" table (p. 115), T1-T3: milliseconds per PUT /
+GET / EXCHANGE at payload sizes from 0 to 1000 words, for the
+non-pipelined and pipelined kernels, measured on the streaming workload
+of §5.5 (MAXREQUESTS=3, ACCEPT in the server handler).
+``PAPER_PERFORMANCE_MS`` holds the published values for side-by-side
+comparison.  Beside the tables the body carries T4
+(:mod:`repro.bench.breakdown`), C1-C2 (:mod:`repro.bench.comparison`)
+and F1 (:mod:`repro.bench.deltat_figure`), each rendered and judged by
+its own module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
+from repro.bench import breakdown, comparison, deltat_figure
 from repro.bench.tables import dict_table
 from repro.bench.workloads import run_stream
 
 #: Payload sizes, in 16-bit words, of the paper's table columns.
 WORD_SIZES: List[int] = [0, 1, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
-
-#: The five columns ``bench obs`` (BENCH_obs.json) runs; ``tables`` runs
-#: all twelve.
-QUICK_SIZES: List[int] = [0, 1, 100, 500, 1000]
 
 #: Published values (milliseconds), keyed by (verb, pipelined).
 PAPER_PERFORMANCE_MS: Dict[Tuple[str, bool], List[int]] = {
@@ -70,55 +71,56 @@ def _buffer_words(verb: str, words: int) -> Tuple[int, int]:
     raise ValueError(f"unknown verb {verb!r}")
 
 
-def measure_cell(
-    verb: str, words: int, pipelined: bool, seed: int = 5
-) -> Tuple[float, float]:
+def measure_cell(verb: str, words: int, pipelined: bool) -> Tuple[float, float]:
     """One table cell: (ms per transaction, packets per transaction)."""
-    put_words, get_words = _buffer_words(verb, words)
-    result = run_stream(
-        put_words, get_words, pipelined=pipelined, seed=seed
-    )
+    result = run_stream(*_buffer_words(verb, words), pipelined=pipelined)
     return result.per_txn_ms, result.packets_per_txn
 
 
-def generate_performance_table(
-    verb: str,
-    pipelined: bool,
-    sizes: List[int] = WORD_SIZES,
-    seed: int = 5,
-) -> List[PerfRow]:
-    """Regenerate one of the six sub-tables."""
-    paper = PAPER_PERFORMANCE_MS[(verb, pipelined)]
+def generate_performance_table(verb: str, pipelined: bool) -> List[PerfRow]:
+    """Regenerate one of the six sub-tables, at :data:`WORD_SIZES`."""
     rows = []
-    for i, words in enumerate(sizes):
-        ms, packets = measure_cell(verb, words, pipelined, seed=seed)
-        paper_ms = paper[WORD_SIZES.index(words)] if words in WORD_SIZES else float("nan")
+    for words, paper_ms in zip(WORD_SIZES, PAPER_PERFORMANCE_MS[(verb, pipelined)]):
+        ms, packets = measure_cell(verb, words, pipelined)
         rows.append(
             PerfRow(words=words, measured_ms=ms, paper_ms=paper_ms, packets=packets)
         )
     return rows
 
 
-Body = Dict[str, List[Dict[str, float]]]
+Body = Dict[str, Any]
+
+#: The body's keys beside the six tables, each with the module that
+#: renders and judges it.
+CHAPTER = {
+    "breakdown": breakdown,
+    "comparison": comparison,
+    "deltat": deltat_figure,
+}
 
 
 def _key(verb: str, pipelined: bool) -> str:
     return f"{verb}.{'pipelined' if pipelined else 'non_pipelined'}"
 
 
-def performance_tables(sizes: List[int]) -> Body:
-    """All six sub-tables, keyed ``<verb>.<pipelined|non_pipelined>``."""
-    body: Body = {}
-    for verb in ("put", "get", "exchange"):
-        for pipelined in (False, True):
-            rows = generate_performance_table(verb, pipelined, sizes=sizes)
-            body[_key(verb, pipelined)] = [row.to_dict() for row in rows]
-    return body
-
-
 def run(ns) -> Body:
-    """``bench obs``: the tables at :data:`QUICK_SIZES`."""
-    return performance_tables(QUICK_SIZES)
+    """``bench obs``: the six sub-tables, keyed
+    ``<verb>.<pipelined|non_pipelined>``, then T4, C1-C2 and F1."""
+    body: Body = {
+        _key(verb, pipelined): [
+            row.to_dict() for row in generate_performance_table(verb, pipelined)
+        ]
+        for verb, pipelined in PAPER_PACKETS
+    }
+    body["breakdown"] = breakdown.measure_signal_breakdown().to_dict()
+    body["comparison"] = [
+        row.to_dict() for row in comparison.measure_comparison()
+    ]
+    body["deltat"] = {
+        name: scenario.to_dict()
+        for name, scenario in deltat_figure.deltat_scenarios().items()
+    }
+    return body
 
 
 def render(body: Body) -> str:
@@ -129,10 +131,11 @@ def render(body: Body) -> str:
         ("packets", "packets"),
     )
     tables = []
-    for name, rows in body.items():
-        verb, _, variant = name.partition(".")
-        title = f"{verb.upper()} ({variant.replace('_', '-')})"
-        tables.append(dict_table(title, columns, rows))
+    for verb, pipelined in PAPER_PACKETS:
+        variant = "pipelined" if pipelined else "non-pipelined"
+        title = f"{verb.upper()} ({variant})"
+        tables.append(dict_table(title, columns, body[_key(verb, pipelined)]))
+    tables += [module.render(body[key]) for key, module in CHAPTER.items()]
     return "\n\n".join(tables)
 
 
@@ -144,7 +147,7 @@ def _tolerance(pipelined: bool, words: int) -> float:
     return 0.60 if pipelined and words <= 100 else 0.40
 
 
-#: The payload the pipelining verdict compares at (a ``QUICK_SIZES`` column).
+#: The payload the pipelining verdict compares at.
 SPEEDUP_WORDS = 500
 
 
@@ -163,7 +166,8 @@ def verdicts(body: Body) -> List[str]:
     """The paper's shape: its packet counts per transaction, latency
     that grows with payload size and stays within the paper tolerance
     of each published cell, and pipelining that pays off more for
-    EXCHANGE (6 -> 2 packets) than for GET (4 -> 2)."""
+    EXCHANGE (6 -> 2 packets) than for GET (4 -> 2); then each of
+    :data:`CHAPTER`'s verdicts on its part of the body."""
     problems = []
     for (verb, pipelined), packets in PAPER_PACKETS.items():
         name = _key(verb, pipelined)
@@ -192,4 +196,6 @@ def verdicts(body: Body) -> List[str]:
             f"pipelining at {SPEEDUP_WORDS} words: GET {get:.2f}x, EXCHANGE "
             f"{exchange:.2f}x; the paper has 1 < GET < EXCHANGE"
         )
+    for key, module in CHAPTER.items():
+        problems += module.verdicts(body[key])
     return problems

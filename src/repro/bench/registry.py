@@ -47,12 +47,10 @@ BENCHES: Dict[str, Bench] = {
     "obs": Bench(
         "performance_tables",
         "perf_tables",
-        "the paper's PUT/GET/EXCHANGE tables at five of `tables`' sizes",
+        "the paper's Chapter 5: PUT/GET/EXCHANGE tables at its twelve "
+        "sizes, the SIGNAL breakdown, the *MOD comparison, the Delta-t "
+        "figure",
         deterministic=True,
-        meta=lambda body: {
-            "quick": True,
-            "word_sizes": [row["words"] for row in body["put.non_pipelined"]],
-        },
     ),
     "transport": Bench(
         "transport_comparison",

@@ -18,7 +18,7 @@ program and are re-exported here; this module times them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.core.config import KernelConfig
 from repro.core.node import Network
@@ -40,24 +40,6 @@ class StreamResult:
     txns: int
     #: Per-call times (blocking workloads only).
     call_times_ms: List[float] = field(default_factory=list)
-    #: Cost-ledger delta over the measured window (µs per category).
-    breakdown_us: Dict[str, float] = field(default_factory=dict)
-    #: Steady-state completion-to-completion gaps (streaming workloads).
-    txn_times_ms: List[float] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Machine-readable form for ``BENCH_*.json`` snapshots."""
-        return {
-            "per_txn_ms": self.per_txn_ms,
-            "packets_per_txn": self.packets_per_txn,
-            "txns": self.txns,
-            "call_times_ms": list(self.call_times_ms),
-            "txn_times_ms": list(self.txn_times_ms),
-            "breakdown_us": {
-                key: self.breakdown_us[key]
-                for key in sorted(self.breakdown_us)
-            },
-        }
 
 
 def _build(
@@ -106,16 +88,8 @@ def run_stream(
     n = txns - warmup - 1
     per_txn_ms = (times[-1] - times[warmup]) / n / 1000.0
     packets = (frames[-1] - frames[warmup]) / n
-    steady_gaps_ms = [
-        (later - earlier) / 1000.0
-        for earlier, later in zip(times[warmup:], times[warmup + 1 :])
-    ]
     return StreamResult(
-        per_txn_ms=per_txn_ms,
-        packets_per_txn=packets,
-        txns=txns,
-        txn_times_ms=steady_gaps_ms,
-        breakdown_us=net.ledger.snapshot(),
+        per_txn_ms=per_txn_ms, packets_per_txn=packets, txns=txns
     )
 
 
@@ -142,5 +116,4 @@ def run_blocking_signals(
         packets_per_txn=0.0,
         txns=txns,
         call_times_ms=[t / 1000.0 for t in steady],
-        breakdown_us=net.ledger.snapshot(),
     )

@@ -135,64 +135,6 @@ def _quickstart(ns) -> None:
     print(f"  {net.bus.frames_sent} frames on the bus")
 
 
-def _tables(ns) -> None:
-    from repro.bench.perf_tables import WORD_SIZES, performance_tables, render
-
-    body = performance_tables(WORD_SIZES)
-    print(render(body))
-    emit(ns, "performance_tables", body, meta={"word_sizes": WORD_SIZES})
-
-
-def _breakdown(ns) -> None:
-    from repro.bench.breakdown import measure_signal_breakdown
-    from repro.bench.tables import format_table
-
-    result = measure_signal_breakdown()
-    rows = [
-        (name, result.measured_ms[name], result.paper_ms[name])
-        for name in result.paper_ms
-    ]
-    rows.append(("TOTAL", result.total_measured_ms, result.total_paper_ms))
-    print(
-        format_table(
-            ["category", "measured ms", "paper ms"], rows,
-            title="Breakdown of protocol time (2-packet SIGNAL)",
-        )
-    )
-    print(f"elapsed B_SIGNAL: {result.elapsed_call_ms:.2f} ms")
-    emit(ns, "overhead_breakdown", result.to_dict())
-
-
-def _comparison(ns) -> None:
-    from repro.bench.comparison import measure_comparison
-    from repro.bench.tables import format_table
-
-    rows = measure_comparison()
-    print(
-        format_table(
-            ["scenario", "measured ms", "paper ms"],
-            [(r.scenario, r.measured_ms, r.paper_ms) for r in rows],
-            title="SODA vs *MOD",
-        )
-    )
-    emit(ns, "starmod_comparison", {"rows": [r.to_dict() for r in rows]})
-
-
-def _deltat(ns) -> None:
-    from repro.bench.deltat_figure import deltat_scenarios
-
-    scenarios = deltat_scenarios()
-    for scenario in scenarios.values():
-        print(f"{scenario.name} [{'ok' if scenario.ok else 'FAILED'}]")
-        for t_ms, event in scenario.events:
-            print(f"    t={t_ms:9.1f} ms  {event}")
-    emit(
-        ns,
-        "deltat_scenarios",
-        {name: s.to_dict() for name, s in sorted(scenarios.items())},
-    )
-
-
 def _metrics(ns) -> int:
     from repro.workloads import CAUSAL_WORKLOADS, build_workload
     from repro.bench.tables import format_table
@@ -458,14 +400,6 @@ _REAL_FLAGS = (
 
 COMMANDS: Dict[str, Command] = {
     "quickstart": Command(_quickstart, "two-node echo session"),
-    "tables": Command(
-        _tables,
-        "the paper's performance tables",
-        (JSON,),
-    ),
-    "breakdown": Command(_breakdown, "overhead-breakdown table", (JSON,)),
-    "comparison": Command(_comparison, "SODA vs *MOD", (JSON,)),
-    "deltat": Command(_deltat, "Delta-t figure scenarios", (JSON,)),
     "metrics": Command(
         _metrics,
         "observability report (repro.obs)",

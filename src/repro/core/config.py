@@ -77,8 +77,8 @@ class TimingModel:
     def __post_init__(self) -> None:
         # Derived costs are precomputed once per (frozen) model instance:
         # these sit on the kernel's per-packet and per-primitive hot
-        # paths, where re-deriving them per event is measurable at
-        # sim-bench scale (docs/SIM.md).
+        # paths, where re-deriving them per event is measurable in
+        # perf/'s txn_soak (docs/SIM.md).
         object.__setattr__(
             self, "_client_overhead_us", self.trap_us + self.descriptor_us
         )

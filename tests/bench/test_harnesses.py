@@ -9,12 +9,14 @@ Two ids of the deleted ``benchmarks/`` suite live here:
   Delta-t scenarios behave as the figure says) —
   ``test_deltat_scenarios_all_ok_default_config``, which already made
   the same assertion.
+
+Both now apply their module's ``verdicts``, the predicate ``bench obs``
+judges ``BENCH_obs.json`` with, to a fresh measurement.
 """
 
 import pytest
 
-from repro.bench.breakdown import BREAKDOWN_PAPER_MS, measure_signal_breakdown
-from repro.bench.deltat_figure import deltat_scenarios
+from repro.bench import breakdown, deltat_figure
 from repro.bench.perf_tables import (
     PAPER_PERFORMANCE_MS,
     WORD_SIZES,
@@ -68,31 +70,26 @@ def test_measure_cell_signal_degenerate():
 
 
 def test_generate_performance_table_row_shape():
-    rows = generate_performance_table("put", False, sizes=[0, 100])
-    assert [r.words for r in rows] == [0, 100]
+    rows = generate_performance_table("put", False)
+    assert [r.words for r in rows] == WORD_SIZES
     assert rows[0].paper_ms == 7
-    assert rows[1].paper_ms == 11
+    assert rows[2].paper_ms == 11
 
 
 def test_breakdown_categories_match_paper_keys():
-    result = measure_signal_breakdown()
-    assert set(result.measured_ms) == set(BREAKDOWN_PAPER_MS)
-    for name, paper_ms in result.paper_ms.items():
-        assert result.measured_ms[name] == pytest.approx(paper_ms, rel=0.25), name
-    assert result.total_measured_ms == pytest.approx(
-        result.total_paper_ms, rel=0.15
-    )
+    result = breakdown.measure_signal_breakdown()
+    assert set(result.measured_ms) == set(breakdown.BREAKDOWN_PAPER_MS)
     assert result.total_measured_ms == pytest.approx(
         sum(result.measured_ms.values())
     )
-    assert result.elapsed_call_ms > result.total_measured_ms / 2
+    assert breakdown.verdicts(result.to_dict()) == []
 
 
 def test_deltat_scenarios_all_ok_default_config():
-    results = deltat_scenarios()
+    results = deltat_figure.deltat_scenarios()
     assert set(results) == {"take_any", "duplicate", "crash_quiet"}
-    assert all(s.ok for s in results.values())
-    assert all(s.events for s in results.values())
+    body = {name: scenario.to_dict() for name, scenario in results.items()}
+    assert deltat_figure.verdicts(body) == []
 
 
 def test_format_table_alignment_and_title():

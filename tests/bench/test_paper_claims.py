@@ -6,7 +6,9 @@ mapped (T1-T4 and F1 are in ``test_registry.py`` and
 ``test_harnesses.py``):
 
 * ``test_starmod_comparison.py::test_starmod_comparison`` —
-  ``test_starmod_comparison``;
+  ``test_starmod_comparison``, which applies ``comparison.verdicts``
+  (the predicate ``bench obs`` judges ``BENCH_obs.json`` with) to a
+  fresh measurement;
 * ``test_ablation_piggyback.py::test_ablation_ack_piggybacking``,
   ``::test_ablation_data_with_request`` and
   ``::test_ablation_busy_backoff`` — the three ``test_ablation_*`` below;
@@ -21,8 +23,7 @@ mapped (T1-T4 and F1 are in ``test_registry.py`` and
 import pytest
 
 import repro.workloads
-from repro.bench import workloads
-from repro.bench.comparison import measure_comparison
+from repro.bench import comparison, workloads
 from repro.bench.workloads import AcceptingServer, StreamingRequester, run_stream
 from repro.core import ClientProgram, KernelConfig, Network
 from repro.core.config import TimingModel
@@ -36,20 +37,8 @@ def test_starmod_comparison():
     against \\*MOD's 20.7 ms synchronous port call; non-blocking SIGNAL
     4.9 / 5.8 ms against its 11.1 ms asynchronous one.  Every SODA
     variant beats its \\*MOD counterpart by roughly 2x."""
-    rows = measure_comparison()
-    by_name = {row.scenario: row.measured_ms for row in rows}
-    for row in rows:
-        assert row.measured_ms == pytest.approx(row.paper_ms, rel=0.20), (
-            row.scenario
-        )
-    assert by_name["soda_b_signal"] < by_name["soda_b_signal_queued"]
-    assert by_name["soda_signal_stream"] < by_name["soda_b_signal"]
-    sync_ratio = by_name["starmod_sync_call"] / by_name["soda_b_signal_queued"]
-    async_ratio = (
-        by_name["starmod_async_send"] / by_name["soda_signal_stream_queued"]
-    )
-    assert sync_ratio > 1.5
-    assert async_ratio > 1.5
+    rows = [row.to_dict() for row in comparison.measure_comparison()]
+    assert comparison.verdicts(rows) == []
 
 
 # -- ablations of the piggybacking the paper credits (§5.2.3, §6) -------------

@@ -24,7 +24,9 @@ preceded it; what each of those asserted is now made by:
   at most 100 words; ``test_pipelining_wins_where_paper_says``: at 500
   words 1 < GET speedup < EXCHANGE speedup) — ``perf_tables.verdicts``,
   which ``bench obs --check`` applies to a fresh run and to
-  ``BENCH_obs.json``.
+  ``BENCH_obs.json``; since the file holds the twelve sizes, T4, C1-C2
+  and F1 too, that same check runs ``breakdown.verdicts``,
+  ``comparison.verdicts`` and ``deltat_figure.verdicts``.
 
 Two benches went, each verdict to the one place that owns its claim
 (the model's results are measured here, the implementation's cost in
@@ -202,15 +204,40 @@ def test_verdicts_bite_on_an_unhealthy_body():
         "paper's 47"
     ]
     cell["measured_ms"] = measured
-    # EXCHANGE's 500-word speedup flattened to GET's 1.20x.
+    # EXCHANGE's 500-word speedup flattened to GET's 1.20x: the whole
+    # pipelined row slowed alike, so it still grows with size, and 0.1 %
+    # more, so EXCHANGE's ends below GET's, not equal to it by rounding.
     at_500 = {
         name: next(row for row in rows if row["words"] == 500)["measured_ms"]
         for name, rows in obs.items()
+        if name.startswith(("get.", "exchange."))
     }
     get = at_500["get.non_pipelined"] / at_500["get.pipelined"]
-    row = next(row for row in obs["exchange.pipelined"] if row["words"] == 500)
-    row["measured_ms"] = at_500["exchange.non_pipelined"] / get
+    exchange = at_500["exchange.non_pipelined"] / at_500["exchange.pipelined"]
+    slower = 1.001 * exchange / get
+    for row in obs["exchange.pipelined"]:
+        row["measured_ms"] *= slower
     assert load(BENCHES["obs"]).verdicts(obs) == [
         "pipelining at 500 words: GET 1.20x, EXCHANGE 1.20x; the paper has "
         "1 < GET < EXCHANGE"
+    ]
+
+    # T4, C1-C2 and F1: one broken part of a healthy body each.
+    obs = _committed_body("obs")
+    obs["breakdown"]["measured_ms"]["protocol"] *= 1.3
+    assert load(BENCHES["obs"]).verdicts(obs) == [
+        "T4 protocol: 2.60 ms, not within 25% of the paper's 2.0"
+    ]
+    obs = _committed_body("obs")
+    rows = {row["scenario"]: row for row in obs["comparison"]}
+    # Both rows within 20 % of the paper, their ratio not above 1.5.
+    rows["soda_b_signal_queued"]["measured_ms"] = 11.9
+    rows["starmod_sync_call"]["measured_ms"] = 17.0
+    assert load(BENCHES["obs"]).verdicts(obs) == [
+        "*MOD sync call: 1.43x its queued SODA counterpart, not > 1.5x"
+    ]
+    obs = _committed_body("obs")
+    obs["deltat"]["duplicate"]["ok"] = False
+    assert load(BENCHES["obs"]).verdicts(obs) == [
+        "S2 duplicate suppression is not ok"
     ]

@@ -7,6 +7,7 @@ from repro.obs.export import (
     emit_snapshot,
     render_metrics,
     render_span_table,
+    serialize_snapshot,
     snapshot_payload,
     write_metrics_jsonl,
     write_snapshot,
@@ -42,6 +43,20 @@ def test_write_snapshot_round_trips(tmp_path):
     assert parsed == payload
     # Keys come out sorted, so serialization is deterministic.
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_serialize_snapshot_compacts_only_a_rows_mapping():
+    """A ``rows`` mapping (``bench chaos``) keeps one compact line per
+    row, in key order; a ``rows`` list is laid out like any other value."""
+    row = {"ok": True, "spans": [1, 2]}
+    listed = snapshot_payload("listed", {"rows": [row, row]})
+    assert serialize_snapshot(listed) == (
+        json.dumps(listed, sort_keys=True, indent=2) + "\n"
+    )
+    mapped = snapshot_payload("mapped", {"rows": {"b": row, "a": row}})
+    text = serialize_snapshot(mapped)
+    compact = '{"ok":true,"spans":[1,2]}'
+    assert f'"a": {compact},\n      "b": {compact}\n' in text
 
 
 def test_emit_snapshot_envelopes_and_announces(tmp_path):

@@ -3,6 +3,16 @@
 ``test_every_command_has_generated_help[check-trace]`` and ``[causal]``
 went with the two commands; ``tests/analysis/test_cli.py``'s docstring
 maps what they judged.
+
+``tables``, ``breakdown``, ``comparison`` and ``deltat`` went to
+``bench obs``, their ``test_every_command_has_generated_help`` ids with
+their rows.  ``test_json_command_writes_a_snapshot[tables]``,
+``[breakdown]``, ``[comparison]`` and ``[deltat]`` are ``bench obs
+--check --json`` (``tests/bench/test_registry.py``), and the ``rows``
+list ``[comparison]`` wrote is ``tests/obs/test_export.py::
+test_serialize_snapshot_compacts_only_a_rows_mapping``.
+``[tables --quik]`` and ``[tables --qui]`` are ``[bench obs --quik]``
+and ``[bench obs --qui]``.
 """
 
 import json
@@ -23,14 +33,14 @@ def test_quickstart_runs(capsys):
 
 
 def test_breakdown_prints_table(capsys):
-    assert main(["breakdown"]) == 0
+    assert main(["bench", "obs"]) == 0
     out = capsys.readouterr().out
     assert "client_overhead" in out
     assert "TOTAL" in out
 
 
 def test_deltat_prints_scenarios(capsys):
-    assert main(["deltat"]) == 0
+    assert main(["bench", "obs"]) == 0
     out = capsys.readouterr().out
     assert "take-any" in out
     assert "FAILED" not in out
@@ -52,8 +62,8 @@ def test_unknown_command_fails(capsys):
         # Each of these used to run anyway, or die with a traceback.
         ["chaos", "--workload", "echo", "--schedule", "calm", "--no-shrink",
          "--sed", "9"],
-        ["tables", "--quik"],
-        ["tables", "--qui"],  # no prefix matching either
+        ["bench", "obs", "--quik"],
+        ["bench", "obs", "--qui"],  # no prefix matching either
         ["chaos", "--workload", "echo", "--schedule", "calm", "--seed", "x"],
         ["bench", "kv", "--seed"],
         ["lint", "--disable"],
@@ -72,9 +82,7 @@ def test_malformed_command_line_is_a_usage_error(argv, capsys, monkeypatch):
         raise AssertionError("the command ran")
 
     monkeypatch.setattr(repro.chaos.runner, "run_matrix", must_not_run)
-    monkeypatch.setattr(
-        repro.bench.perf_tables, "performance_tables", must_not_run
-    )
+    monkeypatch.setattr(repro.bench.perf_tables, "run", must_not_run)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -241,10 +249,6 @@ def test_chaos_parallel_matches_serial_json(capsys, tmp_path):
 #: One cheap run of every command that declares ``--json`` (``real``,
 #: which needs sockets, has ``test_real_json_is_a_chaos_cell_result``).
 JSON_RUNS = [
-    ["tables"],
-    ["breakdown"],
-    ["comparison"],
-    ["deltat"],
     ["metrics"],
     ["lint"],
     ["chaos", "--workload", "echo", "--schedule", "calm"],
@@ -259,7 +263,6 @@ def test_json_runs_cover_every_json_command():
 
 @pytest.mark.parametrize("argv", JSON_RUNS, ids=lambda argv: argv[0])
 def test_json_command_writes_a_snapshot(argv, tmp_path, capsys, monkeypatch):
-    # `comparison --json` used to raise TypeError: its `rows` is a list.
     monkeypatch.chdir(ROOT)  # lint's default paths are relative
     path = tmp_path / "out.json"
     assert main(argv + ["--json", str(path)]) == 0

@@ -2,7 +2,7 @@
 
 README.md, ``docs/*.md``, DESIGN.md, the CI workflow and the verify
 skill quote the CLI about a hundred times.  A renamed command or a
-removed flag (``tables`` lost ``--quick`` to ``bench obs``) used to mean
+removed flag (``tables`` went, ``bench obs`` took its sizes) used to mean
 grepping ten files by hand; now the line that still shows it fails
 here, against the same ``build_parser()`` the CLI runs.  Parsing only: nothing is executed, and workload / schedule
 names are the commands' own business at run time.
@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import pytest
 
+from repro.bench.breakdown import BREAKDOWN_PAPER_MS
 from repro.cli import build_parser
 from repro.sim.tracing import TRACE_SCHEMA
 
@@ -53,6 +55,7 @@ DOCS = [
     for path in [
         ROOT / "README.md",
         ROOT / "DESIGN.md",
+        ROOT / "EXPERIMENTS.md",
         *sorted((ROOT / "docs").glob("*.md")),
         ROOT / ".github" / "workflows" / "ci.yml",
         ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
@@ -124,6 +127,63 @@ def test_named_benches_are_registered():
                 unknown.append(f"{path.relative_to(ROOT)}:{line}: {match[0]}")
     assert named >= 30
     assert not unknown, "no BENCHES row:\n" + "\n".join(unknown)
+
+
+# -- EXPERIMENTS.md quotes BENCH_obs.json -------------------------------------
+
+def experiments_numbers(section: str) -> List[Tuple[str, str]]:
+    """``(row, printed number)`` for each "measured" and "paper" cell of
+    the table under EXPERIMENTS.md's ``## <section>`` heading (T4 adds
+    the elapsed call below its table)."""
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    block = text.split(f"\n## {section} ")[1].split("\n## ")[0]
+    lines = [line for line in block.splitlines() if line.startswith("|")]
+    numbers = [
+        (row[0].strip(), number)
+        for row in (line.strip("|").split("|") for line in lines[2:])
+        for cell in row[1:3]
+        for number in re.findall(r"\d+(?:\.\d+)?", cell)
+    ]
+    elapsed = re.search(r"Elapsed B_SIGNAL call: ([\d.]+) ms", block)
+    return numbers + ([("elapsed call", elapsed[1])] if elapsed else [])
+
+
+def committed_numbers(section: str, body) -> List[float]:
+    """The same numbers, in the same order, from ``BENCH_obs.json``."""
+    both = ("measured_ms", "paper_ms")
+    verb = {"T1": "put", "T2": "get", "T3": "exchange"}.get(section)
+    if verb:
+        kernels = (body[f"{verb}.{k}"] for k in ("non_pipelined", "pipelined"))
+        rows = [row for size in zip(*kernels) for row in size]
+    elif section == "T4":
+        part = body["breakdown"]
+        return [part[key][name] for name in BREAKDOWN_PAPER_MS for key in both] + [
+            part["total_measured_ms"], part["total_paper_ms"],
+            part["elapsed_call_ms"],
+        ]
+    else:
+        rows = body["comparison"]
+    return [row[key] for row in rows for key in both]
+
+
+@pytest.mark.parametrize(
+    "section", ["T1", "T2", "T3", "T4", "C1/C2"], ids=lambda s: s.replace("/", "-")
+)
+def test_experiments_quote_the_committed_chapter(section):
+    """Every "measured / paper" number EXPERIMENTS.md prints is
+    ``BENCH_obs.json``'s, rounded to the digits printed: a model change
+    that moves the file must move the document with it.  That is 72
+    T1-T3 cells, the 7 T4 rows and the elapsed call, and 6 C1-C2 rows."""
+    body = json.loads((ROOT / "BENCH_obs.json").read_text())["body"]
+    printed = experiments_numbers(section)
+    values = committed_numbers(section, body)
+    assert len(printed) == len(values)
+    stale = [
+        f"{row}: EXPERIMENTS.md prints {text}, BENCH_obs.json has {value}"
+        for (row, text), value in zip(printed, values)
+        if f"{value:.{len(text.partition('.')[2])}f}" != text
+    ]
+    assert not stale, "\n".join(stale)
 
 
 # -- imports in snippets ------------------------------------------------------

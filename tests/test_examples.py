@@ -1,21 +1,25 @@
 """Smoke tests: every example script runs clean.
 
 Examples are documentation that executes; these tests keep them honest.
-The slower table-generating example runs in --quick mode.
+
+``test_deltat_scenarios`` and ``test_performance_tables_quick`` went
+with ``examples/deltat_scenarios.py`` and
+``examples/performance_tables.py``: ``python -m repro bench obs``
+prints and judges the same Delta-t scenarios, tables, breakdown and
+\\*MOD comparison (``tests/bench/test_registry.py::
+test_fresh_run_reproduces_the_committed_bytes[obs]``).
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-def run_example(name: str, *args: str, timeout: float = 600.0) -> str:
+def run_example(name: str, timeout: float = 600.0) -> str:
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name), *args],
+        [sys.executable, str(EXAMPLES / name)],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -45,12 +49,6 @@ def test_dining_philosophers():
     assert "deadlock(s) broken, stopped: True" in out
 
 
-def test_deltat_scenarios():
-    out = run_example("deltat_scenarios.py")
-    assert out.count("[ok]") == 3
-    assert "FAILED" not in out
-
-
 def test_readers_writers():
     out = run_example("readers_writers.py")
     assert "invariant violations: 0" in out
@@ -60,10 +58,3 @@ def test_readers_writers():
 def test_csp_pipeline():
     out = run_example("csp_pipeline.py")
     assert "pipeline delivered: [6, 14, 22, 50]" in out
-
-
-@pytest.mark.slow
-def test_performance_tables_quick():
-    out = run_example("performance_tables.py", "--quick")
-    assert "Milliseconds per EXCHANGE (pipelined)" in out
-    assert "SODA vs *MOD" in out

@@ -46,10 +46,8 @@ KEEP: Dict[str, str] = {
         "the abstract byte store: SimDisk, FileDisk and FaultDisk override it",
     "analysis/rules.py::LintRule.check": "abstract: every rule overrides it",
     "bench/real.py": "CI's `bench real --check` (wall clock, loopback UDP)",
-    "cli.py::_tables": "`python -m repro tables` (docs, CI)",
-    "cli.py::_comparison": "`python -m repro comparison` (docs)",
-    "bench/workloads.py::StreamResult.to_dict": "`breakdown --json`",
-    "bench/comparison.py::ComparisonRow.to_dict": "`comparison --json`",
+    "bench/chaos.py::run": "CI's `bench chaos --check`; tier-1 sweeps via `body`",
+    "bench/chaos.py::render": "CI's `bench chaos --check`",
     "chaos/runner.py::_run_cell_packed": "`chaos --jobs N` pool workers",
     "netreal/runner.py::_kill_group": "a child that outlives terminate()",
     "netreal/udp.py::_NicProtocol.error_received": "asyncio, on an ICMP error",
