@@ -73,8 +73,8 @@ class _OneSignal(ClientProgram):
         yield from api.serve_forever()
 
 
-def measure_signal_breakdown(seed: int = 5) -> BreakdownResult:
-    net = Network(seed=seed, config=KernelConfig(), keep_trace=False)
+def measure_signal_breakdown() -> BreakdownResult:
+    net = Network(seed=5, config=KernelConfig(), keep_trace=False)
     net.add_node(program=AcceptingServer())
     client = _OneSignal()
     net.add_node(program=client, boot_at_us=100.0)

@@ -48,8 +48,8 @@ PAPER_COMPARISON_MS = {
 }
 
 
-def _starmod_sync(seed: int) -> float:
-    net = StarModNetwork(2, seed=seed)
+def _starmod_sync() -> float:
+    net = StarModNetwork(2, seed=5)
     server, client = net.nodes
     server.serve_port("p", lambda data: b"ok")
     times: List[float] = []
@@ -66,8 +66,8 @@ def _starmod_sync(seed: int) -> float:
     return sum(steady) / len(steady) / 1000.0
 
 
-def _starmod_async(seed: int) -> float:
-    net = StarModNetwork(2, seed=seed)
+def _starmod_async() -> float:
+    net = StarModNetwork(2, seed=5)
     server, client = net.nodes
     server.serve_port("p", lambda data: b"")
     marks: List[float] = []
@@ -83,37 +83,37 @@ def _starmod_async(seed: int) -> float:
     return sum(deltas) / len(deltas) / 1000.0
 
 
-def measure_comparison(seed: int = 5) -> List[ComparisonRow]:
+def measure_comparison() -> List[ComparisonRow]:
     """All six rows of the §5.5 comparison."""
     rows = [
         ComparisonRow(
             "soda_b_signal",
-            run_blocking_signals(seed=seed).per_txn_ms,
+            run_blocking_signals().per_txn_ms,
             PAPER_COMPARISON_MS["soda_b_signal"],
         ),
         ComparisonRow(
             "soda_b_signal_queued",
-            run_blocking_signals(queued_accept=True, seed=seed).per_txn_ms,
+            run_blocking_signals(queued_accept=True).per_txn_ms,
             PAPER_COMPARISON_MS["soda_b_signal_queued"],
         ),
         ComparisonRow(
             "soda_signal_stream",
-            run_stream(0, 0, seed=seed).per_txn_ms,
+            run_stream(0, 0).per_txn_ms,
             PAPER_COMPARISON_MS["soda_signal_stream"],
         ),
         ComparisonRow(
             "soda_signal_stream_queued",
-            run_stream(0, 0, queued_accept=True, seed=seed).per_txn_ms,
+            run_stream(0, 0, queued_accept=True).per_txn_ms,
             PAPER_COMPARISON_MS["soda_signal_stream_queued"],
         ),
         ComparisonRow(
             "starmod_sync_call",
-            _starmod_sync(seed),
+            _starmod_sync(),
             PAPER_COMPARISON_MS["starmod_sync_call"],
         ),
         ComparisonRow(
             "starmod_async_send",
-            _starmod_async(seed),
+            _starmod_async(),
             PAPER_COMPARISON_MS["starmod_async_send"],
         ),
     ]

@@ -33,6 +33,7 @@ virtual-time run ⇒ an identical report.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,15 +56,15 @@ from repro.obs.spans import SpanBuilder
 from repro.recovery.convergence import RecoverySink
 from repro.replication.consistency import KvSink
 from repro.sim.tracing import CostLedger, SinkTable
-from repro.transport.retransmit import RetransmitPolicy
 from repro.workloads import WORKLOADS, build_workload
 
 
 #: Per-schedule service-level bounds for the degradation verdict
 #: (repro.chaos.liveness.check_degradation).  Degradation schedules get
 #: real floors — "keep serving while faulted" — while crash/partition
-#: schedules, whose *point* is failed transactions, keep only a token
-#: floor (their correctness is judged by safety + liveness + self-heal).
+#: schedules, whose *point* is failed transactions, are absent and get
+#: :data:`DEFAULT_DEGRADATION_BOUNDS`' token floor (their correctness
+#: is judged by safety + liveness + self-heal).
 DEGRADATION_BOUNDS: Dict[str, DegradationBounds] = {
     "calm": DegradationBounds(goodput_floor=0.95, p99_latency_us=2_000_000.0),
     "strike": DegradationBounds(goodput_floor=0.85, p99_latency_us=2_500_000.0),
@@ -74,13 +75,6 @@ DEGRADATION_BOUNDS: Dict[str, DegradationBounds] = {
     "thundering_herd": DegradationBounds(
         goodput_floor=0.5, p99_latency_us=3_000_000.0
     ),
-    "partition": DegradationBounds(goodput_floor=0.0),
-    "client_flap": DegradationBounds(goodput_floor=0.0),
-    "server_flap": DegradationBounds(goodput_floor=0.0),
-    "server_crash": DegradationBounds(goodput_floor=0.0),
-    "crash_idle": DegradationBounds(goodput_floor=0.0),
-    "crash_load": DegradationBounds(goodput_floor=0.0),
-    "flap": DegradationBounds(goodput_floor=0.0),
     # Nothing is lost under duplication/reordering, so transactions all
     # complete — just a little late where a held-back frame forced a
     # retransmission round.
@@ -90,16 +84,10 @@ DEGRADATION_BOUNDS: Dict[str, DegradationBounds] = {
     "reorder": DegradationBounds(
         goodput_floor=0.7, p99_latency_us=3_000_000.0
     ),
-    "primary_crash_load": DegradationBounds(goodput_floor=0.0),
-    "backup_flap": DegradationBounds(goodput_floor=0.0),
-    "partition_heal": DegradationBounds(goodput_floor=0.0),
-    "cluster_restart": DegradationBounds(goodput_floor=0.0),
-    "cluster_power_loss": DegradationBounds(goodput_floor=0.0),
-    "torn_write_primary": DegradationBounds(goodput_floor=0.0),
-    "bitrot_backup": DegradationBounds(goodput_floor=0.0),
 }
 
-#: Bounds applied to ad-hoc scenarios (shrinker reproducers).
+#: Bounds for every schedule not in :data:`DEGRADATION_BOUNDS` and for
+#: ad-hoc scenarios (shrinker reproducers).
 DEFAULT_DEGRADATION_BOUNDS = DegradationBounds(goodput_floor=0.0)
 
 
@@ -218,14 +206,12 @@ def run_cell(
     schedule: str,
     seed: int,
     scenario: Optional[Scenario] = None,
-    policy: Optional[RetransmitPolicy] = None,
     causal: bool = False,
 ) -> CellResult:
     """Run one chaos cell; ``scenario`` overrides the named schedule
-    (used by the shrinker and by checked-in reproducers), ``policy``
-    overrides the adaptive default (used by the transport benchmark).
-    ``causal`` adds the causal engine to the judges: the SODA010-014
-    race/deadlock rules.
+    (used by the shrinker and by checked-in reproducers).  ``causal``
+    adds the causal engine to the judges: the SODA010-014 race/deadlock
+    rules.
 
     The judges run live, as one :class:`SinkTable` on the tracer, and
     the trace is not retained.  The table comes off the tracer at the
@@ -233,7 +219,7 @@ def run_cell(
     the network's reference cycles.
     """
     built = build_workload(
-        workload, seed=seed, config=chaos_config(policy), keep_trace=False
+        workload, seed=seed, config=chaos_config(), keep_trace=False
     )
     if scenario is None:
         scenario = make_schedule(schedule, built.spec)
@@ -288,24 +274,24 @@ def run_matrix(
     list — and any JSON derived from it — is byte-identical to a serial
     sweep; only wall-clock changes.
     """
-    cells = matrix_cells(workloads, schedules, seeds)
+    cells = [
+        (workload, schedule, seed, causal)
+        for workload, schedule, seed in matrix_cells(workloads, schedules, seeds)
+    ]
     results: List[CellResult] = []
-    if parallel is not None and parallel > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        mapper = map
+        if parallel is not None and parallel > 1 and len(cells) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(parallel, len(cells))
-        packed = [(w, s, seed, causal) for w, s, seed in cells]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map() yields in submission order: canonical enumeration
-            # order, regardless of which worker finishes first.
-            for result in pool.map(_run_cell_packed, packed):
-                results.append(result)
-                if progress is not None:
-                    progress(result)
-        return results
-    for workload, schedule, seed in cells:
-        result = run_cell(workload, schedule, seed, causal=causal)
-        results.append(result)
-        if progress is not None:
-            progress(result)
+            workers = min(parallel, len(cells))
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers)
+            ).map
+        # map() yields in submission order: canonical enumeration order,
+        # regardless of which worker finishes first.
+        for result in mapper(_run_cell_packed, cells):
+            results.append(result)
+            if progress is not None:
+                progress(result)
     return results

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.workloads import BuiltWorkload, WorkloadSpec
 from repro.core.config import KernelConfig
 from repro.core.node import SodaNode
+from repro.net.errors import FaultPlan
 from repro.net.frame import Frame
 from repro.transport.adaptive import AdaptivePolicy, deltat_for_policy
 from repro.transport.retransmit import RetransmitPolicy
@@ -43,6 +44,29 @@ from repro.transport.retransmit import RetransmitPolicy
 #: every fault path (retransmission exhaustion, probe death, DISCOVER
 #: windows) resolves well inside it.
 GRACE_US = 3_000_000.0
+
+
+def _window(
+    built: BuiltWorkload, start_us: float, end_us: float, **dials: float
+) -> None:
+    """Set the bus fault plan's ``dials`` at ``start_us`` and put back
+    what they held at ``end_us``, so windows nest.  A window that closes
+    without having opened restores a quiet plan's values."""
+    faults = built.net.faults
+    saved: List[Dict[str, float]] = []
+
+    def begin() -> None:
+        saved.append({name: getattr(faults, name) for name in dials})
+        for name, value in dials.items():
+            setattr(faults, name, value)
+
+    def end() -> None:
+        restore = saved.pop() if saved else vars(FaultPlan())
+        for name in dials:
+            setattr(faults, name, restore[name])
+
+    built.net.sim.at(start_us, begin)
+    built.net.sim.at(end_us, end)
 
 
 @dataclass(frozen=True)
@@ -55,23 +79,11 @@ class LossWindow:
     corruption: float = 0.0
 
     def apply(self, built: BuiltWorkload) -> None:
-        faults = built.net.faults
-        saved: List[Tuple[float, float]] = []
-
-        def begin() -> None:
-            saved.append(
-                (faults.loss_probability, faults.corruption_probability)
-            )
-            faults.loss_probability = self.loss
-            faults.corruption_probability = self.corruption
-
-        def end() -> None:
-            faults.loss_probability, faults.corruption_probability = (
-                saved.pop() if saved else (0.0, 0.0)
-            )
-
-        built.net.sim.at(self.start_us, begin)
-        built.net.sim.at(self.end_us, end)
+        _window(
+            built, self.start_us, self.end_us,
+            loss_probability=self.loss,
+            corruption_probability=self.corruption,
+        )
 
 
 @dataclass(frozen=True)
@@ -89,23 +101,11 @@ class DuplicateWindow:
     delay_us: float = 150.0
 
     def apply(self, built: BuiltWorkload) -> None:
-        faults = built.net.faults
-        saved: List[Tuple[float, float]] = []
-
-        def begin() -> None:
-            saved.append(
-                (faults.duplicate_probability, faults.duplicate_delay_us)
-            )
-            faults.duplicate_probability = self.probability
-            faults.duplicate_delay_us = self.delay_us
-
-        def end() -> None:
-            faults.duplicate_probability, faults.duplicate_delay_us = (
-                saved.pop() if saved else (0.0, 150.0)
-            )
-
-        built.net.sim.at(self.start_us, begin)
-        built.net.sim.at(self.end_us, end)
+        _window(
+            built, self.start_us, self.end_us,
+            duplicate_probability=self.probability,
+            duplicate_delay_us=self.delay_us,
+        )
 
 
 @dataclass(frozen=True)
@@ -122,23 +122,11 @@ class ReorderWindow:
     extra_us: float = 400.0
 
     def apply(self, built: BuiltWorkload) -> None:
-        faults = built.net.faults
-        saved: List[Tuple[float, float]] = []
-
-        def begin() -> None:
-            saved.append(
-                (faults.reorder_probability, faults.reorder_extra_us)
-            )
-            faults.reorder_probability = self.probability
-            faults.reorder_extra_us = self.extra_us
-
-        def end() -> None:
-            faults.reorder_probability, faults.reorder_extra_us = (
-                saved.pop() if saved else (0.0, 400.0)
-            )
-
-        built.net.sim.at(self.start_us, begin)
-        built.net.sim.at(self.end_us, end)
+        _window(
+            built, self.start_us, self.end_us,
+            reorder_probability=self.probability,
+            reorder_extra_us=self.extra_us,
+        )
 
 
 @dataclass(frozen=True)
@@ -212,6 +200,42 @@ def _client_alive(node: SodaNode) -> bool:
     return client is not None and not client.dead
 
 
+def _on_role(
+    built: BuiltWorkload,
+    at_us: float,
+    role: str,
+    fire: Callable[[BuiltWorkload, SodaNode], None],
+) -> None:
+    """Call ``fire(built, node)`` at ``at_us`` on the role's node; a
+    no-op where this network does not host the role."""
+    node = built.placed(role)
+    if node is not None:
+        built.net.sim.at(at_us, fire, built, node)
+
+
+def _die(built: BuiltWorkload, node: SodaNode) -> None:
+    if node.kernel.offline_until is not None:
+        return  # node is crashed; nothing to DIE
+    if _client_alive(node):
+        node.kernel.client_die()
+
+
+def _crash(built: BuiltWorkload, node: SodaNode) -> None:
+    if node.kernel.offline_until is None:
+        node.crash()
+
+
+def _reboot(built: BuiltWorkload, node: SodaNode) -> None:
+    if _client_alive(node):
+        return
+    boot_at = built.net.sim.now
+    if node.kernel.offline_until is not None:
+        boot_at = node.kernel.offline_until
+    node.install_program(
+        built.role_for(node.mid).factory(), boot_at_us=boot_at
+    )
+
+
 @dataclass(frozen=True)
 class ClientDie:
     """DIE the role's client processor (§3.6.1) mid-run."""
@@ -220,17 +244,7 @@ class ClientDie:
     role: str
 
     def apply(self, built: BuiltWorkload) -> None:
-        node = built.placed(self.role)
-        if node is None:
-            return
-
-        def fire() -> None:
-            if node.kernel.offline_until is not None:
-                return  # node is crashed; nothing to DIE
-            if _client_alive(node):
-                node.kernel.client_die()
-
-        built.net.sim.at(self.at_us, fire)
+        _on_role(built, self.at_us, self.role, _die)
 
 
 @dataclass(frozen=True)
@@ -241,15 +255,7 @@ class NodeCrash:
     role: str
 
     def apply(self, built: BuiltWorkload) -> None:
-        node = built.placed(self.role)
-        if node is None:
-            return
-
-        def fire() -> None:
-            if node.kernel.offline_until is None:
-                node.crash()
-
-        built.net.sim.at(self.at_us, fire)
+        _on_role(built, self.at_us, self.role, _crash)
 
 
 @dataclass(frozen=True)
@@ -264,20 +270,7 @@ class Reboot:
     role: str
 
     def apply(self, built: BuiltWorkload) -> None:
-        node = built.placed(self.role)
-        if node is None:
-            return
-        role = built.role_for(node.mid)
-
-        def fire() -> None:
-            if _client_alive(node):
-                return
-            boot_at = built.net.sim.now
-            if node.kernel.offline_until is not None:
-                boot_at = node.kernel.offline_until
-            node.install_program(role.factory(), boot_at_us=boot_at)
-
-        built.net.sim.at(self.at_us, fire)
+        _on_role(built, self.at_us, self.role, _reboot)
 
 
 @dataclass(frozen=True)
@@ -314,7 +307,8 @@ class ThunderingHerd:
 
 @dataclass(frozen=True)
 class PowerLoss:
-    """Power-fail several roles *at once*, then reboot them.
+    """Power-fail several roles *at once*, then reboot them: per role, a
+    :class:`NodeCrash` at ``at_us`` and a :class:`Reboot` at :attr:`end_us`.
 
     The simultaneous cut is the point: with every replica of a cluster
     down at the same instant, no surviving peer holds the state, so
@@ -335,26 +329,9 @@ class PowerLoss:
         return self.at_us + self.reboot_delay_us
 
     def apply(self, built: BuiltWorkload) -> None:
-        for role_name in self.roles:
-            node = built.placed(role_name)
-            if node is None:
-                continue
-            role = built.role_for(node.mid)
-
-            def cut(node: SodaNode = node) -> None:
-                if node.kernel.offline_until is None:
-                    node.crash()
-
-            def reboot(node: SodaNode = node, role=role) -> None:
-                if _client_alive(node):
-                    return
-                boot_at = built.net.sim.now
-                if node.kernel.offline_until is not None:
-                    boot_at = node.kernel.offline_until
-                node.install_program(role.factory(), boot_at_us=boot_at)
-
-            built.net.sim.at(self.at_us, cut)
-            built.net.sim.at(self.at_us + self.reboot_delay_us, reboot)
+        for role in self.roles:
+            NodeCrash(self.at_us, role).apply(built)
+            Reboot(self.end_us, role).apply(built)
 
 
 #: Valid :class:`DiskFault` kinds.
@@ -390,25 +367,21 @@ class DiskFault:
             )
 
     def apply(self, built: BuiltWorkload) -> None:
-        node = built.placed(self.role)
-        if node is None:
+        _on_role(built, self.at_us, self.role, self._fire)
+
+    def _fire(self, built: BuiltWorkload, node: SodaNode) -> None:
+        disk = getattr(node, "disk", None)
+        plan = getattr(disk, "plan", None)
+        if plan is None:
             return
-
-        def fire() -> None:
-            disk = getattr(node, "disk", None)
-            plan = getattr(disk, "plan", None)
-            if plan is None:
-                return
-            if self.kind == "torn_write":
-                plan.torn_write_probability = 1.0
-            elif self.kind == "bitrot":
-                disk.flip_bits(self.match, self.count)
-            elif self.kind == "fsync_drop":
-                plan.fsync_drop_next += self.count
-            elif self.kind == "disk_full":
-                plan.full_after_bytes = self.count
-
-        built.net.sim.at(self.at_us, fire)
+        if self.kind == "torn_write":
+            plan.torn_write_probability = 1.0
+        elif self.kind == "bitrot":
+            disk.flip_bits(self.match, self.count)
+        elif self.kind == "fsync_drop":
+            plan.fsync_drop_next += self.count
+        elif self.kind == "disk_full":
+            plan.full_after_bytes = self.count
 
 
 Action = Union[
@@ -424,21 +397,7 @@ Action = Union[
     PowerLoss,
     DiskFault,
 ]
-
-#: Action classes, exported for reproducer scripts.
-ACTION_TYPES: Tuple[type, ...] = (
-    LossWindow,
-    DuplicateWindow,
-    ReorderWindow,
-    Partition,
-    TargetedDrop,
-    ClientDie,
-    NodeCrash,
-    Reboot,
-    ThunderingHerd,
-    PowerLoss,
-    DiskFault,
-)
+Actions = Tuple[Action, ...]
 
 
 @dataclass(frozen=True)
@@ -446,7 +405,7 @@ class Scenario:
     """A named, ordered fault schedule."""
 
     name: str
-    actions: Tuple[Action, ...]
+    actions: Actions
 
     def apply(self, built: BuiltWorkload) -> None:
         for action in self.actions:
@@ -497,85 +456,54 @@ def _disk_roles(spec: WorkloadSpec) -> Tuple[str, ...]:
     return roles or (_server_role(spec),)
 
 
-def _lossy(spec: WorkloadSpec) -> Scenario:
+def _lossy(spec: WorkloadSpec) -> Actions:
     # Opens at t=0 so even short workloads (echo finishes in ~100ms)
     # run their whole transaction stream through the noise.
-    return Scenario(
-        "lossy",
-        (LossWindow(0.0, 2_000_000.0, loss=0.15, corruption=0.05),),
-    )
+    return (LossWindow(0.0, 2_000_000.0, loss=0.15, corruption=0.05),)
 
 
-def _partition(spec: WorkloadSpec) -> Scenario:
+def _partition(spec: WorkloadSpec) -> Actions:
     # Starts at 20ms — inside every workload's request stream — and
     # lasts past retransmission exhaustion, so requesters both declare
     # the server dead AND see it heal.
-    return Scenario(
-        "partition",
-        (
-            Partition(
-                20_000.0, 860_000.0, isolate=(_server_role(spec),)
-            ),
-        ),
-    )
+    return (Partition(20_000.0, 860_000.0, isolate=(_server_role(spec),)),)
 
 
-def _strike(spec: WorkloadSpec) -> Scenario:
+def _strike(spec: WorkloadSpec) -> Actions:
     # Surgical frame kills: the very first REQUEST (hits every
     # workload), the 3rd ACCEPT reply, and the 2nd pure ACK — each
     # forces a distinct retransmission path.
-    return Scenario(
-        "strike",
-        (
-            TargetedDrop(0.0, ptype="request", skip=0),
-            TargetedDrop(0.0, ptype="accept", skip=2),
-            TargetedDrop(0.0, ptype="ack", skip=1),
-        ),
+    return (
+        TargetedDrop(0.0, ptype="request", skip=0),
+        TargetedDrop(0.0, ptype="accept", skip=2),
+        TargetedDrop(0.0, ptype="ack", skip=1),
     )
 
 
-def _client_flap(spec: WorkloadSpec) -> Scenario:
+def _client_flap(spec: WorkloadSpec) -> Actions:
     # DIE lands mid-transaction for every workload (even echo, whose
     # whole stream runs ~0.1-60ms); the reboot restarts the role.
     role = _client_role(spec)
-    return Scenario(
-        "client_flap",
-        (
-            ClientDie(25_000.0, role=role),
-            Reboot(600_000.0, role=role),
-        ),
-    )
+    return (ClientDie(25_000.0, role=role), Reboot(600_000.0, role=role))
 
 
-def _server_flap(spec: WorkloadSpec) -> Scenario:
+def _server_flap(spec: WorkloadSpec) -> Actions:
     role = _server_role(spec)
-    return Scenario(
-        "server_flap",
-        (
-            ClientDie(22_000.0, role=role),
-            Reboot(500_000.0, role=role),
-        ),
-    )
+    return (ClientDie(22_000.0, role=role), Reboot(500_000.0, role=role))
 
 
-def _server_crash(spec: WorkloadSpec) -> Scenario:
+def _server_crash(spec: WorkloadSpec) -> Actions:
     role = _server_role(spec)
-    return Scenario(
-        "server_crash",
-        (
-            NodeCrash(30_000.0, role=role),
-            Reboot(1_200_000.0, role=role),
-        ),
-    )
+    return (NodeCrash(30_000.0, role=role), Reboot(1_200_000.0, role=role))
 
 
-def _calm(spec: WorkloadSpec) -> Scenario:
+def _calm(spec: WorkloadSpec) -> Actions:
     # The fault-free control row: a healthy run must produce zero crash
     # reports and zero false suspicions (docs/RECOVERY.md).
-    return Scenario("calm", ())
+    return ()
 
 
-def _crash_idle(spec: WorkloadSpec) -> Scenario:
+def _crash_idle(spec: WorkloadSpec) -> Actions:
     # Crash-then-idle: the server dies and *nothing in the schedule*
     # brings it back.  Supervised workloads must self-heal through the
     # supervisor's BOOT/LOAD path; unsupervised ones must terminate
@@ -583,184 +511,129 @@ def _crash_idle(spec: WorkloadSpec) -> Scenario:
     # t=15ms lands inside the supervised client's first exchange, so the
     # DIE leaves a DELIVERED-but-unACCEPTed record behind and the retry
     # shim's probe-proof path (arg=2) gets exercised, not just healing.
-    return Scenario(
-        "crash_idle", (ClientDie(15_000.0, role=_server_role(spec)),)
-    )
+    return (ClientDie(15_000.0, role=_server_role(spec)),)
 
 
-def _crash_load(spec: WorkloadSpec) -> Scenario:
+def _crash_load(spec: WorkloadSpec) -> Actions:
     # Power-fail the server node under request load; no scripted reboot
     # — recovery, if promised, is the supervisor's job.
     # t=334ms is inside a later exchange of the supervised client: a
     # power failure wipes the crashed-unaccepted memory with the rest of
     # the kernel, so the in-flight op must resolve as MAYBE (ambiguous),
     # never as a blind retry.
-    return Scenario(
-        "crash_load", (NodeCrash(334_000.0, role=_server_role(spec)),)
-    )
+    return (NodeCrash(334_000.0, role=_server_role(spec)),)
 
 
-def _sustained_loss(spec: WorkloadSpec) -> Scenario:
+def _sustained_loss(spec: WorkloadSpec) -> Actions:
     # The degradation tentpole: a 30% loss *plateau* held for three
     # seconds.  Not a burst to survive but a steady state to serve
     # through — the schedule the adaptive-vs-static transport benchmark
     # (repro.bench.transport) runs under.
-    return Scenario(
-        "sustained_loss",
-        (LossWindow(0.0, 3_000_000.0, loss=0.30),),
-    )
+    return (LossWindow(0.0, 3_000_000.0, loss=0.30),)
 
 
-def _thundering_herd(spec: WorkloadSpec) -> Scenario:
+def _thundering_herd(spec: WorkloadSpec) -> Actions:
     # N clones of the client role hammer the one server from t=10ms;
     # exercises BUSY parking, the widened retry hints, and the kernel
     # overload controller's OVERLOAD shed path.
-    return Scenario(
-        "thundering_herd",
-        (ThunderingHerd(10_000.0, role=_client_role(spec), clones=6),),
-    )
+    return (ThunderingHerd(10_000.0, role=_client_role(spec), clones=6),)
 
 
-def _duplicate(spec: WorkloadSpec) -> Scenario:
+def _duplicate(spec: WorkloadSpec) -> Actions:
     # Frame replay: 15% of surviving deliveries arrive twice, the echo
     # 150µs behind the original — stale REQUESTs, ACCEPT replies, and
     # replication APPENDs all replayed after they were acted on.
-    return Scenario(
-        "duplicate",
-        (DuplicateWindow(0.0, 2_500_000.0, probability=0.15),),
-    )
+    return (DuplicateWindow(0.0, 2_500_000.0, probability=0.15),)
 
 
-def _reorder(spec: WorkloadSpec) -> Scenario:
+def _reorder(spec: WorkloadSpec) -> Actions:
     # Overtaking: 15% of deliveries held back 600µs so younger frames
     # pass them — out-of-order arrival with nothing actually lost.
-    return Scenario(
-        "reorder",
-        (ReorderWindow(0.0, 2_500_000.0, probability=0.15, extra_us=600.0),),
-    )
+    return (ReorderWindow(0.0, 2_500_000.0, probability=0.15, extra_us=600.0),)
 
 
-def _primary_crash_load(spec: WorkloadSpec) -> Scenario:
+def _primary_crash_load(spec: WorkloadSpec) -> Actions:
     # The KV failover headline: power-fail the first role (the initial
     # KV primary) under client load with *no scripted reboot* — a
     # supervised cluster must fail over, an unsupervised one must fail
     # every subsequent op definitively rather than lie.
-    return Scenario(
-        "primary_crash_load",
-        (NodeCrash(200_000.0, role=_server_role(spec)),),
-    )
+    return (NodeCrash(200_000.0, role=_server_role(spec)),)
 
 
-def _backup_flap(spec: WorkloadSpec) -> Scenario:
+def _backup_flap(spec: WorkloadSpec) -> Actions:
     # Kill and reboot a *backup* (the second replica role when there is
     # one).  The primary keeps serving through the flap at quorum; the
     # rebooted backup comes back amnesiac and must anti-entropy catch up
     # before its CONFIRMs count again.
     roles = [role.name for role in spec.roles]
     role = roles[1] if len(roles) >= 3 else roles[-1]
-    return Scenario(
-        "backup_flap",
-        (
-            ClientDie(180_000.0, role=role),
-            Reboot(900_000.0, role=role),
-        ),
-    )
+    return (ClientDie(180_000.0, role=role), Reboot(900_000.0, role=role))
 
 
-def _partition_heal(spec: WorkloadSpec) -> Scenario:
+def _partition_heal(spec: WorkloadSpec) -> Actions:
     # Isolate the first role (the KV primary) long enough for the
     # supervisor to promote a replacement *during* the partition, then
     # heal: the stale primary resurfaces mid-epoch and must be fenced by
     # the first APPEND/CONFIRM it exchanges, not allowed to ack writes.
-    return Scenario(
-        "partition_heal",
-        (
-            Partition(
-                120_000.0, 2_600_000.0, isolate=(_server_role(spec),)
-            ),
-        ),
+    return (
+        Partition(120_000.0, 2_600_000.0, isolate=(_server_role(spec),)),
     )
 
 
-def _flap(spec: WorkloadSpec) -> Scenario:
+def _flap(spec: WorkloadSpec) -> Actions:
     # Flapping node: die, get healed (supervisor), die again — forcing
     # two full supervision cycles.  For unsupervised workloads the
     # second DIE is a forgiving no-op on an already-dead client.
     role = _server_role(spec)
-    return Scenario(
-        "flap",
-        (
-            ClientDie(25_000.0, role=role),
-            ClientDie(1_292_000.0, role=role),
-        ),
-    )
+    return (ClientDie(25_000.0, role=role), ClientDie(1_292_000.0, role=role))
 
 
-def _cluster_restart(spec: WorkloadSpec) -> Scenario:
+def _cluster_restart(spec: WorkloadSpec) -> Actions:
     # The durability headline: power-fail EVERY disk-bearing role at
     # the same instant under load, then reboot them all.  No surviving
     # peer holds the state, so anti-entropy cannot repair anyone —
     # acknowledged writes come back only from local WAL + snapshots.
-    return Scenario(
-        "cluster_restart",
-        (
-            PowerLoss(
-                900_000.0, roles=_disk_roles(spec),
-                reboot_delay_us=500_000.0,
-            ),
-        ),
-    )
+    roles = _disk_roles(spec)
+    return (PowerLoss(900_000.0, roles=roles, reboot_delay_us=500_000.0),)
 
 
-def _cluster_power_loss(spec: WorkloadSpec) -> Scenario:
+def _cluster_power_loss(spec: WorkloadSpec) -> Actions:
     # cluster_restart with the disks set to tear: each node's in-flight
     # unsynced write survives only as a prefix (ALICE-style torn
     # write), so every recovery must walk a damaged WAL tail.
     roles = _disk_roles(spec)
-    torn = tuple(
+    return tuple(
         DiskFault(0.0, role=role, kind="torn_write") for role in roles
-    )
-    return Scenario(
-        "cluster_power_loss",
-        torn
-        + (PowerLoss(900_000.0, roles=roles, reboot_delay_us=500_000.0),),
-    )
+    ) + (PowerLoss(900_000.0, roles=roles, reboot_delay_us=500_000.0),)
 
 
-def _torn_write_primary(spec: WorkloadSpec) -> Scenario:
+def _torn_write_primary(spec: WorkloadSpec) -> Actions:
     # Tear only the initial primary's disk, then power-fail it alone
     # mid-load: the cluster fails over while the old primary recovers
     # from a torn WAL and rejoins as a fenced backup.
     role = _disk_roles(spec)[0]
-    return Scenario(
-        "torn_write_primary",
-        (
-            DiskFault(0.0, role=role, kind="torn_write"),
-            PowerLoss(700_000.0, roles=(role,), reboot_delay_us=500_000.0),
-        ),
+    return (
+        DiskFault(0.0, role=role, kind="torn_write"),
+        PowerLoss(700_000.0, roles=(role,), reboot_delay_us=500_000.0),
     )
 
 
-def _bitrot_backup(spec: WorkloadSpec) -> Scenario:
+def _bitrot_backup(spec: WorkloadSpec) -> Actions:
     # Flip bits in a backup's *durable* WAL, then power-cycle it: the
     # CRC framing must detect the rot (truncating replay at the damage,
     # never deserializing garbage) and anti-entropy must repair the
     # re-joined replica from its peers.
     roles = _disk_roles(spec)
     role = roles[1] if len(roles) >= 2 else roles[0]
-    return Scenario(
-        "bitrot_backup",
-        (
-            DiskFault(1_000_000.0, role=role, kind="bitrot", count=4),
-            PowerLoss(
-                1_050_000.0, roles=(role,), reboot_delay_us=400_000.0
-            ),
-        ),
+    return (
+        DiskFault(1_000_000.0, role=role, kind="bitrot", count=4),
+        PowerLoss(1_050_000.0, roles=(role,), reboot_delay_us=400_000.0),
     )
 
 
-#: Named schedule factories; each adapts to the workload's role names.
-SCHEDULES: Dict[str, Callable[[WorkloadSpec], Scenario]] = {
+#: Named schedule factories; each returns its actions, adapted to the
+#: workload's role names, and the key names the :class:`Scenario`.
+SCHEDULES: Dict[str, Callable[[WorkloadSpec], Actions]] = {
     "lossy": _lossy,
     "partition": _partition,
     "strike": _strike,
@@ -797,7 +670,7 @@ def make_schedule(name: str, spec: WorkloadSpec) -> Scenario:
             f"unknown schedule {name!r}; choose from "
             f"{', '.join(sorted(SCHEDULES))}"
         ) from None
-    return factory(spec)
+    return Scenario(name, factory(spec))
 
 
 def chaos_config(

@@ -57,6 +57,8 @@ def format_repro(
     problem_lines = "\n".join(f"    #   {p}" for p in problems) or (
         "    #   (no recorded problems)"
     )
+    names = {"Scenario"} | {type(action).__name__ for action in scenario.actions}
+    imports = "\n".join(f"        {name}," for name in sorted(names))
     return f'''\
 def test_chaos_regression_{workload}_{scenario.name}_seed{seed}():
     """Shrunk reproducer from `python -m repro chaos`.
@@ -66,8 +68,7 @@ def test_chaos_regression_{workload}_{scenario.name}_seed{seed}():
     """
     from repro.chaos.runner import run_cell
     from repro.chaos.scenario import (
-        ClientDie, LossWindow, NodeCrash, Partition, Reboot, Scenario,
-        TargetedDrop,
+{imports}
     )
 
     scenario = Scenario(

@@ -12,6 +12,7 @@ determinism test ``test_matrix_payload_is_deterministic`` is
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,12 +22,16 @@ from repro.chaos.runner import matrix_cells, run_cell, run_matrix
 from repro.chaos.scenario import (
     SCHEDULES,
     ClientDie,
+    DuplicateWindow,
     LossWindow,
+    ReorderWindow,
     Scenario,
     TargetedDrop,
     make_schedule,
 )
 from repro.chaos.shrink import format_repro, shrink_scenario
+from repro.core import Network
+from repro.net import FaultPlan
 from repro.workloads import WORKLOADS, get_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -349,6 +354,51 @@ def test_format_repro_is_pasteable_python():
     assert "def test_chaos_regression_echo_client_flap_seed1" in text
     assert "ClientDie(at_us=25000.0, role='client')" in text
     compile(text, "<repro>", "exec")  # must be valid Python as-is
+    # The pasted test imports every action class its scenario uses
+    # (DiskFault, PowerLoss, ThunderingHerd here) and runs as-is.
+    for workload, schedule in (
+        ("kvstore", "cluster_power_loss"),
+        ("busy", "thundering_herd"),
+    ):
+        scenario = make_schedule(schedule, get_spec(workload))
+        namespace = {}
+        exec(format_repro(workload, 1, scenario, []), namespace)
+        namespace[f"test_chaos_regression_{workload}_{schedule}_seed1"]()
+
+
+#: Each fault window and the two bus fault-plan dials it turns.
+WINDOW_DIALS = {
+    LossWindow: ("loss_probability", "corruption_probability"),
+    DuplicateWindow: ("duplicate_probability", "duplicate_delay_us"),
+    ReorderWindow: ("reorder_probability", "reorder_extra_us"),
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOW_DIALS), ids=lambda w: w.__name__)
+def test_a_window_restores_what_it_found(window):
+    """A window nested in another puts the outer one's dials back when it
+    closes, and one that closes before it opens leaves a quiet plan's."""
+    net = Network(seed=1)
+    built = SimpleNamespace(net=net)
+
+    def dials():
+        return tuple(getattr(net.faults, name) for name in WINDOW_DIALS[window])
+
+    quiet = tuple(getattr(FaultPlan(), name) for name in WINDOW_DIALS[window])
+    window(1_000.0, 4_000.0, 0.5, 700.0).apply(built)
+    window(2_000.0, 3_000.0, 0.25, 900.0).apply(built)
+    net.run(until=2_500.0)
+    assert dials() == (0.25, 900.0)
+    net.run(until=3_500.0)
+    assert dials() == (0.5, 700.0)
+    net.run(until=4_500.0)
+    assert dials() == quiet
+
+    for name in WINDOW_DIALS[window]:
+        setattr(net.faults, name, 0.75)
+    window(6_000.0, 5_000.0, 0.5, 700.0).apply(built)
+    net.run(until=5_500.0)
+    assert dials() == quiet
 
 
 def test_make_schedule_unknown_name():

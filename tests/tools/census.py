@@ -48,7 +48,6 @@ KEEP: Dict[str, str] = {
     "bench/real.py": "CI's `bench real --check` (wall clock, loopback UDP)",
     "bench/chaos.py::run": "CI's `bench chaos --check`; tier-1 sweeps via `body`",
     "bench/chaos.py::render": "CI's `bench chaos --check`",
-    "chaos/runner.py::_run_cell_packed": "`chaos --jobs N` pool workers",
     "netreal/runner.py::_kill_group": "a child that outlives terminate()",
     "netreal/udp.py::_NicProtocol.error_received": "asyncio, on an ICMP error",
     "core/client.py::_as_generator.<locals>.empty":
